@@ -1,12 +1,10 @@
 //! Bench for the time-interval sharded engine: span-wide cold index builds
-//! versus per-shard builds, warm batched execution through `ShardedEngine`
-//! versus `QueryEngine`, and the boundary-stitch index versus the transient
-//! merged-skyline pass on boundary-spanning workloads.  The per-shard build
-//! rows must not exceed the span-wide ones (shard skylines drop every
-//! cut-crossing window, so the total sweep work shrinks); short windows
-//! served from warm shard caches skip the untouched shards entirely; and
-//! the warm stitched spanning batch must beat the transient rebuild, which
-//! pays one CoreTime sweep per spanning query.
+//! versus per-shard builds, warm batched execution through a 4-shard plan
+//! versus the one-shard `ShardPlan::Span` plan, and warm boundary-spanning
+//! batches answered through the stitch index.  The per-shard build rows
+//! must not exceed the span-wide ones (shard skylines drop every
+//! cut-crossing window, so the total sweep work shrinks), and short windows
+//! served from warm shard caches skip the untouched shards entirely.
 //!
 //! Set `TKC_BENCH_QUICK=1` to run a reduced configuration (fewer samples
 //! and queries) as an executor-regression smoke in CI.
@@ -14,9 +12,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tkc_datasets::{DatasetProfile, DatasetStats, QueryWorkload, WorkloadConfig};
-use tkcore::{
-    EdgeCoreSkyline, EngineConfig, QueryEngine, ShardPlan, ShardedEngine, TimeRangeKCoreQuery,
-};
+use tkcore::{EdgeCoreSkyline, ShardPlan, ShardedEngine, TimeRangeKCoreQuery};
 
 const SHARDS: usize = 4;
 
@@ -62,7 +58,8 @@ fn bench_sharded_engine(c: &mut Criterion) {
             },
         );
 
-        let span_engine = QueryEngine::new(graph.clone());
+        let span_engine =
+            ShardedEngine::new(graph.clone(), ShardPlan::Span).expect("span plan resolves");
         span_engine.warm(k);
         group.bench_with_input(
             BenchmarkId::new("warm_span_batch", name),
@@ -89,10 +86,8 @@ fn bench_sharded_engine(c: &mut Criterion) {
             },
         );
 
-        // Boundary-spanning workload: every query crosses a shard cut, so
-        // the boundary pass dominates.  The stitched engine answers from
-        // the cached cut-crossing windows; the transient engine re-sweeps
-        // the merged sub-window per query (the pre-stitch behavior).
+        // Boundary-spanning workload: every query crosses a shard cut and is
+        // answered by one enumeration over its composed window skyline.
         let spanning = tkc_bench::spanning_workload(&graph, k, SHARDS, num_queries);
         let stitched = ShardedEngine::new(graph.clone(), ShardPlan::FixedCount(SHARDS))
             .expect("fixed-count plan resolves");
@@ -103,27 +98,6 @@ fn bench_sharded_engine(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("spanning_warm_stitched", name),
             &stitched,
-            |b, eng| {
-                b.iter(|| {
-                    let (_, batch) = eng.run_batch(&spanning).expect("valid workload");
-                    black_box(batch.total_cores)
-                });
-            },
-        );
-
-        let transient = ShardedEngine::with_config(
-            graph.clone(),
-            ShardPlan::FixedCount(SHARDS),
-            EngineConfig {
-                boundary_cache_entries: 0,
-                ..EngineConfig::default()
-            },
-        )
-        .expect("fixed-count plan resolves");
-        transient.warm(k);
-        group.bench_with_input(
-            BenchmarkId::new("spanning_warm_transient", name),
-            &transient,
             |b, eng| {
                 b.iter(|| {
                     let (_, batch) = eng.run_batch(&spanning).expect("valid workload");

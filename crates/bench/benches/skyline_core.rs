@@ -2,9 +2,8 @@
 //! layer: the span-wide build sweep (one flat window vector plus a `u32`
 //! offset array, counting-sort scattered from the emission stream), the
 //! binary-search `restrict_with` slice through a recycled scratch pool
-//! (the allocation-free warm path), the parallel 4-shard cold build
-//! through `ShardedEngine::warm`, and the boundary compose paid by warm
-//! transient spanning queries.
+//! (the allocation-free warm path), and the parallel 4-shard cold build
+//! through `ShardedEngine::warm`.
 //!
 //! Set `TKC_BENCH_QUICK=1` to run a reduced configuration (fewer samples
 //! and queries) as a layout-regression smoke in CI.
@@ -12,9 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tkc_datasets::{DatasetProfile, DatasetStats, QueryWorkload, WorkloadConfig};
-use tkcore::{
-    EdgeCoreSkyline, EngineConfig, ShardPlan, ShardedEngine, SkylineScratch, TimeRangeKCoreQuery,
-};
+use tkcore::{EdgeCoreSkyline, ShardPlan, ShardedEngine, SkylineScratch, TimeRangeKCoreQuery};
 
 const SHARDS: usize = 4;
 
@@ -72,30 +69,6 @@ fn bench_skyline_core(c: &mut Criterion) {
                 b.iter(|| {
                     eng.clear_cache();
                     black_box(eng.warm(k))
-                });
-            },
-        );
-
-        // Boundary compose: warm transient spanning queries pay one
-        // merged-window composition each (no stitch cache to hide it).
-        let spanning = tkc_bench::spanning_workload(&graph, k, SHARDS, num_queries);
-        let transient = ShardedEngine::with_config(
-            graph.clone(),
-            ShardPlan::FixedCount(SHARDS),
-            EngineConfig {
-                boundary_cache_entries: 0,
-                ..EngineConfig::default()
-            },
-        )
-        .expect("fixed-count plan resolves");
-        transient.warm(k);
-        group.bench_with_input(
-            BenchmarkId::new("spanning_compose", name),
-            &transient,
-            |b, eng| {
-                b.iter(|| {
-                    let (_, batch) = eng.run_batch(&spanning).expect("valid workload");
-                    black_box(batch.total_cores)
                 });
             },
         );

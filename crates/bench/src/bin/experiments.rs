@@ -423,34 +423,35 @@ const ENGINE_EXPERIMENT_SHARDS: usize = 4;
 const WARM_STITCHED_BASELINE_MS: [(&str, f64); 2] = [("EM", 8.915), ("CM", 1.871)];
 
 /// Minimum speedup of the pooled 4-shard cold build over the serial
-/// per-shard loop, asserted on EM when the host actually has CPUs to fan
-/// out to.  Single-core hosts cannot parallelize, so there the assertion
-/// degrades to a fan-out-overhead bound (see `engine_batch`).
+/// per-shard loop, asserted on EM when the host has a CPU per shard.  Hosts
+/// with fewer CPUs cannot run every shard build at once, so there the
+/// assertion degrades to a fan-out-overhead bound (see `engine_batch`).
 const PARALLEL_BUILD_MIN_SPEEDUP: f64 = 1.8;
 
 /// Engine experiment (not in the paper): cold per-query execution versus
-/// the cached batch-query engine, on the EM/CM profiles.  The warm column
-/// must beat the cold one — the CoreTime phase is amortised to ~zero on
-/// cache hits.  The sharded columns compare a span-wide cold index build
-/// against building every shard of a 4-shard plan: the sharded build does
-/// strictly less total sweep work (cut-crossing windows are dropped), and
-/// the peak per-shard skyline memory must be strictly below the span-wide
-/// index (asserted, not just reported).  The boundary columns run a
-/// batch of boundary-spanning windows warm through the cached stitch index
-/// versus the pre-stitch transient-merge path (`boundary_cache_entries =
-/// 0`); the stitched batch must be at least 2x faster (asserted) and
-/// return identical counts.
+/// the cached batch-query engine — a `ShardPlan::Span` `ShardedEngine`, one
+/// span-wide skyline per `k` — on the EM/CM profiles.  The warm column must
+/// beat the cold one: the CoreTime phase is amortised to ~zero on cache
+/// hits.  The sharded columns compare a span-wide cold index build against
+/// building every shard of a 4-shard plan: the sharded build does strictly
+/// less total sweep work (cut-crossing windows are dropped), and the peak
+/// per-shard skyline memory must be strictly below the span-wide index
+/// (asserted, not just reported).  The "spanning warm stitched" column runs
+/// a batch of boundary-spanning windows warm through the cached stitch
+/// index, answering each query with one enumeration over the composed
+/// window skyline; its counts must match cold per-query execution.
 ///
 /// Two columns track the flat-CSR/parallel-build work: "parallel cold
 /// build" warms the same 4-shard plan through `ShardedEngine::warm`, which
-/// fans the independent shard builds across the engine's pool — on a
-/// multi-core host this must be at least 1.8x faster than the serial
-/// per-shard loop on EM (on a single-core host, where fanning out buys
-/// nothing, it must instead stay within 25% of the serial loop, bounding
-/// the fan-out overhead); "flat restrict / query" slices the span-wide CSR
-/// index down to each workload window through one recycled scratch — the
-/// allocation-free warm path — and the warm stitched spanning batch is
-/// asserted to be no worse than the PR 9 nested-layout baseline.
+/// fans the independent shard builds across the engine's pool — on a host
+/// with a CPU per shard this must be at least 1.8x faster than the serial
+/// per-shard loop on EM (with fewer CPUs, where fanning out cannot run
+/// every build at once, it must instead stay within 25% of the serial
+/// loop, bounding the fan-out overhead); "flat restrict / query" slices the
+/// span-wide CSR index down to each workload window through one recycled
+/// scratch — the allocation-free warm path — and the warm stitched
+/// spanning batch is asserted to be no worse than the PR 9 nested-layout
+/// baseline.
 fn engine_batch(num_queries: usize) -> Report {
     let mut report = Report::new(
         format!(
@@ -470,9 +471,7 @@ fn engine_batch(num_queries: usize) -> Report {
             "parallel cold build".into(),
             "parallel build speedup".into(),
             "peak shard mem / span mem".into(),
-            "spanning warm transient".into(),
             "spanning warm stitched".into(),
-            "stitch speedup".into(),
         ],
     );
     for name in ["EM", "CM"] {
@@ -492,7 +491,8 @@ fn engine_batch(num_queries: usize) -> Report {
         }
         let cold = t0.elapsed();
 
-        let engine = tkcore::QueryEngine::new(graph.clone());
+        let engine = tkcore::ShardedEngine::new(graph.clone(), tkcore::ShardPlan::Span)
+            .expect("the span plan resolves");
         let t1 = Instant::now();
         let (_, first) = engine
             .run_batch(&queries)
@@ -564,7 +564,7 @@ fn engine_batch(num_queries: usize) -> Report {
             .map(|n| n.get())
             .unwrap_or(1);
         if name == "EM" {
-            if cpus >= 2 {
+            if cpus >= ENGINE_EXPERIMENT_SHARDS {
                 assert!(
                     parallel_speedup >= PARALLEL_BUILD_MIN_SPEEDUP,
                     "{name}: pooled 4-shard cold build only {parallel_speedup:.2}x over the \
@@ -573,8 +573,8 @@ fn engine_batch(num_queries: usize) -> Report {
             } else {
                 assert!(
                     parallel_build.as_secs_f64() <= sharded_build.as_secs_f64() * 1.25,
-                    "{name}: single-CPU pooled build {parallel_build:?} regressed more than \
-                     25% over the serial loop {sharded_build:?}"
+                    "{name}: pooled build on {cpus} CPUs {parallel_build:?} regressed more \
+                     than 25% over the serial loop {sharded_build:?}"
                 );
             }
         }
@@ -595,56 +595,41 @@ fn engine_batch(num_queries: usize) -> Report {
             "sharded result mismatch on {name}"
         );
 
-        // Boundary pass: repeated boundary-spanning batches, warm, with the
-        // cached stitch index versus the PR 3 transient-merge path.
+        // Boundary pass: a repeated boundary-spanning batch, warm, answered
+        // through the cached stitch index.
         let spanning =
             tkc_bench::spanning_workload(&graph, k, ENGINE_EXPERIMENT_SHARDS, num_queries);
+        let spanning_cores: u64 = spanning
+            .iter()
+            .map(|query| {
+                let mut sink = CountingSink::default();
+                query.run_with(&graph, Algorithm::Enum, &mut sink);
+                sink.num_cores
+            })
+            .sum();
         let stitched = tkcore::ShardedEngine::new(
             graph.clone(),
             tkcore::ShardPlan::FixedCount(ENGINE_EXPERIMENT_SHARDS),
         )
         .expect("fixed-count plan resolves");
-        let transient = tkcore::ShardedEngine::with_config(
-            graph.clone(),
-            tkcore::ShardPlan::FixedCount(ENGINE_EXPERIMENT_SHARDS),
-            tkcore::EngineConfig {
-                boundary_cache_entries: 0,
-                ..tkcore::EngineConfig::default()
-            },
-        )
-        .expect("fixed-count plan resolves");
-        // Warm both engines (shard skylines; plus stitch entries on the
-        // cached engine), then time the repeated batch.
+        // Warm the shard skylines and stitch entries, then time the
+        // repeated batch.
         let (_, stitched_first) = stitched
             .run_batch(&spanning)
             .expect("spanning queries are valid");
-        let (_, transient_first) = transient
-            .run_batch(&spanning)
-            .expect("spanning queries are valid");
         assert_eq!(
-            stitched_first.total_cores, transient_first.total_cores,
-            "stitched/transient result mismatch on {name}"
+            stitched_first.total_cores, spanning_cores,
+            "stitched/per-query result mismatch on {name}"
         );
         let t5 = Instant::now();
         let (_, stitched_warm) = stitched
             .run_batch(&spanning)
             .expect("spanning queries are valid");
         let stitched_time = t5.elapsed();
-        let t6 = Instant::now();
-        let (_, transient_warm) = transient
-            .run_batch(&spanning)
-            .expect("spanning queries are valid");
-        let transient_time = t6.elapsed();
-        assert_eq!(stitched_warm.total_cores, transient_warm.total_cores);
+        assert_eq!(stitched_warm.total_cores, spanning_cores);
         assert!(
             stitched_warm.cache.boundary.hits > 0,
             "{name}: spanning batch never hit the stitch cache"
-        );
-        let stitch_speedup = transient_time.as_secs_f64() / stitched_time.as_secs_f64().max(1e-9);
-        assert!(
-            stitch_speedup >= 2.0,
-            "{name}: warm stitched spanning batch only {stitch_speedup:.2}x faster than the \
-             transient-merge path ({stitched_time:?} vs {transient_time:?})"
         );
         // The flat layout must not regress the nested-layout stitched path.
         let baseline_ms = WARM_STITCHED_BASELINE_MS
@@ -684,33 +669,27 @@ fn engine_batch(num_queries: usize) -> Report {
                     peak_shard_bytes as f64 / (1024.0 * 1024.0),
                     span_bytes as f64 / (1024.0 * 1024.0)
                 ),
-                ms(transient_time),
                 ms(stitched_time),
-                format!("{stitch_speedup:.1}x"),
             ],
         );
     }
     report
 }
 
-/// Skyline microbenchmark (not in the paper): the cost of the three CSR
-/// skyline primitives per dataset, persisted as `BENCH_skyline.json` so the
-/// flat layout's trajectory is reviewable next to the engine numbers.
+/// Skyline microbenchmark (not in the paper): the cost of the CSR skyline
+/// primitives per dataset, persisted as `BENCH_skyline.json` so the flat
+/// layout's trajectory is reviewable next to the engine numbers.
 ///
 /// * `build` — one span-wide Algorithm-2 sweep emitting the CSR arrays;
 /// * `restrict` — slicing the span index down to each workload window
 ///   through one recycled scratch (two binary searches plus a contiguous
-///   copy per edge, no per-edge allocations);
-/// * `compose` — the boundary merge, isolated as the difference between a
-///   warm transient spanning batch (which pays one merged-window compose
-///   per query) and the same batch answered from the stitch cache (which
-///   pays enumeration only).
+///   copy per edge, no per-edge allocations).
+///
+/// The boundary compose has no row: it is only ever timed inside a query,
+/// and a per-request stage clock is what should measure it there.
 fn skyline_experiment(num_queries: usize) -> Report {
     let mut report = Report::new(
-        format!(
-            "Skyline primitives: CSR build / restrict / compose ({num_queries} windows, \
-             {ENGINE_EXPERIMENT_SHARDS}-shard compose plan)"
-        ),
+        format!("Skyline primitives: CSR build / restrict ({num_queries} windows)"),
         "dataset/op",
         vec![
             "total ms".into(),
@@ -758,55 +737,6 @@ fn skyline_experiment(num_queries: usize) -> Report {
                 us(restrict, queries.len()),
                 queries.len().to_string(),
                 restricted_windows.to_string(),
-            ],
-        );
-
-        // Compose: run the spanning workload warm through the transient
-        // engine (every query re-composes the merged sub-window skyline)
-        // and through the stitch cache (enumeration only); the difference
-        // is what composition itself costs.
-        let spanning =
-            tkc_bench::spanning_workload(&graph, k, ENGINE_EXPERIMENT_SHARDS, num_queries);
-        let plan = tkcore::ShardPlan::FixedCount(ENGINE_EXPERIMENT_SHARDS);
-        let transient = tkcore::ShardedEngine::with_config(
-            graph.clone(),
-            plan.clone(),
-            tkcore::EngineConfig {
-                boundary_cache_entries: 0,
-                ..tkcore::EngineConfig::default()
-            },
-        )
-        .expect("fixed-count plan resolves");
-        let stitched =
-            tkcore::ShardedEngine::new(graph.clone(), plan).expect("fixed-count plan resolves");
-        for engine in [&transient, &stitched] {
-            let (_, first) = engine
-                .run_batch(&spanning)
-                .expect("spanning queries are valid");
-            assert!(
-                first.total_cores > 0,
-                "{name}: spanning workload found no cores"
-            );
-        }
-        let t_transient = Instant::now();
-        let (_, transient_warm) = transient
-            .run_batch(&spanning)
-            .expect("spanning queries are valid");
-        let transient_time = t_transient.elapsed();
-        let t_stitched = Instant::now();
-        let (_, stitched_warm) = stitched
-            .run_batch(&spanning)
-            .expect("spanning queries are valid");
-        let stitched_time = t_stitched.elapsed();
-        assert_eq!(transient_warm.total_cores, stitched_warm.total_cores);
-        let compose = transient_time.saturating_sub(stitched_time);
-        report.push(
-            format!("{name}/compose"),
-            vec![
-                ms(compose),
-                us(compose, spanning.len()),
-                spanning.len().to_string(),
-                "-".into(),
             ],
         );
     }

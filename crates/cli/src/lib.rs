@@ -14,9 +14,9 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use tkc_datasets::{ArrivalProfile, DatasetProfile, DatasetStats, EventStream, EventStreamConfig};
 use tkcore::{
-    Affinity, Algorithm, CacheStats, CachedBackend, CoreBackend, CoreService, CountingSink,
-    IngestDelta, IngestEvent, KOutput, Lane, QueryEngine, QueryRequest, SealPolicy, ServerConfig,
-    ServiceConfig, ShardPlan, ShardedBackend, ShardedEngine, TkError, TkServer,
+    Affinity, Algorithm, CacheStats, CoreBackend, CoreService, CountingSink, IngestDelta,
+    IngestEvent, KOutput, Lane, QueryRequest, SealPolicy, ServerConfig, ServiceConfig, ShardPlan,
+    ShardedBackend, ShardedEngine, TkError, TkServer,
 };
 
 /// Errors reported to the CLI user.
@@ -60,10 +60,11 @@ USAGE:
       inclusive range through one cached engine, building at most one
       core-window index per k.  `--shards S` cuts the timeline into S
       time-interval shards (one index per touched shard and k, exact
-      stitching at shard cuts via the cached boundary index); `--workers W`
-      serves the request through a CoreService backed by a persistent
-      W-thread work-stealing pool, and `--affinity shard` routes each
-      request to the worker owning the shards its window overlaps.
+      stitching at shard cuts via the cached boundary index); the default
+      `--shards 0` keeps one span-wide shard, the unsharded engine.
+      `--workers W` serves the request through a CoreService backed by a
+      persistent W-thread work-stealing pool, and `--affinity shard` routes
+      each request to the worker owning the shards its window overlaps.
       `--output count` reports counts only; `--output full` (default)
       prints each core's tightest time interval, vertex count and edge
       count.
@@ -72,9 +73,10 @@ USAGE:
             [--threads <N>] [--budget-mb <M>] [--shards <S>] [--workers <W>]
             [--affinity shared|shard]
       Run a batch of queries through the cached query engine: one core-window
-      index per k (per shard and k with `--shards S`), restricted per query
-      and fanned across a persistent thread pool.  `--workers W` instead
-      submits every query to a W-worker CoreService and reports per-worker
+      index per k (per shard and k with `--shards S`; `--shards 0`, the
+      default, is one span-wide shard), restricted per query and fanned
+      across a persistent thread pool.  `--workers W` instead submits
+      every query to a W-worker CoreService and reports per-worker
       latency; `--affinity shard` enables shard-affine routing.  The CSV has
       one query per line, `k,start,end` (or just `k` for the whole time
       span; `#` starts a comment).  Prints per-query counts plus batch
@@ -202,7 +204,7 @@ pub enum Command {
         output: OutputKind,
         /// Print at most this many cores per `k`.
         limit: usize,
-        /// Time-interval shards (0 = unsharded span-wide engine).
+        /// Time-interval shards (0 = one span-wide shard, the unsharded engine).
         shards: usize,
         /// Serve through a CoreService with this many workers (0 = direct).
         workers: usize,
@@ -221,7 +223,7 @@ pub enum Command {
         threads: usize,
         /// Skyline-cache memory budget in MiB.
         budget_mb: usize,
-        /// Time-interval shards (0 = unsharded span-wide engine).
+        /// Time-interval shards (0 = one span-wide shard, the unsharded engine).
         shards: usize,
         /// Serve through a CoreService with this many workers (0 = direct
         /// engine batch).
@@ -260,7 +262,7 @@ pub enum Command {
         path: String,
         /// Listen address (`HOST:PORT`; port 0 picks an ephemeral port).
         addr: String,
-        /// Time-interval shards (0 = unsharded span-wide engine).
+        /// Time-interval shards (0 = one span-wide shard, the unsharded engine).
         shards: usize,
         /// Service worker threads (0 = one per CPU).
         workers: usize,
@@ -1050,6 +1052,16 @@ fn write_batch_summary(out: &mut String, algorithm: Algorithm, batch: &tkcore::B
     );
 }
 
+/// The engine layout for a `--shards` value: `0` is one span-wide shard
+/// (the unsharded engine), `S > 0` cuts the timeline into `S` shards.
+fn shard_plan(shards: usize) -> ShardPlan {
+    if shards == 0 {
+        ShardPlan::Span
+    } else {
+        ShardPlan::FixedCount(shards)
+    }
+}
+
 /// Writes the skyline-cache counters, with the per-shard build breakdown
 /// when the engine is sharded.
 fn write_cache_summary(out: &mut String, cache: &CacheStats) {
@@ -1066,9 +1078,9 @@ fn write_cache_summary(out: &mut String, cache: &CacheStats) {
 }
 
 /// Writes the per-shard build breakdown of a sharded engine's cache; a no-op
-/// for the unsharded engine (whose `per_shard` is empty).
+/// for the unsharded (one-shard) engine.
 fn write_shard_builds(out: &mut String, cache: &CacheStats) {
-    if !cache.per_shard.is_empty() {
+    if cache.per_shard.len() > 1 {
         let builds: Vec<u64> = cache.per_shard.iter().map(|s| s.builds).collect();
         let _ = writeln!(
             out,
@@ -1213,11 +1225,7 @@ pub fn run(command: Command) -> Result<String, CliError> {
                     admission_memory_bytes: None,
                     engine: engine_config,
                 };
-                let service = if shards > 0 {
-                    CoreService::start_sharded(graph, ShardPlan::FixedCount(shards), config)?
-                } else {
-                    CoreService::start(graph, config)
-                };
+                let service = CoreService::start_sharded(graph, shard_plan(shards), config)?;
                 let tickets: Vec<tkcore::Ticket> = parsed
                     .iter()
                     .map(|query| {
@@ -1261,16 +1269,9 @@ pub fn run(command: Command) -> Result<String, CliError> {
                 write_cache_summary(&mut out, &service.cache_stats());
                 service.shutdown();
             } else {
-                let (results, batch) = if shards > 0 {
-                    ShardedEngine::with_config(graph, ShardPlan::FixedCount(shards), engine_config)?
-                        .run_batch_with(&parsed, algorithm, |_| CountingSink::default())?
-                } else {
-                    QueryEngine::with_config(graph, engine_config).run_batch_with(
-                        &parsed,
-                        algorithm,
-                        |_| CountingSink::default(),
-                    )?
-                };
+                let (results, batch) =
+                    ShardedEngine::with_config(graph, shard_plan(shards), engine_config)?
+                        .run_batch_with(&parsed, algorithm, |_| CountingSink::default())?;
                 let rows: Vec<(u64, u64)> = results
                     .iter()
                     .map(|(sink, _)| (sink.num_cores, sink.total_edges))
@@ -1369,9 +1370,7 @@ pub fn run(command: Command) -> Result<String, CliError> {
                     }
                 }
                 let (watermark, num_shards, sealed_shards) = {
-                    let Some(engine) = service.sharded_engine() else {
-                        return Err(CliError("ingest service lost its sharded engine".into()));
-                    };
+                    let engine = service.engine();
                     if matches!(seal_policy, SealPolicy::Manual) {
                         seals += u64::from(engine.seal_tail().sealed);
                     }
@@ -1502,11 +1501,11 @@ pub fn run(command: Command) -> Result<String, CliError> {
             if queue_depth > 0 {
                 config.queue_depth = queue_depth;
             }
-            let service = Arc::new(if shards > 0 {
-                CoreService::start_sharded(graph, ShardPlan::FixedCount(shards), config)?
-            } else {
-                CoreService::start(graph, config)
-            });
+            let service = Arc::new(CoreService::start_sharded(
+                graph,
+                shard_plan(shards),
+                config,
+            )?);
             let server = TkServer::bind(
                 Arc::clone(&service),
                 addr.as_str(),
@@ -1648,9 +1647,10 @@ pub fn run(command: Command) -> Result<String, CliError> {
                 OutputKind::Count => request.count(),
                 OutputKind::Full => request.materialize(),
             };
-            // A k-range sweep reuses one cached index per (shard and) k; a
-            // single-k query without shards runs the algorithm directly.
-            // --workers routes the request through a CoreService instead.
+            // A k-range sweep or a sharded query reuses one cached index per
+            // (shard and) k; a single-k query without shards runs the
+            // algorithm directly.  --workers routes the request through a
+            // CoreService instead.
             let mut service_note = None;
             let (response, cache) = if workers > 0 {
                 let config = ServiceConfig {
@@ -1658,15 +1658,8 @@ pub fn run(command: Command) -> Result<String, CliError> {
                     affinity,
                     ..ServiceConfig::default()
                 };
-                let service = if shards > 0 {
-                    CoreService::start_sharded(
-                        graph.clone(),
-                        ShardPlan::FixedCount(shards),
-                        config,
-                    )?
-                } else {
-                    CoreService::start(graph.clone(), config)
-                };
+                let service =
+                    CoreService::start_sharded(graph.clone(), shard_plan(shards), config)?;
                 let reply = service.submit_with(request, algorithm)?.wait()?;
                 service_note = Some(format!(
                     "service: {} workers ({affinity} affinity), request {} queued {:?}, \
@@ -1680,28 +1673,15 @@ pub fn run(command: Command) -> Result<String, CliError> {
                 let cache = service.cache_stats();
                 service.shutdown();
                 (reply.response, Some(cache))
-            } else if shards > 0 {
-                let engine = Arc::new(ShardedEngine::new(
-                    graph.clone(),
-                    ShardPlan::FixedCount(shards),
-                )?);
+            } else if shards > 0 || matches!(ks, KSpec::Range(..)) {
+                let engine = Arc::new(ShardedEngine::new(graph.clone(), shard_plan(shards))?);
                 let backend = ShardedBackend::with_algorithm(Arc::clone(&engine), algorithm);
+                // Run against the engine's own snapshot so the backend's
+                // O(1) identity fast path applies.
                 let response = request.run(&engine.graph(), &backend)?;
                 (response, Some(engine.cache_stats()))
             } else {
-                match ks {
-                    KSpec::Range(..) => {
-                        let engine = Arc::new(QueryEngine::new(graph.clone()));
-                        let backend = CachedBackend::with_algorithm(Arc::clone(&engine), algorithm);
-                        // Run against the engine's own graph so the backend's
-                        // O(1) identity fast path applies.
-                        let response = request.run(engine.graph(), &backend)?;
-                        (response, Some(engine.cache_stats()))
-                    }
-                    KSpec::Single(_) => {
-                        (request.run(&graph, &algorithm as &dyn CoreBackend)?, None)
-                    }
-                }
+                (request.run(&graph, &algorithm as &dyn CoreBackend)?, None)
             };
             for outcome in &response.outcomes {
                 let k = outcome.k;

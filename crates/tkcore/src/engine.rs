@@ -1,106 +1,57 @@
-//! Cached batch-query engine with sub-range index reuse.
+//! Engine configuration, cache counters and the batch fan-out helpers of
+//! [`crate::ShardedEngine`] — the crate's one query engine.
 //!
 //! The paper's framework splits a time-range temporal k-core query into a
-//! CoreTime precomputation (the [`EdgeCoreSkyline`], Definitions 4–5) and a
-//! result-size-bounded enumeration.  The skyline has a property that the
-//! one-shot [`TimeRangeKCoreQuery`] API cannot exploit: an index built for a
-//! range `R` answers *every* query over a sub-range `r ⊆ R`.  The
-//! [`QueryEngine`] turns that into a serving architecture:
+//! CoreTime precomputation (the [`crate::EdgeCoreSkyline`], Definitions
+//! 4–5) and a result-size-bounded enumeration.  An index built for a range
+//! `R` answers *every* query over a sub-range `r ⊆ R` by restriction
+//! ([`crate::EdgeCoreSkyline::restrict`]), which is what the engine's
+//! skyline caches exploit; an unsharded engine is simply a
+//! [`crate::ShardPlan::Span`] engine whose one shard covers the whole
+//! timeline.
 //!
-//! * it owns the [`TemporalGraph`] and keeps an **LRU cache of span-wide
-//!   skylines keyed by `k`**, bounded by a configurable memory budget
-//!   (measured with [`EdgeCoreSkyline::memory_bytes`]);
-//! * a query for `(k, r)` takes the cached skyline for `k` (building the
-//!   `graph.span()`-wide index once on a cold miss) and **restricts** it to
-//!   `r` with [`EdgeCoreSkyline::restrict`] — a per-edge slice of the
-//!   already-computed minimal core windows — instead of re-running the
-//!   CoreTime sweep;
-//! * [`QueryEngine::run_batch`] fans a slice of queries across OS threads
-//!   with per-query sinks and aggregated [`BatchStats`].
-//!
-//! # Why restriction is exact
-//!
-//! Whether a window `w` is a *minimal core window* of an edge is a property
-//! of the graph alone: `e` is in the temporal k-core of `w` but of neither
-//! window obtained by shrinking `w` on one side (Definition 5).  Building
-//! the skyline for a range `R` merely restricts attention to the minimal
-//! windows contained in `R`; containment in a sub-range `r ⊆ R` is a further
-//! filter.  Hence
-//!
-//! ```text
-//! skyline_r(e) = { w ∈ skyline_R(e) : w ⊆ r }        for every r ⊆ R,
-//! ```
-//!
-//! and since both endpoints strictly increase along an edge's skyline
-//! (Lemma 2), the windows contained in `r` form a *contiguous* subsequence
-//! found by two binary searches.  Restriction therefore costs
-//! `O(|E_r| + |ECS_r|)` with no worklist iteration, and by Lemma 3 the
-//! restricted skyline drives the enumerators to exactly the same results as
-//! an index freshly built for `r` (asserted exhaustively by the
-//! `engine_restriction_matches_fresh_build` property test).
-//!
-//! # Cache policy
-//!
-//! One entry per `k`, always span-wide, evicted least-recently-used when the
-//! summed [`EdgeCoreSkyline::memory_bytes`] exceeds the budget.  The entry
-//! being inserted is never evicted, so a single index larger than the whole
-//! budget still serves its own query (the cache simply holds that one
-//! index).  Lookups and insertions take a [`Mutex`]; index *construction*
-//! happens outside the lock, so concurrent batch workers can build indexes
-//! for different `k` values in parallel.  Two threads racing on the same
-//! cold `k` may both build it; the loser's copy is dropped and the winner's
-//! is shared — wasted work bounded by one build, never wrong results.
-//!
-//! Parallelism note: batching fans across the engine's persistent
-//! [`ExecPool`] — workers claim query indexes from a
-//! shared counter and the calling thread participates, so nested batches
-//! (a service request fanning a sweep on the same pool) never deadlock.
-//! The pool is created lazily on the first multi-threaded batch, or
-//! injected by [`crate::CoreService`] so the serving layer and the engine
-//! share one set of threads.
+//! Batching fans across the engine's persistent [`ExecPool`]: workers claim
+//! query indexes from a shared counter and the calling thread participates,
+//! so nested batches (a service request fanning a sweep on the same pool)
+//! never deadlock.  The pool is created lazily on the first multi-threaded
+//! batch, or injected by [`crate::CoreService`] so the serving layer and the
+//! engine share one set of threads.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
-use crate::ecs::{EdgeCoreSkyline, SkylineScratch};
 use crate::error::TkError;
 use crate::exec::{run_batch_inner, ExecPool};
 use crate::ingest::SealPolicy;
-use crate::query::{Algorithm, QueryStats, TimeRangeKCoreQuery};
+use crate::query::{QueryStats, TimeRangeKCoreQuery};
 use crate::request::QueryRequest;
-use crate::sink::{CountingSink, ResultSink};
-use crate::sync;
+use crate::sink::ResultSink;
 use temporal_graph::TemporalGraph;
 
-/// Tuning knobs of a [`QueryEngine`].
+/// Tuning knobs of a [`crate::ShardedEngine`].
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Maximum summed [`EdgeCoreSkyline::memory_bytes`] of cached indexes
-    /// before least-recently-used entries are evicted.  The entry being
-    /// inserted is exempt, so one oversized index never thrashes.
+    /// Maximum summed [`crate::EdgeCoreSkyline::memory_bytes`] of cached
+    /// shard skylines before least-recently-used entries are evicted.  The
+    /// entry being inserted is exempt, so one oversized index never
+    /// thrashes.
     pub memory_budget_bytes: usize,
-    /// Worker threads for [`QueryEngine::run_batch`]; `0` means one per
-    /// available CPU.  The threads live in a persistent [`ExecPool`]
-    /// created on the first multi-threaded batch (the calling thread
-    /// counts as one of them).  When the engine shares an externally
-    /// provided pool instead ([`QueryEngine::with_pool`], or any engine
-    /// created by `CoreService::start*`/`over*`), that pool's size governs
+    /// Worker threads for [`crate::ShardedEngine::run_batch`] and for
+    /// fanning cold shard builds; `0` means one per available CPU.  The
+    /// threads live in a persistent [`ExecPool`] created on the first
+    /// multi-threaded batch (the calling thread counts as one of them).
+    /// When the engine shares an externally provided pool instead
+    /// ([`crate::ShardedEngine::with_pool`], or any engine a
+    /// [`crate::CoreService`] starts or adopts), that pool's size governs
     /// and this field is ignored.
     pub num_threads: usize,
-    /// Maximum number of cached boundary-stitch entries kept by a
-    /// [`crate::ShardedEngine`] (one entry per `(shard range, k)` holding
-    /// the cut-crossing minimal core windows; see [`crate::shard`]).  `0`
-    /// disables the stitch cache, restoring the transient merged-skyline
-    /// pass that rebuilds per boundary-spanning query — the better choice
-    /// when spanning windows are one-off, since a stitch entry's first
-    /// build sweeps its shard range's whole merged window, not just the
-    /// triggering query's window.  Ignored by the unsharded
-    /// [`QueryEngine`].
+    /// Maximum number of cached boundary-stitch entries (one entry per
+    /// `(shard range, k)` holding the cut-crossing minimal core windows; see
+    /// [`crate::shard`]), evicted least-recently-used.  `0` is treated as
+    /// `1`.  A one-shard engine has no cuts and never builds an entry.
     pub boundary_cache_entries: usize,
-    /// When a [`crate::ShardedEngine`]'s live tail shard is rolled into a
-    /// closed shard during ingest (see [`crate::ShardedEngine::absorb`]).
-    /// Ignored by the unsharded [`QueryEngine`].
+    /// When the live tail shard is rolled into a closed shard during ingest
+    /// (see [`crate::ShardedEngine::absorb`]).
     pub seal_policy: SealPolicy,
 }
 
@@ -115,9 +66,8 @@ impl Default for EngineConfig {
     }
 }
 
-/// Cache effectiveness counters, readable via [`QueryEngine::cache_stats`]
-/// (and [`crate::ShardedEngine::cache_stats`], which additionally populates
-/// the per-shard dimension).
+/// Cache effectiveness counters, readable via
+/// [`crate::ShardedEngine::cache_stats`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Queries answered from an already-resident skyline.
@@ -130,20 +80,18 @@ pub struct CacheStats {
     pub resident_bytes: usize,
     /// Number of currently resident skylines.
     pub resident_indexes: usize,
-    /// Per-shard counters, one entry per time-interval shard.  Empty for the
-    /// span-wide (unsharded) [`QueryEngine`]; a [`crate::ShardedEngine`]
-    /// always reports one entry per shard of its plan, in timeline order.
+    /// Per-shard counters, one entry per shard of the engine's plan, in
+    /// timeline order (a single entry for [`crate::ShardPlan::Span`]).
     pub per_shard: Vec<ShardCacheStats>,
-    /// Counters of the boundary-stitch index cache (always zero for the
-    /// unsharded [`QueryEngine`]; see [`crate::shard`]).
+    /// Counters of the boundary-stitch index cache (always zero for a
+    /// one-shard engine, which has no cuts; see [`crate::shard`]).
     pub boundary: BoundaryCacheStats,
     /// Tail-shard `(shard, k)` skylines dropped by ingest
     /// ([`crate::ShardedEngine::absorb`]): closed-shard skylines are never
     /// invalidated, so this counts exactly the rebuilds ingest can cause.
-    /// Always zero for the unsharded [`QueryEngine`].
     pub tail_invalidations: u64,
     /// Boundary-stitch entries whose shard range touches the live tail
-    /// dropped by ingest.  Always zero for the unsharded [`QueryEngine`].
+    /// dropped by ingest.
     pub boundary_invalidations: u64,
     /// Times the live tail shard was rolled into a closed shard (see
     /// [`SealPolicy`] and [`crate::ShardedEngine::seal_tail`]).
@@ -156,12 +104,11 @@ pub struct CacheStats {
     pub warm: WarmStats,
 }
 
-/// Timing counters of the cache-warming paths ([`QueryEngine::warm`],
-/// [`QueryEngine::warm_many`], [`crate::ShardedEngine::warm`]), reported in
-/// [`CacheStats::warm`].
+/// Timing counters of the cache-warming path
+/// ([`crate::ShardedEngine::warm`]), reported in [`CacheStats::warm`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WarmStats {
-    /// Warm calls observed (one per `warm`/`warm_many` call).
+    /// Warm calls observed.
     pub warms: u64,
     /// Skylines actually built by warm calls; already-resident entries
     /// don't count.
@@ -208,112 +155,7 @@ pub struct ShardCacheStats {
     pub resident_indexes: usize,
 }
 
-struct CacheEntry {
-    skyline: Arc<EdgeCoreSkyline>,
-    last_used: u64,
-}
-
-struct SkylineCache {
-    entries: HashMap<usize, CacheEntry>,
-    clock: u64,
-    resident_bytes: usize,
-    budget: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    warm: WarmStats,
-}
-
-impl SkylineCache {
-    fn new(budget: usize) -> Self {
-        Self {
-            entries: HashMap::new(),
-            clock: 0,
-            resident_bytes: 0,
-            budget,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            warm: WarmStats::default(),
-        }
-    }
-
-    fn get(&mut self, k: usize) -> Option<Arc<EdgeCoreSkyline>> {
-        self.clock += 1;
-        let clock = self.clock;
-        match self.entries.get_mut(&k) {
-            Some(entry) => {
-                entry.last_used = clock;
-                self.hits += 1;
-                Some(Arc::clone(&entry.skyline))
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Inserts a freshly built skyline unless another thread won the race,
-    /// then evicts LRU entries (never `k` itself) down to the budget.
-    /// Returns the cached skyline to use.
-    fn adopt(&mut self, k: usize, built: Arc<EdgeCoreSkyline>) -> Arc<EdgeCoreSkyline> {
-        self.clock += 1;
-        let clock = self.clock;
-        let skyline = match self.entries.get_mut(&k) {
-            Some(existing) => {
-                existing.last_used = clock;
-                Arc::clone(&existing.skyline)
-            }
-            None => {
-                self.resident_bytes += built.memory_bytes();
-                self.entries.insert(
-                    k,
-                    CacheEntry {
-                        skyline: Arc::clone(&built),
-                        last_used: clock,
-                    },
-                );
-                built
-            }
-        };
-        while self.resident_bytes > self.budget && self.entries.len() > 1 {
-            let Some((&victim, _)) = self
-                .entries
-                .iter()
-                .filter(|(&key, _)| key != k)
-                .min_by_key(|(_, e)| e.last_used)
-            else {
-                break;
-            };
-            // tkc-lint: allow(no-panic-api) — the victim key was just yielded by iterating `entries`
-            let removed = self.entries.remove(&victim).expect("victim present");
-            self.resident_bytes -= removed.skyline.memory_bytes();
-            self.evictions += 1;
-        }
-        skyline
-    }
-
-    fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-            resident_bytes: self.resident_bytes,
-            resident_indexes: self.entries.len(),
-            per_shard: Vec::new(),
-            boundary: BoundaryCacheStats::default(),
-            tail_invalidations: 0,
-            boundary_invalidations: 0,
-            seals: 0,
-            warm: self.warm,
-        }
-    }
-}
-
-/// Aggregated outcome of one [`QueryEngine::run_batch`] call.  The cache
-/// counters inside carry the per-shard dimension when the batch ran on a
-/// [`crate::ShardedEngine`].
+/// Aggregated outcome of one [`crate::ShardedEngine::run_batch`] call.
 #[derive(Debug, Clone)]
 pub struct BatchStats {
     /// Number of queries executed.
@@ -335,307 +177,9 @@ pub struct BatchStats {
     pub cache: CacheStats,
 }
 
-/// A query-serving engine owning a temporal graph and a skyline cache.
-///
-/// See the [module documentation](self) for the cache policy and the
-/// restriction correctness argument.
-///
-/// # Example
-///
-/// ```
-/// use tkcore::{QueryEngine, TimeRangeKCoreQuery, paper_example};
-/// use temporal_graph::TimeWindow;
-///
-/// let engine = QueryEngine::new(paper_example::graph());
-/// let queries = [
-///     TimeRangeKCoreQuery::new(2, TimeWindow::new(1, 4)).unwrap(),
-///     TimeRangeKCoreQuery::new(2, TimeWindow::new(2, 7)).unwrap(),
-/// ];
-/// let (results, stats) = engine.run_batch(&queries).unwrap();
-/// assert_eq!(results[0].0.num_cores, 2); // Figure 2 of the paper
-/// assert_eq!(stats.num_queries, 2);
-/// // Both queries share one span-wide skyline for k = 2.
-/// assert_eq!(engine.cache_stats().misses, 1);
-/// ```
-pub struct QueryEngine {
-    inner: Arc<EngineInner>,
-}
-
-/// The shared core of a [`QueryEngine`]: everything a batch task needs,
-/// behind one `Arc` so tasks handed to the persistent pool are `'static`.
-struct EngineInner {
-    graph: Arc<TemporalGraph>,
-    config: EngineConfig,
-    cache: Mutex<SkylineCache>,
-    pool: OnceLock<Arc<ExecPool>>,
-    /// Pooled restriction buffers: taken whole per query, handed back via
-    /// `absorb`; never held across another lock.
-    scratch: Mutex<SkylineScratch>,
-}
-
-impl QueryEngine {
-    /// Creates an engine with the default configuration.
-    pub fn new(graph: TemporalGraph) -> Self {
-        Self::with_config(graph, EngineConfig::default())
-    }
-
-    /// Creates an engine with an explicit configuration.
-    pub fn with_config(graph: TemporalGraph, config: EngineConfig) -> Self {
-        let cache = Mutex::new(SkylineCache::new(config.memory_budget_bytes));
-        Self {
-            inner: Arc::new(EngineInner {
-                graph: Arc::new(graph),
-                config,
-                cache,
-                pool: OnceLock::new(),
-                scratch: Mutex::new(SkylineScratch::default()),
-            }),
-        }
-    }
-
-    /// Creates an engine whose batches execute on an existing persistent
-    /// `pool` (typically shared with the [`crate::CoreService`] that owns
-    /// the engine) instead of a lazily created private one.
-    pub fn with_pool(graph: TemporalGraph, config: EngineConfig, pool: Arc<ExecPool>) -> Self {
-        let engine = Self::with_config(graph, config);
-        engine
-            .inner
-            .pool
-            .set(pool)
-            .ok()
-            // tkc-lint: allow(no-panic-api) — the OnceLock is set exactly once, on a freshly constructed engine
-            .expect("fresh engine has no pool yet");
-        engine
-    }
-
-    /// Adopts `pool` for this engine's batches if it has not already
-    /// created or been given one; returns whether the pool was installed.
-    /// Lets [`crate::CoreService::over`] share its worker pool with a
-    /// caller-constructed engine instead of the engine lazily spawning a
-    /// second private pool.
-    pub fn adopt_pool(&self, pool: Arc<ExecPool>) -> bool {
-        self.inner.pool.set(pool).is_ok()
-    }
-
-    /// The graph this engine serves queries against.
-    pub fn graph(&self) -> &TemporalGraph {
-        &self.inner.graph
-    }
-
-    /// The graph behind a cheap shared handle (used by the serving layer,
-    /// whose sharded sibling can only hand out owned snapshots).
-    pub(crate) fn graph_arc(&self) -> Arc<TemporalGraph> {
-        Arc::clone(&self.inner.graph)
-    }
-
-    /// Current cache counters (cumulative since construction).
-    pub fn cache_stats(&self) -> CacheStats {
-        sync::lock(&self.inner.cache).stats()
-    }
-
-    /// Drops every cached skyline, keeping the counters.
-    pub fn clear_cache(&self) {
-        let mut cache = sync::lock(&self.inner.cache);
-        cache.entries.clear();
-        cache.resident_bytes = 0;
-    }
-
-    /// Warms the cache for `k` without running a query; returns whether the
-    /// skyline was already resident.
-    pub fn warm(&self, k: usize) -> bool {
-        self.warm_many(std::slice::from_ref(&k))
-    }
-
-    /// Warms the cache for every `k` in `ks` without running queries,
-    /// fanning the missing span-wide builds across the engine's
-    /// [`ExecPool`] — the same parallelism batches get, applied to index
-    /// construction; returns whether all of them were already resident.
-    ///
-    /// Cache accounting matches `ks.len()` serial [`QueryEngine::warm`]
-    /// calls (one hit or miss per `k`; racing builders keep the documented
-    /// single-flight semantics, the loser's copy dropped), and the warm's
-    /// wall-clock vs summed per-entry build times land in
-    /// [`CacheStats::warm`].
-    pub fn warm_many(&self, ks: &[usize]) -> bool {
-        let t0 = Instant::now();
-        let mut missing: Vec<usize> = Vec::new();
-        {
-            let mut cache = sync::lock(&self.inner.cache);
-            for &k in ks {
-                if cache.get(k).is_none() {
-                    missing.push(k);
-                }
-            }
-        }
-        let all_resident = missing.is_empty();
-        if !all_resident {
-            let (_, pool) = batch_executor(
-                &self.inner.pool,
-                self.inner.config.num_threads,
-                missing.len(),
-            );
-            let graph = Arc::clone(&self.inner.graph);
-            let task_ks: Arc<[usize]> = missing.as_slice().into();
-            let built = run_batch_inner(pool.as_deref(), missing.len(), move |i| {
-                let t = Instant::now();
-                let skyline = Arc::new(EdgeCoreSkyline::build(&graph, task_ks[i], graph.span()));
-                (skyline, t.elapsed())
-            });
-            let mut cache = sync::lock(&self.inner.cache);
-            for (&k, (skyline, took)) in missing.iter().zip(built) {
-                cache.warm.entries_built += 1;
-                cache.warm.build_time += took;
-                let _ = cache.adopt(k, skyline);
-            }
-        }
-        let mut cache = sync::lock(&self.inner.cache);
-        cache.warm.warms += 1;
-        cache.warm.wall_time += t0.elapsed();
-        all_resident
-    }
-
-    /// Runs one query with the paper's final algorithm, streaming results
-    /// into `sink`.
-    ///
-    /// # Errors
-    /// See [`QueryEngine::run_with`].
-    pub fn run(
-        &self,
-        query: &TimeRangeKCoreQuery,
-        sink: &mut dyn ResultSink,
-    ) -> Result<QueryStats, TkError> {
-        self.run_with(query, Algorithm::Enum, sink)
-    }
-
-    /// Runs one query with the chosen algorithm.
-    ///
-    /// `Enum` and `EnumBase` answer from the cached skyline restricted to
-    /// the query range; `Otcd` and `Naive` have no reusable index and run
-    /// exactly as [`TimeRangeKCoreQuery::run_with`] does (they participate
-    /// in batches for comparison runs, not for speed).
-    ///
-    /// The query is routed through [`QueryRequest::validate`] first, so a
-    /// range starting past the graph's last timestamp is refused with
-    /// [`TkError::WindowPastTmax`] instead of silently producing an empty
-    /// stats row; a range merely overhanging the end is clamped.
-    ///
-    /// # Errors
-    /// The validation errors of [`QueryRequest::validate`].
-    pub fn run_with(
-        &self,
-        query: &TimeRangeKCoreQuery,
-        algorithm: Algorithm,
-        sink: &mut dyn ResultSink,
-    ) -> Result<QueryStats, TkError> {
-        let range = query.range();
-        let validated = QueryRequest::single(query.k(), range.start(), range.end())
-            .validate(&self.inner.graph)?;
-        Ok(self
-            .inner
-            .run_validated(query.k(), validated.window(), algorithm, sink))
-    }
-
-    /// Runs a batch of queries with `Enum`, counting results per query.
-    ///
-    /// Convenience wrapper over [`QueryEngine::run_batch_with`] with a
-    /// [`CountingSink`] per query.
-    ///
-    /// # Errors
-    /// See [`QueryEngine::run_batch_with`].
-    pub fn run_batch(
-        &self,
-        queries: &[TimeRangeKCoreQuery],
-    ) -> Result<(Vec<(CountingSink, QueryStats)>, BatchStats), TkError> {
-        self.run_batch_with(queries, Algorithm::Enum, |_| CountingSink::default())
-    }
-
-    /// Fans `queries` across worker threads, one fresh sink per query.
-    ///
-    /// `make_sink(i)` builds the sink for `queries[i]`; results come back in
-    /// query order together with per-query [`QueryStats`] and aggregated
-    /// [`BatchStats`].  Workers pull the next query index from a shared
-    /// atomic counter, so long and short queries balance automatically.
-    ///
-    /// # Errors
-    /// Every query is validated up front (same rules as
-    /// [`QueryEngine::run_with`]); the first invalid query fails the whole
-    /// batch before any work starts, so a partially-executed batch is never
-    /// observable.
-    pub fn run_batch_with<S, F>(
-        &self,
-        queries: &[TimeRangeKCoreQuery],
-        algorithm: Algorithm,
-        make_sink: F,
-    ) -> Result<(Vec<(S, QueryStats)>, BatchStats), TkError>
-    where
-        S: ResultSink + Send + 'static,
-        F: Fn(usize) -> S + Send + Sync + 'static,
-    {
-        let t0 = Instant::now();
-        let validated = Arc::new(validate_batch(&self.inner.graph, queries)?);
-        let (threads, pool) = batch_executor(
-            &self.inner.pool,
-            self.inner.config.num_threads,
-            validated.len(),
-        );
-        let inner = Arc::clone(&self.inner);
-        let per_query = fan_out_batch(pool, validated, make_sink, move |k, window, sink| {
-            inner.run_validated(k, window, algorithm, sink)
-        });
-        let batch = aggregate_batch(&per_query, t0.elapsed(), threads, self.cache_stats());
-        Ok((per_query, batch))
-    }
-}
-
-impl EngineInner {
-    /// Returns the span-wide skyline for `k`, building and caching it on a
-    /// miss.  The build runs outside the cache lock (see module docs).
-    fn span_skyline(&self, k: usize) -> Arc<EdgeCoreSkyline> {
-        if let Some(hit) = sync::lock(&self.cache).get(k) {
-            return hit;
-        }
-        let built = Arc::new(EdgeCoreSkyline::build(&self.graph, k, self.graph.span()));
-        sync::lock(&self.cache).adopt(k, built)
-    }
-
-    /// Executes a query whose parameters already passed validation (`k >= 1`,
-    /// window inside the graph span).
-    fn run_validated(
-        &self,
-        k: usize,
-        range: temporal_graph::TimeWindow,
-        algorithm: Algorithm,
-        sink: &mut dyn ResultSink,
-    ) -> QueryStats {
-        let clamped = TimeRangeKCoreQuery::validated(k, range);
-        match algorithm {
-            Algorithm::Enum | Algorithm::EnumBase => {
-                let t0 = Instant::now();
-                let span_skyline = self.span_skyline(k);
-                // Take the whole scratch pool (short lock, guard dropped
-                // immediately), reuse its buffers for the restriction, merge
-                // it back once the restricted skyline is retired.
-                let mut scratch = std::mem::take(&mut *sync::lock(&self.scratch));
-                let restricted = span_skyline.restrict_with(&self.graph, range, &mut scratch);
-                let precompute_time = t0.elapsed();
-                let mut stats = clamped
-                    .run_with_skyline(&self.graph, &restricted, algorithm, sink)
-                    // tkc-lint: allow(no-panic-api) — restrict() targets exactly the clamped range, so validation cannot reject it
-                    .expect("restricted skyline matches the clamped query by construction");
-                stats.precompute_time = precompute_time;
-                scratch.recycle(restricted);
-                sync::lock(&self.scratch).absorb(scratch);
-                stats
-            }
-            Algorithm::Otcd | Algorithm::Naive => clamped.run_with(&self.graph, algorithm, sink),
-        }
-    }
-}
-
 /// Validates every query of a batch against `graph` (the same rules as
-/// [`QueryEngine::run_with`]); the first invalid query fails the whole batch
-/// before any work starts.  Shared by [`QueryEngine`] and
-/// [`crate::ShardedEngine`].
+/// [`crate::ShardedEngine::run_with`]); the first invalid query fails the
+/// whole batch before any work starts.
 pub(crate) fn validate_batch(
     graph: &TemporalGraph,
     queries: &[TimeRangeKCoreQuery],
@@ -672,8 +216,7 @@ pub(crate) fn effective_threads(configured: usize, num_queries: usize) -> usize 
 /// pool (created lazily on the first multi-threaded batch, or injected by a
 /// service at construction) plus the calling thread, or the inline
 /// single-threaded path.  Returns the thread count to report in
-/// [`BatchStats::threads`].  Shared by [`QueryEngine`] and
-/// [`crate::ShardedEngine`].
+/// [`BatchStats::threads`].
 pub(crate) fn batch_executor(
     pool: &OnceLock<Arc<ExecPool>>,
     configured_threads: usize,
@@ -697,9 +240,8 @@ pub(crate) fn batch_executor(
 /// calling thread), one fresh sink per query, results back in query order.
 /// Workers claim the next query index from a shared atomic counter, so long
 /// and short queries balance automatically.  `run` executes one
-/// already-validated query — this is the seam both the span-wide and the
-/// sharded engine plug their execution into.  `pool = None` runs inline on
-/// the calling thread only.
+/// already-validated query.  `pool = None` runs inline on the calling
+/// thread only.
 pub(crate) fn fan_out_batch<S, F, R>(
     pool: Option<Arc<ExecPool>>,
     validated: Arc<Vec<(usize, temporal_graph::TimeWindow)>>,
@@ -751,10 +293,23 @@ pub(crate) fn aggregate_batch<S>(
 
 #[cfg(test)]
 mod tests {
+    //! The unsharded ([`ShardPlan::Span`]) configuration of the engine: one
+    //! span-wide skyline per `k`, shared by every window.
     use super::*;
     use crate::paper_example;
-    use crate::sink::CollectingSink;
+    use crate::query::Algorithm;
+    use crate::shard::{ShardPlan, ShardedEngine};
+    use crate::sink::{CollectingSink, CountingSink};
+    use crate::{EdgeCoreSkyline, TkError};
     use temporal_graph::{TemporalGraphBuilder, TimeWindow};
+
+    fn span_engine(g: &TemporalGraph) -> ShardedEngine {
+        ShardedEngine::new(g.clone(), ShardPlan::Span).unwrap()
+    }
+
+    fn span_engine_with(g: &TemporalGraph, config: EngineConfig) -> ShardedEngine {
+        ShardedEngine::with_config(g.clone(), ShardPlan::Span, config).unwrap()
+    }
 
     fn graph() -> TemporalGraph {
         TemporalGraphBuilder::new()
@@ -781,7 +336,7 @@ mod tests {
     #[test]
     fn cached_answers_match_fresh_for_every_algorithm_and_range() {
         let g = graph();
-        let engine = QueryEngine::new(g.clone());
+        let engine = span_engine(&g);
         for k in 1..=3 {
             for range in [
                 g.span(),
@@ -810,7 +365,7 @@ mod tests {
     #[test]
     fn cache_hits_after_first_query_per_k() {
         let g = graph();
-        let engine = QueryEngine::new(g.clone());
+        let engine = span_engine(&g);
         let mut sink = CountingSink::default();
         engine
             .run(
@@ -837,8 +392,8 @@ mod tests {
     fn lru_eviction_respects_budget_and_keeps_newest() {
         let g = graph();
         let one_index_bytes = EdgeCoreSkyline::build(&g, 1, g.span()).memory_bytes();
-        let engine = QueryEngine::with_config(
-            g.clone(),
+        let engine = span_engine_with(
+            &g,
             EngineConfig {
                 memory_budget_bytes: one_index_bytes, // room for ~one index
                 num_threads: 1,
@@ -862,7 +417,7 @@ mod tests {
     #[test]
     fn out_of_span_queries_are_refused_with_a_typed_error() {
         let g = graph();
-        let engine = QueryEngine::new(g.clone());
+        let engine = span_engine(&g);
         let past_the_end =
             TimeRangeKCoreQuery::new(2, TimeWindow::new(g.tmax() + 1, g.tmax() + 9)).unwrap();
         for algo in Algorithm::ALL {
@@ -896,7 +451,7 @@ mod tests {
     #[test]
     fn batch_matches_sequential_and_aggregates() {
         let g = paper_example::graph();
-        let engine = QueryEngine::new(g.clone());
+        let engine = span_engine(&g);
         let queries: Vec<TimeRangeKCoreQuery> = (1..=g.tmax())
             .flat_map(|s| {
                 (s..=g.tmax())
@@ -942,16 +497,14 @@ mod tests {
     #[test]
     fn a_panicking_sink_does_not_wedge_later_cache_stats_calls() {
         let g = paper_example::graph();
-        let engine = Arc::new(QueryEngine::new(g.clone()));
+        let engine = span_engine(&g);
         let queries = vec![TimeRangeKCoreQuery::new(2, g.span()).unwrap(); 4];
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             engine.run_batch_with(&queries, Algorithm::Enum, |_| ExplodingSink)
         }));
         assert!(panicked.is_err(), "the sink panic reaches the caller");
-        // The regression PR 6 guards against: the panic above (or any panic
-        // that unwound with a cache guard held) used to poison the cache
-        // mutex, and the old `.lock().expect("cache lock")` then took down
-        // every later caller.  Stats and fresh queries must still work.
+        // A panic unwinding with a cache guard held poisons the mutex;
+        // stats and fresh queries must still work afterwards.
         let stats = engine.cache_stats();
         assert_eq!(stats.misses, 1, "the skyline build survived the panic");
         let mut sink = CountingSink::default();
@@ -962,32 +515,10 @@ mod tests {
     }
 
     #[test]
-    fn a_poisoned_cache_lock_recovers_instead_of_wedging() {
-        let g = graph();
-        let engine = QueryEngine::new(g.clone());
-        engine.warm(2);
-        // Poison the cache mutex directly: panic while holding the guard.
-        let inner = Arc::clone(&engine.inner);
-        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = inner.cache.lock().expect("not poisoned yet");
-            panic!("poison the cache lock");
-        }));
-        assert!(poisoned.is_err());
-        assert!(inner.cache.is_poisoned());
-        // Every later caller recovers the guard instead of propagating.
-        assert_eq!(engine.cache_stats().resident_indexes, 1);
-        assert!(engine.warm(2), "cached skyline still resident");
-        let mut sink = CountingSink::default();
-        engine
-            .run(&TimeRangeKCoreQuery::new(2, g.span()).unwrap(), &mut sink)
-            .unwrap();
-    }
-
-    #[test]
     fn batch_with_custom_sinks_and_threads() {
         let g = paper_example::graph();
-        let engine = QueryEngine::with_config(
-            g.clone(),
+        let engine = span_engine_with(
+            &g,
             EngineConfig {
                 num_threads: 3,
                 ..EngineConfig::default()

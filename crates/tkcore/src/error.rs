@@ -2,7 +2,7 @@
 //!
 //! Every public entry point of the unified query surface —
 //! [`crate::QueryRequest::validate`], [`crate::CoreBackend::execute`],
-//! [`crate::QueryEngine::run_with`], [`crate::CoreService::submit`] — returns
+//! [`crate::ShardedEngine::run_with`], [`crate::CoreService::submit`] — returns
 //! `Result<_, TkError>` instead of panicking or silently clamping degenerate
 //! input.  The variants mirror the ways a `(k, [Ts, Te])` query can be
 //! malformed or refused, so callers (the CLI, a serving layer) can render or
@@ -85,7 +85,7 @@ pub enum TkError {
         /// Human-readable description of the defect.
         detail: String,
     },
-    /// A [`crate::CachedBackend`] was handed a graph other than the one its
+    /// A [`crate::ShardedBackend`] was handed a graph other than the one its
     /// engine serves; cached skylines would be silently wrong for it.
     GraphMismatch,
     /// The [`crate::CoreService`] worker has shut down; the request cannot

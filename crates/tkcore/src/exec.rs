@@ -176,8 +176,16 @@ impl Drop for ExecPool {
     fn drop(&mut self) {
         self.close();
         let handles = std::mem::take(&mut *sync::lock(&self.handles));
+        // The last reference may be dropped inside one of this pool's own
+        // tasks (a job holding the engine that holds the pool).  A thread
+        // cannot join itself, so that worker's handle is detached instead:
+        // the worker drains what is left and exits on its own once the task
+        // returns, since the pool is closed.
+        let current = std::thread::current().id();
         for handle in handles {
-            let _ = handle.join();
+            if handle.thread().id() != current {
+                let _ = handle.join();
+            }
         }
     }
 }
@@ -388,5 +396,25 @@ mod tests {
         }
         drop(pool);
         assert_eq!(counter.load(Ordering::Relaxed), 8, "drained before join");
+    }
+
+    #[test]
+    fn dropping_the_last_reference_inside_a_task_does_not_self_join() {
+        let pool = ExecPool::new(2);
+        let held = Arc::clone(&pool);
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        pool.spawn(move |_| {
+            // Wait until the test thread has dropped its own reference, so
+            // dropping `held` here runs the pool's `Drop` on this worker.
+            release_rx.recv().unwrap();
+            drop(held);
+            done_tx.send(()).unwrap();
+        });
+        drop(pool);
+        release_tx.send(()).unwrap();
+        done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the task survives dropping the pool it runs on");
     }
 }

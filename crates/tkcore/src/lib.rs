@@ -16,9 +16,8 @@
 //!   [`TkError`] instead of a panic;
 //! * [`CoreBackend`] — pluggable execution: every [`Algorithm`] variant
 //!   (`Enum`, `EnumBase`, `Otcd`, `Naive`) is a backend, and
-//!   [`CachedBackend`] answers from a shared [`QueryEngine`]'s span-wide
-//!   skyline cache so repeated and swept queries build each index at most
-//!   once;
+//!   [`ShardedBackend`] answers from a shared [`ShardedEngine`]'s skyline
+//!   cache so repeated and swept queries build each index at most once;
 //! * [`CoreService`] — a thread-backed serving front end with a bounded
 //!   request queue, [`ServiceConfig::workers`] worker threads, admission
 //!   control ([`TkError::BudgetExceeded`]), and per-request [`RequestId`] +
@@ -31,11 +30,11 @@
 //! deques plus a shared injector; idle workers steal from the back of other
 //! lanes).  Nothing in the crate spawns transient per-call threads:
 //!
-//! * [`QueryEngine::run_batch`] and [`ShardedEngine::run_batch`] fan
-//!   queries across the engine's pool — created lazily on the first
-//!   multi-threaded batch ([`EngineConfig::num_threads`], the calling
-//!   thread counts as one of them and participates in every batch, so
-//!   nested fan-out never deadlocks;
+//! * [`ShardedEngine::run_batch`] fans queries across the engine's pool —
+//!   created lazily on the first multi-threaded batch
+//!   ([`EngineConfig::num_threads`]); the calling thread counts as one of
+//!   them and participates in every batch, so nested fan-out never
+//!   deadlocks;
 //! * [`CoreService`] owns a pool of [`ServiceConfig::workers`] threads and
 //!   routes every admitted request onto a **per-worker service lane**.
 //!   With [`Affinity::Shard`], a request whose window overlaps shards
@@ -44,41 +43,41 @@
 //!   per-worker blocks), keeping `(shard, k)` skylines and boundary-stitch
 //!   entries hot in one worker's hands; [`Affinity::Shared`] simply
 //!   load-balances.  Either way idle workers **steal** across lanes, so
-//!   affinity is a locality preference, never a stall.  Engines created by
-//!   `CoreService::start*` share the service's pool, so a multi-`k` sweep
-//!   fans out on the same threads that serve requests;
+//!   affinity is a locality preference, never a stall.  An engine created
+//!   by [`CoreService::start_sharded`] (or adopted by
+//!   [`CoreService::over_sharded`]) shares the service's pool, so a
+//!   multi-`k` sweep fans out on the same threads that serve requests;
 //! * a panicking request (e.g. a panicking streaming sink) is caught on
 //!   the worker: the ticket resolves to [`TkError::WorkerPanicked`], the
 //!   thread survives, and [`ServiceStats`] — including the per-worker
 //!   [`LatencyHistogram`]s — stays intact;
-//! * boundary-spanning queries on a [`ShardedEngine`] reuse a small
-//!   LRU-cached **boundary-stitch index** (the cut-crossing minimal core
-//!   windows per `(shard range, k)`, see [`shard`]) instead of re-sweeping
-//!   a merged sub-window skyline per query; its counters appear in
+//! * boundary-spanning queries reuse a small LRU-cached
+//!   **boundary-stitch index** (the cut-crossing minimal core windows per
+//!   `(shard range, k)`, see [`shard`]) instead of re-sweeping a merged
+//!   sub-window skyline per query; its counters appear in
 //!   [`CacheStats::boundary`].
 //!
 //! # Sharding
 //!
-//! A span-wide skyline per `k` is the memory and cold-build bottleneck on
-//! big graphs, so the timeline can be partitioned into contiguous
-//! time-interval shards ([`ShardPlan`]): a [`ShardedEngine`] caches one
-//! [`EdgeCoreSkyline`] per `(shard, k)` lazily under the same memory budget,
-//! and [`ShardedBackend`] plugs it into the request/serving surface.
+//! There is one query engine, [`ShardedEngine`].  It partitions the
+//! timeline into contiguous time-interval shards ([`ShardPlan`]) and caches
+//! one [`EdgeCoreSkyline`] per `(shard, k)` lazily under one memory budget;
+//! [`ShardedBackend`] plugs it into the request/serving surface.
+//! [`ShardPlan::Span`] is the unsharded layout — one shard, one span-wide
+//! skyline per `k` restricted to every query window — and finer plans bound
+//! the resident cache and cold builds by the largest shard instead.
 //!
-//! Answers stay **exact** at shard boundaries.  Every distinct temporal
-//! k-core equals the k-core of its own tightest time interval (TTI), so the
-//! cores of a query window `W` split into two disjoint classes: cores whose
-//! TTI fits inside one shard's slice of `W` — exactly the cores of that
-//! slice, served by restricting the shard's cached skyline
-//! ([`EdgeCoreSkyline::restrict`] is exact for sub-ranges) — and cores
-//! whose TTI crosses a shard cut, which per-shard skylines cannot represent
-//! and which are therefore re-verified against the merged sub-window: a
-//! transient skyline built for `W` itself, enumerated through a filter that
-//! forwards only cut-crossing TTIs.  Together the two classes reproduce the
-//! span-wide answer core for core; the `shard_equivalence` test harness
-//! asserts this for random graphs, random plans and all four algorithms.
-//! The transient index is dropped after the query, so resident memory stays
-//! bounded by the per-shard cache budget.
+//! Answers stay **exact** at shard boundaries.  A query is answered by one
+//! enumeration over the skyline of its window `W`.  Minimality of a core
+//! window is a property of the graph alone, so that skyline is the disjoint
+//! union of the windows fitting inside one shard's slice of `W` — the
+//! restricted shard skylines ([`EdgeCoreSkyline::restrict`] is exact for
+//! sub-ranges) — and the windows crossing a shard cut, which per-shard
+//! skylines drop and a small cached stitch index supplies.  A per-edge
+//! merge reassembles the window's skyline at restriction cost, so every
+//! core is emitted exactly once, in the order a fresh build for `W` would
+//! produce; the `shard_equivalence` test harness asserts this for random
+//! graphs, random plans and all four algorithms.
 //!
 //! # Live ingestion
 //!
@@ -157,12 +156,11 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use tkcore::{paper_example, CachedBackend, QueryEngine, QueryRequest};
+//! use tkcore::{paper_example, QueryRequest, ShardPlan, ShardedBackend, ShardedEngine};
 //!
-//! let graph = paper_example::graph();
-//! let engine = Arc::new(QueryEngine::new(graph.clone()));
-//! let backend = CachedBackend::new(Arc::clone(&engine));
-//! let response = QueryRequest::sweep(1..=3, 1, 7).run(&graph, &backend).unwrap();
+//! let engine = Arc::new(ShardedEngine::new(paper_example::graph(), ShardPlan::Span).unwrap());
+//! let backend = ShardedBackend::new(Arc::clone(&engine));
+//! let response = QueryRequest::sweep(1..=3, 1, 7).run(&engine.graph(), &backend).unwrap();
 //! assert_eq!(response.outcomes.len(), 3);           // per-k stats
 //! assert_eq!(engine.cache_stats().misses, 3);       // ≤ 1 build per k
 //! ```
@@ -179,8 +177,8 @@
 //!   framework;
 //! * [`run_otcd`] — the OTCD state-of-the-art competitor (Algorithm 1);
 //! * [`naive_results`] — a brute-force reference used for testing;
-//! * [`QueryEngine`] — the cached batch-query engine underneath
-//!   [`CachedBackend`] and [`CoreService`].
+//! * [`ShardedEngine`] — the cached batch-query engine underneath
+//!   [`ShardedBackend`] and [`CoreService`].
 //!
 //! The pre-redesign entry points `TimeRangeKCoreQuery::{enumerate, count}`
 //! (deprecated since the PR 2 API redesign) have been removed; see
@@ -209,10 +207,13 @@
 //!   buffer pairs: a restriction *takes* a pair, emits into it, and the
 //!   caller *recycles* the result's storage back into the pool once the
 //!   restricted skyline has been consumed.  The contract is per-engine:
-//!   scratch pools live under the engine's own lock, are taken whole
+//!   the scratch pool lives under the engine's own lock, is taken whole
 //!   (never held across another lock) and merged back with
 //!   [`SkylineScratch::absorb`], so a warm engine performs zero skyline
-//!   allocations per query regardless of how many shards a window spans.
+//!   allocations per restriction or composition regardless of how many
+//!   shards a window spans.  A spanning query's restricted parts are
+//!   recycled as soon as the composed window skyline exists, and that
+//!   skyline is recycled after its single enumeration.
 //!
 //! # Workspace invariants
 //!
@@ -281,7 +282,6 @@ mod enum_base;
 mod enumerate;
 mod error;
 pub mod exec;
-mod historical;
 pub mod ingest;
 pub mod naive;
 mod otcd;
@@ -298,17 +298,15 @@ pub mod sync;
 mod vct;
 pub mod wire;
 
-pub use backend::{CachedBackend, CoreBackend};
+pub use backend::CoreBackend;
 pub use ecs::{EdgeCoreSkyline, SkylineScratch};
 pub use engine::{
-    BatchStats, BoundaryCacheStats, CacheStats, EngineConfig, QueryEngine, ShardCacheStats,
-    WarmStats,
+    BatchStats, BoundaryCacheStats, CacheStats, EngineConfig, ShardCacheStats, WarmStats,
 };
 pub use enum_base::{enumerate_base, enumerate_base_from_graph, EnumBaseStats};
 pub use enumerate::{enumerate, enumerate_from_graph, EnumStats};
 pub use error::TkError;
 pub use exec::ExecPool;
-pub use historical::{historical_core_from_skyline, HistoricalKCoreIndex};
 pub use ingest::{AbsorbStats, IngestEvent, SealPolicy};
 pub use naive::{core_edges_of_window, enumerate_naive, naive_results};
 pub use otcd::{run_otcd, OtcdStats};

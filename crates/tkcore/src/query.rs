@@ -4,7 +4,7 @@
 //! problem statement — the integer `k` and the time range `[Ts, Te]` — and
 //! runs any of the implemented algorithms against a [`TemporalGraph`],
 //! reporting per-phase timings and memory estimates.  It is the low-level
-//! carrier used by [`crate::QueryEngine`]; application code should prefer the
+//! carrier used by [`crate::ShardedEngine`]; application code should prefer the
 //! richer, fallible [`crate::QueryRequest`] front end.
 
 use crate::ecs::EdgeCoreSkyline;
@@ -162,7 +162,7 @@ impl TimeRangeKCoreQuery {
     ///
     /// The reported `precompute_time` is zero — the index was paid for
     /// elsewhere (built directly, or restricted from a cached superset-range
-    /// index by [`crate::QueryEngine`]).
+    /// index by [`crate::ShardedEngine`]).
     ///
     /// # Errors
     /// Returns [`TkError::SkylineMismatch`] if the skyline's parameters do

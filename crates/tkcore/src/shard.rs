@@ -1,11 +1,13 @@
 //! Time-interval sharding: [`ShardPlan`], [`ShardedEngine`] and
 //! [`ShardedBackend`].
 //!
-//! The span-wide [`QueryEngine`](crate::QueryEngine) keeps **one skyline per
-//! `k` covering the whole timeline** — the memory and cold-build bottleneck
-//! on big graphs.  This module partitions the timeline into contiguous
-//! time-interval shards and keeps **one skyline per `(shard, k)`** instead,
-//! each covering only its shard's interval:
+//! [`ShardedEngine`] is the crate's query engine.  It partitions the
+//! timeline into contiguous time-interval shards and keeps **one skyline per
+//! `(shard, k)`**, each covering only its shard's interval.
+//! [`ShardPlan::Span`] is the unsharded layout: one shard covering the whole
+//! timeline, hence one span-wide skyline per `k`.  Finer plans trade the
+//! span-wide index — the memory and cold-build bottleneck on big graphs —
+//! for per-shard ones:
 //!
 //! * per-shard skylines are strictly smaller than the span-wide one (they
 //!   drop every minimal core window crossing a shard cut), so the resident
@@ -16,52 +18,55 @@
 //! * shard skylines build independently, so batch workers warm different
 //!   shards in parallel.
 //!
+//! # Cache policy
+//!
+//! One entry per `(shard, k)`, evicted least-recently-used when the summed
+//! [`EdgeCoreSkyline::memory_bytes`] exceeds
+//! [`EngineConfig::memory_budget_bytes`].  The entry being inserted is never
+//! evicted, so a single index larger than the whole budget still serves its
+//! own query.  Lookups and insertions take a mutex; index *construction*
+//! happens outside the lock, so concurrent batch workers build different
+//! entries in parallel.  Two threads racing on the same cold entry may both
+//! build it; the loser's copy is dropped and the winner's is shared —
+//! wasted work bounded by one build, never wrong results.
+//!
 //! # Exactness at shard boundaries
 //!
-//! Every distinct temporal k-core `C` of a query window `W` equals the
-//! k-core of its own TTI (`C = core(TTI(C))`, `TTI(C) ⊆ W`), so the cores of
-//! `W` partition by where their TTI falls relative to the shard cuts:
+//! A query over window `W` is answered by one enumeration over the skyline
+//! of `W` itself.  Minimality of a core window is a property of the graph
+//! alone, so that skyline splits into two disjoint classes of windows:
 //!
-//! 1. **Intra-shard cores** (`TTI ⊆ I_s ∩ W` for some shard interval
-//!    `I_s`): these are exactly the cores of the range `I_s ∩ W`, answered
-//!    by restricting shard `s`'s cached skyline — the same
-//!    restriction-is-exact argument as the span-wide engine
-//!    ([`EdgeCoreSkyline::restrict`]).
-//! 2. **Boundary-spanning cores** (TTI contains a cut, i.e. both `c` and
-//!    `c + 1` for some shard boundary after timestamp `c`): these cannot be
-//!    derived from per-shard skylines (their minimal windows were dropped at
-//!    build time) and are enumerated from a skyline of `W` itself through a
-//!    filter that forwards only cores whose TTI crosses a cut.
+//! 1. **Intra-shard windows** (`w ⊆ W ∩ I_s` for some shard interval
+//!    `I_s`): exactly the restriction of shard `s`'s cached skyline to
+//!    `W ∩ I_s` ([`EdgeCoreSkyline::restrict`] is exact for sub-ranges).
+//! 2. **Cut-crossing windows** (containing both `c` and `c + 1` for some
+//!    shard boundary after timestamp `c`): per-shard builds drop them, so
+//!    they come from the boundary-stitch index below.
 //!
-//! The two sets are disjoint (a TTI either fits inside one shard or crosses
-//! a cut) and jointly exhaustive, and within one graph a TTI identifies its
-//! core uniquely — so the stitched answer equals the span-wide answer
-//! exactly.  The `shard_equivalence` and `boundary_index` test harnesses
-//! assert this for random graphs, random plans and all four algorithms.
+//! A window inside one shard has no cut-crossing windows, and its restricted
+//! shard skyline *is* the skyline of `W`.  A spanning window reassembles its
+//! skyline from both classes.  Either way the enumerator runs once over the
+//! same skyline a fresh build for `W` would produce, so every core is
+//! emitted exactly once, in the same order as
+//! [`crate::Algorithm::Enum`] over `W` — the result-size bound of the
+//! paper's enumeration holds for spanning queries too.  The
+//! `shard_equivalence` harness asserts this for random graphs, random plans
+//! and all four algorithms.
 //!
 //! # The boundary-stitch index
 //!
-//! The skyline of `W` needed by step 2 used to be rebuilt transiently on
-//! *every* boundary-spanning query — a full CoreTime sweep per query.  The
-//! engine now assembles it from cached pieces instead:
-//!
-//! * minimality of a core window is a property of the graph alone, so the
-//!   skyline of `W` splits into the **intra-shard windows** (`w ⊆ W ∩ I_s`
-//!   for some shard `s` — exactly the restricted per-shard skylines already
-//!   fetched for step 1) and the **cut-crossing windows**;
-//! * the cut-crossing windows come from a small LRU-cached **stitch entry**
+//! * The cut-crossing windows come from a small LRU-cached **stitch entry**
 //!   per `(shard range, k)` — for the common case of a window spanning one
 //!   cut, per adjacent shard pair `(i, i + 1, k)`.  An entry is built once,
 //!   on the first spanning query of its shard range (one merged-window
 //!   sweep, filtered down to the cut-crossing windows only), and reused by
-//!   every later spanning query of that range;
-//! * a per-edge merge of the two sorted classes reproduces the skyline of
-//!   `W` in `O(|E_W| + |ECS_W|)` — restriction cost, not sweep cost.
+//!   every later spanning query of that range.
+//! * A per-edge merge of the restricted shard skylines with the entry's
+//!   windows reproduces the skyline of `W` in `O(|E_W| + |ECS_W|)` —
+//!   restriction cost, not sweep cost.
 //!
-//! Warm boundary-spanning queries therefore stop paying the per-query
-//! sweep.  The stitch cache is bounded by
-//! [`EngineConfig::boundary_cache_entries`] (LRU; `0` restores the
-//! transient rebuild) and its counters are reported in
+//! The stitch cache holds at most [`EngineConfig::boundary_cache_entries`]
+//! entries (LRU, at least one) and its counters are reported in
 //! [`CacheStats::boundary`].
 //!
 //! # Live ingestion
@@ -98,7 +103,7 @@ use crate::query::{Algorithm, QueryStats, TimeRangeKCoreQuery};
 use crate::request::QueryRequest;
 use crate::sink::{CountingSink, ResultSink};
 use crate::sync;
-use temporal_graph::{AppendableGraph, EdgeId, TemporalGraph, TimeWindow, Timestamp};
+use temporal_graph::{AppendableGraph, TemporalGraph, TimeWindow, Timestamp};
 
 /// How to cut the graph's timeline `[1, tmax]` into contiguous shards.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -450,7 +455,7 @@ struct BoundaryEntry {
 /// LRU cache of boundary-stitch entries, keyed by `(lo shard, hi shard, k)`.
 struct BoundaryCache {
     entries: HashMap<(usize, usize, usize), BoundaryEntry>,
-    /// Maximum resident entries; `0` disables the cache entirely.
+    /// Maximum resident entries (at least one is always kept).
     capacity: usize,
     clock: u64,
     builds: u64,
@@ -591,27 +596,6 @@ impl BoundaryCache {
     }
 }
 
-/// Forwards only cores whose TTI crosses at least one shard cut, counting
-/// what it lets through (the stitching filter of the boundary pass).
-struct BoundarySink<'a> {
-    inner: &'a mut dyn ResultSink,
-    /// Shard boundaries inside the query window: a cut after timestamp `c`
-    /// is crossed by a TTI `[a, b]` iff `a <= c < b`.
-    cuts: &'a [Timestamp],
-    cores: u64,
-    edges: u64,
-}
-
-impl ResultSink for BoundarySink<'_> {
-    fn emit(&mut self, tti: TimeWindow, edges: &[EdgeId]) {
-        if self.cuts.iter().any(|&c| tti.start() <= c && c < tti.end()) {
-            self.cores += 1;
-            self.edges += edges.len() as u64;
-            self.inner.emit(tti, edges);
-        }
-    }
-}
-
 /// Reassembles the exact skyline of `window` from the restricted per-shard
 /// skylines (`parts`, in timeline order, jointly covering `window`) and the
 /// cached cut-crossing windows (`crossing`, built over a superset range).
@@ -667,9 +651,11 @@ fn compose_boundary_skyline(
     EdgeCoreSkyline::from_parts(k, window, first_edge, offsets, flat)
 }
 
-/// A query engine over time-interval shards: per-`(shard, k)` skyline cache,
-/// exact boundary stitching through a cached [`CacheStats::boundary`] index,
-/// and the same batch surface as [`QueryEngine`](crate::QueryEngine).
+/// The query engine: a per-`(shard, k)` skyline cache over time-interval
+/// shards, exact boundary stitching through a cached
+/// [`CacheStats::boundary`] index, and a batch surface fanning queries
+/// across a persistent [`ExecPool`].  [`ShardPlan::Span`] gives the
+/// unsharded engine (one span-wide skyline per `k`).
 ///
 /// See the [module documentation](self) for the sharding layout and the
 /// exactness argument.
@@ -686,6 +672,17 @@ fn compose_boundary_skyline(
 /// let query = TimeRangeKCoreQuery::new(2, TimeWindow::new(1, 4)).unwrap();
 /// let stats = engine.run(&query, &mut sink).unwrap();
 /// assert_eq!(stats.num_cores, 2); // Figure 2 of the paper, stitched across shards
+///
+/// // The unsharded engine: one span-wide skyline serves every window of k = 2.
+/// let span = ShardedEngine::new(paper_example::graph(), ShardPlan::Span).unwrap();
+/// let queries = [
+///     TimeRangeKCoreQuery::new(2, TimeWindow::new(1, 4)).unwrap(),
+///     TimeRangeKCoreQuery::new(2, TimeWindow::new(2, 7)).unwrap(),
+/// ];
+/// let (results, batch) = span.run_batch(&queries).unwrap();
+/// assert_eq!(results[0].0.num_cores, 2);
+/// assert_eq!(batch.num_queries, 2);
+/// assert_eq!(span.cache_stats().per_shard[0].builds, 1);
 /// ```
 pub struct ShardedEngine {
     inner: Arc<ShardInner>,
@@ -855,8 +852,10 @@ impl ShardedEngine {
     }
 
     /// Adopts `pool` for this engine's batches if it has not already
-    /// created or been given one; returns whether the pool was installed
-    /// (see [`QueryEngine::adopt_pool`](crate::QueryEngine::adopt_pool)).
+    /// created or been given one; returns whether the pool was installed.
+    /// Lets [`crate::CoreService::over_sharded`] share its worker pool with
+    /// a caller-constructed engine instead of the engine lazily spawning a
+    /// second private pool.
     pub fn adopt_pool(&self, pool: Arc<ExecPool>) -> bool {
         self.inner.pool.set(pool).is_ok()
     }
@@ -1020,13 +1019,15 @@ impl ShardedEngine {
 
     /// Runs one query with the chosen algorithm.
     ///
-    /// `Enum` and `EnumBase` answer from restricted shard skylines plus the
-    /// boundary-stitching pass; `Otcd` and `Naive` have no reusable index
-    /// and run exactly as [`TimeRangeKCoreQuery::run_with`] does.
+    /// `Enum` and `EnumBase` answer from the window's skyline — a restricted
+    /// shard skyline, or for a window spanning shard cuts the restricted
+    /// shard skylines stitched with the cached cut-crossing windows; `Otcd`
+    /// and `Naive` have no reusable index and run exactly as
+    /// [`TimeRangeKCoreQuery::run_with`] does.
     ///
-    /// Cores are streamed in per-shard order (intra-shard cores first, then
-    /// boundary-spanning ones), which differs from the span-wide engine's
-    /// order; the *set* of `(TTI, edges)` pairs is identical.
+    /// The enumerator runs once over a skyline identical to a fresh build
+    /// for the window, so cores stream in exactly the order
+    /// [`TimeRangeKCoreQuery::run_with`] emits them, whatever the plan.
     ///
     /// # Errors
     /// The validation errors of [`QueryRequest::validate`].
@@ -1047,9 +1048,7 @@ impl ShardedEngine {
             .run_validated(&live, query.k(), validated.window(), algorithm, sink))
     }
 
-    /// Runs a batch of queries with `Enum`, counting results per query
-    /// (the sharded counterpart of
-    /// [`QueryEngine::run_batch`](crate::QueryEngine::run_batch)).
+    /// Runs a batch of queries with `Enum`, counting results per query.
     ///
     /// # Errors
     /// See [`ShardedEngine::run_batch_with`].
@@ -1060,10 +1059,11 @@ impl ShardedEngine {
         self.run_batch_with(queries, Algorithm::Enum, |_| CountingSink::default())
     }
 
-    /// Fans `queries` across the persistent pool, one fresh sink per query —
-    /// same contract as
-    /// [`QueryEngine::run_batch_with`](crate::QueryEngine::run_batch_with),
-    /// with workers warming different shards in parallel.
+    /// Fans `queries` across the persistent pool (plus the calling thread),
+    /// one fresh sink per query, with workers warming different shards in
+    /// parallel.  `make_sink(i)` builds the sink for `queries[i]`; results
+    /// come back in query order together with per-query [`QueryStats`] and
+    /// aggregated [`BatchStats`].
     ///
     /// # Errors
     /// Every query is validated up front; the first invalid query fails the
@@ -1305,9 +1305,7 @@ impl ShardInner {
     ///
     /// The build covers the shard range's whole merged window, not just the
     /// triggering query's window, so the entry serves *every* later
-    /// spanning window of the range; a one-off spanning query thus pays a
-    /// wider sweep than the transient path would — the trade
-    /// [`EngineConfig::boundary_cache_entries`]` = 0` opts out of.
+    /// spanning window of the range.
     fn stitch_entry(
         &self,
         live: &LiveState,
@@ -1339,124 +1337,67 @@ impl ShardInner {
         algorithm: Algorithm,
         sink: &mut dyn ResultSink,
     ) -> QueryStats {
-        match algorithm {
-            Algorithm::Otcd | Algorithm::Naive => {
-                TimeRangeKCoreQuery::validated(k, window).run_with(&live.graph, algorithm, sink)
-            }
-            Algorithm::Enum | Algorithm::EnumBase => {
-                let shards = live.overlapping(window);
-                debug_assert!(!shards.is_empty(), "validated window overlaps a shard");
-                let spanning = shards.len() > 1;
-                let stitch_cached = self.config.boundary_cache_entries > 0;
-                let mut total = QueryStats::zeroed(algorithm);
-                let mut parts: Vec<EdgeCoreSkyline> = Vec::new();
-                // Take the whole scratch pool for this query (short lock,
-                // guard dropped immediately); retired skylines are recycled
-                // into it and the pool is merged back at the end.
-                let mut scratch = std::mem::take(&mut *sync::lock(&self.scratch));
-
-                // Prefetch every overlapping shard's skyline, building the
-                // cold ones in parallel on the pool (see `shard_skylines`).
-                let t_prefetch = Instant::now();
-                let (skylines, _, _) = self.shard_skylines(live, shards.clone(), k);
-                total.precompute_time += t_prefetch.elapsed();
-
-                // Intra-shard cores: restrict each overlapping shard's
-                // cached skyline to its part of the window.  The restricted
-                // skylines double as the intra-shard half of the boundary
-                // stitch, so they are kept when a spanning pass follows.
-                for (shard, skyline) in shards.clone().zip(&skylines) {
-                    let part = live.shards[shard]
-                        .intersect(&window)
-                        // tkc-lint: allow(no-panic-api) — `shards` only lists shards overlapping `window`, so the intersection is non-empty
-                        .expect("overlapping shard intersects the window");
-                    let t0 = Instant::now();
-                    let restricted = skyline.restrict_with(&live.graph, part, &mut scratch);
-                    let precompute = t0.elapsed();
-                    let stats = TimeRangeKCoreQuery::validated(k, part)
-                        .run_with_skyline(&live.graph, &restricted, algorithm, sink)
-                        // tkc-lint: allow(no-panic-api) — restrict() targets exactly the shard part, so validation cannot reject it
-                        .expect("restricted shard skyline matches the part by construction");
-                    total.num_cores += stats.num_cores;
-                    total.total_result_edges += stats.total_result_edges;
-                    total.precompute_time += precompute;
-                    total.enumerate_time += stats.enumerate_time;
-                    total.peak_memory_bytes = total.peak_memory_bytes.max(stats.peak_memory_bytes);
-                    if spanning && stitch_cached {
-                        parts.push(restricted);
-                    } else {
-                        scratch.recycle(restricted);
-                    }
-                }
-
-                // Boundary-spanning cores: enumerate the skyline of the
-                // window itself through the cut-crossing filter.  With the
-                // stitch cache on, that skyline is assembled from the
-                // restricted shard skylines plus the cached cut-crossing
-                // windows; with the cache off it is rebuilt transiently
-                // (one CoreTime sweep per spanning query).
-                if spanning {
-                    let (lo, hi) = (shards.start, shards.end - 1);
-                    let cuts: Vec<Timestamp> = (lo..hi).map(|s| live.shards[s].end()).collect();
-                    let t0 = Instant::now();
-                    let stitched = if stitch_cached {
-                        let (crossing, build_peak) = self.stitch_entry(live, lo, hi, k);
-                        total.peak_memory_bytes = total.peak_memory_bytes.max(build_peak);
-                        compose_boundary_skyline(
-                            &live.graph,
-                            k,
-                            window,
-                            &parts,
-                            &crossing,
-                            &mut scratch,
-                        )
-                    } else {
-                        EdgeCoreSkyline::build(&live.graph, k, window)
-                    };
-                    total.precompute_time += t0.elapsed();
-                    let mut boundary = BoundarySink {
-                        inner: sink,
-                        cuts: &cuts,
-                        cores: 0,
-                        edges: 0,
-                    };
-                    let t1 = Instant::now();
-                    let peak = match algorithm {
-                        Algorithm::Enum => {
-                            crate::enumerate(&live.graph, &stitched, &mut boundary)
-                                .peak_memory_bytes
-                        }
-                        Algorithm::EnumBase => {
-                            crate::enumerate_base(&live.graph, &stitched, &mut boundary)
-                                .peak_memory_bytes
-                        }
-                        // tkc-lint: allow(no-panic-api) — the outer match already handled Otcd and Naive
-                        _ => unreachable!("outer match covers Otcd and Naive"),
-                    };
-                    total.enumerate_time += t1.elapsed();
-                    total.num_cores += boundary.cores;
-                    total.total_result_edges += boundary.edges;
-                    total.peak_memory_bytes = total
-                        .peak_memory_bytes
-                        .max(peak)
-                        .max(stitched.memory_bytes());
-                    scratch.recycle(stitched);
-                }
-                for part in parts {
-                    scratch.recycle(part);
-                }
-                sync::lock(&self.scratch).absorb(scratch);
-                total
-            }
+        let query = TimeRangeKCoreQuery::validated(k, window);
+        if matches!(algorithm, Algorithm::Otcd | Algorithm::Naive) {
+            return query.run_with(&live.graph, algorithm, sink);
         }
+        let shards = live.overlapping(window);
+        debug_assert!(!shards.is_empty(), "validated window overlaps a shard");
+        let t0 = Instant::now();
+        // Take the whole scratch pool for this query (short lock, guard
+        // dropped immediately); retired skylines are recycled into it and
+        // the pool is merged back at the end.
+        let mut scratch = std::mem::take(&mut *sync::lock(&self.scratch));
+        // Prefetch every overlapping shard's skyline, building the cold ones
+        // in parallel on the pool (see `shard_skylines`), and restrict each
+        // to its part of the window: the intra-shard windows of the window's
+        // skyline.
+        let (skylines, _, _) = self.shard_skylines(live, shards.clone(), k);
+        let mut parts: Vec<EdgeCoreSkyline> = shards
+            .clone()
+            .zip(&skylines)
+            .map(|(shard, skyline)| {
+                let part = live.shards[shard]
+                    .intersect(&window)
+                    // tkc-lint: allow(no-panic-api) — `shards` only lists shards overlapping `window`, so the intersection is non-empty
+                    .expect("overlapping shard intersects the window");
+                skyline.restrict_with(&live.graph, part, &mut scratch)
+            })
+            .collect();
+        let mut build_peak = 0;
+        let skyline = if parts.len() == 1 {
+            // tkc-lint: allow(no-panic-api) — the length was checked just above
+            parts.pop().expect("one restricted part")
+        } else {
+            // A spanning window: merge the cached cut-crossing windows into
+            // the restricted parts to reassemble the window's skyline.
+            let (crossing, peak) = self.stitch_entry(live, shards.start, shards.end - 1, k);
+            build_peak = peak;
+            let stitched =
+                compose_boundary_skyline(&live.graph, k, window, &parts, &crossing, &mut scratch);
+            for part in parts {
+                scratch.recycle(part);
+            }
+            stitched
+        };
+        let precompute_time = t0.elapsed();
+        let mut stats = query
+            .run_with_skyline(&live.graph, &skyline, algorithm, sink)
+            // tkc-lint: allow(no-panic-api) — the skyline covers exactly the validated window, so validation cannot reject it
+            .expect("the window's skyline matches the validated query by construction");
+        stats.precompute_time = precompute_time;
+        stats.peak_memory_bytes = stats.peak_memory_bytes.max(build_peak);
+        scratch.recycle(skyline);
+        sync::lock(&self.scratch).absorb(scratch);
+        stats
     }
 }
 
-/// A [`CoreBackend`] answering from a shared [`ShardedEngine`], so sharded
-/// execution composes with [`QueryRequest`] multi-`k` sets and sweeps and
-/// with [`crate::CoreService`] exactly like [`crate::CachedBackend`] does.
+/// A [`CoreBackend`] answering from a shared [`ShardedEngine`]'s skyline
+/// cache, so engine execution composes with [`QueryRequest`] multi-`k` sets
+/// and sweeps and with [`crate::CoreService`].
 ///
-/// Because shard skylines are graph-specific, `execute` refuses a graph
+/// Because cached skylines are graph-specific, `execute` refuses a graph
 /// other than [`ShardedEngine::graph`] with [`TkError::GraphMismatch`].
 ///
 /// # Example
@@ -1501,9 +1442,9 @@ impl ShardedBackend {
         self.algorithm
     }
 
-    /// Same identity rule as [`crate::CachedBackend`] — pointer equality is
-    /// the O(1) fast path, an equal clone is accepted at O(|E|) cost —
-    /// extended for live ingestion: any snapshot this engine published is
+    /// Pointer equality is the O(1) fast path and an equal clone is
+    /// accepted at O(|E|) cost (pass [`ShardedEngine::graph`] on hot
+    /// paths).  For live ingestion, any snapshot this engine published is
     /// served, so a query that captured [`ShardedEngine::graph`] just
     /// before a racing [`ShardedEngine::absorb`] still executes (against
     /// the current state) instead of failing with a spurious mismatch.
@@ -1607,8 +1548,8 @@ mod tests {
     #[test]
     fn sharded_answers_match_span_wide_on_the_paper_example() {
         let g = paper_example::graph();
-        let span_engine = crate::QueryEngine::new(g.clone());
         for plan in [
+            ShardPlan::Span,
             ShardPlan::FixedCount(1),
             ShardPlan::FixedCount(2),
             ShardPlan::FixedCount(4),
@@ -1626,7 +1567,7 @@ mod tests {
                     let query = TimeRangeKCoreQuery::new(k, window).unwrap();
                     for algo in Algorithm::ALL {
                         let mut expected = CollectingSink::default();
-                        span_engine.run_with(&query, algo, &mut expected).unwrap();
+                        query.run_with(&g, algo, &mut expected);
                         let mut got = CollectingSink::default();
                         sharded.run_with(&query, algo, &mut got).unwrap();
                         assert_eq!(
@@ -1723,11 +1664,13 @@ mod tests {
         assert!(stats.boundary.evictions >= 1, "{stats:?}");
     }
 
+    /// A zero stitch-entry budget is clamped to one resident entry and
+    /// answers exactly like the default budget.
     #[test]
     fn disabled_stitch_cache_matches_the_cached_path() {
         let g = paper_example::graph();
         let cached = ShardedEngine::new(g.clone(), ShardPlan::FixedCount(4)).unwrap();
-        let transient = ShardedEngine::with_config(
+        let minimal = ShardedEngine::with_config(
             g.clone(),
             ShardPlan::FixedCount(4),
             EngineConfig {
@@ -1742,13 +1685,13 @@ mod tests {
                 let mut a = CollectingSink::default();
                 cached.run(&query, &mut a).unwrap();
                 let mut b = CollectingSink::default();
-                transient.run(&query, &mut b).unwrap();
+                minimal.run(&query, &mut b).unwrap();
                 assert_eq!(canonical(a.cores), canonical(b.cores), "k={k} {window}");
             }
         }
-        let stats = transient.cache_stats();
-        assert_eq!(stats.boundary.builds, 0, "disabled cache never builds");
-        assert_eq!(stats.boundary.resident_entries, 0);
+        let stats = minimal.cache_stats();
+        assert!(stats.boundary.builds >= 1, "{stats:?}");
+        assert_eq!(stats.boundary.resident_entries, 1, "{stats:?}");
         assert!(cached.cache_stats().boundary.builds >= 1);
     }
 

@@ -6,7 +6,7 @@
 //! state, the service statistics.  A bare `.lock().unwrap()` at any of those
 //! sites would convert that one contained panic into a permanently wedged
 //! lock: every later caller — including innocent reads like
-//! [`crate::QueryEngine::cache_stats`] — would panic on the
+//! [`crate::ShardedEngine::cache_stats`] — would panic on the
 //! [`PoisonError`].
 //!
 //! All of the crate's guarded state is either (a) rebuilt-on-demand cache

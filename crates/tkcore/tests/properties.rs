@@ -7,8 +7,8 @@ use std::sync::Arc;
 use temporal_graph::{EdgeId, TemporalGraph, TemporalGraphBuilder, TimeWindow};
 use tkcore::{
     enumerate_base_from_graph, enumerate_from_graph, naive_results, run_otcd, Algorithm,
-    CachedBackend, CollectingSink, CoreBackend, EdgeCoreSkyline, QueryEngine, TemporalKCore,
-    TimeRangeKCoreQuery, VertexCoreTimeIndex,
+    CollectingSink, CoreBackend, EdgeCoreSkyline, ShardPlan, ShardedBackend, ShardedEngine,
+    TemporalKCore, TimeRangeKCoreQuery, VertexCoreTimeIndex,
 };
 
 /// Strategy: a random temporal graph with up to `max_v` vertices, up to
@@ -74,8 +74,8 @@ proptest! {
     }
 
     /// The unified `CoreBackend` surface agrees with the naive reference for
-    /// all four algorithm backends plus the engine-cached backend, on random
-    /// graphs and sub-ranges.
+    /// all four algorithm backends plus the engine-cached backend (an
+    /// unsharded `ShardedBackend`), on random graphs and sub-ranges.
     #[test]
     fn core_backends_agree_with_naive(
         g in arb_graph(12, 50, 10),
@@ -86,13 +86,13 @@ proptest! {
         let lo = raw_lo.min(g.tmax());
         let range = TimeWindow::new(lo, (lo + raw_len).min(g.tmax()).max(lo));
         let expected = naive_results(&g, k, range);
-        let engine = Arc::new(QueryEngine::new(g.clone()));
+        let engine = Arc::new(ShardedEngine::new(g.clone(), ShardPlan::Span).expect("span plan"));
         let backends: Vec<Box<dyn CoreBackend>> = vec![
             Box::new(Algorithm::Enum),
             Box::new(Algorithm::EnumBase),
             Box::new(Algorithm::Otcd),
             Box::new(Algorithm::Naive),
-            Box::new(CachedBackend::new(Arc::clone(&engine))),
+            Box::new(ShardedBackend::new(Arc::clone(&engine))),
         ];
         for backend in &backends {
             let mut sink = CollectingSink::default();
@@ -190,10 +190,10 @@ proptest! {
     }
 
     /// Query-engine equivalence: for random `(k, sub-range)` pairs and every
-    /// algorithm, answers served from the engine's cached span-wide skyline
-    /// (restricted to the sub-range) are identical — same cores, same `|R|`,
-    /// same canonical order — to answers from a skyline freshly built for
-    /// that sub-range.
+    /// algorithm, answers served from an unsharded engine's cached span-wide
+    /// skyline (restricted to the sub-range) are identical — same cores, same
+    /// `|R|`, same canonical order — to per-query execution, whose skyline is
+    /// freshly built for that sub-range.
     #[test]
     fn engine_restriction_matches_fresh_build(
         g in arb_graph(12, 50, 10),
@@ -203,7 +203,7 @@ proptest! {
     ) {
         let lo = raw_lo.min(g.tmax());
         let range = TimeWindow::new(lo, (lo + raw_len).min(g.tmax()).max(lo));
-        let engine = QueryEngine::new(g.clone());
+        let engine = ShardedEngine::new(g.clone(), ShardPlan::Span).expect("span plan");
         let query = TimeRangeKCoreQuery::new(k, range).expect("k >= 2");
         for algorithm in Algorithm::ALL {
             let mut fresh = CollectingSink::default();

@@ -137,14 +137,8 @@ fn main() {
     println!(
         "Appended {appended} events; {seals} seals rolled the tail into closed shards \
          (timeline now has {} shards, {} sealed).",
-        service
-            .sharded_engine()
-            .map(|e| e.num_shards())
-            .unwrap_or(0),
-        service
-            .sharded_engine()
-            .map(|e| e.sealed_shards())
-            .unwrap_or(0),
+        service.engine().num_shards(),
+        service.engine().sealed_shards(),
     );
     println!(
         "Closed-shard skylines were never rebuilt: appends only dirty the live tail, \

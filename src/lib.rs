@@ -18,9 +18,10 @@
 //! [`prelude::QueryRequest`] (single `k`, multi-`k`, or `k`-range sweep,
 //! with materialize / count / stream output) validated against the graph and
 //! executed on any [`prelude::CoreBackend`] — each algorithm is a backend,
-//! and [`prelude::CachedBackend`] answers from a shared
-//! [`prelude::QueryEngine`]'s skyline cache.  [`prelude::CoreService`] adds
-//! a bounded request queue with admission control on top.  Malformed input
+//! and [`prelude::ShardedBackend`] answers from a shared
+//! [`prelude::ShardedEngine`]'s skyline cache ([`prelude::ShardPlan::Span`]
+//! for one span-wide skyline per `k`).  [`prelude::CoreService`] adds a
+//! bounded request queue with admission control on top.  Malformed input
 //! returns a structured [`prelude::TkError`], never a panic.
 //!
 //! # Quick start
@@ -74,10 +75,11 @@
 //! use temporal_kcore::prelude::*;
 //! use temporal_kcore::tkcore::paper_example;
 //!
-//! let service = Arc::new(CoreService::start(
+//! let service = Arc::new(CoreService::start_sharded(
 //!     paper_example::graph(),
+//!     ShardPlan::Span,
 //!     ServiceConfig::default(),
-//! ));
+//! )?);
 //! let server = TkServer::bind(service, "127.0.0.1:7411", ServerConfig::default())?;
 //! println!("listening on {}", server.local_addr());
 //! let summary = server.serve()?; // blocks until a shutdown op drains it
@@ -113,13 +115,12 @@ pub mod prelude {
     };
     pub use tkcore::{
         AbsorbStats, Affinity, Algorithm, BatchStats, BoundaryCacheStats, CacheStats,
-        CachedBackend, CollectingSink, CoreBackend, CoreService, CountingSink, EdgeCoreSkyline,
-        EngineConfig, ExecPool, FrameworkStats, IngestDelta, IngestEvent, IngestLaneStats,
-        IngestReply, IngestTicket, KOutcome, KOutput, KSelection, Lane, LaneStats,
-        LatencyHistogram, OutputMode, QueryEngine, QueryRequest, QueryResponse, QueryStats,
-        RequestId, ResultSink, SealPolicy, ServeSummary, ServerConfig, ServiceConfig, ServiceReply,
-        ServiceStats, ShardCacheStats, ShardPlan, ShardedBackend, ShardedEngine, SubmitOptions,
-        TemporalKCore, Ticket, TimeRangeKCoreQuery, TkError, TkServer, ValidatedRequest,
-        VertexCoreTimeIndex, WarmStats, WorkerStats,
+        CollectingSink, CoreBackend, CoreService, CountingSink, EdgeCoreSkyline, EngineConfig,
+        ExecPool, FrameworkStats, IngestDelta, IngestEvent, IngestLaneStats, IngestReply,
+        IngestTicket, KOutcome, KOutput, KSelection, Lane, LaneStats, LatencyHistogram, OutputMode,
+        QueryRequest, QueryResponse, QueryStats, RequestId, ResultSink, SealPolicy, ServeSummary,
+        ServerConfig, ServiceConfig, ServiceReply, ServiceStats, ShardCacheStats, ShardPlan,
+        ShardedBackend, ShardedEngine, SubmitOptions, TemporalKCore, Ticket, TimeRangeKCoreQuery,
+        TkError, TkServer, ValidatedRequest, VertexCoreTimeIndex, WarmStats, WorkerStats,
     };
 }

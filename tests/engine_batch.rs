@@ -1,8 +1,14 @@
 //! Integration tests for the cached batch-query engine through the public
-//! facade: cached/restricted answers equal fresh per-query runs on realistic
-//! workloads, batches aggregate correctly, and the cache behaves.
+//! facade, in its unsharded (`ShardPlan::Span`) layout: cached/restricted
+//! answers equal fresh per-query runs on realistic workloads, batches
+//! aggregate correctly, and the cache behaves.
 
 use temporal_kcore::prelude::*;
+
+/// An unsharded engine: one span-wide skyline per `k`.
+fn span_engine(graph: &TemporalGraph, config: EngineConfig) -> ShardedEngine {
+    ShardedEngine::with_config(graph.clone(), ShardPlan::Span, config).unwrap()
+}
 
 fn workload_queries(
     graph: &TemporalGraph,
@@ -19,7 +25,7 @@ fn workload_queries(
 fn warm_batches_match_fresh_per_query_runs_for_every_algorithm() {
     let graph = DatasetProfile::by_name("FB").unwrap().generate();
     let (_, queries) = workload_queries(&graph, 6, 0xE26);
-    let engine = QueryEngine::new(graph.clone());
+    let engine = span_engine(&graph, EngineConfig::default());
     for algorithm in [Algorithm::Enum, Algorithm::EnumBase, Algorithm::Otcd] {
         let (results, batch) = engine
             .run_batch_with(&queries, algorithm, |_| CountingSink::default())
@@ -48,8 +54,8 @@ fn one_span_build_serves_the_whole_batch_and_repeats_hit() {
     // Single worker: concurrent cold queries for one k may each count a
     // miss (documented build race), so exact counter assertions need the
     // sequential path.
-    let engine = QueryEngine::with_config(
-        graph.clone(),
+    let engine = span_engine(
+        &graph,
         EngineConfig {
             num_threads: 1,
             ..EngineConfig::default()
@@ -83,8 +89,8 @@ fn mixed_k_batch_caches_one_index_per_k() {
         })
         .collect();
     // Single worker for deterministic per-k miss counters (see above).
-    let engine = QueryEngine::with_config(
-        graph.clone(),
+    let engine = span_engine(
+        &graph,
         EngineConfig {
             num_threads: 1,
             ..EngineConfig::default()
@@ -109,7 +115,7 @@ fn mixed_k_batch_caches_one_index_per_k() {
 #[test]
 fn out_of_span_and_overhanging_ranges_are_handled() {
     let graph = DatasetProfile::by_name("FB").unwrap().generate();
-    let engine = QueryEngine::new(graph.clone());
+    let engine = span_engine(&graph, EngineConfig::default());
     let tmax = graph.tmax();
 
     // Entirely past the end: a typed refusal, no index build.
@@ -141,7 +147,7 @@ fn out_of_span_and_overhanging_ranges_are_handled() {
 fn collecting_batch_returns_canonical_cores() {
     let graph = DatasetProfile::by_name("BO").unwrap().generate();
     let (_, queries) = workload_queries(&graph, 4, 7);
-    let engine = QueryEngine::new(graph.clone());
+    let engine = span_engine(&graph, EngineConfig::default());
     let (results, _) = engine
         .run_batch_with(&queries, Algorithm::Enum, |_| CollectingSink::default())
         .unwrap();

@@ -24,29 +24,16 @@
 //!   snapshot equal (in label space) those built over a from-scratch graph
 //!   of the same events, per shard range and over the full span.
 
+mod common;
+
 use std::collections::BTreeMap;
 
+use common::{arb_base_and_stream, arb_graph, canonical, plan_for, raw_graph, window_in_span};
 use proptest::prelude::*;
 use temporal_kcore::prelude::*;
 use temporal_kcore::temporal_graph::EdgeId;
 use temporal_kcore::tkcore::naive;
 use temporal_kcore::tkcore::SkylineScratch;
-
-/// Strategy: a random temporal graph with up to `max_v` vertices, up to
-/// `max_e` edges and up to `max_t` distinct timestamps.
-fn arb_graph(max_v: u64, max_e: usize, max_t: i64) -> impl Strategy<Value = TemporalGraph> {
-    prop::collection::vec((0..max_v, 0..max_v, 1..=max_t), 1..max_e).prop_filter_map(
-        "graph must have at least one non-loop edge",
-        |edges| {
-            let edges: Vec<(u64, u64, i64)> =
-                edges.into_iter().filter(|(u, v, _)| u != v).collect();
-            if edges.is_empty() {
-                return None;
-            }
-            TemporalGraphBuilder::new().with_edges(edges).build().ok()
-        },
-    )
-}
 
 /// The naive reference: per-edge minimal core windows held in a plain
 /// nested map, built by brute force against the peeling oracle.  No offsets,
@@ -128,35 +115,6 @@ fn nested_view(skyline: &EdgeCoreSkyline) -> BTreeMap<EdgeId, Vec<TimeWindow>> {
     out
 }
 
-fn canonical(mut cores: Vec<TemporalKCore>) -> Vec<TemporalKCore> {
-    cores.sort_by(|a, b| a.tti.cmp(&b.tti).then_with(|| a.edges.cmp(&b.edges)));
-    cores
-}
-
-/// Derives a shard plan from two random parameters, biased toward layouts
-/// with many cuts so spanning windows exercise the composed skylines.
-fn plan_for(kind: u8, param: usize, tmax: Timestamp) -> ShardPlan {
-    match kind % 4 {
-        0 => ShardPlan::FixedCount(2 + param % 5),
-        1 => ShardPlan::FixedCount(tmax as usize),
-        2 => ShardPlan::TargetEdgesPerShard(1 + param % 5),
-        _ => {
-            let mid = tmax / 2;
-            if mid >= 1 && mid < tmax {
-                ShardPlan::ExplicitCuts(vec![mid])
-            } else {
-                ShardPlan::ExplicitCuts(vec![])
-            }
-        }
-    }
-}
-
-/// A random sub-window of the graph's span.
-fn window_in_span(g: &TemporalGraph, raw_start: u32, raw_len: u32) -> TimeWindow {
-    let start = raw_start.max(1).min(g.tmax());
-    TimeWindow::new(start, (start + raw_len).min(g.tmax()))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
@@ -224,7 +182,7 @@ proptest! {
     fn stitched_compose_matches_the_naive_oracle_for_all_algorithms(
         g in arb_graph(8, 24, 6),
         k in 1usize..4,
-        (kind, param) in (0u8..4, 0usize..16),
+        (kind, param) in (0u8..5, 0usize..16),
         (raw_start, raw_len) in (1u32..=6, 0u32..6),
     ) {
         let plan = plan_for(kind, param, g.tmax());
@@ -251,51 +209,6 @@ proptest! {
             }
         }
     }
-}
-
-/// Label events: `(u, v, t)` triples in label space.
-type Events = Vec<(u64, u64, Timestamp)>;
-
-/// A core-forming base clique plus a strictly-ordered append stream: the
-/// stream's timestamps start past the base `tmax` and strictly increase, so
-/// a single `absorb` accepts it without shifting.
-fn arb_base_and_stream() -> impl Strategy<Value = (Events, Events)> {
-    (
-        prop::collection::vec((0u64..6, 0u64..6, 1u32..=5), 1..20),
-        prop::collection::vec((0u64..8, 0u64..8, 1u32..3), 1..10),
-    )
-        .prop_filter_map("need a non-loop base edge", |(base, raw_stream)| {
-            let mut seen = std::collections::HashSet::new();
-            let base: Events = base
-                .into_iter()
-                .filter(|&(u, v, t)| u != v && seen.insert((u.min(v), u.max(v), t)))
-                .collect();
-            if base.is_empty() {
-                return None;
-            }
-            let mut t = base.iter().map(|&(_, _, t)| t).max().unwrap_or(1);
-            let mut stream = Vec::new();
-            for (u, v, dt) in raw_stream {
-                t += dt;
-                if u != v {
-                    stream.push((u, v, t));
-                }
-            }
-            if stream.is_empty() {
-                return None;
-            }
-            Some((base, stream))
-        })
-}
-
-/// Builds a graph from raw `(u, v, t)` label events without timestamp
-/// compression, so the rebuilt timeline matches the appended one.
-fn raw_graph(events: &[(u64, u64, Timestamp)]) -> TemporalGraph {
-    TemporalGraphBuilder::new()
-        .timestamp_mode(TimestampMode::Raw)
-        .with_edges(events.iter().map(|&(u, v, t)| (u, v, i64::from(t))))
-        .build()
-        .expect("harness events form a valid graph")
 }
 
 /// Projects a skyline into label space: vertex ids differ between an

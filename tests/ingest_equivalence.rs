@@ -21,6 +21,9 @@
 //!   multi-worker `CoreService` observe either none of a batch's edges or
 //!   all of them, never a strict subset.
 
+mod common;
+
+use common::{arb_base_and_stream, raw_graph};
 use proptest::prelude::*;
 use temporal_kcore::prelude::*;
 use temporal_kcore::tkcore::paper_example;
@@ -52,57 +55,12 @@ fn label_cores(graph: &TemporalGraph, cores: &[TemporalKCore]) -> Vec<LabelCore>
     out
 }
 
-/// Builds a graph from raw `(u, v, t)` label events without timestamp
-/// compression, so the rebuilt timeline matches the appended one.
-fn raw_graph(events: &[(u64, u64, Timestamp)]) -> TemporalGraph {
-    TemporalGraphBuilder::new()
-        .timestamp_mode(TimestampMode::Raw)
-        .with_edges(events.iter().map(|&(u, v, t)| (u, v, i64::from(t))))
-        .build()
-        .expect("harness events form a valid graph")
-}
-
 fn seal_policy_for(kind: u8) -> SealPolicy {
     match kind % 3 {
         0 => SealPolicy::Manual,
         1 => SealPolicy::EdgeCount(4),
         _ => SealPolicy::SpanWidth(3),
     }
-}
-
-/// Label events: `(u, v, t)` triples in label space.
-type Events = Vec<(u64, u64, Timestamp)>;
-
-/// Strategy: base edges over a small label/time space (at least one
-/// non-loop edge) plus a time-ordered, duplicate-free append stream whose
-/// timestamps start strictly past the base `tmax`.
-fn arb_base_and_stream() -> impl Strategy<Value = (Events, Events)> {
-    (
-        prop::collection::vec((0u64..8, 0u64..8, 1u32..=6), 1..30),
-        prop::collection::vec((0u64..10, 0u64..10, 0u32..3), 1..14),
-    )
-        .prop_filter_map("need a non-loop base edge", |(base, raw_stream)| {
-            let base: Vec<(u64, u64, Timestamp)> =
-                base.into_iter().filter(|&(u, v, _)| u != v).collect();
-            if base.is_empty() {
-                return None;
-            }
-            let base_tmax = base.iter().map(|&(_, _, t)| t).max().unwrap_or(1);
-            let mut seen = std::collections::HashSet::new();
-            let mut t = base_tmax;
-            let mut stream = Vec::new();
-            for (u, v, dt) in raw_stream {
-                t += dt.max(u32::from(stream.is_empty()));
-                if u != v && seen.insert((u.min(v), u.max(v), t)) {
-                    stream.push((u, v, t));
-                }
-            }
-            // Make sure the stream advances past the base at least once.
-            if stream.is_empty() {
-                stream.push((0, 1, base_tmax + 1));
-            }
-            Some((base, stream))
-        })
 }
 
 proptest! {
@@ -355,10 +313,7 @@ fn racing_queries_never_observe_a_partial_batch() {
     assert_eq!(appended, batches.iter().map(Vec::len).sum::<usize>());
 
     // Atomicity: every racing reply saw none of its batch or all of it.
-    let live_graph = service
-        .sharded_engine()
-        .expect("start_sharded serves a sharded engine")
-        .graph();
+    let live_graph = service.engine().graph();
     for (j, ticket) in query_tickets {
         match ticket.wait() {
             Ok(reply) => {

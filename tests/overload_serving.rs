@@ -93,14 +93,16 @@ fn saturation_serves_interactive_in_deadline_and_sheds_batch() {
             seed: 9,
         },
     );
-    let service = CoreService::start(
+    let service = CoreService::start_sharded(
         paper_example::graph(),
+        ShardPlan::Span,
         ServiceConfig {
             workers: 1,
             queue_depth: n,
             ..ServiceConfig::default()
         },
-    );
+    )
+    .unwrap();
     let (pin, release) = pin_worker(&service);
 
     // A zero deadline is already expired: shed at admission (the queue has
@@ -206,14 +208,16 @@ fn saturation_serves_interactive_in_deadline_and_sheds_batch() {
 
 #[test]
 fn interactive_requests_dequeue_ahead_of_earlier_batch_requests() {
-    let service = CoreService::start(
+    let service = CoreService::start_sharded(
         paper_example::graph(),
+        ShardPlan::Span,
         ServiceConfig {
             workers: 1,
             queue_depth: 8,
             ..ServiceConfig::default()
         },
-    );
+    )
+    .unwrap();
     let (pin, release) = pin_worker(&service);
 
     // Batch requests are queued FIRST...

@@ -1,8 +1,9 @@
 //! Acceptance tests for the unified request API through the public facade:
 //! every algorithm and the cached engine are reachable via
 //! `CoreBackend`/`QueryRequest` alone, a k-range sweep over the paper
-//! example builds at most one skyline per k (asserted via `CacheStats`),
-//! and malformed input yields typed errors, never panics.
+//! example builds at most one skyline per k (asserted via `CacheStats`) and
+//! answers like the naive oracle, and malformed input yields typed errors,
+//! never panics.
 
 use std::sync::Arc;
 use temporal_kcore::prelude::*;
@@ -10,9 +11,9 @@ use temporal_kcore::tkcore::paper_example;
 
 #[test]
 fn k_range_sweep_reuses_one_skyline_build_per_k() {
-    let graph = paper_example::graph();
-    let engine = Arc::new(QueryEngine::new(graph.clone()));
-    let backend = CachedBackend::new(Arc::clone(&engine));
+    let engine = Arc::new(ShardedEngine::new(paper_example::graph(), ShardPlan::Span).unwrap());
+    let graph = engine.graph();
+    let backend = ShardedBackend::new(Arc::clone(&engine));
 
     let response = QueryRequest::sweep(1..=3, 1, 7)
         .run(&graph, &backend)
@@ -96,15 +97,15 @@ fn sharded_sweep_builds_only_the_touched_shards_per_k() {
 #[test]
 fn all_backends_answer_the_paper_query_identically() {
     let graph = paper_example::graph();
-    let engine = Arc::new(QueryEngine::new(graph.clone()));
+    let span = Arc::new(ShardedEngine::new(graph.clone(), ShardPlan::Span).unwrap());
     let backends: Vec<Box<dyn CoreBackend>> = vec![
+        Box::new(Algorithm::Naive),
         Box::new(Algorithm::Enum),
         Box::new(Algorithm::EnumBase),
         Box::new(Algorithm::Otcd),
-        Box::new(Algorithm::Naive),
-        Box::new(CachedBackend::new(Arc::clone(&engine))),
-        Box::new(CachedBackend::with_algorithm(
-            Arc::clone(&engine),
+        Box::new(ShardedBackend::new(Arc::clone(&span))),
+        Box::new(ShardedBackend::with_algorithm(
+            Arc::clone(&span),
             Algorithm::EnumBase,
         )),
         Box::new(ShardedBackend::new(Arc::new(
@@ -117,6 +118,7 @@ fn all_backends_answer_the_paper_query_identically() {
             Algorithm::EnumBase,
         )),
     ];
+    // The naive oracle runs first and becomes the reference.
     let mut reference: Option<Vec<TemporalKCore>> = None;
     for backend in &backends {
         let response = QueryRequest::single(2, 1, 4)
@@ -137,8 +139,9 @@ fn all_backends_answer_the_paper_query_identically() {
 #[test]
 fn malformed_requests_are_typed_errors_on_every_entry_point() {
     let graph = paper_example::graph();
-    let engine = Arc::new(QueryEngine::new(graph.clone()));
-    let cached = CachedBackend::new(Arc::clone(&engine));
+    let cached = ShardedBackend::new(Arc::new(
+        ShardedEngine::new(graph.clone(), ShardPlan::Span).unwrap(),
+    ));
     let backends: Vec<&dyn CoreBackend> = vec![&Algorithm::Enum, &Algorithm::Naive, &cached];
     for backend in backends {
         assert!(matches!(

@@ -37,7 +37,12 @@ impl ResultSink for GatedSink {
 
 #[test]
 fn shutdown_then_drop_drains_exactly_once() {
-    let service = CoreService::start(paper_example::graph(), ServiceConfig::default());
+    let service = CoreService::start_sharded(
+        paper_example::graph(),
+        ShardPlan::Span,
+        ServiceConfig::default(),
+    )
+    .unwrap();
     let ticket = service.submit(QueryRequest::single(2, 1, 4)).unwrap();
     // `shutdown(self)` drains and then drops `self`, whose `Drop` calls the
     // drain again; the second pass must return immediately instead of
@@ -106,7 +111,7 @@ fn a_panicking_absorb_resolves_the_ticket_with_worker_panicked() {
 
     // Arm the fail point: the next absorb panics on the worker before
     // touching any engine state.
-    service.sharded_engine().unwrap().fail_next_absorbs(1);
+    service.engine().fail_next_absorbs(1);
     let err = service
         .submit_append(vec![(10, 11, 8)])
         .unwrap()

@@ -48,14 +48,16 @@ fn gated() -> (GatedSink, mpsc::Receiver<()>, mpsc::Sender<()>) {
 
 #[test]
 fn two_workers_run_concurrently_and_admission_still_bounds_the_queue() {
-    let service = CoreService::start(
+    let service = CoreService::start_sharded(
         paper_example::graph(),
+        ShardPlan::Span,
         ServiceConfig {
             queue_depth: 1,
             workers: 2,
             ..ServiceConfig::default()
         },
-    );
+    )
+    .unwrap();
 
     // Requests A and B: each is picked up by a worker and pinned inside its
     // gated sink.  B can only start while A is still blocked, so receiving
@@ -123,15 +125,8 @@ fn two_workers_run_concurrently_and_admission_still_bounds_the_queue() {
 #[test]
 fn sharded_multi_worker_service_matches_span_wide_answers() {
     let graph = paper_example::graph();
-    let span = CoreService::start(
-        graph.clone(),
-        ServiceConfig {
-            workers: 2,
-            ..ServiceConfig::default()
-        },
-    );
     let sharded = CoreService::start_sharded(
-        graph,
+        graph.clone(),
         ShardPlan::FixedCount(4),
         ServiceConfig {
             workers: 2,
@@ -141,31 +136,27 @@ fn sharded_multi_worker_service_matches_span_wide_answers() {
     .unwrap();
 
     let requests = [(2, 1, 4), (2, 2, 6), (1, 1, 7), (3, 1, 7)];
-    let span_tickets: Vec<Ticket> = requests
-        .iter()
-        .map(|&(k, s, e)| span.submit(QueryRequest::single(k, s, e)).unwrap())
-        .collect();
-    let sharded_tickets: Vec<Ticket> = requests
+    let tickets: Vec<Ticket> = requests
         .iter()
         .map(|&(k, s, e)| sharded.submit(QueryRequest::single(k, s, e)).unwrap())
         .collect();
-    for ((span_ticket, sharded_ticket), request) in
-        span_tickets.into_iter().zip(sharded_tickets).zip(requests)
-    {
-        let a = span_ticket.wait().unwrap();
-        let b = sharded_ticket.wait().unwrap();
+    for (ticket, (k, s, e)) in tickets.into_iter().zip(requests) {
+        // The reference: a span-wide skyline freshly built for the window.
+        let expected = QueryRequest::single(k, s, e)
+            .run(&graph, &Algorithm::Enum)
+            .unwrap();
+        let got = ticket.wait().unwrap().response;
         assert_eq!(
-            a.response.total_cores(),
-            b.response.total_cores(),
-            "{request:?}"
+            got.total_cores(),
+            expected.total_cores(),
+            "k={k} [{s}, {e}]"
         );
         assert_eq!(
-            a.response.total_result_edges(),
-            b.response.total_result_edges(),
-            "{request:?}"
+            got.total_result_edges(),
+            expected.total_result_edges(),
+            "k={k} [{s}, {e}]"
         );
     }
     assert_eq!(sharded.cache_stats().per_shard.len(), 4);
-    span.shutdown();
     sharded.shutdown();
 }

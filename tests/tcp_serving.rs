@@ -29,10 +29,14 @@ fn round_trip(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &
 
 #[test]
 fn tcp_round_trip_serves_queries_deadlines_and_drains() {
-    let service = Arc::new(CoreService::start(
-        paper_example::graph(),
-        ServiceConfig::default(),
-    ));
+    let service = Arc::new(
+        CoreService::start_sharded(
+            paper_example::graph(),
+            ShardPlan::Span,
+            ServiceConfig::default(),
+        )
+        .unwrap(),
+    );
     let server = Arc::new(
         TkServer::bind(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default()).unwrap(),
     );
@@ -117,10 +121,14 @@ fn tcp_round_trip_serves_queries_deadlines_and_drains() {
 
 #[test]
 fn a_cut_connection_gets_a_truncated_line_reply() {
-    let service = Arc::new(CoreService::start(
-        paper_example::graph(),
-        ServiceConfig::default(),
-    ));
+    let service = Arc::new(
+        CoreService::start_sharded(
+            paper_example::graph(),
+            ShardPlan::Span,
+            ServiceConfig::default(),
+        )
+        .unwrap(),
+    );
     let server = Arc::new(
         TkServer::bind(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default()).unwrap(),
     );
