@@ -31,6 +31,27 @@ use temporal_graph::{TemporalGraph, TimeWindow};
 /// starting past the graph's last timestamp is [`TkError::WindowPastTmax`].
 /// Windows overhanging the end of the span are clamped, matching the
 /// semantics of [`crate::QueryRequest::validate`].
+///
+/// # Example
+///
+/// ```
+/// use std::sync::Arc;
+/// use tkcore::{paper_example, Algorithm, CoreBackend, CountingSink, ShardPlan, ShardedBackend, ShardedEngine};
+/// use temporal_graph::TimeWindow;
+///
+/// let engine = Arc::new(ShardedEngine::new(paper_example::graph(), ShardPlan::Span).unwrap());
+/// let graph = engine.graph();
+/// let cached = ShardedBackend::new(Arc::clone(&engine));
+/// for backend in [&cached as &dyn CoreBackend, &Algorithm::Enum] {
+///     let mut sink = CountingSink::default();
+///     let stats = backend
+///         .execute(&graph, 2, TimeWindow::new(1, 4), &mut sink)
+///         .unwrap();
+///     assert_eq!(stats.num_cores, 2); // Figure 2 of the paper
+/// }
+/// // Only the engine-backed backend builds (and keeps) a skyline.
+/// assert_eq!(engine.cache_stats().misses, 1);
+/// ```
 pub trait CoreBackend {
     /// Short human-readable name for reports and error messages.
     fn name(&self) -> &str;

@@ -156,6 +156,24 @@ pub struct ShardCacheStats {
 }
 
 /// Aggregated outcome of one [`crate::ShardedEngine::run_batch`] call.
+///
+/// # Example
+///
+/// ```
+/// use tkcore::{paper_example, ShardPlan, ShardedEngine, TimeRangeKCoreQuery};
+/// use temporal_graph::TimeWindow;
+///
+/// // The unsharded engine: one span-wide skyline serves every window of k = 2.
+/// let engine = ShardedEngine::new(paper_example::graph(), ShardPlan::Span).unwrap();
+/// let queries = [
+///     TimeRangeKCoreQuery::new(2, TimeWindow::new(1, 4)).unwrap(),
+///     TimeRangeKCoreQuery::new(2, TimeWindow::new(2, 7)).unwrap(),
+/// ];
+/// let (results, batch) = engine.run_batch(&queries).unwrap();
+/// assert_eq!(results[0].0.num_cores, 2); // Figure 2 of the paper
+/// assert_eq!(batch.num_queries, 2);
+/// assert_eq!(engine.cache_stats().per_shard[0].builds, 1);
+/// ```
 #[derive(Debug, Clone)]
 pub struct BatchStats {
     /// Number of queries executed.
@@ -507,6 +525,22 @@ mod tests {
         // stats and fresh queries must still work afterwards.
         let stats = engine.cache_stats();
         assert_eq!(stats.misses, 1, "the skyline build survived the panic");
+        let mut sink = CountingSink::default();
+        engine
+            .run(&TimeRangeKCoreQuery::new(2, g.span()).unwrap(), &mut sink)
+            .unwrap();
+        assert!(sink.num_cores > 0);
+    }
+
+    #[test]
+    fn a_poisoned_cache_lock_recovers_instead_of_wedging() {
+        let g = graph();
+        let engine = span_engine(&g);
+        engine.warm(2);
+        assert!(engine.poison_cache_lock());
+        // Every later caller recovers the guard instead of propagating.
+        assert_eq!(engine.cache_stats().resident_indexes, 1);
+        assert!(engine.warm(2), "cached skyline still resident");
         let mut sink = CountingSink::default();
         engine
             .run(&TimeRangeKCoreQuery::new(2, g.span()).unwrap(), &mut sink)

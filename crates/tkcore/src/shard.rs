@@ -672,18 +672,10 @@ fn compose_boundary_skyline(
 /// let query = TimeRangeKCoreQuery::new(2, TimeWindow::new(1, 4)).unwrap();
 /// let stats = engine.run(&query, &mut sink).unwrap();
 /// assert_eq!(stats.num_cores, 2); // Figure 2 of the paper, stitched across shards
-///
-/// // The unsharded engine: one span-wide skyline serves every window of k = 2.
-/// let span = ShardedEngine::new(paper_example::graph(), ShardPlan::Span).unwrap();
-/// let queries = [
-///     TimeRangeKCoreQuery::new(2, TimeWindow::new(1, 4)).unwrap(),
-///     TimeRangeKCoreQuery::new(2, TimeWindow::new(2, 7)).unwrap(),
-/// ];
-/// let (results, batch) = span.run_batch(&queries).unwrap();
-/// assert_eq!(results[0].0.num_cores, 2);
-/// assert_eq!(batch.num_queries, 2);
-/// assert_eq!(span.cache_stats().per_shard[0].builds, 1);
 /// ```
+///
+/// [`BatchStats`] shows the unsharded engine serving a batch from one
+/// span-wide skyline.
 pub struct ShardedEngine {
     inner: Arc<ShardInner>,
 }
@@ -930,6 +922,19 @@ impl ShardedEngine {
     #[doc(hidden)]
     pub fn fail_next_absorbs(&self, n: u64) {
         self.inner.absorb_failpoints.store(n, Ordering::Relaxed);
+    }
+
+    /// Poisons the skyline-cache mutex by panicking while holding its guard,
+    /// so tests can prove every later caller recovers it instead of
+    /// wedging.  Returns whether the mutex ended up poisoned.
+    #[cfg(test)]
+    pub(crate) fn poison_cache_lock(&self) -> bool {
+        let inner = Arc::clone(&self.inner);
+        let poisoner = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = inner.cache.lock().expect("not poisoned yet");
+            panic!("poison the shard cache lock");
+        }));
+        poisoner.is_err() && self.inner.cache.is_poisoned()
     }
 
     /// Seals the live tail shard manually (independent of the configured
