@@ -3,7 +3,7 @@
 //! The binary is a thin wrapper around [`run`]; keeping the logic in a
 //! library makes the argument parsing and command dispatch unit-testable.
 //! Queries are executed through the unified `tkcore` request API
-//! ([`tkcore::QueryRequest`] / [`tkcore::CoreBackend`]), so malformed input
+//! ([`tkcore::QueryRequest`] / [`tkcore::ShardedEngine::execute`]), so malformed input
 //! surfaces as a rendered [`tkcore::TkError`] and a nonzero exit code, never
 //! a panic.
 
@@ -14,9 +14,9 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use tkc_datasets::{ArrivalProfile, DatasetProfile, DatasetStats, EventStream, EventStreamConfig};
 use tkcore::{
-    Affinity, Algorithm, CacheStats, CoreBackend, CoreService, CountingSink, IngestDelta,
-    IngestEvent, KOutput, Lane, QueryRequest, SealPolicy, ServerConfig, ServiceConfig, ShardPlan,
-    ShardedBackend, ShardedEngine, TkError, TkServer,
+    Affinity, Algorithm, CacheStats, CoreService, CountingSink, IngestDelta, IngestEvent, KOutput,
+    Lane, QueryRequest, SealPolicy, ServerConfig, ServiceConfig, ShardPlan, ShardedEngine, TkError,
+    TkServer,
 };
 
 /// Errors reported to the CLI user.
@@ -1674,14 +1674,11 @@ pub fn run(command: Command) -> Result<String, CliError> {
                 service.shutdown();
                 (reply.response, Some(cache))
             } else if shards > 0 || matches!(ks, KSpec::Range(..)) {
-                let engine = Arc::new(ShardedEngine::new(graph.clone(), shard_plan(shards))?);
-                let backend = ShardedBackend::with_algorithm(Arc::clone(&engine), algorithm);
-                // Run against the engine's own snapshot so the backend's
-                // O(1) identity fast path applies.
-                let response = request.run(&engine.graph(), &backend)?;
+                let engine = ShardedEngine::new(graph.clone(), shard_plan(shards))?;
+                let response = engine.execute(request, algorithm)?;
                 (response, Some(engine.cache_stats()))
             } else {
-                (request.run(&graph, &algorithm as &dyn CoreBackend)?, None)
+                (request.run(&graph, algorithm)?, None)
             };
             for outcome in &response.outcomes {
                 let k = outcome.k;

@@ -72,6 +72,21 @@ impl SkylineScratch {
     pub fn absorb(&mut self, mut other: SkylineScratch) {
         self.buffers.append(&mut other.buffers);
     }
+
+    /// Moves up to `n` pooled buffer pairs out into a scratch of their own,
+    /// leaving the rest for other users of the pool.
+    pub(crate) fn split(&mut self, n: usize) -> SkylineScratch {
+        let keep = self.buffers.len().saturating_sub(n);
+        SkylineScratch {
+            buffers: self.buffers.split_off(keep),
+        }
+    }
+
+    /// Number of pooled buffer pairs.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.buffers.len()
+    }
 }
 
 /// The edge core window skylines of every temporal edge in the query range,

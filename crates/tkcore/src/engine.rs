@@ -1,4 +1,4 @@
-//! Engine configuration, cache counters and the batch fan-out helpers of
+//! Engine configuration, cache counters and the batch executor helpers of
 //! [`crate::ShardedEngine`] — the crate's one query engine.
 //!
 //! The paper's framework splits a time-range temporal k-core query into a
@@ -20,13 +20,9 @@
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use crate::error::TkError;
-use crate::exec::{run_batch_inner, ExecPool};
+use crate::exec::ExecPool;
 use crate::ingest::SealPolicy;
-use crate::query::{QueryStats, TimeRangeKCoreQuery};
-use crate::request::QueryRequest;
-use crate::sink::ResultSink;
-use temporal_graph::TemporalGraph;
+use crate::query::QueryStats;
 
 /// Tuning knobs of a [`crate::ShardedEngine`].
 #[derive(Debug, Clone, Copy)]
@@ -195,24 +191,6 @@ pub struct BatchStats {
     pub cache: CacheStats,
 }
 
-/// Validates every query of a batch against `graph` (the same rules as
-/// [`crate::ShardedEngine::run_with`]); the first invalid query fails the
-/// whole batch before any work starts.
-pub(crate) fn validate_batch(
-    graph: &TemporalGraph,
-    queries: &[TimeRangeKCoreQuery],
-) -> Result<Vec<(usize, temporal_graph::TimeWindow)>, TkError> {
-    queries
-        .iter()
-        .map(|query| {
-            let range = query.range();
-            QueryRequest::single(query.k(), range.start(), range.end())
-                .validate(graph)
-                .map(|v| (query.k(), v.window()))
-        })
-        .collect()
-}
-
 /// Resolves a configured thread count: `0` means one per available CPU.
 pub(crate) fn resolve_threads(configured: usize) -> usize {
     if configured == 0 {
@@ -254,35 +232,6 @@ pub(crate) fn batch_executor(
     (threads, Some(Arc::clone(pool)))
 }
 
-/// Fans validated `(k, window)` queries across the persistent pool (plus the
-/// calling thread), one fresh sink per query, results back in query order.
-/// Workers claim the next query index from a shared atomic counter, so long
-/// and short queries balance automatically.  `run` executes one
-/// already-validated query.  `pool = None` runs inline on the calling
-/// thread only.
-pub(crate) fn fan_out_batch<S, F, R>(
-    pool: Option<Arc<ExecPool>>,
-    validated: Arc<Vec<(usize, temporal_graph::TimeWindow)>>,
-    make_sink: F,
-    run: R,
-) -> Vec<(S, QueryStats)>
-where
-    S: ResultSink + Send + 'static,
-    F: Fn(usize) -> S + Send + Sync + 'static,
-    R: Fn(usize, temporal_graph::TimeWindow, &mut dyn ResultSink) -> QueryStats
-        + Send
-        + Sync
-        + 'static,
-{
-    let len = validated.len();
-    run_batch_inner(pool.as_deref(), len, move |i| {
-        let (k, window) = validated[i];
-        let mut sink = make_sink(i);
-        let stats = run(k, window, &mut sink);
-        (sink, stats)
-    })
-}
-
 /// Sums per-query statistics into a [`BatchStats`].
 pub(crate) fn aggregate_batch<S>(
     per_query: &[(S, QueryStats)],
@@ -315,11 +264,11 @@ mod tests {
     //! span-wide skyline per `k`, shared by every window.
     use super::*;
     use crate::paper_example;
-    use crate::query::Algorithm;
+    use crate::query::{Algorithm, TimeRangeKCoreQuery};
     use crate::shard::{ShardPlan, ShardedEngine};
     use crate::sink::{CollectingSink, CountingSink};
     use crate::{EdgeCoreSkyline, TkError};
-    use temporal_graph::{TemporalGraphBuilder, TimeWindow};
+    use temporal_graph::{TemporalGraph, TemporalGraphBuilder, TimeWindow};
 
     fn span_engine(g: &TemporalGraph) -> ShardedEngine {
         ShardedEngine::new(g.clone(), ShardPlan::Span).unwrap()

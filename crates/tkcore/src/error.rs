@@ -1,8 +1,8 @@
 //! Structured errors for the fallible query API.
 //!
 //! Every public entry point of the unified query surface —
-//! [`crate::QueryRequest::validate`], [`crate::CoreBackend::execute`],
-//! [`crate::ShardedEngine::run_with`], [`crate::CoreService::submit`] — returns
+//! [`crate::QueryRequest::validate`], [`crate::Algorithm::execute`],
+//! [`crate::ShardedEngine::execute`], [`crate::CoreService::submit`] — returns
 //! `Result<_, TkError>` instead of panicking or silently clamping degenerate
 //! input.  The variants mirror the ways a `(k, [Ts, Te])` query can be
 //! malformed or refused, so callers (the CLI, a serving layer) can render or
@@ -17,8 +17,10 @@ use temporal_graph::Timestamp;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TkError {
-    /// The query parameter `k` is outside the meaningful range (`k >= 1`; a
-    /// 0-core is the whole projected graph, not a cohesive-subgraph query).
+    /// The query parameter `k` is outside the meaningful range: `k >= 1` (a
+    /// 0-core is the whole projected graph, not a cohesive-subgraph query),
+    /// and a `k`-range sweep may not reach past the graph's vertex count (a
+    /// k-core needs more than `k` vertices).
     KOutOfRange {
         /// The rejected value.
         k: usize,
@@ -85,9 +87,6 @@ pub enum TkError {
         /// Human-readable description of the defect.
         detail: String,
     },
-    /// A [`crate::ShardedBackend`] was handed a graph other than the one its
-    /// engine serves; cached skylines would be silently wrong for it.
-    GraphMismatch,
     /// The [`crate::CoreService`] worker has shut down; the request cannot
     /// be accepted or its reply was dropped.
     ServiceStopped,
@@ -148,7 +147,6 @@ impl TkError {
             TkError::UnsupportedAlgorithm { .. } => "UnsupportedAlgorithm",
             TkError::UnknownAlgorithm { .. } => "UnknownAlgorithm",
             TkError::InvalidShardPlan { .. } => "InvalidShardPlan",
-            TkError::GraphMismatch => "GraphMismatch",
             TkError::ServiceStopped => "ServiceStopped",
             TkError::WorkerPanicked { .. } => "WorkerPanicked",
             TkError::Io { .. } => "Io",
@@ -165,7 +163,8 @@ impl fmt::Display for TkError {
             TkError::KOutOfRange { k } => {
                 write!(
                     f,
-                    "k = {k} is out of range (temporal k-core queries require k >= 1)"
+                    "k = {k} is out of range (temporal k-core queries require k >= 1, and a \
+                     k-range sweep may not exceed the graph's vertex count)"
                 )
             }
             TkError::EmptyKSelection => write!(f, "the request selects no k at all"),
@@ -201,12 +200,6 @@ impl fmt::Display for TkError {
             ),
             TkError::InvalidShardPlan { detail } => {
                 write!(f, "invalid shard plan: {detail}")
-            }
-            TkError::GraphMismatch => {
-                write!(
-                    f,
-                    "backend executed against a different graph than it serves"
-                )
             }
             TkError::ServiceStopped => write!(f, "the query service has shut down"),
             TkError::WorkerPanicked { detail } => {
@@ -262,6 +255,7 @@ mod tests {
     fn display_is_human_readable() {
         let cases: Vec<(TkError, &str)> = vec![
             (TkError::KOutOfRange { k: 0 }, "k = 0"),
+            (TkError::KOutOfRange { k: 99 }, "vertex count"),
             (TkError::EmptyKSelection, "no k"),
             (TkError::EmptyWindow { start: 5, end: 2 }, "[5, 2]"),
             (
@@ -301,7 +295,6 @@ mod tests {
                 },
                 "shard plan",
             ),
-            (TkError::GraphMismatch, "different graph"),
             (TkError::ServiceStopped, "shut down"),
             (
                 TkError::WorkerPanicked {

@@ -14,10 +14,11 @@
 //!   crossed with an [`OutputMode`] (materialize / count / stream).
 //!   [`QueryRequest::validate`] turns malformed input into a structured
 //!   [`TkError`] instead of a panic;
-//! * [`CoreBackend`] — pluggable execution: every [`Algorithm`] variant
-//!   (`Enum`, `EnumBase`, `Otcd`, `Naive`) is a backend, and
-//!   [`ShardedBackend`] answers from a shared [`ShardedEngine`]'s skyline
-//!   cache so repeated and swept queries build each index at most once;
+//! * two ways to run one: [`ShardedEngine::execute`] answers from the
+//!   engine's skyline caches, so repeated and swept queries build each
+//!   index at most once, and [`QueryRequest::run`] executes per query with
+//!   an [`Algorithm`] (`Enum`, `EnumBase`, `Otcd`, `Naive`) — the reference
+//!   the engine is tested against;
 //! * [`CoreService`] — a thread-backed serving front end with a bounded
 //!   request queue, [`ServiceConfig::workers`] worker threads, admission
 //!   control ([`TkError::BudgetExceeded`]), and per-request [`RequestId`] +
@@ -62,7 +63,7 @@
 //! There is one query engine, [`ShardedEngine`].  It partitions the
 //! timeline into contiguous time-interval shards ([`ShardPlan`]) and caches
 //! one [`EdgeCoreSkyline`] per `(shard, k)` lazily under one memory budget;
-//! [`ShardedBackend`] plugs it into the request/serving surface.
+//! [`ShardedEngine::execute`] is its request entry point.
 //! [`ShardPlan::Span`] is the unsharded layout — one shard, one span-wide
 //! skyline per `k` restricted to every query window — and finer plans bound
 //! the resident cache and cold builds by the largest shard instead.
@@ -146,7 +147,7 @@
 //! // The paper's query: all temporal 2-cores in any sub-window of [1, 4].
 //! let response = QueryRequest::single(2, 1, 4)
 //!     .materialize()
-//!     .run(&graph, &Algorithm::Enum)
+//!     .run(&graph, Algorithm::Enum)
 //!     .unwrap();
 //! let KOutput::Cores(cores) = &response.outcomes[0].output else { unreachable!() };
 //! assert_eq!(cores.len(), 2); // Figure 2 of the paper
@@ -155,12 +156,10 @@
 //! A `k`-range sweep served from the cache, one skyline build per `k`:
 //!
 //! ```
-//! use std::sync::Arc;
-//! use tkcore::{paper_example, QueryRequest, ShardPlan, ShardedBackend, ShardedEngine};
+//! use tkcore::{paper_example, Algorithm, QueryRequest, ShardPlan, ShardedEngine};
 //!
-//! let engine = Arc::new(ShardedEngine::new(paper_example::graph(), ShardPlan::Span).unwrap());
-//! let backend = ShardedBackend::new(Arc::clone(&engine));
-//! let response = QueryRequest::sweep(1..=3, 1, 7).run(&engine.graph(), &backend).unwrap();
+//! let engine = ShardedEngine::new(paper_example::graph(), ShardPlan::Span).unwrap();
+//! let response = engine.execute(QueryRequest::sweep(1..=3, 1, 7), Algorithm::Enum).unwrap();
 //! assert_eq!(response.outcomes.len(), 3);           // per-k stats
 //! assert_eq!(engine.cache_stats().misses, 3);       // ≤ 1 build per k
 //! ```
@@ -177,8 +176,8 @@
 //!   framework;
 //! * [`run_otcd`] — the OTCD state-of-the-art competitor (Algorithm 1);
 //! * [`naive_results`] — a brute-force reference used for testing;
-//! * [`ShardedEngine`] — the cached batch-query engine underneath
-//!   [`ShardedBackend`] and [`CoreService`].
+//! * [`ShardedEngine`] — the cached query engine underneath
+//!   [`CoreService`].
 //!
 //! The pre-redesign entry points `TimeRangeKCoreQuery::{enumerate, count}`
 //! (deprecated since the PR 2 API redesign) have been removed; see
@@ -207,11 +206,13 @@
 //!   buffer pairs: a restriction *takes* a pair, emits into it, and the
 //!   caller *recycles* the result's storage back into the pool once the
 //!   restricted skyline has been consumed.  The contract is per-engine:
-//!   the scratch pool lives under the engine's own lock, is taken whole
-//!   (never held across another lock) and merged back with
-//!   [`SkylineScratch::absorb`], so a warm engine performs zero skyline
-//!   allocations per restriction or composition regardless of how many
-//!   shards a window spans.  A spanning query's restricted parts are
+//!   the scratch pool lives under the engine's own lock, each query takes
+//!   only the pairs it uses (never holding the lock across another) and
+//!   merges exactly those back with [`SkylineScratch::absorb`], so a warm
+//!   engine performs zero skyline allocations per restriction or
+//!   composition regardless of how many shards a window spans, and
+//!   overlapping queries cannot grow the pool past the pairs in use at
+//!   once.  A spanning query's restricted parts are
 //!   recycled as soon as the composed window skyline exists, and that
 //!   skyline is recycled after its single enumeration.
 //!
@@ -275,7 +276,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod backend;
 mod ecs;
 pub mod engine;
 mod enum_base;
@@ -298,7 +298,6 @@ pub mod sync;
 mod vct;
 pub mod wire;
 
-pub use backend::CoreBackend;
 pub use ecs::{EdgeCoreSkyline, SkylineScratch};
 pub use engine::{
     BatchStats, BoundaryCacheStats, CacheStats, EngineConfig, ShardCacheStats, WarmStats,
@@ -321,7 +320,7 @@ pub use service::{
     LatencyHistogram, RequestId, ServiceConfig, ServiceReply, ServiceStats, SubmitOptions, Ticket,
     WorkerStats,
 };
-pub use shard::{ShardPlan, ShardedBackend, ShardedEngine};
+pub use shard::{ShardPlan, ShardedEngine};
 pub use sink::{CollectingSink, CountingSink, FnSink, ResultSink};
 pub use stats::{FrameworkStats, IngestDelta, ShardProfile};
 pub use vct::{CoreTimeSweep, VertexCoreTimeIndex};

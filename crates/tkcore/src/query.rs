@@ -13,6 +13,7 @@ use crate::enumerate::enumerate;
 use crate::error::TkError;
 use crate::naive::enumerate_naive;
 use crate::otcd::run_otcd;
+use crate::request::validate_query;
 use crate::sink::ResultSink;
 use std::fmt;
 use std::str::FromStr;
@@ -51,6 +52,44 @@ impl Algorithm {
             Algorithm::Otcd => "OTCD",
             Algorithm::Naive => "Naive",
         }
+    }
+
+    /// Runs one `(k, window)` query against `graph` with this algorithm,
+    /// building whatever per-query state it needs and streaming every
+    /// distinct core into `sink`.  This is per-query execution, the
+    /// reference the cached [`crate::ShardedEngine`] is checked against.
+    ///
+    /// A window overhanging the end of the span is clamped, matching
+    /// [`crate::QueryRequest::validate`].
+    ///
+    /// # Errors
+    /// [`TkError::KOutOfRange`] for `k == 0`; [`TkError::WindowPastTmax`]
+    /// when `window` starts after `graph.tmax()`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use tkcore::{paper_example, Algorithm, CountingSink};
+    /// use temporal_graph::TimeWindow;
+    ///
+    /// let graph = paper_example::graph();
+    /// for algorithm in Algorithm::ALL {
+    ///     let mut sink = CountingSink::default();
+    ///     let stats = algorithm
+    ///         .execute(&graph, 2, TimeWindow::new(1, 4), &mut sink)
+    ///         .unwrap();
+    ///     assert_eq!(stats.num_cores, 2); // Figure 2 of the paper
+    /// }
+    /// ```
+    pub fn execute(
+        self,
+        graph: &TemporalGraph,
+        k: usize,
+        window: TimeWindow,
+        sink: &mut dyn ResultSink,
+    ) -> Result<QueryStats, TkError> {
+        let clamped = validate_query(graph, k, window)?;
+        Ok(TimeRangeKCoreQuery::validated(k, clamped).run_with(graph, self, sink))
     }
 }
 
@@ -303,7 +342,7 @@ impl ResultSink for CountingForwarder<'_> {
 mod tests {
     use super::*;
     use crate::paper_example;
-    use crate::sink::CountingSink;
+    use crate::sink::{CollectingSink, CountingSink};
 
     #[test]
     fn accessors_and_counts_match_figure_2() {
@@ -340,6 +379,52 @@ mod tests {
     fn zero_k_is_a_typed_error() {
         let err = TimeRangeKCoreQuery::new(0, TimeWindow::new(1, 5)).unwrap_err();
         assert_eq!(err, TkError::KOutOfRange { k: 0 });
+    }
+
+    #[test]
+    fn every_algorithm_matches_naive_on_the_paper_example() {
+        let g = paper_example::graph();
+        let expected = crate::naive::naive_results(&g, 2, paper_example::full_range());
+        for algo in Algorithm::ALL {
+            let mut sink = CollectingSink::default();
+            let stats = algo
+                .execute(&g, 2, paper_example::full_range(), &mut sink)
+                .unwrap();
+            assert_eq!(stats.num_cores as usize, expected.len(), "{algo}");
+            let mut cores = sink.cores;
+            cores.sort_by(|a, b| a.tti.cmp(&b.tti).then_with(|| a.edges.cmp(&b.edges)));
+            assert_eq!(cores, expected, "{algo}");
+        }
+    }
+
+    #[test]
+    fn backends_reject_malformed_input_with_typed_errors() {
+        let g = paper_example::graph();
+        let mut sink = CountingSink::default();
+        assert!(matches!(
+            Algorithm::Enum.execute(&g, 0, paper_example::full_range(), &mut sink),
+            Err(TkError::KOutOfRange { k: 0 })
+        ));
+        let past = TimeWindow::new(g.tmax() + 1, g.tmax() + 5);
+        assert!(matches!(
+            Algorithm::Otcd.execute(&g, 2, past, &mut sink),
+            Err(TkError::WindowPastTmax { .. })
+        ));
+    }
+
+    #[test]
+    fn overhanging_windows_are_clamped_not_rejected() {
+        let g = paper_example::graph();
+        let mut overhang = CountingSink::default();
+        let stats = Algorithm::Enum
+            .execute(&g, 2, TimeWindow::new(1, 500), &mut overhang)
+            .unwrap();
+        let mut exact = CountingSink::default();
+        Algorithm::Enum
+            .execute(&g, 2, paper_example::full_range(), &mut exact)
+            .unwrap();
+        assert_eq!(overhang, exact);
+        assert_eq!(stats.num_cores, exact.num_cores);
     }
 
     #[test]

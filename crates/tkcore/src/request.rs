@@ -7,29 +7,30 @@
 //! * a **single `k`** (the paper's query),
 //! * a **multi-`k` set** (`{2, 5, 9}` for one dashboard panel each),
 //! * a **`k`-range sweep** (`k_min..=k_max`, e.g. to find the largest `k`
-//!   with a non-empty answer) — through a [`crate::ShardedBackend`] each
-//!   `k` reuses the engine's cached shard skylines, so a sweep costs at most
-//!   one index build per `(shard, k)` touched by the window (one per `k`
-//!   over [`crate::ShardPlan::Span`]);
+//!   with a non-empty answer) — through [`crate::ShardedEngine::execute`]
+//!   each `k` reuses the engine's cached shard skylines, so a sweep costs at
+//!   most one index build per `(shard, k)` touched by the window (one per
+//!   `k` over [`crate::ShardPlan::Span`]);
 //!
 //! crossed with an [`OutputMode`]: materialise every core, count them, or
 //! stream them into a caller-supplied sink.
 //!
 //! Construction is infallible and graph-independent; [`QueryRequest::validate`]
 //! checks the request against a concrete graph and returns a typed
-//! [`TkError`] for malformed input (`k == 0`, empty windows, windows past
-//! the last timestamp) instead of panicking.  The resulting
-//! [`ValidatedRequest`] executes against any [`CoreBackend`].
+//! [`TkError`] for malformed input (`k == 0`, a sweep past the vertex
+//! count, empty windows, windows past the last timestamp) instead of
+//! panicking.  A request runs one of two ways: per query with an
+//! [`Algorithm`] ([`QueryRequest::run`], the reference execution), or from
+//! an engine's skyline caches with [`crate::ShardedEngine::execute`].
 
 use std::fmt;
 use std::ops::RangeInclusive;
 
-use crate::backend::CoreBackend;
 use crate::error::TkError;
-use crate::query::QueryStats;
+use crate::query::{Algorithm, QueryStats};
 use crate::result::TemporalKCore;
 use crate::sink::{CollectingSink, CountingSink, ResultSink};
-use temporal_graph::{TemporalGraph, TimeWindow, Timestamp};
+use temporal_graph::{EdgeId, TemporalGraph, TimeWindow, Timestamp};
 
 /// Which `k` values a request covers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,7 +50,10 @@ pub enum KSelection {
 }
 
 impl KSelection {
-    fn expand(&self) -> Result<Vec<usize>, TkError> {
+    /// The distinct `k` values in execution order.  A sweep whose `max`
+    /// exceeds `max_k` is refused before it is expanded, so a huge `max`
+    /// can never allocate one slot per `k`.
+    fn expand(&self, max_k: usize) -> Result<Vec<usize>, TkError> {
         let ks: Vec<usize> = match self {
             KSelection::Single(k) => vec![*k],
             KSelection::Set(ks) => {
@@ -64,6 +68,9 @@ impl KSelection {
             KSelection::Range { min, max } => {
                 if min > max {
                     return Err(TkError::EmptyKSelection);
+                }
+                if *max > max_k {
+                    return Err(TkError::KOutOfRange { k: *max });
                 }
                 (*min..=*max).collect()
             }
@@ -107,7 +114,8 @@ impl fmt::Debug for OutputMode {
 ///
 /// Built from raw parameters (so malformed input is representable and
 /// rejected with a typed error at [`QueryRequest::validate`] time), then
-/// executed against any [`CoreBackend`] with [`QueryRequest::run`].
+/// executed per query with [`QueryRequest::run`] or from an engine's caches
+/// with [`crate::ShardedEngine::execute`].
 ///
 /// # Example
 ///
@@ -117,7 +125,7 @@ impl fmt::Debug for OutputMode {
 /// let graph = paper_example::graph();
 /// let response = QueryRequest::single(2, 1, 4)
 ///     .materialize()
-///     .run(&graph, &Algorithm::Enum)
+///     .run(&graph, Algorithm::Enum)
 ///     .unwrap();
 /// let KOutput::Cores(cores) = &response.outcomes[0].output else {
 ///     panic!("materialized request");
@@ -206,19 +214,21 @@ impl QueryRequest {
     /// other defects are typed errors.
     ///
     /// # Errors
-    /// * [`TkError::KOutOfRange`] — some selected `k` is `0`;
+    /// * [`TkError::KOutOfRange`] — some selected `k` is `0`, or a `k`-range
+    ///   sweep's `max` exceeds `graph.num_vertices()` (a k-core needs more
+    ///   than `k` vertices, so such `k`s could only return empty answers);
     /// * [`TkError::EmptyKSelection`] — the selection contains no `k`;
     /// * [`TkError::EmptyWindow`] — `start == 0` or `start > end`;
     /// * [`TkError::WindowPastTmax`] — `start` exceeds `graph.tmax()`.
     pub fn validate(self, graph: &TemporalGraph) -> Result<ValidatedRequest, TkError> {
-        let ks = self.ks.expand()?;
+        let ks = self.ks.expand(graph.num_vertices())?;
         let Some(window) = TimeWindow::try_new(self.start, self.end) else {
             return Err(TkError::EmptyWindow {
                 start: self.start,
                 end: self.end,
             });
         };
-        let window = crate::backend::validate_query(graph, ks[0], window)?;
+        let window = validate_query(graph, ks[0], window)?;
         Ok(ValidatedRequest {
             ks,
             window,
@@ -226,18 +236,43 @@ impl QueryRequest {
         })
     }
 
-    /// Validates against `graph` and executes on `backend` in one step.
+    /// Validates against `graph` and executes per query with `algorithm`
+    /// in one step.
     ///
     /// # Errors
-    /// Everything [`QueryRequest::validate`] rejects, plus any execution
-    /// error of the backend.
+    /// Everything [`QueryRequest::validate`] rejects.
     pub fn run(
         self,
         graph: &TemporalGraph,
-        backend: &dyn CoreBackend,
+        algorithm: Algorithm,
     ) -> Result<QueryResponse, TkError> {
-        self.validate(graph)?.execute(graph, backend)
+        self.validate(graph)?.execute(graph, algorithm)
     }
+}
+
+/// Validates `(k, window)` against `graph` and returns the window clamped to
+/// the graph span: the admission rule every execution path shares.
+pub(crate) fn validate_query(
+    graph: &TemporalGraph,
+    k: usize,
+    window: TimeWindow,
+) -> Result<TimeWindow, TkError> {
+    if k == 0 {
+        return Err(TkError::KOutOfRange { k });
+    }
+    // A constructed graph always has at least one edge, so tmax() >= 1;
+    // the max(1) below only guards the TimeWindow invariant.
+    let tmax = graph.tmax();
+    if window.start() > tmax.max(1) {
+        return Err(TkError::WindowPastTmax {
+            start: window.start(),
+            tmax,
+        });
+    }
+    Ok(TimeWindow::new(
+        window.start(),
+        window.end().min(tmax.max(1)),
+    ))
 }
 
 /// A request that passed [`QueryRequest::validate`]: every `k` is `>= 1`,
@@ -265,56 +300,115 @@ impl ValidatedRequest {
         &self.mode
     }
 
-    /// Executes every `(k, window)` pair on `backend`, consuming the request.
+    /// Executes every `(k, window)` pair per query with `algorithm`,
+    /// consuming the request.
     ///
     /// # Errors
-    /// Propagates the backend's execution errors (validation has already
-    /// passed, so [`CoreBackend`] input errors cannot occur here for the
-    /// graph the request was validated against).
+    /// The input errors of [`Algorithm::execute`], which cannot occur when
+    /// `graph` is the graph the request was validated against.
     pub fn execute(
         self,
         graph: &TemporalGraph,
-        backend: &dyn CoreBackend,
+        algorithm: Algorithm,
     ) -> Result<QueryResponse, TkError> {
+        self.respond(
+            |ks, window, materialize| {
+                ks.iter()
+                    .map(|&k| {
+                        let mut sink = OutcomeSink::new(materialize);
+                        let stats = algorithm.execute(graph, k, window, &mut sink)?;
+                        Ok((sink, stats))
+                    })
+                    .collect()
+            },
+            |k, window, sink| algorithm.execute(graph, k, window, sink),
+        )
+    }
+
+    /// Runs the request and assembles its response: the one place per-`k`
+    /// outcomes are built, for per-query execution and for
+    /// [`crate::ShardedEngine::execute`] alike.
+    ///
+    /// Stream mode runs the `k`s in order into the caller's one sink through
+    /// `stream`.  Count and materialize modes hand every `k` to `batch`
+    /// together with whether to materialize; it returns one
+    /// [`OutcomeSink::new`] sink and its stats per `k`, in `k` order, and may
+    /// run them concurrently.
+    pub(crate) fn respond<B, S>(self, batch: B, mut stream: S) -> Result<QueryResponse, TkError>
+    where
+        B: FnOnce(&[usize], TimeWindow, bool) -> Result<Vec<(OutcomeSink, QueryStats)>, TkError>,
+        S: FnMut(usize, TimeWindow, &mut dyn ResultSink) -> Result<QueryStats, TkError>,
+    {
         let ValidatedRequest { ks, window, mode } = self;
-        let mut outcomes = Vec::with_capacity(ks.len());
-        let materialize = matches!(mode, OutputMode::Materialize);
-        let mut streamed_sink = match mode {
-            OutputMode::Stream(sink) => Some(sink),
-            _ => None,
+        let materialize = match mode {
+            OutputMode::Stream(mut sink) => {
+                let mut outcomes = Vec::with_capacity(ks.len());
+                for k in ks {
+                    let stats = stream(k, window, sink.as_mut())?;
+                    outcomes.push(KOutcome {
+                        k,
+                        stats,
+                        output: KOutput::Streamed,
+                    });
+                }
+                return Ok(QueryResponse {
+                    window,
+                    outcomes,
+                    sink: Some(sink),
+                });
+            }
+            OutputMode::Materialize => true,
+            OutputMode::Count => false,
         };
-        for k in ks {
-            let outcome = if let Some(sink) = streamed_sink.as_mut() {
-                let stats = backend.execute(graph, k, window, sink.as_mut())?;
-                KOutcome {
-                    k,
-                    stats,
-                    output: KOutput::Streamed,
-                }
-            } else if materialize {
-                let mut sink = CollectingSink::default();
-                let stats = backend.execute(graph, k, window, &mut sink)?;
-                KOutcome {
-                    k,
-                    stats,
-                    output: KOutput::Cores(sink.into_sorted()),
-                }
-            } else {
-                let mut sink = CountingSink::default();
-                let stats = backend.execute(graph, k, window, &mut sink)?;
-                KOutcome {
-                    k,
-                    stats,
-                    output: KOutput::Counts(sink),
-                }
-            };
-            outcomes.push(outcome);
-        }
+        let outcomes = ks
+            .iter()
+            .zip(batch(&ks, window, materialize)?)
+            .map(|(&k, (sink, stats))| KOutcome {
+                k,
+                stats,
+                output: sink.into_output(),
+            })
+            .collect();
         Ok(QueryResponse {
             window,
             outcomes,
-            sink: streamed_sink,
+            sink: None,
         })
+    }
+}
+
+/// The per-`k` sink of a count or materialize request.
+pub(crate) enum OutcomeSink {
+    /// [`OutputMode::Count`].
+    Count(CountingSink),
+    /// [`OutputMode::Materialize`].
+    Collect(CollectingSink),
+}
+
+impl OutcomeSink {
+    /// A fresh sink for one `k`: collecting when `materialize`, else counting.
+    pub(crate) fn new(materialize: bool) -> Self {
+        if materialize {
+            OutcomeSink::Collect(CollectingSink::default())
+        } else {
+            OutcomeSink::Count(CountingSink::default())
+        }
+    }
+
+    fn into_output(self) -> KOutput {
+        match self {
+            OutcomeSink::Count(counts) => KOutput::Counts(counts),
+            OutcomeSink::Collect(cores) => KOutput::Cores(cores.into_sorted()),
+        }
+    }
+}
+
+impl ResultSink for OutcomeSink {
+    fn emit(&mut self, tti: TimeWindow, edges: &[EdgeId]) {
+        match self {
+            OutcomeSink::Count(counts) => counts.emit(tti, edges),
+            OutcomeSink::Collect(cores) => cores.emit(tti, edges),
+        }
     }
 }
 
@@ -385,15 +479,13 @@ impl QueryResponse {
 mod tests {
     use super::*;
     use crate::paper_example;
-    use crate::query::Algorithm;
     use crate::sink::FnSink;
-    use temporal_graph::EdgeId;
 
     #[test]
     fn single_request_counts_figure_2() {
         let g = paper_example::graph();
         let response = QueryRequest::single(2, 1, 4)
-            .run(&g, &Algorithm::Enum)
+            .run(&g, Algorithm::Enum)
             .unwrap();
         assert_eq!(response.outcomes.len(), 1);
         assert_eq!(response.outcomes[0].k, 2);
@@ -409,7 +501,7 @@ mod tests {
     fn multi_k_collapses_duplicates_and_keeps_order() {
         let g = paper_example::graph();
         let response = QueryRequest::multi(vec![3, 2, 3], 1, 7)
-            .run(&g, &Algorithm::Enum)
+            .run(&g, Algorithm::Enum)
             .unwrap();
         let ks: Vec<usize> = response.outcomes.iter().map(|o| o.k).collect();
         assert_eq!(ks, vec![3, 2]);
@@ -419,7 +511,7 @@ mod tests {
     fn sweep_reports_per_k_stats() {
         let g = paper_example::graph();
         let response = QueryRequest::sweep(1..=3, 1, 7)
-            .run(&g, &Algorithm::Enum)
+            .run(&g, Algorithm::Enum)
             .unwrap();
         let ks: Vec<usize> = response.outcomes.iter().map(|o| o.k).collect();
         assert_eq!(ks, vec![1, 2, 3]);
@@ -445,7 +537,7 @@ mod tests {
         });
         let response = QueryRequest::single(2, 1, 4)
             .stream(Box::new(sink))
-            .run(&g, &Algorithm::Enum)
+            .run(&g, Algorithm::Enum)
             .unwrap();
         assert!(matches!(response.outcomes[0].output, KOutput::Streamed));
         assert!(response.sink.is_some());
@@ -483,6 +575,34 @@ mod tests {
     }
 
     #[test]
+    fn sweeps_past_the_vertex_count_are_refused_before_expansion() {
+        let g = paper_example::graph();
+        let n = g.num_vertices();
+        let validated = QueryRequest::sweep(1..=n, 1, 7).validate(&g).unwrap();
+        assert_eq!(validated.ks().len(), n);
+        assert_eq!(
+            QueryRequest::sweep(1..=n + 1, 1, 7)
+                .validate(&g)
+                .unwrap_err(),
+            TkError::KOutOfRange { k: n + 1 }
+        );
+        // Expanding this sweep would need ~2^66 bytes: it must be refused
+        // before any `k` is materialized.
+        let huge = usize::MAX / 2;
+        assert_eq!(
+            QueryRequest::sweep(1..=huge, 1, 7)
+                .validate(&g)
+                .unwrap_err(),
+            TkError::KOutOfRange { k: huge }
+        );
+        // Single and set selections are not capped.
+        assert!(QueryRequest::single(n + 1, 1, 7).validate(&g).is_ok());
+        assert!(QueryRequest::multi(vec![2, huge], 1, 7)
+            .validate(&g)
+            .is_ok());
+    }
+
+    #[test]
     fn validation_clamps_overhanging_windows() {
         let g = paper_example::graph();
         let validated = QueryRequest::single(2, 3, 500).validate(&g).unwrap();
@@ -496,7 +616,7 @@ mod tests {
         let g = paper_example::graph();
         let response = QueryRequest::single(2, 1, 4)
             .materialize()
-            .run(&g, &Algorithm::Naive)
+            .run(&g, Algorithm::Naive)
             .unwrap();
         let KOutput::Cores(cores) = &response.outcomes[0].output else {
             panic!("materialized");

@@ -30,10 +30,11 @@
 //!   mode) is caught on the worker: the caller's ticket resolves to
 //!   [`TkError::WorkerPanicked`], the worker thread survives, and every
 //!   statistic — including the per-worker histograms — remains intact;
-//! * multi-`k` requests fan across the engine's batch path on the **same
-//!   pool** (the executing worker participates, so nested fan-out cannot
-//!   deadlock), and a `k`-range sweep still costs at most one skyline build
-//!   per `(shard, k)`;
+//! * workers run every request through [`ShardedEngine::execute`]:
+//!   multi-`k` count and materialize requests fan their `k`s across the
+//!   **same pool** (the executing worker participates, so nested fan-out
+//!   cannot deadlock), and a `k`-range sweep still costs at most one skyline
+//!   build per `(shard, k)`;
 //! * every request belongs to a priority [`Lane`] and may carry a
 //!   **deadline** ([`CoreService::submit_opts`]): workers dequeue waiting
 //!   interactive requests ahead of batch ones, and a request whose deadline
@@ -51,10 +52,9 @@ use crate::engine::CacheStats;
 use crate::error::TkError;
 use crate::exec::ExecPool;
 use crate::ingest::{AbsorbStats, IngestEvent};
-use crate::query::{Algorithm, TimeRangeKCoreQuery};
-use crate::request::{KOutcome, KOutput, OutputMode, QueryRequest, QueryResponse};
-use crate::shard::{ShardPlan, ShardedBackend, ShardedEngine};
-use crate::sink::{CollectingSink, CountingSink};
+use crate::query::Algorithm;
+use crate::request::{QueryRequest, QueryResponse};
+use crate::shard::{ShardPlan, ShardedEngine};
 use temporal_graph::{TemporalGraph, TimeWindow};
 
 /// How [`CoreService`] routes admitted requests onto worker lanes.
@@ -470,6 +470,16 @@ struct Job {
     reply: mpsc::Sender<Result<ServiceReply, TkError>>,
 }
 
+/// A request that passed [`CoreService::admit`]: its id and reply channel,
+/// with the state lock still held so the caller enqueues it atomically with
+/// the admitted counters.
+struct Admission<'a, T> {
+    state: MutexGuard<'a, ServiceState>,
+    id: RequestId,
+    reply: mpsc::Sender<T>,
+    ticket: mpsc::Receiver<T>,
+}
+
 /// The waiting jobs of one pool worker lane, split by priority: dequeue
 /// takes interactive jobs first, FIFO within each class.
 #[derive(Default)]
@@ -690,60 +700,40 @@ impl CoreService {
         opts: SubmitOptions,
     ) -> Result<Ticket, TkError> {
         let validated = request.validate(&self.engine.graph())?;
-        if self.pool.is_none() {
-            // close_and_join already ran; the open flag under the state
-            // lock agrees, but the affinity routing below needs the pool.
-            return Err(TkError::ServiceStopped);
-        }
+        let pool = self.pool()?;
         // Reading cache statistics takes the engine's cache mutex, and the
         // affinity routing below takes the pool mutex; doing both before
         // the state lock keeps every lock pair unnested.
-        let resident_over_budget = self
+        let over_budget = self
             .config
             .admission_memory_bytes
-            .map(|budget| self.engine.cache_stats().resident_bytes > budget);
-        let window = validated.window();
-        let pool_lane = self.lane_for(window);
-        let mut state = self.shared.lock();
-        if !state.open {
-            // A stopped service is ServiceStopped, never BudgetExceeded.
-            return Err(TkError::ServiceStopped);
-        }
-        if resident_over_budget == Some(true) {
-            state.stats.rejected += 1;
-            state.stats.per_lane[opts.lane.index()].rejected += 1;
-            return Err(TkError::BudgetExceeded {
-                resource: "cache memory",
-                limit: self
-                    .config
-                    .admission_memory_bytes
-                    // tkc-lint: allow(no-panic-api) — this branch is only reached when the admission gate is configured
-                    .expect("gate only fires when configured"),
-            });
-        }
-        if state.queued >= self.config.queue_depth {
-            state.stats.rejected += 1;
-            state.stats.per_lane[opts.lane.index()].rejected += 1;
-            return Err(TkError::BudgetExceeded {
-                resource: "request queue",
-                limit: self.config.queue_depth,
-            });
-        }
-        if opts.deadline == Some(Duration::ZERO) {
-            // Expired on arrival: shed at admission, never queued.
-            state.stats.shed += 1;
-            state.stats.per_lane[opts.lane.index()].shed += 1;
-            return Err(TkError::DeadlineExceeded {
-                deadline: Duration::ZERO,
-                waited: Duration::ZERO,
-            });
-        }
-        let id = RequestId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        let (tx, rx) = mpsc::channel();
-        state.queued += 1;
-        state.stats.admitted += 1;
-        state.stats.per_lane[opts.lane.index()].admitted += 1;
-        state.stats.max_queue_depth = state.stats.max_queue_depth.max(state.queued);
+            .filter(|&budget| self.engine.cache_stats().resident_bytes > budget);
+        let pool_lane = self.lane_for(pool, validated.window());
+        let Admission {
+            mut state,
+            id,
+            reply,
+            ticket,
+        } = self.admit(opts.lane, |stats| {
+            if let Some(limit) = over_budget {
+                stats.rejected += 1;
+                stats.per_lane[opts.lane.index()].rejected += 1;
+                return Err(TkError::BudgetExceeded {
+                    resource: "cache memory",
+                    limit,
+                });
+            }
+            if opts.deadline == Some(Duration::ZERO) {
+                // Expired on arrival: shed at admission, never queued.
+                stats.shed += 1;
+                stats.per_lane[opts.lane.index()].shed += 1;
+                return Err(TkError::DeadlineExceeded {
+                    deadline: Duration::ZERO,
+                    waited: Duration::ZERO,
+                });
+            }
+            Ok(())
+        })?;
         state.queues[pool_lane].push(Job {
             id,
             request: validated,
@@ -751,20 +741,15 @@ impl CoreService {
             lane: opts.lane,
             deadline: opts.deadline,
             enqueued_at: Instant::now(),
-            reply: tx,
+            reply,
         });
         drop(state);
         let shared = Arc::clone(&self.shared);
         let engine = Arc::clone(&self.engine);
-        let pool = self
-            .pool
-            .as_ref()
-            // tkc-lint: allow(no-panic-api) — `pool` is Some from construction until close_and_join tears the service down
-            .expect("pool alive while the service is open");
         pool.spawn_on(pool_lane, move |worker| {
             drain_service_job(&engine, &shared, pool_lane, worker);
         });
-        Ok(Ticket { id, rx })
+        Ok(Ticket { id, rx: ticket })
     }
 
     /// Submits a batch of ingest events to the service's **ingest lane**:
@@ -785,59 +770,80 @@ impl CoreService {
     ///   requests are already waiting;
     /// * [`TkError::ServiceStopped`] after [`CoreService::shutdown`].
     pub fn submit_append(&self, events: Vec<IngestEvent>) -> Result<IngestTicket, TkError> {
+        let pool = self.pool()?;
+        // Route appends to the lane owning the tail shard's cache partition:
+        // that is the only partition an absorb invalidates.
+        let num_shards = self.engine.num_shards();
+        let lane = lane_of_shard(
+            num_shards.saturating_sub(1),
+            num_shards,
+            pool.lane_lens().len(),
+        );
+        let Admission {
+            mut state,
+            id,
+            reply,
+            ticket,
+        } = self.admit(Lane::Batch, |_| Ok(()))?;
+        state.stats.ingest.submitted += 1;
+        drop(state);
+        let shared = Arc::clone(&self.shared);
+        let engine = Arc::clone(&self.engine);
+        let enqueued_at = Instant::now();
+        pool.spawn_on(lane, move |worker| {
+            execute_ingest_job(&engine, &shared, id, &events, enqueued_at, &reply, worker);
+        });
+        Ok(IngestTicket { id, rx: ticket })
+    }
+
+    /// The admission step shared by queries and appends, under one state
+    /// lock: a stopped service refuses, a full queue refuses, then `gate`
+    /// may refuse with its own accounting.  An admitted request gets an id,
+    /// a reply channel and the admitted counters; the lock stays held in the
+    /// returned [`Admission`] so the caller enqueues atomically with them.
+    fn admit<T>(
+        &self,
+        lane: Lane,
+        gate: impl FnOnce(&mut ServiceStats) -> Result<(), TkError>,
+    ) -> Result<Admission<'_, T>, TkError> {
         let mut state = self.shared.lock();
         if !state.open {
+            // A stopped service is ServiceStopped, never BudgetExceeded.
             return Err(TkError::ServiceStopped);
         }
         if state.queued >= self.config.queue_depth {
             state.stats.rejected += 1;
-            state.stats.per_lane[Lane::Batch.index()].rejected += 1;
+            state.stats.per_lane[lane.index()].rejected += 1;
             return Err(TkError::BudgetExceeded {
                 resource: "request queue",
                 limit: self.config.queue_depth,
             });
         }
+        gate(&mut state.stats)?;
         let id = RequestId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        let (tx, rx) = mpsc::channel();
+        let (reply, ticket) = mpsc::channel();
         state.queued += 1;
         state.stats.admitted += 1;
-        state.stats.per_lane[Lane::Batch.index()].admitted += 1;
-        state.stats.ingest.submitted += 1;
+        state.stats.per_lane[lane.index()].admitted += 1;
         state.stats.max_queue_depth = state.stats.max_queue_depth.max(state.queued);
-        drop(state);
-        let shared = Arc::clone(&self.shared);
-        let enqueued_at = Instant::now();
-        let pool = self
-            .pool
-            .as_ref()
-            // tkc-lint: allow(no-panic-api) — `pool` is Some from construction until close_and_join tears the service down
-            .expect("pool alive while the service is open");
-        // Route appends to the lane owning the tail shard's cache partition:
-        // that is the only partition an absorb invalidates.
-        let engine = Arc::clone(&self.engine);
-        let lane = {
-            let num_shards = engine.num_shards();
-            lane_of_shard(
-                num_shards.saturating_sub(1),
-                num_shards,
-                pool.lane_lens().len(),
-            )
-        };
-        pool.spawn_on(lane, move |worker| {
-            execute_ingest_job(&engine, &shared, id, &events, enqueued_at, &tx, worker);
-        });
-        Ok(IngestTicket { id, rx })
+        Ok(Admission {
+            state,
+            id,
+            reply,
+            ticket,
+        })
     }
 
-    /// Chooses the lane for a request over `window` (see
+    /// The worker pool, or [`TkError::ServiceStopped`] once
+    /// [`CoreService::shutdown`] released it.
+    fn pool(&self) -> Result<&Arc<ExecPool>, TkError> {
+        self.pool.as_ref().ok_or(TkError::ServiceStopped)
+    }
+
+    /// Chooses the lane of `pool` for a request over `window` (see
     /// [`ServiceConfig::affinity`]).  A one-shard engine has no partitions
     /// to route by, so it load-balances across every lane.
-    fn lane_for(&self, window: TimeWindow) -> usize {
-        let pool = self
-            .pool
-            .as_ref()
-            // tkc-lint: allow(no-panic-api) — `pool` is Some from construction until close_and_join tears the service down
-            .expect("pool alive while the service is open");
+    fn lane_for(&self, pool: &ExecPool, window: TimeWindow) -> usize {
         let lens = pool.lane_lens();
         let num_shards = self.engine.num_shards();
         if self.config.affinity == Affinity::Shard && num_shards > 1 {
@@ -939,49 +945,31 @@ fn drain_service_job(
         state.in_flight += 1;
         (job, waited)
     };
-    let request = job.request;
-    let algorithm = job.algorithm;
-    let t0 = Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| execute_job(engine, request, algorithm)));
-    let execute_time = t0.elapsed();
-    let (result, panicked) = match outcome {
-        Ok(result) => (result, false),
-        Err(payload) => (
-            Err(TkError::WorkerPanicked {
-                detail: panic_detail(payload.as_ref()),
-            }),
-            true,
-        ),
-    };
-    {
-        let mut state = shared.lock();
-        state.in_flight -= 1;
-        let stats = &mut state.stats;
-        stats.completed += 1;
-        stats.per_lane[job.lane.index()].completed += 1;
-        stats.queue_wait_total += queue_wait;
-        stats.execute_total += execute_time;
-        if panicked {
-            stats.panicked += 1;
-        }
-        let per_worker = &mut stats.per_worker[worker];
-        per_worker.completed += 1;
-        per_worker.execute_total += execute_time;
-        per_worker.latency.record(execute_time);
-        if panicked {
-            per_worker.panicked += 1;
-        }
-    }
-    shared.drained.notify_all();
-    let reply = result.map(|response| ServiceReply {
-        id: job.id,
+    let Job {
+        id,
+        request,
+        algorithm,
+        lane,
+        reply,
+        ..
+    } = job;
+    let (result, execute_time) = complete(
+        shared,
+        lane,
+        worker,
+        queue_wait,
+        || engine.execute_validated(request, algorithm),
+        |_, _, _| {},
+    );
+    let reply_value = result.map(|response| ServiceReply {
+        id,
         response,
         queue_wait,
         execute_time,
         worker,
     });
     // The submitter may have dropped its ticket; that is not an error.
-    let _ = job.reply.send(reply);
+    let _ = reply.send(reply_value);
 }
 
 /// Runs one admitted append batch on pool worker `worker`: accounting,
@@ -1001,9 +989,55 @@ fn execute_ingest_job(
         state.in_flight += 1;
     }
     let queue_wait = enqueued_at.elapsed();
+    let (result, absorb_time) = complete(
+        shared,
+        Lane::Batch,
+        worker,
+        queue_wait,
+        || engine.absorb(events),
+        |stats, result, absorb_time| {
+            let ingest = &mut stats.ingest;
+            ingest.absorb_total += absorb_time;
+            match result {
+                Ok(absorbed) => {
+                    ingest.completed += 1;
+                    ingest.events_appended += absorbed.appended as u64;
+                    if absorbed.sealed {
+                        ingest.seals += 1;
+                    }
+                }
+                Err(_) => ingest.failed += 1,
+            }
+        },
+    );
+    let reply_value = result.map(|stats| IngestReply {
+        id,
+        stats,
+        queue_wait,
+        absorb_time,
+        worker,
+    });
+    // The submitter may have dropped its ticket; that is not an error.
+    let _ = reply.send(reply_value);
+}
+
+/// The completion step shared by queries and appends: runs an in-flight
+/// job's `work` on pool worker `worker` with panic isolation (a panic
+/// becomes [`TkError::WorkerPanicked`]), then books it under one state lock
+/// — completed, per-lane, per-worker, latency histogram and panicked
+/// counters, plus `book`'s job-specific accounting — and wakes drain
+/// waiters.  Returns the result and the execution time.
+fn complete<R>(
+    shared: &ServiceShared,
+    lane: Lane,
+    worker: usize,
+    queue_wait: Duration,
+    work: impl FnOnce() -> Result<R, TkError>,
+    book: impl FnOnce(&mut ServiceStats, &Result<R, TkError>, Duration),
+) -> (Result<R, TkError>, Duration) {
     let t0 = Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| engine.absorb(events)));
-    let absorb_time = t0.elapsed();
+    let outcome = catch_unwind(AssertUnwindSafe(work));
+    let elapsed = t0.elapsed();
     let (result, panicked) = match outcome {
         Ok(result) => (result, false),
         Err(payload) => (
@@ -1018,106 +1052,21 @@ fn execute_ingest_job(
         state.in_flight -= 1;
         let stats = &mut state.stats;
         stats.completed += 1;
-        stats.per_lane[Lane::Batch.index()].completed += 1;
+        stats.per_lane[lane.index()].completed += 1;
         stats.queue_wait_total += queue_wait;
-        stats.execute_total += absorb_time;
-        if panicked {
-            stats.panicked += 1;
-        }
+        stats.execute_total += elapsed;
         let per_worker = &mut stats.per_worker[worker];
         per_worker.completed += 1;
-        per_worker.execute_total += absorb_time;
-        per_worker.latency.record(absorb_time);
+        per_worker.execute_total += elapsed;
+        per_worker.latency.record(elapsed);
         if panicked {
             per_worker.panicked += 1;
+            stats.panicked += 1;
         }
-        let ingest = &mut stats.ingest;
-        ingest.absorb_total += absorb_time;
-        match &result {
-            Ok(absorbed) => {
-                ingest.completed += 1;
-                ingest.events_appended += absorbed.appended as u64;
-                if absorbed.sealed {
-                    ingest.seals += 1;
-                }
-            }
-            Err(_) => ingest.failed += 1,
-        }
+        book(stats, &result, elapsed);
     }
     shared.drained.notify_all();
-    let reply_value = result.map(|stats| IngestReply {
-        id,
-        stats,
-        queue_wait,
-        absorb_time,
-        worker,
-    });
-    // The submitter may have dropped its ticket; that is not an error.
-    let _ = reply.send(reply_value);
-}
-
-/// Executes one validated request on the engine.  Count and materialize
-/// modes fan the per-`k` queries across the engine's batch path (which runs
-/// on the same pool, with this worker participating); stream mode runs
-/// sequentially because all `k` values share one sink.
-fn execute_job(
-    engine: &Arc<ShardedEngine>,
-    request: crate::request::ValidatedRequest,
-    algorithm: Algorithm,
-) -> Result<QueryResponse, TkError> {
-    let window = request.window();
-    let queries: Vec<TimeRangeKCoreQuery> = request
-        .ks()
-        .iter()
-        .map(|&k| TimeRangeKCoreQuery::validated(k, window))
-        .collect();
-    match request.mode() {
-        OutputMode::Stream(_) => {
-            // Sequential: the one caller sink sees every k in order, still
-            // answered from the engine's skyline cache.  Capture one
-            // snapshot; a racing absorb publishes a new one without
-            // invalidating this capture (the backend serves any snapshot of
-            // its engine's lineage).
-            let backend = ShardedBackend::with_algorithm(Arc::clone(engine), algorithm);
-            request.execute(&engine.graph(), &backend)
-        }
-        OutputMode::Materialize => {
-            let (results, _) =
-                engine.run_batch_with(&queries, algorithm, |_| CollectingSink::default())?;
-            let outcomes = queries
-                .iter()
-                .zip(results)
-                .map(|(query, (sink, stats))| KOutcome {
-                    k: query.k(),
-                    stats,
-                    output: KOutput::Cores(sink.into_sorted()),
-                })
-                .collect();
-            Ok(QueryResponse {
-                window,
-                outcomes,
-                sink: None,
-            })
-        }
-        OutputMode::Count => {
-            let (results, _) =
-                engine.run_batch_with(&queries, algorithm, |_| CountingSink::default())?;
-            let outcomes = queries
-                .iter()
-                .zip(results)
-                .map(|(query, (sink, stats))| KOutcome {
-                    k: query.k(),
-                    stats,
-                    output: KOutput::Counts(sink),
-                })
-                .collect();
-            Ok(QueryResponse {
-                window,
-                outcomes,
-                sink: None,
-            })
-        }
-    }
+    (result, elapsed)
 }
 
 #[cfg(test)]
@@ -1287,7 +1236,7 @@ mod tests {
         // The only shard maps to lane 0, but a one-shard engine has no
         // partitions to keep warm, so routing picks the idle lane.
         assert_eq!(pool.lane_lens(), vec![1, 0]);
-        assert_eq!(service.lane_for(TimeWindow::new(1, 7)), 1);
+        assert_eq!(service.lane_for(&pool, TimeWindow::new(1, 7)), 1);
         for _ in 0..2 {
             release_tx.send(()).unwrap();
         }

@@ -1,7 +1,7 @@
-//! Time-interval sharding: [`ShardPlan`], [`ShardedEngine`] and
-//! [`ShardedBackend`].
+//! Time-interval sharding: [`ShardPlan`] and [`ShardedEngine`].
 //!
-//! [`ShardedEngine`] is the crate's query engine.  It partitions the
+//! [`ShardedEngine`] is the crate's query engine, and
+//! [`ShardedEngine::execute`] its one request entry point.  It partitions the
 //! timeline into contiguous time-interval shards and keeps **one skyline per
 //! `(shard, k)`**, each covering only its shard's interval.
 //! [`ShardPlan::Span`] is the unsharded layout: one shard covering the whole
@@ -87,20 +87,19 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use crate::backend::{validate_query, CoreBackend};
 use crate::ecs::{EdgeCoreSkyline, SkylineScratch};
 use crate::engine::{
-    aggregate_batch, batch_executor, fan_out_batch, validate_batch, BatchStats, BoundaryCacheStats,
-    CacheStats, EngineConfig, ShardCacheStats, WarmStats,
+    aggregate_batch, batch_executor, BatchStats, BoundaryCacheStats, CacheStats, EngineConfig,
+    ShardCacheStats, WarmStats,
 };
 use crate::error::TkError;
 use crate::exec::{run_batch_inner, ExecPool};
 use crate::ingest::{AbsorbStats, IngestEvent};
 use crate::query::{Algorithm, QueryStats, TimeRangeKCoreQuery};
-use crate::request::QueryRequest;
+use crate::request::{validate_query, OutcomeSink, QueryRequest, QueryResponse, ValidatedRequest};
 use crate::sink::{CountingSink, ResultSink};
 use crate::sync;
 use temporal_graph::{AppendableGraph, TemporalGraph, TimeWindow, Timestamp};
@@ -744,16 +743,11 @@ struct ShardInner {
     config: EngineConfig,
     live: Mutex<Arc<LiveState>>,
     ingest: Mutex<IngestState>,
-    /// Every graph snapshot this engine has published, weakly.  Lets
-    /// [`ShardedBackend::serves`] keep accepting a snapshot captured just
-    /// before a racing absorb swapped in a newer one (pruned as readers
-    /// drop their `Arc`s).
-    lineage: Mutex<Vec<Weak<TemporalGraph>>>,
     cache: Mutex<ShardCache>,
     boundary: Mutex<BoundaryCache>,
-    /// Recycled per-edge window tables for restriction / stitch composition
-    /// (taken whole per query, handed back via `absorb`; never held across
-    /// another lock).
+    /// Recycled CSR buffer pairs for restriction / stitch composition (each
+    /// query takes the pairs it uses and hands exactly those back; never
+    /// held across another lock).
     scratch: Mutex<SkylineScratch>,
     pool: OnceLock<Arc<ExecPool>>,
     /// Test-only fail point: while non-zero, each absorb decrements it and
@@ -798,7 +792,7 @@ impl ShardedEngine {
         let tail_edges = snapshot.num_edges_in(shards[sealed]);
         let live = Arc::new(LiveState {
             epoch: 0,
-            graph: Arc::clone(&snapshot),
+            graph: snapshot,
             shards,
             sealed,
         });
@@ -810,7 +804,6 @@ impl ShardedEngine {
                     appendable,
                     tail_edges,
                 }),
-                lineage: Mutex::new(vec![Arc::downgrade(&snapshot)]),
                 cache,
                 boundary,
                 scratch: Mutex::new(SkylineScratch::default()),
@@ -946,14 +939,6 @@ impl ShardedEngine {
         self.inner.seal_tail()
     }
 
-    /// Whether `graph` is a snapshot this engine published (the current one
-    /// or an earlier one still held alive by a reader).
-    pub(crate) fn is_snapshot(&self, graph: &TemporalGraph) -> bool {
-        sync::lock(&self.inner.lineage)
-            .iter()
-            .any(|w| w.upgrade().is_some_and(|g| std::ptr::eq(&*g, graph)))
-    }
-
     /// Current cache counters; [`CacheStats::per_shard`] holds one entry per
     /// shard with its build/hit/residency counters and
     /// [`CacheStats::boundary`] the stitch-index counters.
@@ -1035,7 +1020,8 @@ impl ShardedEngine {
     /// [`TimeRangeKCoreQuery::run_with`] emits them, whatever the plan.
     ///
     /// # Errors
-    /// The validation errors of [`QueryRequest::validate`].
+    /// [`TkError::WindowPastTmax`] when the window starts past the graph's
+    /// last timestamp.
     pub fn run_with(
         &self,
         query: &TimeRangeKCoreQuery,
@@ -1045,12 +1031,81 @@ impl ShardedEngine {
         // One consistent live view for validation and execution: a racing
         // absorb cannot swap the graph between the two.
         let live = self.inner.live_now();
-        let range = query.range();
-        let validated =
-            QueryRequest::single(query.k(), range.start(), range.end()).validate(&live.graph)?;
+        let window = validate_query(&live.graph, query.k(), query.range())?;
         Ok(self
             .inner
-            .run_validated(&live, query.k(), validated.window(), algorithm, sink))
+            .run_validated(&live, query.k(), window, algorithm, sink))
+    }
+
+    /// Executes a [`QueryRequest`] with `algorithm` from the engine's caches:
+    /// the one request entry point of the engine, shared by
+    /// [`crate::CoreService`], `tkc query` and library callers.
+    ///
+    /// The request is validated once, against the live view it then runs
+    /// on, so a racing [`ShardedEngine::absorb`] is observed for all of its
+    /// `k`s or for none.  Count and materialize requests fan their `k`s
+    /// across the engine's [`ExecPool`] (the calling thread participates,
+    /// so a service worker calling in cannot deadlock the pool); a stream
+    /// request runs its `k`s in order into its one sink.  Every `k` is
+    /// answered as [`ShardedEngine::run_with`] answers it.
+    ///
+    /// # Errors
+    /// The validation errors of [`QueryRequest::validate`].
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use tkcore::{paper_example, Algorithm, QueryRequest, ShardPlan, ShardedEngine};
+    ///
+    /// let engine = ShardedEngine::new(paper_example::graph(), ShardPlan::FixedCount(3)).unwrap();
+    /// let response = engine
+    ///     .execute(QueryRequest::sweep(1..=2, 1, 7), Algorithm::Enum)
+    ///     .unwrap();
+    /// assert_eq!(response.outcomes.len(), 2); // one outcome per k
+    /// // The same request run per query, without the engine's caches:
+    /// let reference = QueryRequest::sweep(1..=2, 1, 7)
+    ///     .run(&paper_example::graph(), Algorithm::Enum)
+    ///     .unwrap();
+    /// assert_eq!(response.total_cores(), reference.total_cores());
+    /// ```
+    pub fn execute(
+        &self,
+        request: QueryRequest,
+        algorithm: Algorithm,
+    ) -> Result<QueryResponse, TkError> {
+        let live = self.inner.live_now();
+        let request = request.validate(&live.graph)?;
+        self.execute_on(live, request, algorithm)
+    }
+
+    /// [`ShardedEngine::execute`] for a request validated earlier, at
+    /// [`crate::CoreService`] admission.  Snapshots only grow — appends
+    /// extend the timeline and the vertex set — so a request valid for an
+    /// earlier snapshot is valid for the current one.
+    pub(crate) fn execute_validated(
+        &self,
+        request: ValidatedRequest,
+        algorithm: Algorithm,
+    ) -> Result<QueryResponse, TkError> {
+        self.execute_on(self.inner.live_now(), request, algorithm)
+    }
+
+    fn execute_on(
+        &self,
+        live: Arc<LiveState>,
+        request: ValidatedRequest,
+        algorithm: Algorithm,
+    ) -> Result<QueryResponse, TkError> {
+        request.respond(
+            |ks, window, materialize| {
+                let queries = ks.iter().map(|&k| (k, window)).collect();
+                let make_sink = move |_| OutcomeSink::new(materialize);
+                Ok(self
+                    .fan_out(Arc::clone(&live), queries, algorithm, make_sink)
+                    .0)
+            },
+            |k, window, sink| Ok(self.inner.run_validated(&live, k, window, algorithm, sink)),
+        )
     }
 
     /// Runs a batch of queries with `Enum`, counting results per query.
@@ -1087,18 +1142,44 @@ impl ShardedEngine {
         // The whole batch runs against one live view, so its queries are
         // mutually consistent even while absorbs land concurrently.
         let live = self.inner.live_now();
-        let validated = Arc::new(validate_batch(&live.graph, queries)?);
+        let queries = queries
+            .iter()
+            .map(|q| validate_query(&live.graph, q.k(), q.range()).map(|window| (q.k(), window)))
+            .collect::<Result<Vec<_>, _>>()?;
+        let (per_query, threads) = self.fan_out(live, queries, algorithm, make_sink);
+        let batch = aggregate_batch(&per_query, t0.elapsed(), threads, self.cache_stats());
+        Ok((per_query, batch))
+    }
+
+    /// Fans validated `(k, window)` queries across the engine's pool (plus
+    /// the calling thread) against one live view, one `make_sink(i)` sink
+    /// per query.  Workers claim the next query index from a shared counter,
+    /// so long and short queries balance.  Returns the results in query
+    /// order and the number of threads used.
+    fn fan_out<S, F>(
+        &self,
+        live: Arc<LiveState>,
+        queries: Vec<(usize, TimeWindow)>,
+        algorithm: Algorithm,
+        make_sink: F,
+    ) -> (Vec<(S, QueryStats)>, usize)
+    where
+        S: ResultSink + Send + 'static,
+        F: Fn(usize) -> S + Send + Sync + 'static,
+    {
         let (threads, pool) = batch_executor(
             &self.inner.pool,
             self.inner.config.num_threads,
-            validated.len(),
+            queries.len(),
         );
         let inner = Arc::clone(&self.inner);
-        let per_query = fan_out_batch(pool, validated, make_sink, move |k, window, sink| {
-            inner.run_validated(&live, k, window, algorithm, sink)
+        let per_query = run_batch_inner(pool.as_deref(), queries.len(), move |i| {
+            let (k, window) = queries[i];
+            let mut sink = make_sink(i);
+            let stats = inner.run_validated(&live, k, window, algorithm, &mut sink);
+            (sink, stats)
         });
-        let batch = aggregate_batch(&per_query, t0.elapsed(), threads, self.cache_stats());
-        Ok((per_query, batch))
+        (per_query, threads)
     }
 }
 
@@ -1162,15 +1243,10 @@ impl ShardInner {
         }
         let state = Arc::new(LiveState {
             epoch: old.epoch + 1,
-            graph: Arc::clone(&snapshot),
+            graph: snapshot,
             shards,
             sealed,
         });
-        {
-            let mut lineage = sync::lock(&self.lineage);
-            lineage.retain(|w| w.strong_count() > 0);
-            lineage.push(Arc::downgrade(&snapshot));
-        }
         let num_shards = state.shards.len();
         *sync::lock(&self.live) = Arc::clone(&state);
         // The batch extended the tail window, so even on a sealing absorb
@@ -1349,10 +1425,18 @@ impl ShardInner {
         let shards = live.overlapping(window);
         debug_assert!(!shards.is_empty(), "validated window overlaps a shard");
         let t0 = Instant::now();
-        // Take the whole scratch pool for this query (short lock, guard
-        // dropped immediately); retired skylines are recycled into it and
-        // the pool is merged back at the end.
-        let mut scratch = std::mem::take(&mut *sync::lock(&self.scratch));
+        // Take only the buffer pairs this query uses — one per restricted
+        // part, plus one for a spanning window's composed skyline — under a
+        // short lock, and hand exactly those back at the end.  An
+        // overlapping query finds the rest of the pool still there, so the
+        // pool is bounded by the pairs in use at once, not by how many
+        // queries ever overlapped.
+        let pairs = if shards.len() == 1 {
+            1
+        } else {
+            shards.len() + 1
+        };
+        let mut scratch = sync::lock(&self.scratch).split(pairs);
         // Prefetch every overlapping shard's skyline, building the cold ones
         // in parallel on the pool (see `shard_skylines`), and restrict each
         // to its part of the window: the intra-shard windows of the window's
@@ -1398,101 +1482,13 @@ impl ShardInner {
     }
 }
 
-/// A [`CoreBackend`] answering from a shared [`ShardedEngine`]'s skyline
-/// cache, so engine execution composes with [`QueryRequest`] multi-`k` sets
-/// and sweeps and with [`crate::CoreService`].
-///
-/// Because cached skylines are graph-specific, `execute` refuses a graph
-/// other than [`ShardedEngine::graph`] with [`TkError::GraphMismatch`].
-///
-/// # Example
-///
-/// ```
-/// use std::sync::Arc;
-/// use tkcore::{paper_example, QueryRequest, ShardPlan, ShardedBackend, ShardedEngine};
-///
-/// let engine = Arc::new(
-///     ShardedEngine::new(paper_example::graph(), ShardPlan::FixedCount(3)).unwrap(),
-/// );
-/// let backend = ShardedBackend::new(Arc::clone(&engine));
-/// let response = QueryRequest::sweep(1..=2, 1, 7)
-///     .run(&engine.graph(), &backend)
-///     .unwrap();
-/// assert_eq!(response.outcomes.len(), 2); // one outcome per k
-/// ```
-#[derive(Clone)]
-pub struct ShardedBackend {
-    engine: Arc<ShardedEngine>,
-    algorithm: Algorithm,
-}
-
-impl ShardedBackend {
-    /// A sharded backend running the paper's final algorithm (`Enum`).
-    pub fn new(engine: Arc<ShardedEngine>) -> Self {
-        Self::with_algorithm(engine, Algorithm::Enum)
-    }
-
-    /// A sharded backend running the chosen algorithm.
-    pub fn with_algorithm(engine: Arc<ShardedEngine>, algorithm: Algorithm) -> Self {
-        Self { engine, algorithm }
-    }
-
-    /// The engine this backend answers from.
-    pub fn engine(&self) -> &ShardedEngine {
-        &self.engine
-    }
-
-    /// The algorithm this backend runs.
-    pub fn algorithm(&self) -> Algorithm {
-        self.algorithm
-    }
-
-    /// Pointer equality is the O(1) fast path and an equal clone is
-    /// accepted at O(|E|) cost (pass [`ShardedEngine::graph`] on hot
-    /// paths).  For live ingestion, any snapshot this engine published is
-    /// served, so a query that captured [`ShardedEngine::graph`] just
-    /// before a racing [`ShardedEngine::absorb`] still executes (against
-    /// the current state) instead of failing with a spurious mismatch.
-    fn serves(&self, graph: &TemporalGraph) -> bool {
-        self.engine.is_snapshot(graph) || crate::backend::graph_matches(&self.engine.graph(), graph)
-    }
-}
-
-impl CoreBackend for ShardedBackend {
-    fn name(&self) -> &str {
-        match self.algorithm {
-            Algorithm::Enum => "Sharded(Enum)",
-            Algorithm::EnumBase => "Sharded(EnumBase)",
-            Algorithm::Otcd => "Sharded(OTCD)",
-            Algorithm::Naive => "Sharded(Naive)",
-        }
-    }
-
-    fn execute(
-        &self,
-        graph: &TemporalGraph,
-        k: usize,
-        window: TimeWindow,
-        sink: &mut dyn ResultSink,
-    ) -> Result<QueryStats, TkError> {
-        if !self.serves(graph) {
-            return Err(TkError::GraphMismatch);
-        }
-        let clamped = validate_query(graph, k, window)?;
-        self.engine.run_with(
-            &TimeRangeKCoreQuery::validated(k, clamped),
-            self.algorithm,
-            sink,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::paper_example;
     use crate::sink::CollectingSink;
     use crate::TemporalKCore;
+    use std::sync::mpsc;
 
     fn canonical(mut cores: Vec<TemporalKCore>) -> Vec<TemporalKCore> {
         cores.sort_by(|a, b| a.tti.cmp(&b.tti).then_with(|| a.edges.cmp(&b.edges)));
@@ -1730,15 +1726,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_backend_composes_with_requests_and_refuses_foreign_graphs() {
+    fn execute_composes_with_requests() {
         let g = paper_example::graph();
-        let engine = Arc::new(ShardedEngine::new(g.clone(), ShardPlan::FixedCount(4)).unwrap());
-        let backend = ShardedBackend::new(Arc::clone(&engine));
-        assert_eq!(backend.algorithm(), Algorithm::Enum);
-        assert_eq!(backend.name(), "Sharded(Enum)");
-        let response = QueryRequest::single(2, 1, 4)
-            .materialize()
-            .run(&engine.graph(), &backend)
+        let engine = ShardedEngine::new(g.clone(), ShardPlan::FixedCount(4)).unwrap();
+        let response = engine
+            .execute(QueryRequest::single(2, 1, 4).materialize(), Algorithm::Enum)
             .unwrap();
         let crate::KOutput::Cores(cores) = &response.outcomes[0].output else {
             panic!("materialized request");
@@ -1747,16 +1739,33 @@ mod tests {
             canonical(cores.clone()),
             crate::naive::naive_results(&g, 2, TimeWindow::new(1, 4))
         );
-
-        let other = temporal_graph::TemporalGraphBuilder::new()
-            .with_edges([(0u64, 1u64, 1i64), (1, 2, 2), (0, 2, 2)])
-            .build()
-            .unwrap();
-        let mut sink = CountingSink::default();
         assert!(matches!(
-            backend.execute(&other, 2, TimeWindow::new(1, 2), &mut sink),
-            Err(TkError::GraphMismatch)
+            engine.execute(QueryRequest::single(0, 1, 4), Algorithm::Enum),
+            Err(TkError::KOutOfRange { k: 0 })
         ));
+    }
+
+    #[test]
+    fn execute_matches_direct_execution_and_caches() {
+        let engine = ShardedEngine::new(paper_example::graph(), ShardPlan::Span).unwrap();
+        let g = engine.graph();
+        for window in [
+            paper_example::example_query_range(),
+            paper_example::full_range(),
+        ] {
+            let request = || QueryRequest::single(2, window.start(), window.end()).materialize();
+            let cached = engine.execute(request(), Algorithm::Enum).unwrap();
+            let direct = request().run(&g, Algorithm::Enum).unwrap();
+            let (crate::KOutput::Cores(a), crate::KOutput::Cores(b)) =
+                (&cached.outcomes[0].output, &direct.outcomes[0].output)
+            else {
+                panic!("materialized request");
+            };
+            assert_eq!(a, b, "{window}");
+        }
+        let stats = engine.cache_stats();
+        assert_eq!(stats.misses, 1, "one span-wide build for both windows");
+        assert!(stats.hits >= 1);
     }
 
     #[test]
@@ -1996,23 +2005,6 @@ mod tests {
     }
 
     #[test]
-    fn stale_snapshots_are_still_served_by_the_backend() {
-        let g = paper_example::graph();
-        let engine = Arc::new(ShardedEngine::new(g, ShardPlan::FixedCount(2)).unwrap());
-        let backend = ShardedBackend::new(Arc::clone(&engine));
-        let old_snapshot = engine.graph();
-        engine.absorb(&[(1, 2, 8)]).unwrap();
-        assert!(!std::ptr::eq(&*old_snapshot, &*engine.graph()));
-        // A request that captured the pre-absorb snapshot executes instead
-        // of failing with GraphMismatch (it runs on the current state).
-        let mut sink = CountingSink::default();
-        backend
-            .execute(&old_snapshot, 2, TimeWindow::new(1, 4), &mut sink)
-            .unwrap();
-        assert!(sink.num_cores > 0);
-    }
-
-    #[test]
     fn poisoned_shard_and_boundary_locks_recover_instead_of_wedging() {
         let g = paper_example::graph();
         let engine = ShardedEngine::new(g.clone(), ShardPlan::FixedCount(3)).unwrap();
@@ -2042,5 +2034,56 @@ mod tests {
             .run(&TimeRangeKCoreQuery::new(2, g.span()).unwrap(), &mut sink)
             .unwrap();
         assert!(sink.num_cores > 0, "spanning query runs after poisoning");
+    }
+
+    /// A sink that blocks on its first core until released, holding its
+    /// query mid-enumeration.
+    struct GatedSink {
+        gate: Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>,
+    }
+
+    impl ResultSink for GatedSink {
+        fn emit(&mut self, _tti: TimeWindow, _edges: &[temporal_graph::EdgeId]) {
+            if let Some((started, release)) = self.gate.take() {
+                started.send(()).unwrap();
+                release.recv().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn overlapping_queries_keep_the_scratch_pool_bounded() {
+        let g = paper_example::graph();
+        let engine =
+            Arc::new(ShardedEngine::new(g.clone(), ShardPlan::ExplicitCuts(vec![4])).unwrap());
+        // A query spanning both shards uses three buffer pairs: two
+        // restricted parts plus the composed window skyline.
+        let query = TimeRangeKCoreQuery::new(2, g.span()).unwrap();
+        let pairs_per_query = 3;
+        engine.run(&query, &mut CountingSink::default()).unwrap();
+        for round in 0..4 {
+            let (started_tx, started_rx) = mpsc::channel();
+            let (release_tx, release_rx) = mpsc::channel();
+            let held = {
+                let engine = Arc::clone(&engine);
+                std::thread::spawn(move || {
+                    let mut sink = GatedSink {
+                        gate: Some((started_tx, release_rx)),
+                    };
+                    engine.run(&query, &mut sink).unwrap();
+                })
+            };
+            started_rx.recv().unwrap();
+            // A second spanning query completes while the first one is
+            // mid-enumeration with its pairs out of the pool.
+            engine.run(&query, &mut CountingSink::default()).unwrap();
+            release_tx.send(()).unwrap();
+            held.join().unwrap();
+            let pooled = sync::lock(&engine.inner.scratch).len();
+            assert!(
+                pooled <= 2 * pairs_per_query,
+                "round {round}: {pooled} pooled pairs"
+            );
+        }
     }
 }

@@ -3,11 +3,10 @@
 //! structural invariants hold.
 
 use proptest::prelude::*;
-use std::sync::Arc;
 use temporal_graph::{EdgeId, TemporalGraph, TemporalGraphBuilder, TimeWindow};
 use tkcore::{
     enumerate_base_from_graph, enumerate_from_graph, naive_results, run_otcd, Algorithm,
-    CollectingSink, CoreBackend, EdgeCoreSkyline, ShardPlan, ShardedBackend, ShardedEngine,
+    CollectingSink, EdgeCoreSkyline, KOutput, QueryRequest, ShardPlan, ShardedEngine,
     TemporalKCore, TimeRangeKCoreQuery, VertexCoreTimeIndex,
 };
 
@@ -73,9 +72,10 @@ proptest! {
         prop_assert_eq!(&canonical(s3.cores), &expected);
     }
 
-    /// The unified `CoreBackend` surface agrees with the naive reference for
-    /// all four algorithm backends plus the engine-cached backend (an
-    /// unsharded `ShardedBackend`), on random graphs and sub-ranges.
+    /// Both execution paths agree with the naive reference: per-query
+    /// `Algorithm::execute` for all four algorithms, and the unsharded
+    /// engine's `ShardedEngine::execute` for every algorithm, on random
+    /// graphs and sub-ranges.
     #[test]
     fn core_backends_agree_with_naive(
         g in arb_graph(12, 50, 10),
@@ -86,33 +86,38 @@ proptest! {
         let lo = raw_lo.min(g.tmax());
         let range = TimeWindow::new(lo, (lo + raw_len).min(g.tmax()).max(lo));
         let expected = naive_results(&g, k, range);
-        let engine = Arc::new(ShardedEngine::new(g.clone(), ShardPlan::Span).expect("span plan"));
-        let backends: Vec<Box<dyn CoreBackend>> = vec![
-            Box::new(Algorithm::Enum),
-            Box::new(Algorithm::EnumBase),
-            Box::new(Algorithm::Otcd),
-            Box::new(Algorithm::Naive),
-            Box::new(ShardedBackend::new(Arc::clone(&engine))),
-        ];
-        for backend in &backends {
+        let engine = ShardedEngine::new(g.clone(), ShardPlan::Span).expect("span plan");
+        let past = TimeWindow::new(g.tmax() + 1, g.tmax() + 3);
+        for algorithm in Algorithm::ALL {
             let mut sink = CollectingSink::default();
-            let stats = backend
+            let stats = algorithm
                 .execute(&g, k, range, &mut sink)
                 .expect("validated inputs execute");
-            prop_assert_eq!(stats.num_cores as usize, expected.len(), "{}", backend.name());
-            prop_assert_eq!(&canonical(sink.cores), &expected, "{}", backend.name());
-        }
-        // Malformed inputs are typed errors on every backend, never panics.
-        for backend in &backends {
+            prop_assert_eq!(stats.num_cores as usize, expected.len(), "{}", algorithm);
+            prop_assert_eq!(&canonical(sink.cores), &expected, "{}", algorithm);
+
+            let request = QueryRequest::single(k, range.start(), range.end()).materialize();
+            let response = engine.execute(request, algorithm).expect("validated inputs execute");
+            let KOutput::Cores(cores) = &response.outcomes[0].output else {
+                panic!("materialized request");
+            };
+            prop_assert_eq!(cores, &expected, "engine {}", algorithm);
+
+            // Malformed inputs are typed errors on both paths, never panics.
             let mut sink = CollectingSink::default();
             let zero_k = matches!(
-                backend.execute(&g, 0, range, &mut sink),
+                algorithm.execute(&g, 0, range, &mut sink),
+                Err(tkcore::TkError::KOutOfRange { k: 0 })
+            ) && matches!(
+                engine.execute(QueryRequest::single(0, range.start(), range.end()), algorithm),
                 Err(tkcore::TkError::KOutOfRange { k: 0 })
             );
             prop_assert!(zero_k, "k = 0 must be KOutOfRange");
-            let past = TimeWindow::new(g.tmax() + 1, g.tmax() + 3);
             let past_tmax = matches!(
-                backend.execute(&g, k, past, &mut sink),
+                algorithm.execute(&g, k, past, &mut sink),
+                Err(tkcore::TkError::WindowPastTmax { .. })
+            ) && matches!(
+                engine.execute(QueryRequest::single(k, past.start(), past.end()), algorithm),
                 Err(tkcore::TkError::WindowPastTmax { .. })
             );
             prop_assert!(past_tmax, "past-tmax window must be WindowPastTmax");

@@ -13,7 +13,6 @@
 //!
 //! Run with: `cargo run --release --example index_reuse`
 
-use std::sync::Arc;
 use std::time::Instant;
 use temporal_kcore::prelude::*;
 
@@ -57,7 +56,7 @@ fn main() {
 
     // Engine, first batch: pays the one-time span-wide build for this k,
     // which every later query for the same k reuses.
-    let engine = Arc::new(ShardedEngine::new(graph.clone(), ShardPlan::Span).expect("span plan"));
+    let engine = ShardedEngine::new(graph.clone(), ShardPlan::Span).expect("span plan");
     let t1 = Instant::now();
     let (_, first_batch) = engine.run_batch(&queries).expect("valid workload queries");
     let first_time = t1.elapsed();
@@ -112,15 +111,12 @@ fn main() {
         busiest.0 .0.total_edges
     );
 
-    // The same cache also serves k-range sweeps through the unified request
-    // API: each k of the sweep builds its span-wide index at most once.
-    let backend = ShardedBackend::new(Arc::clone(&engine));
+    // The same cache also serves k-range sweeps through the engine's request
+    // entry point: each k of the sweep builds its span-wide index at most
+    // once.
     let misses_before = engine.cache_stats().misses;
-    // Run against the engine's own graph: the backend's identity check is
-    // O(1) for it, while an equal clone would cost an O(|E|) comparison.
-    let sweep = QueryRequest::sweep(k.saturating_sub(1).max(1)..=k + 1, 1, graph.tmax())
-        .run(&engine.graph(), &backend)
-        .expect("valid sweep");
+    let sweep = QueryRequest::sweep(k.saturating_sub(1).max(1)..=k + 1, 1, graph.tmax());
+    let sweep = engine.execute(sweep, Algorithm::Enum).expect("valid sweep");
     println!("\nk-range sweep around k = {k} (one skyline build per new k):");
     for outcome in &sweep.outcomes {
         println!(

@@ -37,7 +37,7 @@ fn main() {
     let k = 6;
     let response = QueryRequest::single(k, 1, graph.tmax())
         .materialize()
-        .run(&graph, &Algorithm::Enum)
+        .run(&graph, Algorithm::Enum)
         .expect("valid query");
     let KOutput::Cores(cores) = &response.outcomes[0].output else {
         unreachable!("materialized request")

@@ -22,7 +22,7 @@ fn main() {
     // The time-range k-core query of Example 1: k = 2, range [1, 4].
     let response = QueryRequest::single(2, 1, 4)
         .materialize()
-        .run(&graph, &Algorithm::Enum)
+        .run(&graph, Algorithm::Enum)
         .expect("valid query on the example graph");
     let KOutput::Cores(cores) = &response.outcomes[0].output else {
         unreachable!("materialized request")
@@ -89,7 +89,7 @@ fn main() {
         );
     }
 
-    // Compare algorithms on the same query: each one is a `CoreBackend`.
+    // Compare algorithms on the same query, each executed per query.
     println!("\nAlgorithm comparison on the full span {}:", graph.span());
     for algo in [Algorithm::Otcd, Algorithm::EnumBase, Algorithm::Enum] {
         let mut sink = CountingSink::default();

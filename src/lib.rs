@@ -17,10 +17,11 @@
 //! All execution goes through one typed, fallible surface: a
 //! [`prelude::QueryRequest`] (single `k`, multi-`k`, or `k`-range sweep,
 //! with materialize / count / stream output) validated against the graph and
-//! executed on any [`prelude::CoreBackend`] — each algorithm is a backend,
-//! and [`prelude::ShardedBackend`] answers from a shared
-//! [`prelude::ShardedEngine`]'s skyline cache ([`prelude::ShardPlan::Span`]
-//! for one span-wide skyline per `k`).  [`prelude::CoreService`] adds a
+//! executed either per query with an [`prelude::Algorithm`]
+//! ([`prelude::QueryRequest::run`]) or from a
+//! [`prelude::ShardedEngine`]'s skyline cache with
+//! [`prelude::ShardedEngine::execute`] ([`prelude::ShardPlan::Span`] for one
+//! span-wide skyline per `k`).  [`prelude::CoreService`] adds a
 //! bounded request queue with admission control on top.  Malformed input
 //! returns a structured [`prelude::TkError`], never a panic.
 //!
@@ -45,7 +46,7 @@
 //! // All temporal 2-cores appearing in any sub-window of [1, 5].
 //! let response = QueryRequest::single(2, 1, 5)
 //!     .materialize()
-//!     .run(&graph, &Algorithm::Enum)
+//!     .run(&graph, Algorithm::Enum)
 //!     .unwrap();
 //! let KOutput::Cores(cores) = &response.outcomes[0].output else { unreachable!() };
 //! assert_eq!(cores.len(), 3); // two triangles and their union
@@ -54,7 +55,7 @@
 //! }
 //!
 //! // Bad input is a typed error, not a panic.
-//! assert!(QueryRequest::single(0, 1, 5).run(&graph, &Algorithm::Enum).is_err());
+//! assert!(QueryRequest::single(0, 1, 5).run(&graph, Algorithm::Enum).is_err());
 //! ```
 //!
 //! # Serving
@@ -115,12 +116,12 @@ pub mod prelude {
     };
     pub use tkcore::{
         AbsorbStats, Affinity, Algorithm, BatchStats, BoundaryCacheStats, CacheStats,
-        CollectingSink, CoreBackend, CoreService, CountingSink, EdgeCoreSkyline, EngineConfig,
-        ExecPool, FrameworkStats, IngestDelta, IngestEvent, IngestLaneStats, IngestReply,
-        IngestTicket, KOutcome, KOutput, KSelection, Lane, LaneStats, LatencyHistogram, OutputMode,
-        QueryRequest, QueryResponse, QueryStats, RequestId, ResultSink, SealPolicy, ServeSummary,
-        ServerConfig, ServiceConfig, ServiceReply, ServiceStats, ShardCacheStats, ShardPlan,
-        ShardedBackend, ShardedEngine, SubmitOptions, TemporalKCore, Ticket, TimeRangeKCoreQuery,
-        TkError, TkServer, ValidatedRequest, VertexCoreTimeIndex, WarmStats, WorkerStats,
+        CollectingSink, CoreService, CountingSink, EdgeCoreSkyline, EngineConfig, ExecPool,
+        FrameworkStats, IngestDelta, IngestEvent, IngestLaneStats, IngestReply, IngestTicket,
+        KOutcome, KOutput, KSelection, Lane, LaneStats, LatencyHistogram, OutputMode, QueryRequest,
+        QueryResponse, QueryStats, RequestId, ResultSink, SealPolicy, ServeSummary, ServerConfig,
+        ServiceConfig, ServiceReply, ServiceStats, ShardCacheStats, ShardPlan, ShardedEngine,
+        SubmitOptions, TemporalKCore, Ticket, TimeRangeKCoreQuery, TkError, TkServer,
+        ValidatedRequest, VertexCoreTimeIndex, WarmStats, WorkerStats,
     };
 }

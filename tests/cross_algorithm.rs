@@ -80,7 +80,7 @@ fn planted_bursts_are_recovered() {
     let graph = planted_bursty_cores(&config, 21);
     let response = QueryRequest::single(5, 1, graph.tmax())
         .materialize()
-        .run(&graph, &Algorithm::Enum)
+        .run(&graph, Algorithm::Enum)
         .unwrap();
     let KOutput::Cores(cores) = &response.outcomes[0].output else {
         unreachable!("materialized request")

@@ -8,7 +8,7 @@ fn figure_2_results_via_public_api() {
     let graph = paper_example::graph();
     let response = QueryRequest::single(2, 1, 4)
         .materialize()
-        .run(&graph, &Algorithm::Enum)
+        .run(&graph, Algorithm::Enum)
         .unwrap();
     let KOutput::Cores(cores) = &response.outcomes[0].output else {
         unreachable!("materialized request")

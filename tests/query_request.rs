@@ -1,22 +1,22 @@
 //! Acceptance tests for the unified request API through the public facade:
-//! every algorithm and the cached engine are reachable via
-//! `CoreBackend`/`QueryRequest` alone, a k-range sweep over the paper
-//! example builds at most one skyline per k (asserted via `CacheStats`) and
-//! answers like the naive oracle, and malformed input yields typed errors,
-//! never panics.
+//! `ShardedEngine::execute` answers every request shape, output mode and
+//! algorithm exactly like per-query `QueryRequest::run`, a k-range sweep
+//! over the paper example builds at most one skyline per k (asserted via
+//! `CacheStats`) and answers like the naive oracle, and malformed input
+//! yields typed errors on every entry point, never panics.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use temporal_kcore::prelude::*;
-use temporal_kcore::tkcore::paper_example;
+use temporal_kcore::temporal_graph::EdgeId;
+use temporal_kcore::tkcore::{paper_example, FnSink};
 
 #[test]
 fn k_range_sweep_reuses_one_skyline_build_per_k() {
-    let engine = Arc::new(ShardedEngine::new(paper_example::graph(), ShardPlan::Span).unwrap());
+    let engine = ShardedEngine::new(paper_example::graph(), ShardPlan::Span).unwrap();
     let graph = engine.graph();
-    let backend = ShardedBackend::new(Arc::clone(&engine));
 
-    let response = QueryRequest::sweep(1..=3, 1, 7)
-        .run(&graph, &backend)
+    let response = engine
+        .execute(QueryRequest::sweep(1..=3, 1, 7), Algorithm::Enum)
         .unwrap();
 
     // Per-k stats, in sweep order.
@@ -43,8 +43,8 @@ fn k_range_sweep_reuses_one_skyline_build_per_k() {
     assert_eq!(cache.misses, 3, "{cache:?}");
 
     // Re-running the sweep is pure cache hits: still one build per k.
-    let again = QueryRequest::sweep(1..=3, 1, 7)
-        .run(&graph, &backend)
+    let again = engine
+        .execute(QueryRequest::sweep(1..=3, 1, 7), Algorithm::Enum)
         .unwrap();
     assert_eq!(again.total_cores(), response.total_cores());
     let cache = engine.cache_stats();
@@ -55,14 +55,13 @@ fn k_range_sweep_reuses_one_skyline_build_per_k() {
 #[test]
 fn sharded_sweep_builds_only_the_touched_shards_per_k() {
     let graph = paper_example::graph(); // tmax = 7
-    let engine = Arc::new(ShardedEngine::new(graph.clone(), ShardPlan::FixedCount(4)).unwrap());
+    let engine = ShardedEngine::new(graph.clone(), ShardPlan::FixedCount(4)).unwrap();
     // FixedCount(4) over [1, 7] resolves to [1,1] [2,3] [4,5] [6,7].
     assert_eq!(engine.num_shards(), 4);
-    let backend = ShardedBackend::new(Arc::clone(&engine));
 
     // The window [4, 7] touches shards 2 and 3 only.
-    let response = QueryRequest::sweep(1..=3, 4, 7)
-        .run(&engine.graph(), &backend)
+    let response = engine
+        .execute(QueryRequest::sweep(1..=3, 4, 7), Algorithm::Enum)
         .unwrap();
     assert_eq!(response.outcomes.len(), 3);
     for outcome in &response.outcomes {
@@ -84,8 +83,8 @@ fn sharded_sweep_builds_only_the_touched_shards_per_k() {
     assert_eq!(cache.misses, 6, "2 shard misses per k: {cache:?}");
 
     // Re-running the sweep is pure cache hits: no shard is rebuilt.
-    let again = QueryRequest::sweep(1..=3, 4, 7)
-        .run(&engine.graph(), &backend)
+    let again = engine
+        .execute(QueryRequest::sweep(1..=3, 4, 7), Algorithm::Enum)
         .unwrap();
     assert_eq!(again.total_cores(), response.total_cores());
     let cache = engine.cache_stats();
@@ -97,41 +96,129 @@ fn sharded_sweep_builds_only_the_touched_shards_per_k() {
 #[test]
 fn all_backends_answer_the_paper_query_identically() {
     let graph = paper_example::graph();
-    let span = Arc::new(ShardedEngine::new(graph.clone(), ShardPlan::Span).unwrap());
-    let backends: Vec<Box<dyn CoreBackend>> = vec![
-        Box::new(Algorithm::Naive),
-        Box::new(Algorithm::Enum),
-        Box::new(Algorithm::EnumBase),
-        Box::new(Algorithm::Otcd),
-        Box::new(ShardedBackend::new(Arc::clone(&span))),
-        Box::new(ShardedBackend::with_algorithm(
-            Arc::clone(&span),
-            Algorithm::EnumBase,
-        )),
-        Box::new(ShardedBackend::new(Arc::new(
-            ShardedEngine::new(graph.clone(), ShardPlan::FixedCount(3)).unwrap(),
-        ))),
-        Box::new(ShardedBackend::with_algorithm(
-            Arc::new(
-                ShardedEngine::new(graph.clone(), ShardPlan::ExplicitCuts(vec![2, 4])).unwrap(),
-            ),
-            Algorithm::EnumBase,
-        )),
-    ];
+    let span = ShardedEngine::new(graph.clone(), ShardPlan::Span).unwrap();
+    let three = ShardedEngine::new(graph.clone(), ShardPlan::FixedCount(3)).unwrap();
+    let cuts = ShardedEngine::new(graph.clone(), ShardPlan::ExplicitCuts(vec![2, 4])).unwrap();
+    let request = || QueryRequest::single(2, 1, 4).materialize();
     // The naive oracle runs first and becomes the reference.
-    let mut reference: Option<Vec<TemporalKCore>> = None;
-    for backend in &backends {
-        let response = QueryRequest::single(2, 1, 4)
-            .materialize()
-            .run(&graph, backend.as_ref())
-            .unwrap();
+    let mut answers: Vec<(String, QueryResponse)> = Algorithm::ALL
+        .iter()
+        .rev()
+        .map(|&algo| (algo.to_string(), request().run(&graph, algo).unwrap()))
+        .collect();
+    for (name, engine, algo) in [
+        ("Span", &span, Algorithm::Enum),
+        ("Span", &span, Algorithm::EnumBase),
+        ("FixedCount(3)", &three, Algorithm::Enum),
+        ("ExplicitCuts([2, 4])", &cuts, Algorithm::EnumBase),
+    ] {
+        let response = engine.execute(request(), algo).unwrap();
+        answers.push((format!("{name} engine, {algo}"), response));
+    }
+    assert_eq!(answers[0].0, "Naive");
+    let KOutput::Cores(reference) = &answers[0].1.outcomes[0].output else {
+        panic!("materialized request");
+    };
+    assert_eq!(reference.len(), 2);
+    for (name, response) in &answers {
         let KOutput::Cores(cores) = &response.outcomes[0].output else {
             panic!("materialized request");
         };
-        assert_eq!(cores.len(), 2, "{}", backend.name());
-        match &reference {
-            None => reference = Some(cores.clone()),
-            Some(expected) => assert_eq!(cores, expected, "{}", backend.name()),
+        assert_eq!(cores, reference, "{name}");
+    }
+}
+
+/// How a comparison request hands back its cores.
+#[derive(Debug, Clone, Copy)]
+enum Mode {
+    Count,
+    Materialize,
+    Stream,
+}
+
+/// Every core a streaming request emitted, in emission order.
+type Recorded = Arc<Mutex<Vec<(TimeWindow, Vec<EdgeId>)>>>;
+
+/// Request shape `shape` — one `k`, a set with a duplicate `k`, or a sweep —
+/// over `window` in `mode`; a stream request records into `recorded`.
+fn comparison_request(
+    shape: usize,
+    mode: Mode,
+    window: TimeWindow,
+    recorded: &Recorded,
+) -> QueryRequest {
+    let (start, end) = (window.start(), window.end());
+    let request = match shape {
+        0 => QueryRequest::single(2, start, end),
+        1 => QueryRequest::multi(vec![3, 1, 3], start, end),
+        _ => QueryRequest::sweep(1..=3, start, end),
+    };
+    match mode {
+        Mode::Count => request.count(),
+        Mode::Materialize => request.materialize(),
+        Mode::Stream => {
+            let recorded = Arc::clone(recorded);
+            request.stream(Box::new(FnSink(move |tti, edges: &[EdgeId]| {
+                recorded.lock().unwrap().push((tti, edges.to_vec()));
+            })))
+        }
+    }
+}
+
+#[test]
+fn engine_execute_matches_per_query_run() {
+    let graph = paper_example::graph();
+    for plan in [ShardPlan::Span, ShardPlan::FixedCount(3)] {
+        let engine = ShardedEngine::new(graph.clone(), plan.clone()).unwrap();
+        // The whole span, a window spanning every FixedCount(3) cut, and
+        // one inside a single shard.
+        for window in [
+            TimeWindow::new(1, 7),
+            TimeWindow::new(2, 6),
+            TimeWindow::new(3, 4),
+        ] {
+            for shape in 0..3 {
+                for mode in [Mode::Count, Mode::Materialize, Mode::Stream] {
+                    for algo in Algorithm::ALL {
+                        let ctx = format!("{plan:?} {window} shape {shape} {mode:?} {algo}");
+                        let (expected_stream, got_stream) =
+                            (Recorded::default(), Recorded::default());
+                        let expected = comparison_request(shape, mode, window, &expected_stream)
+                            .run(&graph, algo)
+                            .unwrap();
+                        let got = engine
+                            .execute(comparison_request(shape, mode, window, &got_stream), algo)
+                            .unwrap();
+                        assert_eq!(got.window, expected.window, "{ctx}");
+                        assert_eq!(got.sink.is_some(), expected.sink.is_some(), "{ctx}");
+                        let ks: Vec<usize> = got.outcomes.iter().map(|o| o.k).collect();
+                        let expected_ks: Vec<usize> =
+                            expected.outcomes.iter().map(|o| o.k).collect();
+                        assert_eq!(ks, expected_ks, "{ctx}");
+                        for (g, e) in got.outcomes.iter().zip(&expected.outcomes) {
+                            assert_eq!(g.stats.algorithm, algo, "{ctx}");
+                            assert_eq!(g.stats.num_cores, e.stats.num_cores, "{ctx}");
+                            assert_eq!(
+                                g.stats.total_result_edges, e.stats.total_result_edges,
+                                "{ctx}"
+                            );
+                            match (&g.output, &e.output) {
+                                (KOutput::Counts(a), KOutput::Counts(b)) => {
+                                    assert_eq!(a, b, "{ctx}")
+                                }
+                                (KOutput::Cores(a), KOutput::Cores(b)) => assert_eq!(a, b, "{ctx}"),
+                                (KOutput::Streamed, KOutput::Streamed) => {}
+                                (a, b) => panic!("{ctx}: {a:?} vs {b:?}"),
+                            }
+                        }
+                        assert_eq!(
+                            *got_stream.lock().unwrap(),
+                            *expected_stream.lock().unwrap(),
+                            "{ctx}: streamed order"
+                        );
+                    }
+                }
+            }
         }
     }
 }
@@ -139,36 +226,68 @@ fn all_backends_answer_the_paper_query_identically() {
 #[test]
 fn malformed_requests_are_typed_errors_on_every_entry_point() {
     let graph = paper_example::graph();
-    let cached = ShardedBackend::new(Arc::new(
-        ShardedEngine::new(graph.clone(), ShardPlan::Span).unwrap(),
-    ));
-    let backends: Vec<&dyn CoreBackend> = vec![&Algorithm::Enum, &Algorithm::Naive, &cached];
-    for backend in backends {
-        assert!(matches!(
-            QueryRequest::single(0, 1, 4).run(&graph, backend),
-            Err(TkError::KOutOfRange { k: 0 })
-        ));
-        assert!(matches!(
-            QueryRequest::single(2, 0, 4).run(&graph, backend),
-            Err(TkError::EmptyWindow { .. })
-        ));
-        assert!(matches!(
-            QueryRequest::single(2, 6, 3).run(&graph, backend),
-            Err(TkError::EmptyWindow { .. })
-        ));
-        assert!(matches!(
-            QueryRequest::single(2, 8, 9).run(&graph, backend),
-            Err(TkError::WindowPastTmax { start: 8, tmax: 7 })
-        ));
-        assert!(matches!(
-            QueryRequest::with_selection(KSelection::Range { min: 5, max: 2 }, 1, 4)
-                .run(&graph, backend),
-            Err(TkError::EmptyKSelection)
-        ));
+    let engine = ShardedEngine::new(graph.clone(), ShardPlan::Span).unwrap();
+    type EntryPoint<'a> = &'a dyn Fn(QueryRequest) -> Result<QueryResponse, TkError>;
+    let entry_points: [(&str, EntryPoint); 3] = [
+        ("Enum", &|r| r.run(&graph, Algorithm::Enum)),
+        ("Naive", &|r| r.run(&graph, Algorithm::Naive)),
+        ("engine", &|r| engine.execute(r, Algorithm::Enum)),
+    ];
+    for (name, run) in entry_points {
+        assert!(
+            matches!(
+                run(QueryRequest::single(0, 1, 4)),
+                Err(TkError::KOutOfRange { k: 0 })
+            ),
+            "{name}"
+        );
+        assert!(
+            matches!(
+                run(QueryRequest::single(2, 0, 4)),
+                Err(TkError::EmptyWindow { .. })
+            ),
+            "{name}"
+        );
+        assert!(
+            matches!(
+                run(QueryRequest::single(2, 6, 3)),
+                Err(TkError::EmptyWindow { .. })
+            ),
+            "{name}"
+        );
+        assert!(
+            matches!(
+                run(QueryRequest::single(2, 8, 9)),
+                Err(TkError::WindowPastTmax { start: 8, tmax: 7 })
+            ),
+            "{name}"
+        );
+        assert!(
+            matches!(
+                run(QueryRequest::with_selection(
+                    KSelection::Range { min: 5, max: 2 },
+                    1,
+                    4
+                )),
+                Err(TkError::EmptyKSelection)
+            ),
+            "{name}"
+        );
+        // A sweep reaching past the vertex count is refused before its ks
+        // are expanded (expanding this one would abort the process).
+        assert!(
+            matches!(
+                run(QueryRequest::sweep(1..=9_000_000_000_000_000, 1, 4)),
+                Err(TkError::KOutOfRange {
+                    k: 9_000_000_000_000_000
+                })
+            ),
+            "{name}"
+        );
     }
     // The whole-span shorthand: an overhanging end is clamped, not refused.
     let response = QueryRequest::single(2, 1, Timestamp::MAX)
-        .run(&graph, &Algorithm::Enum)
+        .run(&graph, Algorithm::Enum)
         .unwrap();
     assert_eq!(response.window, TimeWindow::new(1, 7));
 }

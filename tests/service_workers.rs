@@ -143,7 +143,7 @@ fn sharded_multi_worker_service_matches_span_wide_answers() {
     for (ticket, (k, s, e)) in tickets.into_iter().zip(requests) {
         // The reference: a span-wide skyline freshly built for the window.
         let expected = QueryRequest::single(k, s, e)
-            .run(&graph, &Algorithm::Enum)
+            .run(&graph, Algorithm::Enum)
             .unwrap();
         let got = ticket.wait().unwrap().response;
         assert_eq!(

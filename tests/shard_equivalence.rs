@@ -8,7 +8,8 @@
 //!   (including the span and one-shard-per-timestamp layouts) and all four
 //!   algorithms: every `(k, window)` query returns the naive oracle's cores,
 //!   and the skyline-based algorithms stream exactly the sequence a fresh
-//!   per-query build emits.  The `ShardedBackend` surface agrees too;
+//!   per-query build emits.  The `ShardedEngine::execute` request surface
+//!   agrees too;
 //! * `stitched_equals_the_naive_oracle_and_replays_from_cache` — boundary
 //!   stitching specifically: random plans biased toward many cuts, and a
 //!   warm replay answered from the stitch cache without new builds;
@@ -82,21 +83,18 @@ proptest! {
             }
         }
 
-        // The backend wrapper (the surface the request/serving layers
-        // drive) agrees with per-query execution as well.
-        let sharded = Arc::new(sharded);
-        let backend = ShardedBackend::new(Arc::clone(&sharded));
-        let mut a = CollectingSink::default();
-        let stats_a = Algorithm::Enum
-            .execute(&g, k, g.span(), &mut a)
-            .expect("span query is valid");
-        let mut b = CollectingSink::default();
-        let stats_b = backend
-            .execute(&sharded.graph(), k, g.span(), &mut b)
-            .expect("span query is valid");
-        prop_assert_eq!(canonical(a.cores), canonical(b.cores), "{:?} k={}", plan, k);
-        prop_assert_eq!(stats_a.num_cores, stats_b.num_cores);
-        prop_assert_eq!(stats_a.total_result_edges, stats_b.total_result_edges);
+        // The request entry point (the surface the serving layers drive)
+        // agrees with per-query execution as well.
+        let request = || QueryRequest::single(k, 1, g.tmax()).materialize();
+        let a = request().run(&g, Algorithm::Enum).expect("span query is valid");
+        let b = sharded.execute(request(), Algorithm::Enum).expect("span query is valid");
+        let (KOutput::Cores(cores_a), KOutput::Cores(cores_b)) =
+            (&a.outcomes[0].output, &b.outcomes[0].output)
+        else {
+            panic!("materialized request");
+        };
+        prop_assert_eq!(cores_a, cores_b, "{:?} k={}", plan, k);
+        prop_assert_eq!(a.total_result_edges(), b.total_result_edges());
     }
 
     /// Boundary stitching under plans with cuts (the span plan has none):
@@ -279,10 +277,12 @@ fn window_past_tmax_is_refused_not_answered_from_the_last_shard() {
     // The refusal happened before any shard skyline was built.
     assert_eq!(engine.cache_stats().misses, 0);
 
-    // Same refusal through the backend/request surface.
-    let backend = ShardedBackend::new(Arc::new(engine));
+    // Same refusal through the request entry point.
     assert!(matches!(
-        QueryRequest::single(2, g.tmax() + 1, g.tmax() + 5).run(&g, &backend),
+        engine.execute(
+            QueryRequest::single(2, g.tmax() + 1, g.tmax() + 5),
+            Algorithm::Enum
+        ),
         Err(TkError::WindowPastTmax { .. })
     ));
 }

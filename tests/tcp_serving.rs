@@ -160,3 +160,45 @@ fn a_cut_connection_gets_a_truncated_line_reply() {
         .expect("acceptor thread exits cleanly")
         .expect("serve returns Ok on stop");
 }
+
+#[test]
+fn a_huge_k_max_gets_a_typed_reply_and_the_connection_survives() {
+    let service = Arc::new(
+        CoreService::start_sharded(
+            paper_example::graph(),
+            ShardPlan::Span,
+            ServiceConfig::default(),
+        )
+        .unwrap(),
+    );
+    let server = Arc::new(
+        TkServer::bind(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default()).unwrap(),
+    );
+    let addr = server.local_addr();
+    let acceptor = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.serve())
+    };
+
+    // Expanding this sweep would allocate one slot per k and abort the
+    // whole server; it must be refused with a typed reply instead.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let reply = round_trip(
+        &mut stream,
+        &mut reader,
+        r#"{"id": 9, "k_min": 1, "k_max": 9000000000000000, "start": 1, "end": 7}"#,
+    );
+    assert!(reply.starts_with(r#"{"status":"error","id":9"#), "{reply}");
+    assert!(reply.contains(r#""error":"KOutOfRange""#), "{reply}");
+
+    // The same connection still answers.
+    let reply = round_trip(&mut stream, &mut reader, r#"{"op": "ping"}"#);
+    assert_eq!(reply, r#"{"status":"ok","op":"ping"}"#);
+
+    server.stop();
+    acceptor
+        .join()
+        .expect("acceptor thread exits cleanly")
+        .expect("serve returns Ok on stop");
+}

@@ -46,7 +46,7 @@ fn framework_stats_track_result_size() {
     }
     // Counting through the unified request API agrees with the measurement.
     let response = QueryRequest::single(k, range.start(), range.end())
-        .run(&graph, &Algorithm::Enum)
+        .run(&graph, Algorithm::Enum)
         .unwrap();
     let KOutput::Counts(count) = response.outcomes[0].output else {
         unreachable!("count is the default mode")
