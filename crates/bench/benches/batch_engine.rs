@@ -8,6 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use tkc_bench::{count_requests, total_cores};
 use tkc_datasets::{DatasetProfile, DatasetStats, QueryWorkload, WorkloadConfig};
 use tkcore::{Algorithm, CountingSink, ShardPlan, ShardedEngine, TimeRangeKCoreQuery};
 
@@ -43,8 +44,10 @@ fn bench_batch_engine(c: &mut Criterion) {
         engine.warm(workload.k);
         group.bench_with_input(BenchmarkId::new("warm_batched", name), &engine, |b, eng| {
             b.iter(|| {
-                let (_, batch) = eng.run_batch(&queries).expect("valid workload");
-                black_box(batch.total_cores)
+                let responses = eng
+                    .execute_batch(count_requests(&queries), Algorithm::Enum)
+                    .expect("valid workload");
+                black_box(total_cores(&responses))
             });
         });
 
@@ -63,8 +66,10 @@ fn bench_batch_engine(c: &mut Criterion) {
             &sequential,
             |b, eng| {
                 b.iter(|| {
-                    let (_, batch) = eng.run_batch(&queries).expect("valid workload");
-                    black_box(batch.total_cores)
+                    let responses = eng
+                        .execute_batch(count_requests(&queries), Algorithm::Enum)
+                        .expect("valid workload");
+                    black_box(total_cores(&responses))
                 });
             },
         );

@@ -11,8 +11,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use tkc_bench::{count_requests, total_cores};
 use tkc_datasets::{DatasetProfile, DatasetStats, QueryWorkload, WorkloadConfig};
-use tkcore::{EdgeCoreSkyline, ShardPlan, ShardedEngine, TimeRangeKCoreQuery};
+use tkcore::{Algorithm, EdgeCoreSkyline, ShardPlan, ShardedEngine, TimeRangeKCoreQuery};
 
 const SHARDS: usize = 4;
 
@@ -66,8 +67,10 @@ fn bench_sharded_engine(c: &mut Criterion) {
             &span_engine,
             |b, eng| {
                 b.iter(|| {
-                    let (_, batch) = eng.run_batch(&queries).expect("valid workload");
-                    black_box(batch.total_cores)
+                    let responses = eng
+                        .execute_batch(count_requests(&queries), Algorithm::Enum)
+                        .expect("valid workload");
+                    black_box(total_cores(&responses))
                 });
             },
         );
@@ -80,8 +83,10 @@ fn bench_sharded_engine(c: &mut Criterion) {
             &sharded,
             |b, eng| {
                 b.iter(|| {
-                    let (_, batch) = eng.run_batch(&queries).expect("valid workload");
-                    black_box(batch.total_cores)
+                    let responses = eng
+                        .execute_batch(count_requests(&queries), Algorithm::Enum)
+                        .expect("valid workload");
+                    black_box(total_cores(&responses))
                 });
             },
         );
@@ -92,16 +97,18 @@ fn bench_sharded_engine(c: &mut Criterion) {
         let stitched = ShardedEngine::new(graph.clone(), ShardPlan::FixedCount(SHARDS))
             .expect("fixed-count plan resolves");
         stitched.warm(k);
-        let _ = stitched
-            .run_batch(&spanning)
+        stitched
+            .execute_batch(count_requests(&spanning), Algorithm::Enum)
             .expect("warm the stitch cache");
         group.bench_with_input(
             BenchmarkId::new("spanning_warm_stitched", name),
             &stitched,
             |b, eng| {
                 b.iter(|| {
-                    let (_, batch) = eng.run_batch(&spanning).expect("valid workload");
-                    black_box(batch.total_cores)
+                    let responses = eng
+                        .execute_batch(count_requests(&spanning), Algorithm::Enum)
+                        .expect("valid workload");
+                    black_box(total_cores(&responses))
                 });
             },
         );

@@ -18,9 +18,9 @@
 #![forbid(unsafe_code)]
 
 use std::time::{Duration, Instant};
-use tkc_bench::Report;
+use tkc_bench::{count_requests, total_cores, Report};
 use tkc_datasets::{DatasetProfile, DatasetStats, QueryWorkload, WorkloadConfig, ALL_PROFILES};
-use tkcore::{Algorithm, CountingSink, FrameworkStats, TimeRangeKCoreQuery};
+use tkcore::{Algorithm, CountingSink, FrameworkStats, QueryRequest, TimeRangeKCoreQuery};
 
 /// Per-algorithm, per-dataset wall-clock budget.  When the first query of a
 /// configuration exceeds it, the remaining queries are skipped and the cell
@@ -493,22 +493,27 @@ fn engine_batch(num_queries: usize) -> Report {
 
         let engine = tkcore::ShardedEngine::new(graph.clone(), tkcore::ShardPlan::Span)
             .expect("the span plan resolves");
+        let requests = count_requests(&queries);
         let t1 = Instant::now();
-        let (_, first) = engine
-            .run_batch(&queries)
+        let first = engine
+            .execute_batch(requests, Algorithm::Enum)
             .expect("workload queries are valid");
         let first_time = t1.elapsed();
+        let requests = count_requests(&queries);
         let t2 = Instant::now();
-        let (_, warm) = engine
-            .run_batch(&queries)
+        let warm = engine
+            .execute_batch(requests, Algorithm::Enum)
             .expect("workload queries are valid");
         let warm_time = t2.elapsed();
+        let warm_hits = engine.cache_stats().hits;
         assert_eq!(
-            cold_cores, first.total_cores,
+            cold_cores,
+            total_cores(&first),
             "cold/warm result mismatch on {name}"
         );
         assert_eq!(
-            cold_cores, warm.total_cores,
+            cold_cores,
+            total_cores(&warm),
             "cold/warm result mismatch on {name}"
         );
 
@@ -587,11 +592,12 @@ fn engine_batch(num_queries: usize) -> Report {
         // The sharded engine answers the same workload identically.
         let sharded_engine =
             tkcore::ShardedEngine::new(graph.clone(), plan).expect("fixed-count plan resolves");
-        let (_, sharded_batch) = sharded_engine
-            .run_batch(&queries)
+        let sharded_batch = sharded_engine
+            .execute_batch(count_requests(&queries), Algorithm::Enum)
             .expect("workload queries are valid");
         assert_eq!(
-            cold_cores, sharded_batch.total_cores,
+            cold_cores,
+            total_cores(&sharded_batch),
             "sharded result mismatch on {name}"
         );
 
@@ -614,21 +620,23 @@ fn engine_batch(num_queries: usize) -> Report {
         .expect("fixed-count plan resolves");
         // Warm the shard skylines and stitch entries, then time the
         // repeated batch.
-        let (_, stitched_first) = stitched
-            .run_batch(&spanning)
+        let stitched_first = stitched
+            .execute_batch(count_requests(&spanning), Algorithm::Enum)
             .expect("spanning queries are valid");
         assert_eq!(
-            stitched_first.total_cores, spanning_cores,
+            total_cores(&stitched_first),
+            spanning_cores,
             "stitched/per-query result mismatch on {name}"
         );
+        let requests = count_requests(&spanning);
         let t5 = Instant::now();
-        let (_, stitched_warm) = stitched
-            .run_batch(&spanning)
+        let stitched_warm = stitched
+            .execute_batch(requests, Algorithm::Enum)
             .expect("spanning queries are valid");
         let stitched_time = t5.elapsed();
-        assert_eq!(stitched_warm.total_cores, spanning_cores);
+        assert_eq!(total_cores(&stitched_warm), spanning_cores);
         assert!(
-            stitched_warm.cache.boundary.hits > 0,
+            stitched.cache_stats().boundary.hits > 0,
             "{name}: spanning batch never hit the stitch cache"
         );
         // The flat layout must not regress the nested-layout stitched path.
@@ -654,7 +662,7 @@ fn engine_batch(num_queries: usize) -> Report {
                     "{:.1}x",
                     cold.as_secs_f64() / warm_time.as_secs_f64().max(1e-9)
                 ),
-                warm.cache.hits.to_string(),
+                warm_hits.to_string(),
                 ms(span_build),
                 format!(
                     "{:.3}",
@@ -844,10 +852,9 @@ fn ingest_experiment(num_queries: usize) -> Report {
 
         // Warm both engines identically before the stream starts.
         for engine in [&live, &frozen] {
-            for query in &queries {
-                let mut sink = CountingSink::default();
-                engine.run_with(query, Algorithm::Enum, &mut sink).unwrap();
-            }
+            engine
+                .execute_batch(count_requests(&queries), Algorithm::Enum)
+                .unwrap();
         }
         let before = live.cache_stats();
         let closed_builds_before: u64 = before.per_shard[..closed].iter().map(|s| s.builds).sum();
@@ -887,19 +894,15 @@ fn ingest_experiment(num_queries: usize) -> Report {
             } else {
                 plain_batches += 1;
             }
-            let query = &queries[i % queries.len()];
-            let mut sink = CountingSink::default();
+            let request = QueryRequest::from(queries[i % queries.len()]);
             let t1 = Instant::now();
-            live.run_with(query, Algorithm::Enum, &mut sink).unwrap();
+            live.execute(request, Algorithm::Enum).unwrap();
             during.push(t1.elapsed());
             // Keep the tail skyline hot between batches, so every absorb
             // actually purges a resident entry and the invalidation cost
             // (purge + rebuild-on-demand) is part of what's measured.
-            let tail_window = temporal_graph::TimeWindow::new(closed_end + 1, live.graph().tmax());
-            let tail_query = TimeRangeKCoreQuery::new(k, tail_window).expect("k >= 1");
-            let mut tail_sink = CountingSink::default();
-            live.run_with(&tail_query, Algorithm::Enum, &mut tail_sink)
-                .unwrap();
+            let tail = QueryRequest::single(k, closed_end + 1, live.graph().tmax());
+            live.execute(tail, Algorithm::Enum).unwrap();
         }
         let after = live.cache_stats();
         let closed_builds_after: u64 = after.per_shard[..closed].iter().map(|s| s.builds).sum();
@@ -912,10 +915,9 @@ fn ingest_experiment(num_queries: usize) -> Report {
         // The same query reps on the frozen engine.
         let mut frozen_lat = Vec::new();
         for i in 0..during.len() {
-            let query = &queries[i % queries.len()];
-            let mut sink = CountingSink::default();
+            let request = QueryRequest::from(queries[i % queries.len()]);
             let t1 = Instant::now();
-            frozen.run_with(query, Algorithm::Enum, &mut sink).unwrap();
+            frozen.execute(request, Algorithm::Enum).unwrap();
             frozen_lat.push(t1.elapsed());
         }
 

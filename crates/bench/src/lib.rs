@@ -7,7 +7,18 @@ pub mod report;
 
 pub use report::{Report, Row};
 
-use tkcore::{ShardPlan, TimeRangeKCoreQuery};
+use tkcore::{QueryRequest, QueryResponse, ShardPlan, TimeRangeKCoreQuery};
+
+/// One single-`k` count request per query: the batch shape the engine
+/// experiments and benches hand to `ShardedEngine::execute_batch`.
+pub fn count_requests(queries: &[TimeRangeKCoreQuery]) -> Vec<QueryRequest> {
+    queries.iter().map(|&query| query.into()).collect()
+}
+
+/// Sum of distinct cores over every response of a batch.
+pub fn total_cores(responses: &[QueryResponse]) -> u64 {
+    responses.iter().map(QueryResponse::total_cores).sum()
+}
 
 /// Builds a boundary-spanning workload against a `FixedCount(num_shards)`
 /// plan: every window straddles one of the resolved shard cuts, so each

@@ -2,10 +2,11 @@
 //!
 //! The binary is a thin wrapper around [`run`]; keeping the logic in a
 //! library makes the argument parsing and command dispatch unit-testable.
-//! Queries are executed through the unified `tkcore` request API
-//! ([`tkcore::QueryRequest`] / [`tkcore::ShardedEngine::execute`]), so malformed input
-//! surfaces as a rendered [`tkcore::TkError`] and a nonzero exit code, never
-//! a panic.
+//! Every query-running command (`query`, `batch`, `ingest`, `serve`) goes
+//! through one path: [`tkcore::QueryRequest`]s submitted to a
+//! [`tkcore::CoreService`] over a [`tkcore::ShardedEngine`], so malformed
+//! input surfaces as a rendered [`tkcore::TkError`] and a nonzero exit code,
+//! never a panic.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,8 +15,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use tkc_datasets::{ArrivalProfile, DatasetProfile, DatasetStats, EventStream, EventStreamConfig};
 use tkcore::{
-    Affinity, Algorithm, CacheStats, CoreService, CountingSink, IngestDelta, IngestEvent, KOutput,
-    Lane, QueryRequest, SealPolicy, ServerConfig, ServiceConfig, ShardPlan, ShardedEngine, TkError,
+    Affinity, Algorithm, CacheStats, CoreService, IngestDelta, IngestEvent, KOutput, Lane,
+    QueryRequest, SealPolicy, ServerConfig, ServiceConfig, ShardPlan, TimeRangeKCoreQuery, TkError,
     TkServer,
 };
 
@@ -62,9 +63,10 @@ USAGE:
       time-interval shards (one index per touched shard and k, exact
       stitching at shard cuts via the cached boundary index); the default
       `--shards 0` keeps one span-wide shard, the unsharded engine.
-      `--workers W` serves the request through a CoreService backed by a
-      persistent W-thread work-stealing pool, and `--affinity shard` routes
-      each request to the worker owning the shards its window overlaps.
+      The request runs through a CoreService backed by a persistent
+      W-thread work-stealing pool (`--workers W`; the default 0 is one
+      worker per CPU), and `--affinity shard` routes each request to the
+      worker owning the shards its window overlaps.
       `--output count` reports counts only; `--output full` (default)
       prints each core's tightest time interval, vertex count and edge
       count.
@@ -74,13 +76,13 @@ USAGE:
             [--affinity shared|shard]
       Run a batch of queries through the cached query engine: one core-window
       index per k (per shard and k with `--shards S`; `--shards 0`, the
-      default, is one span-wide shard), restricted per query and fanned
-      across a persistent thread pool.  `--workers W` instead submits
-      every query to a W-worker CoreService and reports per-worker
-      latency; `--affinity shard` enables shard-affine routing.  The CSV has
-      one query per line, `k,start,end` (or just `k` for the whole time
-      span; `#` starts a comment).  Prints per-query counts plus batch
-      timing and cache statistics.
+      default, is one span-wide shard), restricted per query.  Every query
+      is submitted to a CoreService of W workers (`--workers W`, or its
+      alias `--threads W`; the default 0 is one worker per CPU), which
+      reports per-worker latency; `--affinity shard` enables shard-affine
+      routing.  The CSV has one query per line, `k,start,end` (or just `k`
+      for the whole time span; `#` starts a comment).  Prints per-query
+      counts plus batch timing and cache statistics.
 
   tkc ingest <edge-list> <events|-> [--shards <S>] [--workers <W>]
             [--batch <B>] [--seal-edges <N> | --seal-span <T>]
@@ -91,12 +93,13 @@ USAGE:
       skylines stay resident, only tail entries are invalidated.
       `--seal-edges N` / `--seal-span T` roll the tail into a closed shard
       once it holds N edges / spans T timestamps (default: manual, a final
-      seal at end of stream).  `--workers W` drives the stream through a
-      CoreService's ingest lane instead of absorbing inline.  A rejected
-      batch (out-of-order or duplicate event) is retried event by event and
-      the rejects counted.  `--queries <csv>` runs a `k,start,end` batch
-      against the live engine after the stream drains; `--stats` prints the
-      ingest-side cache and service counters.
+      seal at end of stream).  The stream goes through the ingest lane of
+      a CoreService of W workers (`--workers W`; the default 0 is one
+      worker per CPU).  A rejected batch (out-of-order or duplicate
+      event) is retried event by event and the rejects counted.
+      `--queries <csv>` runs a `k,start,end` batch against the live engine
+      after the stream drains; `--stats` prints the ingest-side cache and
+      service counters.
 
   tkc serve <edge-list> [--addr <HOST:PORT>] [--shards <S>] [--workers <W>]
             [--conn-workers <C>] [--queue-depth <D>] [--affinity shared|shard]
@@ -206,7 +209,7 @@ pub enum Command {
         limit: usize,
         /// Time-interval shards (0 = one span-wide shard, the unsharded engine).
         shards: usize,
-        /// Serve through a CoreService with this many workers (0 = direct).
+        /// Service worker threads (0 = one per CPU).
         workers: usize,
         /// Lane routing of the service (`--affinity shared|shard`).
         affinity: Affinity,
@@ -219,14 +222,12 @@ pub enum Command {
         queries: String,
         /// Algorithm to run for every query.
         algorithm: Algorithm,
-        /// Worker threads (0 = one per CPU).
-        threads: usize,
         /// Skyline-cache memory budget in MiB.
         budget_mb: usize,
         /// Time-interval shards (0 = one span-wide shard, the unsharded engine).
         shards: usize,
-        /// Serve through a CoreService with this many workers (0 = direct
-        /// engine batch).
+        /// Service worker threads, set by `--workers` or its alias
+        /// `--threads` (0 = one per CPU).
         workers: usize,
         /// Lane routing of the service (`--affinity shared|shard`).
         affinity: Affinity,
@@ -239,8 +240,7 @@ pub enum Command {
         events: String,
         /// Time-interval shards of the base plan (the last is the live tail).
         shards: usize,
-        /// Drive the stream through a CoreService ingest lane with this many
-        /// workers (0 = absorb inline on the engine).
+        /// Service worker threads driving the ingest lane (0 = one per CPU).
         workers: usize,
         /// Events per absorb batch.
         batch: usize,
@@ -663,7 +663,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 .ok_or_else(|| CliError("batch requires a query CSV path".into()))?
                 .clone();
             let mut algorithm = Algorithm::Enum;
-            let mut threads = 0usize;
             let mut budget_mb = 256usize;
             let mut shards = 0usize;
             let mut workers = 0usize;
@@ -682,10 +681,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                         algorithm = value(flag)?.parse::<Algorithm>()?;
                         i += 1;
                     }
-                    "--threads" => {
-                        threads = parse_num(value("--threads")?, "--threads")?;
-                        i += 1;
-                    }
                     "--budget-mb" => {
                         budget_mb = parse_num(value("--budget-mb")?, "--budget-mb")?;
                         if budget_mb == 0 {
@@ -697,8 +692,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                         shards = parse_num(value("--shards")?, "--shards")?;
                         i += 1;
                     }
-                    "--workers" => {
-                        workers = parse_num(value("--workers")?, "--workers")?;
+                    "--workers" | "--threads" => {
+                        workers = parse_num(value(flag)?, flag)?;
                         i += 1;
                     }
                     "--affinity" => {
@@ -713,7 +708,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 path,
                 queries,
                 algorithm,
-                threads,
                 budget_mb,
                 shards,
                 workers,
@@ -865,7 +859,7 @@ fn parse_query_csv(
     path: &str,
     content: &str,
     tmax: u32,
-) -> Result<Vec<tkcore::TimeRangeKCoreQuery>, CliError> {
+) -> Result<Vec<TimeRangeKCoreQuery>, CliError> {
     let mut queries = Vec::new();
     for (lineno, raw) in content.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
@@ -900,7 +894,7 @@ fn parse_query_csv(
                 )))
             }
         };
-        queries.push(tkcore::TimeRangeKCoreQuery::new(k, range).map_err(|e| err(e.to_string()))?);
+        queries.push(TimeRangeKCoreQuery::new(k, range).map_err(|e| err(e.to_string()))?);
     }
     if queries.is_empty() {
         return Err(CliError("query CSV contains no queries".into()));
@@ -1011,11 +1005,7 @@ pub fn render_client_line(action: &ClientAction) -> String {
 }
 
 /// Writes the per-query result table of `tkc batch`.
-fn write_batch_rows(
-    out: &mut String,
-    queries: &[tkcore::TimeRangeKCoreQuery],
-    rows: &[(u64, u64)],
-) {
+fn write_batch_rows(out: &mut String, queries: &[TimeRangeKCoreQuery], rows: &[(u64, u64)]) {
     let _ = writeln!(
         out,
         "{:<6} {:<14} {:>10} {:>12}",
@@ -1033,23 +1023,34 @@ fn write_batch_rows(
     }
 }
 
-/// Writes the aggregate timing line of an engine-side `tkc batch` run.
-fn write_batch_summary(out: &mut String, algorithm: Algorithm, batch: &tkcore::BatchStats) {
-    let _ = writeln!(
-        out,
-        "\n{}: {} queries on {} threads in {:?} ({} cores, |R| = {} edges)",
-        algorithm,
-        batch.num_queries,
-        batch.threads,
-        batch.wall_time,
-        batch.total_cores,
-        batch.total_result_edges
-    );
-    let _ = writeln!(
-        out,
-        "precompute {:?} + enumerate {:?} summed across workers",
-        batch.precompute_time, batch.enumerate_time
-    );
+/// Submits every query to `service` as one count request, then waits for
+/// all of them: the `(cores, |R|)` row of each, in query order.
+fn run_queries(
+    service: &CoreService,
+    queries: &[TimeRangeKCoreQuery],
+    algorithm: Algorithm,
+) -> Result<Vec<(u64, u64)>, TkError> {
+    let tickets = queries
+        .iter()
+        .map(|&query| service.submit_with(query.into(), algorithm))
+        .collect::<Result<Vec<_>, _>>()?;
+    tickets
+        .into_iter()
+        .map(|ticket| {
+            let response = ticket.wait()?.response;
+            Ok((response.total_cores(), response.total_result_edges()))
+        })
+        .collect()
+}
+
+/// The service worker count for a `--workers` value: `0` means one worker
+/// per available CPU.
+fn service_workers(workers: usize) -> usize {
+    if workers == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        workers
+    }
 }
 
 /// The engine layout for a `--shards` value: `0` is one span-wide shard
@@ -1127,13 +1128,13 @@ fn write_ingest_summary(
     );
 }
 
-/// Writes the ingest-side counter movement plus the resulting cache state,
-/// and the ingest-lane breakdown when the stream ran through a service.
+/// Writes the ingest-side counter movement plus the resulting cache state
+/// and the service's ingest-lane breakdown.
 fn write_ingest_stats(
     out: &mut String,
     before: &CacheStats,
     after: &CacheStats,
-    service: Option<&tkcore::ServiceStats>,
+    service: &tkcore::ServiceStats,
 ) {
     let delta = IngestDelta::between(before, after);
     let _ = writeln!(
@@ -1147,20 +1148,18 @@ fn write_ingest_stats(
         delta.resident_bytes_delta
     );
     write_cache_summary(out, after);
-    if let Some(stats) = service {
-        let lane = &stats.ingest;
-        let _ = writeln!(
-            out,
-            "ingest lane: {} submitted, {} completed, {} failed, {} events, {} seals, \
-             absorb {:?}",
-            lane.submitted,
-            lane.completed,
-            lane.failed,
-            lane.events_appended,
-            lane.seals,
-            lane.absorb_total
-        );
-    }
+    let lane = &service.ingest;
+    let _ = writeln!(
+        out,
+        "ingest lane: {} submitted, {} completed, {} failed, {} events, {} seals, \
+         absorb {:?}",
+        lane.submitted,
+        lane.completed,
+        lane.failed,
+        lane.events_appended,
+        lane.seals,
+        lane.absorb_total
+    );
 }
 
 /// Executes a parsed command, returning the text to print on stdout.
@@ -1200,7 +1199,6 @@ pub fn run(command: Command) -> Result<String, CliError> {
             path,
             queries,
             algorithm,
-            threads,
             budget_mb,
             shards,
             workers,
@@ -1210,76 +1208,40 @@ pub fn run(command: Command) -> Result<String, CliError> {
             let content = std::fs::read_to_string(&queries)
                 .map_err(|e| CliError(format!("cannot read {queries}: {e}")))?;
             let parsed = parse_query_csv(&queries, &content, graph.tmax())?;
-            let engine_config = tkcore::EngineConfig {
-                memory_budget_bytes: budget_mb * 1024 * 1024,
-                num_threads: threads,
-                ..tkcore::EngineConfig::default()
+            // Every query is one request; the queue is sized to hold the
+            // whole batch.
+            let config = ServiceConfig {
+                queue_depth: parsed.len(),
+                workers: service_workers(workers),
+                affinity,
+                admission_memory_bytes: None,
+                engine: tkcore::EngineConfig {
+                    memory_budget_bytes: budget_mb * 1024 * 1024,
+                    ..tkcore::EngineConfig::default()
+                },
             };
-            if workers > 0 {
-                // Submit every query as one request to a multi-worker
-                // service; the queue is sized to hold the whole batch.
-                let config = ServiceConfig {
-                    queue_depth: parsed.len(),
-                    workers,
-                    affinity,
-                    admission_memory_bytes: None,
-                    engine: engine_config,
-                };
-                let service = CoreService::start_sharded(graph, shard_plan(shards), config)?;
-                let tickets: Vec<tkcore::Ticket> = parsed
-                    .iter()
-                    .map(|query| {
-                        let range = query.range();
-                        service.submit_with(
-                            QueryRequest::single(query.k(), range.start(), range.end()),
-                            algorithm,
-                        )
-                    })
-                    .collect::<Result<_, TkError>>()?;
-                let mut rows = Vec::with_capacity(tickets.len());
-                let mut total_cores = 0u64;
-                let mut total_edges = 0u64;
-                for ticket in tickets {
-                    let reply = ticket.wait()?;
-                    let KOutput::Counts(counts) = &reply.response.outcomes[0].output else {
-                        unreachable!("batch requests use count mode");
-                    };
-                    total_cores += counts.num_cores;
-                    total_edges += counts.total_edges;
-                    rows.push((counts.num_cores, counts.total_edges));
-                }
-                write_batch_rows(&mut out, &parsed, &rows);
-                let stats = service.stats();
-                let _ = writeln!(
-                    out,
-                    "\n{}: {} queries via {} service workers ({} affinity; {} cores, |R| = {} edges)",
-                    algorithm,
-                    parsed.len(),
-                    stats.per_worker.len(),
-                    affinity,
-                    total_cores,
-                    total_edges
-                );
-                let per_worker: Vec<u64> = stats.per_worker.iter().map(|w| w.completed).collect();
-                let _ = writeln!(
-                    out,
-                    "queue wait {:?} + execute {:?} summed; per-worker completed: {:?}",
-                    stats.queue_wait_total, stats.execute_total, per_worker
-                );
-                write_cache_summary(&mut out, &service.cache_stats());
-                service.shutdown();
-            } else {
-                let (results, batch) =
-                    ShardedEngine::with_config(graph, shard_plan(shards), engine_config)?
-                        .run_batch_with(&parsed, algorithm, |_| CountingSink::default())?;
-                let rows: Vec<(u64, u64)> = results
-                    .iter()
-                    .map(|(sink, _)| (sink.num_cores, sink.total_edges))
-                    .collect();
-                write_batch_rows(&mut out, &parsed, &rows);
-                write_batch_summary(&mut out, algorithm, &batch);
-                write_cache_summary(&mut out, &batch.cache);
-            }
+            let service = CoreService::start_sharded(graph, shard_plan(shards), config)?;
+            let rows = run_queries(&service, &parsed, algorithm)?;
+            write_batch_rows(&mut out, &parsed, &rows);
+            let stats = service.stats();
+            let _ = writeln!(
+                out,
+                "\n{}: {} queries via {} service workers ({} affinity; {} cores, |R| = {} edges)",
+                algorithm,
+                parsed.len(),
+                stats.per_worker.len(),
+                affinity,
+                rows.iter().map(|&(cores, _)| cores).sum::<u64>(),
+                rows.iter().map(|&(_, edges)| edges).sum::<u64>()
+            );
+            let per_worker: Vec<u64> = stats.per_worker.iter().map(|w| w.completed).collect();
+            let _ = writeln!(
+                out,
+                "queue wait {:?} + execute {:?} summed; per-worker completed: {:?}",
+                stats.queue_wait_total, stats.execute_total, per_worker
+            );
+            write_cache_summary(&mut out, &service.cache_stats());
+            service.shutdown();
         }
         Command::Ingest {
             path,
@@ -1325,163 +1287,73 @@ pub fn run(command: Command) -> Result<String, CliError> {
             } else {
                 SealPolicy::Manual
             };
-            let engine_config = tkcore::EngineConfig {
-                seal_policy,
-                ..tkcore::EngineConfig::default()
+            let config = ServiceConfig {
+                queue_depth: query_csv
+                    .as_ref()
+                    .map_or(0, |(_, content)| content.lines().count())
+                    .max(8),
+                workers: service_workers(workers),
+                affinity,
+                admission_memory_bytes: None,
+                engine: tkcore::EngineConfig {
+                    seal_policy,
+                    ..tkcore::EngineConfig::default()
+                },
             };
+            let service = CoreService::start_sharded(graph, ShardPlan::FixedCount(shards), config)?;
+            let engine = service.engine();
+            let before = service.cache_stats();
+            let started = std::time::Instant::now();
             let mut appended = 0u64;
             let mut rejected = 0u64;
             let mut seals = 0u64;
-            if workers > 0 {
-                let config = ServiceConfig {
-                    queue_depth: query_csv
-                        .as_ref()
-                        .map_or(0, |(_, content)| content.lines().count())
-                        .max(8),
-                    workers,
-                    affinity,
-                    admission_memory_bytes: None,
-                    engine: engine_config,
-                };
-                let service =
-                    CoreService::start_sharded(graph, ShardPlan::FixedCount(shards), config)?;
-                let before = service.cache_stats();
-                let started = std::time::Instant::now();
-                for chunk in stream.chunks(batch) {
-                    match service.submit_append(chunk.to_vec()).and_then(|t| t.wait()) {
-                        Ok(reply) => {
-                            appended += reply.stats.appended as u64;
-                            seals += u64::from(reply.stats.sealed);
-                        }
-                        Err(_) => {
-                            // The batch was rejected wholesale (it contains an
-                            // out-of-order or duplicate event); retry one event
-                            // at a time so the good ones still land.
-                            for &event in chunk {
-                                match service.submit_append(vec![event]).and_then(|t| t.wait()) {
-                                    Ok(reply) => {
-                                        appended += reply.stats.appended as u64;
-                                        seals += u64::from(reply.stats.sealed);
-                                    }
-                                    Err(_) => rejected += 1,
+            for chunk in stream.chunks(batch) {
+                match service.submit_append(chunk.to_vec()).and_then(|t| t.wait()) {
+                    Ok(reply) => {
+                        appended += reply.stats.appended as u64;
+                        seals += u64::from(reply.stats.sealed);
+                    }
+                    Err(_) => {
+                        // The batch was rejected wholesale (it contains an
+                        // out-of-order or duplicate event); retry one event
+                        // at a time so the good ones still land.
+                        for &event in chunk {
+                            match service.submit_append(vec![event]).and_then(|t| t.wait()) {
+                                Ok(reply) => {
+                                    appended += reply.stats.appended as u64;
+                                    seals += u64::from(reply.stats.sealed);
                                 }
+                                Err(_) => rejected += 1,
                             }
                         }
                     }
-                }
-                let (watermark, num_shards, sealed_shards) = {
-                    let engine = service.engine();
-                    if matches!(seal_policy, SealPolicy::Manual) {
-                        seals += u64::from(engine.seal_tail().sealed);
-                    }
-                    (
-                        engine.watermark(),
-                        engine.num_shards(),
-                        engine.sealed_shards(),
-                    )
-                };
-                let elapsed = started.elapsed();
-                write_ingest_summary(
-                    &mut out,
-                    stream.len(),
-                    appended,
-                    rejected,
-                    seals,
-                    elapsed,
-                    watermark,
-                    num_shards,
-                    sealed_shards,
-                );
-                if stats {
-                    let service_stats = service.stats();
-                    write_ingest_stats(
-                        &mut out,
-                        &before,
-                        &service.cache_stats(),
-                        Some(&service_stats),
-                    );
-                }
-                if let Some((qpath, content)) = query_csv {
-                    let parsed = parse_query_csv(&qpath, &content, watermark)?;
-                    let tickets: Vec<tkcore::Ticket> = parsed
-                        .iter()
-                        .map(|query| {
-                            let range = query.range();
-                            service.submit_with(
-                                QueryRequest::single(query.k(), range.start(), range.end()),
-                                Algorithm::Enum,
-                            )
-                        })
-                        .collect::<Result<_, TkError>>()?;
-                    let mut rows = Vec::with_capacity(tickets.len());
-                    for ticket in tickets {
-                        let reply = ticket.wait()?;
-                        let KOutput::Counts(counts) = &reply.response.outcomes[0].output else {
-                            unreachable!("ingest follow-up queries use count mode");
-                        };
-                        rows.push((counts.num_cores, counts.total_edges));
-                    }
-                    let _ = writeln!(out, "\nlive queries over the ingested timeline:");
-                    write_batch_rows(&mut out, &parsed, &rows);
-                }
-                service.shutdown();
-            } else {
-                let engine = Arc::new(ShardedEngine::with_config(
-                    graph,
-                    ShardPlan::FixedCount(shards),
-                    engine_config,
-                )?);
-                let before = engine.cache_stats();
-                let started = std::time::Instant::now();
-                for chunk in stream.chunks(batch) {
-                    match engine.absorb(chunk) {
-                        Ok(s) => {
-                            appended += s.appended as u64;
-                            seals += u64::from(s.sealed);
-                        }
-                        Err(_) => {
-                            for &event in chunk {
-                                match engine.absorb(std::slice::from_ref(&event)) {
-                                    Ok(s) => {
-                                        appended += s.appended as u64;
-                                        seals += u64::from(s.sealed);
-                                    }
-                                    Err(_) => rejected += 1,
-                                }
-                            }
-                        }
-                    }
-                }
-                if matches!(seal_policy, SealPolicy::Manual) {
-                    seals += u64::from(engine.seal_tail().sealed);
-                }
-                let elapsed = started.elapsed();
-                write_ingest_summary(
-                    &mut out,
-                    stream.len(),
-                    appended,
-                    rejected,
-                    seals,
-                    elapsed,
-                    engine.watermark(),
-                    engine.num_shards(),
-                    engine.sealed_shards(),
-                );
-                if stats {
-                    write_ingest_stats(&mut out, &before, &engine.cache_stats(), None);
-                }
-                if let Some((qpath, content)) = query_csv {
-                    let parsed = parse_query_csv(&qpath, &content, engine.watermark())?;
-                    let (results, _) = engine
-                        .run_batch_with(&parsed, Algorithm::Enum, |_| CountingSink::default())?;
-                    let rows: Vec<(u64, u64)> = results
-                        .iter()
-                        .map(|(sink, _)| (sink.num_cores, sink.total_edges))
-                        .collect();
-                    let _ = writeln!(out, "\nlive queries over the ingested timeline:");
-                    write_batch_rows(&mut out, &parsed, &rows);
                 }
             }
+            if matches!(seal_policy, SealPolicy::Manual) {
+                seals += u64::from(engine.seal_tail().sealed);
+            }
+            let elapsed = started.elapsed();
+            write_ingest_summary(
+                &mut out,
+                stream.len(),
+                appended,
+                rejected,
+                seals,
+                elapsed,
+                engine.watermark(),
+                engine.num_shards(),
+                engine.sealed_shards(),
+            );
+            if stats {
+                write_ingest_stats(&mut out, &before, &service.cache_stats(), &service.stats());
+            }
+            if let Some((qpath, content)) = query_csv {
+                let parsed = parse_query_csv(&qpath, &content, engine.watermark())?;
+                let rows = run_queries(&service, &parsed, Algorithm::Enum)?;
+                let _ = writeln!(out, "\nlive queries over the ingested timeline:");
+                write_batch_rows(&mut out, &parsed, &rows);
+            }
+            service.shutdown();
         }
         Command::Serve {
             path,
@@ -1494,7 +1366,7 @@ pub fn run(command: Command) -> Result<String, CliError> {
         } => {
             let graph = temporal_graph::loader::read_edge_list(&path)?;
             let mut config = ServiceConfig {
-                workers,
+                workers: service_workers(workers),
                 affinity,
                 ..ServiceConfig::default()
             };
@@ -1647,39 +1519,20 @@ pub fn run(command: Command) -> Result<String, CliError> {
                 OutputKind::Count => request.count(),
                 OutputKind::Full => request.materialize(),
             };
-            // A k-range sweep or a sharded query reuses one cached index per
-            // (shard and) k; a single-k query without shards runs the
-            // algorithm directly.  --workers routes the request through a
-            // CoreService instead.
-            let mut service_note = None;
-            let (response, cache) = if workers > 0 {
-                let config = ServiceConfig {
-                    workers,
-                    affinity,
-                    ..ServiceConfig::default()
-                };
-                let service =
-                    CoreService::start_sharded(graph.clone(), shard_plan(shards), config)?;
-                let reply = service.submit_with(request, algorithm)?.wait()?;
-                service_note = Some(format!(
-                    "service: {} workers ({affinity} affinity), request {} queued {:?}, \
-                     executed {:?} on worker {}",
-                    workers.max(1),
-                    reply.id,
-                    reply.queue_wait,
-                    reply.execute_time,
-                    reply.worker
-                ));
-                let cache = service.cache_stats();
-                service.shutdown();
-                (reply.response, Some(cache))
-            } else if shards > 0 || matches!(ks, KSpec::Range(..)) {
-                let engine = ShardedEngine::new(graph.clone(), shard_plan(shards))?;
-                let response = engine.execute(request, algorithm)?;
-                (response, Some(engine.cache_stats()))
-            } else {
-                (request.run(&graph, algorithm)?, None)
+            // The request runs on a service; a k-range sweep or a sharded
+            // query reuses one cached index per (shard and) k.
+            let workers = service_workers(workers);
+            let config = ServiceConfig {
+                workers,
+                affinity,
+                ..ServiceConfig::default()
             };
+            let service = CoreService::start_sharded(graph, shard_plan(shards), config)?;
+            let reply = service.submit_with(request, algorithm)?.wait()?;
+            let graph = service.engine().graph();
+            let cache = service.cache_stats();
+            service.shutdown();
+            let response = reply.response;
             for outcome in &response.outcomes {
                 let k = outcome.k;
                 match &outcome.output {
@@ -1725,19 +1578,20 @@ pub fn run(command: Command) -> Result<String, CliError> {
                     KOutput::Streamed => unreachable!("the CLI never requests streaming"),
                 }
             }
-            if let Some(note) = service_note {
-                let _ = writeln!(out, "{note}");
-            }
-            if let Some(cache) = cache {
-                let _ = writeln!(
-                    out,
-                    "index cache: {} misses over {} k values ({} hits)",
-                    cache.misses,
-                    response.outcomes.len(),
-                    cache.hits
-                );
-                write_shard_builds(&mut out, &cache);
-            }
+            let _ = writeln!(
+                out,
+                "service: {workers} workers ({affinity} affinity), request {} queued {:?}, \
+                 executed {:?} on worker {}",
+                reply.id, reply.queue_wait, reply.execute_time, reply.worker
+            );
+            let _ = writeln!(
+                out,
+                "index cache: {} misses over {} k values ({} hits)",
+                cache.misses,
+                response.outcomes.len(),
+                cache.hits
+            );
+            write_shard_builds(&mut out, &cache);
         }
     }
     Ok(out)
@@ -2014,18 +1868,31 @@ mod tests {
             })
             .unwrap()
         };
-        let direct = query(0, 0, Affinity::Shared);
-        let first_line = direct.lines().next().expect("count line present");
-        // Strip the per-run timing suffix `(...)` before comparing.
-        let direct_counts = first_line
-            .rsplit_once(" (")
-            .map(|(head, _)| head)
-            .unwrap_or(first_line)
-            .to_string();
-        // Sharded, service-backed, and combined execution all report the
-        // same counts line; the extra serving detail rides below it.
+        // The counts line of direct per-query execution, without the
+        // per-run timing suffix.
+        let graph = temporal_graph::loader::read_edge_list(&path_str).unwrap();
+        let direct = QueryRequest::single(3, 1, graph.tmax())
+            .run(&graph, Algorithm::Enum)
+            .unwrap();
+        let direct_counts = format!(
+            "Enum: {} distinct temporal 3-cores in {}, |R| = {} edges",
+            direct.total_cores(),
+            direct.window,
+            direct.total_result_edges()
+        );
+        // The default, sharded, multi-worker, and combined runs all report
+        // the same counts line; the serving detail rides below it.
+        let default = query(0, 0, Affinity::Shared);
+        assert!(
+            default.contains(&direct_counts),
+            "{default}\n{direct_counts}"
+        );
+        assert!(
+            default.contains(&format!("service: {} workers", cpus())),
+            "{default}"
+        );
         let sharded = query(4, 0, Affinity::Shared);
-        assert!(sharded.contains(&direct_counts), "{sharded}\n{direct}");
+        assert!(sharded.contains(&direct_counts), "{sharded}");
         assert!(sharded.contains("shard builds over 4 shards"), "{sharded}");
         let served = query(0, 2, Affinity::Shared);
         assert!(served.contains(&direct_counts), "{served}");
@@ -2035,6 +1902,11 @@ mod tests {
         assert!(both.contains("shard builds over 4 shards"), "{both}");
         assert!(both.contains("shard affinity"), "{both}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The host's CPU count, which `--workers 0` resolves to.
+    fn cpus() -> usize {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     }
 
     #[test]
@@ -2051,16 +1923,16 @@ mod tests {
             "64",
         ]))
         .unwrap();
+        // `--threads` stays accepted as an alias that sets the worker count.
         assert_eq!(
             cmd,
             Command::Batch {
                 path: "g.txt".into(),
                 queries: "q.csv".into(),
                 algorithm: Algorithm::EnumBase,
-                threads: 4,
                 budget_mb: 64,
                 shards: 0,
-                workers: 0,
+                workers: 4,
                 affinity: Affinity::Shared,
             }
         );
@@ -2082,13 +1954,21 @@ mod tests {
                 path: "g.txt".into(),
                 queries: "q.csv".into(),
                 algorithm: Algorithm::Enum,
-                threads: 0,
                 budget_mb: 256,
                 shards: 4,
                 workers: 2,
                 affinity: Affinity::Shard,
             }
         );
+        // Without either flag the batch fans across one worker per CPU.
+        let Command::Batch { workers, .. } =
+            parse_args(&strings(&["batch", "g.txt", "q.csv"])).unwrap()
+        else {
+            panic!("batch command");
+        };
+        assert_eq!(workers, 0);
+        assert_eq!(service_workers(workers), cpus());
+        assert_eq!(service_workers(3), 3);
         assert!(parse_args(&strings(&["batch", "g.txt"])).is_err());
         assert!(parse_args(&strings(&["batch", "g.txt", "q.csv", "--budget-mb", "0"])).is_err());
         assert!(parse_args(&strings(&["batch", "g.txt", "q.csv", "--wat"])).is_err());
@@ -2135,7 +2015,6 @@ mod tests {
             path: graph_str.clone(),
             queries: csv_path.to_string_lossy().to_string(),
             algorithm: Algorithm::Enum,
-            threads: 2,
             budget_mb: 32,
             shards: 0,
             workers: 0,
@@ -2147,8 +2026,8 @@ mod tests {
 
         // Cross-check one query against the one-shot path.
         let graph = temporal_graph::loader::read_edge_list(&graph_str).unwrap();
-        let mut sink = CountingSink::default();
-        tkcore::TimeRangeKCoreQuery::new(3, temporal_graph::TimeWindow::new(1, 120))
+        let mut sink = tkcore::CountingSink::default();
+        TimeRangeKCoreQuery::new(3, temporal_graph::TimeWindow::new(1, 120))
             .unwrap()
             .run_with(&graph, Algorithm::Enum, &mut sink);
         let expected_row = format!(
@@ -2166,7 +2045,6 @@ mod tests {
             path: graph_str.clone(),
             queries: csv_path.to_string_lossy().to_string(),
             algorithm: Algorithm::Enum,
-            threads: 2,
             budget_mb: 32,
             shards: 4,
             workers: 0,
@@ -2180,7 +2058,6 @@ mod tests {
             path: graph_str.clone(),
             queries: csv_path.to_string_lossy().to_string(),
             algorithm: Algorithm::Enum,
-            threads: 2,
             budget_mb: 32,
             shards: 4,
             workers: 2,
@@ -2280,7 +2157,7 @@ mod tests {
         let queries_path = dir.join("queries.csv");
         std::fs::write(&queries_path, "2\n").unwrap();
 
-        // Inline absorb with an edge-count seal policy.
+        // One worker per CPU, with an edge-count seal policy.
         let out = run(Command::Ingest {
             path: graph_path.clone(),
             events: events_path.clone(),
@@ -2400,6 +2277,9 @@ mod tests {
                 affinity: Affinity::Shard,
             }
         );
+        // The default `--workers 0` serves with one worker per CPU, not one.
+        assert_eq!(service_workers(0), cpus());
+        assert_eq!(service_workers(2), 2);
         assert!(parse_args(&strings(&["serve", "g.txt", "--conn-workers", "0"])).is_err());
     }
 

@@ -1,4 +1,4 @@
-//! Engine configuration, cache counters and the batch executor helpers of
+//! Engine configuration, cache counters and the batch pool helper of
 //! [`crate::ShardedEngine`] — the crate's one query engine.
 //!
 //! The paper's framework splits a time-range temporal k-core query into a
@@ -22,7 +22,6 @@ use std::time::Duration;
 
 use crate::exec::ExecPool;
 use crate::ingest::SealPolicy;
-use crate::query::QueryStats;
 
 /// Tuning knobs of a [`crate::ShardedEngine`].
 #[derive(Debug, Clone, Copy)]
@@ -32,14 +31,14 @@ pub struct EngineConfig {
     /// entry being inserted is exempt, so one oversized index never
     /// thrashes.
     pub memory_budget_bytes: usize,
-    /// Worker threads for [`crate::ShardedEngine::run_batch`] and for
-    /// fanning cold shard builds; `0` means one per available CPU.  The
-    /// threads live in a persistent [`ExecPool`] created on the first
-    /// multi-threaded batch (the calling thread counts as one of them).
-    /// When the engine shares an externally provided pool instead
-    /// ([`crate::ShardedEngine::with_pool`], or any engine a
-    /// [`crate::CoreService`] starts or adopts), that pool's size governs
-    /// and this field is ignored.
+    /// Worker threads for fanning requests
+    /// ([`crate::ShardedEngine::execute_batch`]) and cold shard builds; `0`
+    /// means one per available CPU.  The threads live in a persistent
+    /// [`ExecPool`] created on the first multi-threaded batch (the calling
+    /// thread counts as one of them).  When the engine shares a pool
+    /// installed by [`crate::ShardedEngine::adopt_pool`] instead (as every
+    /// engine a [`crate::CoreService`] starts or adopts does), that pool's
+    /// size governs and this field is ignored.
     pub num_threads: usize,
     /// Maximum number of cached boundary-stitch entries (one entry per
     /// `(shard range, k)` holding the cut-crossing minimal core windows; see
@@ -151,111 +150,29 @@ pub struct ShardCacheStats {
     pub resident_indexes: usize,
 }
 
-/// Aggregated outcome of one [`crate::ShardedEngine::run_batch`] call.
-///
-/// # Example
-///
-/// ```
-/// use tkcore::{paper_example, ShardPlan, ShardedEngine, TimeRangeKCoreQuery};
-/// use temporal_graph::TimeWindow;
-///
-/// // The unsharded engine: one span-wide skyline serves every window of k = 2.
-/// let engine = ShardedEngine::new(paper_example::graph(), ShardPlan::Span).unwrap();
-/// let queries = [
-///     TimeRangeKCoreQuery::new(2, TimeWindow::new(1, 4)).unwrap(),
-///     TimeRangeKCoreQuery::new(2, TimeWindow::new(2, 7)).unwrap(),
-/// ];
-/// let (results, batch) = engine.run_batch(&queries).unwrap();
-/// assert_eq!(results[0].0.num_cores, 2); // Figure 2 of the paper
-/// assert_eq!(batch.num_queries, 2);
-/// assert_eq!(engine.cache_stats().per_shard[0].builds, 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct BatchStats {
-    /// Number of queries executed.
-    pub num_queries: usize,
-    /// Sum of distinct temporal k-cores over all queries.
-    pub total_cores: u64,
-    /// Sum of result edges (`|R|`) over all queries.
-    pub total_result_edges: u64,
-    /// Summed per-query precomputation time (cache lookup + any cold build
-    /// + restriction).  Summed across workers, so it can exceed wall time.
-    pub precompute_time: Duration,
-    /// Summed per-query enumeration time.
-    pub enumerate_time: Duration,
-    /// Wall-clock time of the whole batch.
-    pub wall_time: Duration,
-    /// Worker threads used.
-    pub threads: usize,
-    /// Cache counters at the end of the batch (cumulative for the engine).
-    pub cache: CacheStats,
-}
-
-/// Resolves a configured thread count: `0` means one per available CPU.
-pub(crate) fn resolve_threads(configured: usize) -> usize {
-    if configured == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        configured
-    }
-}
-
-/// Resolves a configured thread count (`0` = one per available CPU) against
-/// the number of queries to run.
-pub(crate) fn effective_threads(configured: usize, num_queries: usize) -> usize {
-    resolve_threads(configured).clamp(1, num_queries.max(1))
-}
-
-/// Picks the executor for a batch of `num_queries`: the engine's persistent
-/// pool (created lazily on the first multi-threaded batch, or injected by a
-/// service at construction) plus the calling thread, or the inline
-/// single-threaded path.  Returns the thread count to report in
-/// [`BatchStats::threads`].
-pub(crate) fn batch_executor(
+/// Picks the pool a batch of `num_tasks` fans across: the engine's
+/// persistent pool (created lazily on the first multi-threaded batch, or
+/// adopted from a service), or `None` for the inline single-threaded path.
+/// The calling thread participates either way; `configured_threads == 0`
+/// means one thread per available CPU.
+pub(crate) fn batch_pool(
     pool: &OnceLock<Arc<ExecPool>>,
     configured_threads: usize,
-    num_queries: usize,
-) -> (usize, Option<Arc<ExecPool>>) {
+    num_tasks: usize,
+) -> Option<Arc<ExecPool>> {
     if let Some(pool) = pool.get() {
-        let threads = (pool.num_workers() + 1).min(num_queries.max(1));
-        return (threads, Some(Arc::clone(pool)));
+        return Some(Arc::clone(pool));
     }
-    let threads = effective_threads(configured_threads, num_queries);
-    if threads <= 1 {
-        return (threads, None);
+    let threads = match configured_threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    };
+    if threads <= 1 || num_tasks <= 1 {
+        return None;
     }
     // The calling thread participates in every batch, so the pool provides
     // the remaining threads.
-    let pool = pool.get_or_init(|| ExecPool::new(resolve_threads(configured_threads) - 1));
-    (threads, Some(Arc::clone(pool)))
-}
-
-/// Sums per-query statistics into a [`BatchStats`].
-pub(crate) fn aggregate_batch<S>(
-    per_query: &[(S, QueryStats)],
-    wall_time: Duration,
-    threads: usize,
-    cache: CacheStats,
-) -> BatchStats {
-    let mut batch = BatchStats {
-        num_queries: per_query.len(),
-        total_cores: 0,
-        total_result_edges: 0,
-        precompute_time: Duration::ZERO,
-        enumerate_time: Duration::ZERO,
-        wall_time,
-        threads,
-        cache,
-    };
-    for (_, stats) in per_query {
-        batch.total_cores += stats.num_cores;
-        batch.total_result_edges += stats.total_result_edges;
-        batch.precompute_time += stats.precompute_time;
-        batch.enumerate_time += stats.enumerate_time;
-    }
-    batch
+    Some(Arc::clone(pool.get_or_init(|| ExecPool::new(threads - 1))))
 }
 
 #[cfg(test)]
@@ -265,6 +182,7 @@ mod tests {
     use super::*;
     use crate::paper_example;
     use crate::query::{Algorithm, TimeRangeKCoreQuery};
+    use crate::request::{KOutput, QueryRequest, QueryResponse};
     use crate::shard::{ShardPlan, ShardedEngine};
     use crate::sink::{CollectingSink, CountingSink};
     use crate::{EdgeCoreSkyline, TkError};
@@ -295,9 +213,20 @@ mod tests {
             .unwrap()
     }
 
-    fn canonical(mut cores: Vec<crate::TemporalKCore>) -> Vec<crate::TemporalKCore> {
-        cores.sort_by(|a, b| a.tti.cmp(&b.tti).then_with(|| a.edges.cmp(&b.edges)));
+    /// The materialized cores of a single-`k` response, in canonical order.
+    fn cores(response: &QueryResponse) -> &[crate::TemporalKCore] {
+        let KOutput::Cores(cores) = &response.outcomes[0].output else {
+            panic!("materialized request");
+        };
         cores
+    }
+
+    /// The counts of a single-`k` count response.
+    fn counts(response: &QueryResponse) -> CountingSink {
+        let KOutput::Counts(counts) = response.outcomes[0].output else {
+            panic!("count request");
+        };
+        counts
     }
 
     #[test]
@@ -316,11 +245,12 @@ mod tests {
                 for algo in Algorithm::ALL {
                     let mut fresh = CollectingSink::default();
                     query.run_with(&g, algo, &mut fresh);
-                    let mut cached = CollectingSink::default();
-                    engine.run_with(&query, algo, &mut cached).unwrap();
+                    let cached = engine
+                        .execute(QueryRequest::from(query).materialize(), algo)
+                        .unwrap();
                     assert_eq!(
-                        canonical(cached.cores),
-                        canonical(fresh.cores),
+                        cores(&cached),
+                        fresh.into_sorted(),
                         "k={k} range={range} algo={}",
                         algo.name()
                     );
@@ -333,21 +263,13 @@ mod tests {
     fn cache_hits_after_first_query_per_k() {
         let g = graph();
         let engine = span_engine(&g);
-        let mut sink = CountingSink::default();
         engine
-            .run(
-                &TimeRangeKCoreQuery::new(2, TimeWindow::new(2, 5)).unwrap(),
-                &mut sink,
-            )
+            .execute(QueryRequest::single(2, 2, 5), Algorithm::Enum)
             .unwrap();
         let stats = engine.cache_stats();
         assert_eq!((stats.hits, stats.misses), (0, 1));
-        let mut sink = CountingSink::default();
         engine
-            .run(
-                &TimeRangeKCoreQuery::new(2, TimeWindow::new(3, 6)).unwrap(),
-                &mut sink,
-            )
+            .execute(QueryRequest::single(2, 3, 6), Algorithm::Enum)
             .unwrap();
         let stats = engine.cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
@@ -368,9 +290,8 @@ mod tests {
             },
         );
         for k in 1..=3 {
-            let mut sink = CountingSink::default();
             engine
-                .run(&TimeRangeKCoreQuery::new(k, g.span()).unwrap(), &mut sink)
+                .execute(QueryRequest::single(k, 1, g.tmax()), Algorithm::Enum)
                 .unwrap();
         }
         let stats = engine.cache_stats();
@@ -385,18 +306,15 @@ mod tests {
     fn out_of_span_queries_are_refused_with_a_typed_error() {
         let g = graph();
         let engine = span_engine(&g);
-        let past_the_end =
-            TimeRangeKCoreQuery::new(2, TimeWindow::new(g.tmax() + 1, g.tmax() + 9)).unwrap();
+        let past_the_end = || QueryRequest::single(2, g.tmax() + 1, g.tmax() + 9);
         for algo in Algorithm::ALL {
-            let mut sink = CountingSink::default();
-            let err = engine.run_with(&past_the_end, algo, &mut sink).unwrap_err();
+            let err = engine.execute(past_the_end(), algo).unwrap_err();
             assert!(
                 matches!(err, TkError::WindowPastTmax { start, tmax }
                     if start == g.tmax() + 1 && tmax == g.tmax()),
                 "{}: {err}",
                 algo.name()
             );
-            assert_eq!(sink.num_cores, 0, "{}", algo.name());
         }
         assert_eq!(
             engine.cache_stats().misses,
@@ -404,12 +322,9 @@ mod tests {
             "no index built for refused queries"
         );
         // A batch containing one bad query fails up front, executing nothing.
-        let queries = [
-            TimeRangeKCoreQuery::new(2, TimeWindow::new(1, 3)).unwrap(),
-            past_the_end,
-        ];
+        let batch = vec![QueryRequest::single(2, 1, 3), past_the_end()];
         assert!(matches!(
-            engine.run_batch(&queries),
+            engine.execute_batch(batch, Algorithm::Enum),
             Err(TkError::WindowPastTmax { .. })
         ));
         assert_eq!(engine.cache_stats().misses, 0);
@@ -419,35 +334,34 @@ mod tests {
     fn batch_matches_sequential_and_aggregates() {
         let g = paper_example::graph();
         let engine = span_engine(&g);
-        let queries: Vec<TimeRangeKCoreQuery> = (1..=g.tmax())
-            .flat_map(|s| {
-                (s..=g.tmax())
-                    .map(move |e| TimeRangeKCoreQuery::new(2, TimeWindow::new(s, e)).unwrap())
-            })
+        let windows: Vec<TimeWindow> = (1..=g.tmax())
+            .flat_map(|s| (s..=g.tmax()).map(move |e| TimeWindow::new(s, e)))
             .collect();
         // Pre-warm so the miss counter below is deterministic even when the
         // batch fans across several workers (concurrent cold queries for one
         // k may otherwise each count a miss — the documented build race).
         engine.warm(2);
-        let (results, batch) = engine.run_batch(&queries).unwrap();
-        assert_eq!(results.len(), queries.len());
-        assert_eq!(batch.num_queries, queries.len());
+        let requests = windows
+            .iter()
+            .map(|w| QueryRequest::single(2, w.start(), w.end()))
+            .collect();
+        let responses = engine.execute_batch(requests, Algorithm::Enum).unwrap();
+        assert_eq!(responses.len(), windows.len());
         let mut expected_cores = 0u64;
-        for (query, (sink, stats)) in queries.iter().zip(&results) {
+        for (window, response) in windows.iter().zip(&responses) {
             let mut fresh = CountingSink::default();
-            query.run_with(&g, Algorithm::Enum, &mut fresh);
-            assert_eq!(sink.num_cores, fresh.num_cores, "{}", query.range());
-            assert_eq!(sink.total_edges, fresh.total_edges, "{}", query.range());
-            assert_eq!(stats.num_cores, sink.num_cores);
+            Algorithm::Enum.execute(&g, 2, *window, &mut fresh).unwrap();
+            assert_eq!(counts(response), fresh, "{window}");
+            assert_eq!(response.total_cores(), fresh.num_cores, "{window}");
             expected_cores += fresh.num_cores;
         }
-        assert_eq!(batch.total_cores, expected_cores);
+        let total: u64 = responses.iter().map(QueryResponse::total_cores).sum();
+        assert_eq!(total, expected_cores);
         assert_eq!(
             engine.cache_stats().misses,
             1,
             "one span-wide build serves the whole batch"
         );
-        assert!(batch.threads >= 1);
     }
 
     /// A sink that panics mid-stream: the engine must treat the panic as
@@ -465,20 +379,21 @@ mod tests {
     fn a_panicking_sink_does_not_wedge_later_cache_stats_calls() {
         let g = paper_example::graph();
         let engine = span_engine(&g);
-        let queries = vec![TimeRangeKCoreQuery::new(2, g.span()).unwrap(); 4];
+        let requests = (0..4)
+            .map(|_| QueryRequest::single(2, 1, g.tmax()).stream(Box::new(ExplodingSink)))
+            .collect();
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.run_batch_with(&queries, Algorithm::Enum, |_| ExplodingSink)
+            engine.execute_batch(requests, Algorithm::Enum)
         }));
         assert!(panicked.is_err(), "the sink panic reaches the caller");
         // A panic unwinding with a cache guard held poisons the mutex;
         // stats and fresh queries must still work afterwards.
         let stats = engine.cache_stats();
         assert_eq!(stats.misses, 1, "the skyline build survived the panic");
-        let mut sink = CountingSink::default();
-        engine
-            .run(&TimeRangeKCoreQuery::new(2, g.span()).unwrap(), &mut sink)
+        let response = engine
+            .execute(QueryRequest::single(2, 1, g.tmax()), Algorithm::Enum)
             .unwrap();
-        assert!(sink.num_cores > 0);
+        assert!(response.total_cores() > 0);
     }
 
     #[test]
@@ -490,11 +405,10 @@ mod tests {
         // Every later caller recovers the guard instead of propagating.
         assert_eq!(engine.cache_stats().resident_indexes, 1);
         assert!(engine.warm(2), "cached skyline still resident");
-        let mut sink = CountingSink::default();
-        engine
-            .run(&TimeRangeKCoreQuery::new(2, g.span()).unwrap(), &mut sink)
+        let response = engine
+            .execute(QueryRequest::single(2, 1, g.tmax()), Algorithm::Enum)
             .unwrap();
-        assert!(sink.num_cores > 0);
+        assert!(response.total_cores() > 0);
     }
 
     #[test]
@@ -507,18 +421,22 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        let queries = vec![TimeRangeKCoreQuery::new(2, g.span()).unwrap(); 7];
-        let (results, batch) = engine
-            .run_batch_with(&queries, Algorithm::Enum, |i| {
-                let mut sink = CollectingSink::default();
-                sink.cores.reserve(i); // exercise the index argument
-                sink
-            })
-            .unwrap();
-        assert_eq!(batch.threads, 3);
-        let first = canonical(results[0].0.cores.clone());
-        for (sink, _) in &results {
-            assert_eq!(canonical(sink.cores.clone()), first);
+        // Materialized requests fan across the pool; a streamed one runs on
+        // the caller into its own sink.
+        let mut requests: Vec<QueryRequest> = (0..7)
+            .map(|_| QueryRequest::single(2, 1, g.tmax()).materialize())
+            .collect();
+        requests
+            .push(QueryRequest::single(2, 1, g.tmax()).stream(Box::new(CountingSink::default())));
+        let responses = engine.execute_batch(requests, Algorithm::Enum).unwrap();
+        assert_eq!(responses.len(), 8);
+        let first = cores(&responses[0]);
+        for response in &responses[..7] {
+            assert_eq!(cores(response), first);
         }
+        let streamed = &responses[7];
+        assert!(matches!(streamed.outcomes[0].output, KOutput::Streamed));
+        assert!(streamed.sink.is_some());
+        assert_eq!(streamed.total_cores(), first.len() as u64);
     }
 }

@@ -14,9 +14,10 @@
 //!   crossed with an [`OutputMode`] (materialize / count / stream).
 //!   [`QueryRequest::validate`] turns malformed input into a structured
 //!   [`TkError`] instead of a panic;
-//! * two ways to run one: [`ShardedEngine::execute`] answers from the
-//!   engine's skyline caches, so repeated and swept queries build each
-//!   index at most once, and [`QueryRequest::run`] executes per query with
+//! * two ways to run one: [`ShardedEngine::execute`] (or
+//!   [`ShardedEngine::execute_batch`] for many) answers from the engine's
+//!   skyline caches, so repeated and swept queries build each index at
+//!   most once, and [`QueryRequest::run`] executes per query with
 //!   an [`Algorithm`] (`Enum`, `EnumBase`, `Otcd`, `Naive`) — the reference
 //!   the engine is tested against;
 //! * [`CoreService`] — a thread-backed serving front end with a bounded
@@ -31,11 +32,11 @@
 //! deques plus a shared injector; idle workers steal from the back of other
 //! lanes).  Nothing in the crate spawns transient per-call threads:
 //!
-//! * [`ShardedEngine::run_batch`] fans queries across the engine's pool —
-//!   created lazily on the first multi-threaded batch
-//!   ([`EngineConfig::num_threads`]); the calling thread counts as one of
-//!   them and participates in every batch, so nested fan-out never
-//!   deadlocks;
+//! * [`ShardedEngine::execute_batch`] fans every `(request, k)` unit of a
+//!   batch across the engine's pool — created lazily on the first
+//!   multi-threaded batch ([`EngineConfig::num_threads`]), or adopted from
+//!   a [`CoreService`]; the calling thread counts as one of them and
+//!   participates in every batch, so nested fan-out never deadlocks;
 //! * [`CoreService`] owns a pool of [`ServiceConfig::workers`] threads and
 //!   routes every admitted request onto a **per-worker service lane**.
 //!   With [`Affinity::Shard`], a request whose window overlaps shards
@@ -299,9 +300,7 @@ mod vct;
 pub mod wire;
 
 pub use ecs::{EdgeCoreSkyline, SkylineScratch};
-pub use engine::{
-    BatchStats, BoundaryCacheStats, CacheStats, EngineConfig, ShardCacheStats, WarmStats,
-};
+pub use engine::{BoundaryCacheStats, CacheStats, EngineConfig, ShardCacheStats, WarmStats};
 pub use enum_base::{enumerate_base, enumerate_base_from_graph, EnumBaseStats};
 pub use enumerate::{enumerate, enumerate_from_graph, EnumStats};
 pub use error::TkError;

@@ -27,7 +27,7 @@ use std::fmt;
 use std::ops::RangeInclusive;
 
 use crate::error::TkError;
-use crate::query::{Algorithm, QueryStats};
+use crate::query::{Algorithm, QueryStats, TimeRangeKCoreQuery};
 use crate::result::TemporalKCore;
 use crate::sink::{CollectingSink, CountingSink, ResultSink};
 use temporal_graph::{EdgeId, TemporalGraph, TimeWindow, Timestamp};
@@ -247,6 +247,14 @@ impl QueryRequest {
         algorithm: Algorithm,
     ) -> Result<QueryResponse, TkError> {
         self.validate(graph)?.execute(graph, algorithm)
+    }
+}
+
+impl From<TimeRangeKCoreQuery> for QueryRequest {
+    /// The paper's `(k, [Ts, Te])` query as a single-`k` count request.
+    fn from(query: TimeRangeKCoreQuery) -> Self {
+        let range = query.range();
+        Self::single(query.k(), range.start(), range.end())
     }
 }
 

@@ -590,9 +590,8 @@ impl CoreService {
         plan: ShardPlan,
         config: ServiceConfig,
     ) -> Result<Self, TkError> {
-        let pool = ExecPool::new(config.workers.max(1));
-        let engine = ShardedEngine::with_pool(graph, plan, config.engine, Arc::clone(&pool))?;
-        Ok(Self::launch(Arc::new(engine), config, pool))
+        let engine = ShardedEngine::with_config(graph, plan, config.engine)?;
+        Ok(Self::over_sharded(Arc::new(engine), config))
     }
 
     /// Starts a service over an existing (possibly shared) engine.  If the
@@ -602,10 +601,6 @@ impl CoreService {
     pub fn over_sharded(engine: Arc<ShardedEngine>, config: ServiceConfig) -> Self {
         let pool = ExecPool::new(config.workers.max(1));
         engine.adopt_pool(Arc::clone(&pool));
-        Self::launch(engine, config, pool)
-    }
-
-    fn launch(engine: Arc<ShardedEngine>, config: ServiceConfig, pool: Arc<ExecPool>) -> Self {
         let shared = Arc::new(ServiceShared {
             state: Mutex::new(ServiceState {
                 open: true,
@@ -882,7 +877,7 @@ impl CoreService {
         }
         drop(state);
         // Dropping the last pool reference joins the worker threads.  An
-        // engine created by `start_sharded` holds a reference for its own
+        // engine that adopted the pool holds a reference for its own
         // batches; its threads idle until the engine is dropped.
         self.pool = None;
     }

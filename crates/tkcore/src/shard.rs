@@ -92,15 +92,14 @@ use std::time::{Duration, Instant};
 
 use crate::ecs::{EdgeCoreSkyline, SkylineScratch};
 use crate::engine::{
-    aggregate_batch, batch_executor, BatchStats, BoundaryCacheStats, CacheStats, EngineConfig,
-    ShardCacheStats, WarmStats,
+    batch_pool, BoundaryCacheStats, CacheStats, EngineConfig, ShardCacheStats, WarmStats,
 };
 use crate::error::TkError;
 use crate::exec::{run_batch_inner, ExecPool};
 use crate::ingest::{AbsorbStats, IngestEvent};
 use crate::query::{Algorithm, QueryStats, TimeRangeKCoreQuery};
-use crate::request::{validate_query, OutcomeSink, QueryRequest, QueryResponse, ValidatedRequest};
-use crate::sink::{CountingSink, ResultSink};
+use crate::request::{OutcomeSink, OutputMode, QueryRequest, QueryResponse, ValidatedRequest};
+use crate::sink::ResultSink;
 use crate::sync;
 use temporal_graph::{AppendableGraph, TemporalGraph, TimeWindow, Timestamp};
 
@@ -652,8 +651,9 @@ fn compose_boundary_skyline(
 
 /// The query engine: a per-`(shard, k)` skyline cache over time-interval
 /// shards, exact boundary stitching through a cached
-/// [`CacheStats::boundary`] index, and a batch surface fanning queries
-/// across a persistent [`ExecPool`].  [`ShardPlan::Span`] gives the
+/// [`CacheStats::boundary`] index, and a request surface
+/// ([`ShardedEngine::execute`] / [`ShardedEngine::execute_batch`]) fanning
+/// work across a persistent [`ExecPool`].  [`ShardPlan::Span`] gives the
 /// unsharded engine (one span-wide skyline per `k`).
 ///
 /// See the [module documentation](self) for the sharding layout and the
@@ -662,19 +662,18 @@ fn compose_boundary_skyline(
 /// # Example
 ///
 /// ```
-/// use tkcore::{paper_example, ShardPlan, ShardedEngine, TimeRangeKCoreQuery, CountingSink};
-/// use temporal_graph::TimeWindow;
+/// use tkcore::{paper_example, Algorithm, QueryRequest, ShardPlan, ShardedEngine};
 ///
 /// let engine = ShardedEngine::new(paper_example::graph(), ShardPlan::FixedCount(4)).unwrap();
 /// assert_eq!(engine.num_shards(), 4);
-/// let mut sink = CountingSink::default();
-/// let query = TimeRangeKCoreQuery::new(2, TimeWindow::new(1, 4)).unwrap();
-/// let stats = engine.run(&query, &mut sink).unwrap();
-/// assert_eq!(stats.num_cores, 2); // Figure 2 of the paper, stitched across shards
+/// let response = engine
+///     .execute(QueryRequest::single(2, 1, 4), Algorithm::Enum)
+///     .unwrap();
+/// assert_eq!(response.total_cores(), 2); // Figure 2 of the paper, stitched across shards
 /// ```
 ///
-/// [`BatchStats`] shows the unsharded engine serving a batch from one
-/// span-wide skyline.
+/// [`ShardedEngine::execute_batch`] shows the unsharded engine serving a
+/// batch from one span-wide skyline.
 pub struct ShardedEngine {
     inner: Arc<ShardInner>,
 }
@@ -813,33 +812,10 @@ impl ShardedEngine {
         })
     }
 
-    /// Creates a sharded engine whose batches execute on an existing
-    /// persistent `pool` (typically shared with the [`crate::CoreService`]
-    /// that owns the engine) instead of a lazily created private one.
-    ///
-    /// # Errors
-    /// [`TkError::InvalidShardPlan`] when `plan` does not resolve.
-    pub fn with_pool(
-        graph: TemporalGraph,
-        plan: ShardPlan,
-        config: EngineConfig,
-        pool: Arc<ExecPool>,
-    ) -> Result<Self, TkError> {
-        let engine = Self::with_config(graph, plan, config)?;
-        engine
-            .inner
-            .pool
-            .set(pool)
-            .ok()
-            // tkc-lint: allow(no-panic-api) — the OnceLock is set exactly once, on a freshly constructed engine
-            .expect("fresh engine has no pool yet");
-        Ok(engine)
-    }
-
     /// Adopts `pool` for this engine's batches if it has not already
     /// created or been given one; returns whether the pool was installed.
-    /// Lets [`crate::CoreService::over_sharded`] share its worker pool with
-    /// a caller-constructed engine instead of the engine lazily spawning a
+    /// This is how [`crate::CoreService`] shares its worker pool with the
+    /// engine it starts or adopts, instead of the engine lazily spawning a
     /// second private pool.
     pub fn adopt_pool(&self, pool: Arc<ExecPool>) -> bool {
         self.inner.pool.set(pool).is_ok()
@@ -994,60 +970,20 @@ impl ShardedEngine {
         sync::lock(&self.inner.boundary).clear();
     }
 
-    /// Runs one query with the paper's final algorithm, streaming results
-    /// into `sink`.
-    ///
-    /// # Errors
-    /// See [`ShardedEngine::run_with`].
-    pub fn run(
-        &self,
-        query: &TimeRangeKCoreQuery,
-        sink: &mut dyn ResultSink,
-    ) -> Result<QueryStats, TkError> {
-        self.run_with(query, Algorithm::Enum, sink)
-    }
-
-    /// Runs one query with the chosen algorithm.
-    ///
-    /// `Enum` and `EnumBase` answer from the window's skyline — a restricted
-    /// shard skyline, or for a window spanning shard cuts the restricted
-    /// shard skylines stitched with the cached cut-crossing windows; `Otcd`
-    /// and `Naive` have no reusable index and run exactly as
-    /// [`TimeRangeKCoreQuery::run_with`] does.
-    ///
-    /// The enumerator runs once over a skyline identical to a fresh build
-    /// for the window, so cores stream in exactly the order
-    /// [`TimeRangeKCoreQuery::run_with`] emits them, whatever the plan.
-    ///
-    /// # Errors
-    /// [`TkError::WindowPastTmax`] when the window starts past the graph's
-    /// last timestamp.
-    pub fn run_with(
-        &self,
-        query: &TimeRangeKCoreQuery,
-        algorithm: Algorithm,
-        sink: &mut dyn ResultSink,
-    ) -> Result<QueryStats, TkError> {
-        // One consistent live view for validation and execution: a racing
-        // absorb cannot swap the graph between the two.
-        let live = self.inner.live_now();
-        let window = validate_query(&live.graph, query.k(), query.range())?;
-        Ok(self
-            .inner
-            .run_validated(&live, query.k(), window, algorithm, sink))
-    }
-
     /// Executes a [`QueryRequest`] with `algorithm` from the engine's caches:
-    /// the one request entry point of the engine, shared by
-    /// [`crate::CoreService`], `tkc query` and library callers.
+    /// a one-request [`ShardedEngine::execute_batch`], and the entry point
+    /// [`crate::CoreService`] workers, `tkc` and library callers share.
     ///
     /// The request is validated once, against the live view it then runs
     /// on, so a racing [`ShardedEngine::absorb`] is observed for all of its
-    /// `k`s or for none.  Count and materialize requests fan their `k`s
-    /// across the engine's [`ExecPool`] (the calling thread participates,
-    /// so a service worker calling in cannot deadlock the pool); a stream
-    /// request runs its `k`s in order into its one sink.  Every `k` is
-    /// answered as [`ShardedEngine::run_with`] answers it.
+    /// `k`s or for none.  `Enum` and `EnumBase` answer each `k` from the
+    /// window's skyline — a restricted shard skyline, or for a window
+    /// spanning shard cuts the restricted shard skylines stitched with the
+    /// cached cut-crossing windows; `Otcd` and `Naive` have no reusable
+    /// index and run exactly as [`Algorithm::execute`] does.  The
+    /// enumerator runs once over a skyline identical to a fresh build for
+    /// the window, so a stream request sees cores in exactly the order
+    /// [`TimeRangeKCoreQuery::run_with`] emits them, whatever the plan.
     ///
     /// # Errors
     /// The validation errors of [`QueryRequest::validate`].
@@ -1075,7 +1011,7 @@ impl ShardedEngine {
     ) -> Result<QueryResponse, TkError> {
         let live = self.inner.live_now();
         let request = request.validate(&live.graph)?;
-        self.execute_on(live, request, algorithm)
+        self.execute_one(live, request, algorithm)
     }
 
     /// [`ShardedEngine::execute`] for a request validated earlier, at
@@ -1087,99 +1023,117 @@ impl ShardedEngine {
         request: ValidatedRequest,
         algorithm: Algorithm,
     ) -> Result<QueryResponse, TkError> {
-        self.execute_on(self.inner.live_now(), request, algorithm)
+        self.execute_one(self.inner.live_now(), request, algorithm)
     }
 
-    fn execute_on(
+    /// Executes a batch of requests with `algorithm` against one live view,
+    /// returning one [`QueryResponse`] per request, in request order.
+    ///
+    /// Every count and materialize `(request, k)` unit of the batch fans
+    /// across the engine's [`ExecPool`] together (the calling thread
+    /// participates, so workers warm different shards in parallel and long
+    /// and short units balance); stream requests then run their `k`s in
+    /// request order on the calling thread, each into its own sink.  Every
+    /// unit is answered as [`ShardedEngine::execute`] answers it.
+    ///
+    /// # Errors
+    /// Every request is validated up front; the first invalid one fails the
+    /// whole batch before any work starts.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use tkcore::{paper_example, Algorithm, QueryRequest, ShardPlan, ShardedEngine};
+    ///
+    /// // The unsharded engine: one span-wide skyline serves every window of k = 2.
+    /// let engine = ShardedEngine::new(paper_example::graph(), ShardPlan::Span).unwrap();
+    /// let batch = vec![QueryRequest::single(2, 1, 4), QueryRequest::single(2, 2, 7)];
+    /// let responses = engine.execute_batch(batch, Algorithm::Enum).unwrap();
+    /// assert_eq!(responses[0].total_cores(), 2); // Figure 2 of the paper
+    /// assert_eq!(engine.cache_stats().per_shard[0].builds, 1);
+    /// ```
+    pub fn execute_batch(
+        &self,
+        requests: Vec<QueryRequest>,
+        algorithm: Algorithm,
+    ) -> Result<Vec<QueryResponse>, TkError> {
+        // The whole batch runs against one live view, so its requests are
+        // mutually consistent even while absorbs land concurrently.
+        let live = self.inner.live_now();
+        let requests = requests
+            .into_iter()
+            .map(|request| request.validate(&live.graph))
+            .collect::<Result<Vec<_>, _>>()?;
+        self.execute_on(live, requests, algorithm)
+    }
+
+    fn execute_one(
         &self,
         live: Arc<LiveState>,
         request: ValidatedRequest,
         algorithm: Algorithm,
     ) -> Result<QueryResponse, TkError> {
-        request.respond(
-            |ks, window, materialize| {
-                let queries = ks.iter().map(|&k| (k, window)).collect();
-                let make_sink = move |_| OutcomeSink::new(materialize);
-                Ok(self
-                    .fan_out(Arc::clone(&live), queries, algorithm, make_sink)
-                    .0)
-            },
-            |k, window, sink| Ok(self.inner.run_validated(&live, k, window, algorithm, sink)),
-        )
+        let mut responses = self.execute_on(live, vec![request], algorithm)?;
+        // tkc-lint: allow(no-panic-api) — execute_on returns one response per request, and exactly one went in
+        Ok(responses.pop().expect("one response per request"))
     }
 
-    /// Runs a batch of queries with `Enum`, counting results per query.
-    ///
-    /// # Errors
-    /// See [`ShardedEngine::run_batch_with`].
-    pub fn run_batch(
-        &self,
-        queries: &[TimeRangeKCoreQuery],
-    ) -> Result<(Vec<(CountingSink, QueryStats)>, BatchStats), TkError> {
-        self.run_batch_with(queries, Algorithm::Enum, |_| CountingSink::default())
-    }
-
-    /// Fans `queries` across the persistent pool (plus the calling thread),
-    /// one fresh sink per query, with workers warming different shards in
-    /// parallel.  `make_sink(i)` builds the sink for `queries[i]`; results
-    /// come back in query order together with per-query [`QueryStats`] and
-    /// aggregated [`BatchStats`].
-    ///
-    /// # Errors
-    /// Every query is validated up front; the first invalid query fails the
-    /// whole batch before any work starts.
-    pub fn run_batch_with<S, F>(
-        &self,
-        queries: &[TimeRangeKCoreQuery],
-        algorithm: Algorithm,
-        make_sink: F,
-    ) -> Result<(Vec<(S, QueryStats)>, BatchStats), TkError>
-    where
-        S: ResultSink + Send + 'static,
-        F: Fn(usize) -> S + Send + Sync + 'static,
-    {
-        let t0 = Instant::now();
-        // The whole batch runs against one live view, so its queries are
-        // mutually consistent even while absorbs land concurrently.
-        let live = self.inner.live_now();
-        let queries = queries
-            .iter()
-            .map(|q| validate_query(&live.graph, q.k(), q.range()).map(|window| (q.k(), window)))
-            .collect::<Result<Vec<_>, _>>()?;
-        let (per_query, threads) = self.fan_out(live, queries, algorithm, make_sink);
-        let batch = aggregate_batch(&per_query, t0.elapsed(), threads, self.cache_stats());
-        Ok((per_query, batch))
-    }
-
-    /// Fans validated `(k, window)` queries across the engine's pool (plus
-    /// the calling thread) against one live view, one `make_sink(i)` sink
-    /// per query.  Workers claim the next query index from a shared counter,
-    /// so long and short queries balance.  Returns the results in query
-    /// order and the number of threads used.
-    fn fan_out<S, F>(
+    /// The one execution core: fans every count and materialize
+    /// `(request, k)` unit across the pool in one batch, runs stream
+    /// requests in order on the calling thread, and assembles each response
+    /// through [`ValidatedRequest::respond`].
+    fn execute_on(
         &self,
         live: Arc<LiveState>,
-        queries: Vec<(usize, TimeWindow)>,
+        requests: Vec<ValidatedRequest>,
         algorithm: Algorithm,
-        make_sink: F,
-    ) -> (Vec<(S, QueryStats)>, usize)
-    where
-        S: ResultSink + Send + 'static,
-        F: Fn(usize) -> S + Send + Sync + 'static,
-    {
-        let (threads, pool) = batch_executor(
-            &self.inner.pool,
-            self.inner.config.num_threads,
-            queries.len(),
-        );
+    ) -> Result<Vec<QueryResponse>, TkError> {
+        let units: Vec<(usize, TimeWindow, bool)> = requests
+            .iter()
+            .filter_map(|request| match request.mode() {
+                OutputMode::Stream(_) => None,
+                mode => Some((request, matches!(mode, OutputMode::Materialize))),
+            })
+            .flat_map(|(request, materialize)| {
+                let window = request.window();
+                request.ks().iter().map(move |&k| (k, window, materialize))
+            })
+            .collect();
+        let mut fanned = self
+            .fan_out(Arc::clone(&live), units, algorithm)
+            .into_iter();
+        requests
+            .into_iter()
+            .map(|request| {
+                request.respond(
+                    |ks, _, _| Ok(fanned.by_ref().take(ks.len()).collect()),
+                    |k, window, sink| {
+                        Ok(self.inner.run_validated(&live, k, window, algorithm, sink))
+                    },
+                )
+            })
+            .collect()
+    }
+
+    /// Fans validated `(k, window, materialize)` units across the engine's
+    /// pool (plus the calling thread) against one live view, one fresh
+    /// [`OutcomeSink`] per unit.  Workers claim the next unit index from a
+    /// shared counter, so long and short units balance.  Returns the
+    /// results in unit order.
+    fn fan_out(
+        &self,
+        live: Arc<LiveState>,
+        units: Vec<(usize, TimeWindow, bool)>,
+        algorithm: Algorithm,
+    ) -> Vec<(OutcomeSink, QueryStats)> {
+        let pool = batch_pool(&self.inner.pool, self.inner.config.num_threads, units.len());
         let inner = Arc::clone(&self.inner);
-        let per_query = run_batch_inner(pool.as_deref(), queries.len(), move |i| {
-            let (k, window) = queries[i];
-            let mut sink = make_sink(i);
+        run_batch_inner(pool.as_deref(), units.len(), move |i| {
+            let (k, window, materialize) = units[i];
+            let mut sink = OutcomeSink::new(materialize);
             let stats = inner.run_validated(&live, k, window, algorithm, &mut sink);
             (sink, stats)
-        });
-        (per_query, threads)
+        })
     }
 }
 
@@ -1348,7 +1302,7 @@ impl ShardInner {
         let mut entries_built = 0u64;
         let mut build_time = Duration::ZERO;
         if !missing.is_empty() {
-            let (_, pool) = batch_executor(&self.pool, self.config.num_threads, missing.len());
+            let pool = batch_pool(&self.pool, self.config.num_threads, missing.len());
             let task_live = Arc::clone(live);
             let task_shards: Arc<[usize]> = missing.as_slice().into();
             let built = run_batch_inner(pool.as_deref(), missing.len(), move |i| {
@@ -1486,13 +1440,32 @@ impl ShardInner {
 mod tests {
     use super::*;
     use crate::paper_example;
-    use crate::sink::CollectingSink;
-    use crate::TemporalKCore;
+    use crate::sink::{CollectingSink, CountingSink};
+    use crate::{KOutput, TemporalKCore};
     use std::sync::mpsc;
 
-    fn canonical(mut cores: Vec<TemporalKCore>) -> Vec<TemporalKCore> {
-        cores.sort_by(|a, b| a.tti.cmp(&b.tti).then_with(|| a.edges.cmp(&b.edges)));
+    /// The cores `engine` answers `query` with under `algorithm`, in
+    /// canonical order.
+    fn cores_of(
+        engine: &ShardedEngine,
+        query: TimeRangeKCoreQuery,
+        algorithm: Algorithm,
+    ) -> Vec<TemporalKCore> {
+        let mut response = engine
+            .execute(QueryRequest::from(query).materialize(), algorithm)
+            .unwrap();
+        let KOutput::Cores(cores) = response.outcomes.remove(0).output else {
+            panic!("materialized request");
+        };
         cores
+    }
+
+    /// Counts `(k, [start, end])` on `engine` with `Enum`.
+    fn count(engine: &ShardedEngine, k: usize, start: Timestamp, end: Timestamp) -> u64 {
+        engine
+            .execute(QueryRequest::single(k, start, end), Algorithm::Enum)
+            .unwrap()
+            .total_cores()
     }
 
     #[test]
@@ -1569,11 +1542,9 @@ mod tests {
                     for algo in Algorithm::ALL {
                         let mut expected = CollectingSink::default();
                         query.run_with(&g, algo, &mut expected);
-                        let mut got = CollectingSink::default();
-                        sharded.run_with(&query, algo, &mut got).unwrap();
                         assert_eq!(
-                            canonical(got.cores),
-                            canonical(expected.cores),
+                            cores_of(&sharded, query, algo),
+                            expected.into_sorted(),
                             "{plan:?} k={k} window={window} algo={algo}"
                         );
                     }
@@ -1586,13 +1557,7 @@ mod tests {
     fn single_shard_queries_build_only_their_shard() {
         let g = paper_example::graph();
         let engine = ShardedEngine::new(g.clone(), ShardPlan::ExplicitCuts(vec![4])).unwrap();
-        let mut sink = CountingSink::default();
-        engine
-            .run(
-                &TimeRangeKCoreQuery::new(2, TimeWindow::new(1, 3)).unwrap(),
-                &mut sink,
-            )
-            .unwrap();
+        count(&engine, 2, 1, 3);
         let stats = engine.cache_stats();
         assert_eq!(stats.per_shard.len(), 2);
         assert_eq!(stats.per_shard[0].builds, 1);
@@ -1609,23 +1574,19 @@ mod tests {
         let g = paper_example::graph();
         let engine = ShardedEngine::new(g.clone(), ShardPlan::ExplicitCuts(vec![4])).unwrap();
         let query = TimeRangeKCoreQuery::new(2, TimeWindow::new(2, 6)).unwrap();
-        let mut first = CollectingSink::default();
-        engine.run(&query, &mut first).unwrap();
+        let first = cores_of(&engine, query, Algorithm::Enum);
         let stats = engine.cache_stats();
         assert_eq!(stats.boundary.builds, 1, "{stats:?}");
         assert_eq!(stats.boundary.hits, 0, "{stats:?}");
         assert_eq!(stats.boundary.resident_entries, 1);
         // The second spanning query over the same shard pair hits the entry.
-        let mut second = CollectingSink::default();
-        engine.run(&query, &mut second).unwrap();
+        let second = cores_of(&engine, query, Algorithm::Enum);
         let stats = engine.cache_stats();
         assert_eq!(stats.boundary.builds, 1, "{stats:?}");
         assert_eq!(stats.boundary.hits, 1, "{stats:?}");
-        assert_eq!(canonical(first.cores), canonical(second.cores));
+        assert_eq!(first, second);
         // A different window over the same shard pair reuses the entry too.
-        let other = TimeRangeKCoreQuery::new(2, TimeWindow::new(4, 5)).unwrap();
-        let mut third = CollectingSink::default();
-        engine.run(&other, &mut third).unwrap();
+        count(&engine, 2, 4, 5);
         let stats = engine.cache_stats();
         assert_eq!(stats.boundary.builds, 1, "{stats:?}");
         assert_eq!(stats.boundary.hits, 2, "{stats:?}");
@@ -1646,19 +1607,8 @@ mod tests {
         .unwrap();
         // Two spanning queries over different shard ranges: the second entry
         // evicts the first.
-        let mut sink = CountingSink::default();
-        engine
-            .run(
-                &TimeRangeKCoreQuery::new(2, TimeWindow::new(1, 2)).unwrap(),
-                &mut sink,
-            )
-            .unwrap();
-        engine
-            .run(
-                &TimeRangeKCoreQuery::new(2, TimeWindow::new(5, 7)).unwrap(),
-                &mut sink,
-            )
-            .unwrap();
+        count(&engine, 2, 1, 2);
+        count(&engine, 2, 5, 7);
         let stats = engine.cache_stats();
         assert_eq!(stats.boundary.builds, 2, "{stats:?}");
         assert_eq!(stats.boundary.resident_entries, 1, "{stats:?}");
@@ -1683,11 +1633,11 @@ mod tests {
         for k in 1..=3 {
             for window in [g.span(), TimeWindow::new(2, 6), TimeWindow::new(3, 5)] {
                 let query = TimeRangeKCoreQuery::new(k, window).unwrap();
-                let mut a = CollectingSink::default();
-                cached.run(&query, &mut a).unwrap();
-                let mut b = CollectingSink::default();
-                minimal.run(&query, &mut b).unwrap();
-                assert_eq!(canonical(a.cores), canonical(b.cores), "k={k} {window}");
+                assert_eq!(
+                    cores_of(&cached, query, Algorithm::Enum),
+                    cores_of(&minimal, query, Algorithm::Enum),
+                    "k={k} {window}"
+                );
             }
         }
         let stats = minimal.cache_stats();
@@ -1711,10 +1661,7 @@ mod tests {
         )
         .unwrap();
         for k in 1..=3 {
-            let mut sink = CountingSink::default();
-            engine
-                .run(&TimeRangeKCoreQuery::new(k, g.span()).unwrap(), &mut sink)
-                .unwrap();
+            count(&engine, k, 1, g.tmax());
         }
         let stats = engine.cache_stats();
         assert!(stats.evictions >= 1, "{stats:?}");
@@ -1736,8 +1683,8 @@ mod tests {
             panic!("materialized request");
         };
         assert_eq!(
-            canonical(cores.clone()),
-            crate::naive::naive_results(&g, 2, TimeWindow::new(1, 4))
+            cores,
+            &crate::naive::naive_results(&g, 2, TimeWindow::new(1, 4))
         );
         assert!(matches!(
             engine.execute(QueryRequest::single(0, 1, 4), Algorithm::Enum),
@@ -1772,19 +1719,23 @@ mod tests {
     fn sharded_batch_matches_sequential_and_reports_shard_cache() {
         let g = paper_example::graph();
         let engine = ShardedEngine::new(g.clone(), ShardPlan::FixedCount(3)).unwrap();
-        let queries: Vec<TimeRangeKCoreQuery> = (1..=g.tmax())
-            .flat_map(|s| {
-                (s..=g.tmax())
-                    .map(move |e| TimeRangeKCoreQuery::new(2, TimeWindow::new(s, e)).unwrap())
-            })
+        let windows: Vec<TimeWindow> = (1..=g.tmax())
+            .flat_map(|s| (s..=g.tmax()).map(move |e| TimeWindow::new(s, e)))
             .collect();
-        let (results, batch) = engine.run_batch(&queries).unwrap();
-        assert_eq!(batch.num_queries, queries.len());
-        assert_eq!(batch.cache.per_shard.len(), 3);
-        for (query, (sink, _)) in queries.iter().zip(&results) {
+        let requests = windows
+            .iter()
+            .map(|w| QueryRequest::single(2, w.start(), w.end()))
+            .collect();
+        let responses = engine.execute_batch(requests, Algorithm::Enum).unwrap();
+        assert_eq!(responses.len(), windows.len());
+        assert_eq!(engine.cache_stats().per_shard.len(), 3);
+        for (window, response) in windows.iter().zip(&responses) {
             let mut fresh = CountingSink::default();
-            query.run_with(&g, Algorithm::Enum, &mut fresh);
-            assert_eq!(sink, &fresh, "{}", query.range());
+            Algorithm::Enum.execute(&g, 2, *window, &mut fresh).unwrap();
+            let KOutput::Counts(counts) = &response.outcomes[0].output else {
+                panic!("count request");
+            };
+            assert_eq!(counts, &fresh, "{window}");
         }
         // Every shard was eventually warmed for k = 2; the sum of per-shard
         // hits and builds accounts for every cache access.
@@ -1801,11 +1752,10 @@ mod tests {
     fn out_of_span_queries_are_refused_before_touching_shards() {
         let g = paper_example::graph();
         let engine = ShardedEngine::new(g.clone(), ShardPlan::FixedCount(4)).unwrap();
-        let past =
-            TimeRangeKCoreQuery::new(2, TimeWindow::new(g.tmax() + 1, g.tmax() + 9)).unwrap();
         for algo in Algorithm::ALL {
-            let mut sink = CountingSink::default();
-            let err = engine.run_with(&past, algo, &mut sink).unwrap_err();
+            let err = engine
+                .execute(QueryRequest::single(2, g.tmax() + 1, g.tmax() + 9), algo)
+                .unwrap_err();
             assert!(
                 matches!(err, TkError::WindowPastTmax { start, tmax }
                     if start == g.tmax() + 1 && tmax == g.tmax()),
@@ -1850,13 +1800,7 @@ mod tests {
         assert_eq!(engine.watermark(), 7, "appends continue from tmax");
         engine.warm(2); // both shard skylines resident
                         // A spanning query also plants a tail-touching stitch entry.
-        let mut sink = CountingSink::default();
-        engine
-            .run(
-                &TimeRangeKCoreQuery::new(2, TimeWindow::new(2, 6)).unwrap(),
-                &mut sink,
-            )
-            .unwrap();
+        count(&engine, 2, 2, 6);
         let before = engine.cache_stats();
         assert_eq!(before.resident_indexes, 2);
         assert_eq!(before.boundary.resident_entries, 1);
@@ -1883,13 +1827,7 @@ mod tests {
 
         // Re-querying the closed shard is a pure hit: zero new builds.
         let builds_before: u64 = after.per_shard.iter().map(|s| s.builds).sum();
-        let mut sink = CountingSink::default();
-        engine
-            .run(
-                &TimeRangeKCoreQuery::new(2, TimeWindow::new(1, 3)).unwrap(),
-                &mut sink,
-            )
-            .unwrap();
+        count(&engine, 2, 1, 3);
         let stats = engine.cache_stats();
         let builds_after: u64 = stats.per_shard.iter().map(|s| s.builds).sum();
         assert_eq!(builds_after, builds_before, "closed shard not rebuilt");
@@ -1935,14 +1873,7 @@ mod tests {
         let stats = engine.cache_stats();
         assert_eq!(stats.per_shard.len(), 3, "counter table grew with the tail");
         // Queries spanning the whole grown timeline still validate & run.
-        let mut sink = CountingSink::default();
-        engine
-            .run(
-                &TimeRangeKCoreQuery::new(1, TimeWindow::new(1, 11)).unwrap(),
-                &mut sink,
-            )
-            .unwrap();
-        assert!(sink.num_cores > 0);
+        assert!(count(&engine, 1, 1, 11) > 0);
     }
 
     #[test]
@@ -1974,13 +1905,7 @@ mod tests {
             .iter()
             .map(|s| s.builds)
             .sum();
-        let mut sink = CountingSink::default();
-        engine
-            .run(
-                &TimeRangeKCoreQuery::new(2, TimeWindow::new(5, 7)).unwrap(),
-                &mut sink,
-            )
-            .unwrap();
+        count(&engine, 2, 5, 7);
         let builds_after: u64 = engine
             .cache_stats()
             .per_shard
@@ -2029,11 +1954,10 @@ mod tests {
         assert!(inner.cache.is_poisoned() && inner.boundary.is_poisoned());
         let stats = engine.cache_stats();
         assert_eq!(stats.resident_indexes, 3, "shard skylines still resident");
-        let mut sink = CountingSink::default();
-        engine
-            .run(&TimeRangeKCoreQuery::new(2, g.span()).unwrap(), &mut sink)
-            .unwrap();
-        assert!(sink.num_cores > 0, "spanning query runs after poisoning");
+        assert!(
+            count(&engine, 2, 1, g.tmax()) > 0,
+            "spanning query runs after poisoning"
+        );
     }
 
     /// A sink that blocks on its first core until released, holding its
@@ -2058,25 +1982,26 @@ mod tests {
             Arc::new(ShardedEngine::new(g.clone(), ShardPlan::ExplicitCuts(vec![4])).unwrap());
         // A query spanning both shards uses three buffer pairs: two
         // restricted parts plus the composed window skyline.
-        let query = TimeRangeKCoreQuery::new(2, g.span()).unwrap();
         let pairs_per_query = 3;
-        engine.run(&query, &mut CountingSink::default()).unwrap();
+        count(&engine, 2, 1, g.tmax());
         for round in 0..4 {
             let (started_tx, started_rx) = mpsc::channel();
             let (release_tx, release_rx) = mpsc::channel();
             let held = {
                 let engine = Arc::clone(&engine);
+                let tmax = engine.graph().tmax();
                 std::thread::spawn(move || {
-                    let mut sink = GatedSink {
+                    let sink = GatedSink {
                         gate: Some((started_tx, release_rx)),
                     };
-                    engine.run(&query, &mut sink).unwrap();
+                    let request = QueryRequest::single(2, 1, tmax).stream(Box::new(sink));
+                    engine.execute(request, Algorithm::Enum).unwrap();
                 })
             };
             started_rx.recv().unwrap();
             // A second spanning query completes while the first one is
             // mid-enumeration with its pairs out of the pool.
-            engine.run(&query, &mut CountingSink::default()).unwrap();
+            count(&engine, 2, 1, g.tmax());
             release_tx.send(()).unwrap();
             held.join().unwrap();
             let pooled = sync::lock(&engine.inner.scratch).len();

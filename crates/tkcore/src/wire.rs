@@ -97,16 +97,22 @@ impl JsonValue {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts.  The parser
+/// recurses once per level, so the cap keeps a hostile line of nested
+/// brackets from overflowing a connection worker's stack; the protocol
+/// itself never nests deeper than two.
+pub const MAX_JSON_DEPTH: usize = 64;
+
 /// Parses one JSON document, requiring it to span the whole input.
 ///
 /// # Errors
-/// A human-readable description of the first syntax error.
+/// A human-readable description of the first syntax error, including
+/// nesting deeper than [`MAX_JSON_DEPTH`].
 pub fn parse_json(input: &str) -> Result<JsonValue, String> {
-    let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(input, &mut pos, 0)?;
+    skip_ws(input.as_bytes(), &mut pos);
+    if pos != input.len() {
         return Err(format!("trailing input at byte {pos}"));
     }
     Ok(value)
@@ -118,13 +124,19 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses the value at `pos`, nested inside `depth` arrays and objects.
+fn parse_value(input: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
+    let bytes = input.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => parse_string(bytes, pos).map(JsonValue::String),
+        Some(b'{' | b'[') if depth == MAX_JSON_DEPTH => Err(format!(
+            "nesting deeper than {MAX_JSON_DEPTH} levels at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_object(input, pos, depth + 1),
+        Some(b'[') => parse_array(input, pos, depth + 1),
+        Some(b'"') => parse_string(input, pos).map(JsonValue::String),
         Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", JsonValue::Null),
@@ -159,56 +171,55 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         .map_err(|_| format!("invalid number `{text}` at byte {start}"))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+/// Parses the string literal at `pos` in one pass over the input.
+fn parse_string(input: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = input.as_bytes();
     debug_assert_eq!(bytes[*pos], b'"');
     *pos += 1; // opening quote
     let mut out = String::new();
     loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "invalid \\u escape")?;
-                        // Surrogate pairs are not needed by the protocol;
-                        // map lone surrogates to the replacement character.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err("invalid escape".into()),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Multi-byte UTF-8 sequences pass through unchanged.
-                let text = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let ch = text.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
+        // Copy the run up to the next quote or backslash as one slice.
+        // Both are ASCII, so the run ends on a char boundary and multi-byte
+        // UTF-8 passes through unchanged.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or("unterminated string")?;
+        out.push_str(&input[*pos..*pos + run]);
+        *pos += run;
+        if bytes[*pos] == b'"' {
+            *pos += 1;
+            return Ok(out);
         }
+        *pos += 1; // backslash
+        match bytes.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'u') => {
+                let hex = bytes
+                    .get(*pos + 1..*pos + 5)
+                    .and_then(|h| std::str::from_utf8(h).ok())
+                    .ok_or("truncated \\u escape")?;
+                let code = u32::from_str_radix(hex, 16).map_err(|_| "invalid \\u escape")?;
+                // Surrogate pairs are not needed by the protocol; map lone
+                // surrogates to the replacement character.
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                *pos += 4;
+            }
+            _ => return Err("invalid escape".into()),
+        }
+        *pos += 1;
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(input: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
+    let bytes = input.as_bytes();
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -217,7 +228,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(input, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -230,7 +241,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(input: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
+    let bytes = input.as_bytes();
     *pos += 1; // '{'
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -243,13 +255,13 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         if bytes.get(*pos) != Some(&b'"') {
             return Err(format!("expected object key at byte {pos}", pos = *pos));
         }
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(input, pos)?;
         skip_ws(bytes, pos);
         if bytes.get(*pos) != Some(&b':') {
             return Err(format!("expected `:` at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        members.push((key, parse_value(bytes, pos)?));
+        members.push((key, parse_value(input, pos, depth)?));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -527,6 +539,46 @@ mod tests {
         ] {
             assert!(parse_json(line).is_err(), "{line:?} should not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_json_depth() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| format!("{}1{}", r#"{"a":"#.repeat(depth), "}".repeat(depth));
+        for nested in [arrays, objects] {
+            assert!(parse_json(&nested(MAX_JSON_DEPTH)).is_ok());
+            let err = parse_json(&nested(MAX_JSON_DEPTH + 1)).unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
+        // A hostile line is refused with an error, not a stack overflow.
+        let err = parse_json(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let value = parse_json(r#"["a\"b\\c\/dé\n", "été 🦀 \t ü"]"#).unwrap();
+        assert_eq!(
+            value,
+            JsonValue::Array(vec![
+                JsonValue::String("a\"b\\c/dé\n".into()),
+                JsonValue::String("été 🦀 \t ü".into()),
+            ])
+        );
+        // A multi-MiB string mixing multibyte and escaped characters: a
+        // parse that rescans the rest of the input per character takes
+        // minutes here.
+        let unit = "é🦀x";
+        let body = unit.repeat(400_000); // 2.8 MiB
+        let doc = format!(r#"{{"s": "{body}\n{body}"}}"#);
+        let started = std::time::Instant::now();
+        let value = parse_json(&doc).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(
+            value.get("s").and_then(JsonValue::as_str),
+            Some(format!("{body}\n{body}").as_str())
+        );
+        assert!(elapsed.as_secs_f64() < 0.5, "took {elapsed:?}");
     }
 
     #[test]

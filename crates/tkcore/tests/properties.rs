@@ -213,15 +213,18 @@ proptest! {
         for algorithm in Algorithm::ALL {
             let mut fresh = CollectingSink::default();
             let fresh_stats = query.run_with(&g, algorithm, &mut fresh);
-            let mut cached = CollectingSink::default();
-            let cached_stats = engine
-                .run_with(&query, algorithm, &mut cached)
+            let mut cached = engine
+                .execute(QueryRequest::from(query).materialize(), algorithm)
                 .expect("in-span query");
-            prop_assert_eq!(cached_stats.num_cores, fresh_stats.num_cores,
+            let cached = cached.outcomes.remove(0);
+            prop_assert_eq!(cached.stats.num_cores, fresh_stats.num_cores,
                 "{} k={} range={}", algorithm.name(), k, range);
-            prop_assert_eq!(cached_stats.total_result_edges, fresh_stats.total_result_edges,
+            prop_assert_eq!(cached.stats.total_result_edges, fresh_stats.total_result_edges,
                 "{} k={} range={}", algorithm.name(), k, range);
-            prop_assert_eq!(&canonical(cached.cores), &canonical(fresh.cores),
+            let KOutput::Cores(cached_cores) = cached.output else {
+                panic!("materialized request");
+            };
+            prop_assert_eq!(&cached_cores, &canonical(fresh.cores),
                 "{} k={} range={}", algorithm.name(), k, range);
         }
         // The skyline-based algorithms shared one span-wide index.

@@ -57,25 +57,26 @@ fn main() {
     // Engine, first batch: pays the one-time span-wide build for this k,
     // which every later query for the same k reuses.
     let engine = ShardedEngine::new(graph.clone(), ShardPlan::Span).expect("span plan");
+    let batch = || -> Vec<QueryRequest> { queries.iter().map(|&query| query.into()).collect() };
     let t1 = Instant::now();
-    let (_, first_batch) = engine.run_batch(&queries).expect("valid workload queries");
+    let first_batch = engine
+        .execute_batch(batch(), Algorithm::Enum)
+        .expect("valid workload queries");
     let first_time = t1.elapsed();
-    println!(
-        "Engine batch 1 (builds the span-wide index):  {} cores in {first_time:?}",
-        first_batch.total_cores
-    );
+    let first_cores: u64 = first_batch.iter().map(QueryResponse::total_cores).sum();
+    println!("Engine batch 1 (builds the span-wide index):  {first_cores} cores in {first_time:?}");
 
     // Engine, steady state: the index is resident, so every query is a
     // cache hit plus a cheap restriction — the CoreTime phase is amortised
     // to ~zero.
+    let requests = batch();
     let t2 = Instant::now();
-    let (results, batch) = engine.run_batch(&queries).expect("valid workload queries");
+    let responses = engine
+        .execute_batch(requests, Algorithm::Enum)
+        .expect("valid workload queries");
     let warm_time = t2.elapsed();
-    let warm_cores = batch.total_cores;
-    println!(
-        "Engine batch 2 (warm, {} threads):            {warm_cores} cores in {warm_time:?}",
-        batch.threads
-    );
+    let warm_cores: u64 = responses.iter().map(QueryResponse::total_cores).sum();
+    println!("Engine batch 2 (warm):                        {warm_cores} cores in {warm_time:?}");
     assert_eq!(
         cold_cores, warm_cores,
         "identical results are non-negotiable"
@@ -88,27 +89,30 @@ fn main() {
         cache.hits,
         cache.resident_bytes as f64 / (1024.0 * 1024.0)
     );
+    let warm_precompute: std::time::Duration = responses
+        .iter()
+        .map(|response| response.outcomes[0].stats.precompute_time)
+        .sum();
     println!(
-        "Warm precompute time summed over {} queries: {:?} (restriction only)",
+        "Warm precompute time summed over {} queries: {warm_precompute:?} (restriction only)",
         queries.len(),
-        batch.precompute_time,
     );
     println!(
         "Steady-state speedup over cold per-query: {:.1}x on this run",
         cold_time.as_secs_f64() / warm_time.as_secs_f64().max(1e-9)
     );
 
-    // The per-query sinks are available too, e.g. for the largest window.
-    let busiest = results
+    // Every request gets its own response, e.g. for the largest window.
+    let (busiest, query) = responses
         .iter()
         .zip(&queries)
-        .max_by_key(|((sink, _), _)| sink.num_cores)
+        .max_by_key(|(response, _)| response.total_cores())
         .expect("at least one query");
     println!(
         "Busiest window {} holds {} distinct {k}-cores (|R| = {} edges)",
-        busiest.1.range(),
-        busiest.0 .0.num_cores,
-        busiest.0 .0.total_edges
+        query.range(),
+        busiest.total_cores(),
+        busiest.total_result_edges()
     );
 
     // The same cache also serves k-range sweeps through the engine's request

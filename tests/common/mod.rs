@@ -7,7 +7,9 @@
 #![allow(dead_code)]
 
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
 use temporal_kcore::prelude::*;
+use temporal_kcore::temporal_graph::EdgeId;
 
 /// Label events: `(u, v, t)` triples in label space.
 pub type Events = Vec<(u64, u64, Timestamp)>;
@@ -75,6 +77,29 @@ pub fn raw_graph(events: &[(u64, u64, Timestamp)]) -> TemporalGraph {
 pub fn canonical(mut cores: Vec<TemporalKCore>) -> Vec<TemporalKCore> {
     cores.sort_by(|a, b| a.tti.cmp(&b.tti).then_with(|| a.edges.cmp(&b.edges)));
     cores
+}
+
+/// A stream sink recording into a collector the caller keeps a handle to.
+struct SharedSink(Arc<Mutex<CollectingSink>>);
+
+impl ResultSink for SharedSink {
+    fn emit(&mut self, tti: TimeWindow, edges: &[EdgeId]) {
+        self.0.lock().unwrap().emit(tti, edges);
+    }
+}
+
+/// Streams `query` through `engine` with `algorithm`: the cores in emission
+/// order, plus the query's stats.
+pub fn streamed(
+    engine: &ShardedEngine,
+    query: TimeRangeKCoreQuery,
+    algorithm: Algorithm,
+) -> Result<(Vec<TemporalKCore>, QueryStats), TkError> {
+    let collected = Arc::new(Mutex::new(CollectingSink::default()));
+    let request = QueryRequest::from(query).stream(Box::new(SharedSink(Arc::clone(&collected))));
+    let stats = engine.execute(request, algorithm)?.outcomes[0].stats;
+    let cores = std::mem::take(&mut collected.lock().unwrap().cores);
+    Ok((cores, stats))
 }
 
 /// Derives a shard plan from two random parameters (`kind` in `0..5`),

@@ -21,29 +21,60 @@ fn workload_queries(
     (workload.k, workload.queries().collect())
 }
 
+/// One single-`k` count request per query.
+fn requests(queries: &[TimeRangeKCoreQuery]) -> Vec<QueryRequest> {
+    queries.iter().map(|&query| query.into()).collect()
+}
+
+/// The counts of a single-`k` count response.
+fn counts(response: &QueryResponse) -> CountingSink {
+    let KOutput::Counts(counts) = response.outcomes[0].output else {
+        panic!("count request");
+    };
+    counts
+}
+
+fn total_cores(responses: &[QueryResponse]) -> u64 {
+    responses.iter().map(QueryResponse::total_cores).sum()
+}
+
 #[test]
 fn warm_batches_match_fresh_per_query_runs_for_every_algorithm() {
     let graph = DatasetProfile::by_name("FB").unwrap().generate();
     let (_, queries) = workload_queries(&graph, 6, 0xE26);
     let engine = span_engine(&graph, EngineConfig::default());
     for algorithm in [Algorithm::Enum, Algorithm::EnumBase, Algorithm::Otcd] {
-        let (results, batch) = engine
-            .run_batch_with(&queries, algorithm, |_| CountingSink::default())
-            .unwrap();
-        assert_eq!(batch.num_queries, queries.len());
+        let responses = engine.execute_batch(requests(&queries), algorithm).unwrap();
+        assert_eq!(responses.len(), queries.len());
         let mut expected_cores = 0u64;
         let mut expected_edges = 0u64;
-        for (query, (sink, stats)) in queries.iter().zip(&results) {
+        for (query, response) in queries.iter().zip(&responses) {
             let mut fresh = CountingSink::default();
             query.run_with(&graph, algorithm, &mut fresh);
-            assert_eq!(sink, &fresh, "{} {}", algorithm.name(), query.range());
+            assert_eq!(
+                counts(response),
+                fresh,
+                "{} {}",
+                algorithm.name(),
+                query.range()
+            );
+            let stats = response.outcomes[0].stats;
             assert_eq!(stats.num_cores, fresh.num_cores);
             assert_eq!(stats.total_result_edges, fresh.total_edges);
             expected_cores += fresh.num_cores;
             expected_edges += fresh.total_edges;
         }
-        assert_eq!(batch.total_cores, expected_cores, "{}", algorithm.name());
-        assert_eq!(batch.total_result_edges, expected_edges);
+        assert_eq!(
+            total_cores(&responses),
+            expected_cores,
+            "{}",
+            algorithm.name()
+        );
+        let total_edges: u64 = responses
+            .iter()
+            .map(QueryResponse::total_result_edges)
+            .sum();
+        assert_eq!(total_edges, expected_edges);
     }
 }
 
@@ -62,15 +93,21 @@ fn one_span_build_serves_the_whole_batch_and_repeats_hit() {
         },
     );
 
-    let (_, first) = engine.run_batch(&queries).unwrap();
-    assert_eq!(first.cache.misses, 1, "all queries share one k");
-    assert_eq!(first.cache.hits as usize, queries.len() - 1);
+    let first = engine
+        .execute_batch(requests(&queries), Algorithm::Enum)
+        .unwrap();
+    let cache = engine.cache_stats();
+    assert_eq!(cache.misses, 1, "all queries share one k");
+    assert_eq!(cache.hits as usize, queries.len() - 1);
 
-    let (_, second) = engine.run_batch(&queries).unwrap();
-    assert_eq!(second.cache.misses, 1, "steady state never rebuilds");
-    assert_eq!(second.cache.hits as usize, 2 * queries.len() - 1);
-    assert_eq!(second.cache.resident_indexes, 1);
-    assert_eq!(first.total_cores, second.total_cores);
+    let second = engine
+        .execute_batch(requests(&queries), Algorithm::Enum)
+        .unwrap();
+    let cache = engine.cache_stats();
+    assert_eq!(cache.misses, 1, "steady state never rebuilds");
+    assert_eq!(cache.hits as usize, 2 * queries.len() - 1);
+    assert_eq!(cache.resident_indexes, 1);
+    assert_eq!(total_cores(&first), total_cores(&second));
 }
 
 #[test]
@@ -96,19 +133,22 @@ fn mixed_k_batch_caches_one_index_per_k() {
             ..EngineConfig::default()
         },
     );
-    let (results, batch) = engine.run_batch(&queries).unwrap();
+    let responses = engine
+        .execute_batch(requests(&queries), Algorithm::Enum)
+        .unwrap();
     let distinct_k = {
         let mut ks: Vec<usize> = queries.iter().map(|q| q.k()).collect();
         ks.sort_unstable();
         ks.dedup();
         ks.len()
     };
-    assert_eq!(batch.cache.misses as usize, distinct_k);
-    assert_eq!(batch.cache.resident_indexes, distinct_k);
-    for (query, (sink, _)) in queries.iter().zip(&results) {
+    let cache = engine.cache_stats();
+    assert_eq!(cache.misses as usize, distinct_k);
+    assert_eq!(cache.resident_indexes, distinct_k);
+    for (query, response) in queries.iter().zip(&responses) {
         let mut fresh = CountingSink::default();
         query.run_with(&graph, Algorithm::Enum, &mut fresh);
-        assert_eq!(sink, &fresh, "k={} {}", query.k(), query.range());
+        assert_eq!(counts(response), fresh, "k={} {}", query.k(), query.range());
     }
 }
 
@@ -119,28 +159,30 @@ fn out_of_span_and_overhanging_ranges_are_handled() {
     let tmax = graph.tmax();
 
     // Entirely past the end: a typed refusal, no index build.
-    let mut sink = CountingSink::default();
     let err = engine
-        .run(
-            &TimeRangeKCoreQuery::new(2, TimeWindow::new(tmax + 1, tmax + 500)).unwrap(),
-            &mut sink,
+        .execute(
+            QueryRequest::single(2, tmax + 1, tmax + 500),
+            Algorithm::Enum,
         )
         .unwrap_err();
     assert!(
         matches!(err, TkError::WindowPastTmax { start, tmax: t } if start == tmax + 1 && t == tmax),
         "{err}"
     );
-    assert_eq!(sink.num_cores, 0);
     assert_eq!(engine.cache_stats().misses, 0);
 
     // Overhanging the end: same answer as the clamped range.
-    let overhang = TimeRangeKCoreQuery::new(2, TimeWindow::new(tmax / 2, tmax + 500)).unwrap();
+    let overhang = engine
+        .execute(
+            QueryRequest::single(2, tmax / 2, tmax + 500),
+            Algorithm::Enum,
+        )
+        .unwrap();
+    assert_eq!(overhang.window, TimeWindow::new(tmax / 2, tmax));
     let clamped = TimeRangeKCoreQuery::new(2, TimeWindow::new(tmax / 2, tmax)).unwrap();
-    let mut a = CountingSink::default();
-    engine.run(&overhang, &mut a).unwrap();
     let mut b = CountingSink::default();
     clamped.run_with(&graph, Algorithm::Enum, &mut b);
-    assert_eq!(a, b);
+    assert_eq!(counts(&overhang), b);
 }
 
 #[test]
@@ -148,12 +190,17 @@ fn collecting_batch_returns_canonical_cores() {
     let graph = DatasetProfile::by_name("BO").unwrap().generate();
     let (_, queries) = workload_queries(&graph, 4, 7);
     let engine = span_engine(&graph, EngineConfig::default());
-    let (results, _) = engine
-        .run_batch_with(&queries, Algorithm::Enum, |_| CollectingSink::default())
-        .unwrap();
-    for (query, (sink, _stats)) in queries.iter().zip(results) {
+    let materialized = queries
+        .iter()
+        .map(|&query| QueryRequest::from(query).materialize())
+        .collect();
+    let responses = engine.execute_batch(materialized, Algorithm::Enum).unwrap();
+    for (query, response) in queries.iter().zip(&responses) {
+        let KOutput::Cores(cores) = &response.outcomes[0].output else {
+            panic!("materialized request");
+        };
         let mut fresh = CollectingSink::default();
         query.run_with(&graph, Algorithm::Enum, &mut fresh);
-        assert_eq!(sink.into_sorted(), fresh.into_sorted(), "{}", query.range());
+        assert_eq!(cores, &fresh.into_sorted(), "{}", query.range());
     }
 }

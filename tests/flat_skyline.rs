@@ -28,7 +28,9 @@ mod common;
 
 use std::collections::BTreeMap;
 
-use common::{arb_base_and_stream, arb_graph, canonical, plan_for, raw_graph, window_in_span};
+use common::{
+    arb_base_and_stream, arb_graph, canonical, plan_for, raw_graph, streamed, window_in_span,
+};
 use proptest::prelude::*;
 use temporal_kcore::prelude::*;
 use temporal_kcore::temporal_graph::EdgeId;
@@ -197,11 +199,10 @@ proptest! {
             let query = TimeRangeKCoreQuery::new(k, window).expect("k >= 1");
             let expected = canonical(naive::naive_results(&g, k, window));
             for algo in Algorithm::ALL {
-                let mut got = CollectingSink::default();
-                engine.run_with(&query, algo, &mut got)
+                let (got, _) = streamed(&engine, query, algo)
                     .expect("window is inside the span");
                 prop_assert_eq!(
-                    canonical(got.cores),
+                    canonical(got),
                     expected.clone(),
                     "plan={:?} k={} window={} algo={}",
                     plan, k, window, algo
@@ -273,11 +274,12 @@ proptest! {
         // And the live query path (which serves the rebuilt tail skyline
         // from its cache) agrees with the naive oracle on the full span.
         let query = TimeRangeKCoreQuery::new(k, snapshot.span()).expect("k >= 1");
-        let mut got = CollectingSink::default();
-        live.run(&query, &mut got).expect("span query is valid");
+        let got = live
+            .execute(query.into(), Algorithm::Enum)
+            .expect("span query is valid");
         let mut expected = CollectingSink::default();
         query.run_with(&reference, Algorithm::Enum, &mut expected);
-        prop_assert_eq!(got.cores.len(), expected.cores.len());
+        prop_assert_eq!(got.total_cores(), expected.cores.len() as u64);
     }
 }
 

@@ -23,7 +23,7 @@
 
 mod common;
 
-use common::{arb_base_and_stream, raw_graph};
+use common::{arb_base_and_stream, raw_graph, streamed};
 use proptest::prelude::*;
 use temporal_kcore::prelude::*;
 use temporal_kcore::tkcore::paper_example;
@@ -134,11 +134,10 @@ proptest! {
                 for algo in Algorithm::ALL {
                     let mut expected = CollectingSink::default();
                     query.run_with(&reference, algo, &mut expected);
-                    let mut got = CollectingSink::default();
-                    live.run_with(&query, algo, &mut got)
+                    let (got, _) = streamed(&live, query, algo)
                         .expect("window is inside the live span");
                     prop_assert_eq!(
-                        label_cores(&live.graph(), &got.cores),
+                        label_cores(&live.graph(), &got),
                         label_cores(&reference, &expected.cores),
                         "prefix={} k={} window={} algo={} shards={} seal={:?}",
                         absorbed.len() - base.len(), k, window, algo,
@@ -167,12 +166,8 @@ fn closed_shard_skylines_survive_an_append_burst() {
     // Warm every shard, then answer a spanning query so the boundary
     // stitch index is resident too.
     engine.warm(2);
-    let mut sink = CountingSink::default();
     engine
-        .run(
-            &TimeRangeKCoreQuery::new(2, TimeWindow::new(1, 7)).unwrap(),
-            &mut sink,
-        )
+        .execute(QueryRequest::single(2, 1, 7), Algorithm::Enum)
         .unwrap();
     let before = engine.cache_stats();
     let closed_builds_before: u64 = before.per_shard[..2].iter().map(|s| s.builds).sum();
@@ -189,11 +184,10 @@ fn closed_shard_skylines_survive_an_append_burst() {
 
     // Spanning re-queries touch every shard again.
     for _ in 0..2 {
-        let mut sink = CountingSink::default();
         engine
-            .run(
-                &TimeRangeKCoreQuery::new(2, TimeWindow::new(1, engine.watermark())).unwrap(),
-                &mut sink,
+            .execute(
+                QueryRequest::single(2, 1, engine.watermark()),
+                Algorithm::Enum,
             )
             .unwrap();
     }

@@ -1,8 +1,9 @@
 //! Acceptance tests for the unified request API through the public facade:
-//! `ShardedEngine::execute` answers every request shape, output mode and
-//! algorithm exactly like per-query `QueryRequest::run`, a k-range sweep
-//! over the paper example builds at most one skyline per k (asserted via
-//! `CacheStats`) and answers like the naive oracle, and malformed input
+//! `ShardedEngine::execute` and `execute_batch` answer every request shape,
+//! output mode and algorithm exactly like per-query `QueryRequest::run` (a
+//! batch with an invalid request fails whole, building nothing), a k-range
+//! sweep over the paper example builds at most one skyline per k (asserted
+//! via `CacheStats`) and answers like the naive oracle, and malformed input
 //! yields typed errors on every entry point, never panics.
 
 use std::sync::{Arc, Mutex};
@@ -165,61 +166,123 @@ fn comparison_request(
     }
 }
 
+/// Asserts that an engine response equals the per-query reference, down to
+/// the order a stream request's sink saw its cores.
+fn assert_same_response(
+    got: &QueryResponse,
+    expected: &QueryResponse,
+    (got_stream, expected_stream): (&Recorded, &Recorded),
+    algo: Algorithm,
+    ctx: &str,
+) {
+    assert_eq!(got.window, expected.window, "{ctx}");
+    assert_eq!(got.sink.is_some(), expected.sink.is_some(), "{ctx}");
+    let ks: Vec<usize> = got.outcomes.iter().map(|o| o.k).collect();
+    let expected_ks: Vec<usize> = expected.outcomes.iter().map(|o| o.k).collect();
+    assert_eq!(ks, expected_ks, "{ctx}");
+    for (g, e) in got.outcomes.iter().zip(&expected.outcomes) {
+        assert_eq!(g.stats.algorithm, algo, "{ctx}");
+        assert_eq!(g.stats.num_cores, e.stats.num_cores, "{ctx}");
+        assert_eq!(
+            g.stats.total_result_edges, e.stats.total_result_edges,
+            "{ctx}"
+        );
+        match (&g.output, &e.output) {
+            (KOutput::Counts(a), KOutput::Counts(b)) => assert_eq!(a, b, "{ctx}"),
+            (KOutput::Cores(a), KOutput::Cores(b)) => assert_eq!(a, b, "{ctx}"),
+            (KOutput::Streamed, KOutput::Streamed) => {}
+            (a, b) => panic!("{ctx}: {a:?} vs {b:?}"),
+        }
+    }
+    assert_eq!(
+        *got_stream.lock().unwrap(),
+        *expected_stream.lock().unwrap(),
+        "{ctx}: streamed order"
+    );
+}
+
 #[test]
 fn engine_execute_matches_per_query_run() {
     let graph = paper_example::graph();
+    // The whole span, a window spanning every FixedCount(3) cut, and one
+    // inside a single shard.
+    let windows = [
+        TimeWindow::new(1, 7),
+        TimeWindow::new(2, 6),
+        TimeWindow::new(3, 4),
+    ];
+    let modes = [Mode::Count, Mode::Materialize, Mode::Stream];
     for plan in [ShardPlan::Span, ShardPlan::FixedCount(3)] {
         let engine = ShardedEngine::new(graph.clone(), plan.clone()).unwrap();
-        // The whole span, a window spanning every FixedCount(3) cut, and
-        // one inside a single shard.
-        for window in [
-            TimeWindow::new(1, 7),
-            TimeWindow::new(2, 6),
-            TimeWindow::new(3, 4),
-        ] {
+        for window in windows {
             for shape in 0..3 {
-                for mode in [Mode::Count, Mode::Materialize, Mode::Stream] {
+                for mode in modes {
                     for algo in Algorithm::ALL {
                         let ctx = format!("{plan:?} {window} shape {shape} {mode:?} {algo}");
-                        let (expected_stream, got_stream) =
-                            (Recorded::default(), Recorded::default());
-                        let expected = comparison_request(shape, mode, window, &expected_stream)
+                        let streams = (Recorded::default(), Recorded::default());
+                        let expected = comparison_request(shape, mode, window, &streams.1)
                             .run(&graph, algo)
                             .unwrap();
                         let got = engine
-                            .execute(comparison_request(shape, mode, window, &got_stream), algo)
+                            .execute(comparison_request(shape, mode, window, &streams.0), algo)
                             .unwrap();
-                        assert_eq!(got.window, expected.window, "{ctx}");
-                        assert_eq!(got.sink.is_some(), expected.sink.is_some(), "{ctx}");
-                        let ks: Vec<usize> = got.outcomes.iter().map(|o| o.k).collect();
-                        let expected_ks: Vec<usize> =
-                            expected.outcomes.iter().map(|o| o.k).collect();
-                        assert_eq!(ks, expected_ks, "{ctx}");
-                        for (g, e) in got.outcomes.iter().zip(&expected.outcomes) {
-                            assert_eq!(g.stats.algorithm, algo, "{ctx}");
-                            assert_eq!(g.stats.num_cores, e.stats.num_cores, "{ctx}");
-                            assert_eq!(
-                                g.stats.total_result_edges, e.stats.total_result_edges,
-                                "{ctx}"
-                            );
-                            match (&g.output, &e.output) {
-                                (KOutput::Counts(a), KOutput::Counts(b)) => {
-                                    assert_eq!(a, b, "{ctx}")
-                                }
-                                (KOutput::Cores(a), KOutput::Cores(b)) => assert_eq!(a, b, "{ctx}"),
-                                (KOutput::Streamed, KOutput::Streamed) => {}
-                                (a, b) => panic!("{ctx}: {a:?} vs {b:?}"),
-                            }
-                        }
-                        assert_eq!(
-                            *got_stream.lock().unwrap(),
-                            *expected_stream.lock().unwrap(),
-                            "{ctx}: streamed order"
-                        );
+                        assert_same_response(&got, &expected, (&streams.0, &streams.1), algo, &ctx);
                     }
                 }
             }
         }
+
+        // The batch axis: every window × shape × mode in one mixed batch
+        // answers each request exactly as per-request execution does.
+        let cases: Vec<(TimeWindow, usize, Mode)> = windows
+            .iter()
+            .flat_map(|&w| (0..3).flat_map(move |shape| modes.map(|mode| (w, shape, mode))))
+            .collect();
+        for algo in Algorithm::ALL {
+            let streams: Vec<(Recorded, Recorded)> =
+                cases.iter().map(|_| Default::default()).collect();
+            let batch = cases
+                .iter()
+                .zip(&streams)
+                .map(|(&(w, shape, mode), (got, _))| comparison_request(shape, mode, w, got))
+                .collect();
+            let responses = engine.execute_batch(batch, algo).unwrap();
+            assert_eq!(responses.len(), cases.len());
+            for ((&(w, shape, mode), (got_stream, expected_stream)), got) in
+                cases.iter().zip(&streams).zip(&responses)
+            {
+                let ctx = format!("batch {plan:?} {w} shape {shape} {mode:?} {algo}");
+                let expected = comparison_request(shape, mode, w, expected_stream)
+                    .run(&graph, algo)
+                    .unwrap();
+                assert_same_response(got, &expected, (got_stream, expected_stream), algo, &ctx);
+            }
+        }
+
+        // An invalid request anywhere in a batch fails the whole batch
+        // before any skyline is built.
+        let fresh = ShardedEngine::new(graph.clone(), plan.clone()).unwrap();
+        let recorded = Recorded::default();
+        // First, middle and last position of a four-request batch.
+        for bad_at in [0, 2, 3] {
+            let mut batch: Vec<QueryRequest> = modes
+                .iter()
+                .map(|&mode| comparison_request(2, mode, TimeWindow::new(2, 6), &recorded))
+                .collect();
+            batch.insert(bad_at, QueryRequest::single(2, 8, 9));
+            assert!(
+                matches!(
+                    fresh.execute_batch(batch, Algorithm::Enum),
+                    Err(TkError::WindowPastTmax { start: 8, tmax: 7 })
+                ),
+                "{plan:?} bad request at {bad_at}"
+            );
+        }
+        assert_eq!(fresh.cache_stats().misses, 0, "{plan:?}");
+        assert!(
+            recorded.lock().unwrap().is_empty(),
+            "{plan:?}: nothing streamed"
+        );
     }
 }
 

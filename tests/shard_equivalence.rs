@@ -23,11 +23,10 @@
 
 mod common;
 
-use common::{arb_graph, canonical, plan_for, window_in_span};
+use common::{arb_graph, canonical, plan_for, streamed, window_in_span};
 use proptest::prelude::*;
 use std::sync::Arc;
 use temporal_kcore::prelude::*;
-use temporal_kcore::temporal_graph::EdgeId;
 use temporal_kcore::tkcore::{naive_results, paper_example};
 
 /// The full span plus a random sub-window of it (deduplicated).
@@ -64,18 +63,17 @@ proptest! {
             for algo in Algorithm::ALL {
                 let mut fresh = CollectingSink::default();
                 query.run_with(&g, algo, &mut fresh);
-                let mut got = CollectingSink::default();
-                sharded.run_with(&query, algo, &mut got)
+                let (got, _) = streamed(&sharded, query, algo)
                     .expect("window is inside the span");
                 if matches!(algo, Algorithm::Enum | Algorithm::EnumBase) {
                     prop_assert_eq!(
-                        &got.cores, &fresh.cores,
+                        &got, &fresh.cores,
                         "emission order: {:?} k={} window={} algo={}",
                         plan, k, window, algo
                     );
                 }
                 prop_assert_eq!(
-                    canonical(got.cores),
+                    canonical(got),
                     oracle.clone(),
                     "{:?} k={} window={} algo={}",
                     plan, k, window, algo
@@ -115,11 +113,10 @@ proptest! {
             let query = TimeRangeKCoreQuery::new(k, window).expect("k >= 1");
             let oracle = naive_results(&g, k, window);
             for algo in Algorithm::ALL {
-                let mut via_stitch = CollectingSink::default();
-                stitched.run_with(&query, algo, &mut via_stitch)
+                let (via_stitch, _) = streamed(&stitched, query, algo)
                     .expect("window is inside the span");
                 prop_assert_eq!(
-                    canonical(via_stitch.cores),
+                    canonical(via_stitch),
                     oracle.clone(),
                     "{:?} k={} window={} algo={}",
                     plan, k, window, algo
@@ -129,9 +126,9 @@ proptest! {
 
         // Replaying the span query must be pure cache reuse.
         let builds_after_first_pass = stitched.cache_stats().boundary.builds;
-        let query = TimeRangeKCoreQuery::new(k, g.span()).expect("k >= 1");
-        let mut replay = CollectingSink::default();
-        stitched.run(&query, &mut replay).expect("span query is valid");
+        stitched
+            .execute(QueryRequest::single(k, 1, g.tmax()), Algorithm::Enum)
+            .expect("span query is valid");
         let stats = stitched.cache_stats();
         prop_assert_eq!(
             stats.boundary.builds, builds_after_first_pass,
@@ -205,16 +202,23 @@ fn boundary_fixture() -> (TemporalGraph, ShardedEngine) {
     (g, engine)
 }
 
+/// Counts `(k, [start, end])` on `engine` with `Enum`.
+fn count(engine: &ShardedEngine, k: usize, start: Timestamp, end: Timestamp) -> u64 {
+    engine
+        .execute(QueryRequest::single(k, start, end), Algorithm::Enum)
+        .unwrap()
+        .total_cores()
+}
+
 fn assert_window_matches_span_wide(g: &TemporalGraph, engine: &ShardedEngine, window: TimeWindow) {
     for k in 1..=3 {
         let query = TimeRangeKCoreQuery::new(k, window).unwrap();
         for algo in Algorithm::ALL {
             let mut expected = CollectingSink::default();
             query.run_with(g, algo, &mut expected);
-            let mut got = CollectingSink::default();
-            let stats = engine.run_with(&query, algo, &mut got).unwrap();
+            let (got, stats) = streamed(engine, query, algo).unwrap();
             assert_eq!(
-                canonical(got.cores.clone()),
+                canonical(got),
                 canonical(expected.cores.clone()),
                 "k={k} window={window} algo={algo}"
             );
@@ -232,13 +236,7 @@ fn window_coinciding_with_a_shard_cut_needs_no_stitching() {
     // A window ending exactly at a cut never touches the following shard
     // (fresh engine: build counters are cumulative).
     let (_, engine) = boundary_fixture();
-    let mut sink = CountingSink::default();
-    engine
-        .run(
-            &TimeRangeKCoreQuery::new(2, TimeWindow::new(3, 4)).unwrap(),
-            &mut sink,
-        )
-        .unwrap();
+    count(&engine, 2, 3, 4);
     let stats = engine.cache_stats();
     assert_eq!(stats.per_shard[0].builds + stats.per_shard[2].builds, 0);
     assert_eq!(stats.per_shard[1].builds, 1);
@@ -265,26 +263,15 @@ fn window_past_tmax_is_refused_not_answered_from_the_last_shard() {
     let (g, engine) = boundary_fixture();
     let past = TimeRangeKCoreQuery::new(2, TimeWindow::new(g.tmax() + 1, g.tmax() + 5)).unwrap();
     for algo in Algorithm::ALL {
-        let mut sink = CountingSink::default();
-        let err = engine.run_with(&past, algo, &mut sink).unwrap_err();
+        let err = streamed(&engine, past, algo).unwrap_err();
         assert!(
             matches!(err, TkError::WindowPastTmax { start, tmax }
                 if start == g.tmax() + 1 && tmax == g.tmax()),
             "{algo}: {err}"
         );
-        assert_eq!(sink.num_cores, 0, "{algo}: no partial answer");
     }
     // The refusal happened before any shard skyline was built.
     assert_eq!(engine.cache_stats().misses, 0);
-
-    // Same refusal through the request entry point.
-    assert!(matches!(
-        engine.execute(
-            QueryRequest::single(2, g.tmax() + 1, g.tmax() + 5),
-            Algorithm::Enum
-        ),
-        Err(TkError::WindowPastTmax { .. })
-    ));
 }
 
 #[test]
@@ -296,16 +283,6 @@ fn single_timestamp_shards_still_answer_spanning_windows() {
     assert_window_matches_span_wide(&g, &engine, TimeWindow::new(4, 4));
 }
 
-/// Records every emitted core in emission order.
-#[derive(Default)]
-struct Recorder(Vec<(TimeWindow, Vec<EdgeId>)>);
-
-impl ResultSink for Recorder {
-    fn emit(&mut self, tti: TimeWindow, edges: &[EdgeId]) {
-        self.0.push((tti, edges.to_vec()));
-    }
-}
-
 #[test]
 fn spanning_queries_stream_in_the_order_of_a_fresh_window_build() {
     // A spanning query enumerates its composed window skyline once, so the
@@ -314,19 +291,13 @@ fn spanning_queries_stream_in_the_order_of_a_fresh_window_build() {
     for window in [g.span(), TimeWindow::new(2, 6), TimeWindow::new(1, 4)] {
         assert!(engine.overlapping_shards(window).len() > 1, "{window}");
         for k in 1..=3 {
-            let mut expected = Recorder::default();
+            let mut expected = CollectingSink::default();
             let expected_stats = Algorithm::Enum
                 .execute(&g, k, window, &mut expected)
                 .unwrap();
-            let mut got = Recorder::default();
-            let stats = engine
-                .run_with(
-                    &TimeRangeKCoreQuery::new(k, window).unwrap(),
-                    Algorithm::Enum,
-                    &mut got,
-                )
-                .unwrap();
-            assert_eq!(got.0, expected.0, "k={k} window={window}");
+            let query = TimeRangeKCoreQuery::new(k, window).unwrap();
+            let (got, stats) = streamed(&engine, query, Algorithm::Enum).unwrap();
+            assert_eq!(got, expected.cores, "k={k} window={window}");
             assert_eq!(stats.num_cores, expected_stats.num_cores);
             assert_eq!(stats.total_result_edges, expected_stats.total_result_edges);
         }
@@ -336,27 +307,16 @@ fn spanning_queries_stream_in_the_order_of_a_fresh_window_build() {
 #[test]
 fn adjacent_pair_entries_are_keyed_per_shard_range() {
     let (_, engine) = boundary_fixture();
-    let mut sink = CountingSink::default();
     // Spans the first cut only: entry (0, 1, k); the second cut only:
     // entry (1, 2, k); both cuts: entry (0, 2, k).
     for (start, end) in [(2, 3), (4, 5), (1, 7)] {
-        engine
-            .run(
-                &TimeRangeKCoreQuery::new(2, TimeWindow::new(start, end)).unwrap(),
-                &mut sink,
-            )
-            .unwrap();
+        count(&engine, 2, start, end);
     }
     let stats = engine.cache_stats();
     assert_eq!(stats.boundary.builds, 3, "{:?}", stats.boundary);
     assert_eq!(stats.boundary.resident_entries, 3, "{:?}", stats.boundary);
     // Each range reuses its own entry on repetition.
-    engine
-        .run(
-            &TimeRangeKCoreQuery::new(2, TimeWindow::new(2, 3)).unwrap(),
-            &mut sink,
-        )
-        .unwrap();
+    count(&engine, 2, 2, 3);
     let stats = engine.cache_stats();
     assert_eq!(stats.boundary.builds, 3, "{:?}", stats.boundary);
     assert_eq!(stats.boundary.hits, 1, "{:?}", stats.boundary);
@@ -367,10 +327,7 @@ fn stitch_entries_are_smaller_than_the_merged_skyline() {
     // The stitch entry stores only cut-crossing windows, so it must be no
     // larger than the merged-window skyline it was filtered from.
     let (g, engine) = boundary_fixture();
-    let mut sink = CountingSink::default();
-    engine
-        .run(&TimeRangeKCoreQuery::new(2, g.span()).unwrap(), &mut sink)
-        .unwrap();
+    count(&engine, 2, 1, g.tmax());
     let merged = EdgeCoreSkyline::build(&g, 2, g.span());
     let stats = engine.cache_stats();
     assert!(stats.boundary.resident_bytes <= merged.memory_bytes());
@@ -382,12 +339,9 @@ fn warm_spanning_queries_skip_the_merged_sweep_entirely() {
     // After warming shards and the stitch entry, a spanning query touches
     // only caches: shard hits grow, builds and stitch builds do not.
     let (_, engine) = boundary_fixture();
-    let query = TimeRangeKCoreQuery::new(2, TimeWindow::new(2, 6)).unwrap();
-    let mut sink = CountingSink::default();
-    engine.run(&query, &mut sink).unwrap();
+    count(&engine, 2, 2, 6);
     let cold = engine.cache_stats();
-    let mut sink = CountingSink::default();
-    engine.run(&query, &mut sink).unwrap();
+    count(&engine, 2, 2, 6);
     let warm = engine.cache_stats();
     assert_eq!(warm.boundary.builds, cold.boundary.builds);
     assert_eq!(warm.boundary.hits, cold.boundary.hits + 1);

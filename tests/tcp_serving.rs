@@ -11,8 +11,34 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use temporal_kcore::prelude::*;
-use temporal_kcore::tkcore::paper_example;
+use temporal_kcore::tkcore::{paper_example, wire};
+
+/// A default service over the paper example behind a `TkServer` on an
+/// ephemeral loopback port, its accept loop on its own thread.
+fn start_server() -> (
+    Arc<CoreService>,
+    Arc<TkServer>,
+    JoinHandle<Result<ServeSummary, TkError>>,
+) {
+    let service = Arc::new(
+        CoreService::start_sharded(
+            paper_example::graph(),
+            ShardPlan::Span,
+            ServiceConfig::default(),
+        )
+        .unwrap(),
+    );
+    let server = Arc::new(
+        TkServer::bind(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default()).unwrap(),
+    );
+    let acceptor = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.serve())
+    };
+    (service, server, acceptor)
+}
 
 /// Sends `line` on `stream` and reads the single reply line.
 fn round_trip(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> String {
@@ -29,22 +55,8 @@ fn round_trip(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &
 
 #[test]
 fn tcp_round_trip_serves_queries_deadlines_and_drains() {
-    let service = Arc::new(
-        CoreService::start_sharded(
-            paper_example::graph(),
-            ShardPlan::Span,
-            ServiceConfig::default(),
-        )
-        .unwrap(),
-    );
-    let server = Arc::new(
-        TkServer::bind(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default()).unwrap(),
-    );
+    let (service, server, acceptor) = start_server();
     let addr = server.local_addr();
-    let acceptor = {
-        let server = Arc::clone(&server);
-        std::thread::spawn(move || server.serve())
-    };
 
     let mut stream = TcpStream::connect(addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
@@ -121,22 +133,8 @@ fn tcp_round_trip_serves_queries_deadlines_and_drains() {
 
 #[test]
 fn a_cut_connection_gets_a_truncated_line_reply() {
-    let service = Arc::new(
-        CoreService::start_sharded(
-            paper_example::graph(),
-            ShardPlan::Span,
-            ServiceConfig::default(),
-        )
-        .unwrap(),
-    );
-    let server = Arc::new(
-        TkServer::bind(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default()).unwrap(),
-    );
+    let (_service, server, acceptor) = start_server();
     let addr = server.local_addr();
-    let acceptor = {
-        let server = Arc::clone(&server);
-        std::thread::spawn(move || server.serve())
-    };
 
     // Write half a request and hang up the sending side: the server must
     // name the truncation instead of silently dropping the fragment.
@@ -163,22 +161,8 @@ fn a_cut_connection_gets_a_truncated_line_reply() {
 
 #[test]
 fn a_huge_k_max_gets_a_typed_reply_and_the_connection_survives() {
-    let service = Arc::new(
-        CoreService::start_sharded(
-            paper_example::graph(),
-            ShardPlan::Span,
-            ServiceConfig::default(),
-        )
-        .unwrap(),
-    );
-    let server = Arc::new(
-        TkServer::bind(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default()).unwrap(),
-    );
+    let (_service, server, acceptor) = start_server();
     let addr = server.local_addr();
-    let acceptor = {
-        let server = Arc::clone(&server);
-        std::thread::spawn(move || server.serve())
-    };
 
     // Expanding this sweep would allocate one slot per k and abort the
     // whole server; it must be refused with a typed reply instead.
@@ -191,6 +175,40 @@ fn a_huge_k_max_gets_a_typed_reply_and_the_connection_survives() {
     );
     assert!(reply.starts_with(r#"{"status":"error","id":9"#), "{reply}");
     assert!(reply.contains(r#""error":"KOutOfRange""#), "{reply}");
+
+    // The same connection still answers.
+    let reply = round_trip(&mut stream, &mut reader, r#"{"op": "ping"}"#);
+    assert_eq!(reply, r#"{"status":"ok","op":"ping"}"#);
+
+    server.stop();
+    acceptor
+        .join()
+        .expect("acceptor thread exits cleanly")
+        .expect("serve returns Ok on stop");
+}
+
+#[test]
+fn a_deeply_nested_line_gets_a_bad_request_and_the_connection_survives() {
+    let (_service, server, acceptor) = start_server();
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+
+    // Recursing once per bracket would overflow the connection worker's
+    // stack and abort the whole server.
+    let deep = "[".repeat(200_000);
+    let reply = round_trip(&mut stream, &mut reader, &deep);
+    assert!(reply.contains(r#""error":"BadRequest""#), "{reply}");
+    assert!(reply.contains("nesting deeper than"), "{reply}");
+
+    // Nesting at the cap is still well-formed JSON (just not a request).
+    let at_cap = format!(
+        "{}{}",
+        "[".repeat(wire::MAX_JSON_DEPTH),
+        "]".repeat(wire::MAX_JSON_DEPTH)
+    );
+    let reply = round_trip(&mut stream, &mut reader, &at_cap);
+    assert!(reply.contains(r#""error":"BadRequest""#), "{reply}");
+    assert!(!reply.contains("nesting deeper than"), "{reply}");
 
     // The same connection still answers.
     let reply = round_trip(&mut stream, &mut reader, r#"{"op": "ping"}"#);
