@@ -15,9 +15,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use tkc_datasets::{ArrivalProfile, DatasetProfile, DatasetStats, EventStream, EventStreamConfig};
 use tkcore::{
-    Affinity, Algorithm, CacheStats, CoreService, IngestDelta, IngestEvent, KOutput, Lane,
-    QueryRequest, SealPolicy, ServerConfig, ServiceConfig, ShardPlan, TimeRangeKCoreQuery, TkError,
-    TkServer,
+    Algorithm, CacheStats, CoreService, IngestDelta, IngestEvent, KOutput, Lane, QueryRequest,
+    SealPolicy, ServerConfig, ServiceConfig, ShardPlan, TimeRangeKCoreQuery, TkError, TkServer,
 };
 
 /// Errors reported to the CLI user.
@@ -55,7 +54,6 @@ USAGE:
   tkc query <edge-list> (--k <K> | --k-range <MIN>..=<MAX>)
             [--start <TS>] [--end <TE>] [--algo enum|enum-base|otcd|naive]
             [--output count|full] [--limit <N>] [--shards <S>] [--workers <W>]
-            [--affinity shared|shard]
       Enumerate all distinct temporal k-cores in the range [TS, TE]
       (default: the whole time span).  `--k-range` sweeps every k in the
       inclusive range through one cached engine, building at most one
@@ -64,29 +62,26 @@ USAGE:
       stitching at shard cuts via the cached boundary index); the default
       `--shards 0` keeps one span-wide shard, the unsharded engine.
       The request runs through a CoreService backed by a persistent
-      W-thread work-stealing pool (`--workers W`; the default 0 is one
-      worker per CPU), and `--affinity shard` routes each request to the
-      worker owning the shards its window overlaps.
+      W-thread pool (`--workers W`; the default 0 is one worker per CPU).
       `--output count` reports counts only; `--output full` (default)
       prints each core's tightest time interval, vertex count and edge
       count.
 
   tkc batch <edge-list> <queries-csv> [--algo enum|enum-base|otcd|naive]
             [--threads <N>] [--budget-mb <M>] [--shards <S>] [--workers <W>]
-            [--affinity shared|shard]
       Run a batch of queries through the cached query engine: one core-window
       index per k (per shard and k with `--shards S`; `--shards 0`, the
       default, is one span-wide shard), restricted per query.  Every query
       is submitted to a CoreService of W workers (`--workers W`, or its
       alias `--threads W`; the default 0 is one worker per CPU), which
-      reports per-worker latency; `--affinity shard` enables shard-affine
-      routing.  The CSV has one query per line, `k,start,end` (or just `k`
-      for the whole time span; `#` starts a comment).  Prints per-query
-      counts plus batch timing and cache statistics.
+      reports per-worker latency.  The CSV has one query per line,
+      `k,start,end` (or just `k` for the whole time span; `#` starts a
+      comment).  Prints per-query counts plus batch timing and cache
+      statistics.
 
   tkc ingest <edge-list> <events|-> [--shards <S>] [--workers <W>]
             [--batch <B>] [--seal-edges <N> | --seal-span <T>]
-            [--queries <csv>] [--stats] [--affinity shared|shard]
+            [--queries <csv>] [--stats]
       Append a live event stream (`u v t` per line; `-` reads stdin) onto
       the sharded engine built from the edge-list.  Events are absorbed in
       batches of B (default 64) into the live tail shard; closed-shard
@@ -102,7 +97,7 @@ USAGE:
       service counters.
 
   tkc serve <edge-list> [--addr <HOST:PORT>] [--shards <S>] [--workers <W>]
-            [--conn-workers <C>] [--queue-depth <D>] [--affinity shared|shard]
+            [--conn-workers <C>] [--queue-depth <D>]
       Serve the edge-list over TCP speaking line-delimited JSON (one request
       per line, one reply line back — the protocol is documented on
       `tkcore::wire`).  Each query may carry a priority lane (`interactive`
@@ -211,8 +206,6 @@ pub enum Command {
         shards: usize,
         /// Service worker threads (0 = one per CPU).
         workers: usize,
-        /// Lane routing of the service (`--affinity shared|shard`).
-        affinity: Affinity,
     },
     /// `tkc batch <file> <queries.csv> ...`
     Batch {
@@ -229,8 +222,6 @@ pub enum Command {
         /// Service worker threads, set by `--workers` or its alias
         /// `--threads` (0 = one per CPU).
         workers: usize,
-        /// Lane routing of the service (`--affinity shared|shard`).
-        affinity: Affinity,
     },
     /// `tkc ingest <file> <events|-> ...`
     Ingest {
@@ -253,8 +244,6 @@ pub enum Command {
         queries: Option<String>,
         /// Print ingest-side cache/service counters.
         stats: bool,
-        /// Lane routing of the service (`--affinity shared|shard`).
-        affinity: Affinity,
     },
     /// `tkc serve <file> ...`
     Serve {
@@ -270,8 +259,6 @@ pub enum Command {
         conn_workers: usize,
         /// Bounded request-queue depth (0 = the service default).
         queue_depth: usize,
-        /// Lane routing of the service (`--affinity shared|shard`).
-        affinity: Affinity,
     },
     /// `tkc client <addr> ...`
     Client {
@@ -351,7 +338,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut seal_span = 0u32;
             let mut queries = None;
             let mut stats = false;
-            let mut affinity = Affinity::Shard;
             let rest: Vec<&String> = it.collect();
             let mut i = 0;
             while i < rest.len() {
@@ -391,10 +377,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                         queries = Some(value("--queries")?.clone());
                         i += 1;
                     }
-                    "--affinity" => {
-                        affinity = parse_affinity(value("--affinity")?)?;
-                        i += 1;
-                    }
                     "--stats" => stats = true,
                     other => return Err(CliError(format!("unknown flag `{other}`"))),
                 }
@@ -415,7 +397,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 seal_span,
                 queries,
                 stats,
-                affinity,
             })
         }
         "serve" => {
@@ -428,7 +409,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut workers = 0usize;
             let mut conn_workers = 4usize;
             let mut queue_depth = 0usize;
-            let mut affinity = Affinity::Shared;
             let rest: Vec<&String> = it.collect();
             let mut i = 0;
             while i < rest.len() {
@@ -465,10 +445,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                         queue_depth = parse_num(value("--queue-depth")?, "--queue-depth")?;
                         i += 1;
                     }
-                    "--affinity" => {
-                        affinity = parse_affinity(value("--affinity")?)?;
-                        i += 1;
-                    }
                     other => return Err(CliError(format!("unknown flag `{other}`"))),
                 }
                 i += 1;
@@ -480,7 +456,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 workers,
                 conn_workers,
                 queue_depth,
-                affinity,
             })
         }
         "client" => {
@@ -666,7 +641,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut budget_mb = 256usize;
             let mut shards = 0usize;
             let mut workers = 0usize;
-            let mut affinity = Affinity::Shared;
             let rest: Vec<&String> = it.collect();
             let mut i = 0;
             while i < rest.len() {
@@ -696,10 +670,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                         workers = parse_num(value(flag)?, flag)?;
                         i += 1;
                     }
-                    "--affinity" => {
-                        affinity = parse_affinity(value("--affinity")?)?;
-                        i += 1;
-                    }
                     other => return Err(CliError(format!("unknown flag `{other}`"))),
                 }
                 i += 1;
@@ -711,7 +681,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 budget_mb,
                 shards,
                 workers,
-                affinity,
             })
         }
         "query" => {
@@ -728,7 +697,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut limit = 20usize;
             let mut shards = 0usize;
             let mut workers = 0usize;
-            let mut affinity = Affinity::Shared;
             let rest: Vec<&String> = it.collect();
             let mut i = 0;
             while i < rest.len() {
@@ -765,10 +733,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     }
                     "--workers" => {
                         workers = parse_num(value("--workers")?, "--workers")?;
-                        i += 1;
-                    }
-                    "--affinity" => {
-                        affinity = parse_affinity(value("--affinity")?)?;
                         i += 1;
                     }
                     "--algo" | "--algorithm" => {
@@ -814,7 +778,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 limit,
                 shards,
                 workers,
-                affinity,
             })
         }
         other => Err(CliError(format!("unknown command `{other}`\n\n{USAGE}"))),
@@ -824,11 +787,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
 fn parse_num(s: &str, what: &str) -> Result<usize, CliError> {
     s.parse()
         .map_err(|_| CliError(format!("{what}: `{s}` is not a number")))
-}
-
-fn parse_affinity(s: &str) -> Result<Affinity, CliError> {
-    s.parse()
-        .map_err(|e: String| CliError(format!("--affinity: {e}")))
 }
 
 /// Parses an inclusive `k` range: `2..=5`, `2..5` or `2-5` all mean
@@ -1202,7 +1160,6 @@ pub fn run(command: Command) -> Result<String, CliError> {
             budget_mb,
             shards,
             workers,
-            affinity,
         } => {
             let graph = temporal_graph::loader::read_edge_list(&path)?;
             let content = std::fs::read_to_string(&queries)
@@ -1213,7 +1170,6 @@ pub fn run(command: Command) -> Result<String, CliError> {
             let config = ServiceConfig {
                 queue_depth: parsed.len(),
                 workers: service_workers(workers),
-                affinity,
                 admission_memory_bytes: None,
                 engine: tkcore::EngineConfig {
                     memory_budget_bytes: budget_mb * 1024 * 1024,
@@ -1226,11 +1182,10 @@ pub fn run(command: Command) -> Result<String, CliError> {
             let stats = service.stats();
             let _ = writeln!(
                 out,
-                "\n{}: {} queries via {} service workers ({} affinity; {} cores, |R| = {} edges)",
+                "\n{}: {} queries via {} service workers ({} cores, |R| = {} edges)",
                 algorithm,
                 parsed.len(),
                 stats.per_worker.len(),
-                affinity,
                 rows.iter().map(|&(cores, _)| cores).sum::<u64>(),
                 rows.iter().map(|&(_, edges)| edges).sum::<u64>()
             );
@@ -1253,7 +1208,6 @@ pub fn run(command: Command) -> Result<String, CliError> {
             seal_span,
             queries,
             stats,
-            affinity,
         } => {
             let graph = temporal_graph::loader::read_edge_list(&path)?;
             let label = if events == "-" {
@@ -1293,7 +1247,6 @@ pub fn run(command: Command) -> Result<String, CliError> {
                     .map_or(0, |(_, content)| content.lines().count())
                     .max(8),
                 workers: service_workers(workers),
-                affinity,
                 admission_memory_bytes: None,
                 engine: tkcore::EngineConfig {
                     seal_policy,
@@ -1362,12 +1315,10 @@ pub fn run(command: Command) -> Result<String, CliError> {
             workers,
             conn_workers,
             queue_depth,
-            affinity,
         } => {
             let graph = temporal_graph::loader::read_edge_list(&path)?;
             let mut config = ServiceConfig {
                 workers: service_workers(workers),
-                affinity,
                 ..ServiceConfig::default()
             };
             if queue_depth > 0 {
@@ -1506,7 +1457,6 @@ pub fn run(command: Command) -> Result<String, CliError> {
             limit,
             shards,
             workers,
-            affinity,
         } => {
             let graph = temporal_graph::loader::read_edge_list(&path)?;
             let start = start.unwrap_or(1);
@@ -1524,7 +1474,6 @@ pub fn run(command: Command) -> Result<String, CliError> {
             let workers = service_workers(workers);
             let config = ServiceConfig {
                 workers,
-                affinity,
                 ..ServiceConfig::default()
             };
             let service = CoreService::start_sharded(graph, shard_plan(shards), config)?;
@@ -1580,7 +1529,7 @@ pub fn run(command: Command) -> Result<String, CliError> {
             }
             let _ = writeln!(
                 out,
-                "service: {workers} workers ({affinity} affinity), request {} queued {:?}, \
+                "service: {workers} workers, request {} queued {:?}, \
                  executed {:?} on worker {}",
                 reply.id, reply.queue_wait, reply.execute_time, reply.worker
             );
@@ -1636,7 +1585,6 @@ mod tests {
                 limit: 5,
                 shards: 0,
                 workers: 0,
-                affinity: Affinity::Shared,
             }
         );
         // --algorithm and --count-only remain as aliases.
@@ -1662,10 +1610,9 @@ mod tests {
                 limit: 20,
                 shards: 0,
                 workers: 0,
-                affinity: Affinity::Shared,
             }
         );
-        // Sharded, service-backed execution with shard-affine routing.
+        // Sharded, service-backed execution.
         let sharded = parse_args(&strings(&[
             "query",
             "g.txt",
@@ -1675,8 +1622,6 @@ mod tests {
             "4",
             "--workers",
             "2",
-            "--affinity",
-            "shard",
         ]))
         .unwrap();
         assert_eq!(
@@ -1691,18 +1636,8 @@ mod tests {
                 limit: 20,
                 shards: 4,
                 workers: 2,
-                affinity: Affinity::Shard,
             }
         );
-        assert!(parse_args(&strings(&[
-            "query",
-            "g.txt",
-            "--k",
-            "2",
-            "--affinity",
-            "wat"
-        ]))
-        .is_err());
     }
 
     #[test]
@@ -1721,7 +1656,6 @@ mod tests {
                     limit: 20,
                     shards: 0,
                     workers: 0,
-                    affinity: Affinity::Shared,
                 },
                 "{spelled}"
             );
@@ -1772,7 +1706,6 @@ mod tests {
             limit: 10,
             shards: 0,
             workers: 0,
-            affinity: Affinity::Shared,
         })
         .unwrap_err();
         assert!(err.0.contains("k = 0"), "{err}");
@@ -1809,7 +1742,6 @@ mod tests {
             limit: 10,
             shards: 0,
             workers: 0,
-            affinity: Affinity::Shared,
         })
         .unwrap();
         assert!(out.contains("distinct temporal 3-cores"));
@@ -1826,7 +1758,6 @@ mod tests {
             limit: 10,
             shards: 0,
             workers: 0,
-            affinity: Affinity::Shared,
         })
         .unwrap();
         for k in 2..=4 {
@@ -1853,7 +1784,7 @@ mod tests {
             output: path_str.clone(),
         })
         .unwrap();
-        let query = |shards: usize, workers: usize, affinity: Affinity| {
+        let query = |shards: usize, workers: usize| {
             run(Command::Query {
                 path: path_str.clone(),
                 ks: KSpec::Single(3),
@@ -1864,7 +1795,6 @@ mod tests {
                 limit: 10,
                 shards,
                 workers,
-                affinity,
             })
             .unwrap()
         };
@@ -1882,7 +1812,7 @@ mod tests {
         );
         // The default, sharded, multi-worker, and combined runs all report
         // the same counts line; the serving detail rides below it.
-        let default = query(0, 0, Affinity::Shared);
+        let default = query(0, 0);
         assert!(
             default.contains(&direct_counts),
             "{default}\n{direct_counts}"
@@ -1891,16 +1821,15 @@ mod tests {
             default.contains(&format!("service: {} workers", cpus())),
             "{default}"
         );
-        let sharded = query(4, 0, Affinity::Shared);
+        let sharded = query(4, 0);
         assert!(sharded.contains(&direct_counts), "{sharded}");
         assert!(sharded.contains("shard builds over 4 shards"), "{sharded}");
-        let served = query(0, 2, Affinity::Shared);
+        let served = query(0, 2);
         assert!(served.contains(&direct_counts), "{served}");
         assert!(served.contains("service: 2 workers"), "{served}");
-        let both = query(4, 2, Affinity::Shard);
+        let both = query(4, 2);
         assert!(both.contains(&direct_counts), "{both}");
         assert!(both.contains("shard builds over 4 shards"), "{both}");
-        assert!(both.contains("shard affinity"), "{both}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1933,7 +1862,6 @@ mod tests {
                 budget_mb: 64,
                 shards: 0,
                 workers: 4,
-                affinity: Affinity::Shared,
             }
         );
         let sharded = parse_args(&strings(&[
@@ -1944,8 +1872,6 @@ mod tests {
             "4",
             "--workers",
             "2",
-            "--affinity",
-            "shard",
         ]))
         .unwrap();
         assert_eq!(
@@ -1957,7 +1883,6 @@ mod tests {
                 budget_mb: 256,
                 shards: 4,
                 workers: 2,
-                affinity: Affinity::Shard,
             }
         );
         // Without either flag the batch fans across one worker per CPU.
@@ -2018,7 +1943,6 @@ mod tests {
             budget_mb: 32,
             shards: 0,
             workers: 0,
-            affinity: Affinity::Shared,
         })
         .unwrap();
         assert!(out.contains("3 queries"), "{out}");
@@ -2048,7 +1972,6 @@ mod tests {
             budget_mb: 32,
             shards: 4,
             workers: 0,
-            affinity: Affinity::Shared,
         })
         .unwrap();
         assert!(sharded.contains(expected_row.trim_end()), "{sharded}");
@@ -2061,7 +1984,6 @@ mod tests {
             budget_mb: 32,
             shards: 4,
             workers: 2,
-            affinity: Affinity::Shared,
         })
         .unwrap();
         assert!(served.contains(expected_row.trim_end()), "{served}");
@@ -2099,7 +2021,6 @@ mod tests {
                 seal_span: 0,
                 queries: None,
                 stats: true,
-                affinity: Affinity::Shard,
             }
         );
         assert!(parse_args(&strings(&[
@@ -2168,7 +2089,6 @@ mod tests {
             seal_span: 0,
             queries: Some(queries_path.to_string_lossy().to_string()),
             stats: true,
-            affinity: Affinity::Shard,
         })
         .unwrap();
         assert!(out.contains("ingested 120/120 events"), "{out}");
@@ -2191,7 +2111,6 @@ mod tests {
             seal_span: 0,
             queries: Some(queries_path.to_string_lossy().to_string()),
             stats: true,
-            affinity: Affinity::Shard,
         })
         .unwrap();
         assert!(served.contains("ingested 120/120 events"), "{served}");
@@ -2220,7 +2139,6 @@ mod tests {
             seal_span: 0,
             queries: None,
             stats: false,
-            affinity: Affinity::Shard,
         })
         .unwrap();
         let rejected: u64 = jittered
@@ -2246,7 +2164,6 @@ mod tests {
                 workers: 0,
                 conn_workers: 4,
                 queue_depth: 0,
-                affinity: Affinity::Shared,
             }
         );
         assert_eq!(
@@ -2263,8 +2180,6 @@ mod tests {
                 "8",
                 "--queue-depth",
                 "16",
-                "--affinity",
-                "shard",
             ]))
             .unwrap(),
             Command::Serve {
@@ -2274,7 +2189,6 @@ mod tests {
                 workers: 2,
                 conn_workers: 8,
                 queue_depth: 16,
-                affinity: Affinity::Shard,
             }
         );
         // The default `--workers 0` serves with one worker per CPU, not one.

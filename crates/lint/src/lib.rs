@@ -2,8 +2,8 @@
 //! workspace.
 //!
 //! The serving stack rests on hand-rolled concurrency — the
-//! [`ExecPool`](../tkcore/exec/index.html) work-stealing pool, per-shard
-//! service lanes, LRU caches behind mutexes — whose safety claims (panic
+//! [`ExecPool`](../tkcore/exec/index.html) thread pool, the service's
+//! two-priority queue, LRU caches behind mutexes — whose safety claims (panic
 //! isolation, poison recovery, deadlock-free nested fan-out) are invariants
 //! of *convention*, not of the type system.  This crate machine-checks them
 //! on every PR:

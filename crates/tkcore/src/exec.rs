@@ -1,17 +1,12 @@
-//! A persistent work-stealing thread pool: [`ExecPool`].
+//! A persistent thread pool over one shared FIFO: [`ExecPool`].
 //!
-//! Before this module, every batch call spun up transient
-//! `std::thread::scope` workers and [`crate::CoreService`] kept its own
-//! dedicated worker threads over one shared queue.  `ExecPool` replaces both
-//! with one persistent pool shared by the engines and the serving layer:
+//! One pool serves both the engines' batches and the serving layer:
 //!
-//! * **per-worker lanes** — every worker owns a deque of tasks
-//!   ([`ExecPool::spawn_on`] targets a lane), which is how the service pins
-//!   shard-affine requests to the workers owning those shards' cache
-//!   partitions;
-//! * **stealing** — a worker that drains its own lane takes tasks from the
-//!   shared injector ([`ExecPool::spawn`]) and then steals from the *back*
-//!   of other workers' lanes, so affinity is a preference, never a stall;
+//! * **one queue** — [`ExecPool::spawn`] appends a task to a single FIFO
+//!   that every worker pops from, so tasks start in submission order on
+//!   whichever worker frees up first.  Priority between request classes is
+//!   the service's business ([`crate::CoreService`] keeps its own
+//!   two-priority queue and spawns one pool task per job);
 //! * **nested batches** — [`ExecPool::run_batch`] fans an indexed closure
 //!   across the pool with the *calling thread participating*: the caller
 //!   claims indexes from the same atomic counter as the helper tasks, so a
@@ -19,16 +14,12 @@
 //!   `k`-sweep across the same pool) always completes even if every worker
 //!   is busy — no thread ever waits on work only other threads can do;
 //! * **panic isolation** — a panicking task never kills its worker thread:
-//!   the worker catches the unwind and keeps serving its lane, and
+//!   the worker catches the unwind and keeps serving the queue, and
 //!   `run_batch` re-raises the first payload on the calling thread.
 //!
-//! The offline build environment has no crates.io access, so there is no
-//! rayon or crossbeam here: the deques are `VecDeque`s behind one pool
-//! mutex.  Tasks are whole temporal k-core queries or index builds
-//! (microseconds to seconds), so the scheduler lock is never the
-//! bottleneck; the *scheduling policy* (own lane first, then injector, then
-//! steal) is the same as a crossbeam-deque pool and swapping the storage
-//! for lock-free deques later is local to this file.
+//! The queue is a `VecDeque` behind one pool mutex.  Tasks are whole
+//! temporal k-core queries or index builds (microseconds to seconds), so
+//! the scheduler lock is never the bottleneck.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -42,10 +33,8 @@ use crate::sync;
 type Task = Box<dyn FnOnce(usize) + Send + 'static>;
 
 struct PoolState {
-    /// Shared FIFO for tasks without lane affinity (batch helpers).
-    injector: VecDeque<Task>,
-    /// Per-worker deques: the owner pops the front, thieves pop the back.
-    lanes: Vec<VecDeque<Task>>,
+    /// The one FIFO every worker pops from.
+    queue: VecDeque<Task>,
     /// `false` once the pool is shutting down; queued tasks still drain.
     open: bool,
 }
@@ -63,7 +52,7 @@ impl PoolShared {
     }
 }
 
-/// A persistent work-stealing pool of named OS threads.
+/// A persistent pool of named OS threads over one shared FIFO.
 ///
 /// See the [module documentation](self) for the scheduling policy.  Workers
 /// live until the pool is dropped; dropping signals shutdown, drains every
@@ -90,8 +79,7 @@ impl ExecPool {
         let workers = workers.max(1);
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
-                injector: VecDeque::new(),
-                lanes: (0..workers).map(|_| VecDeque::new()).collect(),
+                queue: VecDeque::new(),
                 open: true,
             }),
             work_ready: Condvar::new(),
@@ -113,35 +101,17 @@ impl ExecPool {
         })
     }
 
-    /// Number of worker threads (and lanes) in the pool.
+    /// Number of worker threads in the pool.
     pub fn num_workers(&self) -> usize {
         self.workers
     }
 
-    /// Enqueues a task on the shared injector; any worker may execute it.
+    /// Appends a task to the pool's queue; the first idle worker runs it.
     pub fn spawn(&self, task: impl FnOnce(usize) + Send + 'static) {
         let mut state = self.shared.lock();
-        state.injector.push_back(Box::new(task));
+        state.queue.push_back(Box::new(task));
         drop(state);
         self.shared.work_ready.notify_one();
-    }
-
-    /// Enqueues a task on worker `lane % num_workers()`'s own deque.  The
-    /// owning worker prefers it over stolen work, but an idle worker will
-    /// steal it — affinity is a locality hint, not a pin.
-    pub fn spawn_on(&self, lane: usize, task: impl FnOnce(usize) + Send + 'static) {
-        let lane = lane % self.workers;
-        let mut state = self.shared.lock();
-        state.lanes[lane].push_back(Box::new(task));
-        drop(state);
-        self.shared.work_ready.notify_one();
-    }
-
-    /// Queue depth of every lane, in lane order (the service's least-loaded
-    /// routing reads this).
-    pub fn lane_lens(&self) -> Vec<usize> {
-        let state = self.shared.lock();
-        state.lanes.iter().map(VecDeque::len).collect()
     }
 
     /// Runs `run(i)` for every `i < len` across the pool **and the calling
@@ -190,31 +160,12 @@ impl Drop for ExecPool {
     }
 }
 
-/// Pops the next task for `worker`: own lane front, then the injector, then
-/// steal from the back of the other lanes (oldest task of the most local
-/// victim first).
-fn pop_task(state: &mut PoolState, worker: usize) -> Option<Task> {
-    if let Some(task) = state.lanes[worker].pop_front() {
-        return Some(task);
-    }
-    if let Some(task) = state.injector.pop_front() {
-        return Some(task);
-    }
-    let n = state.lanes.len();
-    for offset in 1..n {
-        if let Some(task) = state.lanes[(worker + offset) % n].pop_back() {
-            return Some(task);
-        }
-    }
-    None
-}
-
 fn worker_loop(shared: &PoolShared, worker: usize) {
     loop {
         let task = {
             let mut state = shared.lock();
             loop {
-                if let Some(task) = pop_task(&mut state, worker) {
+                if let Some(task) = state.queue.pop_front() {
                     break task;
                 }
                 if !state.open {
@@ -224,9 +175,8 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
                 state = sync::wait(&shared.work_ready, state);
             }
         };
-        // A panicking task must not kill the worker: lanes pinned to this
-        // worker would starve until stolen, and the service's per-worker
-        // accounting would lose a lane.  The payload is dropped here; batch
+        // A panicking task must not kill the worker: the pool would shrink
+        // by one thread for good.  The payload is dropped here; batch
         // tasks re-raise on the calling thread, service tasks convert the
         // panic to a typed error before it reaches this frame.
         let _ = catch_unwind(AssertUnwindSafe(|| task(worker)));
@@ -352,10 +302,10 @@ mod tests {
         let pool = ExecPool::new(2);
         let counter = Arc::new(AtomicU64::new(0));
         let (tx, rx) = std::sync::mpsc::channel();
-        for lane in 0..4 {
+        for _ in 0..4 {
             let task_counter = Arc::clone(&counter);
             let task_tx = tx.clone();
-            pool.spawn_on(lane, move |worker| {
+            pool.spawn(move |worker| {
                 assert!(worker < 2, "worker index within the pool");
                 task_counter.fetch_add(1, Ordering::Relaxed);
                 task_tx.send(()).unwrap();
@@ -365,7 +315,6 @@ mod tests {
             rx.recv_timeout(Duration::from_secs(10)).expect("task ran");
         }
         assert_eq!(counter.load(Ordering::Relaxed), 4);
-        assert_eq!(pool.lane_lens().len(), 2);
     }
 
     #[test]
@@ -388,9 +337,9 @@ mod tests {
     fn dropping_the_pool_drains_queued_tasks() {
         let pool = ExecPool::new(1);
         let counter = Arc::new(AtomicU64::new(0));
-        for lane in 0..8 {
+        for _ in 0..8 {
             let task_counter = Arc::clone(&counter);
-            pool.spawn_on(lane, move |_| {
+            pool.spawn(move |_| {
                 task_counter.fetch_add(1, Ordering::Relaxed);
             });
         }

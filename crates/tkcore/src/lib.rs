@@ -28,9 +28,8 @@
 //! # Execution model
 //!
 //! All parallelism runs on one primitive: [`exec::ExecPool`], a
-//! **persistent work-stealing pool** of named OS threads (per-worker task
-//! deques plus a shared injector; idle workers steal from the back of other
-//! lanes).  Nothing in the crate spawns transient per-call threads:
+//! **persistent pool** of named OS threads over one shared FIFO.  Nothing
+//! in the crate spawns transient per-call threads:
 //!
 //! * [`ShardedEngine::execute_batch`] fans every `(request, k)` unit of a
 //!   batch across the engine's pool — created lazily on the first
@@ -38,14 +37,11 @@
 //!   a [`CoreService`]; the calling thread counts as one of them and
 //!   participates in every batch, so nested fan-out never deadlocks;
 //! * [`CoreService`] owns a pool of [`ServiceConfig::workers`] threads and
-//!   routes every admitted request onto a **per-worker service lane**.
-//!   With [`Affinity::Shard`], a request whose window overlaps shards
-//!   `{i..j}` is scheduled onto the least-loaded worker owning one of
-//!   those shards' cache partitions (shards split into contiguous
-//!   per-worker blocks), keeping `(shard, k)` skylines and boundary-stitch
-//!   entries hot in one worker's hands; [`Affinity::Shared`] simply
-//!   load-balances.  Either way idle workers **steal** across lanes, so
-//!   affinity is a locality preference, never a stall.  An engine created
+//!   keeps **one two-priority queue** of admitted requests; each admission
+//!   spawns one pool task, which runs the oldest waiting interactive
+//!   request, else the oldest batch one, on whichever worker is free.  The
+//!   skyline and stitch caches are engine-wide, so every worker is an
+//!   equally good home for every request.  An engine created
 //!   by [`CoreService::start_sharded`] (or adopted by
 //!   [`CoreService::over_sharded`]) shares the service's pool, so a
 //!   multi-`k` sweep fans out on the same threads that serve requests;
@@ -105,9 +101,8 @@
 //!   and queries serialize only at the snapshot swap;
 //! * [`CoreService::submit_append`] queues batches on the service's
 //!   **ingest lane** (same admission control as queries, absorbed on the
-//!   worker owning the tail shard's cache partition, broken out in
-//!   [`ServiceStats::ingest`]), and the `tkc ingest` CLI command drives
-//!   file/stdin event streams through it.
+//!   next free worker, broken out in [`ServiceStats::ingest`]), and the
+//!   `tkc ingest` CLI command drives file/stdin event streams through it.
 //!
 //! # Serving
 //!
@@ -257,7 +252,7 @@
 //!   calling into shard code that takes the stats lock, composed with the
 //!   reverse order elsewhere.
 //! * **no-blocking-in-worker** — no fn reachable from a closure handed to
-//!   [`exec::ExecPool::spawn`] / `spawn_on` / `run_batch` blocks
+//!   [`exec::ExecPool::spawn`] / `run_batch` blocks
 //!   (`Ticket::wait`, `Condvar::wait`, `JoinHandle::join`,
 //!   [`sync::wait`]): a worker waiting on work only another worker can
 //!   finish deadlocks the pool.  The two sanctioned waits in `exec.rs`
@@ -315,9 +310,8 @@ pub use request::{
 pub use result::TemporalKCore;
 pub use server::{ServeSummary, ServerConfig, TkServer};
 pub use service::{
-    Affinity, CoreService, IngestLaneStats, IngestReply, IngestTicket, Lane, LaneStats,
-    LatencyHistogram, RequestId, ServiceConfig, ServiceReply, ServiceStats, SubmitOptions, Ticket,
-    WorkerStats,
+    CoreService, IngestLaneStats, IngestReply, IngestTicket, Lane, LaneStats, LatencyHistogram,
+    RequestId, ServiceConfig, ServiceReply, ServiceStats, SubmitOptions, Ticket, WorkerStats,
 };
 pub use shard::{ShardPlan, ShardedEngine};
 pub use sink::{CollectingSink, CountingSink, FnSink, ResultSink};

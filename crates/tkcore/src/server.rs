@@ -11,6 +11,9 @@
 //!   [`TkError::DeadlineExceeded`], and interactive traffic dequeues ahead
 //!   of batch traffic.  A shed or refused request is an **error reply**,
 //!   never a closed connection;
+//! * **bounded input** — a request line longer than
+//!   [`wire::MAX_LINE_BYTES`] gets a `BadRequest` reply and the connection
+//!   closes, so a connection's line buffer never grows past that bound;
 //! * **bounded concurrency** — connections are handled by a dedicated
 //!   [`ExecPool`] of [`ServerConfig::connection_workers`] tasks, disjoint
 //!   from the service's worker pool.  A connection task blocks on its
@@ -27,7 +30,7 @@
 //! The accept loop runs on the caller's thread (it is the only blocking
 //! loop outside the pool), so `TkServer` spawns no raw threads.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -198,7 +201,7 @@ fn wake_acceptor(shared: &ServerShared) {
 }
 
 /// Serves one connection: read a line, handle it, write one reply line,
-/// repeat until EOF, a write failure, or a server drain.
+/// repeat until EOF, an over-long line, a write failure, or a server drain.
 fn handle_connection(shared: &ServerShared, stream: TcpStream) {
     // A finite read timeout turns an idle blocked read into a periodic
     // drain check, so lingering idle clients cannot stall a graceful drain
@@ -209,18 +212,18 @@ fn handle_connection(shared: &ServerShared, stream: TcpStream) {
     };
     let mut writer = write_half;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        // Retry loop for idle-poll timeouts; `read_line` keeps partially
-        // read bytes in `line`, so retrying never drops data.
-        let eof = loop {
-            match reader.read_line(&mut line) {
-                Ok(0) => break true,
-                // `read_line` returns bytes without a trailing newline only
-                // at EOF — the stream was cut mid-line.
-                Ok(_) if line.ends_with('\n') => break false,
-                Ok(_) => break true,
+        // Retry loop for idle-poll timeouts; `read_until` keeps partially
+        // read bytes in `line`, so retrying never drops data.  Each read may
+        // take only what is left of the cap plus one byte, which is how an
+        // over-long line is told apart from one exactly at the cap.
+        let complete = loop {
+            let budget = (wire::MAX_LINE_BYTES + 1).saturating_sub(line.len()) as u64;
+            match (&mut reader).take(budget).read_until(b'\n', &mut line) {
+                // Without a newline, the read stopped at the cap or at EOF.
+                Ok(_) => break line.ends_with(b"\n"),
                 Err(e)
                     if matches!(
                         e.kind(),
@@ -234,21 +237,29 @@ fn handle_connection(shared: &ServerShared, stream: TcpStream) {
                 Err(_) => return,
             }
         };
-        if eof {
-            if !line.trim().is_empty() {
-                // The stream was cut mid-line; tell the client rather than
-                // silently dropping the fragment.
-                let reply =
-                    wire::render_error_code(None, "BadRequest", "truncated final request line");
-                let _ = writeln!(writer, "{reply}");
-            }
+        if !complete {
+            // An over-long line, or a stream cut mid-line: tell the client
+            // rather than silently dropping the bytes, then close.
+            let defect = if line.len() > wire::MAX_LINE_BYTES {
+                format!("request line longer than {} bytes", wire::MAX_LINE_BYTES)
+            } else if line.trim_ascii().is_empty() {
+                return;
+            } else {
+                "truncated final request line".to_string()
+            };
+            let reply = wire::render_error_code(None, "BadRequest", &defect);
+            let _ = writeln!(writer, "{reply}");
             return;
         }
-        if line.trim().is_empty() {
+        let line = line.trim_ascii();
+        if line.is_empty() {
             continue;
         }
         shared.requests.fetch_add(1, Ordering::Relaxed);
-        let reply = handle_line(shared, line.trim());
+        let reply = match std::str::from_utf8(line) {
+            Ok(line) => handle_line(shared, line),
+            Err(_) => wire::render_error_code(None, "BadRequest", "request line is not UTF-8"),
+        };
         if writeln!(writer, "{reply}")
             .and_then(|()| writer.flush())
             .is_err()

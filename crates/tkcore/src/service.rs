@@ -1,12 +1,10 @@
 //! A pool-backed serving front end: [`CoreService`].
 //!
-//! The ROADMAP's sharded / async serving layer needs a seam between clients
-//! and the query engines: a bounded queue with admission control, typed
-//! rejection, and per-request accounting.  `CoreService` is that seam — a
-//! persistent [`ExecPool`] of
-//! [`ServiceConfig::workers`] threads executing validated requests from
-//! **per-worker service lanes** on a [`ShardedEngine`] (an unsharded
-//! service runs a [`ShardPlan::Span`] engine):
+//! `CoreService` is the seam between clients and the query engine: one
+//! bounded two-priority queue with admission control, typed rejection, and
+//! per-request accounting, in front of a [`ShardedEngine`] (an unsharded
+//! service runs a [`ShardPlan::Span`] engine) executed by a persistent
+//! [`ExecPool`] of [`ServiceConfig::workers`] threads:
 //!
 //! * [`CoreService::submit`] **validates synchronously** (malformed requests
 //!   never occupy queue capacity) and then applies **admission control**:
@@ -14,14 +12,12 @@
 //!   the engine's skyline cache sits above
 //!   [`ServiceConfig::admission_memory_bytes`], the request is refused with
 //!   [`TkError::BudgetExceeded`] instead of being queued;
-//! * admitted requests are routed to a lane by [`ServiceConfig::affinity`]:
-//!   [`Affinity::Shard`] schedules a request whose window overlaps shards
-//!   `{i..j}` onto the least-loaded worker **owning one of those shards'
-//!   cache partitions** (shards are split into contiguous per-worker
-//!   blocks), so `(shard, k)` skylines and boundary-stitch entries stop
-//!   ping-ponging between threads; [`Affinity::Shared`] load-balances
-//!   across all lanes.  Idle workers **steal** from other lanes either way,
-//!   so affinity never strands a request behind a busy owner;
+//! * an admitted request joins the service's one queue and spawns one pool
+//!   task; each task pops the oldest waiting **interactive** request, else
+//!   the oldest **batch** one (see [`Lane`]), so whichever worker frees up
+//!   first runs the request the priority rule names.  The skyline and
+//!   stitch caches are engine-wide, so no worker is a better home for a
+//!   request than any other;
 //! * every admitted request gets a [`RequestId`] and a [`Ticket`]; the reply
 //!   carries queue-wait and execution latency alongside the
 //!   [`QueryResponse`], and [`ServiceStats::per_worker`] breaks latency out
@@ -35,12 +31,11 @@
 //!   **same pool** (the executing worker participates, so nested fan-out
 //!   cannot deadlock), and a `k`-range sweep still costs at most one skyline
 //!   build per `(shard, k)`;
-//! * every request belongs to a priority [`Lane`] and may carry a
-//!   **deadline** ([`CoreService::submit_opts`]): workers dequeue waiting
-//!   interactive requests ahead of batch ones, and a request whose deadline
-//!   expired while it waited is **shed** with [`TkError::DeadlineExceeded`]
-//!   instead of executing — overload degrades batch traffic first and never
-//!   spends a worker on an answer nobody is waiting for.
+//! * a request may carry a **deadline** ([`CoreService::submit_opts`]): a
+//!   request whose deadline expired while it waited is **shed** with
+//!   [`TkError::DeadlineExceeded`] instead of executing — overload degrades
+//!   batch traffic first and never spends a worker on an answer nobody is
+//!   waiting for.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -55,49 +50,15 @@ use crate::ingest::{AbsorbStats, IngestEvent};
 use crate::query::Algorithm;
 use crate::request::{QueryRequest, QueryResponse};
 use crate::shard::{ShardPlan, ShardedEngine};
-use temporal_graph::{TemporalGraph, TimeWindow};
-
-/// How [`CoreService`] routes admitted requests onto worker lanes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Affinity {
-    /// Load-balance every request onto the least-loaded lane.
-    #[default]
-    Shared,
-    /// Route a request to the least-loaded worker owning one of the shards
-    /// its window overlaps (shards are partitioned into contiguous
-    /// per-worker blocks).  Falls back to [`Affinity::Shared`] on a
-    /// one-shard engine.
-    Shard,
-}
-
-impl std::fmt::Display for Affinity {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Affinity::Shared => write!(f, "shared"),
-            Affinity::Shard => write!(f, "shard"),
-        }
-    }
-}
-
-impl std::str::FromStr for Affinity {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "shared" => Ok(Affinity::Shared),
-            "shard" => Ok(Affinity::Shard),
-            other => Err(format!("`{other}` is not `shared` or `shard`")),
-        }
-    }
-}
+use temporal_graph::TemporalGraph;
 
 /// Priority class of a submitted request (see [`SubmitOptions::lane`]).
 ///
-/// Workers always dequeue waiting `Interactive` requests before `Batch`
-/// ones on every worker lane; within a class, requests dequeue in FIFO
-/// order.  Admission control (queue depth, memory gate) and deadlines apply
-/// to both classes alike — priority decides *who runs first*, not *who gets
-/// in*.
+/// Whichever worker frees up next dequeues the oldest waiting
+/// `Interactive` request, and the oldest `Batch` one only when no
+/// interactive request waits.  Admission control (queue depth, memory
+/// gate) and deadlines apply to both classes alike — priority decides *who
+/// runs first*, not *who gets in*.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Lane {
     /// Latency-sensitive traffic; always served first.
@@ -198,7 +159,7 @@ impl SubmitOptions {
 /// Tuning knobs of a [`CoreService`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
-    /// Maximum number of requests waiting in the lanes (not counting the
+    /// Maximum number of requests waiting in the queue (not counting the
     /// ones currently executing on workers).  Submissions beyond this depth
     /// are refused with [`TkError::BudgetExceeded`].
     pub queue_depth: usize,
@@ -206,8 +167,6 @@ pub struct ServiceConfig {
     /// `1`.  Each worker executes one request at a time, so up to `workers`
     /// requests are in flight concurrently.
     pub workers: usize,
-    /// Lane-routing policy for admitted requests.
-    pub affinity: Affinity,
     /// Refuse new requests while the engine's skyline cache holds more than
     /// this many resident bytes (`None` disables the memory gate; the
     /// engine's own LRU budget still bounds the cache itself).
@@ -221,7 +180,6 @@ impl Default for ServiceConfig {
         Self {
             queue_depth: 64,
             workers: 1,
-            affinity: Affinity::Shared,
             admission_memory_bytes: None,
             engine: crate::engine::EngineConfig::default(),
         }
@@ -387,7 +345,7 @@ pub struct WorkerStats {
 /// panicking requests intact (a poisoned lock is recovered, not dropped).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Requests admitted to the lanes.
+    /// Requests admitted to the queue.
     pub admitted: u64,
     /// Requests refused by admission control ([`TkError::BudgetExceeded`]).
     pub rejected: u64,
@@ -443,7 +401,7 @@ pub struct LaneStats {
 /// Ingest-lane counters of a [`CoreService`] (see [`ServiceStats::ingest`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestLaneStats {
-    /// Append batches admitted to the lanes.
+    /// Append batches admitted to the queue.
     pub submitted: u64,
     /// Batches absorbed successfully.
     pub completed: u64,
@@ -480,8 +438,8 @@ struct Admission<'a, T> {
     ticket: mpsc::Receiver<T>,
 }
 
-/// The waiting jobs of one pool worker lane, split by priority: dequeue
-/// takes interactive jobs first, FIFO within each class.
+/// The service's waiting query jobs, split by priority: dequeue takes
+/// interactive jobs first, FIFO within each class.
 #[derive(Default)]
 struct LaneQueues {
     interactive: VecDeque<Job>,
@@ -509,10 +467,9 @@ struct ServiceState {
     queued: usize,
     /// Requests currently executing.
     in_flight: usize,
-    /// Waiting query jobs, one two-priority queue pair per pool worker
-    /// lane.  Every push is paired with one pool task that pops from the
-    /// same pair, so the queues and the pool stay in lockstep.
-    queues: Vec<LaneQueues>,
+    /// Waiting query jobs.  Every push is paired with one pool task that
+    /// pops from this queue, so the queue and the pool stay in lockstep.
+    queue: LaneQueues,
     stats: ServiceStats,
 }
 
@@ -530,17 +487,8 @@ impl ServiceShared {
     }
 }
 
-/// Maps a shard to the worker lane owning its cache partition: shards are
-/// split into `workers` contiguous blocks of the timeline.
-fn lane_of_shard(shard: usize, num_shards: usize, workers: usize) -> usize {
-    if num_shards == 0 || workers == 0 {
-        return 0;
-    }
-    (shard * workers / num_shards).min(workers - 1)
-}
-
-/// A query-serving front end: bounded per-worker lanes + admission control
-/// over a [`ShardedEngine`], executed by a persistent work-stealing pool of
+/// A query-serving front end: one bounded two-priority queue + admission
+/// control over a [`ShardedEngine`], executed by a persistent pool of
 /// [`ServiceConfig::workers`] threads.
 ///
 /// # Example
@@ -606,9 +554,7 @@ impl CoreService {
                 open: true,
                 queued: 0,
                 in_flight: 0,
-                queues: (0..pool.num_workers())
-                    .map(|_| LaneQueues::default())
-                    .collect(),
+                queue: LaneQueues::default(),
                 stats: ServiceStats {
                     per_worker: vec![WorkerStats::default(); pool.num_workers()],
                     ..ServiceStats::default()
@@ -650,9 +596,9 @@ impl CoreService {
         self.submit_with(request, Algorithm::Enum)
     }
 
-    /// Validates `request`, applies admission control, and enqueues it on
-    /// the lane chosen by [`ServiceConfig::affinity`] for the chosen
-    /// algorithm, in the default (interactive, no-deadline) priority class.
+    /// Validates `request`, applies admission control, and enqueues it for
+    /// the chosen algorithm in the default (interactive, no-deadline)
+    /// priority class.
     ///
     /// # Errors
     /// See [`CoreService::submit_opts`].
@@ -671,8 +617,7 @@ impl CoreService {
     }
 
     /// Validates `request`, applies admission control, and enqueues it with
-    /// the priority lane and deadline in `opts` on the worker lane chosen
-    /// by [`ServiceConfig::affinity`].
+    /// the priority lane and deadline in `opts`.
     ///
     /// Deadlines are enforced twice without ever interrupting execution: a
     /// zero deadline is refused here, and a request whose deadline passes
@@ -696,14 +641,12 @@ impl CoreService {
     ) -> Result<Ticket, TkError> {
         let validated = request.validate(&self.engine.graph())?;
         let pool = self.pool()?;
-        // Reading cache statistics takes the engine's cache mutex, and the
-        // affinity routing below takes the pool mutex; doing both before
-        // the state lock keeps every lock pair unnested.
+        // Reading cache statistics takes the engine's cache mutex; doing it
+        // before the state lock keeps the two locks unnested.
         let over_budget = self
             .config
             .admission_memory_bytes
             .filter(|&budget| self.engine.cache_stats().resident_bytes > budget);
-        let pool_lane = self.lane_for(pool, validated.window());
         let Admission {
             mut state,
             id,
@@ -729,7 +672,7 @@ impl CoreService {
             }
             Ok(())
         })?;
-        state.queues[pool_lane].push(Job {
+        state.queue.push(Job {
             id,
             request: validated,
             algorithm: opts.algorithm,
@@ -741,14 +684,12 @@ impl CoreService {
         drop(state);
         let shared = Arc::clone(&self.shared);
         let engine = Arc::clone(&self.engine);
-        pool.spawn_on(pool_lane, move |worker| {
-            drain_service_job(&engine, &shared, pool_lane, worker);
-        });
+        pool.spawn(move |worker| drain_service_job(&engine, &shared, worker));
         Ok(Ticket { id, rx: ticket })
     }
 
-    /// Submits a batch of ingest events to the service's **ingest lane**:
-    /// the batch is queued like a request (same admission control and
+    /// Submits a batch of ingest events to the service: the batch is
+    /// admitted like a batch-lane request (same admission control and
     /// accounting, broken out in [`ServiceStats::ingest`]) and absorbed on
     /// a worker via [`ShardedEngine::absorb`].  Ingestion serializes with
     /// concurrent queries only at the engine's snapshot swap, so queries
@@ -766,14 +707,6 @@ impl CoreService {
     /// * [`TkError::ServiceStopped`] after [`CoreService::shutdown`].
     pub fn submit_append(&self, events: Vec<IngestEvent>) -> Result<IngestTicket, TkError> {
         let pool = self.pool()?;
-        // Route appends to the lane owning the tail shard's cache partition:
-        // that is the only partition an absorb invalidates.
-        let num_shards = self.engine.num_shards();
-        let lane = lane_of_shard(
-            num_shards.saturating_sub(1),
-            num_shards,
-            pool.lane_lens().len(),
-        );
         let Admission {
             mut state,
             id,
@@ -785,7 +718,7 @@ impl CoreService {
         let shared = Arc::clone(&self.shared);
         let engine = Arc::clone(&self.engine);
         let enqueued_at = Instant::now();
-        pool.spawn_on(lane, move |worker| {
+        pool.spawn(move |worker| {
             execute_ingest_job(&engine, &shared, id, &events, enqueued_at, &reply, worker);
         });
         Ok(IngestTicket { id, rx: ticket })
@@ -835,25 +768,6 @@ impl CoreService {
         self.pool.as_ref().ok_or(TkError::ServiceStopped)
     }
 
-    /// Chooses the lane of `pool` for a request over `window` (see
-    /// [`ServiceConfig::affinity`]).  A one-shard engine has no partitions
-    /// to route by, so it load-balances across every lane.
-    fn lane_for(&self, pool: &ExecPool, window: TimeWindow) -> usize {
-        let lens = pool.lane_lens();
-        let num_shards = self.engine.num_shards();
-        if self.config.affinity == Affinity::Shard && num_shards > 1 {
-            self.engine
-                .overlapping_shards(window)
-                .map(|shard| lane_of_shard(shard, num_shards, lens.len()))
-                .min_by_key(|&lane| (lens[lane], lane))
-                .unwrap_or(0)
-        } else {
-            (0..lens.len())
-                .min_by_key(|&lane| (lens[lane], lane))
-                .unwrap_or(0)
-        }
-    }
-
     /// Stops accepting requests, waits for every admitted request (query
     /// and ingest alike) to finish or shed, and releases the worker pool.
     /// Dropping the service does the same; `shutdown` followed by the
@@ -900,24 +814,19 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Dequeues and runs the next waiting job of pool lane `pool_lane` on pool
-/// worker `worker`: priority pop (interactive before batch), deadline check,
-/// then execution with panic isolation, accounting, reply.
+/// Dequeues and runs the service's next waiting job on pool worker
+/// `worker`: priority pop (interactive before batch), deadline check, then
+/// execution with panic isolation, accounting, reply.
 ///
-/// One such task is spawned per admitted job on the job's pool lane, so the
-/// pop always finds a job — though not necessarily *the* job that spawned
-/// this task: a task spawned by a batch submission happily executes an
-/// interactive request that arrived later, which is exactly how the
-/// priority inversion between the classes is implemented.
-fn drain_service_job(
-    engine: &Arc<ShardedEngine>,
-    shared: &ServiceShared,
-    pool_lane: usize,
-    worker: usize,
-) {
+/// One such task is spawned per admitted job, so the pop always finds a
+/// job — though not necessarily *the* job that spawned this task: a task
+/// spawned by a batch submission happily executes an interactive request
+/// that arrived later, which is exactly how interactive requests overtake
+/// waiting batch ones.
+fn drain_service_job(engine: &Arc<ShardedEngine>, shared: &ServiceShared, worker: usize) {
     let (job, queue_wait) = {
         let mut state = shared.lock();
-        let Some(job) = state.queues[pool_lane].pop() else {
+        let Some(job) = state.queue.pop() else {
             // Defensive: pushes and spawns are 1:1, so this cannot happen.
             return;
         };
@@ -1070,6 +979,7 @@ mod tests {
     use crate::paper_example;
     use crate::request::KOutput;
     use crate::sink::ResultSink;
+    use temporal_graph::TimeWindow;
 
     /// An unsharded service over the paper example.
     fn span_service(config: ServiceConfig) -> CoreService {
@@ -1110,7 +1020,7 @@ mod tests {
             Err(TkError::WindowPastTmax { .. })
         ));
         let stats = service.stats();
-        assert_eq!(stats.admitted, 0, "invalid requests never hit the lanes");
+        assert_eq!(stats.admitted, 0, "invalid requests never hit the queue");
     }
 
     #[test]
@@ -1156,101 +1066,6 @@ mod tests {
         assert_eq!(sharded.cache_stats().per_shard.len(), 4);
         span.shutdown();
         sharded.shutdown();
-    }
-
-    #[test]
-    fn shard_affinity_routes_and_answers_like_the_shared_queue() {
-        let graph = paper_example::graph();
-        let shared_q = CoreService::start_sharded(
-            graph.clone(),
-            ShardPlan::FixedCount(4),
-            ServiceConfig {
-                workers: 2,
-                affinity: Affinity::Shared,
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap();
-        let affine = CoreService::start_sharded(
-            graph,
-            ShardPlan::FixedCount(4),
-            ServiceConfig {
-                workers: 2,
-                affinity: Affinity::Shard,
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap();
-        for (k, s, e) in [(2, 1, 4), (2, 2, 6), (1, 1, 7), (3, 5, 7), (2, 1, 2)] {
-            let a = shared_q
-                .submit(QueryRequest::single(k, s, e))
-                .unwrap()
-                .wait()
-                .unwrap();
-            let b = affine
-                .submit(QueryRequest::single(k, s, e))
-                .unwrap()
-                .wait()
-                .unwrap();
-            assert_eq!(
-                a.response.total_cores(),
-                b.response.total_cores(),
-                "k={k} [{s}, {e}]"
-            );
-        }
-        let stats = affine.stats();
-        assert_eq!(stats.completed, 5);
-        shared_q.shutdown();
-        affine.shutdown();
-    }
-
-    #[test]
-    fn shard_affinity_on_one_shard_still_spreads_across_every_lane() {
-        let service = span_service(ServiceConfig {
-            workers: 2,
-            affinity: Affinity::Shard,
-            ..ServiceConfig::default()
-        });
-        let pool = Arc::clone(service.pool.as_ref().unwrap());
-        // Pin both workers, then queue one task on lane 0.
-        let (started_tx, started_rx) = mpsc::channel();
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let release_rx = Arc::new(Mutex::new(release_rx));
-        for lane in 0..2 {
-            let started = started_tx.clone();
-            let release = Arc::clone(&release_rx);
-            pool.spawn_on(lane, move |_| {
-                started.send(()).unwrap();
-                crate::sync::lock(&release).recv().unwrap();
-            });
-        }
-        for _ in 0..2 {
-            started_rx.recv().unwrap();
-        }
-        pool.spawn_on(0, |_| {});
-        // The only shard maps to lane 0, but a one-shard engine has no
-        // partitions to keep warm, so routing picks the idle lane.
-        assert_eq!(pool.lane_lens(), vec![1, 0]);
-        assert_eq!(service.lane_for(&pool, TimeWindow::new(1, 7)), 1);
-        for _ in 0..2 {
-            release_tx.send(()).unwrap();
-        }
-        service.shutdown();
-    }
-
-    #[test]
-    fn lane_of_shard_partitions_contiguously() {
-        // 4 shards over 2 workers: first half owned by lane 0, second by 1.
-        assert_eq!(lane_of_shard(0, 4, 2), 0);
-        assert_eq!(lane_of_shard(1, 4, 2), 0);
-        assert_eq!(lane_of_shard(2, 4, 2), 1);
-        assert_eq!(lane_of_shard(3, 4, 2), 1);
-        // More workers than shards: every shard gets its own lane prefix.
-        assert_eq!(lane_of_shard(0, 2, 4), 0);
-        assert_eq!(lane_of_shard(1, 2, 4), 2);
-        // Degenerate inputs stay in range.
-        assert_eq!(lane_of_shard(5, 3, 2), 1);
-        assert_eq!(lane_of_shard(0, 0, 2), 0);
     }
 
     #[test]

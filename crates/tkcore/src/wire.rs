@@ -103,6 +103,12 @@ impl JsonValue {
 /// itself never nests deeper than two.
 pub const MAX_JSON_DEPTH: usize = 64;
 
+/// Longest request line the server reads, in bytes before the terminating
+/// newline.  A longer line gets a `BadRequest` reply and the connection
+/// closes, so a client streaming bytes without a newline cannot grow the
+/// server's memory past this bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// Parses one JSON document, requiring it to span the whole input.
 ///
 /// # Errors

@@ -40,7 +40,6 @@ fn main() {
         ShardPlan::FixedCount(4),
         ServiceConfig {
             workers: 2,
-            affinity: Affinity::Shard,
             engine: EngineConfig {
                 seal_policy: SealPolicy::EdgeCount(400),
                 ..EngineConfig::default()

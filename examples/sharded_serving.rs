@@ -35,16 +35,14 @@ fn main() {
     let span_mib = span_index.memory_bytes() as f64 / (1024.0 * 1024.0);
     drop(span_index);
 
-    // A sharded service: 8 time-interval shards, 2 worker threads with
-    // shard-affine routing — each request lands on the worker owning the
-    // shards its window overlaps, and idle workers steal across lanes.
+    // A sharded service: 8 time-interval shards, 2 worker threads sharing
+    // one request queue and one engine-wide skyline cache.
     let shards = 8;
     let service = CoreService::start_sharded(
         graph.clone(),
         ShardPlan::FixedCount(shards),
         ServiceConfig {
             workers: 2,
-            affinity: Affinity::Shard,
             ..ServiceConfig::default()
         },
     )

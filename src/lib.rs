@@ -115,13 +115,13 @@ pub mod prelude {
         OverloadConfig, OverloadRequest, OverloadWorkload, QueryWorkload, WorkloadConfig,
     };
     pub use tkcore::{
-        AbsorbStats, Affinity, Algorithm, BoundaryCacheStats, CacheStats, CollectingSink,
-        CoreService, CountingSink, EdgeCoreSkyline, EngineConfig, ExecPool, FrameworkStats,
-        IngestDelta, IngestEvent, IngestLaneStats, IngestReply, IngestTicket, KOutcome, KOutput,
-        KSelection, Lane, LaneStats, LatencyHistogram, OutputMode, QueryRequest, QueryResponse,
-        QueryStats, RequestId, ResultSink, SealPolicy, ServeSummary, ServerConfig, ServiceConfig,
-        ServiceReply, ServiceStats, ShardCacheStats, ShardPlan, ShardedEngine, SubmitOptions,
-        TemporalKCore, Ticket, TimeRangeKCoreQuery, TkError, TkServer, ValidatedRequest,
-        VertexCoreTimeIndex, WarmStats, WorkerStats,
+        AbsorbStats, Algorithm, BoundaryCacheStats, CacheStats, CollectingSink, CoreService,
+        CountingSink, EdgeCoreSkyline, EngineConfig, ExecPool, FrameworkStats, IngestDelta,
+        IngestEvent, IngestLaneStats, IngestReply, IngestTicket, KOutcome, KOutput, KSelection,
+        Lane, LaneStats, LatencyHistogram, OutputMode, QueryRequest, QueryResponse, QueryStats,
+        RequestId, ResultSink, SealPolicy, ServeSummary, ServerConfig, ServiceConfig, ServiceReply,
+        ServiceStats, ShardCacheStats, ShardPlan, ShardedEngine, SubmitOptions, TemporalKCore,
+        Ticket, TimeRangeKCoreQuery, TkError, TkServer, ValidatedRequest, VertexCoreTimeIndex,
+        WarmStats, WorkerStats,
     };
 }

@@ -242,7 +242,6 @@ fn racing_queries_never_observe_a_partial_batch() {
         ServiceConfig {
             workers: 3,
             queue_depth: 256,
-            affinity: Affinity::Shard,
             ..ServiceConfig::default()
         },
     )
@@ -279,10 +278,10 @@ fn racing_queries_never_observe_a_partial_batch() {
 
     // Race: enqueue each append, then immediately fire queries over every
     // batch window submitted so far — they execute on other workers while
-    // the absorb drains on the tail lane.  Each ingest ticket is awaited
-    // before the next batch goes in (the documented ordering contract:
-    // work stealing would otherwise absorb batches out of submission
-    // order and reject the regressed ones).
+    // the absorb runs.  Each ingest ticket is awaited before the next batch
+    // goes in (the documented ordering contract: two workers could
+    // otherwise absorb batches out of submission order and reject the
+    // regressed ones).
     let mut appended = 0;
     let mut query_tickets = Vec::new();
     for (i, batch) in batches.iter().enumerate() {

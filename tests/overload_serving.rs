@@ -5,7 +5,9 @@
 //! interactive request completes within its deadline while every
 //! deadline-carrying batch request is shed at dequeue with a typed
 //! `TkError::DeadlineExceeded`, and the per-lane counters sum to the
-//! service totals.
+//! service totals.  A second test pins the priority rule across workers:
+//! whichever worker frees up first takes a waiting interactive request
+//! ahead of an earlier batch one.
 //!
 //! Determinism: no sleeps.  The worker is pinned by a sink blocking in
 //! `emit`, and batch deadlines are *proven* expired by spinning on
@@ -19,9 +21,9 @@ use temporal_kcore::prelude::*;
 use temporal_kcore::tkcore::paper_example;
 
 /// Blocks the executing worker inside the request's first `emit` until the
-/// test sends the release signal.
+/// test sends the release signal; reports the worker's thread name first.
 struct GatedSink {
-    started: mpsc::Sender<()>,
+    started: mpsc::Sender<String>,
     release: mpsc::Receiver<()>,
     blocked_once: bool,
 }
@@ -30,9 +32,25 @@ impl ResultSink for GatedSink {
     fn emit(&mut self, _tti: TimeWindow, _edges: &[temporal_graph::EdgeId]) {
         if !self.blocked_once {
             self.blocked_once = true;
-            self.started.send(()).expect("test is listening");
+            let worker = std::thread::current().name().unwrap_or("").to_string();
+            self.started.send(worker).expect("test is listening");
             self.release.recv().expect("test releases the sink");
         }
+    }
+}
+
+/// One pinned worker: its thread name, the pinning request's ticket, and
+/// the sender that releases it.
+struct Pin {
+    worker: String,
+    ticket: Ticket,
+    release: mpsc::Sender<()>,
+}
+
+impl Pin {
+    fn release(self) {
+        self.release.send(()).expect("worker is waiting");
+        assert!(self.ticket.wait().is_ok());
     }
 }
 
@@ -60,9 +78,9 @@ fn mix_size() -> usize {
     }
 }
 
-/// Pins the service's single worker; returns the pinned ticket and the
-/// release sender.
-fn pin_worker(service: &CoreService) -> (Ticket, mpsc::Sender<()>) {
+/// Pins one idle worker of `service`: returns once a worker blocks in the
+/// pinning request's sink.
+fn pin_worker(service: &CoreService) -> Pin {
     let (started_tx, started_rx) = mpsc::channel();
     let (release_tx, release_rx) = mpsc::channel();
     let ticket = service
@@ -72,8 +90,12 @@ fn pin_worker(service: &CoreService) -> (Ticket, mpsc::Sender<()>) {
             blocked_once: false,
         })))
         .expect("the pin is admitted");
-    started_rx.recv().expect("worker is pinned");
-    (ticket, release_tx)
+    let worker = started_rx.recv().expect("worker is pinned");
+    Pin {
+        worker,
+        ticket,
+        release: release_tx,
+    }
 }
 
 #[test]
@@ -103,7 +125,7 @@ fn saturation_serves_interactive_in_deadline_and_sheds_batch() {
         },
     )
     .unwrap();
-    let (pin, release) = pin_worker(&service);
+    let pin = pin_worker(&service);
 
     // A zero deadline is already expired: shed at admission (the queue has
     // room — this is the deadline gate, not the depth gate).
@@ -156,8 +178,7 @@ fn saturation_serves_interactive_in_deadline_and_sheds_batch() {
     while submitted_at.elapsed() <= batch_deadline * 4 {
         std::hint::spin_loop();
     }
-    release.send(()).expect("worker is waiting");
-    assert!(pin.wait().is_ok());
+    pin.release();
 
     let mut interactive_latencies = Vec::new();
     let mut batch_shed = 0u64;
@@ -208,62 +229,72 @@ fn saturation_serves_interactive_in_deadline_and_sheds_batch() {
 
 #[test]
 fn interactive_requests_dequeue_ahead_of_earlier_batch_requests() {
+    // One worker: its own backlog drains interactive-first.  Two workers:
+    // the first worker to free up must take the later interactive request,
+    // whichever worker that is.
+    for (workers, batch, interactive) in [(1, 3, 2), (2, 1, 1)] {
+        assert_interactive_dequeues_first(workers, batch, interactive);
+    }
+}
+
+/// Pins all `workers`, queues `batch` batch requests and then
+/// `interactive` interactive ones, releases only the pin on
+/// `tkcore-exec-0` until the queue drains, and checks that every
+/// interactive request started before any batch request.
+fn assert_interactive_dequeues_first(workers: usize, batch: usize, interactive: usize) {
     let service = CoreService::start_sharded(
         paper_example::graph(),
         ShardPlan::Span,
         ServiceConfig {
-            workers: 1,
+            workers,
             queue_depth: 8,
             ..ServiceConfig::default()
         },
     )
     .unwrap();
-    let (pin, release) = pin_worker(&service);
+    let pins: Vec<Pin> = (0..workers).map(|_| pin_worker(&service)).collect();
 
     // Batch requests are queued FIRST...
     let order = Arc::new(Mutex::new(Vec::new()));
-    let mut tickets = Vec::new();
-    for _ in 0..3 {
+    let submit = |label: &'static str, opts: SubmitOptions| {
         let sink = LabelSink {
             order: Arc::clone(&order),
-            label: "batch",
+            label,
             logged: false,
         };
-        tickets.push(
-            service
-                .submit_opts(
-                    QueryRequest::single(2, 1, 4).stream(Box::new(sink)),
-                    SubmitOptions::batch(),
-                )
-                .unwrap(),
-        );
-    }
+        service
+            .submit_opts(QueryRequest::single(2, 1, 4).stream(Box::new(sink)), opts)
+            .unwrap()
+    };
+    let mut tickets: Vec<Ticket> = (0..batch)
+        .map(|_| submit("batch", SubmitOptions::batch()))
+        .collect();
     // ...and interactive ones after them.
-    for _ in 0..2 {
-        let sink = LabelSink {
-            order: Arc::clone(&order),
-            label: "interactive",
-            logged: false,
-        };
-        tickets.push(
-            service
-                .submit(QueryRequest::single(2, 1, 4).stream(Box::new(sink)))
-                .unwrap(),
-        );
-    }
+    tickets.extend((0..interactive).map(|_| submit("interactive", SubmitOptions::default())));
 
-    release.send(()).expect("worker is waiting");
-    assert!(pin.wait().is_ok());
+    // Only worker 0 runs until every queued request is done.
+    let (first, rest): (Vec<Pin>, Vec<Pin>) = pins
+        .into_iter()
+        .partition(|pin| pin.worker == "tkcore-exec-0");
+    assert_eq!(
+        first.len(),
+        1,
+        "{workers} workers: one pin on tkcore-exec-0"
+    );
+    first.into_iter().for_each(Pin::release);
     for ticket in tickets {
         ticket.wait().expect("no deadlines: everything executes");
     }
+    rest.into_iter().for_each(Pin::release);
 
     // Despite arriving later, every interactive request ran first.
-    let order = order.lock().unwrap();
+    let expected: Vec<&str> = std::iter::repeat_n("interactive", interactive)
+        .chain(std::iter::repeat_n("batch", batch))
+        .collect();
     assert_eq!(
-        *order,
-        vec!["interactive", "interactive", "batch", "batch", "batch"],
-        "the worker drains the interactive lane before the batch lane"
+        *order.lock().unwrap(),
+        expected,
+        "{workers} workers: the freed worker takes interactive requests before batch ones"
     );
     service.shutdown();
 }

@@ -14,7 +14,7 @@
 //!   stitching specifically: random plans biased toward many cuts, and a
 //!   warm replay answered from the stitch cache without new builds;
 //! * `affine_service_matches_unsharded` — the same answers through a
-//!   shard-affinity multi-worker `CoreService` (per-shard lanes, stealing);
+//!   multi-worker `CoreService` over a sharded engine;
 //! * deterministic cases on the paper's running example: windows that
 //!   coincide with a cut, span one cut, span every cut, start past `tmax`
 //!   (a typed `WindowPastTmax` refusal, never a partial answer), the
@@ -136,10 +136,9 @@ proptest! {
         );
     }
 
-    /// The shard-affinity scheduler (per-shard lanes + work stealing) never
-    /// changes answers: a 2-worker `Affinity::Shard` service returns the
-    /// same cores as per-query execution for random graphs, plans and
-    /// windows.
+    /// The service's scheduling never changes answers: a 2-worker service
+    /// over a sharded engine returns the same cores as per-query execution
+    /// for random graphs, plans and windows.
     #[test]
     fn affine_service_matches_unsharded(
         g in arb_graph(10, 40, 8),
@@ -155,7 +154,6 @@ proptest! {
             Arc::clone(&sharded),
             ServiceConfig {
                 workers: 2,
-                affinity: Affinity::Shard,
                 ..ServiceConfig::default()
             },
         );

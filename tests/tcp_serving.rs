@@ -2,7 +2,9 @@
 //! ephemeral loopback port serves pings, queries (including a
 //! deadline-expired one, which is an error *reply*, not a dropped
 //! connection), stats and malformed lines, then drains gracefully on the
-//! `shutdown` op.
+//! `shutdown` op.  Hostile input — cut, deeply nested, over-long and
+//! non-UTF-8 lines — gets a typed `BadRequest` reply at each limit's
+//! boundary.
 //!
 //! The server's accept loop runs on a plain test thread (integration tests
 //! are exempt from the no-raw-threads rule); everything else rides the
@@ -211,6 +213,85 @@ fn a_deeply_nested_line_gets_a_bad_request_and_the_connection_survives() {
     assert!(!reply.contains("nesting deeper than"), "{reply}");
 
     // The same connection still answers.
+    let reply = round_trip(&mut stream, &mut reader, r#"{"op": "ping"}"#);
+    assert_eq!(reply, r#"{"status":"ok","op":"ping"}"#);
+
+    server.stop();
+    acceptor
+        .join()
+        .expect("acceptor thread exits cleanly")
+        .expect("serve returns Ok on stop");
+}
+
+#[test]
+fn a_line_exactly_at_max_line_bytes_gets_a_typed_reply() {
+    let (_service, server, acceptor) = start_server();
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+
+    // A query padded with JSON whitespace to exactly the cap, not counting
+    // the newline.
+    let head = r#"{"id": 7, "k": 2, "start": 1, "end": 4"#;
+    let padding = wire::MAX_LINE_BYTES - head.len() - 1;
+    let at_cap = format!("{head}{}}}", " ".repeat(padding));
+    assert_eq!(at_cap.len(), wire::MAX_LINE_BYTES);
+    let reply = round_trip(&mut stream, &mut reader, &at_cap);
+    assert!(reply.starts_with(r#"{"status":"ok","id":7"#), "{reply}");
+
+    // A line that is not UTF-8 is a malformed request, not a dropped
+    // connection.
+    stream.write_all(b"\xff\xfe\n").expect("send");
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("reply");
+    assert!(reply.contains(r#""error":"BadRequest""#), "{reply}");
+
+    // The same connection still answers.
+    let reply = round_trip(&mut stream, &mut reader, r#"{"op": "ping"}"#);
+    assert_eq!(reply, r#"{"status":"ok","op":"ping"}"#);
+
+    server.stop();
+    acceptor
+        .join()
+        .expect("acceptor thread exits cleanly")
+        .expect("serve returns Ok on stop");
+}
+
+#[test]
+fn a_line_past_max_line_bytes_gets_a_bad_request_and_then_eof() {
+    let (_service, server, acceptor) = start_server();
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    // A server that keeps waiting for the newline fails the test here
+    // instead of hanging it.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+
+    // One byte past the cap and no newline: the server must stop buffering
+    // and answer instead of growing the line without bound.
+    stream
+        .write_all(&vec![b' '; wire::MAX_LINE_BYTES + 1])
+        .expect("send");
+    stream.flush().expect("flush");
+    let mut reply = String::new();
+    reader
+        .read_line(&mut reply)
+        .expect("reply before the timeout");
+    assert!(reply.contains(r#""error":"BadRequest""#), "{reply}");
+    assert!(
+        reply.contains(&format!("longer than {} bytes", wire::MAX_LINE_BYTES)),
+        "{reply}"
+    );
+    let mut rest = String::new();
+    assert_eq!(
+        reader.read_line(&mut rest).expect("clean close"),
+        0,
+        "the connection closes after the reply: {rest:?}"
+    );
+
+    // Other connections are unaffected.
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let reply = round_trip(&mut stream, &mut reader, r#"{"op": "ping"}"#);
     assert_eq!(reply, r#"{"status":"ok","op":"ping"}"#);
 
