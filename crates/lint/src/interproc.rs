@@ -10,7 +10,7 @@
 //!   cross-function edge are reported here (purely local cycles stay with
 //!   `lock-order`).
 //! * `no-blocking-in-worker` — no function reachable from a closure handed
-//!   to `ExecPool::spawn`/`spawn_on`/`run_batch` may block (`Ticket::wait`,
+//!   to `ExecPool::spawn`/`run_batch` may block (`Ticket::wait`,
 //!   `Condvar::wait`, `JoinHandle::join`, `sync::wait`): a worker that
 //!   blocks on work only another worker can finish deadlocks the pool.
 //!   Reachability runs over *all* resolved edges (sound over-approximation).
@@ -284,7 +284,7 @@ fn check_lock_order_global(
 /// Is `info` an entry point whose closure argument runs on pool workers?
 fn is_spawn_entry(info: &FnInfo) -> bool {
     (info.self_type.as_deref() == Some("ExecPool")
-        && matches!(info.name.as_str(), "spawn" | "spawn_on" | "run_batch"))
+        && matches!(info.name.as_str(), "spawn" | "run_batch"))
         || info.name == "run_batch_inner"
 }
 

@@ -27,9 +27,10 @@ use crate::ingest::SealPolicy;
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// Maximum summed [`crate::EdgeCoreSkyline::memory_bytes`] of cached
-    /// shard skylines before least-recently-used entries are evicted.  The
-    /// entry being inserted is exempt, so one oversized index never
-    /// thrashes.
+    /// shard skylines before least-recently-used shard skylines are
+    /// evicted.  Stitch entries do not count against it (see
+    /// [`EngineConfig::boundary_cache_entries`]).  The entry being inserted
+    /// is exempt, so one oversized index never thrashes.
     pub memory_budget_bytes: usize,
     /// Worker threads for fanning requests
     /// ([`crate::ShardedEngine::execute_batch`]) and cold shard builds; `0`
@@ -42,8 +43,10 @@ pub struct EngineConfig {
     pub num_threads: usize,
     /// Maximum number of cached boundary-stitch entries (one entry per
     /// `(shard range, k)` holding the cut-crossing minimal core windows; see
-    /// [`crate::shard`]), evicted least-recently-used.  `0` is treated as
-    /// `1`.  A one-shard engine has no cuts and never builds an entry.
+    /// [`crate::shard`]), evicted least-recently-used.  They share the
+    /// engine's one skyline cache with the shard skylines, but only evict
+    /// each other.  `0` is treated as `1`.  A one-shard engine has no cuts
+    /// and never builds an entry.
     pub boundary_cache_entries: usize,
     /// When the live tail shard is rolled into a closed shard during ingest
     /// (see [`crate::ShardedEngine::absorb`]).
@@ -65,9 +68,12 @@ impl Default for EngineConfig {
 /// [`crate::ShardedEngine::cache_stats`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Queries answered from an already-resident skyline.
+    /// Shard-skyline lookups answered from a resident skyline.  A query
+    /// looks up one skyline per overlapped shard and `k`, so a query
+    /// spanning two shards counts two.
     pub hits: u64,
-    /// Queries that had to build a skyline first.
+    /// Shard-skyline lookups that found no valid resident skyline, so the
+    /// skyline had to be built (counted like [`CacheStats::hits`]).
     pub misses: u64,
     /// Skylines evicted to respect the memory budget.
     pub evictions: u64,

@@ -16,7 +16,7 @@
 //!   [`TkError`] instead of a panic;
 //! * two ways to run one: [`ShardedEngine::execute`] (or
 //!   [`ShardedEngine::execute_batch`] for many) answers from the engine's
-//!   skyline caches, so repeated and swept queries build each index at
+//!   skyline cache, so repeated and swept queries build each index at
 //!   most once, and [`QueryRequest::run`] executes per query with
 //!   an [`Algorithm`] (`Enum`, `EnumBase`, `Otcd`, `Naive`) — the reference
 //!   the engine is tested against;
@@ -40,8 +40,8 @@
 //!   keeps **one two-priority queue** of admitted requests; each admission
 //!   spawns one pool task, which runs the oldest waiting interactive
 //!   request, else the oldest batch one, on whichever worker is free.  The
-//!   skyline and stitch caches are engine-wide, so every worker is an
-//!   equally good home for every request.  An engine created
+//!   skyline cache (shard skylines and stitch entries alike) is
+//!   engine-wide, so every worker is an equally good home for every request.  An engine created
 //!   by [`CoreService::start_sharded`] (or adopted by
 //!   [`CoreService::over_sharded`]) shares the service's pool, so a
 //!   multi-`k` sweep fans out on the same threads that serve requests;
@@ -52,15 +52,16 @@
 //! * boundary-spanning queries reuse a small LRU-cached
 //!   **boundary-stitch index** (the cut-crossing minimal core windows per
 //!   `(shard range, k)`, see [`shard`]) instead of re-sweeping a merged
-//!   sub-window skyline per query; its counters appear in
-//!   [`CacheStats::boundary`].
+//!   sub-window skyline per query; its entries share the skyline cache and
+//!   its lock, and its counters appear in [`CacheStats::boundary`].
 //!
 //! # Sharding
 //!
 //! There is one query engine, [`ShardedEngine`].  It partitions the
 //! timeline into contiguous time-interval shards ([`ShardPlan`]) and caches
-//! one [`EdgeCoreSkyline`] per `(shard, k)` lazily under one memory budget;
-//! [`ShardedEngine::execute`] is its request entry point.
+//! one [`EdgeCoreSkyline`] per `(shard, k)` lazily under one memory budget,
+//! in one LRU cache keyed by shard range that also holds the stitch entries
+//! below; [`ShardedEngine::execute`] is its request entry point.
 //! [`ShardPlan::Span`] is the unsharded layout — one shard, one span-wide
 //! skyline per `k` restricted to every query window — and finer plans bound
 //! the resident cache and cold builds by the largest shard instead.

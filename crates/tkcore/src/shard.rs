@@ -20,15 +20,19 @@
 //!
 //! # Cache policy
 //!
-//! One entry per `(shard, k)`, evicted least-recently-used when the summed
-//! [`EdgeCoreSkyline::memory_bytes`] exceeds
-//! [`EngineConfig::memory_budget_bytes`].  The entry being inserted is never
-//! evicted, so a single index larger than the whole budget still serves its
-//! own query.  Lookups and insertions take a mutex; index *construction*
-//! happens outside the lock, so concurrent batch workers build different
-//! entries in parallel.  Two threads racing on the same cold entry may both
-//! build it; the loser's copy is dropped and the winner's is shared —
-//! wasted work bounded by one build, never wrong results.
+//! One LRU cache, under one mutex, holds every skyline the engine reuses,
+//! keyed by shard range and `k`: a shard skyline is `(s, s, k)`, a stitch
+//! entry (below) `(lo, hi, k)` with `lo < hi`.  Each kind has its own
+//! budget and evicts only its own least-recently-used entries: shard
+//! skylines once their summed [`EdgeCoreSkyline::memory_bytes`] exceeds
+//! [`EngineConfig::memory_budget_bytes`], stitch entries once there are
+//! more than [`EngineConfig::boundary_cache_entries`] (at least one).  The
+//! entry being inserted is never evicted, so a single index larger than the
+//! whole budget still serves its own query.  Index *construction* happens
+//! outside the lock, so concurrent batch workers build different entries in
+//! parallel.  Two threads racing on the same cold entry may both build it;
+//! the loser's copy is dropped and the winner's is shared — wasted work
+//! bounded by one build, never wrong results.
 //!
 //! # Exactness at shard boundaries
 //!
@@ -65,9 +69,8 @@
 //!   windows reproduces the skyline of `W` in `O(|E_W| + |ECS_W|)` —
 //!   restriction cost, not sweep cost.
 //!
-//! The stitch cache holds at most [`EngineConfig::boundary_cache_entries`]
-//! entries (LRU, at least one) and its counters are reported in
-//! [`CacheStats::boundary`].
+//! Stitch entries live in the skyline cache beside the shard skylines, and
+//! their counters are reported in [`CacheStats::boundary`].
 //!
 //! # Live ingestion
 //!
@@ -91,9 +94,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::ecs::{EdgeCoreSkyline, SkylineScratch};
-use crate::engine::{
-    batch_pool, BoundaryCacheStats, CacheStats, EngineConfig, ShardCacheStats, WarmStats,
-};
+use crate::engine::{batch_pool, CacheStats, EngineConfig, ShardCacheStats, WarmStats};
 use crate::error::TkError;
 use crate::exec::{run_batch_inner, ExecPool};
 use crate::ingest::{AbsorbStats, IngestEvent};
@@ -220,133 +221,124 @@ impl Validity {
     }
 }
 
-struct ShardCacheEntry {
+/// A cache key: shard range `lo..=hi` and `k`.  A shard skyline is keyed
+/// `(s, s, k)`; a stitch entry (the cut-crossing windows of the range's
+/// merged window) has `lo < hi`.
+type RangeKey = (usize, usize, usize);
+
+fn is_stitch(key: RangeKey) -> bool {
+    key.0 < key.1
+}
+
+struct CacheEntry {
+    /// A shard's skyline, or for a stitch key the cut-crossing minimal core
+    /// windows of the merged window (a filtered, **incomplete** skyline —
+    /// only usable through [`compose_boundary_skyline`]).
     skyline: Arc<EdgeCoreSkyline>,
     last_used: u64,
     validity: Validity,
 }
 
-/// LRU cache of per-`(shard, k)` skylines with per-shard counters.
-struct ShardCache {
-    entries: HashMap<(usize, usize), ShardCacheEntry>,
-    clock: u64,
-    resident_bytes: usize,
-    budget: usize,
+/// Lookup counters of one shard range `(lo, hi)`, over all `k`.
+#[derive(Default)]
+struct RangeCounters {
     hits: u64,
     misses: u64,
+    builds: u64,
     evictions: u64,
-    tail_invalidations: u64,
-    seals: u64,
-    warm: WarmStats,
-    per_shard: Vec<ShardCacheStats>,
+    invalidations: u64,
 }
 
-impl ShardCache {
-    fn new(budget: usize, num_shards: usize) -> Self {
+/// The engine's one LRU cache of skylines, keyed by shard range and `k`
+/// (see [`RangeKey`]).  Shard skylines share the byte budget and stitch
+/// entries the entry budget; each kind evicts only its own entries.
+struct SkylineCache {
+    entries: HashMap<RangeKey, CacheEntry>,
+    counters: HashMap<(usize, usize), RangeCounters>,
+    clock: u64,
+    /// Maximum summed bytes of resident shard skylines.
+    budget_bytes: usize,
+    /// Maximum resident stitch entries (at least one is always kept).
+    stitch_capacity: usize,
+    seals: u64,
+    warm: WarmStats,
+}
+
+impl SkylineCache {
+    fn new(config: &EngineConfig) -> Self {
         Self {
             entries: HashMap::new(),
+            counters: HashMap::new(),
             clock: 0,
-            resident_bytes: 0,
-            budget,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            tail_invalidations: 0,
+            budget_bytes: config.memory_budget_bytes,
+            stitch_capacity: config.boundary_cache_entries.max(1),
             seals: 0,
             warm: WarmStats::default(),
-            per_shard: (0..num_shards)
-                .map(|shard| ShardCacheStats {
-                    shard,
-                    ..ShardCacheStats::default()
-                })
-                .collect(),
         }
     }
 
-    /// Grows the per-shard counter table when an absorb opens a new tail
-    /// shard (shards are only ever appended, never reordered).
-    fn ensure_shards(&mut self, num_shards: usize) {
-        while self.per_shard.len() < num_shards {
-            self.per_shard.push(ShardCacheStats {
-                shard: self.per_shard.len(),
-                ..ShardCacheStats::default()
-            });
-        }
-    }
-
-    fn drop_entry(&mut self, key: (usize, usize)) -> bool {
-        let Some(removed) = self.entries.remove(&key) else {
-            return false;
-        };
-        let bytes = removed.skyline.memory_bytes();
-        self.resident_bytes -= bytes;
-        self.per_shard[key.0].resident_bytes -= bytes;
-        self.per_shard[key.0].resident_indexes -= 1;
-        true
+    fn counters(&mut self, key: RangeKey) -> &mut RangeCounters {
+        self.counters.entry((key.0, key.1)).or_default()
     }
 
     /// A validity-aware hit requires the entry to be `Permanent` or built at
     /// the caller's `epoch`; a stale tail entry that escaped the absorb-time
     /// purge (an adopt racing the absorb) is dropped here and counted as
-    /// both a miss and a tail invalidation.
-    fn get(&mut self, shard: usize, k: usize, epoch: u64) -> Option<Arc<EdgeCoreSkyline>> {
+    /// both a miss and an invalidation.
+    fn get(&mut self, key: RangeKey, epoch: u64) -> Option<Arc<EdgeCoreSkyline>> {
         self.clock += 1;
         let clock = self.clock;
-        match self.entries.get_mut(&(shard, k)) {
+        let hit = match self.entries.get_mut(&key) {
             Some(entry) if entry.validity.is_current(epoch) => {
                 entry.last_used = clock;
-                self.hits += 1;
-                self.per_shard[shard].hits += 1;
                 Some(Arc::clone(&entry.skyline))
             }
             Some(_) => {
-                self.drop_entry((shard, k));
-                self.tail_invalidations += 1;
-                self.misses += 1;
+                self.entries.remove(&key);
+                self.counters(key).invalidations += 1;
                 None
             }
-            None => {
-                self.misses += 1;
-                None
-            }
+            None => None,
+        };
+        let counters = self.counters(key);
+        if hit.is_some() {
+            counters.hits += 1;
+        } else {
+            counters.misses += 1;
         }
+        hit
     }
 
     /// Whether a currently valid entry is resident, without touching the
-    /// hit/miss counters (the `warm` probe).
-    fn is_resident(&self, shard: usize, k: usize, epoch: u64) -> bool {
+    /// counters (the `warm` probe).
+    fn is_resident(&self, key: RangeKey, epoch: u64) -> bool {
         self.entries
-            .get(&(shard, k))
+            .get(&key)
             .is_some_and(|e| e.validity.is_current(epoch))
     }
 
-    /// Inserts a freshly built shard skyline unless another thread won the
-    /// race, then evicts LRU entries (never the key itself) down to the
-    /// budget.  Counts a build only when the insert actually happened.
+    /// Inserts a freshly built entry unless another thread won the race,
+    /// then evicts least-recently-used entries of the same kind (never the
+    /// key itself) down to that kind's budget.  Counts a build only when
+    /// the insert actually happened.
     fn adopt(
         &mut self,
-        shard: usize,
-        k: usize,
+        key: RangeKey,
         built: Arc<EdgeCoreSkyline>,
         validity: Validity,
     ) -> Arc<EdgeCoreSkyline> {
         self.clock += 1;
         let clock = self.clock;
-        let key = (shard, k);
         let skyline = match self.entries.get_mut(&key) {
             Some(existing) => {
                 existing.last_used = clock;
                 Arc::clone(&existing.skyline)
             }
             None => {
-                let bytes = built.memory_bytes();
-                self.resident_bytes += bytes;
-                self.per_shard[shard].builds += 1;
-                self.per_shard[shard].resident_bytes += bytes;
-                self.per_shard[shard].resident_indexes += 1;
+                self.counters(key).builds += 1;
                 self.entries.insert(
                     key,
-                    ShardCacheEntry {
+                    CacheEntry {
                         skyline: Arc::clone(&built),
                         last_used: clock,
                         validity,
@@ -355,242 +347,129 @@ impl ShardCache {
                 built
             }
         };
-        while self.resident_bytes > self.budget && self.entries.len() > 1 {
-            let Some((&victim, _)) = self
+        let stitch = is_stitch(key);
+        let (limit, weight): (usize, fn(&CacheEntry) -> usize) = if stitch {
+            (self.stitch_capacity, |_| 1)
+        } else {
+            (self.budget_bytes, |e| e.skyline.memory_bytes())
+        };
+        let mut load: usize = self
+            .entries
+            .iter()
+            .filter(|(&other, _)| is_stitch(other) == stitch)
+            .map(|(_, e)| weight(e))
+            .sum();
+        while load > limit {
+            let Some(victim) = self
                 .entries
                 .iter()
-                .filter(|(&other, _)| other != key)
+                .filter(|(&other, _)| other != key && is_stitch(other) == stitch)
                 .min_by_key(|(_, e)| e.last_used)
+                .map(|(&victim, _)| victim)
             else {
                 break;
             };
-            // tkc-lint: allow(no-panic-api) — the victim key was just yielded by iterating `entries`
-            let removed = self.entries.remove(&victim).expect("victim present");
-            let bytes = removed.skyline.memory_bytes();
-            self.resident_bytes -= bytes;
-            self.per_shard[victim.0].resident_bytes -= bytes;
-            self.per_shard[victim.0].resident_indexes -= 1;
-            self.evictions += 1;
+            let Some(removed) = self.entries.remove(&victim) else {
+                break;
+            };
+            load -= weight(&removed);
+            self.counters(victim).evictions += 1;
         }
         skyline
     }
 
-    /// Drops every non-permanent entry (the live tail's skylines) after an
-    /// absorb changed the tail, counting them into
-    /// [`CacheStats::tail_invalidations`].  Closed-shard skylines are
-    /// untouched — they stay resident and valid across every append.
+    /// Drops every non-permanent entry — the live tail's skylines and the
+    /// stitch entries whose shard range touches it — after an absorb
+    /// changed the tail, counting each as an invalidation of its range.
+    /// Closed-shard entries are untouched: they stay resident and valid
+    /// across every append.  Returns the shard skylines and stitch entries
+    /// dropped.
     // tkc-lint: hot
-    fn invalidate_tail(&mut self) -> u64 {
-        let mut dropped = 0u64;
-        let mut freed_total = 0usize;
-        let per_shard = &mut self.per_shard;
-        self.entries.retain(|key, entry| {
+    fn invalidate_tail(&mut self) -> (u64, u64) {
+        let (mut skylines, mut stitches) = (0u64, 0u64);
+        let counters = &mut self.counters;
+        self.entries.retain(|&key, entry| {
             if entry.validity == Validity::Permanent {
                 return true;
             }
-            let bytes = entry.skyline.memory_bytes();
-            freed_total += bytes;
-            per_shard[key.0].resident_bytes -= bytes;
-            per_shard[key.0].resident_indexes -= 1;
-            dropped += 1;
+            counters.entry((key.0, key.1)).or_default().invalidations += 1;
+            if is_stitch(key) {
+                stitches += 1;
+            } else {
+                skylines += 1;
+            }
             false
         });
-        self.resident_bytes -= freed_total;
-        self.tail_invalidations += dropped;
-        dropped
+        (skylines, stitches)
     }
 
-    /// Seals shard `tail` without a timeline change: entries built for it at
+    /// Seals shard `tail` without a timeline change: entries built at
     /// `epoch` cover exactly the sealed window and are upgraded to
     /// [`Validity::Permanent`]; stale-epoch leftovers are dropped.
-    fn seal_shard(&mut self, tail: usize, epoch: u64) {
-        let mut freed_total = 0usize;
-        let per_shard = &mut self.per_shard;
+    fn seal(&mut self, tail: usize, epoch: u64) {
         self.entries.retain(|key, entry| {
-            if entry.validity.is_current(epoch) {
-                if entry.validity != Validity::Permanent {
-                    debug_assert_eq!(key.0, tail, "only the tail carries epoch validity");
-                    entry.validity = Validity::Permanent;
-                }
-                return true;
+            if !entry.validity.is_current(epoch) {
+                return false;
             }
-            let bytes = entry.skyline.memory_bytes();
-            freed_total += bytes;
-            per_shard[key.0].resident_bytes -= bytes;
-            per_shard[key.0].resident_indexes -= 1;
-            false
+            if entry.validity != Validity::Permanent {
+                debug_assert_eq!(key.1, tail, "only tail-touching entries carry an epoch");
+                entry.validity = Validity::Permanent;
+            }
+            true
         });
-        self.resident_bytes -= freed_total;
         self.seals += 1;
     }
 
-    fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-            resident_bytes: self.resident_bytes,
-            resident_indexes: self.entries.len(),
-            tail_invalidations: self.tail_invalidations,
-            boundary_invalidations: 0,
-            seals: self.seals,
-            warm: self.warm,
-            per_shard: self.per_shard.clone(),
-            boundary: BoundaryCacheStats::default(),
-        }
-    }
-}
-
-struct BoundaryEntry {
-    /// Cut-crossing minimal core windows of the merged window of the
-    /// entry's shard range (a filtered, **incomplete** skyline — only
-    /// usable through [`compose_boundary_skyline`]).
-    crossing: Arc<EdgeCoreSkyline>,
-    last_used: u64,
-    validity: Validity,
-}
-
-/// LRU cache of boundary-stitch entries, keyed by `(lo shard, hi shard, k)`.
-struct BoundaryCache {
-    entries: HashMap<(usize, usize, usize), BoundaryEntry>,
-    /// Maximum resident entries (at least one is always kept).
-    capacity: usize,
-    clock: u64,
-    builds: u64,
-    hits: u64,
-    evictions: u64,
-    invalidations: u64,
-    resident_bytes: usize,
-}
-
-impl BoundaryCache {
-    fn new(capacity: usize) -> Self {
-        Self {
-            entries: HashMap::new(),
-            capacity,
-            clock: 0,
-            builds: 0,
-            hits: 0,
-            evictions: 0,
-            invalidations: 0,
-            resident_bytes: 0,
-        }
-    }
-
-    fn get(&mut self, lo: usize, hi: usize, k: usize, epoch: u64) -> Option<Arc<EdgeCoreSkyline>> {
-        self.clock += 1;
-        let clock = self.clock;
-        let entry = self.entries.get_mut(&(lo, hi, k))?;
-        if !entry.validity.is_current(epoch) {
-            // A stale tail-touching entry that escaped the absorb purge.
-            let removed = self.entries.remove(&(lo, hi, k))?;
-            self.resident_bytes -= removed.crossing.memory_bytes();
-            self.invalidations += 1;
-            return None;
-        }
-        entry.last_used = clock;
-        self.hits += 1;
-        Some(Arc::clone(&entry.crossing))
-    }
-
-    /// Inserts a freshly built stitch entry unless another thread won the
-    /// race, then evicts LRU entries (never the key itself) down to the
-    /// entry budget.
-    fn adopt(
-        &mut self,
-        lo: usize,
-        hi: usize,
-        k: usize,
-        built: Arc<EdgeCoreSkyline>,
-        validity: Validity,
-    ) -> Arc<EdgeCoreSkyline> {
-        self.clock += 1;
-        let clock = self.clock;
-        let key = (lo, hi, k);
-        let crossing = match self.entries.get_mut(&key) {
-            Some(existing) => {
-                existing.last_used = clock;
-                Arc::clone(&existing.crossing)
-            }
-            None => {
-                self.builds += 1;
-                self.resident_bytes += built.memory_bytes();
-                self.entries.insert(
-                    key,
-                    BoundaryEntry {
-                        crossing: Arc::clone(&built),
-                        last_used: clock,
-                        validity,
-                    },
-                );
-                built
-            }
-        };
-        while self.entries.len() > self.capacity.max(1) {
-            let Some((&victim, _)) = self
-                .entries
-                .iter()
-                .filter(|(&other, _)| other != key)
-                .min_by_key(|(_, e)| e.last_used)
-            else {
-                break;
-            };
-            // tkc-lint: allow(no-panic-api) — the victim key was just yielded by iterating `entries`
-            let removed = self.entries.remove(&victim).expect("victim present");
-            self.resident_bytes -= removed.crossing.memory_bytes();
-            self.evictions += 1;
-        }
-        crossing
-    }
-
-    /// Drops every non-permanent entry (stitch entries whose shard range
-    /// touches the live tail) after an absorb changed the tail, counting
-    /// them into [`CacheStats::boundary_invalidations`].
-    // tkc-lint: hot
-    fn invalidate_tail(&mut self) -> u64 {
-        let mut dropped = 0u64;
-        let mut freed_total = 0usize;
-        self.entries.retain(|_, entry| {
-            if entry.validity == Validity::Permanent {
-                return true;
-            }
-            freed_total += entry.crossing.memory_bytes();
-            dropped += 1;
-            false
-        });
-        self.resident_bytes -= freed_total;
-        self.invalidations += dropped;
-        dropped
-    }
-
-    /// Seals the tail without a timeline change: current-epoch entries are
-    /// upgraded to [`Validity::Permanent`], stale-epoch leftovers dropped.
-    fn seal_range(&mut self, epoch: u64) {
-        let mut freed_total = 0usize;
-        self.entries.retain(|_, entry| {
-            if entry.validity.is_current(epoch) {
-                entry.validity = Validity::Permanent;
-                return true;
-            }
-            freed_total += entry.crossing.memory_bytes();
-            false
-        });
-        self.resident_bytes -= freed_total;
-    }
-
-    fn stats(&self) -> BoundaryCacheStats {
-        BoundaryCacheStats {
-            builds: self.builds,
-            hits: self.hits,
-            evictions: self.evictions,
-            resident_bytes: self.resident_bytes,
-            resident_entries: self.entries.len(),
-        }
-    }
-
+    /// Drops every entry, keeping the counters.
     fn clear(&mut self) {
         self.entries.clear();
-        self.resident_bytes = 0;
+    }
+
+    /// Folds the per-range counters and the resident entries into the
+    /// public counters, with one [`ShardCacheStats`] per shard of an
+    /// engine with `num_shards` shards — more if a counter names a shard
+    /// an absorb opened after the caller read the shard count.
+    fn stats(&self, num_shards: usize) -> CacheStats {
+        let named = self.counters.keys().map(|&(_, hi)| hi + 1);
+        let mut stats = CacheStats {
+            per_shard: (0..named.fold(num_shards, usize::max))
+                .map(|shard| ShardCacheStats {
+                    shard,
+                    ..ShardCacheStats::default()
+                })
+                .collect(),
+            seals: self.seals,
+            warm: self.warm,
+            ..CacheStats::default()
+        };
+        for (&(lo, hi), c) in &self.counters {
+            if lo < hi {
+                stats.boundary.hits += c.hits;
+                stats.boundary.builds += c.builds;
+                stats.boundary.evictions += c.evictions;
+                stats.boundary_invalidations += c.invalidations;
+            } else {
+                stats.hits += c.hits;
+                stats.misses += c.misses;
+                stats.evictions += c.evictions;
+                stats.tail_invalidations += c.invalidations;
+                stats.per_shard[lo].hits += c.hits;
+                stats.per_shard[lo].builds += c.builds;
+            }
+        }
+        for (&key, entry) in &self.entries {
+            let bytes = entry.skyline.memory_bytes();
+            if is_stitch(key) {
+                stats.boundary.resident_bytes += bytes;
+                stats.boundary.resident_entries += 1;
+            } else {
+                stats.resident_bytes += bytes;
+                stats.resident_indexes += 1;
+                stats.per_shard[key.0].resident_bytes += bytes;
+                stats.per_shard[key.0].resident_indexes += 1;
+            }
+        }
+        stats
     }
 }
 
@@ -702,17 +581,9 @@ impl LiveState {
         lo..hi
     }
 
-    /// Validity of a skyline covering exactly shard `shard` of this state.
-    fn shard_validity(&self, shard: usize) -> Validity {
-        if shard < self.sealed {
-            Validity::Permanent
-        } else {
-            Validity::Epoch(self.epoch)
-        }
-    }
-
-    /// Validity of a stitch entry over shard range `lo..=hi` of this state.
-    fn range_validity(&self, hi: usize) -> Validity {
+    /// Validity of a cache entry over shard range `lo..=hi` of this state
+    /// (a shard skyline has `lo == hi`).
+    fn validity(&self, hi: usize) -> Validity {
         if hi < self.sealed {
             Validity::Permanent
         } else {
@@ -735,15 +606,14 @@ struct IngestState {
 /// handed to the persistent pool are `'static`.
 ///
 /// Lock order (enforced by tkc-lint's global lock-order rule): `ingest` →
-/// `live` → `cache` → `boundary`.  Queries take `live` alone (one `Arc`
-/// clone) and then `cache`/`boundary`/`scratch` one at a time; only the
-/// ingest path nests.
+/// `live` → `cache`.  Queries take `live` alone (one `Arc` clone) and then
+/// `cache`/`scratch` one at a time; only the ingest path nests.
 struct ShardInner {
     config: EngineConfig,
     live: Mutex<Arc<LiveState>>,
     ingest: Mutex<IngestState>,
-    cache: Mutex<ShardCache>,
-    boundary: Mutex<BoundaryCache>,
+    /// Every cached shard skyline and stitch entry.
+    cache: Mutex<SkylineCache>,
     /// Recycled CSR buffer pairs for restriction / stitch composition (each
     /// query takes the pairs it uses and hands exactly those back; never
     /// held across another lock).
@@ -780,8 +650,7 @@ impl ShardedEngine {
         config: EngineConfig,
     ) -> Result<Self, TkError> {
         let shards = plan.resolve(&graph)?;
-        let cache = Mutex::new(ShardCache::new(config.memory_budget_bytes, shards.len()));
-        let boundary = Mutex::new(BoundaryCache::new(config.boundary_cache_entries));
+        let cache = Mutex::new(SkylineCache::new(&config));
         let sealed = shards.len() - 1;
         let mut appendable = AppendableGraph::from_graph(graph);
         if sealed > 0 {
@@ -804,7 +673,6 @@ impl ShardedEngine {
                     tail_edges,
                 }),
                 cache,
-                boundary,
                 scratch: Mutex::new(SkylineScratch::default()),
                 pool: OnceLock::new(),
                 absorb_failpoints: AtomicU64::new(0),
@@ -901,7 +769,7 @@ impl ShardedEngine {
         let inner = Arc::clone(&self.inner);
         let poisoner = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _guard = inner.cache.lock().expect("not poisoned yet");
-            panic!("poison the shard cache lock");
+            panic!("poison the skyline cache lock");
         }));
         poisoner.is_err() && self.inner.cache.is_poisoned()
     }
@@ -919,14 +787,8 @@ impl ShardedEngine {
     /// shard with its build/hit/residency counters and
     /// [`CacheStats::boundary`] the stitch-index counters.
     pub fn cache_stats(&self) -> CacheStats {
-        self.inner.cache_stats()
-    }
-
-    /// Indexes of the shards overlapping `window`, in timeline order
-    /// (always non-empty for a validated, span-clamped window).  This is
-    /// the routing key of [`crate::CoreService`]'s shard-affine scheduling.
-    pub fn overlapping_shards(&self, window: TimeWindow) -> std::ops::Range<usize> {
-        self.inner.live_now().overlapping(window)
+        let num_shards = self.num_shards();
+        sync::lock(&self.inner.cache).stats(num_shards)
     }
 
     /// Warms every shard skyline for `k`, fanning the missing builds
@@ -945,7 +807,7 @@ impl ShardedEngine {
         let num_shards = live.shards.len();
         let all_resident = {
             let cache = sync::lock(&self.inner.cache);
-            (0..num_shards).all(|shard| cache.is_resident(shard, k, live.epoch))
+            (0..num_shards).all(|shard| cache.is_resident((shard, shard, k), live.epoch))
         };
         let (_, entries_built, build_time) = self.inner.shard_skylines(&live, 0..num_shards, k);
         let mut cache = sync::lock(&self.inner.cache);
@@ -959,15 +821,7 @@ impl ShardedEngine {
     /// Drops every cached shard skyline and stitch entry, keeping the
     /// counters.
     pub fn clear_cache(&self) {
-        let mut cache = sync::lock(&self.inner.cache);
-        cache.entries.clear();
-        cache.resident_bytes = 0;
-        for shard in cache.per_shard.iter_mut() {
-            shard.resident_bytes = 0;
-            shard.resident_indexes = 0;
-        }
-        drop(cache);
-        sync::lock(&self.inner.boundary).clear();
+        sync::lock(&self.inner.cache).clear();
     }
 
     /// Executes a [`QueryRequest`] with `algorithm` from the engine's caches:
@@ -1144,14 +998,6 @@ impl ShardInner {
         Arc::clone(&sync::lock(&self.live))
     }
 
-    fn cache_stats(&self) -> CacheStats {
-        let mut stats = sync::lock(&self.cache).stats();
-        let boundary = sync::lock(&self.boundary);
-        stats.boundary_invalidations = boundary.invalidations;
-        stats.boundary = boundary.stats();
-        stats
-    }
-
     /// Absorbs one ingest batch: append + publish, recompute the tail
     /// window, apply the seal policy, swap the live state and purge exactly
     /// the tail-dependent cache entries.  See [`ShardedEngine::absorb`].
@@ -1207,13 +1053,11 @@ impl ShardInner {
         // the pre-batch tail entries describe a narrower window: purge every
         // non-permanent entry.  Closed-shard skylines are untouched.
         let mut cache = sync::lock(&self.cache);
-        cache.ensure_shards(num_shards);
-        let tail_invalidations = cache.invalidate_tail();
+        let (tail_invalidations, boundary_invalidations) = cache.invalidate_tail();
         if did_seal {
             cache.seals += 1;
         }
         drop(cache);
-        let boundary_invalidations = sync::lock(&self.boundary).invalidate_tail();
         Ok(AbsorbStats {
             appended,
             tail_invalidations,
@@ -1249,10 +1093,7 @@ impl ShardInner {
             sealed: num_shards,
         });
         *sync::lock(&self.live) = state;
-        let mut cache = sync::lock(&self.cache);
-        cache.seal_shard(num_shards - 1, old.epoch);
-        drop(cache);
-        sync::lock(&self.boundary).seal_range(old.epoch);
+        sync::lock(&self.cache).seal(num_shards - 1, old.epoch);
         AbsorbStats {
             sealed: true,
             tmax: old.graph.tmax(),
@@ -1273,7 +1114,7 @@ impl ShardInner {
     /// shard (hit/miss accounting), builds outside the cache lock with
     /// single-flight adoption — two threads racing on the same cold
     /// `(shard, k)` may both build, the loser's copy is dropped — and
-    /// live-tail entries tagged with [`LiveState::shard_validity`]'s epoch.
+    /// live-tail entries tagged with [`LiveState::validity`]'s epoch.
     /// Nested fan-out is deadlock-free because `run_batch`'s calling thread
     /// claims indexes itself.
     ///
@@ -1292,7 +1133,7 @@ impl ShardInner {
         {
             let mut cache = sync::lock(&self.cache);
             for shard in shards {
-                let hit = cache.get(shard, k, live.epoch);
+                let hit = cache.get((shard, shard, k), live.epoch);
                 if hit.is_none() {
                     missing.push(shard);
                 }
@@ -1320,7 +1161,7 @@ impl ShardInner {
                 entries_built += 1;
                 build_time += took;
                 skylines[shard - first] =
-                    Some(cache.adopt(shard, k, skyline, live.shard_validity(shard)));
+                    Some(cache.adopt((shard, shard, k), skyline, live.validity(shard)));
             }
         }
         let skylines = skylines
@@ -1348,7 +1189,7 @@ impl ShardInner {
         hi: usize,
         k: usize,
     ) -> (Arc<EdgeCoreSkyline>, usize) {
-        if let Some(hit) = sync::lock(&self.boundary).get(lo, hi, k, live.epoch) {
+        if let Some(hit) = sync::lock(&self.cache).get((lo, hi, k), live.epoch) {
             return (hit, 0);
         }
         let merged_window = TimeWindow::new(live.shards[lo].start(), live.shards[hi].end());
@@ -1357,8 +1198,7 @@ impl ShardInner {
         let build_peak = merged.memory_bytes();
         let crossing =
             Arc::new(merged.filtered(|w| cuts.iter().any(|&c| w.start() <= c && c < w.end())));
-        let adopted =
-            sync::lock(&self.boundary).adopt(lo, hi, k, crossing, live.range_validity(hi));
+        let adopted = sync::lock(&self.cache).adopt((lo, hi, k), crossing, live.validity(hi));
         (adopted, build_peak)
     }
 
@@ -1567,6 +1407,21 @@ mod tests {
         // No boundary was crossed, so no stitch entry was built.
         assert_eq!(stats.boundary.builds, 0);
         assert_eq!(stats.boundary.resident_entries, 0);
+        // With cuts after 2 and 4, a query builds exactly the shards its
+        // window overlaps.
+        for ((start, end), builds) in [
+            ((1, 2), [1, 0, 0]),
+            ((3, 4), [0, 1, 0]),
+            ((2, 5), [1, 1, 1]),
+            ((5, 7), [0, 0, 1]),
+        ] {
+            let engine =
+                ShardedEngine::new(g.clone(), ShardPlan::ExplicitCuts(vec![2, 4])).unwrap();
+            count(&engine, 2, start, end);
+            let stats = engine.cache_stats();
+            let got: Vec<u64> = stats.per_shard.iter().map(|s| s.builds).collect();
+            assert_eq!(got, builds, "[{start}, {end}]");
+        }
     }
 
     #[test]
@@ -1613,6 +1468,11 @@ mod tests {
         assert_eq!(stats.boundary.builds, 2, "{stats:?}");
         assert_eq!(stats.boundary.resident_entries, 1, "{stats:?}");
         assert!(stats.boundary.evictions >= 1, "{stats:?}");
+        // A stitch eviction never evicts a shard skyline.
+        assert_eq!(stats.evictions, 0, "{stats:?}");
+        for shard in [0, 1, 4, 5, 6] {
+            assert_eq!(stats.per_shard[shard].resident_indexes, 1, "{stats:?}");
+        }
     }
 
     /// A zero stitch-entry budget is clamped to one resident entry and
@@ -1670,6 +1530,35 @@ mod tests {
         assert_eq!(shard_sum, stats.resident_indexes, "{stats:?}");
         let byte_sum: usize = stats.per_shard.iter().map(|s| s.resident_bytes).sum();
         assert_eq!(byte_sum, stats.resident_bytes, "{stats:?}");
+        // Byte pressure evicts shard skylines only: every stitch entry stays.
+        assert_eq!(stats.boundary.evictions, 0, "{stats:?}");
+        assert_eq!(stats.boundary.resident_entries, 3, "{stats:?}");
+        // Stitch bytes do not count against the byte budget: a budget of
+        // exactly the three k = 1 shard skylines holds them beside a stitch
+        // entry built before the last shard.
+        let shards = [(1, 2), (3, 4), (5, 7)];
+        let budget = shards
+            .iter()
+            .map(|&(start, end)| {
+                EdgeCoreSkyline::build(&g, 1, TimeWindow::new(start, end)).memory_bytes()
+            })
+            .sum();
+        let engine = ShardedEngine::with_config(
+            g.clone(),
+            ShardPlan::ExplicitCuts(vec![2, 4]),
+            EngineConfig {
+                memory_budget_bytes: budget,
+                num_threads: 1,
+                ..EngineConfig::default()
+            },
+        )
+        .unwrap();
+        count(&engine, 1, 1, 4);
+        count(&engine, 1, 5, 7);
+        let stats = engine.cache_stats();
+        assert_eq!(stats.evictions, 0, "{stats:?}");
+        assert_eq!(stats.resident_indexes, 3, "{stats:?}");
+        assert_eq!(stats.boundary.resident_entries, 1, "{stats:?}");
     }
 
     #[test]
@@ -1780,16 +1669,6 @@ mod tests {
         assert_eq!(stats.resident_bytes, 0);
         assert!(stats.per_shard.iter().all(|s| s.resident_indexes == 0));
         assert_eq!(stats.boundary.resident_entries, 0);
-    }
-
-    #[test]
-    fn overlapping_shards_reports_the_routing_range() {
-        let g = paper_example::graph();
-        let engine = ShardedEngine::new(g, ShardPlan::ExplicitCuts(vec![2, 4])).unwrap();
-        assert_eq!(engine.overlapping_shards(TimeWindow::new(1, 2)), 0..1);
-        assert_eq!(engine.overlapping_shards(TimeWindow::new(3, 4)), 1..2);
-        assert_eq!(engine.overlapping_shards(TimeWindow::new(2, 5)), 0..3);
-        assert_eq!(engine.overlapping_shards(TimeWindow::new(5, 7)), 2..3);
     }
 
     #[test]
@@ -1930,34 +1809,44 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_shard_and_boundary_locks_recover_instead_of_wedging() {
+    fn a_poisoned_skyline_cache_lock_recovers_for_spanning_queries() {
         let g = paper_example::graph();
         let engine = ShardedEngine::new(g.clone(), ShardPlan::FixedCount(3)).unwrap();
         engine.warm(2);
-        // Poison both cache mutexes: panic while holding each guard.  The
-        // old `.lock().expect("shard cache lock")` sites turned this into a
-        // panic on every later cache_stats()/query; the shared sync helper
-        // recovers the guards instead.
-        let inner = Arc::clone(&engine.inner);
-        for poisoner in [
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _guard = inner.cache.lock().expect("not poisoned yet");
-                panic!("poison the shard cache lock");
-            })),
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _guard = inner.boundary.lock().expect("not poisoned yet");
-                panic!("poison the boundary cache lock");
-            })),
-        ] {
-            assert!(poisoner.is_err());
-        }
-        assert!(inner.cache.is_poisoned() && inner.boundary.is_poisoned());
+        // One mutex guards shard skylines and stitch entries alike; the
+        // shared sync helper recovers it instead of panicking on every later
+        // cache_stats()/query.
+        assert!(engine.poison_cache_lock());
         let stats = engine.cache_stats();
         assert_eq!(stats.resident_indexes, 3, "shard skylines still resident");
         assert!(
             count(&engine, 2, 1, g.tmax()) > 0,
             "spanning query runs after poisoning"
         );
+        assert_eq!(engine.cache_stats().boundary.builds, 1);
+    }
+
+    #[test]
+    fn get_refuses_an_entry_adopted_at_a_stale_epoch() {
+        let g = paper_example::graph();
+        let skyline = Arc::new(EdgeCoreSkyline::build(&g, 2, TimeWindow::new(5, 7)));
+        let mut cache = SkylineCache::new(&EngineConfig::default());
+        // An adopt racing an absorb lands after the purge, tagged with the
+        // epoch its build started at; the next lookup runs at the new epoch.
+        cache.adopt((1, 1, 2), Arc::clone(&skyline), Validity::Epoch(0));
+        cache.adopt((0, 1, 2), skyline, Validity::Epoch(0));
+        assert!(cache.get((1, 1, 2), 1).is_none());
+        assert!(cache.get((0, 1, 2), 1).is_none());
+        let stats = cache.stats(2);
+        assert_eq!((stats.hits, stats.misses), (0, 1), "{stats:?}");
+        assert_eq!(stats.tail_invalidations, 1, "{stats:?}");
+        assert_eq!(stats.boundary_invalidations, 1, "{stats:?}");
+        assert_eq!(stats.boundary.hits, 0, "{stats:?}");
+        assert_eq!(stats.resident_indexes, 0, "{stats:?}");
+        assert_eq!(stats.boundary.resident_entries, 0, "{stats:?}");
+        // A caller that read the shard count before an absorb opened shard 1
+        // still gets a row for every shard the counters name.
+        assert_eq!(cache.stats(1).per_shard.len(), 2);
     }
 
     /// A sink that blocks on its first core until released, holding its
