@@ -1396,7 +1396,7 @@ mod tests {
     #[test]
     fn single_shard_queries_build_only_their_shard() {
         let g = paper_example::graph();
-        let engine = ShardedEngine::new(g.clone(), ShardPlan::ExplicitCuts(vec![4])).unwrap();
+        let engine = ShardedEngine::new(g, ShardPlan::ExplicitCuts(vec![4])).unwrap();
         count(&engine, 2, 1, 3);
         let stats = engine.cache_stats();
         assert_eq!(stats.per_shard.len(), 2);
@@ -1407,8 +1407,13 @@ mod tests {
         // No boundary was crossed, so no stitch entry was built.
         assert_eq!(stats.boundary.builds, 0);
         assert_eq!(stats.boundary.resident_entries, 0);
+    }
+
+    #[test]
+    fn overlapping_shards_reports_the_routing_range() {
+        let g = paper_example::graph();
         // With cuts after 2 and 4, a query builds exactly the shards its
-        // window overlaps.
+        // window overlaps, one fresh engine per window.
         for ((start, end), builds) in [
             ((1, 2), [1, 0, 0]),
             ((3, 4), [0, 1, 0]),
