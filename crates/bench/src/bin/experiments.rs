@@ -17,6 +17,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use tkc_bench::{count_requests, total_cores, Report};
 use tkc_datasets::{DatasetProfile, DatasetStats, QueryWorkload, WorkloadConfig, ALL_PROFILES};
@@ -29,32 +30,35 @@ const TIME_LIMIT: Duration = Duration::from_secs(30);
 
 const OUT_DIR: &str = "target/experiments";
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: [&str; 12] = [
+    "table3", "fig4", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "engine",
+    "skyline", "ingest",
+];
+
+/// Runs the named experiments; an unknown name or a bad `--queries` value
+/// fails before any experiment runs, so a typo cannot pass silently.
+fn main() -> ExitCode {
     let mut experiments: Vec<String> = Vec::new();
     let mut num_queries = 3usize;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--queries" => {
-                num_queries = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(num_queries);
-                i += 1;
-            }
-            other => experiments.push(other.to_string()),
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if arg == "--queries" {
+            let Some(n) = args.next().and_then(|s| s.parse().ok()) else {
+                eprintln!("--queries requires a number of queries");
+                return ExitCode::FAILURE;
+            };
+            num_queries = n;
+        } else if arg == "all" || EXPERIMENTS.contains(&arg.as_str()) {
+            experiments.push(arg);
+        } else {
+            let known = EXPERIMENTS.join(", ");
+            eprintln!("unknown experiment `{arg}` (expected one of {known}, all)");
+            return ExitCode::FAILURE;
         }
-        i += 1;
     }
     if experiments.is_empty() || experiments.iter().any(|e| e == "all") {
-        experiments = vec![
-            "table3", "fig4", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "engine",
-            "skyline", "ingest",
-        ]
-        .into_iter()
-        .map(String::from)
-        .collect();
+        experiments = EXPERIMENTS.map(String::from).to_vec();
     }
 
     for experiment in &experiments {
@@ -71,13 +75,7 @@ fn main() {
             "engine" => engine_batch(num_queries.max(8)),
             "skyline" => skyline_experiment(num_queries.max(8)),
             "ingest" => ingest_experiment(num_queries.max(6)),
-            other => {
-                eprintln!(
-                    "unknown experiment `{other}` (expected table3, fig4..fig12, engine, \
-                     skyline, ingest, all)"
-                );
-                continue;
-            }
+            other => unreachable!("`{other}` was checked against EXPERIMENTS"),
         };
         print!("{}", report.to_text());
         println!();
@@ -103,6 +101,7 @@ fn main() {
             }
         }
     }
+    ExitCode::SUCCESS
 }
 
 fn default_params(graph: &temporal_graph::TemporalGraph) -> (DatasetStats, usize, u32) {

@@ -2,6 +2,9 @@
 //!
 //! The binary is a thin wrapper around [`run`]; keeping the logic in a
 //! library makes the argument parsing and command dispatch unit-testable.
+//! [`parse_args`] reads every command through one argument walker and
+//! parses each number into its field's own type: a value out of that type's
+//! range (a `--end` past `u32::MAX`, say) is refused, never wrapped.
 //! Every query-running command (`query`, `batch`, `ingest`, `serve`) goes
 //! through one path: [`tkcore::QueryRequest`]s submitted to a
 //! [`tkcore::CoreService`] over a [`tkcore::ShardedEngine`], so malformed
@@ -12,6 +15,8 @@
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;
+use std::num::{IntErrorKind, ParseIntError};
+use std::str::FromStr;
 use std::sync::Arc;
 use tkc_datasets::{ArrivalProfile, DatasetProfile, DatasetStats, EventStream, EventStreamConfig};
 use tkcore::{
@@ -34,6 +39,12 @@ impl std::error::Error for CliError {}
 impl From<temporal_graph::TemporalGraphError> for CliError {
     fn from(e: temporal_graph::TemporalGraphError) -> Self {
         CliError(e.to_string())
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(message: &str) -> Self {
+        CliError(message.into())
     }
 }
 
@@ -297,95 +308,48 @@ pub enum Command {
 
 /// Parses the command line (without the program name).
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
-    let mut it = args.iter();
-    let Some(cmd) = it.next() else {
+    let Some((cmd, rest)) = args.split_first() else {
         return Ok(Command::Help);
     };
+    let mut args = ArgWalker(rest.iter());
     match cmd.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "profiles" => Ok(Command::Profiles),
-        "stats" => {
-            let path = it
-                .next()
-                .ok_or_else(|| CliError("stats requires an edge-list path".into()))?;
-            Ok(Command::Stats { path: path.clone() })
-        }
-        "generate" => {
-            let profile = it
-                .next()
-                .ok_or_else(|| CliError("generate requires a profile name".into()))?;
-            let output = it
-                .next()
-                .ok_or_else(|| CliError("generate requires an output path".into()))?;
-            Ok(Command::Generate {
-                profile: profile.clone(),
-                output: output.clone(),
-            })
-        }
+        "stats" => Ok(Command::Stats {
+            path: args.positional("stats requires an edge-list path")?,
+        }),
+        "generate" => Ok(Command::Generate {
+            profile: args.positional("generate requires a profile name")?,
+            output: args.positional("generate requires an output path")?,
+        }),
         "ingest" => {
-            let path = it
-                .next()
-                .ok_or_else(|| CliError("ingest requires an edge-list path".into()))?
-                .clone();
-            let events = it
-                .next()
-                .ok_or_else(|| CliError("ingest requires an event stream path (or `-`)".into()))?
-                .clone();
-            let mut shards = 2usize;
-            let mut workers = 0usize;
-            let mut batch = 64usize;
-            let mut seal_edges = 0usize;
-            let mut seal_span = 0u32;
+            let path = args.positional("ingest requires an edge-list path")?;
+            let events = args.positional("ingest requires an event stream path (or `-`)")?;
+            let mut shards = 2;
+            let mut workers = 0;
+            let mut batch = 64;
+            let mut seal_edges = 0;
+            let mut seal_span = 0;
             let mut queries = None;
             let mut stats = false;
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                let flag = rest[i].as_str();
-                let value = |what: &str| -> Result<&String, CliError> {
-                    rest.get(i + 1)
-                        .copied()
-                        .ok_or_else(|| CliError(format!("{what} requires a value")))
-                };
+            args.flags(|flag, value| {
                 match flag {
-                    "--shards" => {
-                        shards = parse_num(value("--shards")?, "--shards")?;
-                        if shards == 0 {
-                            return Err(CliError(
-                                "--shards: live ingestion needs at least 1 shard".into(),
-                            ));
-                        }
-                        i += 1;
-                    }
-                    "--workers" => {
-                        workers = parse_num(value("--workers")?, "--workers")?;
-                        i += 1;
-                    }
-                    "--batch" => {
-                        batch = parse_num(value("--batch")?, "--batch")?.max(1);
-                        i += 1;
-                    }
-                    "--seal-edges" => {
-                        seal_edges = parse_num(value("--seal-edges")?, "--seal-edges")?;
-                        i += 1;
-                    }
-                    "--seal-span" => {
-                        seal_span = parse_num(value("--seal-span")?, "--seal-span")? as u32;
-                        i += 1;
-                    }
-                    "--queries" => {
-                        queries = Some(value("--queries")?.clone());
-                        i += 1;
-                    }
+                    "--shards" => shards = num(flag, value()?)?,
+                    "--workers" => workers = num(flag, value()?)?,
+                    "--batch" => batch = num::<usize>(flag, value()?)?.max(1),
+                    "--seal-edges" => seal_edges = num(flag, value()?)?,
+                    "--seal-span" => seal_span = num(flag, value()?)?,
+                    "--queries" => queries = Some(value()?.to_string()),
                     "--stats" => stats = true,
-                    other => return Err(CliError(format!("unknown flag `{other}`"))),
+                    _ => return Ok(false),
                 }
-                i += 1;
+                Ok(true)
+            })?;
+            if shards == 0 {
+                return Err("--shards: live ingestion needs at least 1 shard".into());
             }
             if seal_edges > 0 && seal_span > 0 {
-                return Err(CliError(
-                    "--seal-edges and --seal-span are mutually exclusive".into(),
-                ));
+                return Err("--seal-edges and --seal-span are mutually exclusive".into());
             }
             Ok(Command::Ingest {
                 path,
@@ -400,54 +364,25 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "serve" => {
-            let path = it
-                .next()
-                .ok_or_else(|| CliError("serve requires an edge-list path".into()))?
-                .clone();
+            let path = args.positional("serve requires an edge-list path")?;
             let mut addr = String::from("127.0.0.1:7411");
-            let mut shards = 0usize;
-            let mut workers = 0usize;
-            let mut conn_workers = 4usize;
-            let mut queue_depth = 0usize;
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                let flag = rest[i].as_str();
-                let value = |what: &str| -> Result<&String, CliError> {
-                    rest.get(i + 1)
-                        .copied()
-                        .ok_or_else(|| CliError(format!("{what} requires a value")))
-                };
+            let mut shards = 0;
+            let mut workers = 0;
+            let mut conn_workers = 4;
+            let mut queue_depth = 0;
+            args.flags(|flag, value| {
                 match flag {
-                    "--addr" => {
-                        addr = value("--addr")?.clone();
-                        i += 1;
-                    }
-                    "--shards" => {
-                        shards = parse_num(value("--shards")?, "--shards")?;
-                        i += 1;
-                    }
-                    "--workers" => {
-                        workers = parse_num(value("--workers")?, "--workers")?;
-                        i += 1;
-                    }
-                    "--conn-workers" => {
-                        conn_workers = parse_num(value("--conn-workers")?, "--conn-workers")?;
-                        if conn_workers == 0 {
-                            return Err(CliError(
-                                "--conn-workers: serving needs at least 1 connection handler"
-                                    .into(),
-                            ));
-                        }
-                        i += 1;
-                    }
-                    "--queue-depth" => {
-                        queue_depth = parse_num(value("--queue-depth")?, "--queue-depth")?;
-                        i += 1;
-                    }
-                    other => return Err(CliError(format!("unknown flag `{other}`"))),
+                    "--addr" => addr = value()?.to_string(),
+                    "--shards" => shards = num(flag, value()?)?,
+                    "--workers" => workers = num(flag, value()?)?,
+                    "--conn-workers" => conn_workers = num(flag, value()?)?,
+                    "--queue-depth" => queue_depth = num(flag, value()?)?,
+                    _ => return Ok(false),
                 }
-                i += 1;
+                Ok(true)
+            })?;
+            if conn_workers == 0 {
+                return Err("--conn-workers: serving needs at least 1 connection handler".into());
             }
             Ok(Command::Serve {
                 path,
@@ -459,165 +394,85 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "client" => {
-            let addr = it
-                .next()
-                .ok_or_else(|| CliError("client requires a server address (HOST:PORT)".into()))?
-                .clone();
-            let mut k: Option<usize> = None;
-            let mut k_range: Option<(usize, usize)> = None;
-            let mut start: Option<u32> = None;
-            let mut end: Option<u32> = None;
+            let addr = args.positional("client requires a server address (HOST:PORT)")?;
+            let mut k = None;
+            let mut k_range = None;
+            let mut start = None;
+            let mut end = None;
             let mut lane = Lane::Interactive;
-            let mut deadline_ms: Option<u64> = None;
-            let mut algorithm: Option<Algorithm> = None;
+            let mut deadline_ms = None;
+            let mut algorithm = None;
             let mut output = OutputKind::Count;
-            let mut op: Option<ClientAction> = None;
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                let flag = rest[i].as_str();
-                let value = |what: &str| -> Result<&String, CliError> {
-                    rest.get(i + 1)
-                        .copied()
-                        .ok_or_else(|| CliError(format!("{what} requires a value")))
-                };
+            let mut op = None;
+            args.flags(|flag, value| {
                 match flag {
                     "--ping" => op = Some(ClientAction::Ping),
                     "--stats" => op = Some(ClientAction::Stats),
                     "--shutdown" => op = Some(ClientAction::Shutdown),
-                    "--k" => {
-                        k = Some(parse_num(value("--k")?, "--k")?);
-                        i += 1;
-                    }
-                    "--k-range" => {
-                        k_range = Some(parse_k_range(value("--k-range")?)?);
-                        i += 1;
-                    }
-                    "--start" => {
-                        start = Some(parse_num(value("--start")?, "--start")? as u32);
-                        i += 1;
-                    }
-                    "--end" => {
-                        end = Some(parse_num(value("--end")?, "--end")? as u32);
-                        i += 1;
-                    }
+                    "--k" => k = Some(num(flag, value()?)?),
+                    "--k-range" => k_range = Some(parse_k_range(value()?)?),
+                    "--start" => start = Some(num(flag, value()?)?),
+                    "--end" => end = Some(num(flag, value()?)?),
                     "--lane" => {
-                        lane = value("--lane")?
-                            .parse::<Lane>()
+                        lane = value()?
+                            .parse()
                             .map_err(|e| CliError(format!("--lane: {e}")))?;
-                        i += 1;
                     }
-                    "--deadline-ms" => {
-                        deadline_ms =
-                            Some(parse_num(value("--deadline-ms")?, "--deadline-ms")? as u64);
-                        i += 1;
-                    }
-                    "--algo" | "--algorithm" => {
-                        algorithm = Some(value(flag)?.parse::<Algorithm>()?);
-                        i += 1;
-                    }
-                    "--output" => {
-                        output = match value("--output")?.as_str() {
-                            "count" => OutputKind::Count,
-                            "cores" | "full" => OutputKind::Full,
-                            other => {
-                                return Err(CliError(format!(
-                                    "--output: `{other}` is not count or cores"
-                                )))
-                            }
-                        };
-                        i += 1;
-                    }
-                    other => return Err(CliError(format!("unknown flag `{other}`"))),
+                    "--deadline-ms" => deadline_ms = Some(num(flag, value()?)?),
+                    "--algo" | "--algorithm" => algorithm = Some(value()?.parse()?),
+                    "--output" => output = output_kind(value()?, &["cores", "full"])?,
+                    _ => return Ok(false),
                 }
-                i += 1;
-            }
-            let action = if let Some(op) = op {
-                if k.is_some()
-                    || k_range.is_some()
-                    || start.is_some()
-                    || end.is_some()
-                    || deadline_ms.is_some()
+                Ok(true)
+            })?;
+            let action = match op {
+                Some(_)
+                    if k.is_some()
+                        || k_range.is_some()
+                        || start.is_some()
+                        || end.is_some()
+                        || deadline_ms.is_some() =>
                 {
-                    return Err(CliError(
-                        "--ping/--stats/--shutdown do not take query flags".into(),
-                    ));
+                    return Err("--ping/--stats/--shutdown do not take query flags".into());
                 }
-                op
-            } else {
-                let ks = match (k, k_range) {
-                    (Some(_), Some(_)) => {
-                        return Err(CliError("--k and --k-range are mutually exclusive".into()))
-                    }
-                    (Some(k), None) => KSpec::Single(k),
-                    (None, Some((lo, hi))) => KSpec::Range(lo, hi),
-                    (None, None) => {
-                        return Err(CliError(
-                            "client requires --k <K> or --k-range <MIN>..=<MAX> \
-                             (or one of --ping, --stats, --shutdown)"
-                                .into(),
-                        ))
-                    }
-                };
-                let start =
-                    start.ok_or_else(|| CliError("client queries require --start <TS>".into()))?;
-                let end =
-                    end.ok_or_else(|| CliError("client queries require --end <TE>".into()))?;
-                ClientAction::Query {
-                    ks,
-                    start,
-                    end,
+                Some(op) => op,
+                None => ClientAction::Query {
+                    ks: k_spec(
+                        k,
+                        k_range,
+                        "client requires --k <K> or --k-range <MIN>..=<MAX> \
+                         (or one of --ping, --stats, --shutdown)",
+                    )?,
+                    start: start.ok_or("client queries require --start <TS>")?,
+                    end: end.ok_or("client queries require --end <TE>")?,
                     lane,
                     deadline_ms,
                     algorithm,
                     output,
-                }
+                },
             };
             Ok(Command::Client { addr, action })
         }
         "gen-events" => {
-            let count = parse_num(
-                it.next()
-                    .ok_or_else(|| CliError("gen-events requires an event count".into()))?,
-                "gen-events count",
-            )?;
-            let output = it
-                .next()
-                .ok_or_else(|| CliError("gen-events requires an output path (or `-`)".into()))?
-                .clone();
-            let mut vertices = 100u64;
-            let mut start_after = 0u32;
+            let count = args.positional("gen-events requires an event count")?;
+            let count = num("gen-events count", &count)?;
+            let output = args.positional("gen-events requires an output path (or `-`)")?;
+            let mut vertices = 100;
+            let mut start_after = 0;
             let mut profile = String::from("steady");
-            let mut seed = 42u64;
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                let flag = rest[i].as_str();
-                let value = |what: &str| -> Result<&String, CliError> {
-                    rest.get(i + 1)
-                        .copied()
-                        .ok_or_else(|| CliError(format!("{what} requires a value")))
-                };
+            let mut seed = 42;
+            args.flags(|flag, value| {
                 match flag {
-                    "--vertices" => {
-                        vertices = parse_num(value("--vertices")?, "--vertices")? as u64;
-                        i += 1;
-                    }
-                    "--start-after" => {
-                        start_after = parse_num(value("--start-after")?, "--start-after")? as u32;
-                        i += 1;
-                    }
-                    "--profile" => {
-                        profile = value("--profile")?.clone();
-                        i += 1;
-                    }
-                    "--seed" => {
-                        seed = parse_num(value("--seed")?, "--seed")? as u64;
-                        i += 1;
-                    }
-                    other => return Err(CliError(format!("unknown flag `{other}`"))),
+                    "--vertices" => vertices = num(flag, value()?)?,
+                    "--start-after" => start_after = num(flag, value()?)?,
+                    "--profile" => profile = value()?.to_string(),
+                    "--seed" => seed = num(flag, value()?)?,
+                    _ => return Ok(false),
                 }
-                i += 1;
+                Ok(true)
+            })?;
+            if vertices < 2 {
+                return Err("--vertices: a stream over 1 vertex holds only self loops".into());
             }
             Ok(Command::GenEvents {
                 count,
@@ -629,50 +484,28 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "batch" => {
-            let path = it
-                .next()
-                .ok_or_else(|| CliError("batch requires an edge-list path".into()))?
-                .clone();
-            let queries = it
-                .next()
-                .ok_or_else(|| CliError("batch requires a query CSV path".into()))?
-                .clone();
+            let path = args.positional("batch requires an edge-list path")?;
+            let queries = args.positional("batch requires a query CSV path")?;
             let mut algorithm = Algorithm::Enum;
-            let mut budget_mb = 256usize;
-            let mut shards = 0usize;
-            let mut workers = 0usize;
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                let flag = rest[i].as_str();
-                let value = |what: &str| -> Result<&String, CliError> {
-                    rest.get(i + 1)
-                        .copied()
-                        .ok_or_else(|| CliError(format!("{what} requires a value")))
-                };
+            let mut budget_mb = 256;
+            let mut shards = 0;
+            let mut workers = 0;
+            args.flags(|flag, value| {
                 match flag {
-                    "--algo" | "--algorithm" => {
-                        algorithm = value(flag)?.parse::<Algorithm>()?;
-                        i += 1;
-                    }
-                    "--budget-mb" => {
-                        budget_mb = parse_num(value("--budget-mb")?, "--budget-mb")?;
-                        if budget_mb == 0 {
-                            return Err(CliError("--budget-mb must be at least 1".into()));
-                        }
-                        i += 1;
-                    }
-                    "--shards" => {
-                        shards = parse_num(value("--shards")?, "--shards")?;
-                        i += 1;
-                    }
-                    "--workers" | "--threads" => {
-                        workers = parse_num(value(flag)?, flag)?;
-                        i += 1;
-                    }
-                    other => return Err(CliError(format!("unknown flag `{other}`"))),
+                    "--algo" | "--algorithm" => algorithm = value()?.parse()?,
+                    "--budget-mb" => budget_mb = num(flag, value()?)?,
+                    "--shards" => shards = num(flag, value()?)?,
+                    "--workers" | "--threads" => workers = num(flag, value()?)?,
+                    _ => return Ok(false),
                 }
-                i += 1;
+                Ok(true)
+            })?;
+            // The budget is handed on in bytes, which must fit in a usize.
+            if budget_mb == 0 || budget_mb > usize::MAX >> 20 {
+                return Err(CliError(format!(
+                    "--budget-mb must be between 1 and {}",
+                    usize::MAX >> 20
+                )));
             }
             Ok(Command::Batch {
                 path,
@@ -684,97 +517,43 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "query" => {
-            let path = it
-                .next()
-                .ok_or_else(|| CliError("query requires an edge-list path".into()))?
-                .clone();
-            let mut k: Option<usize> = None;
-            let mut k_range: Option<(usize, usize)> = None;
+            let path = args.positional("query requires an edge-list path")?;
+            let mut k = None;
+            let mut k_range = None;
             let mut start = None;
             let mut end = None;
             let mut algorithm = Algorithm::Enum;
-            let mut output: Option<OutputKind> = None;
-            let mut limit = 20usize;
-            let mut shards = 0usize;
-            let mut workers = 0usize;
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                let flag = rest[i].as_str();
-                let value = |what: &str| -> Result<&String, CliError> {
-                    rest.get(i + 1)
-                        .copied()
-                        .ok_or_else(|| CliError(format!("{what} requires a value")))
-                };
+            let mut output = OutputKind::Full;
+            let mut limit = 20;
+            let mut shards = 0;
+            let mut workers = 0;
+            args.flags(|flag, value| {
                 match flag {
-                    "--k" => {
-                        k = Some(parse_num(value("--k")?, "--k")?);
-                        i += 1;
-                    }
-                    "--k-range" => {
-                        k_range = Some(parse_k_range(value("--k-range")?)?);
-                        i += 1;
-                    }
-                    "--start" => {
-                        start = Some(parse_num(value("--start")?, "--start")? as u32);
-                        i += 1;
-                    }
-                    "--end" => {
-                        end = Some(parse_num(value("--end")?, "--end")? as u32);
-                        i += 1;
-                    }
-                    "--limit" => {
-                        limit = parse_num(value("--limit")?, "--limit")?;
-                        i += 1;
-                    }
-                    "--shards" => {
-                        shards = parse_num(value("--shards")?, "--shards")?;
-                        i += 1;
-                    }
-                    "--workers" => {
-                        workers = parse_num(value("--workers")?, "--workers")?;
-                        i += 1;
-                    }
-                    "--algo" | "--algorithm" => {
-                        algorithm = value(flag)?.parse::<Algorithm>()?;
-                        i += 1;
-                    }
-                    "--output" => {
-                        output = Some(match value("--output")?.as_str() {
-                            "count" => OutputKind::Count,
-                            "full" => OutputKind::Full,
-                            other => {
-                                return Err(CliError(format!(
-                                    "--output: `{other}` is not count or full"
-                                )))
-                            }
-                        });
-                        i += 1;
-                    }
-                    "--count-only" => output = Some(OutputKind::Count),
-                    other => return Err(CliError(format!("unknown flag `{other}`"))),
+                    "--k" => k = Some(num(flag, value()?)?),
+                    "--k-range" => k_range = Some(parse_k_range(value()?)?),
+                    "--start" => start = Some(num(flag, value()?)?),
+                    "--end" => end = Some(num(flag, value()?)?),
+                    "--limit" => limit = num(flag, value()?)?,
+                    "--shards" => shards = num(flag, value()?)?,
+                    "--workers" => workers = num(flag, value()?)?,
+                    "--algo" | "--algorithm" => algorithm = value()?.parse()?,
+                    "--output" => output = output_kind(value()?, &["full"])?,
+                    "--count-only" => output = OutputKind::Count,
+                    _ => return Ok(false),
                 }
-                i += 1;
-            }
-            let ks = match (k, k_range) {
-                (Some(_), Some(_)) => {
-                    return Err(CliError("--k and --k-range are mutually exclusive".into()))
-                }
-                (Some(k), None) => KSpec::Single(k),
-                (None, Some((lo, hi))) => KSpec::Range(lo, hi),
-                (None, None) => {
-                    return Err(CliError(
-                        "query requires --k <K> or --k-range <MIN>..=<MAX>".into(),
-                    ))
-                }
-            };
+                Ok(true)
+            })?;
             Ok(Command::Query {
                 path,
-                ks,
+                ks: k_spec(
+                    k,
+                    k_range,
+                    "query requires --k <K> or --k-range <MIN>..=<MAX>",
+                )?,
                 start,
                 end,
                 algorithm,
-                output: output.unwrap_or(OutputKind::Full),
+                output,
                 limit,
                 shards,
                 workers,
@@ -784,9 +563,79 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     }
 }
 
-fn parse_num(s: &str, what: &str) -> Result<usize, CliError> {
-    s.parse()
-        .map_err(|_| CliError(format!("{what}: `{s}` is not a number")))
+/// The arguments after a command name: its positional arguments, then its
+/// flags.
+struct ArgWalker<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> ArgWalker<'a> {
+    /// The next positional argument; `missing` is the error when there is
+    /// none.
+    fn positional(&mut self, missing: &str) -> Result<String, CliError> {
+        self.0.next().cloned().ok_or_else(|| missing.into())
+    }
+
+    /// Hands every remaining flag to `on`, which returns whether it knows
+    /// the flag and calls `value` to take the argument after it.
+    fn flags(
+        mut self,
+        mut on: impl FnMut(
+            &'a str,
+            &mut dyn FnMut() -> Result<&'a str, CliError>,
+        ) -> Result<bool, CliError>,
+    ) -> Result<(), CliError> {
+        while let Some(flag) = self.0.next() {
+            let mut value = || {
+                self.0
+                    .next()
+                    .map(String::as_str)
+                    .ok_or_else(|| CliError(format!("{flag} requires a value")))
+            };
+            if !on(flag, &mut value)? {
+                return Err(CliError(format!("unknown flag `{flag}`")));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Parses `text`, the value of `flag`, as a number of the type it is stored
+/// in: a value out of that type's range is refused, never wrapped.
+fn num<T: FromStr<Err = ParseIntError>>(flag: &str, text: &str) -> Result<T, CliError> {
+    text.parse().map_err(|e: ParseIntError| match e.kind() {
+        IntErrorKind::PosOverflow => CliError(format!(
+            "{flag}: `{text}` is out of range for {}",
+            std::any::type_name::<T>()
+        )),
+        _ => CliError(format!("{flag}: `{text}` is not a number")),
+    })
+}
+
+/// The `k` values a query covers, from its `--k` and `--k-range` flags;
+/// `missing` is the error when neither is given.
+fn k_spec(
+    k: Option<usize>,
+    k_range: Option<(usize, usize)>,
+    missing: &str,
+) -> Result<KSpec, CliError> {
+    match (k, k_range) {
+        (Some(_), Some(_)) => Err("--k and --k-range are mutually exclusive".into()),
+        (Some(k), None) => Ok(KSpec::Single(k)),
+        (None, Some((lo, hi))) => Ok(KSpec::Range(lo, hi)),
+        (None, None) => Err(missing.into()),
+    }
+}
+
+/// Parses an `--output` value: `count`, or one of the `full` spellings the
+/// command accepts for materialised cores.
+fn output_kind(text: &str, full: &[&str]) -> Result<OutputKind, CliError> {
+    match text {
+        "count" => Ok(OutputKind::Count),
+        _ if full.contains(&text) => Ok(OutputKind::Full),
+        _ => Err(CliError(format!(
+            "--output: `{text}` is not count or {}",
+            full[0]
+        ))),
+    }
 }
 
 /// Parses an inclusive `k` range: `2..=5`, `2..5` or `2-5` all mean
@@ -801,8 +650,8 @@ fn parse_k_range(s: &str) -> Result<(usize, usize), CliError> {
                 "--k-range: `{s}` is not of the form MIN..=MAX (e.g. 2..=5)"
             ))
         })?;
-    let lo = parse_num(lo.trim(), "--k-range min")?;
-    let hi = parse_num(hi.trim(), "--k-range max")?;
+    let lo = num("--k-range min", lo.trim())?;
+    let hi = num("--k-range max", hi.trim())?;
     if lo == 0 || lo > hi {
         return Err(CliError(format!(
             "--k-range: [{lo}, {hi}] is not a non-empty range of k >= 1"
@@ -1554,6 +1403,12 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Asserts that `args` is refused with an error naming `flag`.
+    fn refuses(args: &[&str], flag: &str) {
+        let err = parse_args(&strings(args)).unwrap_err();
+        assert!(err.0.contains(flag), "{args:?}: {err}");
+    }
+
     #[test]
     fn parses_help_and_profiles() {
         assert_eq!(parse_args(&[]).unwrap(), Command::Help);
@@ -1683,6 +1538,15 @@ mod tests {
         assert!(parse_args(&strings(&["frobnicate"])).is_err());
         assert!(parse_args(&strings(&["stats"])).is_err());
         assert!(parse_args(&strings(&["generate", "CM"])).is_err());
+        // Timestamps past u32 are refused, not wrapped into a small window.
+        refuses(
+            &["query", "g.txt", "--k", "2", "--start", "4294967297"],
+            "--start",
+        );
+        refuses(
+            &["query", "g.txt", "--k", "2", "--end", "4294967300"],
+            "--end",
+        );
     }
 
     #[test]
@@ -1897,6 +1761,11 @@ mod tests {
         assert!(parse_args(&strings(&["batch", "g.txt"])).is_err());
         assert!(parse_args(&strings(&["batch", "g.txt", "q.csv", "--budget-mb", "0"])).is_err());
         assert!(parse_args(&strings(&["batch", "g.txt", "q.csv", "--wat"])).is_err());
+        // 2^44 MiB is 2^64 bytes: the byte budget would wrap to 0.
+        refuses(
+            &["batch", "g.txt", "q.csv", "--budget-mb", "17592186044416"],
+            "--budget-mb",
+        );
     }
 
     #[test]
@@ -2036,6 +1905,28 @@ mod tests {
         assert!(parse_args(&strings(&["ingest", "g.txt", "ev.txt", "--shards", "0"])).is_err());
         assert!(parse_args(&strings(&["ingest", "g.txt"])).is_err());
         assert!(parse_args(&strings(&["gen-events", "ten", "-"])).is_err());
+        refuses(
+            &["ingest", "g.txt", "ev.txt", "--seal-span", "4294967296"],
+            "--seal-span",
+        );
+        refuses(
+            &[
+                "ingest",
+                "g.txt",
+                "ev.txt",
+                "--seal-span",
+                "4294967296",
+                "--seal-edges",
+                "5",
+            ],
+            "--seal-span",
+        );
+        refuses(
+            &["gen-events", "10", "-", "--start-after", "4294967297"],
+            "--start-after",
+        );
+        // One vertex allows only self loops, which ingest rejects.
+        refuses(&["gen-events", "10", "-", "--vertices", "1"], "--vertices");
     }
 
     #[test]
@@ -2240,6 +2131,19 @@ mod tests {
         assert!(parse_args(&strings(&["client", "h:1"])).is_err());
         assert!(parse_args(&strings(&["client", "h:1", "--ping", "--k", "2"])).is_err());
         assert!(parse_args(&strings(&["client", "h:1", "--lane", "express"])).is_err());
+        refuses(
+            &[
+                "client",
+                "h:1",
+                "--k",
+                "2",
+                "--start",
+                "1",
+                "--end",
+                "4294967296",
+            ],
+            "--end",
+        );
     }
 
     #[test]

@@ -160,27 +160,6 @@ impl AppendableGraph {
         Arc::clone(&self.snapshot)
     }
 
-    fn check_event(&self, u: u64, v: u64, t: Timestamp) -> Result<(), TemporalGraphError> {
-        if u == v {
-            return Err(TemporalGraphError::InvalidEdge {
-                message: format!("self loop ({u}, {v}, {t})"),
-            });
-        }
-        if t == Timestamp::MAX {
-            return Err(TemporalGraphError::InvalidEdge {
-                message: format!("timestamp {t} out of range 1..2^32-1"),
-            });
-        }
-        let watermark = self.watermark();
-        if t < watermark {
-            return Err(TemporalGraphError::OutOfOrder { t, watermark });
-        }
-        if t == self.last_t && self.at_last.contains(&Self::label_key(u, v)) {
-            return Err(TemporalGraphError::DuplicateEvent { u, v, t });
-        }
-        Ok(())
-    }
-
     fn push_event(&mut self, u: u64, v: u64, t: Timestamp) {
         if t > self.last_t {
             self.at_last.clear();
@@ -211,9 +190,7 @@ impl AppendableGraph {
     /// timestamp is below [`Self::watermark`], or it exactly duplicates an
     /// occurrence at the same timestamp.
     pub fn append(&mut self, u: u64, v: u64, t: Timestamp) -> Result<(), TemporalGraphError> {
-        self.check_event(u, v, t)?;
-        self.push_event(u, v, t);
-        Ok(())
+        self.append_batch(&[(u, v, t)]).map(|_| ())
     }
 
     /// Appends a whole batch atomically: the batch is validated in full
