@@ -10,7 +10,9 @@
 //! ```
 //!
 //! Each experiment prints an aligned text table and writes a CSV under
-//! `target/experiments/`.  Absolute numbers differ from the paper (synthetic
+//! `target/experiments/`; `engine`, `skyline` and `ingest` also rewrite
+//! their `BENCH_*.json` baseline at the workspace root and exit nonzero
+//! when that write fails.  Absolute numbers differ from the paper (synthetic
 //! analogues, different hardware); the shapes — which algorithm wins, how
 //! times scale with `k` and with the range length — are the reproduction
 //! target and are recorded in EXPERIMENTS.md.
@@ -34,6 +36,14 @@ const OUT_DIR: &str = "target/experiments";
 const EXPERIMENTS: [&str; 12] = [
     "table3", "fig4", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "engine",
     "skyline", "ingest",
+];
+
+/// The experiments whose report is also written as a checked-in
+/// `BENCH_*.json` baseline at the workspace root.
+const BENCH_FILES: [(&str, &str); 3] = [
+    ("engine", "BENCH_engine.json"),
+    ("skyline", "BENCH_skyline.json"),
+    ("ingest", "BENCH_ingest.json"),
 ];
 
 /// Runs the named experiments; an unknown name or a bad `--queries` value
@@ -82,22 +92,13 @@ fn main() -> ExitCode {
         if let Err(e) = report.save_csv(OUT_DIR, experiment) {
             eprintln!("warning: could not save CSV for {experiment}: {e}");
         }
-        // The engine and ingest batches additionally land as checked-in
-        // JSON artifacts at the workspace root, so timing regressions show
-        // up in review.
-        if experiment == "engine" {
-            if let Err(e) = report.save_json("BENCH_engine.json") {
-                eprintln!("warning: could not save BENCH_engine.json: {e}");
-            }
-        }
-        if experiment == "skyline" {
-            if let Err(e) = report.save_json("BENCH_skyline.json") {
-                eprintln!("warning: could not save BENCH_skyline.json: {e}");
-            }
-        }
-        if experiment == "ingest" {
-            if let Err(e) = report.save_json("BENCH_ingest.json") {
-                eprintln!("warning: could not save BENCH_ingest.json: {e}");
+        // These batches also land as checked-in JSON artifacts at the
+        // workspace root; a failed write must fail the run, or a stale
+        // artifact would pass for a fresh one.
+        if let Some(&(_, file)) = BENCH_FILES.iter().find(|(name, _)| name == experiment) {
+            if let Err(e) = report.save_json(file) {
+                eprintln!("error: could not save {file}: {e}");
+                return ExitCode::FAILURE;
             }
         }
     }

@@ -1,5 +1,5 @@
 //! Benchmark harness library: shared reporting utilities and workload
-//! builders used by the `experiments` binary and the Criterion benches.
+//! builders used by the `experiments` binary, the one engine timer.
 
 #![forbid(unsafe_code)]
 
@@ -10,7 +10,7 @@ pub use report::{Report, Row};
 use tkcore::{QueryRequest, QueryResponse, ShardPlan, TimeRangeKCoreQuery};
 
 /// One single-`k` count request per query: the batch shape the engine
-/// experiments and benches hand to `ShardedEngine::execute_batch`.
+/// experiments hand to `ShardedEngine::execute_batch`.
 pub fn count_requests(queries: &[TimeRangeKCoreQuery]) -> Vec<QueryRequest> {
     queries.iter().map(|&query| query.into()).collect()
 }

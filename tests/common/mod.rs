@@ -1,5 +1,5 @@
 //! Generators and helpers shared by the property harnesses
-//! (`shard_equivalence`, `flat_skyline`, `ingest_equivalence`).
+//! (`properties`, `shard_equivalence`, `flat_skyline`, `ingest_equivalence`).
 //!
 //! Each integration test is its own crate and uses a different subset of
 //! these helpers, hence the crate-wide `dead_code` allowance.

@@ -2,34 +2,16 @@
 //! brute-force reference on randomized temporal graphs, and the framework's
 //! structural invariants hold.
 
+mod common;
+
+use common::{arb_graph, canonical};
 use proptest::prelude::*;
-use temporal_graph::{EdgeId, TemporalGraph, TemporalGraphBuilder, TimeWindow};
-use tkcore::{
-    enumerate_base_from_graph, enumerate_from_graph, naive_results, run_otcd, Algorithm,
+use temporal_kcore::temporal_graph::{EdgeId, TimeWindow};
+use temporal_kcore::tkcore::{
+    self, enumerate_base_from_graph, enumerate_from_graph, naive_results, run_otcd, Algorithm,
     CollectingSink, EdgeCoreSkyline, KOutput, QueryRequest, ShardPlan, ShardedEngine,
-    TemporalKCore, TimeRangeKCoreQuery, VertexCoreTimeIndex,
+    TimeRangeKCoreQuery, VertexCoreTimeIndex,
 };
-
-/// Strategy: a random temporal graph with up to `max_v` vertices, up to
-/// `max_e` edges and up to `max_t` distinct timestamps.
-fn arb_graph(max_v: u64, max_e: usize, max_t: i64) -> impl Strategy<Value = TemporalGraph> {
-    prop::collection::vec((0..max_v, 0..max_v, 1..=max_t), 1..max_e).prop_filter_map(
-        "graph must have at least one non-loop edge",
-        |edges| {
-            let edges: Vec<(u64, u64, i64)> =
-                edges.into_iter().filter(|(u, v, _)| u != v).collect();
-            if edges.is_empty() {
-                return None;
-            }
-            TemporalGraphBuilder::new().with_edges(edges).build().ok()
-        },
-    )
-}
-
-fn canonical(mut cores: Vec<TemporalKCore>) -> Vec<TemporalKCore> {
-    cores.sort_by(|a, b| a.tti.cmp(&b.tti).then_with(|| a.edges.cmp(&b.edges)));
-    cores
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
