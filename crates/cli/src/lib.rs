@@ -1216,11 +1216,10 @@ pub fn run(command: Command) -> Result<String, CliError> {
             let line = render_client_line(&action);
             let stream = std::net::TcpStream::connect(&addr)
                 .map_err(|e| CliError(format!("cannot connect to {addr}: {e}")))?;
-            let mut writer = stream
-                .try_clone()
-                .map_err(|e| CliError(format!("cannot open the connection to {addr}: {e}")))?;
-            writeln!(writer, "{line}")
-                .and_then(|()| writer.flush())
+            // The whole line, newline included, goes out as one segment.
+            stream
+                .set_nodelay(true)
+                .and_then(|()| (&stream).write_all(format!("{line}\n").as_bytes()))
                 .map_err(|e| CliError(format!("cannot send to {addr}: {e}")))?;
             let mut reply = String::new();
             std::io::BufReader::new(stream)

@@ -48,9 +48,14 @@ fn main() {
     };
 
     let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
     let mut replies = BufReader::new(stream.try_clone().expect("clone"));
+    // One write per line, newline included: a line split across two writes
+    // can wait on a delayed ACK for its trailing newline.
     let mut ask = |line: &str| -> String {
-        writeln!(stream, "{line}").expect("send");
+        stream
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
         let mut reply = String::new();
         replies.read_line(&mut reply).expect("reply");
         reply.trim_end().to_string()

@@ -11,7 +11,7 @@
 //! server's own pools.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use temporal_kcore::prelude::*;
@@ -42,10 +42,20 @@ fn start_server() -> (
     (service, server, acceptor)
 }
 
-/// Sends `line` on `stream` and reads the single reply line.
+/// Connects to `addr` with `TCP_NODELAY` set, so a request line the test
+/// sends leaves at once and only the server can stall a round trip.
+fn connect(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+}
+
+/// Sends `line` and its newline in one write on `stream` and reads the
+/// single reply line.
 fn round_trip(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> String {
-    writeln!(stream, "{line}").expect("send");
-    stream.flush().expect("flush");
+    stream
+        .write_all(format!("{line}\n").as_bytes())
+        .expect("send");
     let mut reply = String::new();
     reader.read_line(&mut reply).expect("reply");
     assert!(
@@ -60,7 +70,7 @@ fn tcp_round_trip_serves_queries_deadlines_and_drains() {
     let (service, server, acceptor) = start_server();
     let addr = server.local_addr();
 
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = connect(addr);
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
 
     // Liveness.
@@ -140,7 +150,7 @@ fn a_cut_connection_gets_a_truncated_line_reply() {
 
     // Write half a request and hang up the sending side: the server must
     // name the truncation instead of silently dropping the fragment.
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = connect(addr);
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     stream
         .write_all(br#"{"op": "ping""#)
@@ -168,7 +178,7 @@ fn a_huge_k_max_gets_a_typed_reply_and_the_connection_survives() {
 
     // Expanding this sweep would allocate one slot per k and abort the
     // whole server; it must be refused with a typed reply instead.
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = connect(addr);
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let reply = round_trip(
         &mut stream,
@@ -192,7 +202,7 @@ fn a_huge_k_max_gets_a_typed_reply_and_the_connection_survives() {
 #[test]
 fn a_deeply_nested_line_gets_a_bad_request_and_the_connection_survives() {
     let (_service, server, acceptor) = start_server();
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut stream = connect(server.local_addr());
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
 
     // Recursing once per bracket would overflow the connection worker's
@@ -226,7 +236,7 @@ fn a_deeply_nested_line_gets_a_bad_request_and_the_connection_survives() {
 #[test]
 fn a_line_exactly_at_max_line_bytes_gets_a_typed_reply() {
     let (_service, server, acceptor) = start_server();
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut stream = connect(server.local_addr());
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
 
     // A query padded with JSON whitespace to exactly the cap, not counting
@@ -259,7 +269,7 @@ fn a_line_exactly_at_max_line_bytes_gets_a_typed_reply() {
 #[test]
 fn a_line_past_max_line_bytes_gets_a_bad_request_and_then_eof() {
     let (_service, server, acceptor) = start_server();
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut stream = connect(server.local_addr());
     // A server that keeps waiting for the newline fails the test here
     // instead of hanging it.
     stream
@@ -290,10 +300,45 @@ fn a_line_past_max_line_bytes_gets_a_bad_request_and_then_eof() {
     );
 
     // Other connections are unaffected.
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut stream = connect(server.local_addr());
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let reply = round_trip(&mut stream, &mut reader, r#"{"op": "ping"}"#);
     assert_eq!(reply, r#"{"status":"ok","op":"ping"}"#);
+
+    server.stop();
+    acceptor
+        .join()
+        .expect("acceptor thread exits cleanly")
+        .expect("serve returns Ok on stop");
+}
+
+#[test]
+fn a_hundred_sequential_round_trips_on_one_connection_do_not_stall() {
+    let (_service, server, acceptor) = start_server();
+    let mut stream = connect(server.local_addr());
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+
+    // A reply split into a body and a lone newline waits on the client's
+    // delayed ACK, ~40 ms per round trip, so 100 stalled round trips take
+    // seconds; unstalled, they take a few milliseconds.
+    let started = std::time::Instant::now();
+    for _ in 0..50 {
+        let reply = round_trip(&mut stream, &mut reader, r#"{"op": "ping"}"#);
+        assert_eq!(reply, r#"{"status":"ok","op":"ping"}"#);
+    }
+    for _ in 0..50 {
+        let reply = round_trip(
+            &mut stream,
+            &mut reader,
+            r#"{"k": 2, "start": 1, "end": 4, "output": "count"}"#,
+        );
+        assert!(reply.contains(r#""outcomes":[{"k":2,"cores":2"#), "{reply}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "100 sequential round trips took {elapsed:?}"
+    );
 
     server.stop();
     acceptor
