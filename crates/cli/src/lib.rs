@@ -184,7 +184,7 @@ pub enum ClientAction {
         deadline_ms: Option<u64>,
         /// Algorithm override (the server defaults to `enum`).
         algorithm: Option<Algorithm>,
-        /// Reply shape: counts or materialized cores.
+        /// Reply shape: counts, or counts plus a capped sample of cores.
         output: OutputKind,
     },
 }
@@ -625,8 +625,8 @@ fn k_spec(
     }
 }
 
-/// Parses an `--output` value: `count`, or one of the `full` spellings the
-/// command accepts for materialised cores.
+/// Parses an `--output` value: `count`, or one of the spellings the command
+/// accepts for its cores output.
 fn output_kind(text: &str, full: &[&str]) -> Result<OutputKind, CliError> {
     match text {
         "count" => Ok(OutputKind::Count),

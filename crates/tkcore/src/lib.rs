@@ -11,7 +11,8 @@
 //!
 //! * [`QueryRequest`] — a typed, fallible request builder covering the
 //!   paper's single-`k` query plus multi-`k` sets and `k`-range sweeps,
-//!   crossed with an [`OutputMode`] (materialize / count / stream).
+//!   crossed with an [`OutputMode`] (materialize / count / capped sample /
+//!   stream).
 //!   [`QueryRequest::validate`] turns malformed input into a structured
 //!   [`TkError`] instead of a panic;
 //! * two ways to run one: [`ShardedEngine::execute`] (or
@@ -315,6 +316,6 @@ pub use service::{
     RequestId, ServiceConfig, ServiceReply, ServiceStats, SubmitOptions, Ticket, WorkerStats,
 };
 pub use shard::{ShardPlan, ShardedEngine};
-pub use sink::{CollectingSink, CountingSink, FnSink, ResultSink};
+pub use sink::{CollectingSink, CountingSink, FnSink, ResultSink, SamplingSink};
 pub use stats::{FrameworkStats, IngestDelta, ShardProfile};
 pub use vct::{CoreTimeSweep, VertexCoreTimeIndex};

@@ -12,8 +12,9 @@
 //!   most one index build per `(shard, k)` touched by the window (one per
 //!   `k` over [`crate::ShardPlan::Span`]);
 //!
-//! crossed with an [`OutputMode`]: materialise every core, count them, or
-//! stream them into a caller-supplied sink.
+//! crossed with an [`OutputMode`]: materialise every core, count them,
+//! count them and keep a capped `(tti, edges)` sample (what a wire reply
+//! shows), or stream them into a caller-supplied sink.
 //!
 //! Construction is infallible and graph-independent; [`QueryRequest::validate`]
 //! checks the request against a concrete graph and returns a typed
@@ -29,7 +30,7 @@ use std::ops::RangeInclusive;
 use crate::error::TkError;
 use crate::query::{Algorithm, QueryStats, TimeRangeKCoreQuery};
 use crate::result::TemporalKCore;
-use crate::sink::{CollectingSink, CountingSink, ResultSink};
+use crate::sink::{CollectingSink, CountingSink, ResultSink, SamplingSink};
 use temporal_graph::{EdgeId, TemporalGraph, TimeWindow, Timestamp};
 
 /// Which `k` values a request covers.
@@ -94,10 +95,27 @@ pub enum OutputMode {
     /// paper's experiments do, since `|R|` routinely exceeds memory).
     #[default]
     Count,
+    /// Count like [`OutputMode::Count`] and keep the `(tti, edges)` of at
+    /// most this many cores per `k`: the first ones in canonical order,
+    /// returned in [`KOutcome::sample`].  No edge list is built, so a `k`
+    /// holds O(cap) memory however many cores its window has.
+    Sample(usize),
     /// Stream every core into the supplied sink; for multi-`k` requests the
     /// same sink sees all `k` values in execution order.  The sink is handed
     /// back in [`QueryResponse::sink`].
     Stream(Box<dyn ResultSink + Send>),
+}
+
+impl OutputMode {
+    /// The per-`k` sink this mode fills, or `None` for a stream.
+    pub(crate) fn shape(&self) -> Option<SinkShape> {
+        match self {
+            OutputMode::Materialize => Some(SinkShape::Collect),
+            OutputMode::Count => Some(SinkShape::Count),
+            OutputMode::Sample(cap) => Some(SinkShape::Sample(*cap)),
+            OutputMode::Stream(_) => None,
+        }
+    }
 }
 
 impl fmt::Debug for OutputMode {
@@ -105,6 +123,7 @@ impl fmt::Debug for OutputMode {
         match self {
             OutputMode::Materialize => f.write_str("Materialize"),
             OutputMode::Count => f.write_str("Count"),
+            OutputMode::Sample(cap) => write!(f, "Sample({cap})"),
             OutputMode::Stream(_) => f.write_str("Stream(..)"),
         }
     }
@@ -190,6 +209,11 @@ impl QueryRequest {
     /// Shorthand for `.output(OutputMode::Count)`.
     pub fn count(self) -> Self {
         self.output(OutputMode::Count)
+    }
+
+    /// Shorthand for `.output(OutputMode::Sample(cap))`.
+    pub fn sample(self, cap: usize) -> Self {
+        self.output(OutputMode::Sample(cap))
     }
 
     /// Shorthand for `.output(OutputMode::Stream(sink))`.
@@ -320,10 +344,10 @@ impl ValidatedRequest {
         algorithm: Algorithm,
     ) -> Result<QueryResponse, TkError> {
         self.respond(
-            |ks, window, materialize| {
+            |ks, window, shape| {
                 ks.iter()
                     .map(|&k| {
-                        let mut sink = OutcomeSink::new(materialize);
+                        let mut sink = OutcomeSink::new(shape);
                         let stats = algorithm.execute(graph, k, window, &mut sink)?;
                         Ok((sink, stats))
                     })
@@ -338,17 +362,20 @@ impl ValidatedRequest {
     /// [`crate::ShardedEngine::execute`] alike.
     ///
     /// Stream mode runs the `k`s in order into the caller's one sink through
-    /// `stream`.  Count and materialize modes hand every `k` to `batch`
-    /// together with whether to materialize; it returns one
-    /// [`OutcomeSink::new`] sink and its stats per `k`, in `k` order, and may
-    /// run them concurrently.
+    /// `stream`.  Every other mode hands every `k` to `batch` together with
+    /// its [`SinkShape`]; it returns one [`OutcomeSink::new`] sink and its
+    /// stats per `k`, in `k` order, and may run them concurrently.
     pub(crate) fn respond<B, S>(self, batch: B, mut stream: S) -> Result<QueryResponse, TkError>
     where
-        B: FnOnce(&[usize], TimeWindow, bool) -> Result<Vec<(OutcomeSink, QueryStats)>, TkError>,
+        B: FnOnce(
+            &[usize],
+            TimeWindow,
+            SinkShape,
+        ) -> Result<Vec<(OutcomeSink, QueryStats)>, TkError>,
         S: FnMut(usize, TimeWindow, &mut dyn ResultSink) -> Result<QueryStats, TkError>,
     {
         let ValidatedRequest { ks, window, mode } = self;
-        let materialize = match mode {
+        let shape = match mode {
             OutputMode::Stream(mut sink) => {
                 let mut outcomes = Vec::with_capacity(ks.len());
                 for k in ks {
@@ -357,6 +384,7 @@ impl ValidatedRequest {
                         k,
                         stats,
                         output: KOutput::Streamed,
+                        sample: None,
                     });
                 }
                 return Ok(QueryResponse {
@@ -365,16 +393,21 @@ impl ValidatedRequest {
                     sink: Some(sink),
                 });
             }
-            OutputMode::Materialize => true,
-            OutputMode::Count => false,
+            OutputMode::Materialize => SinkShape::Collect,
+            OutputMode::Count => SinkShape::Count,
+            OutputMode::Sample(cap) => SinkShape::Sample(cap),
         };
         let outcomes = ks
             .iter()
-            .zip(batch(&ks, window, materialize)?)
-            .map(|(&k, (sink, stats))| KOutcome {
-                k,
-                stats,
-                output: sink.into_output(),
+            .zip(batch(&ks, window, shape)?)
+            .map(|(&k, (sink, stats))| {
+                let (output, sample) = sink.into_output();
+                KOutcome {
+                    k,
+                    stats,
+                    output,
+                    sample,
+                }
             })
             .collect();
         Ok(QueryResponse {
@@ -385,28 +418,46 @@ impl ValidatedRequest {
     }
 }
 
-/// The per-`k` sink of a count or materialize request.
+/// Which per-`k` sink a non-stream [`OutputMode`] fills.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SinkShape {
+    /// [`OutputMode::Count`].
+    Count,
+    /// [`OutputMode::Sample`], with its cap.
+    Sample(usize),
+    /// [`OutputMode::Materialize`].
+    Collect,
+}
+
+/// The per-`k` sink of a count, sample or materialize request.
 pub(crate) enum OutcomeSink {
     /// [`OutputMode::Count`].
     Count(CountingSink),
+    /// [`OutputMode::Sample`].
+    Sample(SamplingSink),
     /// [`OutputMode::Materialize`].
     Collect(CollectingSink),
 }
 
 impl OutcomeSink {
-    /// A fresh sink for one `k`: collecting when `materialize`, else counting.
-    pub(crate) fn new(materialize: bool) -> Self {
-        if materialize {
-            OutcomeSink::Collect(CollectingSink::default())
-        } else {
-            OutcomeSink::Count(CountingSink::default())
+    /// A fresh sink of the given shape for one `k`.
+    pub(crate) fn new(shape: SinkShape) -> Self {
+        match shape {
+            SinkShape::Count => OutcomeSink::Count(CountingSink::default()),
+            SinkShape::Sample(cap) => OutcomeSink::Sample(SamplingSink::new(cap)),
+            SinkShape::Collect => OutcomeSink::Collect(CollectingSink::default()),
         }
     }
 
-    fn into_output(self) -> KOutput {
+    /// The outcome's payload and, for a sample, its kept pairs.
+    fn into_output(self) -> (KOutput, Option<Vec<(TimeWindow, u64)>>) {
         match self {
-            OutcomeSink::Count(counts) => KOutput::Counts(counts),
-            OutcomeSink::Collect(cores) => KOutput::Cores(cores.into_sorted()),
+            OutcomeSink::Count(counts) => (KOutput::Counts(counts), None),
+            OutcomeSink::Sample(sampled) => {
+                let (counts, sample) = sampled.into_parts();
+                (KOutput::Counts(counts), Some(sample))
+            }
+            OutcomeSink::Collect(cores) => (KOutput::Cores(cores.into_sorted()), None),
         }
     }
 }
@@ -415,6 +466,7 @@ impl ResultSink for OutcomeSink {
     fn emit(&mut self, tti: TimeWindow, edges: &[EdgeId]) {
         match self {
             OutcomeSink::Count(counts) => counts.emit(tti, edges),
+            OutcomeSink::Sample(sampled) => sampled.emit(tti, edges),
             OutcomeSink::Collect(cores) => cores.emit(tti, edges),
         }
     }
@@ -426,7 +478,8 @@ pub enum KOutput {
     /// All distinct cores of this `k`, in canonical order
     /// ([`OutputMode::Materialize`]).
     Cores(Vec<TemporalKCore>),
-    /// Core and result-edge counts ([`OutputMode::Count`]).
+    /// Core and result-edge counts ([`OutputMode::Count`] and
+    /// [`OutputMode::Sample`]).
     Counts(CountingSink),
     /// Results went to the caller's sink ([`OutputMode::Stream`]); counts
     /// are still available in the accompanying [`QueryStats`].
@@ -443,6 +496,10 @@ pub struct KOutcome {
     pub stats: QueryStats,
     /// The result payload in the requested [`OutputMode`].
     pub output: KOutput,
+    /// For [`OutputMode::Sample`], the `(tti, edges)` of the first cores in
+    /// canonical order, at most the requested cap of them; `None` in every
+    /// other mode.
+    pub sample: Option<Vec<(TimeWindow, u64)>>,
 }
 
 /// Everything a request produced: one [`KOutcome`] per `k`, in execution

@@ -54,7 +54,8 @@ pub struct ServerConfig {
     pub connection_workers: usize,
     /// How often an idle connection wakes to check for a server drain.
     pub poll_interval: Duration,
-    /// Wire-level options (reply truncation).
+    /// Wire-level options: how many cores a `"cores"` reply samples per
+    /// `k`.
     pub wire: WireConfig,
 }
 
@@ -283,7 +284,7 @@ fn write_reply(mut stream: &TcpStream, mut reply: String) -> std::io::Result<()>
 
 /// Handles one request line and renders its reply line.
 fn handle_line(shared: &ServerShared, line: &str) -> String {
-    match wire::parse_request(line) {
+    match wire::parse_request_with(line, &shared.config.wire) {
         Err(defect) => wire::render_error_code(None, "BadRequest", &defect),
         Ok(WireRequest::Ping) => wire::render_ack("ping"),
         Ok(WireRequest::Stats) => wire::render_stats(&shared.service.stats()),

@@ -27,10 +27,10 @@
 //!   [`TkError::WorkerPanicked`], the worker thread survives, and every
 //!   statistic — including the per-worker histograms — remains intact;
 //! * workers run every request through [`ShardedEngine::execute`]:
-//!   multi-`k` count and materialize requests fan their `k`s across the
-//!   **same pool** (the executing worker participates, so nested fan-out
-//!   cannot deadlock), and a `k`-range sweep still costs at most one skyline
-//!   build per `(shard, k)`;
+//!   multi-`k` count, sample and materialize requests fan their `k`s
+//!   across the **same pool** (the executing worker participates, so
+//!   nested fan-out cannot deadlock), and a `k`-range sweep still costs at
+//!   most one skyline build per `(shard, k)`;
 //! * a request may carry a **deadline** ([`CoreService::submit_opts`]): a
 //!   request whose deadline expired while it waited is **shed** with
 //!   [`TkError::DeadlineExceeded`] instead of executing — overload degrades

@@ -99,7 +99,7 @@ use crate::error::TkError;
 use crate::exec::{run_batch_inner, ExecPool};
 use crate::ingest::{AbsorbStats, IngestEvent};
 use crate::query::{Algorithm, QueryStats, TimeRangeKCoreQuery};
-use crate::request::{OutcomeSink, OutputMode, QueryRequest, QueryResponse, ValidatedRequest};
+use crate::request::{OutcomeSink, QueryRequest, QueryResponse, SinkShape, ValidatedRequest};
 use crate::sink::ResultSink;
 use crate::sync;
 use temporal_graph::{AppendableGraph, TemporalGraph, TimeWindow, Timestamp};
@@ -883,7 +883,7 @@ impl ShardedEngine {
     /// Executes a batch of requests with `algorithm` against one live view,
     /// returning one [`QueryResponse`] per request, in request order.
     ///
-    /// Every count and materialize `(request, k)` unit of the batch fans
+    /// Every count, sample and materialize `(request, k)` unit of the batch fans
     /// across the engine's [`ExecPool`] together (the calling thread
     /// participates, so workers warm different shards in parallel and long
     /// and short units balance); stream requests then run their `k`s in
@@ -932,7 +932,7 @@ impl ShardedEngine {
         Ok(responses.pop().expect("one response per request"))
     }
 
-    /// The one execution core: fans every count and materialize
+    /// The one execution core: fans every count, sample and materialize
     /// `(request, k)` unit across the pool in one batch, runs stream
     /// requests in order on the calling thread, and assembles each response
     /// through [`ValidatedRequest::respond`].
@@ -942,15 +942,12 @@ impl ShardedEngine {
         requests: Vec<ValidatedRequest>,
         algorithm: Algorithm,
     ) -> Result<Vec<QueryResponse>, TkError> {
-        let units: Vec<(usize, TimeWindow, bool)> = requests
+        let units: Vec<(usize, TimeWindow, SinkShape)> = requests
             .iter()
-            .filter_map(|request| match request.mode() {
-                OutputMode::Stream(_) => None,
-                mode => Some((request, matches!(mode, OutputMode::Materialize))),
-            })
-            .flat_map(|(request, materialize)| {
+            .filter_map(|request| Some((request, request.mode().shape()?)))
+            .flat_map(|(request, shape)| {
                 let window = request.window();
-                request.ks().iter().map(move |&k| (k, window, materialize))
+                request.ks().iter().map(move |&k| (k, window, shape))
             })
             .collect();
         let mut fanned = self
@@ -969,7 +966,7 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Fans validated `(k, window, materialize)` units across the engine's
+    /// Fans validated `(k, window, shape)` units across the engine's
     /// pool (plus the calling thread) against one live view, one fresh
     /// [`OutcomeSink`] per unit.  Workers claim the next unit index from a
     /// shared counter, so long and short units balance.  Returns the
@@ -977,14 +974,14 @@ impl ShardedEngine {
     fn fan_out(
         &self,
         live: Arc<LiveState>,
-        units: Vec<(usize, TimeWindow, bool)>,
+        units: Vec<(usize, TimeWindow, SinkShape)>,
         algorithm: Algorithm,
     ) -> Vec<(OutcomeSink, QueryStats)> {
         let pool = batch_pool(&self.inner.pool, self.inner.config.num_threads, units.len());
         let inner = Arc::clone(&self.inner);
         run_batch_inner(pool.as_deref(), units.len(), move |i| {
-            let (k, window, materialize) = units[i];
-            let mut sink = OutcomeSink::new(materialize);
+            let (k, window, shape) = units[i];
+            let mut sink = OutcomeSink::new(shape);
             let stats = inner.run_validated(&live, k, window, algorithm, &mut sink);
             (sink, stats)
         })

@@ -56,6 +56,54 @@ impl ResultSink for CountingSink {
     }
 }
 
+/// Counts every result like [`CountingSink`] and keeps the `(tti, edges)`
+/// of the `cap` cores with the smallest TTIs, in ascending TTI order.
+///
+/// Within one `k` every core has its own TTI, so TTI order is the canonical
+/// `(TTI, edge set)` order of [`CollectingSink::into_sorted`]: the sample
+/// equals the first `cap` materialised cores, whatever order the algorithm
+/// emits in, and no edge list is ever copied.  Once the sample is full, a
+/// core whose TTI is not smaller than the largest kept one costs one
+/// comparison (always the case for the ascending order of
+/// [`crate::enumerate`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SamplingSink {
+    counts: CountingSink,
+    cap: usize,
+    sample: Vec<(TimeWindow, u64)>,
+}
+
+impl SamplingSink {
+    /// An empty sink keeping at most `cap` sampled cores.
+    pub fn new(cap: usize) -> Self {
+        Self {
+            cap,
+            ..Self::default()
+        }
+    }
+
+    /// Consumes the sink into its counts over every emitted core and its
+    /// kept `(tti, edges)` pairs, in ascending TTI order.
+    pub fn into_parts(self) -> (CountingSink, Vec<(TimeWindow, u64)>) {
+        (self.counts, self.sample)
+    }
+}
+
+impl ResultSink for SamplingSink {
+    fn emit(&mut self, tti: TimeWindow, edges: &[EdgeId]) {
+        self.counts.emit(tti, edges);
+        let full = self.sample.len() == self.cap;
+        if full && self.sample.last().is_none_or(|&(last, _)| tti >= last) {
+            return;
+        }
+        if full {
+            self.sample.pop();
+        }
+        let at = self.sample.partition_point(|&(kept, _)| kept < tti);
+        self.sample.insert(at, (tti, edges.len() as u64));
+    }
+}
+
 /// Adapter that forwards to a closure; convenient in tests and examples.
 pub struct FnSink<F: FnMut(TimeWindow, &[EdgeId])>(pub F);
 
@@ -87,6 +135,48 @@ mod tests {
         let sorted = sink.into_sorted();
         assert_eq!(sorted[0].tti, TimeWindow::new(1, 2));
         assert_eq!(sorted[1].edges, vec![5, 7]);
+    }
+
+    #[test]
+    fn sampling_sink_keeps_the_cap_smallest_ttis_in_order() {
+        let emitted = [(4, 6), (1, 3), (5, 5), (2, 2), (1, 1), (3, 7), (2, 5)];
+        for cap in 0..=emitted.len() + 1 {
+            let mut sink = SamplingSink::new(cap);
+            let mut collected = CollectingSink::default();
+            for (i, &(start, end)) in emitted.iter().enumerate() {
+                let edges: Vec<EdgeId> = (0..=i as EdgeId).collect();
+                sink.emit(TimeWindow::new(start, end), &edges);
+                collected.emit(TimeWindow::new(start, end), &edges);
+            }
+            let expected: Vec<(TimeWindow, u64)> = collected
+                .into_sorted()
+                .iter()
+                .take(cap)
+                .map(|core| (core.tti, core.num_edges() as u64))
+                .collect();
+            assert_eq!(sink.sample, expected, "cap {cap}");
+            assert_eq!(sink.counts.num_cores, emitted.len() as u64);
+            assert_eq!(sink.counts.total_edges, 28);
+            assert_eq!(sink.counts.max_core_edges, 7);
+        }
+    }
+
+    #[test]
+    fn sampling_sink_memory_is_bounded_by_the_cap() {
+        // Descending TTIs: every core displaces the largest kept one.
+        let edges: Vec<EdgeId> = (0..100).collect();
+        for cap in [0, 1, 3, 64] {
+            let mut sink = SamplingSink::new(cap);
+            for start in (1..=10_000).rev() {
+                sink.emit(TimeWindow::new(start, start + 1), &edges);
+            }
+            assert_eq!(sink.counts.num_cores, 10_000);
+            assert_eq!(sink.counts.total_edges, 1_000_000);
+            assert_eq!(sink.sample.len(), cap);
+            assert!(sink.sample.capacity() <= (2 * cap).max(4), "cap {cap}");
+            let starts: Vec<u32> = sink.sample.iter().map(|(tti, _)| tti.start()).collect();
+            assert_eq!(starts, (1..=cap as u32).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -20,16 +20,23 @@
 //!
 //! A query reply carries `"status": "ok"`, the echoed client `"id"` (when
 //! one was sent), the service-assigned `"request"` id, the executed
-//! `"window"`, per-`k` `"outcomes"` (`k`, `cores`, `result_edges`, plus up
-//! to [`WireConfig::max_cores_per_reply`] materialized `{"tti", "edges"}`
-//! entries for `"output": "cores"`), and the `"queue_wait_us"` /
-//! `"execute_us"` / `"worker"` accounting of the [`ServiceReply`].
+//! `"window"`, per-`k` `"outcomes"` (`k`, `cores`, `result_edges`, plus for
+//! `"output": "cores"` a `"sample"` of the `{"tti", "edges"}` of the first
+//! [`WireConfig::max_cores_per_reply`] cores in canonical order), and the
+//! `"queue_wait_us"` / `"execute_us"` / `"worker"` accounting of the
+//! [`ServiceReply`].
+//!
+//! A `"cores"` (or `"full"`) query runs in [`crate::OutputMode::Sample`]:
+//! every core is counted, only the sampled `(tti, edges)` pairs are kept,
+//! and no core's edge list is ever built, so a reply holds O(cap) memory
+//! however many cores its window has.
 //!
 //! A refused or failed request replies `"status": "error"` with the stable
 //! [`TkError::code`] in `"error"` and the human rendering in `"detail"` —
 //! shedding is data, not a connection failure, so the connection stays
 //! open.  Malformed lines reply with `"error": "BadRequest"`.
 
+use std::fmt::Write;
 use std::time::Duration;
 
 use crate::error::TkError;
@@ -41,8 +48,8 @@ use temporal_graph::Timestamp;
 /// Per-connection wire options of the server.
 #[derive(Debug, Clone, Copy)]
 pub struct WireConfig {
-    /// Materialized (`"output": "cores"`) replies embed at most this many
-    /// cores per `k`; the `cores` count still reports all of them.
+    /// `"output": "cores"` replies sample at most this many cores per `k`;
+    /// the `cores` count still reports all of them.
     pub max_cores_per_reply: usize,
 }
 
@@ -283,6 +290,12 @@ fn parse_object(input: &str, pos: &mut usize, depth: usize) -> Result<JsonValue,
 /// Escapes `text` as the body of a JSON string literal.
 pub fn escape_json(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
+    push_escaped(&mut out, text);
+    out
+}
+
+/// Appends `text`, escaped as the body of a JSON string literal, to `out`.
+fn push_escaped(out: &mut String, text: &str) {
     for ch in text.chars() {
         match ch {
             '"' => out.push_str("\\\""),
@@ -291,12 +304,11 @@ pub fn escape_json(text: &str) -> String {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
-    out
 }
 
 /// One decoded request line.
@@ -327,12 +339,21 @@ pub struct WireQuery {
     pub deadline: Option<Duration>,
 }
 
-/// Decodes one request line.
+/// Decodes one request line under the default [`WireConfig`].
 ///
 /// # Errors
 /// A human-readable description of why the line is malformed; the server
 /// renders it as a `"BadRequest"` error reply.
 pub fn parse_request(line: &str) -> Result<WireRequest, String> {
+    parse_request_with(line, &WireConfig::default())
+}
+
+/// Decodes one request line; a `"cores"` query samples at most
+/// `config.max_cores_per_reply` cores per `k` ([`crate::OutputMode::Sample`]).
+///
+/// # Errors
+/// As [`parse_request`].
+pub fn parse_request_with(line: &str, config: &WireConfig) -> Result<WireRequest, String> {
     let value = parse_json(line)?;
     if !matches!(value, JsonValue::Object(_)) {
         return Err("a request must be a JSON object".into());
@@ -366,7 +387,7 @@ pub fn parse_request(line: &str) -> Result<WireRequest, String> {
     };
     request = match value.get("output").and_then(JsonValue::as_str) {
         None | Some("count") => request.count(),
-        Some("cores") | Some("full") => request.materialize(),
+        Some("cores") | Some("full") => request.sample(config.max_cores_per_reply),
         Some(other) => return Err(format!("unknown output `{other}` (count or cores)")),
     };
     let algorithm = match value.get("algo").and_then(JsonValue::as_str) {
@@ -394,25 +415,44 @@ pub fn parse_request(line: &str) -> Result<WireRequest, String> {
     }))
 }
 
-/// Renders the leading `"status": "ok"` + optional client id of a reply.
-fn reply_head(client_id: Option<u64>) -> String {
-    match client_id {
-        Some(id) => format!("{{\"status\":\"ok\",\"id\":{id}"),
-        None => "{\"status\":\"ok\"".to_string(),
+/// Bytes reserved per reply line before its outcomes, per outcome, and
+/// per sampled core: enough that a typical reply renders without growing
+/// its buffer.
+const REPLY_HEAD_BYTES: usize = 160;
+const OUTCOME_BYTES: usize = 64;
+const SAMPLE_ENTRY_BYTES: usize = 40;
+
+/// Appends the leading `{"status":…` + optional client id of a reply.
+fn push_head(out: &mut String, status: &str, client_id: Option<u64>) {
+    let _ = write!(out, "{{\"status\":\"{status}\"");
+    if let Some(id) = client_id {
+        let _ = write!(out, ",\"id\":{id}");
     }
 }
 
 /// Renders one completed [`ServiceReply`] as a reply line (no trailing
-/// newline).
+/// newline).  An outcome with a [`crate::KOutcome::sample`] renders its
+/// first `config.max_cores_per_reply` pairs as `"sample"`.
 pub fn render_reply(client_id: Option<u64>, reply: &ServiceReply, config: &WireConfig) -> String {
-    let mut out = reply_head(client_id);
-    out.push_str(&format!(
+    let outcomes = &reply.response.outcomes;
+    let sampled: usize = outcomes
+        .iter()
+        .filter_map(|o| o.sample.as_ref())
+        .map(|sample| sample.len().min(config.max_cores_per_reply))
+        .sum();
+    let mut out = String::with_capacity(
+        REPLY_HEAD_BYTES + OUTCOME_BYTES * outcomes.len() + SAMPLE_ENTRY_BYTES * sampled,
+    );
+    push_head(&mut out, "ok", client_id);
+    let window = reply.response.window;
+    let _ = write!(
+        out,
         ",\"request\":\"{}\",\"window\":[{},{}],\"outcomes\":[",
         reply.id,
-        reply.response.window.start(),
-        reply.response.window.end()
-    ));
-    for (i, outcome) in reply.response.outcomes.iter().enumerate() {
+        window.start(),
+        window.end()
+    );
+    for (i, outcome) in outcomes.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -424,33 +464,35 @@ pub fn render_reply(client_id: Option<u64>, reply: &ServiceReply, config: &WireC
             KOutput::Counts(counts) => (counts.num_cores, counts.total_edges),
             KOutput::Streamed => (outcome.stats.num_cores, outcome.stats.total_result_edges),
         };
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             "{{\"k\":{},\"cores\":{cores},\"result_edges\":{result_edges}",
             outcome.k
-        ));
-        if let KOutput::Cores(cores) = &outcome.output {
+        );
+        if let Some(sample) = &outcome.sample {
             out.push_str(",\"sample\":[");
-            for (j, core) in cores.iter().take(config.max_cores_per_reply).enumerate() {
+            for (j, (tti, edges)) in sample.iter().take(config.max_cores_per_reply).enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!(
-                    "{{\"tti\":[{},{}],\"edges\":{}}}",
-                    core.tti.start(),
-                    core.tti.end(),
-                    core.num_edges()
-                ));
+                let _ = write!(
+                    out,
+                    "{{\"tti\":[{},{}],\"edges\":{edges}}}",
+                    tti.start(),
+                    tti.end()
+                );
             }
             out.push(']');
         }
         out.push('}');
     }
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         "],\"queue_wait_us\":{},\"execute_us\":{},\"worker\":{}}}",
         reply.queue_wait.as_micros(),
         reply.execute_time.as_micros(),
         reply.worker
-    ));
+    );
     out
 }
 
@@ -462,15 +504,14 @@ pub fn render_error(client_id: Option<u64>, error: &TkError) -> String {
 /// Renders an error reply from a raw code + detail (used for `BadRequest`,
 /// which has no [`TkError`] variant — it never reached the service).
 pub fn render_error_code(client_id: Option<u64>, code: &str, detail: &str) -> String {
-    let head = match client_id {
-        Some(id) => format!("{{\"status\":\"error\",\"id\":{id}"),
-        None => "{\"status\":\"error\"".to_string(),
-    };
-    format!(
-        "{head},\"error\":\"{}\",\"detail\":\"{}\"}}",
-        escape_json(code),
-        escape_json(detail)
-    )
+    let mut out = String::with_capacity(REPLY_HEAD_BYTES + code.len() + detail.len());
+    push_head(&mut out, "error", client_id);
+    out.push_str(",\"error\":\"");
+    push_escaped(&mut out, code);
+    out.push_str("\",\"detail\":\"");
+    push_escaped(&mut out, detail);
+    out.push_str("\"}");
+    out
 }
 
 /// Renders the reply to a `"ping"` or `"shutdown"` op.
@@ -480,33 +521,37 @@ pub fn render_ack(op: &str) -> String {
 
 /// Renders a [`ServiceStats`] snapshot as the reply to a `"stats"` op.
 pub fn render_stats(stats: &ServiceStats) -> String {
-    let lane = |lane: Lane| {
-        let l = stats.lane(lane);
-        format!(
-            "{{\"admitted\":{},\"completed\":{},\"shed\":{},\"rejected\":{}}}",
-            l.admitted, l.completed, l.shed, l.rejected
-        )
-    };
-    format!(
+    let mut out = String::with_capacity(4 * REPLY_HEAD_BYTES);
+    let _ = write!(
+        out,
         "{{\"status\":\"ok\",\"op\":\"stats\",\"admitted\":{},\"completed\":{},\"shed\":{},\
-         \"rejected\":{},\"panicked\":{},\"max_queue_depth\":{},\
-         \"lanes\":{{\"interactive\":{},\"batch\":{}}},\
-         \"ingest\":{{\"submitted\":{},\"completed\":{},\"failed\":{},\"events_appended\":{},\
-         \"seals\":{}}}}}",
+         \"rejected\":{},\"panicked\":{},\"max_queue_depth\":{},\"lanes\":{{",
         stats.admitted,
         stats.completed,
         stats.shed,
         stats.rejected,
         stats.panicked,
         stats.max_queue_depth,
-        lane(Lane::Interactive),
-        lane(Lane::Batch),
+    );
+    for (sep, lane) in [("", Lane::Interactive), (",", Lane::Batch)] {
+        let l = stats.lane(lane);
+        let _ = write!(
+            out,
+            "{sep}\"{lane}\":{{\"admitted\":{},\"completed\":{},\"shed\":{},\"rejected\":{}}}",
+            l.admitted, l.completed, l.shed, l.rejected
+        );
+    }
+    let _ = write!(
+        out,
+        "}},\"ingest\":{{\"submitted\":{},\"completed\":{},\"failed\":{},\
+         \"events_appended\":{},\"seals\":{}}}}}",
         stats.ingest.submitted,
         stats.ingest.completed,
         stats.ingest.failed,
         stats.ingest.events_appended,
         stats.ingest.seals,
-    )
+    );
+    out
 }
 
 #[cfg(test)]
@@ -593,6 +638,7 @@ mod tests {
         let doc = format!("{{\"s\":\"{}\"}}", escape_json(nasty));
         let value = parse_json(&doc).unwrap();
         assert_eq!(value.get("s").and_then(JsonValue::as_str), Some(nasty));
+        assert_eq!(escape_json("a\u{1}\u{1f}b"), "a\\u0001\\u001fb");
     }
 
     #[test]

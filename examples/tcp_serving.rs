@@ -68,9 +68,9 @@ fn main() {
         ask(r#"{"id": 1, "k": 2, "start": 1, "end": 4, "deadline_ms": 2000}"#)
     );
 
-    // The report generator materializes cores on the batch lane; it only
-    // runs once no interactive request is waiting.
-    println!("\nbatch sweep, materialized:");
+    // The report generator asks for core samples on the batch lane; it
+    // only runs once no interactive request is waiting.
+    println!("\nbatch sweep, with core samples:");
     println!(
         "  {}",
         ask(

@@ -16,7 +16,7 @@
 //!
 //! All execution goes through one typed, fallible surface: a
 //! [`prelude::QueryRequest`] (single `k`, multi-`k`, or `k`-range sweep,
-//! with materialize / count / stream output) validated against the graph and
+//! with materialize / count / sample / stream output) validated against the graph and
 //! executed either per query with an [`prelude::Algorithm`]
 //! ([`prelude::QueryRequest::run`]) or from a
 //! [`prelude::ShardedEngine`]'s skyline cache with
@@ -119,9 +119,9 @@ pub mod prelude {
         CountingSink, EdgeCoreSkyline, EngineConfig, ExecPool, FrameworkStats, IngestDelta,
         IngestEvent, IngestLaneStats, IngestReply, IngestTicket, KOutcome, KOutput, KSelection,
         Lane, LaneStats, LatencyHistogram, OutputMode, QueryRequest, QueryResponse, QueryStats,
-        RequestId, ResultSink, SealPolicy, ServeSummary, ServerConfig, ServiceConfig, ServiceReply,
-        ServiceStats, ShardCacheStats, ShardPlan, ShardedEngine, SubmitOptions, TemporalKCore,
-        Ticket, TimeRangeKCoreQuery, TkError, TkServer, ValidatedRequest, VertexCoreTimeIndex,
-        WarmStats, WorkerStats,
+        RequestId, ResultSink, SamplingSink, SealPolicy, ServeSummary, ServerConfig, ServiceConfig,
+        ServiceReply, ServiceStats, ShardCacheStats, ShardPlan, ShardedEngine, SubmitOptions,
+        TemporalKCore, Ticket, TimeRangeKCoreQuery, TkError, TkServer, ValidatedRequest,
+        VertexCoreTimeIndex, WarmStats, WorkerStats,
     };
 }

@@ -4,8 +4,14 @@
 //! batch with an invalid request fails whole, building nothing), a k-range
 //! sweep over the paper example builds at most one skyline per k (asserted
 //! via `CacheStats`) and answers like the naive oracle, and malformed input
-//! yields typed errors on every entry point, never panics.
+//! yields typed errors on every entry point, never panics.  On random
+//! sharded graphs, a capped-sample request counts exactly what a
+//! materialising one returns and samples its first cores.
 
+mod common;
+
+use common::arb_graph;
+use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 use temporal_kcore::prelude::*;
 use temporal_kcore::temporal_graph::EdgeId;
@@ -133,6 +139,8 @@ fn all_backends_answer_the_paper_query_identically() {
 #[derive(Debug, Clone, Copy)]
 enum Mode {
     Count,
+    /// Counts plus the first two cores of each `k`.
+    Sample,
     Materialize,
     Stream,
 }
@@ -156,6 +164,7 @@ fn comparison_request(
     };
     match mode {
         Mode::Count => request.count(),
+        Mode::Sample => request.sample(2),
         Mode::Materialize => request.materialize(),
         Mode::Stream => {
             let recorded = Arc::clone(recorded);
@@ -193,6 +202,7 @@ fn assert_same_response(
             (KOutput::Streamed, KOutput::Streamed) => {}
             (a, b) => panic!("{ctx}: {a:?} vs {b:?}"),
         }
+        assert_eq!(g.sample, e.sample, "{ctx}");
     }
     assert_eq!(
         *got_stream.lock().unwrap(),
@@ -211,7 +221,7 @@ fn engine_execute_matches_per_query_run() {
         TimeWindow::new(2, 6),
         TimeWindow::new(3, 4),
     ];
-    let modes = [Mode::Count, Mode::Materialize, Mode::Stream];
+    let modes = [Mode::Count, Mode::Sample, Mode::Materialize, Mode::Stream];
     for plan in [ShardPlan::Span, ShardPlan::FixedCount(3)] {
         let engine = ShardedEngine::new(graph.clone(), plan.clone()).unwrap();
         for window in windows {
@@ -353,4 +363,76 @@ fn malformed_requests_are_typed_errors_on_every_entry_point() {
         .run(&graph, Algorithm::Enum)
         .unwrap();
     assert_eq!(response.window, TimeWindow::new(1, 7));
+}
+
+/// A window starting inside `shards[first]` and ending inside
+/// `shards[first + cuts]`, so it crosses exactly `cuts` shard cuts;
+/// `offset` moves both ends inward.
+fn window_across(shards: &[TimeWindow], first: usize, cuts: usize, offset: u32) -> TimeWindow {
+    let (a, b) = (shards[first], shards[first + cuts]);
+    let start = a.start() + offset % (a.end() - a.start() + 1);
+    let end = b.end() - offset % (b.end() - b.start() + 1);
+    TimeWindow::new(start, end.max(start))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// On random graphs cut into four shards, a sample request over an
+    /// in-shard, a one-cut and a two-cut window counts exactly the cores
+    /// and result edges a materialising request returns, and samples the
+    /// first `cap` of them in canonical order — for `Enum` and `Otcd`,
+    /// through the engine and per query alike.
+    #[test]
+    fn sample_mode_keeps_the_first_materialised_cores(
+        g in arb_graph(10, 60, 12),
+        (first, offset) in (0usize..4, 0u32..6),
+    ) {
+        let engine = ShardedEngine::new(g.clone(), ShardPlan::FixedCount(4))
+            .expect("a valid plan");
+        let shards = engine.shards();
+        let windows: Vec<TimeWindow> = (0..=2)
+            .filter(|&cuts| cuts < shards.len())
+            .map(|cuts| window_across(&shards, first % (shards.len() - cuts), cuts, offset))
+            .collect();
+        for window in windows {
+            let request = || QueryRequest::sweep(1..=3, window.start(), window.end());
+            for algo in [Algorithm::Enum, Algorithm::Otcd] {
+                let materialized = engine
+                    .execute(request().materialize(), algo)
+                    .expect("window is inside the span");
+                for cap in [0, 1, 3, 64] {
+                    let ctx = format!("{window} {algo} cap {cap}");
+                    let sampled = engine
+                        .execute(request().sample(cap), algo)
+                        .expect("window is inside the span");
+                    let per_query = request().sample(cap).run(&g, algo).expect("valid request");
+                    for ((s, q), m) in sampled
+                        .outcomes
+                        .iter()
+                        .zip(&per_query.outcomes)
+                        .zip(&materialized.outcomes)
+                    {
+                        let KOutput::Cores(cores) = &m.output else {
+                            panic!("{ctx}: materialized request");
+                        };
+                        let KOutput::Counts(counts) = &s.output else {
+                            panic!("{ctx}: a sample request counts");
+                        };
+                        prop_assert_eq!(counts.num_cores, cores.len() as u64, "{}", &ctx);
+                        let edges: u64 = cores.iter().map(|c| c.num_edges() as u64).sum();
+                        prop_assert_eq!(counts.total_edges, edges, "{}", &ctx);
+                        let first_cores: Vec<(TimeWindow, u64)> = cores
+                            .iter()
+                            .take(cap)
+                            .map(|c| (c.tti, c.num_edges() as u64))
+                            .collect();
+                        prop_assert_eq!(s.sample.as_ref(), Some(&first_cores), "{}", &ctx);
+                        prop_assert_eq!(&q.sample, &s.sample, "per query {}", &ctx);
+                        prop_assert!(matches!(&q.output, KOutput::Counts(c) if c == counts), "{}", &ctx);
+                    }
+                }
+            }
+        }
+    }
 }

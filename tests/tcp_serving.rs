@@ -15,11 +15,23 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use temporal_kcore::prelude::*;
-use temporal_kcore::tkcore::{paper_example, wire};
+use temporal_kcore::tkcore::paper_example;
+use temporal_kcore::tkcore::wire::{self, WireConfig};
 
-/// A default service over the paper example behind a `TkServer` on an
-/// ephemeral loopback port, its accept loop on its own thread.
+/// A default service over the paper example behind a default `TkServer`
+/// on an ephemeral loopback port, its accept loop on its own thread.
 fn start_server() -> (
+    Arc<CoreService>,
+    Arc<TkServer>,
+    JoinHandle<Result<ServeSummary, TkError>>,
+) {
+    start_server_with(ServerConfig::default())
+}
+
+/// [`start_server`] with the given server configuration.
+fn start_server_with(
+    config: ServerConfig,
+) -> (
     Arc<CoreService>,
     Arc<TkServer>,
     JoinHandle<Result<ServeSummary, TkError>>,
@@ -32,9 +44,7 @@ fn start_server() -> (
         )
         .unwrap(),
     );
-    let server = Arc::new(
-        TkServer::bind(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default()).unwrap(),
-    );
+    let server = Arc::new(TkServer::bind(Arc::clone(&service), "127.0.0.1:0", config).unwrap());
     let acceptor = {
         let server = Arc::clone(&server);
         std::thread::spawn(move || server.serve())
@@ -345,4 +355,168 @@ fn a_hundred_sequential_round_trips_on_one_connection_do_not_stall() {
         .join()
         .expect("acceptor thread exits cleanly")
         .expect("serve returns Ok on stop");
+}
+
+/// `reply` without the fields that vary from run to run: the
+/// service-assigned `request` id and the `queue_wait_us` / `execute_us` /
+/// `worker` accounting.
+fn strip_volatile(reply: &str) -> String {
+    let mut out = reply.to_string();
+    for key in ["request", "queue_wait_us", "execute_us", "worker"] {
+        let field = format!(",\"{key}\":");
+        let start = out
+            .find(&field)
+            .unwrap_or_else(|| panic!("no `{key}` in {reply}"));
+        let value = start + field.len();
+        let len = out[value..]
+            .find([',', '}'])
+            .unwrap_or_else(|| panic!("unterminated `{key}` in {reply}"));
+        out.replace_range(start..value + len, "");
+    }
+    out
+}
+
+#[test]
+fn cores_replies_match_their_golden_lines() {
+    let (_service, server, acceptor) = start_server();
+    let mut stream = connect(server.local_addr());
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+
+    // Lines recorded from the materialising reply path: the sampling path
+    // must render the same bytes, sample order included.
+    for (line, golden) in [
+        (
+            r#"{"id":1,"k_min":1,"k_max":2,"start":1,"end":4,"output":"cores"}"#,
+            r#"{"status":"ok","id":1,"window":[1,4],"outcomes":[{"k":1,"cores":10,"result_edges":36,"sample":[{"tti":[1,1],"edges":1},{"tti":[1,2],"edges":3},{"tti":[1,3],"edges":5},{"tti":[1,4],"edges":7},{"tti":[2,2],"edges":2},{"tti":[2,3],"edges":4},{"tti":[2,4],"edges":6},{"tti":[3,3],"edges":2},{"tti":[3,4],"edges":4},{"tti":[4,4],"edges":2}]},{"k":2,"cores":2,"result_edges":9,"sample":[{"tti":[1,4],"edges":6},{"tti":[2,3],"edges":3}]}]}"#,
+        ),
+        // No 3-core in [1, 4]: the reply still carries an empty sample.
+        (
+            r#"{"id":2,"k":3,"start":1,"end":4,"output":"cores"}"#,
+            r#"{"status":"ok","id":2,"window":[1,4],"outcomes":[{"k":3,"cores":0,"result_edges":0,"sample":[]}]}"#,
+        ),
+    ] {
+        let reply = round_trip(&mut stream, &mut reader, line);
+        assert_eq!(strip_volatile(&reply), golden, "{reply}");
+    }
+
+    server.stop();
+    acceptor
+        .join()
+        .expect("acceptor thread exits cleanly")
+        .expect("serve returns Ok on stop");
+}
+
+/// The per-`k` `(k, cores, result_edges, sample)` of a parsed reply line,
+/// each sample entry as `(tti start, tti end, edges)`.
+type ParsedOutcome = (u64, u64, u64, Vec<(u64, u64, u64)>);
+
+fn parse_outcomes(reply: &str) -> Vec<ParsedOutcome> {
+    let value = wire::parse_json(reply).expect("replies are JSON");
+    let Some(wire::JsonValue::Array(outcomes)) = value.get("outcomes") else {
+        panic!("no outcomes in {reply}");
+    };
+    let number = |v: &wire::JsonValue, key: &str| {
+        v.get(key)
+            .and_then(wire::JsonValue::as_u64)
+            .unwrap_or_else(|| panic!("no `{key}` in {reply}"))
+    };
+    outcomes
+        .iter()
+        .map(|outcome| {
+            let Some(wire::JsonValue::Array(sample)) = outcome.get("sample") else {
+                panic!("a cores reply without a sample: {reply}");
+            };
+            let sample = sample
+                .iter()
+                .map(|entry| {
+                    let Some(wire::JsonValue::Array(tti)) = entry.get("tti") else {
+                        panic!("a sample entry without a tti: {reply}");
+                    };
+                    let bound = |i: usize| tti[i].as_u64().expect("integer tti bound");
+                    (bound(0), bound(1), number(entry, "edges"))
+                })
+                .collect();
+            (
+                number(outcome, "k"),
+                number(outcome, "cores"),
+                number(outcome, "result_edges"),
+                sample,
+            )
+        })
+        .collect()
+}
+
+/// The reference answer of a `k` sweep over `[start, end]`: every core of
+/// each `k`, materialised per query and in canonical order.
+fn reference_cores(
+    ks: std::ops::RangeInclusive<usize>,
+    start: u32,
+    end: u32,
+) -> Vec<Vec<TemporalKCore>> {
+    let response = QueryRequest::sweep(ks, start, end)
+        .materialize()
+        .run(&paper_example::graph(), Algorithm::Enum)
+        .unwrap();
+    response
+        .outcomes
+        .into_iter()
+        .map(|outcome| match outcome.output {
+            KOutput::Cores(cores) => cores,
+            other => panic!("materialized request, got {other:?}"),
+        })
+        .collect()
+}
+
+#[test]
+fn max_cores_per_reply_caps_the_sample_at_its_boundary() {
+    for cap in [0, 1] {
+        let config = ServerConfig {
+            wire: WireConfig {
+                max_cores_per_reply: cap,
+            },
+            ..ServerConfig::default()
+        };
+        let (_service, server, acceptor) = start_server_with(config);
+        let mut stream = connect(server.local_addr());
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+
+        for (start, end) in [(1, 4), (1, 7), (3, 6)] {
+            for algo in ["enum", "otcd"] {
+                let line = format!(
+                    r#"{{"k_min":1,"k_max":3,"start":{start},"end":{end},"algo":"{algo}","output":"cores"}}"#
+                );
+                let reply = round_trip(&mut stream, &mut reader, &line);
+                if cap == 0 {
+                    assert_eq!(reply.matches(r#""sample":[]"#).count(), 3, "{reply}");
+                }
+                let outcomes = parse_outcomes(&reply);
+                let reference = reference_cores(1..=3, start, end);
+                assert_eq!(outcomes.len(), reference.len(), "{reply}");
+                for ((k, cores, edges, sample), expected) in outcomes.iter().zip(&reference) {
+                    assert_eq!(*cores, expected.len() as u64, "k={k}: {reply}");
+                    let expected_edges: u64 = expected.iter().map(|c| c.num_edges() as u64).sum();
+                    assert_eq!(*edges, expected_edges, "k={k}: {reply}");
+                    let canonical_first: Vec<(u64, u64, u64)> = expected
+                        .iter()
+                        .take(cap)
+                        .map(|c| {
+                            (
+                                u64::from(c.tti.start()),
+                                u64::from(c.tti.end()),
+                                c.num_edges() as u64,
+                            )
+                        })
+                        .collect();
+                    assert_eq!(sample.len(), expected.len().min(cap), "k={k}: {reply}");
+                    assert_eq!(*sample, canonical_first, "k={k}: {reply}");
+                }
+            }
+        }
+
+        server.stop();
+        acceptor
+            .join()
+            .expect("acceptor thread exits cleanly")
+            .expect("serve returns Ok on stop");
+    }
 }
