@@ -947,10 +947,11 @@ fn write_ingest_stats(
     let _ = writeln!(
         out,
         "ingest invalidations: {} tail skylines, {} boundary entries, {} seals, \
-         {} rebuilds, {:+} resident bytes",
+         {} rebuilt at publish, {} query-path builds, {:+} resident bytes",
         delta.tail_invalidations,
         delta.boundary_invalidations,
         delta.seals,
+        delta.published,
         delta.builds,
         delta.resident_bytes_delta
     );

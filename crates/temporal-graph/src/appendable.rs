@@ -23,12 +23,20 @@
 //!   `EdgeId`-indexed structures built over timestamps `<=` [`Self::floor`]
 //!   remain valid against every later snapshot.
 //!
-//! Publishing reassembles the per-timestamp and adjacency indexes (linear in
-//! the number of events), so it is meant to be called once per batch, not
-//! per event; `snapshot()` itself is a single atomic-refcount clone.
+//! # Publishing cost
+//!
+//! [`AppendableGraph::publish`] derives each snapshot from the previous one
+//! instead of rebuilding it: it sorts the batch, and merges the rest.  Only
+//! the incidences of the dirty suffix (the events at or past the earliest
+//! unpublished timestamp) are sorted; every vertex's old neighbour groups
+//! are walked once in neighbour order and the new occurrences merged in.
+//! The copy stays linear in the graph, but the `O(|E| log |E|)` re-sort of
+//! every incidence is gone, so publish is meant to be called once per
+//! batch, not per event; `snapshot()` itself is a single atomic-refcount
+//! clone.
 
-use crate::builder::assemble_graph;
-use crate::{TemporalEdge, TemporalGraph, TemporalGraphError, Timestamp, VertexId};
+use crate::graph::GroupEntry;
+use crate::{EdgeId, TemporalEdge, TemporalGraph, TemporalGraphError, Timestamp, VertexId};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -245,8 +253,10 @@ impl AppendableGraph {
     /// returns it.  A no-op (returning the current snapshot) when nothing
     /// is pending.
     ///
-    /// Index assembly is linear in the total number of events; batch
-    /// appends between publishes to amortise it.
+    /// The cost is "sort the batch, merge the rest": the new snapshot is
+    /// derived from the previous one, sorting only the incidences of the
+    /// dirty suffix and copying every other index entry once.  Batch
+    /// appends between publishes to amortise the copy.
     pub fn publish(&mut self) -> Arc<TemporalGraph> {
         if self.pending == 0 {
             return Arc::clone(&self.snapshot);
@@ -258,7 +268,7 @@ impl AppendableGraph {
         // its `EdgeId`.
         let cut = self.edges.partition_point(|e| e.t < self.dirty_from);
         self.edges[cut..].sort_unstable_by_key(|e| (e.t, e.u, e.v));
-        let graph = assemble_graph(self.edges.clone(), self.labels.clone());
+        let graph = merge_suffix(&self.snapshot, &self.edges, cut, &self.labels);
         self.snapshot = Arc::new(graph);
         self.pending = 0;
         self.dirty_from = 0;
@@ -266,10 +276,140 @@ impl AppendableGraph {
     }
 }
 
+/// Derives the snapshot over `edges` (sorted by `(t, u, v)`, dense ids
+/// below `labels.len()`) from `prev`, the previous snapshot, whose edges
+/// agree with `edges[..cut]`.  `edges[cut..]` is the dirty suffix: every
+/// event at or past its first timestamp, including any of `prev`'s own
+/// events there, whose ids the re-sort may have moved.
+///
+/// * `time_offsets` is copied up to the dirty timestamp (padded with `cut`
+///   across a gap past `prev`'s `tmax`) and counted from the suffix after.
+/// * Only the suffix's incidences are sorted.  Each vertex's old groups are
+///   walked in neighbour order, keep their occurrences with id `< cut` (a
+///   prefix: occurrences are in id order), and merge the new ones in; a
+///   vertex the suffix does not touch is copied verbatim.
+///
+/// The result equals `assemble_graph(edges.to_vec(), labels.to_vec())`.
+fn merge_suffix(
+    prev: &TemporalGraph,
+    edges: &[TemporalEdge],
+    cut: usize,
+    labels: &[u64],
+) -> TemporalGraph {
+    debug_assert!(cut < edges.len() && cut <= prev.edges.len());
+    debug_assert!(edges[cut..]
+        .windows(2)
+        .all(|w| (w[0].t, w[0].u, w[0].v) <= (w[1].t, w[1].u, w[1].v)));
+    let num_vertices = labels.len();
+    let tmax = edges.last().map_or(0, |e| e.t);
+    let dirty = edges[cut].t as usize;
+
+    // `time_offsets[i]` counts the edges with `t < i`: for `i <= dirty`
+    // those all lie before `cut`, so `prev` already has the count (or, past
+    // its `tmax`, every one of them).
+    let mut time_offsets = Vec::with_capacity(tmax as usize + 2);
+    time_offsets.extend_from_slice(&prev.time_offsets[..(dirty + 1).min(prev.time_offsets.len())]);
+    time_offsets.resize(dirty + 1, cut as u32);
+    let mut id = cut;
+    for i in dirty + 1..=tmax as usize + 1 {
+        while id < edges.len() && (edges[id].t as usize) < i {
+            id += 1;
+        }
+        time_offsets.push(id as u32);
+    }
+
+    let mut fresh: Vec<(VertexId, VertexId, Timestamp, EdgeId)> =
+        Vec::with_capacity(2 * (edges.len() - cut));
+    for (id, e) in edges.iter().enumerate().skip(cut) {
+        fresh.push((e.u, e.v, e.t, id as EdgeId));
+        fresh.push((e.v, e.u, e.t, id as EdgeId));
+    }
+    fresh.sort_unstable();
+
+    let mut adj_offsets = Vec::with_capacity(num_vertices + 1);
+    adj_offsets.push(0u32);
+    let mut groups: Vec<GroupEntry> = Vec::with_capacity(prev.groups.len() + fresh.len());
+    let mut occurrences: Vec<(Timestamp, EdgeId)> =
+        Vec::with_capacity(prev.occurrences.len() + fresh.len());
+    let mut next = 0usize;
+    for u in 0..num_vertices {
+        let old = if u < prev.num_vertices {
+            &prev.groups[prev.adj_offsets[u] as usize..prev.adj_offsets[u + 1] as usize]
+        } else {
+            &[]
+        };
+        let start = next;
+        while next < fresh.len() && fresh[next].0 as usize == u {
+            next += 1;
+        }
+        let mut new = &fresh[start..next];
+        if new.is_empty() {
+            // Untouched by the suffix, so every occurrence predates `cut`
+            // and the vertex's groups copy over as one block.  The block
+            // only moves up: every earlier vertex kept or re-merged all of
+            // its occurrences.
+            if let (Some(first), Some(last)) = (old.first(), old.last()) {
+                let shift = occurrences.len() as u32 - first.occ_start;
+                occurrences.extend_from_slice(
+                    &prev.occurrences[first.occ_start as usize..last.occ_end as usize],
+                );
+                groups.extend(old.iter().map(|g| GroupEntry {
+                    neighbor: g.neighbor,
+                    occ_start: g.occ_start + shift,
+                    occ_end: g.occ_end + shift,
+                }));
+            }
+            adj_offsets.push(groups.len() as u32);
+            continue;
+        }
+        let mut old = old.iter().peekable();
+        loop {
+            let old_next = old.peek().map(|g| g.neighbor);
+            let new_next = new.first().map(|f| f.1);
+            let neighbor = match (old_next, new_next) {
+                (None, None) => break,
+                (Some(a), Some(b)) => a.min(b),
+                (Some(a), None) => a,
+                (None, Some(b)) => b,
+            };
+            let occ_start = occurrences.len() as u32;
+            if old_next == Some(neighbor) {
+                if let Some(g) = old.next() {
+                    let kept = &prev.occurrences[g.occ_start as usize..g.occ_end as usize];
+                    let keep = kept.partition_point(|&(_, id)| (id as usize) < cut);
+                    occurrences.extend_from_slice(&kept[..keep]);
+                }
+            }
+            let run = new.partition_point(|f| f.1 == neighbor);
+            occurrences.extend(new[..run].iter().map(|&(_, _, t, id)| (t, id)));
+            new = &new[run..];
+            groups.push(GroupEntry {
+                neighbor,
+                occ_start,
+                occ_end: occurrences.len() as u32,
+            });
+        }
+        adj_offsets.push(groups.len() as u32);
+    }
+
+    TemporalGraph {
+        num_vertices,
+        edges: edges.to_vec(),
+        tmax,
+        time_offsets,
+        adj_offsets,
+        groups,
+        occurrences,
+        labels: labels.to_vec(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::assemble_graph;
     use crate::{TemporalGraphBuilder, TimeWindow};
+    use proptest::prelude::*;
 
     fn base() -> TemporalGraph {
         TemporalGraphBuilder::new()
@@ -403,5 +543,101 @@ mod tests {
             v
         };
         assert_eq!(canon(&inc), canon(&scratch));
+    }
+
+    /// Every index of `got` equals the one `assemble_graph` builds from
+    /// `live`'s edges and labels.
+    fn assert_matches_a_full_assembly(live: &AppendableGraph, got: &TemporalGraph) {
+        let want = assemble_graph(live.edges.clone(), live.labels.clone());
+        let groups = |g: &TemporalGraph| -> Vec<(VertexId, u32, u32)> {
+            g.groups
+                .iter()
+                .map(|e| (e.neighbor, e.occ_start, e.occ_end))
+                .collect()
+        };
+        assert_eq!(got.num_vertices, want.num_vertices);
+        assert_eq!(got.tmax, want.tmax);
+        assert_eq!(got.edges, want.edges);
+        assert_eq!(got.time_offsets, want.time_offsets);
+        assert_eq!(got.adj_offsets, want.adj_offsets);
+        assert_eq!(groups(got), groups(&want));
+        assert_eq!(got.occurrences, want.occurrences);
+        assert_eq!(got.labels, want.labels);
+    }
+
+    #[test]
+    fn appends_at_tmax_move_published_ids_and_merge_exactly() {
+        let mut live = AppendableGraph::from_graph(base());
+        // (0, 1) sorts before the published (0, 2) and (2, 3) at t = 3, so
+        // both of those move up one id.
+        live.append_batch(&[(1, 3, 3), (0, 1, 3)]).unwrap();
+        let merged = live.publish();
+        assert_matches_a_full_assembly(&live, &merged);
+        // A gap past tmax + 1 leaves empty timestamps in between.
+        live.append_batch(&[(9, 0, 7), (9, 2, 7)]).unwrap();
+        let merged = live.publish();
+        assert_matches_a_full_assembly(&live, &merged);
+        assert_eq!(merged.edges_at(5).len(), 0);
+        assert_eq!(merged.edges_at(7).len(), 2);
+    }
+
+    /// One step of the merge-publish property: `(kind, events)`, where each
+    /// event `(u, v, dt)` lands at `watermark + dt` (plus a gap of 2 for
+    /// kind 3).  Kind 0 publishes, kind 1 leaves the batch pending for the
+    /// next publish, kind 2 raises the floor to `last_t` first, kind 3
+    /// skips timestamps.
+    type Step = (u8, Vec<(u64, u64, u32)>);
+
+    fn arb_steps() -> impl Strategy<Value = (Vec<(u64, u64, i64)>, Vec<Step>)> {
+        (
+            prop::collection::vec((0u64..8, 0u64..8, 1i64..5), 1..14),
+            prop::collection::vec(
+                (
+                    0u8..4,
+                    prop::collection::vec((0u64..14, 0u64..14, 0u32..3), 1..7),
+                ),
+                1..12,
+            ),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Whatever the batch sequence — appends at `t == tmax`, gaps past
+        /// `tmax + 1`, new labels, raised floors, several batches per
+        /// publish — every published snapshot equals a full assembly over
+        /// the same edges.
+        #[test]
+        fn merge_publish_matches_a_full_assembly((base, steps) in arb_steps()) {
+            let edges = base.into_iter().map(|(u, v, t)| (u, if u == v { v + 1 } else { v }, t));
+            let graph = TemporalGraphBuilder::new()
+                .timestamp_mode(crate::TimestampMode::Raw)
+                .with_edges(edges)
+                .build()
+                .unwrap();
+            let mut live = AppendableGraph::from_graph(graph);
+            for (kind, events) in steps {
+                if kind == 2 {
+                    live.raise_floor(live.last_t());
+                }
+                let gap = if kind == 3 { 2 } else { 0 };
+                let watermark = live.watermark();
+                let mut batch: Vec<(u64, u64, Timestamp)> = events
+                    .into_iter()
+                    .map(|(u, v, dt)| (u, if u == v { v + 1 } else { v }, watermark + gap + dt))
+                    .collect();
+                batch.sort_by_key(|&(_, _, t)| t);
+                // A batch repeating a pair at one timestamp is refused
+                // whole and leaves no trace.
+                let _ = live.append_batch(&batch);
+                if kind != 1 {
+                    let published = live.publish();
+                    assert_matches_a_full_assembly(&live, &published);
+                }
+            }
+            let published = live.publish();
+            assert_matches_a_full_assembly(&live, &published);
+        }
     }
 }

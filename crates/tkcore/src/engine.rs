@@ -90,6 +90,8 @@ pub struct CacheStats {
     /// Tail-shard `(shard, k)` skylines dropped by ingest
     /// ([`crate::ShardedEngine::absorb`]): closed-shard skylines are never
     /// invalidated, so this counts exactly the rebuilds ingest can cause.
+    /// The absorb makes those rebuilds itself and books them in
+    /// [`CacheStats::publish`].
     pub tail_invalidations: u64,
     /// Boundary-stitch entries whose shard range touches the live tail
     /// dropped by ingest.
@@ -103,22 +105,30 @@ pub struct CacheStats {
     /// factor — summing alone would make a parallel warm look slower than
     /// it is.
     pub warm: WarmStats,
+    /// Absorb-path builds: the tail skylines and tail-touching stitch
+    /// entries each [`crate::ShardedEngine::absorb`] rebuilds against its
+    /// new snapshot before publishing it, so no query pays for them.  Here
+    /// `warms` counts the absorbs that rebuilt at least one entry, and the
+    /// builds are *not* counted in [`ShardCacheStats::builds`] or
+    /// [`BoundaryCacheStats::builds`], which stay query-path only.
+    pub publish: WarmStats,
 }
 
-/// Timing counters of the cache-warming path
-/// ([`crate::ShardedEngine::warm`]), reported in [`CacheStats::warm`].
+/// Timing counters of a cache-warming path: explicit warm calls
+/// ([`crate::ShardedEngine::warm`], reported in [`CacheStats::warm`]) or
+/// the rebuilds an absorb publishes ([`CacheStats::publish`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WarmStats {
-    /// Warm calls observed.
+    /// Warm calls (or warm-publishing absorbs) observed.
     pub warms: u64,
-    /// Skylines actually built by warm calls; already-resident entries
-    /// don't count.
+    /// Skylines and stitch entries actually built; already-resident
+    /// entries don't count.
     pub entries_built: u64,
     /// Summed per-entry build time across workers.  Exceeds
     /// [`WarmStats::wall_time`] when a warm overlaps builds on the pool —
     /// compare the two to read off the effective build parallelism.
     pub build_time: Duration,
-    /// Wall-clock time spent inside warm calls.
+    /// Wall-clock time spent building.
     pub wall_time: Duration,
 }
 
@@ -129,7 +139,8 @@ pub struct WarmStats {
 /// evicted (see [`EngineConfig::boundary_cache_entries`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BoundaryCacheStats {
-    /// Stitch entries built (one merged-window sweep each).
+    /// Stitch entries built on the query path (one merged-window sweep
+    /// each); absorb-path rebuilds are booked in [`CacheStats::publish`].
     pub builds: u64,
     /// Boundary-spanning queries answered from a cached stitch entry.
     pub hits: u64,
@@ -146,7 +157,9 @@ pub struct BoundaryCacheStats {
 pub struct ShardCacheStats {
     /// Index of the shard in the engine's plan (timeline order).
     pub shard: usize,
-    /// Skylines built for this shard (cold misses), over all `k`.
+    /// Skylines built for this shard on the query path (cold misses and
+    /// [`crate::ShardedEngine::warm`] calls), over all `k`.  The rebuilds
+    /// an absorb publishes are booked in [`CacheStats::publish`] instead.
     pub builds: u64,
     /// Queries answered from an already-resident skyline of this shard.
     pub hits: u64,

@@ -3,10 +3,11 @@
 //! The write path of the stack is documented on [`crate::ShardedEngine`]
 //! (see also the "Live ingestion" section of the crate docs): an
 //! [`temporal_graph::AppendableGraph`] buffers time-ordered events,
-//! [`crate::ShardedEngine::absorb`] publishes them as a fresh snapshot and
-//! invalidates exactly the tail-shard skylines and tail-touching
-//! boundary-stitch entries, and a [`SealPolicy`] decides when the live tail
-//! shard is rolled into a closed (immutable) shard.
+//! [`crate::ShardedEngine::absorb`] publishes them as a fresh snapshot,
+//! replacing exactly the tail-shard skylines and tail-touching
+//! boundary-stitch entries with ones it rebuilt against that snapshot (so
+//! no query pays for the rebuild), and a [`SealPolicy`] decides when the
+//! live tail shard is rolled into a closed (immutable) shard.
 
 use temporal_graph::{TimeWindow, Timestamp};
 
@@ -51,10 +52,11 @@ pub struct AbsorbStats {
     /// Events appended by this batch (the whole batch, or zero: batches
     /// apply atomically).
     pub appended: usize,
-    /// Tail-shard `(shard, k)` skylines dropped by this absorb.
+    /// Tail-shard `(shard, k)` skylines of the previous epoch dropped by
+    /// this absorb (it publishes rebuilt successors in their place).
     pub tail_invalidations: u64,
     /// Boundary-stitch entries whose shard range touches the tail dropped
-    /// by this absorb.
+    /// (and rebuilt) by this absorb.
     pub boundary_invalidations: u64,
     /// Whether this absorb sealed the tail shard (per the configured
     /// [`SealPolicy`]).

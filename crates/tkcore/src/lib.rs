@@ -89,15 +89,22 @@
 //! atomic `Arc`-swapped snapshot).  The maintenance is **incremental**:
 //!
 //! * an absorb dirties only the tail — tail-shard `(shard, k)` skylines
-//!   and tail-touching boundary-stitch entries are purged (counted in
+//!   and tail-touching boundary-stitch entries (counted in
 //!   [`CacheStats::tail_invalidations`] /
-//!   [`CacheStats::boundary_invalidations`]), while **closed-shard
+//!   [`CacheStats::boundary_invalidations`]) — while **closed-shard
 //!   skylines stay resident and valid** because appends land strictly past
 //!   the seal watermark and therefore never move a closed shard's edges or
 //!   `EdgeId`s;
+//! * the dirtied entries are rebuilt at publish, not purged for queries to
+//!   rebuild: the absorb rebuilds every one the old tail had resident
+//!   against the new snapshot, on the engine's pool, and installs them as
+//!   it publishes the snapshot, so the first query of the new epoch hits
+//!   ([`CacheStats::publish`] books those builds apart from the query
+//!   path's);
 //! * a [`SealPolicy`] (`EdgeCount`, `SpanWidth`, or `Manual` via
 //!   [`ShardedEngine::seal_tail`]) rolls the live tail into a closed shard
-//!   ([`CacheStats::seals`]); the next advancing batch opens a fresh tail;
+//!   ([`CacheStats::seals`]); the next advancing batch opens a fresh tail
+//!   and rebuilds there what the sealed tail had resident;
 //! * queries capture one immutable live view at entry, so a query racing
 //!   an absorb observes either none of the batch or all of it — ingestion
 //!   and queries serialize only at the snapshot swap;

@@ -81,12 +81,17 @@
 //! and queries serialize).  Because appends only land past the seal
 //! watermark, closed shards' edge slices — and every `EdgeId` inside
 //! them — never change, so **closed-shard skylines and stitch entries stay
-//! resident and valid across every append**; an absorb purges only the
+//! resident and valid across every append**; an absorb replaces only the
 //! tail-shard skylines and the tail-touching stitch entries (counted in
-//! [`CacheStats::tail_invalidations`] / `boundary_invalidations`).  A
+//! [`CacheStats::tail_invalidations`] / `boundary_invalidations`).  It
+//! rebuilds each of them against the new snapshot on the pool before
+//! publishing, and installs them in the critical section that swaps the
+//! snapshot in, so the new epoch starts warm and no query rebuilds a tail
+//! ([`CacheStats::publish`] books these builds).  A
 //! [`crate::SealPolicy`] (or [`ShardedEngine::seal_tail`]) rolls the tail
 //! into a closed shard, making its indexes permanent; the next advancing
-//! batch opens a fresh tail.
+//! batch opens a fresh tail and rebuilds there what the sealed tail had
+//! resident.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -201,8 +206,15 @@ impl ShardPlan {
 /// Entries built over **closed** shards are [`Validity::Permanent`]: appends
 /// only land past the seal watermark, so a closed shard's edge slice (and
 /// every `EdgeId` inside it) never changes again.  Entries touching the live
-/// tail are tagged with the [`LiveState::epoch`] they were built at and die
-/// on the next absorb, which bumps the epoch.
+/// tail are tagged with the [`LiveState::epoch`] they were built at.  The
+/// absorb that bumps the epoch replaces them with entries it rebuilt
+/// against the new snapshot (see [`ShardedEngine::absorb`]), so queries of
+/// the new epoch find them warm.
+///
+/// A query only ever uses an entry whose validity equals the one its own
+/// live view assigns the key ([`LiveState::validity`]): a query still
+/// running on an older snapshot must not restrict a newer epoch's skyline
+/// against its older graph, whose edge ids at the old `tmax` may differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Validity {
     /// Built over closed shards only; valid for the engine's lifetime.
@@ -213,10 +225,14 @@ enum Validity {
 }
 
 impl Validity {
-    fn is_current(self, epoch: u64) -> bool {
-        match self {
-            Validity::Permanent => true,
-            Validity::Epoch(e) => e == epoch,
+    /// Whether an entry of this validity replaces one of `other`'s: a later
+    /// epoch replaces an earlier one, and a sealed (permanent) entry
+    /// replaces every epoch, since a shard never reopens.
+    fn supersedes(self, other: Validity) -> bool {
+        match (self, other) {
+            (Validity::Permanent, Validity::Epoch(_)) => true,
+            (Validity::Epoch(a), Validity::Epoch(b)) => a > b,
+            _ => false,
         }
     }
 }
@@ -262,6 +278,7 @@ struct SkylineCache {
     stitch_capacity: usize,
     seals: u64,
     warm: WarmStats,
+    publish: WarmStats,
 }
 
 impl SkylineCache {
@@ -274,6 +291,7 @@ impl SkylineCache {
             stitch_capacity: config.boundary_cache_entries.max(1),
             seals: 0,
             warm: WarmStats::default(),
+            publish: WarmStats::default(),
         }
     }
 
@@ -281,24 +299,27 @@ impl SkylineCache {
         self.counters.entry((key.0, key.1)).or_default()
     }
 
-    /// A validity-aware hit requires the entry to be `Permanent` or built at
-    /// the caller's `epoch`; a stale tail entry that escaped the absorb-time
-    /// purge (an adopt racing the absorb) is dropped here and counted as
-    /// both a miss and an invalidation.
-    fn get(&mut self, key: RangeKey, epoch: u64) -> Option<Arc<EdgeCoreSkyline>> {
+    /// A validity-aware hit requires the entry's validity to equal the
+    /// caller's.  An entry the caller's validity supersedes — a stale tail
+    /// entry that escaped the absorb-time purge (an adopt racing the
+    /// absorb) — is dropped here and counted as both a miss and an
+    /// invalidation.  A newer entry than the caller's (the caller is a
+    /// straggler on an older snapshot) is a miss that leaves the entry in
+    /// place for the queries of its own epoch.
+    fn get(&mut self, key: RangeKey, validity: Validity) -> Option<Arc<EdgeCoreSkyline>> {
         self.clock += 1;
         let clock = self.clock;
         let hit = match self.entries.get_mut(&key) {
-            Some(entry) if entry.validity.is_current(epoch) => {
+            Some(entry) if entry.validity == validity => {
                 entry.last_used = clock;
                 Some(Arc::clone(&entry.skyline))
             }
-            Some(_) => {
+            Some(entry) if validity.supersedes(entry.validity) => {
                 self.entries.remove(&key);
                 self.counters(key).invalidations += 1;
                 None
             }
-            None => None,
+            _ => None,
         };
         let counters = self.counters(key);
         if hit.is_some() {
@@ -309,18 +330,21 @@ impl SkylineCache {
         hit
     }
 
-    /// Whether a currently valid entry is resident, without touching the
-    /// counters (the `warm` probe).
-    fn is_resident(&self, key: RangeKey, epoch: u64) -> bool {
+    /// Whether an entry of the caller's validity is resident, without
+    /// touching the counters (the `warm` probe).
+    fn is_resident(&self, key: RangeKey, validity: Validity) -> bool {
         self.entries
             .get(&key)
-            .is_some_and(|e| e.validity.is_current(epoch))
+            .is_some_and(|e| e.validity == validity)
     }
 
-    /// Inserts a freshly built entry unless another thread won the race,
-    /// then evicts least-recently-used entries of the same kind (never the
-    /// key itself) down to that kind's budget.  Counts a build only when
-    /// the insert actually happened.
+    /// Adopts a skyline built on the query path.  When another thread won
+    /// the race with an entry of the same validity, the resident entry is
+    /// shared and the caller's copy dropped.  Otherwise the caller gets its
+    /// own build back, and it is inserted only over a vacant slot or an
+    /// entry its validity supersedes; a newer resident entry (the caller
+    /// is a straggler on an older snapshot) stays.  Counts a build only
+    /// when the insert actually happened.
     fn adopt(
         &mut self,
         key: RangeKey,
@@ -329,24 +353,35 @@ impl SkylineCache {
     ) -> Arc<EdgeCoreSkyline> {
         self.clock += 1;
         let clock = self.clock;
-        let skyline = match self.entries.get_mut(&key) {
-            Some(existing) => {
+        match self.entries.get_mut(&key) {
+            Some(existing) if existing.validity == validity => {
                 existing.last_used = clock;
-                Arc::clone(&existing.skyline)
+                return Arc::clone(&existing.skyline);
             }
-            None => {
-                self.counters(key).builds += 1;
-                self.entries.insert(
-                    key,
-                    CacheEntry {
-                        skyline: Arc::clone(&built),
-                        last_used: clock,
-                        validity,
-                    },
-                );
-                built
-            }
-        };
+            Some(existing) if !validity.supersedes(existing.validity) => return built,
+            Some(_) => self.counters(key).invalidations += 1,
+            None => {}
+        }
+        self.counters(key).builds += 1;
+        self.install(key, Arc::clone(&built), validity);
+        built
+    }
+
+    /// Inserts (or replaces) `key`'s entry as the most recently used one,
+    /// then evicts least-recently-used entries of the same kind (never the
+    /// key itself) down to that kind's budget.  Counts no build: an absorb
+    /// installs its rebuilt entries through here directly (booked in
+    /// [`CacheStats::publish`]), and [`SkylineCache::adopt`] counts its own.
+    fn install(&mut self, key: RangeKey, skyline: Arc<EdgeCoreSkyline>, validity: Validity) {
+        self.clock += 1;
+        self.entries.insert(
+            key,
+            CacheEntry {
+                skyline,
+                last_used: self.clock,
+                validity,
+            },
+        );
         let stitch = is_stitch(key);
         let (limit, weight): (usize, fn(&CacheEntry) -> usize) = if stitch {
             (self.stitch_capacity, |_| 1)
@@ -375,15 +410,25 @@ impl SkylineCache {
             load -= weight(&removed);
             self.counters(victim).evictions += 1;
         }
-        skyline
+    }
+
+    /// The keys of the resident entries built at `epoch`: what the live
+    /// tail of that epoch had resident, and so what the next publish
+    /// rebuilds.
+    fn tail_keys(&self, epoch: u64) -> Vec<RangeKey> {
+        self.entries
+            .iter()
+            .filter(|(_, entry)| entry.validity == Validity::Epoch(epoch))
+            .map(|(&key, _)| key)
+            .collect()
     }
 
     /// Drops every non-permanent entry — the live tail's skylines and the
     /// stitch entries whose shard range touches it — after an absorb
-    /// changed the tail, counting each as an invalidation of its range.
-    /// Closed-shard entries are untouched: they stay resident and valid
-    /// across every append.  Returns the shard skylines and stitch entries
-    /// dropped.
+    /// changed the tail, counting each as an invalidation of its range
+    /// (the absorb then installs their rebuilt successors).  Closed-shard
+    /// entries are untouched: they stay resident and valid across every
+    /// append.  Returns the shard skylines and stitch entries dropped.
     // tkc-lint: hot
     fn invalidate_tail(&mut self) -> (u64, u64) {
         let (mut skylines, mut stitches) = (0u64, 0u64);
@@ -407,15 +452,14 @@ impl SkylineCache {
     /// `epoch` cover exactly the sealed window and are upgraded to
     /// [`Validity::Permanent`]; stale-epoch leftovers are dropped.
     fn seal(&mut self, tail: usize, epoch: u64) {
-        self.entries.retain(|key, entry| {
-            if !entry.validity.is_current(epoch) {
-                return false;
-            }
-            if entry.validity != Validity::Permanent {
+        self.entries.retain(|key, entry| match entry.validity {
+            Validity::Permanent => true,
+            Validity::Epoch(e) if e == epoch => {
                 debug_assert_eq!(key.1, tail, "only tail-touching entries carry an epoch");
                 entry.validity = Validity::Permanent;
+                true
             }
-            true
+            Validity::Epoch(_) => false,
         });
         self.seals += 1;
     }
@@ -440,6 +484,7 @@ impl SkylineCache {
                 .collect(),
             seals: self.seals,
             warm: self.warm,
+            publish: self.publish,
             ..CacheStats::default()
         };
         for (&(lo, hi), c) in &self.counters {
@@ -590,6 +635,23 @@ impl LiveState {
             Validity::Epoch(self.epoch)
         }
     }
+
+    /// Builds the cache entry for `key` against this state: shard `lo`'s
+    /// skyline, or for a stitch key the cut-crossing minimal core windows
+    /// of the range's merged window.  Also returns the build's transient
+    /// peak — for a stitch entry, the full merged skyline held while
+    /// filtering.
+    fn build_entry(&self, (lo, hi, k): RangeKey) -> (EdgeCoreSkyline, usize) {
+        let window = TimeWindow::new(self.shards[lo].start(), self.shards[hi].end());
+        let skyline = EdgeCoreSkyline::build(&self.graph, k, window);
+        let peak = skyline.memory_bytes();
+        if lo == hi {
+            return (skyline, peak);
+        }
+        let cuts: Vec<Timestamp> = (lo..hi).map(|s| self.shards[s].end()).collect();
+        let crossing = skyline.filtered(|w| cuts.iter().any(|&c| w.start() <= c && c < w.end()));
+        (crossing, peak)
+    }
 }
 
 /// The write side of live ingestion: the appendable event buffer plus the
@@ -600,6 +662,9 @@ struct IngestState {
     /// Edge occurrences currently in the tail shard (seeds from the base
     /// graph's tail slice; reset on seal).
     tail_edges: usize,
+    /// The keys the sealed tail had resident, carried by a seal to the
+    /// next absorb, which opens a fresh tail and rebuilds them there.
+    carried: Vec<RangeKey>,
 }
 
 /// The shared core of a [`ShardedEngine`], behind one `Arc` so batch tasks
@@ -671,6 +736,7 @@ impl ShardedEngine {
                 ingest: Mutex::new(IngestState {
                     appendable,
                     tail_edges,
+                    carried: Vec::new(),
                 }),
                 cache,
                 scratch: Mutex::new(SkylineScratch::default()),
@@ -729,9 +795,19 @@ impl ShardedEngine {
     /// Only tail-shard skylines and tail-touching boundary-stitch entries
     /// are invalidated (counted in the returned [`AbsorbStats`] and in
     /// [`CacheStats`]); closed-shard skylines stay resident and valid.
+    /// The tail entries are rebuilt at publish, not purged for queries to
+    /// rebuild: every key the old tail had resident is rebuilt against the
+    /// new snapshot on the engine's [`ExecPool`], outside the live and
+    /// cache locks, and installed in the same critical section that swaps
+    /// the snapshot in — so the first query of the new epoch hits.  The
+    /// rebuild set is exactly what was resident, so the cache budgets bound
+    /// it; the builds are booked in [`CacheStats::publish`], not in the
+    /// query-path build counters.
+    ///
     /// After the batch, the configured [`crate::SealPolicy`] may roll the
-    /// tail into a closed shard; the next advancing batch then opens a
-    /// fresh tail shard.
+    /// tail into a closed shard (its rebuilt entries are then permanent);
+    /// the next advancing batch opens a fresh tail shard and rebuilds there
+    /// the keys the sealed tail had resident.
     ///
     /// # Errors
     /// [`TkError::AppendOutOfOrder`], [`TkError::AppendDuplicate`] or
@@ -777,7 +853,8 @@ impl ShardedEngine {
     /// Seals the live tail shard manually (independent of the configured
     /// [`crate::SealPolicy`]): its skylines become permanently valid, the
     /// append watermark rises past its end, and the next advancing batch
-    /// opens a fresh tail.  A no-op returning `sealed: false` when there is
+    /// opens a fresh tail and rebuilds there what the sealed tail had
+    /// resident.  A no-op returning `sealed: false` when there is
     /// no open tail.
     pub fn seal_tail(&self) -> AbsorbStats {
         self.inner.seal_tail()
@@ -807,7 +884,7 @@ impl ShardedEngine {
         let num_shards = live.shards.len();
         let all_resident = {
             let cache = sync::lock(&self.inner.cache);
-            (0..num_shards).all(|shard| cache.is_resident((shard, shard, k), live.epoch))
+            (0..num_shards).all(|shard| cache.is_resident((shard, shard, k), live.validity(shard)))
         };
         let (_, entries_built, build_time) = self.inner.shard_skylines(&live, 0..num_shards, k);
         let mut cache = sync::lock(&self.inner.cache);
@@ -996,8 +1073,10 @@ impl ShardInner {
     }
 
     /// Absorbs one ingest batch: append + publish, recompute the tail
-    /// window, apply the seal policy, swap the live state and purge exactly
-    /// the tail-dependent cache entries.  See [`ShardedEngine::absorb`].
+    /// window, apply the seal policy, rebuild the tail entries of the new
+    /// epoch, then swap the live state, purge the old epoch and install
+    /// the rebuilt entries in one critical section.  See
+    /// [`ShardedEngine::absorb`].
     fn absorb(&self, batch: &[IngestEvent]) -> Result<AbsorbStats, TkError> {
         let mut ingest = sync::lock(&self.ingest);
         if batch.is_empty() {
@@ -1015,16 +1094,20 @@ impl ShardInner {
         let new_tmax = snapshot.tmax();
         let mut shards = old.shards.clone();
         let mut sealed = old.sealed;
-        if sealed == shards.len() {
+        // What the new epoch rebuilds: the entries the old tail had
+        // resident or, when a seal closed it, the keys that seal carried.
+        let resident = if sealed == shards.len() {
             // The previous absorb (or a manual seal) closed the tail: this
             // batch opens a fresh one right after it.
             let start = shards.last().map_or(1, |s| s.end() + 1);
             shards.push(TimeWindow::new(start, new_tmax));
             ingest.tail_edges = 0;
+            std::mem::take(&mut ingest.carried)
         } else {
             let tail = shards.len() - 1;
             shards[tail] = TimeWindow::new(shards[tail].start(), new_tmax);
-        }
+            sync::lock(&self.cache).tail_keys(old.epoch)
+        };
         ingest.tail_edges += appended;
         let tail_idx = shards.len() - 1;
         let mut did_seal = false;
@@ -1045,16 +1128,44 @@ impl ShardInner {
             sealed,
         });
         let num_shards = state.shards.len();
-        *sync::lock(&self.live) = Arc::clone(&state);
+        // Every key keeps its `k` and (for a stitch entry) its `lo`; its
+        // `hi` becomes the new last shard — the extended tail, the shard
+        // this batch sealed, or a freshly opened tail.
+        let keys: Vec<RangeKey> = resident
+            .iter()
+            .map(|&(lo, hi, k)| {
+                let lo = if lo == hi { tail_idx } else { lo };
+                (lo, tail_idx, k)
+            })
+            .collect();
+        // tkc-lint: allow(lock-order-global) — the fan-out only runs the build closure, which takes no lock; the lint links drain_batch's `run(i)` closure call to QueryRequest::run by name, and through it to the ingest lock
+        let (rebuilt, build_time, wall_time) = self.build_entries(&state, &keys);
+        if did_seal {
+            ingest.carried = resident;
+        }
         // The batch extended the tail window, so even on a sealing absorb
         // the pre-batch tail entries describe a narrower window: purge every
-        // non-permanent entry.  Closed-shard skylines are untouched.
+        // non-permanent entry and install the rebuilt ones in the same
+        // critical section that publishes the state, so the first query of
+        // the new epoch already hits.  Closed-shard skylines are untouched.
+        let mut live = sync::lock(&self.live);
         let mut cache = sync::lock(&self.cache);
+        *live = Arc::clone(&state);
         let (tail_invalidations, boundary_invalidations) = cache.invalidate_tail();
+        for (&key, skyline) in keys.iter().zip(rebuilt) {
+            cache.install(key, skyline, state.validity(key.1));
+        }
+        if !keys.is_empty() {
+            cache.publish.warms += 1;
+            cache.publish.entries_built += keys.len() as u64;
+            cache.publish.build_time += build_time;
+            cache.publish.wall_time += wall_time;
+        }
         if did_seal {
             cache.seals += 1;
         }
         drop(cache);
+        drop(live);
         Ok(AbsorbStats {
             appended,
             tail_invalidations,
@@ -1064,6 +1175,31 @@ impl ShardInner {
             num_shards,
             sealed_shards: sealed,
         })
+    }
+
+    /// Builds the entries `keys` against `live`, fanned across the
+    /// engine's [`ExecPool`] (the calling thread participates) while
+    /// holding neither the live nor the cache lock: a cold query's shard
+    /// skylines and an absorb's rebuilds alike.  Returns them in key order,
+    /// with their summed per-entry build time and the wall time of the
+    /// whole fan-out.
+    fn build_entries(
+        &self,
+        live: &Arc<LiveState>,
+        keys: &[RangeKey],
+    ) -> (Vec<Arc<EdgeCoreSkyline>>, Duration, Duration) {
+        let t0 = Instant::now();
+        let pool = batch_pool(&self.pool, self.config.num_threads, keys.len());
+        let task_live = Arc::clone(live);
+        let task_keys: Arc<[RangeKey]> = keys.into();
+        let built = run_batch_inner(pool.as_deref(), keys.len(), move |i| {
+            let t = Instant::now();
+            let (skyline, _) = task_live.build_entry(task_keys[i]);
+            (Arc::new(skyline), t.elapsed())
+        });
+        let build_time = built.iter().map(|(_, took)| *took).sum();
+        let skylines = built.into_iter().map(|(skyline, _)| skyline).collect();
+        (skylines, build_time, t0.elapsed())
     }
 
     /// Manual tail seal with no timeline change: current tail entries cover
@@ -1083,6 +1219,7 @@ impl ShardInner {
         }
         ingest.appendable.raise_floor(old.graph.tmax());
         ingest.tail_edges = 0;
+        ingest.carried = sync::lock(&self.cache).tail_keys(old.epoch);
         let state = Arc::new(LiveState {
             epoch: old.epoch + 1,
             graph: Arc::clone(&old.graph),
@@ -1130,35 +1267,21 @@ impl ShardInner {
         {
             let mut cache = sync::lock(&self.cache);
             for shard in shards {
-                let hit = cache.get((shard, shard, k), live.epoch);
+                let hit = cache.get((shard, shard, k), live.validity(shard));
                 if hit.is_none() {
                     missing.push(shard);
                 }
                 skylines.push(hit);
             }
         }
-        let mut entries_built = 0u64;
         let mut build_time = Duration::ZERO;
         if !missing.is_empty() {
-            let pool = batch_pool(&self.pool, self.config.num_threads, missing.len());
-            let task_live = Arc::clone(live);
-            let task_shards: Arc<[usize]> = missing.as_slice().into();
-            let built = run_batch_inner(pool.as_deref(), missing.len(), move |i| {
-                let t = Instant::now();
-                let shard = task_shards[i];
-                let skyline = Arc::new(EdgeCoreSkyline::build(
-                    &task_live.graph,
-                    k,
-                    task_live.shards[shard],
-                ));
-                (skyline, t.elapsed())
-            });
+            let keys: Vec<RangeKey> = missing.iter().map(|&shard| (shard, shard, k)).collect();
+            let (built, took, _) = self.build_entries(live, &keys);
+            build_time = took;
             let mut cache = sync::lock(&self.cache);
-            for (&shard, (skyline, took)) in missing.iter().zip(built) {
-                entries_built += 1;
-                build_time += took;
-                skylines[shard - first] =
-                    Some(cache.adopt((shard, shard, k), skyline, live.validity(shard)));
+            for (key, skyline) in keys.into_iter().zip(built) {
+                skylines[key.0 - first] = Some(cache.adopt(key, skyline, live.validity(key.0)));
             }
         }
         let skylines = skylines
@@ -1166,7 +1289,7 @@ impl ShardInner {
             // tkc-lint: allow(no-panic-api) — every slot is either a cache hit or was adopted just above
             .map(|skyline| skyline.expect("every requested shard skyline resolved"))
             .collect();
-        (skylines, entries_built, build_time)
+        (skylines, missing.len() as u64, build_time)
     }
 
     /// Returns the stitch entry for shard range `lo..=hi` and parameter
@@ -1186,16 +1309,12 @@ impl ShardInner {
         hi: usize,
         k: usize,
     ) -> (Arc<EdgeCoreSkyline>, usize) {
-        if let Some(hit) = sync::lock(&self.cache).get((lo, hi, k), live.epoch) {
+        if let Some(hit) = sync::lock(&self.cache).get((lo, hi, k), live.validity(hi)) {
             return (hit, 0);
         }
-        let merged_window = TimeWindow::new(live.shards[lo].start(), live.shards[hi].end());
-        let cuts: Vec<Timestamp> = (lo..hi).map(|s| live.shards[s].end()).collect();
-        let merged = EdgeCoreSkyline::build(&live.graph, k, merged_window);
-        let build_peak = merged.memory_bytes();
-        let crossing =
-            Arc::new(merged.filtered(|w| cuts.iter().any(|&c| w.start() <= c && c < w.end())));
-        let adopted = sync::lock(&self.cache).adopt((lo, hi, k), crossing, live.validity(hi));
+        let (crossing, build_peak) = live.build_entry((lo, hi, k));
+        let adopted =
+            sync::lock(&self.cache).adopt((lo, hi, k), Arc::new(crossing), live.validity(hi));
         (adopted, build_peak)
     }
 
@@ -1701,10 +1820,25 @@ mod tests {
         );
 
         let after = engine.cache_stats();
-        assert_eq!(after.resident_indexes, 1, "closed shard stays resident");
+        assert_eq!(
+            after.per_shard[0].resident_indexes, 1,
+            "closed shard stays resident"
+        );
         assert_eq!(after.tail_invalidations, 1);
         assert_eq!(after.boundary_invalidations, 1);
         assert_eq!(after.seals, 0);
+        // The purged tail entries come back rebuilt at the new epoch, each
+        // counted once in `publish` and never as a query-path build.
+        {
+            let cache = sync::lock(&engine.inner.cache);
+            assert!(cache.is_resident((1, 1, 2), Validity::Epoch(1)));
+            assert!(cache.is_resident((0, 1, 2), Validity::Epoch(1)));
+        }
+        assert_eq!(after.per_shard[1].resident_indexes, 1, "{after:?}");
+        assert_eq!(after.boundary.resident_entries, 1, "{after:?}");
+        assert_eq!((after.publish.warms, after.publish.entries_built), (1, 2));
+        assert_eq!(after.per_shard[1].builds, before.per_shard[1].builds);
+        assert_eq!(after.boundary.builds, before.boundary.builds);
 
         // Re-querying the closed shard is a pure hit: zero new builds.
         let builds_before: u64 = after.per_shard.iter().map(|s| s.builds).sum();
@@ -1837,8 +1971,8 @@ mod tests {
         // epoch its build started at; the next lookup runs at the new epoch.
         cache.adopt((1, 1, 2), Arc::clone(&skyline), Validity::Epoch(0));
         cache.adopt((0, 1, 2), skyline, Validity::Epoch(0));
-        assert!(cache.get((1, 1, 2), 1).is_none());
-        assert!(cache.get((0, 1, 2), 1).is_none());
+        assert!(cache.get((1, 1, 2), Validity::Epoch(1)).is_none());
+        assert!(cache.get((0, 1, 2), Validity::Epoch(1)).is_none());
         let stats = cache.stats(2);
         assert_eq!((stats.hits, stats.misses), (0, 1), "{stats:?}");
         assert_eq!(stats.tail_invalidations, 1, "{stats:?}");
@@ -1849,6 +1983,142 @@ mod tests {
         // A caller that read the shard count before an absorb opened shard 1
         // still gets a row for every shard the counters name.
         assert_eq!(cache.stats(1).per_shard.len(), 2);
+    }
+
+    #[test]
+    fn adopt_shares_only_an_entry_of_the_callers_validity() {
+        let g = paper_example::graph();
+        let build = || Arc::new(EdgeCoreSkyline::build(&g, 2, TimeWindow::new(5, 7)));
+        let mut cache = SkylineCache::new(&EngineConfig::default());
+        let key = (1, 1, 2);
+        let published = build();
+        cache.install(key, Arc::clone(&published), Validity::Epoch(1));
+        // A straggler of epoch 0 loses the adopt race to the published
+        // epoch-1 entry: it gets its own build back, and the newer entry
+        // stays resident.
+        let straggler = build();
+        let got = cache.adopt(key, Arc::clone(&straggler), Validity::Epoch(0));
+        assert!(Arc::ptr_eq(&got, &straggler));
+        assert!(cache.is_resident(key, Validity::Epoch(1)));
+        // A racer of the same epoch shares the resident entry.
+        let got = cache.adopt(key, build(), Validity::Epoch(1));
+        assert!(Arc::ptr_eq(&got, &published));
+        // A later epoch replaces the older entry.
+        let newer = build();
+        let got = cache.adopt(key, Arc::clone(&newer), Validity::Epoch(2));
+        assert!(Arc::ptr_eq(&got, &newer));
+        assert!(cache.is_resident(key, Validity::Epoch(2)));
+        // A sealed (permanent) entry is newer than every epoch.
+        let sealed = build();
+        cache.adopt(key, Arc::clone(&sealed), Validity::Permanent);
+        let got = cache.adopt(key, build(), Validity::Epoch(3));
+        assert!(!Arc::ptr_eq(&got, &sealed));
+        assert!(cache.is_resident(key, Validity::Permanent));
+        let stats = cache.stats(2);
+        // Inserts only: the epoch-2 replacement and the sealed entry.
+        assert_eq!(stats.per_shard[1].builds, 2, "{stats:?}");
+        assert_eq!(stats.publish, WarmStats::default(), "install books nothing");
+        assert_eq!(stats.resident_indexes, 1, "{stats:?}");
+    }
+
+    #[test]
+    fn get_from_an_older_epoch_leaves_a_newer_entry_resident() {
+        let g = paper_example::graph();
+        let skyline = Arc::new(EdgeCoreSkyline::build(&g, 2, TimeWindow::new(5, 7)));
+        let mut cache = SkylineCache::new(&EngineConfig::default());
+        cache.install((1, 1, 2), Arc::clone(&skyline), Validity::Epoch(1));
+        cache.install((0, 1, 2), skyline, Validity::Epoch(1));
+        // Stragglers of epoch 0 miss without evicting.
+        assert!(cache.get((1, 1, 2), Validity::Epoch(0)).is_none());
+        assert!(cache.get((0, 1, 2), Validity::Epoch(0)).is_none());
+        assert!(cache.is_resident((1, 1, 2), Validity::Epoch(1)));
+        assert!(cache.is_resident((0, 1, 2), Validity::Epoch(1)));
+        let stats = cache.stats(2);
+        assert_eq!(stats.tail_invalidations, 0, "{stats:?}");
+        assert_eq!(stats.boundary_invalidations, 0, "{stats:?}");
+        // Queries of the entries' own epoch hit them.
+        assert!(cache.get((1, 1, 2), Validity::Epoch(1)).is_some());
+        assert!(cache.get((0, 1, 2), Validity::Epoch(1)).is_some());
+        // A straggler of a sealed shard's old tail epoch misses the
+        // permanent entry too, without evicting it.
+        cache.seal(1, 1);
+        assert!(cache.get((1, 1, 2), Validity::Epoch(1)).is_none());
+        assert!(cache.is_resident((1, 1, 2), Validity::Permanent));
+        let stats = cache.stats(2);
+        assert_eq!((stats.hits, stats.misses), (1, 2), "{stats:?}");
+        assert_eq!(stats.resident_indexes, 1, "{stats:?}");
+    }
+
+    /// Warm-publish contract: after a plain absorb, and after a sealing
+    /// absorb followed by one that opens a fresh tail, a tail query at
+    /// every `k` the tail had resident is a query-path hit — zero builds —
+    /// and matches the naive oracle.
+    #[test]
+    fn absorbs_publish_the_tail_warm_for_every_resident_k() {
+        let g = paper_example::graph(); // tmax = 7
+        let engine = ShardedEngine::with_config(
+            g,
+            ShardPlan::ExplicitCuts(vec![4]),
+            EngineConfig {
+                seal_policy: crate::SealPolicy::EdgeCount(12),
+                num_threads: 1,
+                ..EngineConfig::default()
+            },
+        )
+        .unwrap();
+        let ks = [1, 2, 3];
+        for &k in &ks {
+            engine.warm(k);
+        }
+        let query_path_builds = |engine: &ShardedEngine| -> u64 {
+            let stats = engine.cache_stats();
+            stats.per_shard.iter().map(|s| s.builds).sum::<u64>() + stats.boundary.builds
+        };
+        let check_tail = |engine: &ShardedEngine, label: &str| {
+            let live = engine.graph();
+            let tail = *engine.shards().last().unwrap();
+            let before = query_path_builds(engine);
+            for &k in &ks {
+                let query = TimeRangeKCoreQuery::new(k, tail).unwrap();
+                assert_eq!(
+                    cores_of(engine, query, Algorithm::Enum),
+                    crate::naive::naive_results(&live, k, tail),
+                    "{label}: k={k} tail={tail}"
+                );
+            }
+            assert_eq!(
+                query_path_builds(engine),
+                before,
+                "{label}: query-path build"
+            );
+        };
+
+        // A plain absorb: 2 more edges keep the tail [5, 7] under the
+        // 12-edge seal threshold.
+        let absorbed = engine.absorb(&[(1, 5, 8), (2, 5, 8)]).unwrap();
+        assert!(!absorbed.sealed);
+        assert_eq!(engine.cache_stats().publish.entries_built, 3);
+        check_tail(&engine, "plain");
+
+        // A sealing absorb rebuilds the sealed shard as permanent, and the
+        // opening absorb rebuilds the carried keys on the fresh tail.
+        let absorbed = engine
+            .absorb(&[(1, 2, 9), (2, 6, 9), (1, 6, 9), (5, 6, 9), (2, 3, 9)])
+            .unwrap();
+        assert!(absorbed.sealed);
+        let sealed = engine.cache_stats();
+        assert_eq!(sealed.publish.entries_built, 6);
+        assert_eq!(sealed.per_shard[1].resident_indexes, 3, "{sealed:?}");
+        let absorbed = engine
+            .absorb(&[(1, 3, 10), (2, 3, 10), (1, 2, 10)])
+            .unwrap();
+        assert!(!absorbed.sealed);
+        assert_eq!(absorbed.num_shards, 3);
+        let opened = engine.cache_stats();
+        assert_eq!(opened.publish.entries_built, 9);
+        assert_eq!(opened.publish.warms, 3);
+        assert_eq!(opened.per_shard[2].resident_indexes, 3, "{opened:?}");
+        check_tail(&engine, "opened");
     }
 
     /// A sink that blocks on its first core until released, holding its

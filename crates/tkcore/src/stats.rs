@@ -120,9 +120,13 @@ pub struct IngestDelta {
     pub boundary_invalidations: u64,
     /// Tail seals in the interval.
     pub seals: u64,
-    /// Shard skyline builds in the interval (rebuild work the
-    /// invalidations induced, plus any cold warming).
+    /// Query-path shard skyline builds in the interval (cold misses and
+    /// warm calls).
     pub builds: u64,
+    /// Skylines and stitch entries the absorbs in the interval rebuilt
+    /// before publishing (see [`crate::CacheStats::publish`]): the rebuild
+    /// work the invalidations induced.
+    pub published: u64,
     /// Net change of resident skyline bytes over the interval (negative
     /// when invalidation freed more than rebuilding re-added).
     pub resident_bytes_delta: i64,
@@ -144,6 +148,10 @@ impl IngestDelta {
                 .saturating_sub(before.boundary_invalidations),
             seals: after.seals.saturating_sub(before.seals),
             builds: builds(after).saturating_sub(builds(before)),
+            published: after
+                .publish
+                .entries_built
+                .saturating_sub(before.publish.entries_built),
             resident_bytes_delta: after.resident_bytes as i64 - before.resident_bytes as i64,
         }
     }
@@ -165,7 +173,12 @@ mod tests {
         let delta = IngestDelta::between(&before, &after);
         assert_eq!(delta.tail_invalidations, 1);
         assert_eq!(delta.seals, 0);
-        assert!(delta.resident_bytes_delta < 0, "tail skyline was freed");
+        // The absorb rebuilt the purged tail skyline at publish: booked
+        // once there, not as a query-path build, and the one-edge-longer
+        // skyline replaced the freed one.
+        assert_eq!(delta.published, 1);
+        assert_eq!(delta.builds, 0);
+        assert!(delta.resident_bytes_delta > 0, "tail skyline was rebuilt");
         // Swapped readings saturate to zero instead of wrapping.
         let swapped = IngestDelta::between(&after, &before);
         assert_eq!(swapped.tail_invalidations, 0);

@@ -130,8 +130,12 @@ fn main() {
     );
     println!(
         "Cache movement during the stream: {} tail invalidations, {} boundary \
-         invalidations, {} seals, {} skyline builds",
-        delta.tail_invalidations, delta.boundary_invalidations, delta.seals, delta.builds
+         invalidations, {} seals, {} entries rebuilt at publish, {} query-path skyline builds",
+        delta.tail_invalidations,
+        delta.boundary_invalidations,
+        delta.seals,
+        delta.published,
+        delta.builds
     );
     println!(
         "Appended {appended} events; {seals} seals rolled the tail into closed shards \

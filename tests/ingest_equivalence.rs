@@ -15,7 +15,8 @@
 //! * `closed_shard_skylines_survive_an_append_burst` — the incremental
 //!   maintenance contract, asserted through `CacheStats`: across an append
 //!   burst the closed shards register **zero** new skyline builds (their
-//!   cached indexes keep serving), while the tail counters show the purge;
+//!   cached indexes keep serving), while the tail counters show the purge
+//!   and the rebuild each absorb publishes in its place;
 //! * `racing_queries_never_observe_a_partial_batch` — atomicity through
 //!   the serving layer: queries racing `submit_append` batches on a live
 //!   multi-worker `CoreService` observe either none of a batch's edges or
@@ -200,9 +201,16 @@ fn closed_shard_skylines_survive_an_append_burst() {
     );
     let delta = IngestDelta::between(&before, &after);
     assert!(delta.tail_invalidations > 0, "the tail was purged");
+    // Each absorb rebuilt the purged tail skyline and stitch entry before
+    // publishing, so the spanning re-queries built nothing on the query
+    // path.
     assert!(
-        after.per_shard[2].builds > before.per_shard[2].builds,
-        "the tail skyline was rebuilt after the purge"
+        delta.published >= 2 * delta.tail_invalidations,
+        "the tail skyline and stitch entry were rebuilt at publish: {delta:?}"
+    );
+    assert_eq!(
+        after.per_shard[2].builds, before.per_shard[2].builds,
+        "the tail skyline was served warm after the purge"
     );
     // Closed shards kept *serving* during the burst, not just resident.
     let closed_hits_before: u64 = before.per_shard[..2].iter().map(|s| s.hits).sum();
