@@ -82,7 +82,7 @@ USAGE:
             [--threads <N>] [--budget-mb <M>] [--shards <S>] [--workers <W>]
       Run a batch of queries through the cached query engine: one core-window
       index per k (per shard and k with `--shards S`; `--shards 0`, the
-      default, is one span-wide shard), restricted per query.  Every query
+      default, is one span-wide shard), sliced per query.  Every query
       is submitted to a CoreService of W workers (`--workers W`, or its
       alias `--threads W`; the default 0 is one worker per CPU), which
       reports per-worker latency.  The CSV has one query per line,

@@ -20,72 +20,57 @@
 //! A skyline is stored CSR-style: one flat, contiguous `Vec<TimeWindow>`
 //! holding every edge's windows back to back (per-edge runs in skyline
 //! order), plus a `Vec<u32>` offset array with `num_edges + 1` entries —
-//! edge `first_edge + i` owns `flat[offsets[i]..offsets[i + 1]]`.  The hot
-//! paths ([`EdgeCoreSkyline::restrict_with`] and the boundary-stitch
-//! composition in [`crate::shard`]) walk edges in increasing id order and
-//! append to the tail of `flat`, so they touch two contiguous arrays and
-//! never allocate per edge.  Offsets are `u32` rather than `usize` because
-//! edge ids are `u32` and every window emission is tied to a distinct
-//! `(edge, start time)` pair with `u32` start times, so per-range window
-//! totals fit comfortably (asserted at build time); halving the offset
-//! width keeps the array inside fewer cache lines.
+//! edge `first_edge + i` owns `flat[offsets[i]..offsets[i + 1]]`.  Offsets
+//! are `u32` rather than `usize` because edge ids are `u32` and every
+//! window emission is tied to a distinct `(edge, start time)` pair with
+//! `u32` start times, so per-range window totals fit comfortably (asserted
+//! at build time); halving the offset width keeps the array inside fewer
+//! cache lines.
+//!
+//! # Window views
+//!
+//! A query never copies a cached skyline.  A [`WindowView`] borrows the
+//! skylines a window reads — one part per overlapped shard, each with its
+//! sub-window and edge-id range, plus the cut-crossing stitch entry of a
+//! spanning window — and yields each edge's run on demand: the
+//! two-binary-search containment slice of the edge's own part, merged by
+//! start time with that of its crossing windows.  That run is exactly the
+//! edge's skyline for the window (see [`crate::shard`]), so
+//! [`crate::enumerate`] reads it in place; `WindowView::materialize`
+//! copies it for callers that want a skyline of their own.
+
+use std::ops::Range;
 
 use crate::vct::CoreTimeSweep;
 use temporal_graph::{EdgeId, TemporalGraph, TimeWindow, Timestamp, T_INFINITY};
 
-/// Recycled CSR buffers for the query hot path.
+/// Recycled CSR buffers for [`EdgeCoreSkyline::restrict_with`].
 ///
-/// [`EdgeCoreSkyline::restrict_with`] and the boundary-stitch composition
-/// (see [`crate::shard`]) run once per query; allocating a fresh flat window
-/// vector and offset array there dominated their cost on cache hits.  A
-/// scratch pool keeps the `(offsets, flat)` buffer pairs of retired skylines
-/// and hands them back with their capacity intact, so steady-state queries
-/// allocate nothing (machine-checked by `tkc-lint`'s `hot-path-alloc` rule).
-///
-/// The recycling contract: take a pair with `SkylineScratch::take`, hand a
-/// retired skyline's storage back with [`SkylineScratch::recycle`], and merge
-/// a thread-local pool into a shared one with [`SkylineScratch::absorb`].
-/// Buffers come back cleared but with capacity preserved.
+/// A scratch pool keeps the CSR buffers of retired skylines and hands them
+/// back with their capacity intact, so repeated restrictions through one
+/// pool allocate no skyline storage: take buffers with
+/// `SkylineScratch::take` and hand a retired skyline's storage back with
+/// [`SkylineScratch::recycle`].  Buffers come back cleared but with
+/// capacity preserved.
 #[derive(Debug, Default)]
 pub struct SkylineScratch {
-    buffers: Vec<(Vec<u32>, Vec<TimeWindow>)>,
+    buffers: Vec<Csr<TimeWindow>>,
 }
 
 impl SkylineScratch {
-    /// Takes a cleared `(offsets, flat)` buffer pair, reusing the capacity
-    /// of recycled skylines when one is pooled.
-    pub(crate) fn take(&mut self) -> (Vec<u32>, Vec<TimeWindow>) {
-        let (mut offsets, mut flat) = self.buffers.pop().unwrap_or_default();
-        offsets.clear();
-        flat.clear();
-        (offsets, flat)
+    /// Takes cleared CSR buffers, reusing the capacity of recycled
+    /// skylines when one is pooled.
+    fn take(&mut self) -> Csr<TimeWindow> {
+        let mut runs = self.buffers.pop().unwrap_or_else(Csr::empty);
+        runs.offsets.clear();
+        runs.items.clear();
+        runs
     }
 
-    /// Returns a retired skyline's storage to the pool so later queries can
-    /// reuse its capacity.
+    /// Returns a retired skyline's storage to the pool so later
+    /// restrictions can reuse its capacity.
     pub fn recycle(&mut self, skyline: EdgeCoreSkyline) {
-        self.buffers.push((skyline.offsets, skyline.flat));
-    }
-
-    /// Moves every pooled buffer pair of `other` into `self` (used to hand a
-    /// thread-local scratch back to a shared pool).
-    pub fn absorb(&mut self, mut other: SkylineScratch) {
-        self.buffers.append(&mut other.buffers);
-    }
-
-    /// Moves up to `n` pooled buffer pairs out into a scratch of their own,
-    /// leaving the rest for other users of the pool.
-    pub(crate) fn split(&mut self, n: usize) -> SkylineScratch {
-        let keep = self.buffers.len().saturating_sub(n);
-        SkylineScratch {
-            buffers: self.buffers.split_off(keep),
-        }
-    }
-
-    /// Number of pooled buffer pairs.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.buffers.len()
+        self.buffers.push(skyline.runs);
     }
 }
 
@@ -96,12 +81,10 @@ impl SkylineScratch {
 pub struct EdgeCoreSkyline {
     k: usize,
     range: TimeWindow,
-    /// CSR offsets: `num_edges + 1` entries (empty for an edge-less
-    /// skyline); edge `first_edge + i` owns `flat[offsets[i]..offsets[i+1]]`.
-    offsets: Vec<u32>,
-    /// Every edge's skyline windows back to back, per-edge runs in skyline
-    /// order (both endpoints strictly increasing).
-    flat: Vec<TimeWindow>,
+    /// Bucket `i` (`num_edges` buckets, none for an edge-less skyline) is
+    /// the run of edge `first_edge + i`, in skyline order (both endpoints
+    /// strictly increasing).
+    runs: Csr<TimeWindow>,
     /// First edge id of the query range (edge ids in a range are contiguous).
     first_edge: EdgeId,
 }
@@ -126,8 +109,7 @@ impl EdgeCoreSkyline {
             return Self {
                 k,
                 range,
-                offsets: Vec::new(),
-                flat: Vec::new(),
+                runs: Csr::empty(),
                 first_edge: 0,
             };
         }
@@ -144,14 +126,11 @@ impl EdgeCoreSkyline {
     /// filter `{ w ∈ skyline : w ⊆ range }`; and because both endpoints
     /// strictly increase along an edge's skyline (Lemma 2), that filter is a
     /// contiguous slice found by two binary searches per edge.  Cost:
-    /// `O(|E_range| + |ECS_range|)`.
-    ///
-    /// This is the primitive behind the query engine's index reuse (see
-    /// [`crate::ShardedEngine`]).
+    /// `O(|E_range| + |ECS_range|)`.  This copies a [`WindowView`] of the
+    /// sub-range.
     ///
     /// # Panics
     /// Panics if `range` is not contained in [`EdgeCoreSkyline::range`].
-    // tkc-lint: hot
     pub fn restrict(&self, graph: &TemporalGraph, range: TimeWindow) -> Self {
         self.restrict_with(graph, range, &mut SkylineScratch::default())
     }
@@ -159,13 +138,10 @@ impl EdgeCoreSkyline {
     /// [`EdgeCoreSkyline::restrict`] writing into a caller-provided scratch
     /// pool: the CSR buffers are taken from (and their storage later
     /// returned to, via [`SkylineScratch::recycle`]) `scratch`, so a warm
-    /// pool makes restriction allocation-free per query — the result is
-    /// emitted straight into one flat window vector and one offset array,
-    /// with no per-edge tables at all.
+    /// pool allocates no skyline storage.
     ///
     /// # Panics
     /// Panics if `range` is not contained in [`EdgeCoreSkyline::range`].
-    // tkc-lint: hot
     pub fn restrict_with(
         &self,
         graph: &TemporalGraph,
@@ -178,31 +154,7 @@ impl EdgeCoreSkyline {
             self.range,
             range
         );
-        let edge_range = graph.edge_ids_in(range);
-        let first_edge = edge_range.start;
-        let num_edges = (edge_range.end - edge_range.start) as usize;
-        let (mut offsets, mut flat) = scratch.take();
-        offsets.reserve(num_edges + 1);
-        offsets.push(0);
-        for id in edge_range {
-            let full = self.windows(id);
-            // Windows with start >= range.start() form a suffix, windows
-            // with end <= range.end() a prefix; their overlap is the slice
-            // of windows contained in `range`.
-            let lo = full.partition_point(|w| w.start() < range.start());
-            let hi = full.partition_point(|w| w.end() <= range.end());
-            if lo < hi {
-                flat.extend_from_slice(&full[lo..hi]);
-            }
-            offsets.push(flat.len() as u32);
-        }
-        Self {
-            k: self.k,
-            range,
-            offsets,
-            flat,
-            first_edge,
-        }
+        WindowView::new(graph, self.k, range, [self], None).materialize(scratch)
     }
 
     /// Builds the skylines by driving an already-constructed sweep (useful
@@ -216,7 +168,7 @@ impl EdgeCoreSkyline {
 
         // Windows are emitted interleaved across edges but in skyline order
         // *per edge*, so they are collected as `(local edge, window)` pairs
-        // and scattered into the CSR arrays by a stable counting sort below —
+        // and bucketed into the CSR arrays by a stable counting sort below —
         // a constant number of allocations, never one per edge.
         let mut emitted: Vec<(u32, TimeWindow)> = Vec::new();
         // Current core time of every in-range edge for the sweep's start time.
@@ -225,28 +177,18 @@ impl EdgeCoreSkyline {
         // Incident in-range edges per vertex, sorted by timestamp, with a
         // pointer to the first edge whose timestamp is >= the current start
         // time (edges below it have left the window).
+        // Edge ids are sorted by timestamp, so a stable sort in id order
+        // keeps each vertex's incident list sorted by timestamp.
         let n = graph.num_vertices();
-        let mut inc_offsets = vec![0u32; n + 1];
-        for id in edge_range.clone() {
-            let e = graph.edge(id);
-            inc_offsets[e.u as usize + 1] += 1;
-            inc_offsets[e.v as usize + 1] += 1;
-        }
-        for i in 1..inc_offsets.len() {
-            inc_offsets[i] += inc_offsets[i - 1];
-        }
-        let mut incident: Vec<EdgeId> = vec![0; inc_offsets[n] as usize];
-        let mut cursor = inc_offsets.clone();
-        // Edge ids are sorted by timestamp, so pushing in id order keeps each
-        // vertex's incident list sorted by timestamp.
-        for id in edge_range.clone() {
-            let e = graph.edge(id);
-            for v in [e.u, e.v] {
-                incident[cursor[v as usize] as usize] = id;
-                cursor[v as usize] += 1;
-            }
-        }
-        let mut inc_ptr: Vec<u32> = inc_offsets[..n].to_vec();
+        let incidence = Csr::sort(
+            n,
+            0,
+            edge_range.clone().flat_map(|id| {
+                let e = graph.edge(id);
+                [(e.u as usize, id), (e.v as usize, id)]
+            }),
+        );
+        let mut inc_ptr: Vec<u32> = incidence.offsets[..n].to_vec();
 
         // Initial edge core times for ts = range.start() (Algorithm 2, line 3).
         let ct = sweep.core_times();
@@ -292,12 +234,12 @@ impl EdgeCoreSkyline {
             let ct = sweep.core_times();
             for &u in sweep.changed_vertices() {
                 let mut ptr = inc_ptr[u as usize] as usize;
-                let end = inc_offsets[u as usize + 1] as usize;
-                while ptr < end && graph.edge(incident[ptr]).t < ts {
+                let end = incidence.offsets[u as usize + 1] as usize;
+                while ptr < end && graph.edge(incidence.items[ptr]).t < ts {
                     ptr += 1;
                 }
                 inc_ptr[u as usize] = ptr as u32;
-                for &id in &incident[ptr..end] {
+                for &id in &incidence.items[ptr..end] {
                     let e = graph.edge(id);
                     let local = (id - first_edge) as usize;
                     let new_ct = edge_core_time(ct[e.u as usize], ct[e.v as usize], e.t);
@@ -314,66 +256,21 @@ impl EdgeCoreSkyline {
             }
         }
 
-        // Stable counting-sort scatter into the CSR layout: per-edge counts,
-        // prefix sums into offsets, then one pass placing each window at its
-        // edge's cursor.  Emission order per edge equals skyline order, and
-        // the scatter preserves it.
+        // Emission order per edge equals skyline order, and the stable
+        // counting sort into the CSR layout preserves it.
         assert!(
             emitted.len() < u32::MAX as usize,
             "skyline window count exceeds u32 offset space"
         );
-        let mut offsets = vec![0u32; num_edges + 1];
-        for &(local, _) in &emitted {
-            offsets[local as usize + 1] += 1;
-        }
-        for i in 1..offsets.len() {
-            offsets[i] += offsets[i - 1];
-        }
-        let mut write_cursor: Vec<u32> = offsets[..num_edges].to_vec();
-        let mut flat: Vec<TimeWindow> = vec![TimeWindow::new(1, 1); emitted.len()];
-        for &(local, w) in &emitted {
-            flat[write_cursor[local as usize] as usize] = w;
-            write_cursor[local as usize] += 1;
-        }
-
+        let runs = Csr::sort(
+            num_edges,
+            TimeWindow::new(1, 1),
+            emitted.iter().map(|&(local, w)| (local as usize, w)),
+        );
         Self {
             k,
             range,
-            offsets,
-            flat,
-            first_edge,
-        }
-    }
-
-    /// Crate-internal constructor assembling a skyline from CSR buffers the
-    /// caller guarantees to be consistent (`offsets` non-decreasing with
-    /// `num_edges + 1` entries ending at `flat.len()`), with per-edge runs
-    /// in skyline order (both endpoints strictly increasing) and contained
-    /// in `range`.  Used by the boundary stitch composition (see
-    /// [`crate::shard`]), which merges cached per-shard slices with
-    /// cut-crossing windows instead of re-sweeping.
-    pub(crate) fn from_parts(
-        k: usize,
-        range: TimeWindow,
-        first_edge: EdgeId,
-        offsets: Vec<u32>,
-        flat: Vec<TimeWindow>,
-    ) -> Self {
-        debug_assert!(offsets.first() == Some(&0));
-        debug_assert!(offsets.last().copied().unwrap_or(0) as usize == flat.len());
-        debug_assert!(offsets.windows(2).all(|p| p[0] <= p[1]));
-        debug_assert!((0..offsets.len().saturating_sub(1)).all(|local| {
-            let per_edge = &flat[offsets[local] as usize..offsets[local + 1] as usize];
-            per_edge
-                .windows(2)
-                .all(|p| p[0].start() < p[1].start() && p[0].end() < p[1].end())
-                && per_edge.iter().all(|w| range.contains_window(w))
-        }));
-        Self {
-            k,
-            range,
-            offsets,
-            flat,
+            runs,
             first_edge,
         }
     }
@@ -385,34 +282,25 @@ impl EdgeCoreSkyline {
     /// yields cores with incomplete edge sets — the boundary index only uses
     /// it as a store of cut-crossing windows to merge back later).
     pub(crate) fn filtered(&self, keep: impl Fn(&TimeWindow) -> bool) -> Self {
-        let mut offsets = Vec::with_capacity(self.offsets.len().max(1));
-        let mut flat = Vec::new();
-        offsets.push(0);
-        for local in 0..self.num_local_edges() {
-            let (lo, hi) = (
-                self.offsets[local] as usize,
-                self.offsets[local + 1] as usize,
-            );
-            for w in &self.flat[lo..hi] {
-                if keep(w) {
-                    flat.push(*w);
-                }
-            }
-            offsets.push(flat.len() as u32);
-        }
-        Self {
-            k: self.k,
-            range: self.range,
-            offsets,
-            flat,
-            first_edge: self.first_edge,
-        }
+        // Collected once, so `keep` runs once per window, not per pass.
+        let kept: Vec<(usize, TimeWindow)> = (0..self.num_local_edges())
+            .flat_map(|local| {
+                let windows = self.runs.bucket(local).iter();
+                windows.filter(|w| keep(w)).map(move |&w| (local, w))
+            })
+            .collect();
+        let runs = Csr::sort(
+            self.num_local_edges(),
+            TimeWindow::new(1, 1),
+            kept.iter().copied(),
+        );
+        Self { runs, ..*self }
     }
 
     /// Number of local (in-range) edge slots in the CSR arrays.
     #[inline]
     fn num_local_edges(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
+        self.runs.offsets.len().saturating_sub(1)
     }
 
     /// The query parameter `k` the skylines were built for.
@@ -436,37 +324,94 @@ impl EdgeCoreSkyline {
             return &[];
         };
         let local = local as usize;
-        if local + 1 >= self.offsets.len() {
+        if local >= self.num_local_edges() {
             return &[];
         }
-        &self.flat[self.offsets[local] as usize..self.offsets[local + 1] as usize]
+        self.runs.bucket(local)
     }
 
     /// Iterates `(edge id, skyline)` for every edge with a non-empty skyline.
     pub fn iter(&self) -> impl Iterator<Item = (EdgeId, &[TimeWindow])> + '_ {
         (0..self.num_local_edges()).filter_map(move |local| {
-            let lo = self.offsets[local] as usize;
-            let hi = self.offsets[local + 1] as usize;
-            (lo < hi).then(|| (self.first_edge + local as EdgeId, &self.flat[lo..hi]))
+            let run = self.runs.bucket(local);
+            (!run.is_empty()).then(|| (self.first_edge + local as EdgeId, run))
         })
     }
 
     /// Total number of minimal core windows over all edges — the paper's `|ECS|`.
     #[inline]
     pub fn total_windows(&self) -> usize {
-        self.flat.len()
+        self.runs.items.len()
     }
 
     /// Number of edges with at least one minimal core window.
     pub fn num_edges_with_windows(&self) -> usize {
-        self.offsets.windows(2).filter(|p| p[0] < p[1]).count()
+        self.runs.offsets.windows(2).filter(|p| p[0] < p[1]).count()
     }
 
     /// Approximate heap footprint in bytes (the flat window array plus the
     /// `u32` offset array).
     pub fn memory_bytes(&self) -> usize {
-        self.flat.len() * std::mem::size_of::<TimeWindow>()
-            + self.offsets.len() * std::mem::size_of::<u32>()
+        self.runs.memory_bytes()
+    }
+}
+
+/// Values grouped into buckets `0..width`, CSR-style: bucket `b` is
+/// `items[offsets[b]..offsets[b + 1]]`.
+#[derive(Debug, Clone)]
+pub(crate) struct Csr<V> {
+    pub(crate) offsets: Vec<u32>,
+    pub(crate) items: Vec<V>,
+}
+
+impl<V: Copy> Csr<V> {
+    /// No buckets at all.
+    pub(crate) fn empty() -> Self {
+        Self {
+            offsets: Vec::new(),
+            items: Vec::new(),
+        }
+    }
+
+    /// Stable counting sort of `(bucket, value)` pairs into `width`
+    /// buckets: one counting pass, one scatter, and within a bucket the
+    /// values keep their order in `pairs`.
+    pub(crate) fn sort(
+        width: usize,
+        fill: V,
+        pairs: impl Iterator<Item = (usize, V)> + Clone,
+    ) -> Self {
+        let mut offsets = vec![0u32; width + 1];
+        for (bucket, _) in pairs.clone() {
+            offsets[bucket + 1] += 1;
+        }
+        for b in 1..=width {
+            offsets[b] += offsets[b - 1];
+        }
+        let mut items = vec![fill; offsets[width] as usize];
+        // Scatter with `offsets[b]` as bucket `b`'s cursor; afterwards it
+        // holds bucket `b + 1`'s start, so shifting right by one restores
+        // the bucket starts.
+        for (bucket, value) in pairs {
+            let cursor = &mut offsets[bucket];
+            items[*cursor as usize] = value;
+            *cursor += 1;
+        }
+        offsets.copy_within(..width.saturating_sub(1), 1);
+        offsets[0] = 0;
+        Self { offsets, items }
+    }
+
+    /// The values of bucket `b`, in sort order.
+    #[inline]
+    pub(crate) fn bucket(&self, b: usize) -> &[V] {
+        &self.items[self.offsets[b] as usize..self.offsets[b + 1] as usize]
+    }
+
+    /// Heap footprint in bytes.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.offsets.len() * std::mem::size_of::<u32>()
+            + self.items.len() * std::mem::size_of::<V>()
     }
 }
 
@@ -476,6 +421,186 @@ fn edge_core_time(ct_u: Timestamp, ct_v: Timestamp, t: Timestamp) -> Timestamp {
         T_INFINITY
     } else {
         ct_u.max(ct_v).max(t)
+    }
+}
+
+/// One skyline of a [`WindowView`], read through its sub-window.  Only
+/// this part can hold intra-shard windows of the edges in `edges`, whose
+/// timestamps fall inside `window`.
+#[derive(Debug)]
+struct ViewPart<'a> {
+    skyline: &'a EdgeCoreSkyline,
+    window: TimeWindow,
+    edges: Range<EdgeId>,
+}
+
+/// A borrowed view of a query window's skyline over cached skylines, with
+/// no copy: one part per overlapped skyline, read through its sub-window,
+/// plus the stitch entry of a window spanning shard cuts.  An edge's run
+/// ([`WindowView::windows`]) is the containment slice of its own part
+/// merged by start time with its slice of cut-crossing windows: exactly
+/// its skyline for the window.
+#[derive(Debug)]
+pub struct WindowView<'a> {
+    k: usize,
+    window: TimeWindow,
+    parts: Vec<ViewPart<'a>>,
+    crossing: Option<&'a EdgeCoreSkyline>,
+}
+
+impl<'a> From<&'a EdgeCoreSkyline> for WindowView<'a> {
+    /// The whole skyline, read through its own range.
+    fn from(skyline: &'a EdgeCoreSkyline) -> Self {
+        Self {
+            k: skyline.k,
+            window: skyline.range,
+            parts: vec![ViewPart {
+                skyline,
+                window: skyline.range,
+                edges: skyline.first_edge..skyline.first_edge + skyline.num_local_edges() as EdgeId,
+            }],
+            crossing: None,
+        }
+    }
+}
+
+impl<'a> WindowView<'a> {
+    /// The view of `window` over `skylines` (in timeline order, ranges
+    /// tiling a superset of `window`) and the cut-crossing windows of
+    /// `crossing`.
+    pub(crate) fn new(
+        graph: &TemporalGraph,
+        k: usize,
+        window: TimeWindow,
+        skylines: impl IntoIterator<Item = &'a EdgeCoreSkyline>,
+        crossing: Option<&'a EdgeCoreSkyline>,
+    ) -> Self {
+        let parts = skylines
+            .into_iter()
+            .filter_map(|skyline| {
+                let part = skyline.range.intersect(&window)?;
+                let edges = graph.edge_ids_in(part);
+                Some(ViewPart {
+                    skyline,
+                    window: part,
+                    edges,
+                })
+            })
+            .collect();
+        Self {
+            k,
+            window,
+            parts,
+            crossing,
+        }
+    }
+
+    /// The query parameter `k` of the skylines read.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// The window viewed.
+    pub fn window(&self) -> TimeWindow {
+        self.window
+    }
+
+    /// The minimal core windows of `edge` inside the window, ordered by
+    /// increasing start (and end) time: the same windows
+    /// [`EdgeCoreSkyline::build`] over the window gives the edge.
+    pub fn windows(&self, edge: EdgeId) -> Vec<TimeWindow> {
+        let mut windows = Vec::new();
+        if let Some(part) = self.parts.iter().find(|p| p.edges.contains(&edge)) {
+            self.run(part, edge).for_each(|w| windows.push(w));
+        }
+        windows
+    }
+
+    /// Number of edges of the window.
+    pub(crate) fn num_edges(&self) -> usize {
+        self.parts.iter().map(|p| p.edges.len()).sum()
+    }
+
+    /// Calls `f` with every edge of the window, in id order, and its run.
+    // tkc-lint: hot
+    pub(crate) fn for_each_run(&self, mut f: impl FnMut(EdgeId, MergedRun<'a>)) {
+        for part in &self.parts {
+            for edge in part.edges.start..part.edges.end {
+                f(edge, self.run(part, edge));
+            }
+        }
+    }
+
+    /// The run of `edge`, whose timestamp falls inside `part`: containment
+    /// slices of the part's skyline and of the crossing entry, no copy.
+    // tkc-lint: hot
+    fn run(&self, part: &ViewPart<'a>, edge: EdgeId) -> MergedRun<'a> {
+        let own = contained(part.skyline.windows(edge), part.window);
+        let cross = match self.crossing {
+            Some(crossing) => contained(crossing.windows(edge), self.window),
+            None => &[],
+        };
+        MergedRun { own, cross }
+    }
+
+    /// Copies the view into a CSR skyline for the window, with buffers
+    /// taken from `scratch`.
+    pub(crate) fn materialize(&self, scratch: &mut SkylineScratch) -> EdgeCoreSkyline {
+        let mut runs = scratch.take();
+        runs.offsets.push(0);
+        self.for_each_run(|_, run| {
+            run.for_each(|w| runs.items.push(w));
+            runs.offsets.push(runs.items.len() as u32);
+        });
+        EdgeCoreSkyline {
+            k: self.k,
+            range: self.window,
+            runs,
+            first_edge: self.parts.first().map_or(0, |p| p.edges.start),
+        }
+    }
+}
+
+/// The windows of a skyline run contained in `window`: those with
+/// `start >= window.start()` form a suffix and those with
+/// `end <= window.end()` a prefix, so their overlap is one slice.
+// tkc-lint: hot
+fn contained(run: &[TimeWindow], window: TimeWindow) -> &[TimeWindow] {
+    match (run.first(), run.last()) {
+        (Some(first), Some(last))
+            if first.end() <= window.end() && last.start() >= window.start() =>
+        {
+            let lo = run.partition_point(|w| w.start() < window.start());
+            let hi = run.partition_point(|w| w.end() <= window.end());
+            run.get(lo..hi).unwrap_or(&[])
+        }
+        _ => &[],
+    }
+}
+
+/// One edge's run in a [`WindowView`]: its intra-shard windows merged by
+/// start time (never shared) with its cut-crossing ones, in skyline order.
+pub(crate) struct MergedRun<'a> {
+    own: &'a [TimeWindow],
+    cross: &'a [TimeWindow],
+}
+
+impl MergedRun<'_> {
+    /// Calls `f` with every window of the run, in skyline order.
+    // tkc-lint: hot
+    pub(crate) fn for_each(self, mut f: impl FnMut(TimeWindow)) {
+        let mut own = self.own;
+        for &c in self.cross {
+            while let Some((&w, rest)) = own.split_first() {
+                if w.start() > c.start() {
+                    break;
+                }
+                f(w);
+                own = rest;
+            }
+            f(c);
+        }
+        own.iter().for_each(|&w| f(w));
     }
 }
 
@@ -565,19 +690,17 @@ mod tests {
         let g = graph();
         for k in 1..=3 {
             let ecs = EdgeCoreSkyline::build(&g, k, g.span());
-            assert_eq!(ecs.offsets.len(), g.num_edges() + 1);
-            assert_eq!(ecs.offsets.first(), Some(&0));
-            assert_eq!(
-                ecs.offsets.last().copied().unwrap_or(0) as usize,
-                ecs.flat.len()
-            );
-            assert!(ecs.offsets.windows(2).all(|p| p[0] <= p[1]));
+            let (offsets, flat) = (&ecs.runs.offsets, &ecs.runs.items);
+            assert_eq!(offsets.len(), g.num_edges() + 1);
+            assert_eq!(offsets.first(), Some(&0));
+            assert_eq!(offsets.last().copied().unwrap_or(0) as usize, flat.len());
+            assert!(offsets.windows(2).all(|p| p[0] <= p[1]));
             // windows() and the raw CSR slices agree.
             for id in 0..g.num_edges() as EdgeId {
                 let local = id as usize;
-                let lo = ecs.offsets[local] as usize;
-                let hi = ecs.offsets[local + 1] as usize;
-                assert_eq!(ecs.windows(id), &ecs.flat[lo..hi]);
+                let lo = offsets[local] as usize;
+                let hi = offsets[local + 1] as usize;
+                assert_eq!(ecs.windows(id), &flat[lo..hi]);
             }
         }
     }
@@ -651,14 +774,18 @@ mod tests {
         let span = EdgeCoreSkyline::build(&g, 2, g.span());
         let mut scratch = SkylineScratch::default();
         let first = span.restrict_with(&g, TimeWindow::new(2, 6), &mut scratch);
-        let flat_ptr = first.flat.as_ptr();
+        let flat_ptr = first.runs.items.as_ptr();
         let expected = first.total_windows();
         scratch.recycle(first);
         // The second restriction reuses the recycled buffers (same backing
         // allocation) and produces identical results.
         let second = span.restrict_with(&g, TimeWindow::new(2, 6), &mut scratch);
         assert_eq!(second.total_windows(), expected);
-        assert_eq!(second.flat.as_ptr(), flat_ptr, "capacity was recycled");
+        assert_eq!(
+            second.runs.items.as_ptr(),
+            flat_ptr,
+            "capacity was recycled"
+        );
         let fresh = EdgeCoreSkyline::build(&g, 2, TimeWindow::new(2, 6));
         for id in 0..g.num_edges() as EdgeId {
             assert_eq!(second.windows(id), fresh.windows(id));

@@ -15,8 +15,11 @@
 //!   boundary of every run of equal end times once a window starting exactly
 //!   at `ts` has been seen (Theorem 2: those end times are exactly the valid
 //!   TTI end times for start time `ts`).
+//!
+//! The records are read straight from a [`WindowView`] and bucketed by a
+//! stable counting sort into flat CSR arrays.
 
-use crate::ecs::EdgeCoreSkyline;
+use crate::ecs::{Csr, EdgeCoreSkyline, WindowView};
 use crate::sink::ResultSink;
 use temporal_graph::{EdgeId, TemporalGraph, TimeWindow, Timestamp};
 
@@ -29,7 +32,9 @@ pub struct EnumStats {
     pub total_edges: u64,
     /// Number of minimal core windows processed (`|ECS|`).
     pub skyline_windows: u64,
-    /// Estimated peak heap footprint in bytes (linked list + buckets).
+    /// Estimated peak heap footprint in bytes of the enumeration's own
+    /// structures: the window records, the linked list and the two CSR
+    /// bucket arrays.  The skylines it reads are borrowed, not counted.
     pub peak_memory_bytes: usize,
 }
 
@@ -92,59 +97,70 @@ impl WindowList {
         self.prev[node as usize] = NIL;
         self.next[node as usize] = NIL;
     }
+
+    fn memory_bytes(&self) -> usize {
+        (self.next.len() + self.prev.len()) * std::mem::size_of::<u32>()
+    }
 }
 
-/// Runs the `Enum` algorithm over a prebuilt skyline, streaming every
-/// distinct temporal k-core of the query range into `sink`.
-pub fn enumerate(
+/// Runs the `Enum` algorithm over a skyline — an [`EdgeCoreSkyline`]
+/// or a [`WindowView`] of cached ones — streaming every distinct temporal
+/// k-core of its range into `sink`.
+pub fn enumerate<'a>(
     graph: &TemporalGraph,
-    ecs: &EdgeCoreSkyline,
+    skyline: impl Into<WindowView<'a>>,
     sink: &mut dyn ResultSink,
 ) -> EnumStats {
     let _ = graph; // parameter kept for API symmetry with the other algorithms
-    let range = ecs.range();
+    let view = skyline.into();
+    let range = view.window();
     let (ts_lo, ts_hi) = (range.start(), range.end());
     let width = (ts_hi - ts_lo + 1) as usize;
     let mut stats = EnumStats::default();
 
     // Collect window records and compute active times (Algorithm 5, lines 1-4):
     // the first window of an edge activates at the range start; every later
-    // window activates right after the previous window's start time.
-    let mut records: Vec<WindowRecord> = Vec::with_capacity(ecs.total_windows());
-    for (edge, windows) in ecs.iter() {
-        let mut prev_start: Option<Timestamp> = None;
-        for w in windows {
-            let active = match prev_start {
-                None => ts_lo,
-                Some(s) => s + 1,
-            };
+    // window activates right after the previous window's start time.  The
+    // buffer is sized by the window's edges, not by the cached runs the
+    // view slices (those hold many windows outside the window).
+    let mut records: Vec<WindowRecord> = Vec::with_capacity(view.num_edges());
+    view.for_each_run(|edge, run| {
+        let mut active = ts_lo;
+        run.for_each(|w| {
             records.push(WindowRecord {
                 start: w.start(),
                 end: w.end(),
                 active,
                 edge,
             });
-            prev_start = Some(w.start());
-        }
-    }
+            active = w.start() + 1;
+        });
+    });
     stats.skyline_windows = records.len() as u64;
+    if records.is_empty() {
+        // No minimal core window, so no core (Lemma 3); skip the buckets.
+        return stats;
+    }
 
-    // Bucket records by active time (Ba) and by start time (Bs), each bucket
-    // ordered by ascending end time (Algorithm 5, lines 5-11).  Bucketing by
-    // end first gives the order without a comparison sort.
-    let mut by_end: Vec<Vec<u32>> = vec![Vec::new(); width];
-    for (i, r) in records.iter().enumerate() {
-        by_end[(r.end - ts_lo) as usize].push(i as u32);
-    }
-    let mut ba: Vec<Vec<u32>> = vec![Vec::new(); width];
-    let mut bs: Vec<Vec<u32>> = vec![Vec::new(); width];
-    for bucket in &by_end {
-        for &i in bucket {
-            let r = &records[i as usize];
-            ba[(r.active - ts_lo) as usize].push(i);
-            bs[(r.start - ts_lo) as usize].push(i);
-        }
-    }
+    // Bucket records by active time (Ba), each bucket ordered by ascending
+    // end time (Algorithm 5, lines 5-11): a stable counting sort by end,
+    // then a stable one by active time.  The start-time buckets (Bs) are
+    // only unlinked and tested for emptiness, so their order is free.
+    let n = records.len() as u32;
+    let bucket = |i: u32, at: Timestamp| ((at - ts_lo) as usize, i);
+    let by_end = Csr::sort(width, 0, (0..n).map(|i| bucket(i, records[i as usize].end)));
+    let order = by_end.items.iter();
+    let ba = Csr::sort(
+        width,
+        0,
+        order.map(|&i| bucket(i, records[i as usize].active)),
+    );
+    drop(by_end);
+    let bs = Csr::sort(
+        width,
+        0,
+        (0..n).map(|i| bucket(i, records[i as usize].start)),
+    );
 
     let mut list = WindowList::new(records.len());
     let mut result_edges: Vec<EdgeId> = Vec::new();
@@ -154,13 +170,13 @@ pub fn enumerate(
         let idx = (ts - ts_lo) as usize;
         // Remove windows whose own start time has passed.
         if ts > ts_lo {
-            for &i in &bs[idx - 1] {
+            for &i in bs.bucket(idx - 1) {
                 list.delete(i + 1);
             }
         }
         // Insert windows that become active at ts, keeping end-time order.
         let mut h = list.head();
-        for &i in &ba[idx] {
+        for &i in ba.bucket(idx) {
             let end = records[i as usize].end;
             loop {
                 let nxt = list.next[h as usize];
@@ -174,7 +190,7 @@ pub fn enumerate(
         }
         // No minimal core window starts at ts => no temporal k-core has a
         // TTI starting at ts (Lemma 4).
-        if bs[idx].is_empty() {
+        if bs.bucket(idx).is_empty() {
             continue;
         }
 
@@ -199,9 +215,11 @@ pub fn enumerate(
         }
     }
 
-    stats.peak_memory_bytes = records.len()
-        * (std::mem::size_of::<WindowRecord>() + 2 * std::mem::size_of::<u32>() * 3)
-        + ecs.memory_bytes();
+    // `by_end` is freed before `bs` and the list are allocated.
+    stats.peak_memory_bytes = records.capacity() * std::mem::size_of::<WindowRecord>()
+        + ba.memory_bytes()
+        + bs.memory_bytes()
+        + list.memory_bytes();
     stats
 }
 

@@ -64,20 +64,19 @@
 //! in one LRU cache keyed by shard range that also holds the stitch entries
 //! below; [`ShardedEngine::execute`] is its request entry point.
 //! [`ShardPlan::Span`] is the unsharded layout — one shard, one span-wide
-//! skyline per `k` restricted to every query window — and finer plans bound
+//! skyline per `k` sliced to every query window — and finer plans bound
 //! the resident cache and cold builds by the largest shard instead.
 //!
 //! Answers stay **exact** at shard boundaries.  A query is answered by one
 //! enumeration over the skyline of its window `W`.  Minimality of a core
 //! window is a property of the graph alone, so that skyline is the disjoint
-//! union of the windows fitting inside one shard's slice of `W` — the
-//! restricted shard skylines ([`EdgeCoreSkyline::restrict`] is exact for
-//! sub-ranges) — and the windows crossing a shard cut, which per-shard
-//! skylines drop and a small cached stitch index supplies.  A per-edge
-//! merge reassembles the window's skyline at restriction cost, so every
-//! core is emitted exactly once, in the order a fresh build for `W` would
-//! produce; the `shard_equivalence` test harness asserts this for random
-//! graphs, random plans and all four algorithms.
+//! union of the windows fitting inside one shard's slice of `W` — slices
+//! of the cached shard skylines — and the windows crossing a shard cut,
+//! which per-shard skylines drop and a small cached stitch index supplies.
+//! A [`WindowView`] merges both per edge as the enumerator reads it, with
+//! no copy, so every core is emitted exactly once, in the order a fresh
+//! build for `W` would produce; the `shard_equivalence` test harness
+//! asserts this for random graphs, random plans and all four algorithms.
 //!
 //! # Live ingestion
 //!
@@ -195,31 +194,21 @@
 //! back to back in edge order, and a `Vec<u32>` offset array with one
 //! cumulative entry per covered edge (plus a trailing sentinel), so edge
 //! `i`'s skyline is the contiguous slice `flat[offsets[i]..offsets[i+1]]`.
-//! Three consequences the hot paths rely on:
+//! Two consequences the query path relies on:
 //!
-//! * **contiguity** — `restrict`/`restrict_with` and the boundary-stitch
-//!   compose walk edges in increasing id order and append straight onto the
-//!   flat tail, so a whole restriction is two binary searches plus one
-//!   `memcpy`-shaped slice copy per edge over memory the prefetcher
-//!   already has; there are no per-edge `Vec`s to chase or allocate.
+//! * **views, not copies** — a query never copies a cached skyline: a
+//!   [`WindowView`] borrows the skylines a window reads and slices each
+//!   edge's run on demand (two binary searches per slice, merged by start
+//!   time), and [`enumerate`] buckets the window records it builds from
+//!   the view by a stable counting sort into flat CSR arrays.  Callers that
+//!   want a skyline of their own ([`EdgeCoreSkyline::restrict`],
+//!   `EnumBase` on the engine) materialise a view into buffers from a
+//!   [`SkylineScratch`] pool.
 //! * **`u32` offsets** — window counts are bounded by `|ECS|`, which the
 //!   paper's datasets keep far below `u32::MAX`, and halving the offset
 //!   width keeps the entire offset array of a typical shard inside a few
 //!   cache lines ([`EdgeCoreSkyline::build_from_sweep`] asserts the bound
 //!   rather than silently truncating).
-//! * **scratch recycling** — [`SkylineScratch`] pools `(offsets, flat)`
-//!   buffer pairs: a restriction *takes* a pair, emits into it, and the
-//!   caller *recycles* the result's storage back into the pool once the
-//!   restricted skyline has been consumed.  The contract is per-engine:
-//!   the scratch pool lives under the engine's own lock, each query takes
-//!   only the pairs it uses (never holding the lock across another) and
-//!   merges exactly those back with [`SkylineScratch::absorb`], so a warm
-//!   engine performs zero skyline allocations per restriction or
-//!   composition regardless of how many shards a window spans, and
-//!   overlapping queries cannot grow the pool past the pairs in use at
-//!   once.  A spanning query's restricted parts are
-//!   recycled as soon as the composed window skyline exists, and that
-//!   skyline is recycled after its single enumeration.
 //!
 //! # Workspace invariants
 //!
@@ -268,15 +257,14 @@
 //!   (the idle scheduler loop; the claim-alongside-helpers batch join)
 //!   carry pragmas explaining why they cannot.
 //! * **hot-path-alloc** — fns marked `// tkc-lint: hot` (the CoreTime
-//!   sweep's [`CoreTimeSweep::advance`], [`EdgeCoreSkyline::restrict`] /
-//!   `restrict_with`, and the boundary-stitch merge) and everything
-//!   uniquely reachable from them within `tkcore` allocate nothing per
-//!   call; restriction and stitching draw their flat CSR buffers from a
-//!   pooled [`SkylineScratch`] instead (see *Data layout* above).  Skyline
-//!   *construction*
-//!   (`EdgeCoreSkyline::build` / `build_from_sweep`) is deliberately not
-//!   seeded: it runs once per `(k, shard)` and is amortised by the
-//!   skyline caches, so its allocations are build-time, not per-query.
+//!   sweep's [`CoreTimeSweep::advance`], [`EdgeCoreSkyline::windows`], and
+//!   the [`WindowView`]'s per-edge slice-and-merge) and everything uniquely
+//!   reachable from them within `tkcore` allocate nothing per call: a view
+//!   slices borrowed skylines and never copies them (see *Data layout*
+//!   above).  Skyline *construction* (`EdgeCoreSkyline::build` /
+//!   `build_from_sweep`) is deliberately not seeded: it runs once per
+//!   `(k, shard)` and is amortised by the skyline caches, so its
+//!   allocations are build-time, not per-query.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -303,7 +291,7 @@ pub mod sync;
 mod vct;
 pub mod wire;
 
-pub use ecs::{EdgeCoreSkyline, SkylineScratch};
+pub use ecs::{EdgeCoreSkyline, SkylineScratch, WindowView};
 pub use engine::{BoundaryCacheStats, CacheStats, EngineConfig, ShardCacheStats, WarmStats};
 pub use enum_base::{enumerate_base, enumerate_base_from_graph, EnumBaseStats};
 pub use enumerate::{enumerate, enumerate_from_graph, EnumStats};

@@ -16,6 +16,7 @@
 //! not change the `O(tmax² · B)` worst case; their omission is recorded in
 //! DESIGN.md.
 
+use crate::ecs::Csr;
 use crate::sink::ResultSink;
 use std::collections::{HashMap, VecDeque};
 use temporal_graph::{EdgeId, TemporalGraph, TimeWindow, Timestamp, VertexId};
@@ -49,8 +50,7 @@ struct CoreSubgraph<'g> {
     /// Vertex currently in the core candidate set.
     in_core: Vec<bool>,
     /// Incident local edges per vertex (built once, shared via Arc-like clone).
-    inc_offsets: Vec<u32>,
-    incident: Vec<u32>,
+    incidence: Csr<u32>,
     num_alive_edges: usize,
     /// Number of alive edges per timestamp offset (t - range.start()).
     alive_per_time: Vec<u32>,
@@ -72,25 +72,15 @@ impl<'g> CoreSubgraph<'g> {
         let n = graph.num_vertices();
         let width = range.len() as usize;
 
-        let mut inc_offsets = vec![0u32; n + 1];
-        for id in edge_range.clone() {
-            let e = graph.edge(id);
-            inc_offsets[e.u as usize + 1] += 1;
-            inc_offsets[e.v as usize + 1] += 1;
-        }
-        for i in 1..inc_offsets.len() {
-            inc_offsets[i] += inc_offsets[i - 1];
-        }
-        let mut incident = vec![0u32; inc_offsets[n] as usize];
-        let mut cursor = inc_offsets.clone();
-        for id in edge_range.clone() {
-            let e = graph.edge(id);
-            let local = id - first_edge;
-            for v in [e.u, e.v] {
-                incident[cursor[v as usize] as usize] = local;
-                cursor[v as usize] += 1;
-            }
-        }
+        let incidence = Csr::sort(
+            n,
+            0,
+            edge_range.clone().flat_map(|id| {
+                let e = graph.edge(id);
+                let local = id - first_edge;
+                [(e.u as usize, local), (e.v as usize, local)]
+            }),
+        );
 
         let mut pair_mult: HashMap<(VertexId, VertexId), u32> = HashMap::new();
         let mut distinct_deg = vec![0u32; n];
@@ -114,8 +104,7 @@ impl<'g> CoreSubgraph<'g> {
             pair_mult,
             distinct_deg,
             in_core: vec![true; n],
-            inc_offsets,
-            incident,
+            incidence,
             num_alive_edges: num_local,
             alive_per_time,
             range,
@@ -177,10 +166,10 @@ impl<'g> CoreSubgraph<'g> {
                 continue;
             }
             self.in_core[u as usize] = false;
-            let lo = self.inc_offsets[u as usize] as usize;
-            let hi = self.inc_offsets[u as usize + 1] as usize;
             below_k.clear();
-            let locals: Vec<u32> = self.incident[lo..hi]
+            let locals: Vec<u32> = self
+                .incidence
+                .bucket(u as usize)
                 .iter()
                 .copied()
                 .filter(|&l| self.alive_edge[l as usize])
@@ -269,8 +258,7 @@ impl<'g> CoreSubgraph<'g> {
             + self.pair_mult.len() * (std::mem::size_of::<(VertexId, VertexId)>() + 4 + 16)
             + self.distinct_deg.len() * 4
             + self.in_core.len()
-            + self.inc_offsets.len() * 4
-            + self.incident.len() * 4
+            + self.incidence.memory_bytes()
             + self.alive_per_time.len() * 4
     }
 }

@@ -7,7 +7,7 @@
 //! carrier used by [`crate::ShardedEngine`]; application code should prefer the
 //! richer, fallible [`crate::QueryRequest`] front end.
 
-use crate::ecs::EdgeCoreSkyline;
+use crate::ecs::{EdgeCoreSkyline, SkylineScratch, WindowView};
 use crate::enum_base::enumerate_base;
 use crate::enumerate::enumerate;
 use crate::error::TkError;
@@ -130,10 +130,13 @@ pub struct QueryStats {
     pub num_cores: u64,
     /// Total number of edges over all cores (the paper's `|R|`).
     pub total_result_edges: u64,
-    /// Time spent in precomputation (the CoreTime phase building the edge
-    /// core window skyline); zero for OTCD and the naive reference.
+    /// Time spent in precomputation: the CoreTime phase building the edge
+    /// core window skyline, or on [`crate::ShardedEngine`] fetching (or
+    /// building) the cached shard skylines and looking up the stitch entry;
+    /// zero for OTCD and the naive reference.
     pub precompute_time: Duration,
-    /// Time spent enumerating results.
+    /// Time spent enumerating results; on [`crate::ShardedEngine`] this
+    /// includes slicing the cached skylines to the window.
     pub enumerate_time: Duration,
     /// Estimated peak heap footprint of the algorithm's working structures.
     pub peak_memory_bytes: usize,
@@ -196,39 +199,40 @@ impl TimeRangeKCoreQuery {
     }
 
     /// Runs a skyline-based algorithm (`Enum` or `EnumBase`) over an
-    /// already-built [`EdgeCoreSkyline`] for this query's `(k, range)`,
-    /// streaming results into `sink`.
+    /// already-built [`EdgeCoreSkyline`] — or a [`WindowView`] of cached
+    /// ones — for this query's `(k, range)`, streaming results into `sink`.
+    /// `Enum` reads the view in place; `EnumBase` materialises it first.
     ///
     /// The reported `precompute_time` is zero — the index was paid for
-    /// elsewhere (built directly, or restricted from a cached superset-range
-    /// index by [`crate::ShardedEngine`]).
+    /// elsewhere (built directly, or cached by [`crate::ShardedEngine`]).
     ///
     /// # Errors
     /// Returns [`TkError::SkylineMismatch`] if the skyline's parameters do
     /// not match the query, and [`TkError::UnsupportedAlgorithm`] if
     /// `algorithm` is not skyline-based (`Otcd` and `Naive` have no
     /// precomputed index to run from).
-    pub fn run_with_skyline(
+    pub fn run_with_skyline<'a>(
         &self,
         graph: &TemporalGraph,
-        skyline: &EdgeCoreSkyline,
+        skyline: impl Into<WindowView<'a>>,
         algorithm: Algorithm,
         sink: &mut dyn ResultSink,
     ) -> Result<QueryStats, TkError> {
-        if skyline.k() != self.k {
+        let view = skyline.into();
+        if view.k() != self.k {
             return Err(TkError::SkylineMismatch {
                 detail: format!(
                     "skyline built for k = {}, query has k = {}",
-                    skyline.k(),
+                    view.k(),
                     self.k
                 ),
             });
         }
-        if skyline.range() != self.range {
+        if view.window() != self.range {
             return Err(TkError::SkylineMismatch {
                 detail: format!(
                     "skyline built for range {}, query has range {}",
-                    skyline.range(),
+                    view.window(),
                     self.range
                 ),
             });
@@ -236,9 +240,10 @@ impl TimeRangeKCoreQuery {
         let mut stats = QueryStats::zeroed(algorithm);
         let t0 = Instant::now();
         let run = match algorithm {
-            Algorithm::Enum => enumerate(graph, skyline, sink),
+            Algorithm::Enum => enumerate(graph, view, sink),
             Algorithm::EnumBase => {
-                let base = enumerate_base(graph, skyline, sink);
+                let skyline = view.materialize(&mut SkylineScratch::default());
+                let base = enumerate_base(graph, &skyline, sink);
                 crate::enumerate::EnumStats {
                     num_cores: base.num_cores,
                     total_edges: base.total_edges,
@@ -283,7 +288,8 @@ impl TimeRangeKCoreQuery {
                 stats.enumerate_time = t1.elapsed();
                 stats.num_cores = run.num_cores;
                 stats.total_result_edges = run.total_edges;
-                stats.peak_memory_bytes = run.peak_memory_bytes;
+                // The skyline built for this query is held throughout.
+                stats.peak_memory_bytes = run.peak_memory_bytes + ecs.memory_bytes();
             }
             Algorithm::EnumBase => {
                 let t0 = Instant::now();

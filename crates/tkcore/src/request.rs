@@ -52,9 +52,14 @@ pub enum KSelection {
 
 impl KSelection {
     /// The distinct `k` values in execution order.  A sweep whose `max`
-    /// exceeds `max_k` is refused before it is expanded, so a huge `max`
-    /// can never allocate one slot per `k`.
-    fn expand(&self, max_k: usize) -> Result<Vec<usize>, TkError> {
+    /// exceeds `max_k`, or that spans more than `max_ks` values, is refused
+    /// before it is expanded, so a huge `max` can never allocate one slot
+    /// per `k`.
+    fn expand(&self, max_k: usize, max_ks: usize) -> Result<Vec<usize>, TkError> {
+        let too_many = TkError::BudgetExceeded {
+            resource: "k values per request",
+            limit: max_ks,
+        };
         let ks: Vec<usize> = match self {
             KSelection::Single(k) => vec![*k],
             KSelection::Set(ks) => {
@@ -73,6 +78,9 @@ impl KSelection {
                 if *max > max_k {
                     return Err(TkError::KOutOfRange { k: *max });
                 }
+                if max - min >= max_ks {
+                    return Err(too_many);
+                }
                 (*min..=*max).collect()
             }
         };
@@ -81,6 +89,9 @@ impl KSelection {
         }
         if let Some(&k) = ks.iter().find(|&&k| k == 0) {
             return Err(TkError::KOutOfRange { k });
+        }
+        if ks.len() > max_ks {
+            return Err(too_many);
         }
         Ok(ks)
     }
@@ -157,6 +168,7 @@ pub struct QueryRequest {
     start: Timestamp,
     end: Timestamp,
     mode: OutputMode,
+    max_ks: usize,
 }
 
 impl QueryRequest {
@@ -192,7 +204,17 @@ impl QueryRequest {
             start,
             end,
             mode: OutputMode::Count,
+            max_ks: usize::MAX,
         }
+    }
+
+    /// Caps the distinct `k` values the request may select (unbounded by
+    /// default): validation refuses more with [`TkError::BudgetExceeded`],
+    /// checking a sweep before it is expanded.  The wire sets it from
+    /// [`crate::wire::WireConfig::max_ks_per_request`].
+    pub(crate) fn max_ks(mut self, cap: usize) -> Self {
+        self.max_ks = cap;
+        self
     }
 
     /// Sets the output mode (the default is [`OutputMode::Count`]).
@@ -242,10 +264,12 @@ impl QueryRequest {
     ///   sweep's `max` exceeds `graph.num_vertices()` (a k-core needs more
     ///   than `k` vertices, so such `k`s could only return empty answers);
     /// * [`TkError::EmptyKSelection`] — the selection contains no `k`;
+    /// * [`TkError::BudgetExceeded`] — it selects more `k` values than a
+    ///   wire request may ([`crate::wire::WireConfig::max_ks_per_request`]);
     /// * [`TkError::EmptyWindow`] — `start == 0` or `start > end`;
     /// * [`TkError::WindowPastTmax`] — `start` exceeds `graph.tmax()`.
     pub fn validate(self, graph: &TemporalGraph) -> Result<ValidatedRequest, TkError> {
-        let ks = self.ks.expand(graph.num_vertices())?;
+        let ks = self.ks.expand(graph.num_vertices(), self.max_ks)?;
         let Some(window) = TimeWindow::try_new(self.start, self.end) else {
             return Err(TkError::EmptyWindow {
                 start: self.start,

@@ -41,16 +41,16 @@
 //! alone, so that skyline splits into two disjoint classes of windows:
 //!
 //! 1. **Intra-shard windows** (`w ⊆ W ∩ I_s` for some shard interval
-//!    `I_s`): exactly the restriction of shard `s`'s cached skyline to
-//!    `W ∩ I_s` ([`EdgeCoreSkyline::restrict`] is exact for sub-ranges).
+//!    `I_s`): exactly the windows of shard `s`'s cached skyline contained
+//!    in `W ∩ I_s` (containment is exact for sub-ranges; see
+//!    [`EdgeCoreSkyline::restrict`]).
 //! 2. **Cut-crossing windows** (containing both `c` and `c + 1` for some
 //!    shard boundary after timestamp `c`): per-shard builds drop them, so
 //!    they come from the boundary-stitch index below.
 //!
-//! A window inside one shard has no cut-crossing windows, and its restricted
-//! shard skyline *is* the skyline of `W`.  A spanning window reassembles its
-//! skyline from both classes.  Either way the enumerator runs once over the
-//! same skyline a fresh build for `W` would produce, so every core is
+//! A query reads both classes in place through a [`WindowView`] (a window
+//! inside one shard has only the first), so the enumerator runs once over
+//! the same skyline a fresh build for `W` would produce: every core is
 //! emitted exactly once, in the same order as
 //! [`crate::Algorithm::Enum`] over `W` — the result-size bound of the
 //! paper's enumeration holds for spanning queries too.  The
@@ -59,18 +59,14 @@
 //!
 //! # The boundary-stitch index
 //!
-//! * The cut-crossing windows come from a small LRU-cached **stitch entry**
-//!   per `(shard range, k)` — for the common case of a window spanning one
-//!   cut, per adjacent shard pair `(i, i + 1, k)`.  An entry is built once,
-//!   on the first spanning query of its shard range (one merged-window
-//!   sweep, filtered down to the cut-crossing windows only), and reused by
-//!   every later spanning query of that range.
-//! * A per-edge merge of the restricted shard skylines with the entry's
-//!   windows reproduces the skyline of `W` in `O(|E_W| + |ECS_W|)` —
-//!   restriction cost, not sweep cost.
-//!
-//! Stitch entries live in the skyline cache beside the shard skylines, and
-//! their counters are reported in [`CacheStats::boundary`].
+//! The cut-crossing windows come from a small LRU-cached **stitch entry**
+//! per `(shard range, k)` — for the common case of a window spanning one
+//! cut, per adjacent shard pair `(i, i + 1, k)`.  An entry is built once,
+//! on the first spanning query of its shard range (one merged-window sweep,
+//! filtered down to the cut-crossing windows only), and every later
+//! spanning query of that range reads its slices through its view: slicing
+//! cost, no copy, no sweep.  Stitch entries live in the skyline cache
+//! beside the shard skylines; [`CacheStats::boundary`] reports them.
 //!
 //! # Live ingestion
 //!
@@ -98,7 +94,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use crate::ecs::{EdgeCoreSkyline, SkylineScratch};
+use crate::ecs::{EdgeCoreSkyline, WindowView};
 use crate::engine::{batch_pool, CacheStats, EngineConfig, ShardCacheStats, WarmStats};
 use crate::error::TkError;
 use crate::exec::{run_batch_inner, ExecPool};
@@ -249,7 +245,7 @@ fn is_stitch(key: RangeKey) -> bool {
 struct CacheEntry {
     /// A shard's skyline, or for a stitch key the cut-crossing minimal core
     /// windows of the merged window (a filtered, **incomplete** skyline —
-    /// only usable through [`compose_boundary_skyline`]).
+    /// only usable as a [`WindowView`]'s crossing entry).
     skyline: Arc<EdgeCoreSkyline>,
     last_used: u64,
     validity: Validity,
@@ -518,61 +514,6 @@ impl SkylineCache {
     }
 }
 
-/// Reassembles the exact skyline of `window` from the restricted per-shard
-/// skylines (`parts`, in timeline order, jointly covering `window`) and the
-/// cached cut-crossing windows (`crossing`, built over a superset range).
-///
-/// Minimality of a core window is a property of the graph alone, so the
-/// skyline of `window` is the disjoint union of the windows fitting inside
-/// one shard's slice (found in `parts`) and the cut-crossing ones (a
-/// contiguous containment slice of `crossing`, whose per-edge windows keep
-/// both endpoints strictly increasing).  A per-edge two-way merge by start
-/// time reproduces skyline order.  Cost: `O(|E_W| + |ECS_W|)` — the same as
-/// [`EdgeCoreSkyline::restrict`], with no CoreTime sweep.  The merge is
-/// emitted straight into CSR buffers taken from `scratch` (edges are walked
-/// in increasing id order, so each edge's run lands contiguously at the
-/// tail of the flat array), so a warm pool makes composition
-/// allocation-free per query.
-// tkc-lint: hot
-fn compose_boundary_skyline(
-    graph: &TemporalGraph,
-    k: usize,
-    window: TimeWindow,
-    parts: &[EdgeCoreSkyline],
-    crossing: &EdgeCoreSkyline,
-    scratch: &mut SkylineScratch,
-) -> EdgeCoreSkyline {
-    let edge_range = graph.edge_ids_in(window);
-    let first_edge = edge_range.start;
-    let num_edges = (edge_range.end - edge_range.start) as usize;
-    let (mut offsets, mut flat) = scratch.take();
-    offsets.reserve(num_edges + 1);
-    offsets.push(0);
-    for id in edge_range {
-        let cw = crossing.windows(id);
-        let lo = cw.partition_point(|w| w.start() < window.start());
-        let hi = cw.partition_point(|w| w.end() <= window.end());
-        let cross = if lo < hi { &cw[lo..hi] } else { &[] };
-        let mut cross_iter = cross.iter().copied().peekable();
-        for part in parts {
-            for &w in part.windows(id) {
-                while let Some(&c) = cross_iter.peek() {
-                    if c.start() < w.start() {
-                        flat.push(c);
-                        cross_iter.next();
-                    } else {
-                        break;
-                    }
-                }
-                flat.push(w);
-            }
-        }
-        flat.extend(cross_iter);
-        offsets.push(flat.len() as u32);
-    }
-    EdgeCoreSkyline::from_parts(k, window, first_edge, offsets, flat)
-}
-
 /// The query engine: a per-`(shard, k)` skyline cache over time-interval
 /// shards, exact boundary stitching through a cached
 /// [`CacheStats::boundary`] index, and a request surface
@@ -638,19 +579,17 @@ impl LiveState {
 
     /// Builds the cache entry for `key` against this state: shard `lo`'s
     /// skyline, or for a stitch key the cut-crossing minimal core windows
-    /// of the range's merged window.  Also returns the build's transient
-    /// peak — for a stitch entry, the full merged skyline held while
-    /// filtering.
-    fn build_entry(&self, (lo, hi, k): RangeKey) -> (EdgeCoreSkyline, usize) {
+    /// of the range's merged window.  A stitch entry covers the range's
+    /// whole merged window, not just the triggering query's window, so it
+    /// serves *every* later spanning window of the range.
+    fn build_entry(&self, (lo, hi, k): RangeKey) -> EdgeCoreSkyline {
         let window = TimeWindow::new(self.shards[lo].start(), self.shards[hi].end());
         let skyline = EdgeCoreSkyline::build(&self.graph, k, window);
-        let peak = skyline.memory_bytes();
         if lo == hi {
-            return (skyline, peak);
+            return skyline;
         }
         let cuts: Vec<Timestamp> = (lo..hi).map(|s| self.shards[s].end()).collect();
-        let crossing = skyline.filtered(|w| cuts.iter().any(|&c| w.start() <= c && c < w.end()));
-        (crossing, peak)
+        skyline.filtered(|w| cuts.iter().any(|&c| w.start() <= c && c < w.end()))
     }
 }
 
@@ -672,17 +611,13 @@ struct IngestState {
 ///
 /// Lock order (enforced by tkc-lint's global lock-order rule): `ingest` →
 /// `live` → `cache`.  Queries take `live` alone (one `Arc` clone) and then
-/// `cache`/`scratch` one at a time; only the ingest path nests.
+/// `cache`; only the ingest path nests.
 struct ShardInner {
     config: EngineConfig,
     live: Mutex<Arc<LiveState>>,
     ingest: Mutex<IngestState>,
     /// Every cached shard skyline and stitch entry.
     cache: Mutex<SkylineCache>,
-    /// Recycled CSR buffer pairs for restriction / stitch composition (each
-    /// query takes the pairs it uses and hands exactly those back; never
-    /// held across another lock).
-    scratch: Mutex<SkylineScratch>,
     pool: OnceLock<Arc<ExecPool>>,
     /// Test-only fail point: while non-zero, each absorb decrements it and
     /// panics before touching any state (see
@@ -739,7 +674,6 @@ impl ShardedEngine {
                     carried: Vec::new(),
                 }),
                 cache,
-                scratch: Mutex::new(SkylineScratch::default()),
                 pool: OnceLock::new(),
                 absorb_failpoints: AtomicU64::new(0),
             }),
@@ -886,7 +820,8 @@ impl ShardedEngine {
             let cache = sync::lock(&self.inner.cache);
             (0..num_shards).all(|shard| cache.is_resident((shard, shard, k), live.validity(shard)))
         };
-        let (_, entries_built, build_time) = self.inner.shard_skylines(&live, 0..num_shards, k);
+        let keys: Vec<RangeKey> = (0..num_shards).map(|shard| (shard, shard, k)).collect();
+        let (_, entries_built, build_time) = self.inner.entries(&live, &keys);
         let mut cache = sync::lock(&self.inner.cache);
         cache.warm.warms += 1;
         cache.warm.entries_built += entries_built;
@@ -907,13 +842,12 @@ impl ShardedEngine {
     ///
     /// The request is validated once, against the live view it then runs
     /// on, so a racing [`ShardedEngine::absorb`] is observed for all of its
-    /// `k`s or for none.  `Enum` and `EnumBase` answer each `k` from the
-    /// window's skyline — a restricted shard skyline, or for a window
-    /// spanning shard cuts the restricted shard skylines stitched with the
-    /// cached cut-crossing windows; `Otcd` and `Naive` have no reusable
-    /// index and run exactly as [`Algorithm::execute`] does.  The
-    /// enumerator runs once over a skyline identical to a fresh build for
-    /// the window, so a stream request sees cores in exactly the order
+    /// `k`s or for none.  `Enum` answers each `k` from the window's
+    /// [`WindowView`] (see [`ShardedEngine::with_view`]) and `EnumBase` from
+    /// that view materialised; `Otcd` and `Naive` have no reusable index
+    /// and run exactly as [`Algorithm::execute`] does.  The enumerator runs
+    /// once over a skyline identical to a fresh build for the window, so a
+    /// stream request sees cores in exactly the order
     /// [`TimeRangeKCoreQuery::run_with`] emits them, whatever the plan.
     ///
     /// # Errors
@@ -943,6 +877,28 @@ impl ShardedEngine {
         let live = self.inner.live_now();
         let request = request.validate(&live.graph)?;
         self.execute_one(live, request, algorithm)
+    }
+
+    /// Lends `f` the engine's [`WindowView`] of `[start, end]` (clamped to
+    /// the graph span) for `k`: the cached skylines of the overlapped
+    /// shards and, for a window spanning shard cuts, the stitch entry of
+    /// their cut-crossing windows, each fetched or built exactly as a query
+    /// fetches them.  It is what `Enum` reads.
+    ///
+    /// # Errors
+    /// The validation errors of [`QueryRequest::validate`].
+    pub fn with_view<R>(
+        &self,
+        k: usize,
+        start: Timestamp,
+        end: Timestamp,
+        f: impl FnOnce(&WindowView<'_>) -> R,
+    ) -> Result<R, TkError> {
+        let live = self.inner.live_now();
+        let window = QueryRequest::single(k, start, end)
+            .validate(&live.graph)?
+            .window();
+        Ok(self.inner.with_view(&live, k, window, |view| f(&view)))
     }
 
     /// [`ShardedEngine::execute`] for a request validated earlier, at
@@ -1194,7 +1150,7 @@ impl ShardInner {
         let task_keys: Arc<[RangeKey]> = keys.into();
         let built = run_batch_inner(pool.as_deref(), keys.len(), move |i| {
             let t = Instant::now();
-            let (skyline, _) = task_live.build_entry(task_keys[i]);
+            let skyline = task_live.build_entry(task_keys[i]);
             (Arc::new(skyline), t.elapsed())
         });
         let build_time = built.iter().map(|(_, took)| *took).sum();
@@ -1237,85 +1193,90 @@ impl ShardInner {
         }
     }
 
-    /// Returns the skylines of every shard in `shards` for `k` (in shard
-    /// order), fanning the builds of the cold ones across the engine's
-    /// [`ExecPool`] via `run_batch` — shard skylines build independently, so
-    /// a cold spanning query pays roughly the largest overlapped shard's
-    /// build instead of the sum (the serial per-shard loop this replaces was
-    /// the dominant cold-query latency term).
+    /// Returns the cache entries `keys` (shard skylines and stitch entries
+    /// alike, in key order), fanning the builds of the cold ones across the
+    /// engine's [`ExecPool`] via `run_batch` — entries build independently,
+    /// so a cold spanning query pays roughly the largest build instead of
+    /// the sum (the serial per-shard loop this replaces was the dominant
+    /// cold-query latency term).
     ///
     /// Cache semantics are identical to building serially: one `get` per
-    /// shard (hit/miss accounting), builds outside the cache lock with
-    /// single-flight adoption — two threads racing on the same cold
-    /// `(shard, k)` may both build, the loser's copy is dropped — and
-    /// live-tail entries tagged with [`LiveState::validity`]'s epoch.
-    /// Nested fan-out is deadlock-free because `run_batch`'s calling thread
-    /// claims indexes itself.
+    /// key (hit/miss accounting), builds outside the cache lock with
+    /// single-flight adoption — two threads racing on the same cold key may
+    /// both build, the loser's copy is dropped — and live-tail entries
+    /// tagged with [`LiveState::validity`]'s epoch.  Nested fan-out is
+    /// deadlock-free because `run_batch`'s calling thread claims indexes
+    /// itself.
     ///
-    /// Also returns the number of skylines built here and their summed
+    /// Also returns the number of entries built here and their summed
     /// per-entry build time (wall time is shorter when builds overlap; see
     /// [`WarmStats`]).
-    fn shard_skylines(
+    fn entries(
         &self,
         live: &Arc<LiveState>,
-        shards: std::ops::Range<usize>,
-        k: usize,
+        keys: &[RangeKey],
     ) -> (Vec<Arc<EdgeCoreSkyline>>, u64, Duration) {
-        let first = shards.start;
-        let mut skylines: Vec<Option<Arc<EdgeCoreSkyline>>> = Vec::with_capacity(shards.len());
+        let mut entries: Vec<Option<Arc<EdgeCoreSkyline>>> = Vec::with_capacity(keys.len());
         let mut missing: Vec<usize> = Vec::new();
         {
             let mut cache = sync::lock(&self.cache);
-            for shard in shards {
-                let hit = cache.get((shard, shard, k), live.validity(shard));
+            for (i, &key) in keys.iter().enumerate() {
+                let hit = cache.get(key, live.validity(key.1));
                 if hit.is_none() {
-                    missing.push(shard);
+                    missing.push(i);
                 }
-                skylines.push(hit);
+                entries.push(hit);
             }
         }
         let mut build_time = Duration::ZERO;
         if !missing.is_empty() {
-            let keys: Vec<RangeKey> = missing.iter().map(|&shard| (shard, shard, k)).collect();
-            let (built, took, _) = self.build_entries(live, &keys);
+            let cold: Vec<RangeKey> = missing.iter().map(|&i| keys[i]).collect();
+            let (built, took, _) = self.build_entries(live, &cold);
             build_time = took;
             let mut cache = sync::lock(&self.cache);
-            for (key, skyline) in keys.into_iter().zip(built) {
-                skylines[key.0 - first] = Some(cache.adopt(key, skyline, live.validity(key.0)));
+            for (&i, skyline) in missing.iter().zip(built) {
+                entries[i] = Some(cache.adopt(keys[i], skyline, live.validity(keys[i].1)));
             }
         }
-        let skylines = skylines
+        let entries = entries
             .into_iter()
             // tkc-lint: allow(no-panic-api) — every slot is either a cache hit or was adopted just above
-            .map(|skyline| skyline.expect("every requested shard skyline resolved"))
+            .map(|entry| entry.expect("every requested entry resolved"))
             .collect();
-        (skylines, missing.len() as u64, build_time)
+        (entries, missing.len() as u64, build_time)
     }
 
-    /// Returns the stitch entry for shard range `lo..=hi` and parameter
-    /// `k` — the cut-crossing minimal core windows of the merged window —
-    /// building and caching it on a miss (one merged-window sweep, like the
-    /// shard skylines built outside the cache lock).  The second component
-    /// is the transient peak of that build (the full merged skyline held
-    /// while filtering), `0` on a cache hit.
-    ///
-    /// The build covers the shard range's whole merged window, not just the
-    /// triggering query's window, so the entry serves *every* later
-    /// spanning window of the range.
-    fn stitch_entry(
+    /// Lends `f` the view of `window` for `k`: every overlapping shard's
+    /// cached skyline and, for a spanning window, the stitch entry of its
+    /// shard range, the cold ones built in parallel on the pool (see
+    /// `entries`).
+    fn with_view<R>(
         &self,
-        live: &LiveState,
-        lo: usize,
-        hi: usize,
+        live: &Arc<LiveState>,
         k: usize,
-    ) -> (Arc<EdgeCoreSkyline>, usize) {
-        if let Some(hit) = sync::lock(&self.cache).get((lo, hi, k), live.validity(hi)) {
-            return (hit, 0);
+        window: TimeWindow,
+        f: impl FnOnce(WindowView<'_>) -> R,
+    ) -> R {
+        let shards = live.overlapping(window);
+        debug_assert!(!shards.is_empty(), "validated window overlaps a shard");
+        let mut keys: Vec<RangeKey> = shards.clone().map(|shard| (shard, shard, k)).collect();
+        if shards.len() > 1 {
+            keys.push((shards.start, shards.end - 1, k));
         }
-        let (crossing, build_peak) = live.build_entry((lo, hi, k));
-        let adopted =
-            sync::lock(&self.cache).adopt((lo, hi, k), Arc::new(crossing), live.validity(hi));
-        (adopted, build_peak)
+        let (mut skylines, _, _) = self.entries(live, &keys);
+        let crossing = if shards.len() > 1 {
+            skylines.pop()
+        } else {
+            None
+        };
+        let parts = skylines.iter().map(|skyline| &**skyline);
+        f(WindowView::new(
+            &live.graph,
+            k,
+            window,
+            parts,
+            crossing.as_deref(),
+        ))
     }
 
     /// Executes a query whose parameters already passed validation (`k >= 1`,
@@ -1332,62 +1293,15 @@ impl ShardInner {
         if matches!(algorithm, Algorithm::Otcd | Algorithm::Naive) {
             return query.run_with(&live.graph, algorithm, sink);
         }
-        let shards = live.overlapping(window);
-        debug_assert!(!shards.is_empty(), "validated window overlaps a shard");
         let t0 = Instant::now();
-        // Take only the buffer pairs this query uses — one per restricted
-        // part, plus one for a spanning window's composed skyline — under a
-        // short lock, and hand exactly those back at the end.  An
-        // overlapping query finds the rest of the pool still there, so the
-        // pool is bounded by the pairs in use at once, not by how many
-        // queries ever overlapped.
-        let pairs = if shards.len() == 1 {
-            1
-        } else {
-            shards.len() + 1
-        };
-        let mut scratch = sync::lock(&self.scratch).split(pairs);
-        // Prefetch every overlapping shard's skyline, building the cold ones
-        // in parallel on the pool (see `shard_skylines`), and restrict each
-        // to its part of the window: the intra-shard windows of the window's
-        // skyline.
-        let (skylines, _, _) = self.shard_skylines(live, shards.clone(), k);
-        let mut parts: Vec<EdgeCoreSkyline> = shards
-            .clone()
-            .zip(&skylines)
-            .map(|(shard, skyline)| {
-                let part = live.shards[shard]
-                    .intersect(&window)
-                    // tkc-lint: allow(no-panic-api) — `shards` only lists shards overlapping `window`, so the intersection is non-empty
-                    .expect("overlapping shard intersects the window");
-                skyline.restrict_with(&live.graph, part, &mut scratch)
-            })
-            .collect();
-        let mut build_peak = 0;
-        let skyline = if parts.len() == 1 {
-            // tkc-lint: allow(no-panic-api) — the length was checked just above
-            parts.pop().expect("one restricted part")
-        } else {
-            // A spanning window: merge the cached cut-crossing windows into
-            // the restricted parts to reassemble the window's skyline.
-            let (crossing, peak) = self.stitch_entry(live, shards.start, shards.end - 1, k);
-            build_peak = peak;
-            let stitched =
-                compose_boundary_skyline(&live.graph, k, window, &parts, &crossing, &mut scratch);
-            for part in parts {
-                scratch.recycle(part);
-            }
-            stitched
-        };
-        let precompute_time = t0.elapsed();
-        let mut stats = query
-            .run_with_skyline(&live.graph, &skyline, algorithm, sink)
-            // tkc-lint: allow(no-panic-api) — the skyline covers exactly the validated window, so validation cannot reject it
-            .expect("the window's skyline matches the validated query by construction");
+        let mut precompute_time = Duration::ZERO;
+        let run = self.with_view(live, k, window, |view| {
+            precompute_time = t0.elapsed();
+            query.run_with_skyline(&live.graph, view, algorithm, sink)
+        });
+        // tkc-lint: allow(no-panic-api) — the view covers exactly the validated window, so validation cannot reject it
+        let mut stats = run.expect("the window's view matches the validated query by construction");
         stats.precompute_time = precompute_time;
-        stats.peak_memory_bytes = stats.peak_memory_bytes.max(build_peak);
-        scratch.recycle(skyline);
-        sync::lock(&self.scratch).absorb(scratch);
         stats
     }
 }
@@ -1398,7 +1312,6 @@ mod tests {
     use crate::paper_example;
     use crate::sink::{CollectingSink, CountingSink};
     use crate::{KOutput, TemporalKCore};
-    use std::sync::mpsc;
 
     /// The cores `engine` answers `query` with under `algorithm`, in
     /// canonical order.
@@ -2119,57 +2032,5 @@ mod tests {
         assert_eq!(opened.publish.warms, 3);
         assert_eq!(opened.per_shard[2].resident_indexes, 3, "{opened:?}");
         check_tail(&engine, "opened");
-    }
-
-    /// A sink that blocks on its first core until released, holding its
-    /// query mid-enumeration.
-    struct GatedSink {
-        gate: Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>,
-    }
-
-    impl ResultSink for GatedSink {
-        fn emit(&mut self, _tti: TimeWindow, _edges: &[temporal_graph::EdgeId]) {
-            if let Some((started, release)) = self.gate.take() {
-                started.send(()).unwrap();
-                release.recv().unwrap();
-            }
-        }
-    }
-
-    #[test]
-    fn overlapping_queries_keep_the_scratch_pool_bounded() {
-        let g = paper_example::graph();
-        let engine =
-            Arc::new(ShardedEngine::new(g.clone(), ShardPlan::ExplicitCuts(vec![4])).unwrap());
-        // A query spanning both shards uses three buffer pairs: two
-        // restricted parts plus the composed window skyline.
-        let pairs_per_query = 3;
-        count(&engine, 2, 1, g.tmax());
-        for round in 0..4 {
-            let (started_tx, started_rx) = mpsc::channel();
-            let (release_tx, release_rx) = mpsc::channel();
-            let held = {
-                let engine = Arc::clone(&engine);
-                let tmax = engine.graph().tmax();
-                std::thread::spawn(move || {
-                    let sink = GatedSink {
-                        gate: Some((started_tx, release_rx)),
-                    };
-                    let request = QueryRequest::single(2, 1, tmax).stream(Box::new(sink));
-                    engine.execute(request, Algorithm::Enum).unwrap();
-                })
-            };
-            started_rx.recv().unwrap();
-            // A second spanning query completes while the first one is
-            // mid-enumeration with its pairs out of the pool.
-            count(&engine, 2, 1, g.tmax());
-            release_tx.send(()).unwrap();
-            held.join().unwrap();
-            let pooled = sync::lock(&engine.inner.scratch).len();
-            assert!(
-                pooled <= 2 * pairs_per_query,
-                "round {round}: {pooled} pooled pairs"
-            );
-        }
     }
 }

@@ -51,12 +51,17 @@ pub struct WireConfig {
     /// `"output": "cores"` replies sample at most this many cores per `k`;
     /// the `cores` count still reports all of them.
     pub max_cores_per_reply: usize,
+    /// A query may select at most this many `k` values; more are refused
+    /// with `BudgetExceeded` before a sweep is expanded (a sweep past the
+    /// graph's vertex count is still `KOutOfRange`).
+    pub max_ks_per_request: usize,
 }
 
 impl Default for WireConfig {
     fn default() -> Self {
         Self {
             max_cores_per_reply: 64,
+            max_ks_per_request: 64,
         }
     }
 }
@@ -349,7 +354,8 @@ pub fn parse_request(line: &str) -> Result<WireRequest, String> {
 }
 
 /// Decodes one request line; a `"cores"` query samples at most
-/// `config.max_cores_per_reply` cores per `k` ([`crate::OutputMode::Sample`]).
+/// `config.max_cores_per_reply` cores per `k` ([`crate::OutputMode::Sample`]),
+/// and a query selects at most `config.max_ks_per_request` values of `k`.
 ///
 /// # Errors
 /// As [`parse_request`].
@@ -385,6 +391,7 @@ pub fn parse_request_with(line: &str, config: &WireConfig) -> Result<WireRequest
         (None, None, None) => return Err("query needs `k` or `k_min`/`k_max`".into()),
         _ => return Err("give either `k` or both `k_min` and `k_max`".into()),
     };
+    request = request.max_ks(config.max_ks_per_request);
     request = match value.get("output").and_then(JsonValue::as_str) {
         None | Some("count") => request.count(),
         Some("cores") | Some("full") => request.sample(config.max_cores_per_reply),

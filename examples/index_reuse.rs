@@ -4,7 +4,7 @@
 //! (the CoreTime sweep producing the edge core window skyline) and an
 //! enumeration phase whose cost is bounded by the result size.  A skyline
 //! built for the whole time span answers *every* sub-range query for the
-//! same `k` by restriction, so a serving workload should build it once and
+//! same `k` by slicing it, so a serving workload should build it once and
 //! amortise it across the query stream.  That is exactly what a
 //! [`ShardedEngine`] over [`ShardPlan::Span`] (one shard, one span-wide
 //! skyline per `k`) automates: this example fires a batch of sub-range
@@ -67,8 +67,8 @@ fn main() {
     println!("Engine batch 1 (builds the span-wide index):  {first_cores} cores in {first_time:?}");
 
     // Engine, steady state: the index is resident, so every query is a
-    // cache hit plus a cheap restriction — the CoreTime phase is amortised
-    // to ~zero.
+    // cache hit read through a view sliced in place — the CoreTime phase is
+    // amortised to ~zero.
     let requests = batch();
     let t2 = Instant::now();
     let responses = engine
@@ -94,7 +94,7 @@ fn main() {
         .map(|response| response.outcomes[0].stats.precompute_time)
         .sum();
     println!(
-        "Warm precompute time summed over {} queries: {warm_precompute:?} (restriction only)",
+        "Warm precompute time summed over {} queries: {warm_precompute:?} (cache lookup only)",
         queries.len(),
     );
     println!(

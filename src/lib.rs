@@ -122,6 +122,6 @@ pub mod prelude {
         RequestId, ResultSink, SamplingSink, SealPolicy, ServeSummary, ServerConfig, ServiceConfig,
         ServiceReply, ServiceStats, ShardCacheStats, ShardPlan, ShardedEngine, SubmitOptions,
         TemporalKCore, Ticket, TimeRangeKCoreQuery, TkError, TkServer, ValidatedRequest,
-        VertexCoreTimeIndex, WarmStats, WorkerStats,
+        VertexCoreTimeIndex, WarmStats, WindowView, WorkerStats,
     };
 }

@@ -13,12 +13,13 @@
 //!   `restrict_with` (including repeated calls through one recycled
 //!   `SkylineScratch`, the zero-alloc hot path) equals the reference's
 //!   containment filter *and* a from-scratch rebuild on the sub-range;
-//! * `stitched_compose_matches_the_naive_oracle_for_all_algorithms` —
-//!   boundary-spanning queries, whose skylines are produced by
-//!   `compose_boundary_skyline` emitting CSR directly, return the same
-//!   cores as the brute-force enumeration for all four algorithms (the
-//!   composed skyline's *content* is pinned by the build/restrict layers
-//!   above, since composition is defined to equal a spanning-window build);
+//! * `window_views_match_fresh_builds_and_the_oracle_on_every_plan` — under
+//!   every shard plan, the engine's `WindowView` of a window inside one
+//!   shard, across one cut, across two or more cuts, ending on a cut or
+//!   overhanging `tmax` gives every edge exactly the run a fresh build for
+//!   the window does, and the engine answers those windows exactly as the
+//!   brute-force enumeration for all four algorithms (and `Enum` in the
+//!   order of a per-query run);
 //! * `absorb_plus_tail_rebuild_yields_identical_flat_skylines` — after
 //!   absorbing an append stream, the flat skylines built over the live
 //!   snapshot equal (in label space) those built over a from-scratch graph
@@ -177,39 +178,90 @@ proptest! {
         }
     }
 
-    /// Boundary-spanning queries — whose per-window skylines come out of the
-    /// CSR-emitting `compose_boundary_skyline` — agree with the brute-force
-    /// enumeration for every algorithm, under random shard plans.
+    /// Under every plan `plan_for` derives, the engine's view of each
+    /// window of `windows_over` holds, for every edge, the run a fresh
+    /// build for the window gives it, and every algorithm on the engine
+    /// matches the naive oracle.  A window starting past `tmax` is refused.
     #[test]
-    fn stitched_compose_matches_the_naive_oracle_for_all_algorithms(
+    fn window_views_match_fresh_builds_and_the_oracle_on_every_plan(
         g in arb_graph(8, 24, 6),
         k in 1usize..4,
-        (kind, param) in (0u8..5, 0usize..16),
+        param in 0usize..16,
         (raw_start, raw_len) in (1u32..=6, 0u32..6),
     ) {
-        let plan = plan_for(kind, param, g.tmax());
-        let engine = ShardedEngine::new(g.clone(), plan.clone())
-            .expect("derived plans are valid");
-        let mut windows = vec![g.span()];
-        let random = window_in_span(&g, raw_start, raw_len);
-        if random != g.span() {
-            windows.push(random);
-        }
-        for window in windows {
-            let query = TimeRangeKCoreQuery::new(k, window).expect("k >= 1");
-            let expected = canonical(naive::naive_results(&g, k, window));
-            for algo in Algorithm::ALL {
-                let (got, _) = streamed(&engine, query, algo)
+        let tmax = g.tmax();
+        for kind in 0..5 {
+            let plan = plan_for(kind, param, tmax);
+            let engine = ShardedEngine::new(g.clone(), plan.clone())
+                .expect("derived plans are valid");
+            let random = window_in_span(&g, raw_start, raw_len);
+            for (start, end) in windows_over(&engine.shards(), tmax, random) {
+                let window = TimeWindow::new(start, end.min(tmax));
+                let built = EdgeCoreSkyline::build(&g, k, window);
+                let runs_match = engine
+                    .with_view(k, start, end, |view| {
+                        view.window() == window
+                            && (0..g.num_edges() as EdgeId)
+                                .all(|id| view.windows(id) == built.windows(id))
+                    })
+                    .expect("window starts inside the span");
+                prop_assert!(runs_match, "plan={:?} k={} window={}", plan, k, window);
+
+                let query = TimeRangeKCoreQuery::new(k, window).expect("k >= 1");
+                let mut per_query = CollectingSink::default();
+                query.run_with(&g, Algorithm::Enum, &mut per_query);
+                let (streamed_enum, _) = streamed(&engine, query, Algorithm::Enum)
                     .expect("window is inside the span");
-                prop_assert_eq!(
-                    canonical(got),
-                    expected.clone(),
-                    "plan={:?} k={} window={} algo={}",
-                    plan, k, window, algo
-                );
+                prop_assert_eq!(streamed_enum, per_query.cores, "stream order, window={}", window);
+                let expected = canonical(naive::naive_results(&g, k, window));
+                for algo in Algorithm::ALL {
+                    let (got, _) = streamed(&engine, query, algo)
+                        .expect("window is inside the span");
+                    prop_assert_eq!(
+                        canonical(got),
+                        expected.clone(),
+                        "plan={:?} k={} window={} algo={}",
+                        plan, k, window, algo
+                    );
+                }
             }
+            let past = engine.with_view(k, tmax + 1, tmax + 2, |_| ());
+            prop_assert!(
+                matches!(past, Err(TkError::WindowPastTmax { .. })),
+                "plan={:?}: {:?}",
+                plan,
+                past
+            );
         }
     }
+}
+
+/// Windows placed every way a query window can sit on `shards` (in
+/// timeline order, covering `[1, tmax]`), as raw `(start, end)` bounds:
+/// `random`, the whole span overhanging `tmax`, one tick inside the first
+/// shard, the first shard exactly (ending on a cut, or on `tmax` when
+/// there is no cut), the ticks on either side of the first cut, from just
+/// after that cut to past `tmax`, and across the first two cuts.
+fn windows_over(
+    shards: &[TimeWindow],
+    tmax: Timestamp,
+    random: TimeWindow,
+) -> Vec<(Timestamp, Timestamp)> {
+    let first = shards[0];
+    let mut out = vec![
+        (random.start(), random.end()),
+        (1, tmax + 3),
+        (first.start(), first.start()),
+        (first.start(), first.end()),
+    ];
+    if let [a, b, rest @ ..] = shards {
+        out.push((a.end(), b.start()));
+        out.push((b.start(), tmax + 1));
+        if let Some(c) = rest.first() {
+            out.push((a.end(), c.start()));
+        }
+    }
+    out
 }
 
 /// Projects a skyline into label space: vertex ids differ between an
@@ -304,4 +356,28 @@ fn paper_example_matches_reference_and_past_tmax_is_empty() {
     assert_eq!(empty.total_windows(), 0);
     assert_eq!(empty.iter().count(), 0);
     assert_eq!(empty.memory_bytes(), 0);
+}
+
+/// An edge left of a cut with both an intra-shard window (`[1, 2]`, a
+/// triangle before the cut) and a cut-crossing one (`[2, 4]`, a triangle
+/// closed after it): its run interleaves the shard slice with the stitch
+/// slice, and the engine's stream keeps the per-query order.
+#[test]
+fn a_run_mixing_intra_shard_and_crossing_windows_stays_in_skyline_order() {
+    let g = raw_graph(&[(0, 2, 1), (1, 2, 1), (0, 1, 2), (0, 3, 4), (1, 3, 4)]);
+    let engine = ShardedEngine::new(g.clone(), ShardPlan::ExplicitCuts(vec![3])).unwrap();
+    let e = (0..g.num_edges() as EdgeId)
+        .find(|&id| g.edge(id).t == 2)
+        .unwrap();
+    let expected = vec![TimeWindow::new(1, 2), TimeWindow::new(2, 4)];
+    assert_eq!(EdgeCoreSkyline::build(&g, 2, g.span()).windows(e), expected);
+    assert_eq!(
+        engine.with_view(2, 1, 4, |view| view.windows(e)).unwrap(),
+        expected
+    );
+    let query = TimeRangeKCoreQuery::new(2, g.span()).unwrap();
+    let mut per_query = CollectingSink::default();
+    query.run_with(&g, Algorithm::Enum, &mut per_query);
+    let (streamed_enum, _) = streamed(&engine, query, Algorithm::Enum).unwrap();
+    assert_eq!(streamed_enum, per_query.cores);
 }

@@ -436,3 +436,30 @@ proptest! {
         }
     }
 }
+
+#[test]
+fn the_default_wire_k_cap_accepts_its_cap_and_refuses_one_more() {
+    use temporal_kcore::tkcore::wire::{self, WireConfig, WireRequest};
+    let g = generator::uniform_random(100, 400, 20, 7);
+    let cap = WireConfig::default().max_ks_per_request;
+    assert_eq!(cap, 64);
+    assert!(
+        g.num_vertices() > cap + 1,
+        "the sweep must not be KOutOfRange"
+    );
+    let sweep = |k_max: usize| {
+        let line = format!(r#"{{"k_min":1,"k_max":{k_max},"start":1,"end":5}}"#);
+        match wire::parse_request(&line).expect("well-formed line") {
+            WireRequest::Query(query) => query.request,
+            _ => panic!("a query line"),
+        }
+    };
+    assert_eq!(sweep(cap).validate(&g).unwrap().ks().len(), cap);
+    let refused = TkError::BudgetExceeded {
+        resource: "k values per request",
+        limit: cap,
+    };
+    assert_eq!(sweep(cap + 1).validate(&g).unwrap_err(), refused);
+    // Library requests are uncapped.
+    assert!(QueryRequest::sweep(1..=cap + 1, 1, 5).validate(&g).is_ok());
+}

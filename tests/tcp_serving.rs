@@ -210,6 +210,46 @@ fn a_huge_k_max_gets_a_typed_reply_and_the_connection_survives() {
 }
 
 #[test]
+fn max_ks_per_request_accepts_its_cap_and_refuses_one_more() {
+    let config = ServerConfig {
+        wire: WireConfig {
+            max_ks_per_request: 2,
+            ..WireConfig::default()
+        },
+        ..ServerConfig::default()
+    };
+    let (_service, server, acceptor) = start_server_with(config);
+    let mut stream = connect(server.local_addr());
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+
+    let at_cap = r#"{"id":1,"k_min":1,"k_max":2,"start":1,"end":7,"output":"cores"}"#;
+    let reply = round_trip(&mut stream, &mut reader, at_cap);
+    assert!(reply.starts_with(r#"{"status":"ok","id":1"#), "{reply}");
+    assert_eq!(parse_outcomes(&reply).len(), 2, "{reply}");
+    for past_cap in [
+        r#"{"id":2,"k_min":1,"k_max":3,"start":1,"end":7}"#,
+        r#"{"id":2,"k_min":2,"k_max":4,"start":1,"end":7,"algo":"naive"}"#,
+    ] {
+        let reply = round_trip(&mut stream, &mut reader, past_cap);
+        assert!(reply.starts_with(r#"{"status":"error","id":2"#), "{reply}");
+        assert!(reply.contains(r#""error":"BudgetExceeded""#), "{reply}");
+        assert!(reply.contains("k values per request"), "{reply}");
+    }
+    // A sweep past the vertex count is still refused as out of range.
+    let huge = r#"{"id":3,"k_min":1,"k_max":9000000000000000,"start":1,"end":7}"#;
+    let reply = round_trip(&mut stream, &mut reader, huge);
+    assert!(reply.contains(r#""error":"KOutOfRange""#), "{reply}");
+    let reply = round_trip(&mut stream, &mut reader, r#"{"op": "ping"}"#);
+    assert_eq!(reply, r#"{"status":"ok","op":"ping"}"#);
+
+    server.stop();
+    acceptor
+        .join()
+        .expect("acceptor thread exits cleanly")
+        .expect("serve returns Ok on stop");
+}
+
+#[test]
 fn a_deeply_nested_line_gets_a_bad_request_and_the_connection_survives() {
     let (_service, server, acceptor) = start_server();
     let mut stream = connect(server.local_addr());
@@ -473,6 +513,7 @@ fn max_cores_per_reply_caps_the_sample_at_its_boundary() {
         let config = ServerConfig {
             wire: WireConfig {
                 max_cores_per_reply: cap,
+                ..WireConfig::default()
             },
             ..ServerConfig::default()
         };
