@@ -1,26 +1,45 @@
 //! The optimal-time enumerator (`Enum`, Algorithms 4 and 5 of the paper).
 //!
 //! Given the edge core window skylines, all distinct temporal k-cores are
-//! enumerated in time proportional to the total result size `|R|`:
+//! enumerated in time proportional to the total result size `|R|`.
 //!
-//! * every minimal core window is given an *active time* (Definition 6): the
-//!   earliest start time for which it is the relevant window of its edge;
-//! * for each start time `ts`, a doubly linked list `L_ts` holds exactly the
-//!   windows with `active <= ts <= start`, ordered by ascending end time;
-//!   the list is maintained incrementally (windows are inserted when their
-//!   active time is reached and removed once the start time passes their own
-//!   start time), so at most one window per edge is ever present;
-//! * `AS-Output` (Algorithm 4) scans `L_ts` once, accumulating edges and
-//!   emitting a distinct temporal k-core — whose TTI is `[ts, end]` — at the
-//!   boundary of every run of equal end times once a window starting exactly
-//!   at `ts` has been seen (Theorem 2: those end times are exactly the valid
-//!   TTI end times for start time `ts`).
+//! For a start time `ts`, the paper's list `L_ts` holds each edge's
+//! *relevant* window: the first of its minimal core windows that starts at
+//! or after `ts`.  A window is therefore in `L_ts` from its *active time*
+//! (Definition 6: the range start for an edge's first window, else one past
+//! the previous window's start) until its own start time.  Theorem 2 reads
+//! the cores off `L_ts` in ascending end order: with `e0` the least end
+//! among the windows starting exactly at `ts` (none start there ⇒ no core,
+//! Lemma 4), every distinct end `e >= e0` in `L_ts` is the TTI `[ts, e]` of
+//! one distinct core, made of the windows of `L_ts` ending at or before `e`.
 //!
-//! The records are read straight from a [`WindowView`] and bucketed by a
-//! stable counting sort into flat CSR arrays.
+//! Only the *multiset of end times* of `L_ts` matters for that, so `L_ts`
+//! is kept as end-time bins, not as a list of windows:
+//!
+//! * one count per end time of the range, plus a bitset of the non-empty
+//!   end times;
+//! * the records stay per edge in run order, as
+//!   [`WindowView::for_each_run`] yields them.  Each edge's first window
+//!   enters its bin at the range start; when a window expires at its start
+//!   `+ 1`, it leaves its bin and the next window of its edge's run enters.
+//!   That is Algorithm 5's activation, driven by the one counting sort of
+//!   the records by start time;
+//! * at a start time `ts` where some window starts, one ascending walk of
+//!   the set bits keeps a running prefix count and emits the core
+//!   `[ts, e]` of size `prefix` at every bin `e >= e0` (`AS-Output`,
+//!   Algorithm 4).
+//!
+//! A sink that reads only each core's TTI and size
+//! ([`ResultSink::as_size_sink`]: counts and samples) gets exactly that, so
+//! the cost per start time is `O(⌈W/64⌉ + distinct end times in L_ts)`,
+//! where `W` is the window width.  A sink that needs edge ids gets them
+//! from per-bin intrusive record lists that the same walk reads, at
+//! `O(⌈W/64⌉ + |L_ts|)` per start time, which the core it emits bounds.
+//! A record that expired stays in its bin's list until the next walk of
+//! that bin unlinks it.
 
 use crate::ecs::{Csr, EdgeCoreSkyline, WindowView};
-use crate::sink::ResultSink;
+use crate::sink::{ResultSink, SizeSink};
 use temporal_graph::{EdgeId, TemporalGraph, TimeWindow, Timestamp};
 
 /// Statistics of one `Enum` run.
@@ -33,79 +52,152 @@ pub struct EnumStats {
     /// Number of minimal core windows processed (`|ECS|`).
     pub skyline_windows: u64,
     /// Estimated peak heap footprint in bytes of the enumeration's own
-    /// structures: the window records, the linked list and the two CSR
-    /// bucket arrays.  The skylines it reads are borrowed, not counted.
+    /// structures: the window records, their buckets by start time, the
+    /// end-time bins (counts and bitset) and, for a sink that needs edge
+    /// ids, the per-bin record lists and the edge buffer of one core.  The
+    /// skylines it reads are borrowed, not counted.
     pub peak_memory_bytes: usize,
 }
 
-/// One minimal core window record used by the enumeration structure.
+/// One minimal core window of the range, its times as offsets from the
+/// range start.
 #[derive(Debug, Clone, Copy)]
-struct WindowRecord {
-    start: Timestamp,
-    end: Timestamp,
-    active: Timestamp,
+struct Record {
+    start: u32,
+    end: u32,
     edge: EdgeId,
 }
 
-/// Doubly linked list over window records, ordered by ascending end time.
-/// Node 0 is a dummy head; record `i` is node `i + 1`.
-struct WindowList {
-    next: Vec<u32>,
-    prev: Vec<u32>,
+/// `L_ts` as end-time bins: how many windows of `L_ts` end at each time,
+/// and a bitset of the non-empty bins.
+struct EndBins {
+    counts: Vec<u32>,
+    occupied: Vec<u64>,
 }
 
-const NIL: u32 = u32::MAX;
-
-impl WindowList {
-    fn new(num_records: usize) -> Self {
-        let mut next = vec![NIL; num_records + 1];
-        let prev = vec![NIL; num_records + 1];
-        next[0] = NIL;
-        Self { next, prev }
-    }
-
-    #[inline]
-    fn head(&self) -> u32 {
-        0
-    }
-
-    #[inline]
-    fn first(&self) -> u32 {
-        self.next[0]
-    }
-
-    /// Inserts node `node` after node `after`.
-    fn insert_after(&mut self, node: u32, after: u32) {
-        let b = self.next[after as usize];
-        self.next[node as usize] = b;
-        self.prev[node as usize] = after;
-        self.next[after as usize] = node;
-        if b != NIL {
-            self.prev[b as usize] = node;
+impl EndBins {
+    fn new(width: usize) -> Self {
+        Self {
+            counts: vec![0; width],
+            occupied: vec![0; width.div_ceil(64)],
         }
     }
 
-    /// Unlinks node `node` (which must currently be linked).
-    fn delete(&mut self, node: u32) {
-        let p = self.prev[node as usize];
-        let n = self.next[node as usize];
-        debug_assert_ne!(p, NIL, "deleting a node that is not linked");
-        self.next[p as usize] = n;
-        if n != NIL {
-            self.prev[n as usize] = p;
+    /// A window ending at `bin` enters `L_ts`.
+    #[inline]
+    fn enter(&mut self, bin: usize) {
+        self.counts[bin] += 1;
+        self.occupied[bin / 64] |= 1 << (bin % 64);
+    }
+
+    /// A window ending at `bin` leaves `L_ts`.
+    #[inline]
+    fn leave(&mut self, bin: usize) {
+        self.counts[bin] -= 1;
+        if self.counts[bin] == 0 {
+            self.occupied[bin / 64] &= !(1 << (bin % 64));
         }
-        self.prev[node as usize] = NIL;
-        self.next[node as usize] = NIL;
+    }
+
+    /// Calls `f` with every non-empty bin from the word holding `from` on,
+    /// in ascending order.
+    #[inline]
+    fn for_each_bin(&self, from: usize, mut f: impl FnMut(usize, u32)) {
+        for (w, &word) in self.occupied.iter().enumerate().skip(from / 64) {
+            let mut bits = word;
+            while bits != 0 {
+                let bin = w * 64 + bits.trailing_zeros() as usize;
+                f(bin, self.counts[bin]);
+                bits &= bits - 1;
+            }
+        }
     }
 
     fn memory_bytes(&self) -> usize {
-        (self.next.len() + self.prev.len()) * std::mem::size_of::<u32>()
+        self.counts.len() * std::mem::size_of::<u32>()
+            + self.occupied.len() * std::mem::size_of::<u64>()
+    }
+}
+
+/// End of a bin's record list.
+const NIL: u32 = u32::MAX;
+
+/// The records of each end-time bin, for sinks that need edge ids: one
+/// intrusive singly linked list per bin, newest first.  A record that
+/// left `L_ts` is unlinked by the next walk of its bin.
+struct BinLists {
+    heads: Vec<u32>,
+    next: Vec<u32>,
+}
+
+impl BinLists {
+    fn new(width: usize, records: usize) -> Self {
+        Self {
+            heads: vec![NIL; width],
+            next: vec![NIL; records],
+        }
+    }
+
+    /// Record `i` enters the list of `bin`.
+    #[inline]
+    fn push(&mut self, i: u32, bin: usize) {
+        self.next[i as usize] = self.heads[bin];
+        self.heads[bin] = i;
+    }
+
+    /// Appends the edges of `bin`'s records still in `L_ts` (those starting
+    /// at or after `ts`) to `edges`, unlinking the expired ones it passes.
+    fn list(&mut self, bin: usize, ts: u32, records: &[Record], edges: &mut Vec<EdgeId>) {
+        let mut prev = NIL;
+        let mut i = self.heads[bin];
+        while i != NIL {
+            let next = self.next[i as usize];
+            let record = &records[i as usize];
+            if record.start < ts {
+                match prev {
+                    NIL => self.heads[bin] = next,
+                    p => self.next[p as usize] = next,
+                }
+            } else {
+                edges.push(record.edge);
+                prev = i;
+            }
+            i = next;
+        }
+    }
+
+    fn memory_bytes(&self) -> usize {
+        (self.heads.len() + self.next.len()) * std::mem::size_of::<u32>()
+    }
+}
+
+/// Where the cores go: sizes only, or edge lists read from the bins'
+/// record lists into one reused buffer.
+enum Output<'s> {
+    Sizes(&'s mut dyn SizeSink),
+    Edges {
+        sink: &'s mut dyn ResultSink,
+        lists: BinLists,
+        edges: Vec<EdgeId>,
+    },
+}
+
+impl Output<'_> {
+    /// Record `i`, ending at `end`, enters `L_ts`.
+    #[inline]
+    fn enter(&mut self, bins: &mut EndBins, i: usize, end: u32) {
+        bins.enter(end as usize);
+        if let Output::Edges { lists, .. } = self {
+            lists.push(i as u32, end as usize);
+        }
     }
 }
 
 /// Runs the `Enum` algorithm over a skyline — an [`EdgeCoreSkyline`]
 /// or a [`WindowView`] of cached ones — streaming every distinct temporal
-/// k-core of its range into `sink`.
+/// k-core of its range into `sink`, in ascending TTI order.  A sink that
+/// declares itself size-only through [`ResultSink::as_size_sink`] receives
+/// `(tti, size)` and no edge list is built for it.
 pub fn enumerate<'a>(
     graph: &TemporalGraph,
     skyline: impl Into<WindowView<'a>>,
@@ -114,112 +206,115 @@ pub fn enumerate<'a>(
     let _ = graph; // parameter kept for API symmetry with the other algorithms
     let view = skyline.into();
     let range = view.window();
-    let (ts_lo, ts_hi) = (range.start(), range.end());
-    let width = (ts_hi - ts_lo + 1) as usize;
+    let ts_lo = range.start();
+    let width = (range.end() - ts_lo + 1) as usize;
     let mut stats = EnumStats::default();
 
-    // Collect window records and compute active times (Algorithm 5, lines 1-4):
-    // the first window of an edge activates at the range start; every later
-    // window activates right after the previous window's start time.  The
-    // buffer is sized by the window's edges, not by the cached runs the
-    // view slices (those hold many windows outside the window).
-    let mut records: Vec<WindowRecord> = Vec::with_capacity(view.num_edges());
+    // The records, per edge in run order.  The buffer is sized by the
+    // window's edges, not by the cached runs the view slices (those hold
+    // many windows outside the window).
+    let mut records: Vec<Record> = Vec::with_capacity(view.num_edges());
     view.for_each_run(|edge, run| {
-        let mut active = ts_lo;
         run.for_each(|w| {
-            records.push(WindowRecord {
-                start: w.start(),
-                end: w.end(),
-                active,
+            records.push(Record {
+                start: w.start() - ts_lo,
+                end: w.end() - ts_lo,
                 edge,
             });
-            active = w.start() + 1;
         });
     });
     stats.skyline_windows = records.len() as u64;
-    if records.is_empty() {
-        // No minimal core window, so no core (Lemma 3); skip the buckets.
+    let Some(last_start) = records.iter().map(|r| r.start).max() else {
+        // No minimal core window, so no core (Lemma 3); skip the bins.
         return stats;
+    };
+
+    // The records starting at each time: where windows expire, and the
+    // windows whose least end is `e0`.
+    let n = records.len() as u32;
+    let by_start = Csr::sort(
+        width,
+        0,
+        (0..n).map(|i| (records[i as usize].start as usize, i)),
+    );
+    let mut out = match sink.as_size_sink() {
+        Some(sizes) => Output::Sizes(sizes),
+        None => Output::Edges {
+            sink,
+            lists: BinLists::new(width, records.len()),
+            edges: Vec::new(),
+        },
+    };
+    let mut bins = EndBins::new(width);
+    // Every edge's first window is active from the range start.
+    for (i, r) in records.iter().enumerate() {
+        if i == 0 || records[i - 1].edge != r.edge {
+            out.enter(&mut bins, i, r.end);
+        }
     }
 
-    // Bucket records by active time (Ba), each bucket ordered by ascending
-    // end time (Algorithm 5, lines 5-11): a stable counting sort by end,
-    // then a stable one by active time.  The start-time buckets (Bs) are
-    // only unlinked and tested for emptiness, so their order is free.
-    let n = records.len() as u32;
-    let bucket = |i: u32, at: Timestamp| ((at - ts_lo) as usize, i);
-    let by_end = Csr::sort(width, 0, (0..n).map(|i| bucket(i, records[i as usize].end)));
-    let order = by_end.items.iter();
-    let ba = Csr::sort(
-        width,
-        0,
-        order.map(|&i| bucket(i, records[i as usize].active)),
-    );
-    drop(by_end);
-    let bs = Csr::sort(
-        width,
-        0,
-        (0..n).map(|i| bucket(i, records[i as usize].start)),
-    );
-
-    let mut list = WindowList::new(records.len());
-    let mut result_edges: Vec<EdgeId> = Vec::new();
-
-    // Main loop over start times (Algorithm 5, lines 13-24).
-    for ts in ts_lo..=ts_hi {
-        let idx = (ts - ts_lo) as usize;
-        // Remove windows whose own start time has passed.
-        if ts > ts_lo {
-            for &i in bs.bucket(idx - 1) {
-                list.delete(i + 1);
-            }
-        }
-        // Insert windows that become active at ts, keeping end-time order.
-        let mut h = list.head();
-        for &i in ba.bucket(idx) {
-            let end = records[i as usize].end;
-            loop {
-                let nxt = list.next[h as usize];
-                if nxt == NIL || records[(nxt - 1) as usize].end >= end {
-                    break;
+    // Main loop over start times (Algorithm 5, lines 13-24); no core starts
+    // after the last window does.
+    for ts in 0..=last_start {
+        if ts > 0 {
+            // Windows starting at `ts - 1` expire; each one's successor in
+            // its edge's run becomes active.
+            for &i in by_start.bucket(ts as usize - 1) {
+                let i = i as usize;
+                bins.leave(records[i].end as usize);
+                if let Some(next) = records.get(i + 1).filter(|r| r.edge == records[i].edge) {
+                    out.enter(&mut bins, i + 1, next.end);
                 }
-                h = nxt;
             }
-            list.insert_after(i + 1, h);
-            h = i + 1;
         }
         // No minimal core window starts at ts => no temporal k-core has a
         // TTI starting at ts (Lemma 4).
-        if bs.bucket(idx).is_empty() {
+        let starting = by_start.bucket(ts as usize);
+        let Some(e0) = starting.iter().map(|&i| records[i as usize].end).min() else {
             continue;
-        }
+        };
 
-        // AS-Output (Algorithm 4): single scan of the list.
-        result_edges.clear();
-        let mut valid = false;
-        let mut node = list.first();
-        while node != NIL {
-            let r = &records[(node - 1) as usize];
-            result_edges.push(r.edge);
-            if r.start == ts {
-                valid = true;
+        // AS-Output (Algorithm 4): one ascending walk of the bins, keeping
+        // a running prefix count; every window of `L_ts` ends at or after
+        // `ts`, so the walk starts there.
+        let e0 = e0 as usize;
+        let tti = |bin: usize| TimeWindow::new(ts + ts_lo, bin as Timestamp + ts_lo);
+        let mut prefix = 0u64;
+        match &mut out {
+            Output::Sizes(sizes) => bins.for_each_bin(ts as usize, |bin, count| {
+                prefix += u64::from(count);
+                if bin >= e0 {
+                    sizes.emit_size(tti(bin), prefix);
+                    stats.num_cores += 1;
+                    stats.total_edges += prefix;
+                }
+            }),
+            Output::Edges { sink, lists, edges } => {
+                edges.clear();
+                bins.for_each_bin(ts as usize, |bin, count| {
+                    lists.list(bin, ts, &records, edges);
+                    prefix += u64::from(count);
+                    debug_assert_eq!(edges.len() as u64, prefix, "bin {bin} lists its count");
+                    if bin >= e0 {
+                        sink.emit(tti(bin), edges);
+                        stats.num_cores += 1;
+                        stats.total_edges += prefix;
+                    }
+                });
             }
-            let next = list.next[node as usize];
-            let last_of_group = next == NIL || records[(next - 1) as usize].end != r.end;
-            if valid && last_of_group {
-                sink.emit(TimeWindow::new(ts, r.end), &result_edges);
-                stats.num_cores += 1;
-                stats.total_edges += result_edges.len() as u64;
-            }
-            node = next;
         }
     }
 
-    // `by_end` is freed before `bs` and the list are allocated.
-    stats.peak_memory_bytes = records.capacity() * std::mem::size_of::<WindowRecord>()
-        + ba.memory_bytes()
-        + bs.memory_bytes()
-        + list.memory_bytes();
+    let listing = match &out {
+        Output::Sizes(_) => 0,
+        Output::Edges { lists, edges, .. } => {
+            lists.memory_bytes() + edges.capacity() * std::mem::size_of::<EdgeId>()
+        }
+    };
+    stats.peak_memory_bytes = records.capacity() * std::mem::size_of::<Record>()
+        + by_start.memory_bytes()
+        + bins.memory_bytes()
+        + listing;
     stats
 }
 

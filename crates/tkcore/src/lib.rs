@@ -199,8 +199,9 @@
 //! * **views, not copies** — a query never copies a cached skyline: a
 //!   [`WindowView`] borrows the skylines a window reads and slices each
 //!   edge's run on demand (two binary searches per slice, merged by start
-//!   time), and [`enumerate`] buckets the window records it builds from
-//!   the view by a stable counting sort into flat CSR arrays.  Callers that
+//!   time), and [`enumerate`] keeps the window records it builds from
+//!   the view in flat arrays: one count per end time and a bitset of the
+//!   non-empty ones, so counts and samples never list an edge.  Callers that
 //!   want a skyline of their own ([`EdgeCoreSkyline::restrict`],
 //!   `EnumBase` on the engine) materialise a view into buffers from a
 //!   [`SkylineScratch`] pool.
@@ -311,6 +312,6 @@ pub use service::{
     RequestId, ServiceConfig, ServiceReply, ServiceStats, SubmitOptions, Ticket, WorkerStats,
 };
 pub use shard::{ShardPlan, ShardedEngine};
-pub use sink::{CollectingSink, CountingSink, FnSink, ResultSink, SamplingSink};
+pub use sink::{CollectingSink, CountingSink, FnSink, ResultSink, SamplingSink, SizeSink};
 pub use stats::{FrameworkStats, IngestDelta, ShardProfile};
 pub use vct::{CoreTimeSweep, VertexCoreTimeIndex};

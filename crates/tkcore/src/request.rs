@@ -30,7 +30,7 @@ use std::ops::RangeInclusive;
 use crate::error::TkError;
 use crate::query::{Algorithm, QueryStats, TimeRangeKCoreQuery};
 use crate::result::TemporalKCore;
-use crate::sink::{CollectingSink, CountingSink, ResultSink, SamplingSink};
+use crate::sink::{CollectingSink, CountingSink, ResultSink, SamplingSink, SizeSink};
 use temporal_graph::{EdgeId, TemporalGraph, TimeWindow, Timestamp};
 
 /// Which `k` values a request covers.
@@ -492,6 +492,14 @@ impl ResultSink for OutcomeSink {
             OutcomeSink::Count(counts) => counts.emit(tti, edges),
             OutcomeSink::Sample(sampled) => sampled.emit(tti, edges),
             OutcomeSink::Collect(cores) => cores.emit(tti, edges),
+        }
+    }
+
+    fn as_size_sink(&mut self) -> Option<&mut dyn SizeSink> {
+        match self {
+            OutcomeSink::Count(counts) => Some(counts),
+            OutcomeSink::Sample(sampled) => Some(sampled),
+            OutcomeSink::Collect(_) => None,
         }
     }
 }

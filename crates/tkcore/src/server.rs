@@ -107,6 +107,24 @@ impl ServerShared {
     }
 }
 
+/// One in-flight connection task: ends the connection when dropped, so a
+/// task that panics (and is caught by its [`ExecPool`]) still brings
+/// `active` back to zero and cannot hang the next drain.
+struct ConnectionGuard(Arc<ServerShared>);
+
+impl ConnectionGuard {
+    fn begin(shared: Arc<ServerShared>) -> Self {
+        shared.begin_connection();
+        Self(shared)
+    }
+}
+
+impl Drop for ConnectionGuard {
+    fn drop(&mut self) {
+        self.0.end_connection();
+    }
+}
+
 /// A TCP front end serving one [`CoreService`] on one listener.
 ///
 /// Bind with [`TkServer::bind`], then block in [`TkServer::serve`]; see the
@@ -181,12 +199,9 @@ impl TkServer {
                 break;
             }
             connections += 1;
-            let shared = Arc::clone(&self.shared);
-            shared.begin_connection();
-            self.pool.spawn(move |_worker| {
-                handle_connection(&shared, stream);
-                shared.end_connection();
-            });
+            let guard = ConnectionGuard::begin(Arc::clone(&self.shared));
+            self.pool
+                .spawn(move |_worker| handle_connection(&guard.0, stream));
         }
         let mut active = crate::sync::lock(&self.shared.active);
         while *active > 0 {
@@ -259,6 +274,8 @@ fn handle_connection(shared: &ServerShared, stream: TcpStream) {
             continue;
         }
         shared.requests.fetch_add(1, Ordering::Relaxed);
+        #[cfg(test)]
+        tests::panic_on_hook_line(line);
         let reply = match std::str::from_utf8(line) {
             Ok(line) => handle_line(shared, line),
             Err(_) => wire::render_error_code(None, "BadRequest", "request line is not UTF-8"),
@@ -308,5 +325,67 @@ fn handle_line(shared: &ServerShared, line: &str) -> String {
                 },
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::paper_example;
+    use crate::service::ServiceConfig;
+    use crate::shard::ShardPlan;
+    use std::sync::mpsc;
+
+    /// A request line that panics its connection task.
+    const PANIC_LINE: &[u8] = b"panic-this-connection";
+
+    /// The test-only hook in `handle_connection`.
+    pub(super) fn panic_on_hook_line(line: &[u8]) {
+        if line == PANIC_LINE {
+            panic!("connection task panicked by the test hook");
+        }
+    }
+
+    #[test]
+    fn a_panicking_connection_task_does_not_hang_the_drain() {
+        let service = Arc::new(
+            CoreService::start_sharded(
+                paper_example::graph(),
+                ShardPlan::Span,
+                ServiceConfig::default(),
+            )
+            .unwrap(),
+        );
+        let server =
+            Arc::new(TkServer::bind(service, "127.0.0.1:0", ServerConfig::default()).unwrap());
+        let (done, served) = mpsc::channel();
+        let acceptor = {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || done.send(server.serve()).unwrap())
+        };
+
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.write_all(&[PANIC_LINE, b"\n"].concat()).unwrap();
+        let mut reply = String::new();
+        let read = BufReader::new(&stream).read_line(&mut reply);
+        assert!(
+            matches!(read, Ok(0) | Err(_)),
+            "the panicked connection closes without a reply: {reply:?}"
+        );
+        // A second connection is still served after the panic.
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+        let mut reply = String::new();
+        BufReader::new(&stream).read_line(&mut reply).unwrap();
+        assert!(reply.contains("ping"), "{reply}");
+        drop(stream);
+
+        server.stop();
+        let summary = served
+            .recv_timeout(Duration::from_secs(10))
+            .expect("serve returns after stop() despite the panicked connection")
+            .unwrap();
+        assert_eq!(summary.connections, 2);
+        acceptor.join().unwrap();
     }
 }

@@ -7,11 +7,32 @@ use temporal_graph::{EdgeId, TimeWindow};
 /// callers can choose between materialising every core ([`CollectingSink`]),
 /// merely counting them ([`CountingSink`] — what the paper's experiments do,
 /// since `|R|` routinely exceeds memory), or any custom processing.
+///
+/// A sink that reads only each core's TTI and size says so through
+/// [`ResultSink::as_size_sink`]; [`crate::enumerate`] then hands it
+/// `(tti, size)` and never lists an edge for it.
 pub trait ResultSink {
     /// Called once per distinct temporal k-core, with its tightest time
     /// interval and the ids of its temporal edges (unsorted, possibly with
     /// an algorithm-specific order).
     fn emit(&mut self, tti: TimeWindow, edges: &[EdgeId]);
+
+    /// This sink as a [`SizeSink`] if it never reads edge ids, else `None`
+    /// (the default).  An enumerator that can produce sizes without edge
+    /// lists calls [`SizeSink::emit_size`] on it in place of
+    /// [`ResultSink::emit`]; every other algorithm keeps calling `emit`,
+    /// which a size-only sink must answer the same way.
+    fn as_size_sink(&mut self) -> Option<&mut dyn SizeSink> {
+        None
+    }
+}
+
+/// Receiver of each core's tightest time interval and size (its number of
+/// temporal edges), for sinks that never read edge ids.
+pub trait SizeSink {
+    /// Called once per distinct temporal k-core in place of
+    /// [`ResultSink::emit`].
+    fn emit_size(&mut self, tti: TimeWindow, size: u64);
 }
 
 /// Collects every result as an owned [`TemporalKCore`].
@@ -48,23 +69,34 @@ pub struct CountingSink {
     pub max_core_edges: u64,
 }
 
-impl ResultSink for CountingSink {
-    fn emit(&mut self, _tti: TimeWindow, edges: &[EdgeId]) {
+impl SizeSink for CountingSink {
+    fn emit_size(&mut self, _tti: TimeWindow, size: u64) {
         self.num_cores += 1;
-        self.total_edges += edges.len() as u64;
-        self.max_core_edges = self.max_core_edges.max(edges.len() as u64);
+        self.total_edges += size;
+        self.max_core_edges = self.max_core_edges.max(size);
     }
 }
 
-/// Counts every result like [`CountingSink`] and keeps the `(tti, edges)`
+impl ResultSink for CountingSink {
+    fn emit(&mut self, tti: TimeWindow, edges: &[EdgeId]) {
+        self.emit_size(tti, edges.len() as u64);
+    }
+
+    fn as_size_sink(&mut self) -> Option<&mut dyn SizeSink> {
+        Some(self)
+    }
+}
+
+/// Counts every result like [`CountingSink`] and keeps the `(tti, size)`
 /// of the `cap` cores with the smallest TTIs, in ascending TTI order.
 ///
 /// Within one `k` every core has its own TTI, so TTI order is the canonical
 /// `(TTI, edge set)` order of [`CollectingSink::into_sorted`]: the sample
 /// equals the first `cap` materialised cores, whatever order the algorithm
-/// emits in, and no edge list is ever copied.  Once the sample is full, a
-/// core whose TTI is not smaller than the largest kept one costs one
-/// comparison (always the case for the ascending order of
+/// emits in.  The sink is size-only ([`ResultSink::as_size_sink`]), so
+/// [`crate::enumerate`] builds no edge list for it at all.  Once the sample
+/// is full, a core whose TTI is not smaller than the largest kept one costs
+/// one comparison (always the case for the ascending order of
 /// [`crate::enumerate`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SamplingSink {
@@ -83,15 +115,15 @@ impl SamplingSink {
     }
 
     /// Consumes the sink into its counts over every emitted core and its
-    /// kept `(tti, edges)` pairs, in ascending TTI order.
+    /// kept `(tti, size)` pairs, in ascending TTI order.
     pub fn into_parts(self) -> (CountingSink, Vec<(TimeWindow, u64)>) {
         (self.counts, self.sample)
     }
 }
 
-impl ResultSink for SamplingSink {
-    fn emit(&mut self, tti: TimeWindow, edges: &[EdgeId]) {
-        self.counts.emit(tti, edges);
+impl SizeSink for SamplingSink {
+    fn emit_size(&mut self, tti: TimeWindow, size: u64) {
+        self.counts.emit_size(tti, size);
         let full = self.sample.len() == self.cap;
         if full && self.sample.last().is_none_or(|&(last, _)| tti >= last) {
             return;
@@ -100,7 +132,17 @@ impl ResultSink for SamplingSink {
             self.sample.pop();
         }
         let at = self.sample.partition_point(|&(kept, _)| kept < tti);
-        self.sample.insert(at, (tti, edges.len() as u64));
+        self.sample.insert(at, (tti, size));
+    }
+}
+
+impl ResultSink for SamplingSink {
+    fn emit(&mut self, tti: TimeWindow, edges: &[EdgeId]) {
+        self.emit_size(tti, edges.len() as u64);
+    }
+
+    fn as_size_sink(&mut self) -> Option<&mut dyn SizeSink> {
+        Some(self)
     }
 }
 

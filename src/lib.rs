@@ -120,8 +120,8 @@ pub mod prelude {
         IngestEvent, IngestLaneStats, IngestReply, IngestTicket, KOutcome, KOutput, KSelection,
         Lane, LaneStats, LatencyHistogram, OutputMode, QueryRequest, QueryResponse, QueryStats,
         RequestId, ResultSink, SamplingSink, SealPolicy, ServeSummary, ServerConfig, ServiceConfig,
-        ServiceReply, ServiceStats, ShardCacheStats, ShardPlan, ShardedEngine, SubmitOptions,
-        TemporalKCore, Ticket, TimeRangeKCoreQuery, TkError, TkServer, ValidatedRequest,
-        VertexCoreTimeIndex, WarmStats, WindowView, WorkerStats,
+        ServiceReply, ServiceStats, ShardCacheStats, ShardPlan, ShardedEngine, SizeSink,
+        SubmitOptions, TemporalKCore, Ticket, TimeRangeKCoreQuery, TkError, TkServer,
+        ValidatedRequest, VertexCoreTimeIndex, WarmStats, WindowView, WorkerStats,
     };
 }

@@ -229,3 +229,98 @@ proptest! {
         prop_assert!(edge_ids.iter().all(|&e| (e as usize) < g.num_edges()));
     }
 }
+
+/// Strategy: a random graph over 10 vertices whose raw timestamps run
+/// `1..=tmax` with `tmax` in `150..=300` (an edge at `tmax` pins it), so its
+/// windows are wider than one 64-bit word of `Enum`'s end-time bitset.  Its
+/// 150 to 250 edges give 4-cores in windows of 64 timestamps while keeping
+/// the whole span's result small enough for the baselines.
+fn arb_wide_graph() -> impl Strategy<Value = temporal_kcore::temporal_graph::TemporalGraph> {
+    (
+        150u32..=300,
+        prop::collection::vec((0u64..10, 0u64..10, 0u32..1_000), 150..250),
+    )
+        .prop_map(|(tmax, raw)| {
+            let mut events: Vec<(u64, u64, u32)> = raw
+                .into_iter()
+                .filter(|&(u, v, _)| u != v)
+                .map(|(u, v, t)| (u, v, 1 + t % tmax))
+                .collect();
+            events.push((0, 1, tmax));
+            common::raw_graph(&events)
+        })
+}
+
+/// Widths around the bitset's word boundaries, placed anywhere in the span.
+const WIDE_WINDOW_WIDTHS: [u32; 5] = [63, 64, 65, 128, 129];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// On windows of 63 to 129 timestamps and the whole span, `Enum`'s
+    /// cores equal `EnumBase`'s and `OTCD`'s, and one request's `Count`,
+    /// `Sample(cap)` and `Materialize` outcomes agree through a sharded
+    /// engine: the same counts, and the sample is the first `cap`
+    /// materialised cores with their sizes.
+    #[test]
+    fn enum_agrees_on_windows_wider_than_one_bitset_word(
+        g in arb_wide_graph(),
+        offsets in prop::collection::vec(0u32..1_000, 5),
+        cap in 0usize..40,
+    ) {
+        let mut windows: Vec<TimeWindow> = WIDE_WINDOW_WIDTHS
+            .iter()
+            .zip(&offsets)
+            .map(|(&width, &offset)| {
+                let start = 1 + offset % (g.tmax() - width + 1);
+                TimeWindow::new(start, start + width - 1)
+            })
+            .collect();
+        windows.push(g.span());
+        let engine = ShardedEngine::new(g.clone(), ShardPlan::FixedCount(3)).expect("3 shards");
+        for window in windows {
+            for k in 2..=4 {
+                let query = TimeRangeKCoreQuery::new(k, window).expect("k >= 2");
+                let cores_of = |algorithm| {
+                    let mut sink = CollectingSink::default();
+                    query.run_with(&g, algorithm, &mut sink);
+                    sink.into_sorted()
+                };
+                let expected = cores_of(Algorithm::Enum);
+                prop_assert_eq!(&cores_of(Algorithm::EnumBase), &expected, "k={} {}", k, window);
+                prop_assert_eq!(&cores_of(Algorithm::Otcd), &expected, "k={} {}", k, window);
+
+                let run = |request: QueryRequest| {
+                    engine
+                        .execute(request, Algorithm::Enum)
+                        .expect("in-span request")
+                        .outcomes
+                        .remove(0)
+                };
+                let request = || QueryRequest::single(k, window.start(), window.end());
+                let KOutput::Cores(materialized) = run(request().materialize()).output else {
+                    panic!("materialized request");
+                };
+                prop_assert_eq!(&materialized, &expected, "k={} {}", k, window);
+                let KOutput::Counts(counts) = run(request().count()).output else {
+                    panic!("count request");
+                };
+                let sampled = run(request().sample(cap));
+                let KOutput::Counts(sample_counts) = sampled.output else {
+                    panic!("sample request");
+                };
+                prop_assert_eq!(counts, sample_counts, "k={} {}", k, window);
+                prop_assert_eq!(counts.num_cores, expected.len() as u64);
+                let sizes = expected.iter().map(|core| core.num_edges() as u64);
+                prop_assert_eq!(counts.total_edges, sizes.clone().sum::<u64>());
+                prop_assert_eq!(counts.max_core_edges, sizes.max().unwrap_or(0));
+                let first: Vec<(TimeWindow, u64)> = expected
+                    .iter()
+                    .take(cap)
+                    .map(|core| (core.tti, core.num_edges() as u64))
+                    .collect();
+                prop_assert_eq!(sampled.sample, Some(first), "k={} {} cap={}", k, window, cap);
+            }
+        }
+    }
+}
