@@ -21,7 +21,8 @@ use std::sync::Arc;
 use tkc_datasets::{ArrivalProfile, DatasetProfile, DatasetStats, EventStream, EventStreamConfig};
 use tkcore::{
     Algorithm, CacheStats, CoreService, IngestDelta, IngestEvent, KOutput, Lane, QueryRequest,
-    SealPolicy, ServerConfig, ServiceConfig, ShardPlan, TimeRangeKCoreQuery, TkError, TkServer,
+    SealPolicy, ServerConfig, ServiceConfig, ShardPlan, SubmitOptions, TimeRangeKCoreQuery,
+    TkError, TkServer,
 };
 
 /// Errors reported to the CLI user.
@@ -72,8 +73,9 @@ USAGE:
       time-interval shards (one index per touched shard and k, exact
       stitching at shard cuts via the cached boundary index); the default
       `--shards 0` keeps one span-wide shard, the unsharded engine.
-      The request runs through a CoreService backed by a persistent
-      W-thread pool (`--workers W`; the default 0 is one worker per CPU).
+      The request runs on the calling thread in one of a CoreService's W
+      slots (`--workers W`; the default 0 is one per CPU), its k values one
+      after another; cold index builds fan out into the spare slots.
       `--output count` reports counts only; `--output full` (default)
       prints each core's tightest time interval, vertex count and edge
       count.
@@ -1200,8 +1202,8 @@ pub fn run(command: Command) -> Result<String, CliError> {
             drop(service);
             let _ = writeln!(
                 out,
-                "drained after {} connections, {} request lines",
-                summary.connections, summary.requests
+                "drained after {} connections, {} request lines, {} panicked",
+                summary.connections, summary.requests, summary.panicked
             );
             for lane in [Lane::Interactive, Lane::Batch] {
                 let counters = stats.lane(lane);
@@ -1326,7 +1328,8 @@ pub fn run(command: Command) -> Result<String, CliError> {
                 ..ServiceConfig::default()
             };
             let service = CoreService::start_sharded(graph, shard_plan(shards), config)?;
-            let reply = service.submit_with(request, algorithm)?.wait()?;
+            let opts = SubmitOptions::default().with_algorithm(algorithm);
+            let reply = service.call(request, opts)?;
             let graph = service.engine().graph();
             let cache = service.cache_stats();
             service.shutdown();

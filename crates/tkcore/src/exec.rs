@@ -1,23 +1,36 @@
-//! A persistent thread pool over one shared FIFO: [`ExecPool`].
+//! A persistent thread pool over one shared FIFO and a fixed number of
+//! execution slots: [`ExecPool`].
 //!
 //! One pool serves both the engines' batches and the serving layer:
 //!
-//! * **one queue** — [`ExecPool::spawn`] appends a task to a single FIFO
-//!   that every worker pops from, so tasks start in submission order on
-//!   whichever worker frees up first.  Priority between request classes is
-//!   the service's business ([`crate::CoreService`] keeps its own
-//!   two-priority queue and spawns one pool task per job);
+//! * **slots, not threads** — a pool of `workers` threads owns `workers`
+//!   slots, and every piece of work holds one while it runs.  A pool task
+//!   holds the slot its worker took for it; a caller outside the pool may
+//!   claim a spare slot (`ExecPool::try_claim`) and run its own work in it
+//!   (a service request executing on its connection thread).  So pool tasks
+//!   and claiming callers together never run more than `workers` pieces of
+//!   work at once;
+//! * **one queue** — [`ExecPool::spawn`] appends a task to a single FIFO;
+//!   a worker pops the oldest task when a slot is free, so tasks start in
+//!   submission order.  A slot a queued task is waiting for is not spare: a
+//!   claiming caller never overtakes the queue.  Priority between request
+//!   classes is the service's business ([`crate::CoreService`] keeps its
+//!   own two-priority queue and spawns one pool task per queued job);
 //! * **nested batches** — [`ExecPool::run_batch`] fans an indexed closure
 //!   across the pool with the *calling thread participating*: the caller
-//!   claims indexes from the same atomic counter as the helper tasks, so a
-//!   batch submitted from inside a pool task (a service request fanning a
-//!   `k`-sweep across the same pool) always completes even if every worker
-//!   is busy — no thread ever waits on work only other threads can do;
+//!   claims indexes from the same atomic counter as the helper tasks, and
+//!   helpers are spawned only into spare slots (none at all for a
+//!   one-index batch, or when every slot is busy — the caller then runs the
+//!   whole batch itself).  A batch submitted from inside a pool task (a
+//!   service request fanning a `k`-sweep across the same pool) therefore
+//!   always completes, and no thread ever waits on work only other threads
+//!   can do;
 //! * **panic isolation** — a panicking task never kills its worker thread:
-//!   the worker catches the unwind and keeps serving the queue, and
-//!   `run_batch` re-raises the first payload on the calling thread.
+//!   the worker catches the unwind, frees the slot and keeps serving the
+//!   queue, and `run_batch` re-raises the first payload on the calling
+//!   thread.
 //!
-//! The queue is a `VecDeque` behind one pool mutex.  Tasks are whole
+//! The queue and the free slots sit behind one pool mutex.  Tasks are whole
 //! temporal k-core queries or index builds (microseconds to seconds), so
 //! the scheduler lock is never the bottleneck.
 
@@ -29,18 +42,39 @@ use std::thread::JoinHandle;
 
 use crate::sync;
 
-/// One unit of work; receives the index of the worker executing it.
+/// One unit of work; receives the index of the slot it runs in.
 type Task = Box<dyn FnOnce(usize) + Send + 'static>;
 
 struct PoolState {
     /// The one FIFO every worker pops from.
     queue: VecDeque<Task>,
+    /// Indexes of the slots no running task and no caller holds.
+    free: Vec<usize>,
     /// `false` once the pool is shutting down; queued tasks still drain.
     open: bool,
 }
 
+impl PoolState {
+    /// Free slots no queued task is waiting for.
+    fn spare(&self) -> usize {
+        self.free.len().saturating_sub(self.queue.len())
+    }
+
+    /// Pops the oldest queued task together with a free slot to run it in,
+    /// if there are both.
+    fn take(&mut self) -> Option<(Task, usize)> {
+        if self.free.is_empty() {
+            return None;
+        }
+        let task = self.queue.pop_front()?;
+        let slot = self.free.pop()?;
+        Some((task, slot))
+    }
+}
+
 struct PoolShared {
     state: Mutex<PoolState>,
+    /// Signalled when a task is queued or a claimed slot is returned.
     work_ready: Condvar,
 }
 
@@ -52,11 +86,12 @@ impl PoolShared {
     }
 }
 
-/// A persistent pool of named OS threads over one shared FIFO.
+/// A persistent pool of named OS threads over one shared FIFO, running at
+/// most `workers` pieces of work at once.
 ///
-/// See the [module documentation](self) for the scheduling policy.  Workers
-/// live until the pool is dropped; dropping signals shutdown, drains every
-/// queued task and joins the threads.
+/// See the [module documentation](self) for the slot and scheduling policy.
+/// Workers live until the pool is dropped; dropping signals shutdown, drains
+/// every queued task and joins the threads.
 ///
 /// # Example
 ///
@@ -73,13 +108,45 @@ pub struct ExecPool {
     workers: usize,
 }
 
+/// A pool slot held by a caller (see `ExecPool::try_claim`); dropping it
+/// returns the slot to the pool.
+#[must_use = "the slot is returned as soon as the claim is dropped"]
+pub(crate) struct SlotClaim<'a> {
+    pool: &'a ExecPool,
+    index: usize,
+}
+
+impl SlotClaim<'_> {
+    /// The claimed slot's index, below [`ExecPool::num_workers`]; pool tasks
+    /// receive their slot's index the same way.
+    pub(crate) fn index(&self) -> usize {
+        self.index
+    }
+}
+
+impl Drop for SlotClaim<'_> {
+    fn drop(&mut self) {
+        let mut state = self.pool.shared.lock();
+        state.free.push(self.index);
+        let waiting = !state.queue.is_empty();
+        drop(state);
+        if waiting {
+            // A task queued while this caller held the slot can run now.
+            self.pool.shared.work_ready.notify_one();
+        }
+    }
+}
+
 impl ExecPool {
-    /// Spawns a pool of `workers` threads (clamped to at least 1).
+    /// Spawns a pool of `workers` threads and as many slots (clamped to at
+    /// least 1).
     pub fn new(workers: usize) -> Arc<Self> {
         let workers = workers.max(1);
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
                 queue: VecDeque::new(),
+                // Popped from the back, so slot 0 is handed out first.
+                free: (0..workers).rev().collect(),
                 open: true,
             }),
             work_ready: Condvar::new(),
@@ -89,7 +156,7 @@ impl ExecPool {
                 let worker_shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("tkcore-exec-{worker}"))
-                    .spawn(move || worker_loop(&worker_shared, worker))
+                    .spawn(move || worker_loop(&worker_shared))
                     // tkc-lint: allow(no-panic-api) — failing to spawn pool workers at startup is unrecoverable; no queries are in flight yet
                     .expect("spawn exec pool worker")
             })
@@ -101,12 +168,14 @@ impl ExecPool {
         })
     }
 
-    /// Number of worker threads in the pool.
+    /// Number of slots in the pool (and of worker threads).
     pub fn num_workers(&self) -> usize {
         self.workers
     }
 
-    /// Appends a task to the pool's queue; the first idle worker runs it.
+    /// Appends a task to the pool's queue; a worker runs it, in the order
+    /// of submission, once a slot is free.  The task receives the index of
+    /// its slot.
     pub fn spawn(&self, task: impl FnOnce(usize) + Send + 'static) {
         let mut state = self.shared.lock();
         state.queue.push_back(Box::new(task));
@@ -114,18 +183,38 @@ impl ExecPool {
         self.shared.work_ready.notify_one();
     }
 
-    /// Runs `run(i)` for every `i < len` across the pool **and the calling
-    /// thread**, returning the results in index order.
+    /// Claims a spare slot for the calling thread, or `None` when every
+    /// slot is held or wanted by a queued task.  While the claim lives, the
+    /// pool runs one task fewer at a time.
+    pub(crate) fn try_claim(&self) -> Option<SlotClaim<'_>> {
+        let mut state = self.shared.lock();
+        if state.spare() == 0 {
+            return None;
+        }
+        let index = state.free.pop()?;
+        Some(SlotClaim { pool: self, index })
+    }
+
+    /// Number of free slots no queued task is waiting for: how many helpers
+    /// a batch can start now.
+    fn spare_slots(&self) -> usize {
+        self.shared.lock().spare()
+    }
+
+    /// Runs `run(i)` for every `i < len` across the pool's spare slots
+    /// **and the calling thread**, returning the results in index order.
     ///
     /// The caller claims indexes from the same shared counter as the helper
-    /// tasks, so the batch completes even when every pool worker is busy —
-    /// which makes nested batches (a pool task fanning out a sub-batch on
-    /// the same pool) deadlock-free by construction.
+    /// tasks, so the batch completes even when every slot is busy — which
+    /// makes nested batches (a pool task fanning out a sub-batch on the
+    /// same pool) deadlock-free by construction.  With no spare slot, or a
+    /// single index, the caller runs the whole batch itself.
     ///
     /// # Panics
     /// Re-raises the first panic any task produced, after every in-flight
     /// task of the batch has finished (worker threads survive; see the
-    /// module docs).
+    /// module docs).  A batch the caller runs alone stops at its first
+    /// panicking index.
     pub fn run_batch<R, F>(&self, len: usize, run: F) -> Vec<R>
     where
         R: Send + 'static,
@@ -160,18 +249,24 @@ impl Drop for ExecPool {
     }
 }
 
-fn worker_loop(shared: &PoolShared, worker: usize) {
+fn worker_loop(shared: &PoolShared) {
+    let mut held = None;
     loop {
-        let task = {
+        let (task, slot) = {
             let mut state = shared.lock();
+            // The slot of the task this worker just ran goes back first, so
+            // a queued task it was the last obstacle for runs next, here.
+            if let Some(slot) = held.take() {
+                state.free.push(slot);
+            }
             loop {
-                if let Some(task) = state.queue.pop_front() {
-                    break task;
+                if let Some(claimed) = state.take() {
+                    break claimed;
                 }
-                if !state.open {
+                if !state.open && state.queue.is_empty() {
                     return; // closed and fully drained
                 }
-                // tkc-lint: allow(no-blocking-in-worker) — the idle wait IS the scheduler loop: it blocks only when no work is queued, and close() wakes every sleeper
+                // tkc-lint: allow(no-blocking-in-worker) — the idle wait IS the scheduler loop: it blocks only when no work is queued or every slot is held, and close() or a returned slot wakes it
                 state = sync::wait(&shared.work_ready, state);
             }
         };
@@ -179,7 +274,8 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
         // by one thread for good.  The payload is dropped here; batch
         // tasks re-raise on the calling thread, service tasks convert the
         // panic to a typed error before it reaches this frame.
-        let _ = catch_unwind(AssertUnwindSafe(|| task(worker)));
+        let _ = catch_unwind(AssertUnwindSafe(|| task(slot)));
+        held = Some(slot);
     }
 }
 
@@ -191,17 +287,24 @@ struct BatchState<R> {
     done: Condvar,
 }
 
-/// Executes an indexed batch, optionally with pool helpers; the calling
-/// thread always participates.  Factored out so `pool = None` gives the
-/// inline single-threaded path with identical semantics.
+/// Executes an indexed batch, with pool helpers in the spare slots of
+/// `pool` if there are any; the calling thread always participates, and
+/// runs the batch alone — straight through, with no shared state — when no
+/// helper can start (`pool = None`, a single index, or no spare slot).
 pub(crate) fn run_batch_inner<R, F>(pool: Option<&ExecPool>, len: usize, run: F) -> Vec<R>
 where
     R: Send + 'static,
     F: Fn(usize) -> R + Send + Sync + 'static,
 {
-    if len == 0 {
-        return Vec::new();
-    }
+    // The caller claims at least one index itself, so at most len - 1
+    // helpers can ever find work.
+    let helpers = match pool {
+        Some(pool) if len > 1 => pool.spare_slots().min(len - 1),
+        _ => 0,
+    };
+    let Some(pool) = pool.filter(|_| helpers > 0) else {
+        return (0..len).map(run).collect();
+    };
     let batch = Arc::new(BatchState {
         next: AtomicUsize::new(0),
         results: Mutex::new((0..len).map(|_| None).collect()),
@@ -209,15 +312,10 @@ where
         done: Condvar::new(),
     });
     let run = Arc::new(run);
-    if let Some(pool) = pool {
-        // The caller claims at least one index itself, so at most len - 1
-        // helpers can ever find work.
-        let helpers = pool.num_workers().min(len.saturating_sub(1));
-        for _ in 0..helpers {
-            let helper_batch = Arc::clone(&batch);
-            let helper_run = Arc::clone(&run);
-            pool.spawn(move |_worker| drain_batch(&helper_batch, helper_run.as_ref(), len));
-        }
+    for _ in 0..helpers {
+        let helper_batch = Arc::clone(&batch);
+        let helper_run = Arc::clone(&run);
+        pool.spawn(move |_slot| drain_batch(&helper_batch, helper_run.as_ref(), len));
     }
     drain_batch(&batch, run.as_ref(), len);
     let mut remaining = sync::lock(&batch.remaining);
@@ -365,5 +463,120 @@ mod tests {
         done_rx
             .recv_timeout(Duration::from_secs(10))
             .expect("the task survives dropping the pool it runs on");
+    }
+
+    #[test]
+    fn claims_and_pool_tasks_share_the_slots() {
+        let pool = ExecPool::new(2);
+        let claim = pool.try_claim().expect("an idle slot");
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        pool.spawn(move |slot| {
+            started_tx.send(slot).unwrap();
+            release_rx.recv().unwrap();
+        });
+        let task_slot = started_rx.recv().unwrap();
+        assert_ne!(task_slot, claim.index(), "distinct slots");
+        // Both slots are held: no claim, no helper — a batch runs on the
+        // calling thread alone.
+        assert!(pool.try_claim().is_none());
+        let caller = std::thread::current().id();
+        let threads = pool.run_batch(4, |_| std::thread::current().id());
+        assert!(threads.iter().all(|&thread| thread == caller));
+        assert!(pool.shared.lock().queue.is_empty(), "no helper was queued");
+        // A task spawned now waits for a slot; returning the claim gives it
+        // one, and the queued task's slot is not spare in the meantime.
+        let (ran_tx, ran_rx) = std::sync::mpsc::channel();
+        pool.spawn(move |slot| ran_tx.send(slot).unwrap());
+        assert!(ran_rx.try_recv().is_err(), "no slot for the task yet");
+        drop(claim);
+        let slot = ran_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the returned slot runs the task");
+        assert_ne!(slot, task_slot);
+        release_tx.send(()).unwrap();
+    }
+
+    /// The threads currently doing slot-held work (a thread nests when a
+    /// pool task or a claimant runs its own batch indexes), and the most
+    /// ever seen at once.
+    #[derive(Default)]
+    struct SlotTracker {
+        depth: Mutex<std::collections::HashMap<std::thread::ThreadId, usize>>,
+        peak: AtomicUsize,
+    }
+
+    impl SlotTracker {
+        fn enter(self: &Arc<Self>) -> TrackerGuard {
+            let mut depth = self.depth.lock().unwrap();
+            *depth.entry(std::thread::current().id()).or_default() += 1;
+            self.peak.fetch_max(depth.len(), Ordering::SeqCst);
+            TrackerGuard(Arc::clone(self))
+        }
+    }
+
+    struct TrackerGuard(Arc<SlotTracker>);
+
+    impl Drop for TrackerGuard {
+        fn drop(&mut self) {
+            let mut depth = self.0.depth.lock().unwrap();
+            let thread = std::thread::current().id();
+            let left = depth.get_mut(&thread).map_or(0, |d| {
+                *d -= 1;
+                *d
+            });
+            if left == 0 {
+                depth.remove(&thread);
+            }
+        }
+    }
+
+    /// A few microseconds of work inside one tracked batch index.
+    fn tracked_unit(tracker: &Arc<SlotTracker>, i: usize) -> u64 {
+        let _inside = tracker.enter();
+        std::hint::black_box((0..2_000u64).map(|x| x ^ i as u64).sum())
+    }
+
+    #[test]
+    fn pool_tasks_helpers_and_claims_never_exceed_the_slots() {
+        let pool = ExecPool::new(2);
+        let tracker = Arc::new(SlotTracker::default());
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        for _ in 0..8 {
+            let task_pool = Arc::clone(&pool);
+            let task_tracker = Arc::clone(&tracker);
+            let task_done = done_tx.clone();
+            pool.spawn(move |_| {
+                let inside = task_tracker.enter();
+                let unit_tracker = Arc::clone(&task_tracker);
+                task_pool.run_batch(3, move |i| tracked_unit(&unit_tracker, i));
+                drop(inside);
+                task_done.send(()).unwrap();
+            });
+        }
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for _ in 0..50 {
+                        let Some(claim) = pool.try_claim() else {
+                            std::thread::yield_now();
+                            continue;
+                        };
+                        let inside = tracker.enter();
+                        let unit_tracker = Arc::clone(&tracker);
+                        pool.run_batch(3, move |i| tracked_unit(&unit_tracker, i));
+                        drop(inside);
+                        drop(claim);
+                    }
+                });
+            }
+        });
+        for _ in 0..8 {
+            done_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("task done");
+        }
+        let peak = tracker.peak.load(Ordering::SeqCst);
+        assert!((1..=2).contains(&peak), "{peak} threads held slots at once");
     }
 }

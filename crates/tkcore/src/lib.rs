@@ -22,33 +22,41 @@
 //!   an [`Algorithm`] (`Enum`, `EnumBase`, `Otcd`, `Naive`) — the reference
 //!   the engine is tested against;
 //! * [`CoreService`] — a thread-backed serving front end with a bounded
-//!   request queue, [`ServiceConfig::workers`] worker threads, admission
+//!   request queue, [`ServiceConfig::workers`] execution slots, admission
 //!   control ([`TkError::BudgetExceeded`]), and per-request [`RequestId`] +
 //!   latency accounting.
 //!
 //! # Execution model
 //!
 //! All parallelism runs on one primitive: [`exec::ExecPool`], a
-//! **persistent pool** of named OS threads over one shared FIFO.  Nothing
-//! in the crate spawns transient per-call threads:
+//! **persistent pool** of named OS threads over one shared FIFO, with one
+//! execution **slot** per thread.  Pool tasks and callers that claim a
+//! slot share those slots, so they never run more pieces of work at once
+//! than the pool has threads.  Nothing in the crate spawns transient
+//! per-call threads:
 //!
 //! * [`ShardedEngine::execute_batch`] fans every `(request, k)` unit of a
-//!   batch across the engine's pool — created lazily on the first
-//!   multi-threaded batch ([`EngineConfig::num_threads`]), or adopted from
-//!   a [`CoreService`]; the calling thread counts as one of them and
-//!   participates in every batch, so nested fan-out never deadlocks;
-//! * [`CoreService`] owns a pool of [`ServiceConfig::workers`] threads and
-//!   keeps **one two-priority queue** of admitted requests; each admission
-//!   spawns one pool task, which runs the oldest waiting interactive
-//!   request, else the oldest batch one, on whichever worker is free.  The
-//!   skyline cache (shard skylines and stitch entries alike) is
-//!   engine-wide, so every worker is an equally good home for every request.  An engine created
-//!   by [`CoreService::start_sharded`] (or adopted by
-//!   [`CoreService::over_sharded`]) shares the service's pool, so a
-//!   multi-`k` sweep fans out on the same threads that serve requests;
-//! * a panicking request (e.g. a panicking streaming sink) is caught on
-//!   the worker: the ticket resolves to [`TkError::WorkerPanicked`], the
-//!   thread survives, and [`ServiceStats`] — including the per-worker
+//!   batch across the spare slots of the engine's pool — created lazily on
+//!   the first multi-threaded batch ([`EngineConfig::num_threads`]), or
+//!   adopted from a [`CoreService`]; the calling thread counts as one of
+//!   them and participates in every batch (alone when no slot is spare),
+//!   so nested fan-out never deadlocks;
+//! * [`CoreService`] owns a pool of [`ServiceConfig::workers`] slots and
+//!   keeps **one two-priority queue** of admitted requests.
+//!   [`CoreService::call`] runs a request on the calling thread when no
+//!   request waits and a slot is spare — its `k` units stay on that
+//!   thread — and queues it otherwise.  Each queued request spawns one
+//!   pool task, which runs the oldest waiting interactive request, else
+//!   the oldest batch one, on whichever worker gets a slot.  The skyline
+//!   cache (shard skylines and stitch entries alike) is engine-wide, so
+//!   every slot is an equally good home for every request.  An engine
+//!   created by [`CoreService::start_sharded`] (or adopted by
+//!   [`CoreService::over_sharded`]) shares the service's pool, so a queued
+//!   multi-`k` sweep and a cold build fan out into the same slots that
+//!   serve requests;
+//! * a panicking request (e.g. a panicking streaming sink) is caught where
+//!   it runs: the reply is [`TkError::WorkerPanicked`], the thread and its
+//!   slot survive, and [`ServiceStats`] — including the per-slot
 //!   [`LatencyHistogram`]s — stays intact;
 //! * boundary-spanning queries reuse a small LRU-cached
 //!   **boundary-stitch index** (the cut-crossing minimal core windows per
@@ -117,8 +125,9 @@
 //! [`server::TkServer`] puts a std-only TCP front end on the service: a
 //! line-delimited JSON protocol (one request per line, one reply line per
 //! request; see [`wire`] for the field-level spec) decoded into the same
-//! [`QueryRequest`] surface and submitted through
-//! [`CoreService::submit_opts`].  Three serving policies compose on top of
+//! [`QueryRequest`] surface and run through [`CoreService::call`] (on the
+//! connection's own thread when no request waits and a service slot is
+//! spare, else queued).  Three serving policies compose on top of
 //! the existing queue-depth and memory admission gates:
 //!
 //! * **priority lanes** — every request queues in a [`Lane`]

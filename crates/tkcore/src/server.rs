@@ -6,7 +6,7 @@
 //!
 //! * **deadline-aware admission** — each query line may carry
 //!   `"deadline_ms"` and a `"lane"`; both are handed to
-//!   [`CoreService::submit_opts`], so expired requests are refused at
+//!   [`CoreService::call`], so expired requests are refused at
 //!   admission, queued requests that outlive their deadline are shed with
 //!   [`TkError::DeadlineExceeded`], and interactive traffic dequeues ahead
 //!   of batch traffic.  A shed or refused request is an **error reply**,
@@ -16,10 +16,16 @@
 //!   closes, so a connection's line buffer never grows past that bound;
 //! * **bounded concurrency** — connections are handled by a dedicated
 //!   [`ExecPool`] of [`ServerConfig::connection_workers`] tasks, disjoint
-//!   from the service's worker pool.  A connection task blocks on its
-//!   ticket while the service pool computes, so at most
-//!   `connection_workers` connections are served concurrently and the
-//!   pending ones queue in the listener backlog;
+//!   from the service's worker pool, so at most `connection_workers`
+//!   connections are served concurrently and the pending ones queue in the
+//!   listener backlog.  A connection task hands each query to
+//!   [`CoreService::call`]: it executes the query itself in a spare
+//!   service slot when no request waits, and otherwise blocks on the
+//!   queued request's ticket while a service worker computes.  Either way
+//!   at most [`crate::ServiceConfig::workers`] queries execute at once;
+//! * **a reply to every line** — a panic while handling one line is caught
+//!   on the connection task: the client gets an `Internal` error reply,
+//!   the connection stays open, and [`ServeSummary::panicked`] counts it;
 //! * **graceful drain** — a `{"op": "shutdown"}` line (or
 //!   [`TkServer::stop`]) makes the acceptor stop taking connections;
 //!   [`TkServer::serve`] then waits for every in-flight connection task to
@@ -37,6 +43,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -77,6 +84,9 @@ pub struct ServeSummary {
     /// Request lines handled across all connections (including malformed
     /// ones, which replied `BadRequest`).
     pub requests: u64,
+    /// Request lines whose handling panicked; each replied with an
+    /// `Internal` error and its connection stayed open.
+    pub panicked: u64,
 }
 
 /// Connection bookkeeping shared between the acceptor and the handlers.
@@ -91,6 +101,7 @@ struct ServerShared {
     active: Mutex<usize>,
     idle: Condvar,
     requests: AtomicU64,
+    panicked: AtomicU64,
 }
 
 impl ServerShared {
@@ -156,6 +167,7 @@ impl TkServer {
             active: Mutex::new(0),
             idle: Condvar::new(),
             requests: AtomicU64::new(0),
+            panicked: AtomicU64::new(0),
         });
         Ok(Self {
             listener,
@@ -211,6 +223,7 @@ impl TkServer {
         Ok(ServeSummary {
             connections,
             requests: self.shared.requests.load(Ordering::Relaxed),
+            panicked: self.shared.panicked.load(Ordering::Relaxed),
         })
     }
 }
@@ -274,12 +287,18 @@ fn handle_connection(shared: &ServerShared, stream: TcpStream) {
             continue;
         }
         shared.requests.fetch_add(1, Ordering::Relaxed);
-        #[cfg(test)]
-        tests::panic_on_hook_line(line);
-        let reply = match std::str::from_utf8(line) {
-            Ok(line) => handle_line(shared, line),
-            Err(_) => wire::render_error_code(None, "BadRequest", "request line is not UTF-8"),
-        };
+        let handled = catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(test)]
+            tests::panic_on_hook_line(line);
+            match std::str::from_utf8(line) {
+                Ok(line) => handle_line(shared, line),
+                Err(_) => wire::render_error_code(None, "BadRequest", "request line is not UTF-8"),
+            }
+        }));
+        let reply = handled.unwrap_or_else(|_| {
+            shared.panicked.fetch_add(1, Ordering::Relaxed);
+            wire::render_error_code(None, "Internal", "the server panicked handling this line")
+        });
         if write_reply(reader.get_ref(), reply).is_err() {
             return;
         }
@@ -316,13 +335,9 @@ fn handle_line(shared: &ServerShared, line: &str) -> String {
                 lane: query.lane,
                 deadline: query.deadline,
             };
-            match shared.service.submit_opts(query.request, opts) {
+            match shared.service.call(query.request, opts) {
+                Ok(reply) => wire::render_reply(query.client_id, &reply, &shared.config.wire),
                 Err(err) => wire::render_error(query.client_id, &err),
-                // tkc-lint: allow(no-blocking-in-worker) — connection tasks run on the server's dedicated pool and wait on tickets executed by the service's disjoint worker pool; no service job ever runs on the connection pool, so this wait cannot starve the workers it waits on
-                Ok(ticket) => match ticket.wait() {
-                    Ok(reply) => wire::render_reply(query.client_id, &reply, &shared.config.wire),
-                    Err(err) => wire::render_error(query.client_id, &err),
-                },
             }
         }
     }
@@ -365,27 +380,30 @@ mod tests {
         };
 
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let mut replies = BufReader::new(stream.try_clone().unwrap());
         stream.write_all(&[PANIC_LINE, b"\n"].concat()).unwrap();
         let mut reply = String::new();
-        let read = BufReader::new(&stream).read_line(&mut reply);
+        replies.read_line(&mut reply).unwrap();
         assert!(
-            matches!(read, Ok(0) | Err(_)),
-            "the panicked connection closes without a reply: {reply:?}"
+            reply.contains("\"error\":\"Internal\""),
+            "the panicked line gets a typed reply: {reply:?}"
         );
-        // A second connection is still served after the panic.
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        // The same connection stays open and serves the next line.
         stream.write_all(b"{\"op\":\"ping\"}\n").unwrap();
         let mut reply = String::new();
-        BufReader::new(&stream).read_line(&mut reply).unwrap();
+        replies.read_line(&mut reply).unwrap();
         assert!(reply.contains("ping"), "{reply}");
+        drop(replies);
         drop(stream);
 
         server.stop();
         let summary = served
             .recv_timeout(Duration::from_secs(10))
-            .expect("serve returns after stop() despite the panicked connection")
+            .expect("serve returns after stop() despite the panicked line")
             .unwrap();
-        assert_eq!(summary.connections, 2);
+        assert_eq!(summary.connections, 1);
+        assert_eq!(summary.requests, 2);
+        assert_eq!(summary.panicked, 1);
         acceptor.join().unwrap();
     }
 }

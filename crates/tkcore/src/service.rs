@@ -3,8 +3,10 @@
 //! `CoreService` is the seam between clients and the query engine: one
 //! bounded two-priority queue with admission control, typed rejection, and
 //! per-request accounting, in front of a [`ShardedEngine`] (an unsharded
-//! service runs a [`ShardPlan::Span`] engine) executed by a persistent
-//! [`ExecPool`] of [`ServiceConfig::workers`] threads:
+//! service runs a [`ShardPlan::Span`] engine) executed in the
+//! [`ServiceConfig::workers`] slots of a persistent [`ExecPool`] — slots
+//! shared by the pool's threads and by callers running a request
+//! themselves:
 //!
 //! * [`CoreService::submit`] **validates synchronously** (malformed requests
 //!   never occupy queue capacity) and then applies **admission control**:
@@ -18,18 +20,25 @@
 //!   first runs the request the priority rule names.  The skyline and
 //!   stitch caches are engine-wide, so no worker is a better home for a
 //!   request than any other;
-//! * every admitted request gets a [`RequestId`] and a [`Ticket`]; the reply
-//!   carries queue-wait and execution latency alongside the
-//!   [`QueryResponse`], and [`ServiceStats::per_worker`] breaks latency out
-//!   per worker, including a [`LatencyHistogram`];
+//! * [`CoreService::call`] is the synchronous entry: admitted the same way,
+//!   it **runs on the calling thread** when no request waits in either
+//!   lane and a pool slot is spare, and otherwise queues like `submit` and
+//!   waits for its reply.  A caller-run request never overtakes a waiting
+//!   one and saves the two thread hand-offs of a queued request;
+//! * every admitted request gets a [`RequestId`]; the reply carries
+//!   queue-wait (zero for a caller-run request) and execution latency
+//!   alongside the [`QueryResponse`], and [`ServiceStats::per_worker`]
+//!   breaks latency out per slot, including a [`LatencyHistogram`];
 //! * a **panicking request** (typically a panicking user sink in stream
-//!   mode) is caught on the worker: the caller's ticket resolves to
-//!   [`TkError::WorkerPanicked`], the worker thread survives, and every
-//!   statistic — including the per-worker histograms — remains intact;
-//! * workers run every request through [`ShardedEngine::execute`]:
-//!   multi-`k` count, sample and materialize requests fan their `k`s
-//!   across the **same pool** (the executing worker participates, so
-//!   nested fan-out cannot deadlock), and a `k`-range sweep still costs at
+//!   mode) is caught where it runs: the reply is
+//!   [`TkError::WorkerPanicked`], the worker thread (or the caller) and its
+//!   slot survive, and every statistic — including the per-slot histograms
+//!   — remains intact;
+//! * every request runs through [`ShardedEngine::execute`]'s core: a queued
+//!   multi-`k` count, sample or materialize request fans its `k`s across
+//!   the spare slots of the **same pool** (the executing worker
+//!   participates, so nested fan-out cannot deadlock), a caller-run one
+//!   keeps them on its own thread, and a `k`-range sweep still costs at
 //!   most one skyline build per `(shard, k)`;
 //! * a request may carry a **deadline** ([`CoreService::submit_opts`]): a
 //!   request whose deadline expired while it waited is **shed** with
@@ -48,8 +57,8 @@ use crate::error::TkError;
 use crate::exec::ExecPool;
 use crate::ingest::{AbsorbStats, IngestEvent};
 use crate::query::Algorithm;
-use crate::request::{QueryRequest, QueryResponse};
-use crate::shard::{ShardPlan, ShardedEngine};
+use crate::request::{QueryRequest, QueryResponse, ValidatedRequest};
+use crate::shard::{ShardPlan, ShardedEngine, Units};
 use temporal_graph::TemporalGraph;
 
 /// Priority class of a submitted request (see [`SubmitOptions::lane`]).
@@ -163,9 +172,11 @@ pub struct ServiceConfig {
     /// ones currently executing on workers).  Submissions beyond this depth
     /// are refused with [`TkError::BudgetExceeded`].
     pub queue_depth: usize,
-    /// Worker threads of the service's persistent pool; `0` is treated as
-    /// `1`.  Each worker executes one request at a time, so up to `workers`
-    /// requests are in flight concurrently.
+    /// Execution slots, shared by pool threads and caller-run requests
+    /// ([`CoreService::call`]); `0` is treated as `1`.  The service's pool
+    /// has one thread per slot, and each slot runs one request (or one
+    /// helper of a request's fan-out) at a time, so up to `workers`
+    /// requests execute concurrently.
     pub workers: usize,
     /// Refuse new requests while the engine's skyline cache holds more than
     /// this many resident bytes (`None` disables the memory gate; the
@@ -203,11 +214,13 @@ pub struct ServiceReply {
     pub id: RequestId,
     /// The request's results, one outcome per `k`.
     pub response: QueryResponse,
-    /// Time the request spent queued before a worker picked it up.
+    /// Time the request spent queued before a worker picked it up; zero for
+    /// a request [`CoreService::call`] ran on its caller.
     pub queue_wait: Duration,
-    /// Wall-clock execution time on the worker.
+    /// Wall-clock execution time.
     pub execute_time: Duration,
-    /// Index of the worker thread that executed the request.
+    /// Index of the pool slot the request executed in (a pool worker's or
+    /// its caller's), which indexes [`ServiceStats::per_worker`].
     pub worker: usize,
 }
 
@@ -247,7 +260,7 @@ pub struct IngestReply {
     pub queue_wait: Duration,
     /// Wall-clock absorb time on the worker (append + publish + purge).
     pub absorb_time: Duration,
-    /// Index of the worker thread that absorbed the batch.
+    /// Index of the pool slot the batch was absorbed in.
     pub worker: usize,
 }
 
@@ -323,24 +336,24 @@ impl Default for LatencyHistogram {
     }
 }
 
-/// Latency counters of one worker thread (see [`ServiceStats::per_worker`]).
+/// Latency counters of one pool slot (see [`ServiceStats::per_worker`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerStats {
-    /// Requests this worker fully executed and replied to (including
+    /// Requests fully executed in this slot and replied to (including
     /// panicked ones, which reply with [`TkError::WorkerPanicked`]).
     pub completed: u64,
-    /// Requests whose execution panicked on this worker (the worker
-    /// survived; see the module docs).
+    /// Requests whose execution panicked in this slot (the thread running
+    /// it survived; see the module docs).
     pub panicked: u64,
-    /// Summed execution time of this worker's completed requests.
+    /// Summed execution time of this slot's completed requests.
     pub execute_total: Duration,
-    /// Execution-latency histogram of this worker's completed requests.
+    /// Execution-latency histogram of this slot's completed requests.
     pub latency: LatencyHistogram,
 }
 
 /// Cumulative request accounting, readable via [`CoreService::stats`].
 ///
-/// All counters — including the per-worker histograms — live in the
+/// All counters — including the per-slot histograms — live in the
 /// service's shared state, never on a worker thread, so they survive
 /// panicking requests intact (a poisoned lock is recovered, not dropped).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -349,7 +362,7 @@ pub struct ServiceStats {
     pub admitted: u64,
     /// Requests refused by admission control ([`TkError::BudgetExceeded`]).
     pub rejected: u64,
-    /// Requests fully executed and replied to (sum of the per-worker
+    /// Requests fully executed and replied to (sum of the per-slot
     /// counters; includes panicked requests, which reply with an error).
     pub completed: u64,
     /// Admitted requests shed without executing because their deadline
@@ -357,16 +370,19 @@ pub struct ServiceStats {
     /// with an already-expired deadline); each replied with
     /// [`TkError::DeadlineExceeded`].
     pub shed: u64,
-    /// Requests whose execution panicked (sum of the per-worker counters).
+    /// Requests whose execution panicked (sum of the per-slot counters).
     pub panicked: u64,
     /// Summed queue wait of completed requests.
     pub queue_wait_total: Duration,
-    /// Summed execution time of completed requests (sum of the per-worker
+    /// Summed execution time of completed requests (sum of the per-slot
     /// totals).
     pub execute_total: Duration,
     /// High-water mark of the number of waiting requests.
     pub max_queue_depth: usize,
-    /// Per-worker latency counters, one entry per pool worker.
+    /// Latency counters per pool slot, one entry per
+    /// [`ServiceConfig::workers`] slot, indexed by [`ServiceReply::worker`]:
+    /// a slot counts the requests its pool worker ran and the caller-run
+    /// requests that held it.
     pub per_worker: Vec<WorkerStats>,
     /// Per-priority-lane counters, indexed by [`Lane::index`].  Each of
     /// `admitted`, `completed`, `shed` and `rejected` sums across the lanes
@@ -419,7 +435,7 @@ pub struct IngestLaneStats {
 
 struct Job {
     id: RequestId,
-    request: crate::request::ValidatedRequest,
+    request: ValidatedRequest,
     algorithm: Algorithm,
     lane: Lane,
     /// Relative deadline; checked against `enqueued_at` at dequeue.
@@ -428,15 +444,10 @@ struct Job {
     reply: mpsc::Sender<Result<ServiceReply, TkError>>,
 }
 
-/// A request that passed [`CoreService::admit`]: its id and reply channel,
-/// with the state lock still held so the caller enqueues it atomically with
-/// the admitted counters.
-struct Admission<'a, T> {
-    state: MutexGuard<'a, ServiceState>,
-    id: RequestId,
-    reply: mpsc::Sender<T>,
-    ticket: mpsc::Receiver<T>,
-}
+/// A request that passed [`CoreService::admit`]: the state lock, still held
+/// so the caller queues or starts the request atomically with the admitted
+/// counters, and the request's id.
+type Admission<'a> = (MutexGuard<'a, ServiceState>, RequestId);
 
 /// The service's waiting query jobs, split by priority: dequeue takes
 /// interactive jobs first, FIFO within each class.
@@ -465,12 +476,20 @@ struct ServiceState {
     open: bool,
     /// Admitted requests not yet picked up by a worker.
     queued: usize,
-    /// Requests currently executing.
+    /// Requests currently executing, on pool workers or on their callers.
     in_flight: usize,
     /// Waiting query jobs.  Every push is paired with one pool task that
     /// pops from this queue, so the queue and the pool stay in lockstep.
     queue: LaneQueues,
     stats: ServiceStats,
+}
+
+impl ServiceState {
+    /// Books one admitted request as waiting for a worker.
+    fn note_queued(&mut self) {
+        self.queued += 1;
+        self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queued);
+    }
 }
 
 struct ServiceShared {
@@ -488,13 +507,16 @@ impl ServiceShared {
 }
 
 /// A query-serving front end: one bounded two-priority queue + admission
-/// control over a [`ShardedEngine`], executed by a persistent pool of
-/// [`ServiceConfig::workers`] threads.
+/// control over a [`ShardedEngine`], executed in the
+/// [`ServiceConfig::workers`] slots of a persistent pool, by its threads or
+/// by callers of [`CoreService::call`].
 ///
 /// # Example
 ///
 /// ```
-/// use tkcore::{paper_example, Algorithm, CoreService, QueryRequest, ServiceConfig, ShardPlan};
+/// use tkcore::{
+///     paper_example, CoreService, QueryRequest, ServiceConfig, ShardPlan, SubmitOptions,
+/// };
 ///
 /// let service = CoreService::start_sharded(
 ///     paper_example::graph(),
@@ -512,6 +534,11 @@ impl ServiceShared {
 /// assert_eq!(reply.response.outcomes.len(), 3); // one outcome per k
 /// // Each k of the sweep built its span-wide skyline at most once.
 /// assert_eq!(service.cache_stats().misses, 3);
+/// // `call` runs an idle service's request on the calling thread.
+/// let reply = service
+///     .call(QueryRequest::single(2, 1, 4), SubmitOptions::default())
+///     .unwrap();
+/// assert_eq!(reply.response.total_cores(), 2);
 /// assert_eq!(service.stats().per_worker.len(), 2);
 /// service.shutdown();
 /// ```
@@ -641,18 +668,81 @@ impl CoreService {
     ) -> Result<Ticket, TkError> {
         let validated = request.validate(&self.engine.graph())?;
         let pool = self.pool()?;
+        let (state, id) = self.admit_query(&opts)?;
+        Ok(self.enqueue(pool, state, id, validated, opts))
+    }
+
+    /// Runs `request` to completion and returns its reply: the synchronous
+    /// form of [`CoreService::submit_opts`], with the same validation,
+    /// admission control and accounting.
+    ///
+    /// When no admitted request waits in either lane and a pool slot is
+    /// spare, the request claims that slot and **executes on the calling
+    /// thread**, its `k`s one after another — no queue, no hand-off to a
+    /// worker, a zero [`ServiceReply::queue_wait`].  Otherwise it queues
+    /// exactly as `submit_opts` does, deadline included, and this call
+    /// waits for the reply.  Either way at most
+    /// [`ServiceConfig::workers`] requests execute at once, and a caller
+    /// never overtakes a waiting request.
+    ///
+    /// # Errors
+    /// The admission errors of [`CoreService::submit_opts`], then whatever
+    /// the execution produced: a panic while executing becomes
+    /// [`TkError::WorkerPanicked`], and a queued request may still be shed
+    /// with [`TkError::DeadlineExceeded`].
+    pub fn call(
+        &self,
+        request: QueryRequest,
+        opts: SubmitOptions,
+    ) -> Result<ServiceReply, TkError> {
+        let validated = request.validate(&self.engine.graph())?;
+        let pool = self.pool()?;
+        // Claimed before the state lock: the pool and service locks stay
+        // unnested.  A slot a queued pool task waits for is never spare.
+        let slot = pool.try_claim();
+        let (mut state, id) = self.admit_query(&opts)?;
+        let slot = match slot {
+            Some(slot) if state.queued == 0 => slot,
+            slot => {
+                let ticket = self.enqueue(pool, state, id, validated, opts);
+                // Returned before waiting, so the queued job may run in it.
+                drop(slot);
+                // tkc-lint: allow(no-blocking-in-worker) — a queued call waits on a job of this service's own pool; callers are connection tasks on the server's disjoint pool or plain threads, and no service job ever calls `call`, so this wait cannot starve the workers it waits on
+                return ticket.wait();
+            }
+        };
+        state.in_flight += 1;
+        drop(state);
+        let (result, execute_time) = complete(
+            &self.shared,
+            opts.lane,
+            slot.index(),
+            Duration::ZERO,
+            || {
+                self.engine
+                    .execute_validated(validated, opts.algorithm, Units::OnCaller)
+            },
+            |_, _, _| {},
+        );
+        result.map(|response| ServiceReply {
+            id,
+            response,
+            queue_wait: Duration::ZERO,
+            execute_time,
+            worker: slot.index(),
+        })
+    }
+
+    /// Admission for a query: the memory gate and the zero-deadline check
+    /// on top of [`CoreService::admit`].
+    fn admit_query(&self, opts: &SubmitOptions) -> Result<Admission<'_>, TkError> {
         // Reading cache statistics takes the engine's cache mutex; doing it
         // before the state lock keeps the two locks unnested.
         let over_budget = self
             .config
             .admission_memory_bytes
             .filter(|&budget| self.engine.cache_stats().resident_bytes > budget);
-        let Admission {
-            mut state,
-            id,
-            reply,
-            ticket,
-        } = self.admit(opts.lane, |stats| {
+        self.admit(opts.lane, |stats| {
             if let Some(limit) = over_budget {
                 stats.rejected += 1;
                 stats.per_lane[opts.lane.index()].rejected += 1;
@@ -671,10 +761,24 @@ impl CoreService {
                 });
             }
             Ok(())
-        })?;
+        })
+    }
+
+    /// Queues an admitted query — `state` is still the admission's lock —
+    /// and spawns the pool task that will run the next waiting job.
+    fn enqueue(
+        &self,
+        pool: &ExecPool,
+        mut state: MutexGuard<'_, ServiceState>,
+        id: RequestId,
+        request: ValidatedRequest,
+        opts: SubmitOptions,
+    ) -> Ticket {
+        let (reply, rx) = mpsc::channel();
+        state.note_queued();
         state.queue.push(Job {
             id,
-            request: validated,
+            request,
             algorithm: opts.algorithm,
             lane: opts.lane,
             deadline: opts.deadline,
@@ -684,8 +788,8 @@ impl CoreService {
         drop(state);
         let shared = Arc::clone(&self.shared);
         let engine = Arc::clone(&self.engine);
-        pool.spawn(move |worker| drain_service_job(&engine, &shared, worker));
-        Ok(Ticket { id, rx: ticket })
+        pool.spawn(move |slot| drain_service_job(&engine, &shared, slot));
+        Ticket { id, rx }
     }
 
     /// Submits a batch of ingest events to the service: the batch is
@@ -707,33 +811,30 @@ impl CoreService {
     /// * [`TkError::ServiceStopped`] after [`CoreService::shutdown`].
     pub fn submit_append(&self, events: Vec<IngestEvent>) -> Result<IngestTicket, TkError> {
         let pool = self.pool()?;
-        let Admission {
-            mut state,
-            id,
-            reply,
-            ticket,
-        } = self.admit(Lane::Batch, |_| Ok(()))?;
+        let (mut state, id) = self.admit(Lane::Batch, |_| Ok(()))?;
+        state.note_queued();
         state.stats.ingest.submitted += 1;
         drop(state);
+        let (reply, rx) = mpsc::channel();
         let shared = Arc::clone(&self.shared);
         let engine = Arc::clone(&self.engine);
         let enqueued_at = Instant::now();
-        pool.spawn(move |worker| {
-            execute_ingest_job(&engine, &shared, id, &events, enqueued_at, &reply, worker);
+        pool.spawn(move |slot| {
+            execute_ingest_job(&engine, &shared, id, &events, enqueued_at, &reply, slot);
         });
-        Ok(IngestTicket { id, rx: ticket })
+        Ok(IngestTicket { id, rx })
     }
 
     /// The admission step shared by queries and appends, under one state
     /// lock: a stopped service refuses, a full queue refuses, then `gate`
-    /// may refuse with its own accounting.  An admitted request gets an id,
-    /// a reply channel and the admitted counters; the lock stays held in the
-    /// returned [`Admission`] so the caller enqueues atomically with them.
-    fn admit<T>(
+    /// may refuse with its own accounting.  An admitted request gets an id
+    /// and the admitted counters; the lock stays held in the returned
+    /// [`Admission`] so the caller queues or starts it atomically with them.
+    fn admit(
         &self,
         lane: Lane,
         gate: impl FnOnce(&mut ServiceStats) -> Result<(), TkError>,
-    ) -> Result<Admission<'_, T>, TkError> {
+    ) -> Result<Admission<'_>, TkError> {
         let mut state = self.shared.lock();
         if !state.open {
             // A stopped service is ServiceStopped, never BudgetExceeded.
@@ -749,17 +850,9 @@ impl CoreService {
         }
         gate(&mut state.stats)?;
         let id = RequestId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        let (reply, ticket) = mpsc::channel();
-        state.queued += 1;
         state.stats.admitted += 1;
         state.stats.per_lane[lane.index()].admitted += 1;
-        state.stats.max_queue_depth = state.stats.max_queue_depth.max(state.queued);
-        Ok(Admission {
-            state,
-            id,
-            reply,
-            ticket,
-        })
+        Ok((state, id))
     }
 
     /// The worker pool, or [`TkError::ServiceStopped`] once
@@ -769,7 +862,8 @@ impl CoreService {
     }
 
     /// Stops accepting requests, waits for every admitted request (query
-    /// and ingest alike) to finish or shed, and releases the worker pool.
+    /// and ingest alike, queued or running on a caller) to finish or shed,
+    /// and releases the worker pool.
     /// Dropping the service does the same; `shutdown` followed by the
     /// implicit drop is idempotent — the second drain is a no-op.
     pub fn shutdown(mut self) {
@@ -784,16 +878,21 @@ impl CoreService {
             // job, so there is nothing left to wait on.
             return;
         }
+        self.drain();
+        // Dropping the last pool reference joins the worker threads.  An
+        // engine that adopted the pool holds a reference for its own
+        // batches; its threads idle until the engine is dropped.
+        self.pool = None;
+    }
+
+    /// Closes admission and waits until every admitted request — queued,
+    /// on a pool worker or running on its caller — has finished or shed.
+    fn drain(&self) {
         let mut state = self.shared.lock();
         state.open = false;
         while state.queued + state.in_flight > 0 {
             state = crate::sync::wait(&self.shared.drained, state);
         }
-        drop(state);
-        // Dropping the last pool reference joins the worker threads.  An
-        // engine that adopted the pool holds a reference for its own
-        // batches; its threads idle until the engine is dropped.
-        self.pool = None;
     }
 }
 
@@ -814,16 +913,16 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Dequeues and runs the service's next waiting job on pool worker
-/// `worker`: priority pop (interactive before batch), deadline check, then
-/// execution with panic isolation, accounting, reply.
+/// Dequeues and runs the service's next waiting job in pool slot `slot`:
+/// priority pop (interactive before batch), deadline check, then execution
+/// with panic isolation, accounting, reply.
 ///
 /// One such task is spawned per admitted job, so the pop always finds a
 /// job — though not necessarily *the* job that spawned this task: a task
 /// spawned by a batch submission happily executes an interactive request
 /// that arrived later, which is exactly how interactive requests overtake
 /// waiting batch ones.
-fn drain_service_job(engine: &Arc<ShardedEngine>, shared: &ServiceShared, worker: usize) {
+fn drain_service_job(engine: &Arc<ShardedEngine>, shared: &ServiceShared, slot: usize) {
     let (job, queue_wait) = {
         let mut state = shared.lock();
         let Some(job) = state.queue.pop() else {
@@ -860,9 +959,9 @@ fn drain_service_job(engine: &Arc<ShardedEngine>, shared: &ServiceShared, worker
     let (result, execute_time) = complete(
         shared,
         lane,
-        worker,
+        slot,
         queue_wait,
-        || engine.execute_validated(request, algorithm),
+        || engine.execute_validated(request, algorithm, Units::FanOut),
         |_, _, _| {},
     );
     let reply_value = result.map(|response| ServiceReply {
@@ -870,14 +969,14 @@ fn drain_service_job(engine: &Arc<ShardedEngine>, shared: &ServiceShared, worker
         response,
         queue_wait,
         execute_time,
-        worker,
+        worker: slot,
     });
     // The submitter may have dropped its ticket; that is not an error.
     let _ = reply.send(reply_value);
 }
 
-/// Runs one admitted append batch on pool worker `worker`: accounting,
-/// absorb with panic isolation, ingest-lane accounting, reply.
+/// Runs one admitted append batch in pool slot `slot`: accounting, absorb
+/// with panic isolation, ingest-lane accounting, reply.
 fn execute_ingest_job(
     engine: &ShardedEngine,
     shared: &ServiceShared,
@@ -885,7 +984,7 @@ fn execute_ingest_job(
     events: &[IngestEvent],
     enqueued_at: Instant,
     reply: &mpsc::Sender<Result<IngestReply, TkError>>,
-    worker: usize,
+    slot: usize,
 ) {
     {
         let mut state = shared.lock();
@@ -896,7 +995,7 @@ fn execute_ingest_job(
     let (result, absorb_time) = complete(
         shared,
         Lane::Batch,
-        worker,
+        slot,
         queue_wait,
         || engine.absorb(events),
         |stats, result, absorb_time| {
@@ -919,22 +1018,22 @@ fn execute_ingest_job(
         stats,
         queue_wait,
         absorb_time,
-        worker,
+        worker: slot,
     });
     // The submitter may have dropped its ticket; that is not an error.
     let _ = reply.send(reply_value);
 }
 
-/// The completion step shared by queries and appends: runs an in-flight
-/// job's `work` on pool worker `worker` with panic isolation (a panic
-/// becomes [`TkError::WorkerPanicked`]), then books it under one state lock
-/// — completed, per-lane, per-worker, latency histogram and panicked
-/// counters, plus `book`'s job-specific accounting — and wakes drain
-/// waiters.  Returns the result and the execution time.
+/// The completion step shared by queries and appends, queued or caller-run:
+/// runs an in-flight job's `work` in pool slot `slot` with panic isolation
+/// (a panic becomes [`TkError::WorkerPanicked`]), then books it under one
+/// state lock — completed, per-lane, per-slot, latency histogram and
+/// panicked counters, plus `book`'s job-specific accounting — and wakes
+/// drain waiters.  Returns the result and the execution time.
 fn complete<R>(
     shared: &ServiceShared,
     lane: Lane,
-    worker: usize,
+    slot: usize,
     queue_wait: Duration,
     work: impl FnOnce() -> Result<R, TkError>,
     book: impl FnOnce(&mut ServiceStats, &Result<R, TkError>, Duration),
@@ -959,7 +1058,7 @@ fn complete<R>(
         stats.per_lane[lane.index()].completed += 1;
         stats.queue_wait_total += queue_wait;
         stats.execute_total += elapsed;
-        let per_worker = &mut stats.per_worker[worker];
+        let per_worker = &mut stats.per_worker[slot];
         per_worker.completed += 1;
         per_worker.execute_total += elapsed;
         per_worker.latency.record(elapsed);
@@ -979,6 +1078,7 @@ mod tests {
     use crate::paper_example;
     use crate::request::KOutput;
     use crate::sink::ResultSink;
+    use std::sync::atomic::AtomicBool;
     use temporal_graph::TimeWindow;
 
     /// An unsharded service over the paper example.
@@ -1242,5 +1342,251 @@ mod tests {
         let histogram_total: u64 = stats.per_worker.iter().map(|w| w.latency.count()).sum();
         assert_eq!(histogram_total, 5, "histograms survive the panic");
         service.shutdown();
+    }
+
+    /// Requests executing right now, and the most ever seen at once.
+    #[derive(Default)]
+    struct Occupancy {
+        now: AtomicU64,
+        peak: AtomicU64,
+    }
+
+    /// A stream sink that reports its thread when the request's first core
+    /// arrives, then blocks until released, counting itself in an
+    /// [`Occupancy`] while it blocks.
+    struct GatedSink {
+        started: mpsc::Sender<std::thread::ThreadId>,
+        release: mpsc::Receiver<()>,
+        occupancy: Arc<Occupancy>,
+        entered: bool,
+    }
+
+    impl ResultSink for GatedSink {
+        fn emit(&mut self, _tti: TimeWindow, _edges: &[temporal_graph::EdgeId]) {
+            if !self.entered {
+                self.entered = true;
+                let now = self.occupancy.now.fetch_add(1, Ordering::SeqCst) + 1;
+                self.occupancy.peak.fetch_max(now, Ordering::SeqCst);
+                self.started.send(std::thread::current().id()).unwrap();
+                self.release.recv().unwrap();
+                self.occupancy.now.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+    }
+
+    /// A gated stream request over the paper example (two cores), its
+    /// start signal and its release.
+    fn gated(
+        occupancy: &Arc<Occupancy>,
+    ) -> (
+        QueryRequest,
+        mpsc::Receiver<std::thread::ThreadId>,
+        mpsc::Sender<()>,
+    ) {
+        let (started, started_rx) = mpsc::channel();
+        let (release_tx, release) = mpsc::channel();
+        let sink = GatedSink {
+            started,
+            release,
+            occupancy: Arc::clone(occupancy),
+            entered: false,
+        };
+        (
+            QueryRequest::single(2, 1, 4).stream(Box::new(sink)),
+            started_rx,
+            release_tx,
+        )
+    }
+
+    #[test]
+    fn an_idle_call_runs_on_the_calling_thread() {
+        let service = span_service(ServiceConfig::default());
+        let occupancy = Arc::new(Occupancy::default());
+        let (request, started, release) = gated(&occupancy);
+        release.send(()).unwrap();
+        let reply = service.call(request, SubmitOptions::default()).unwrap();
+        assert_eq!(started.recv().unwrap(), std::thread::current().id());
+        assert_eq!(reply.queue_wait, Duration::ZERO);
+        assert_eq!(reply.response.total_cores(), 2);
+        // A count sweep keeps its k units on the caller too.
+        let reply = service
+            .call(QueryRequest::sweep(1..=3, 1, 7), SubmitOptions::default())
+            .unwrap();
+        assert_eq!(reply.response.outcomes.len(), 3);
+        let stats = service.stats();
+        assert_eq!((stats.admitted, stats.completed), (2, 2));
+        assert_eq!(stats.queue_wait_total, Duration::ZERO);
+        service.shutdown();
+    }
+
+    #[test]
+    fn pool_tasks_and_caller_run_requests_share_the_slots() {
+        let service = span_service(ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        });
+        let occupancy = Arc::new(Occupancy::default());
+        std::thread::scope(|scope| {
+            // A runs on its caller, B on a pool worker: both slots held.
+            let (a, started_a, release_a) = gated(&occupancy);
+            let caller_a = scope.spawn(|| service.call(a, SubmitOptions::default()));
+            let thread_a = started_a.recv().unwrap();
+            assert_eq!(thread_a, caller_a.thread().id(), "A runs on its caller");
+            let (b, started_b, release_b) = gated(&occupancy);
+            let ticket_b = service.submit(b).unwrap();
+            started_b.recv().unwrap();
+            // C finds no spare slot, so it queues even though it was called;
+            // a queued count sweep waits behind it.
+            let (c, started_c, release_c) = gated(&occupancy);
+            let caller_c = scope.spawn(|| service.call(c, SubmitOptions::default()));
+            // Admitted under the same lock that queues it.
+            while service.stats().admitted < 3 {
+                std::thread::yield_now();
+            }
+            let ticket_d = service.submit(QueryRequest::sweep(1..=3, 1, 7)).unwrap();
+            // Freeing A's caller-held slot lets a pool worker start C.
+            release_a.send(()).unwrap();
+            let reply_a = caller_a.join().unwrap().unwrap();
+            let thread_c = started_c.recv().unwrap();
+            assert_ne!(thread_c, caller_c.thread().id(), "C ran on a pool worker");
+            release_b.send(()).unwrap();
+            release_c.send(()).unwrap();
+            let reply_b = ticket_b.wait().unwrap();
+            let reply_c = caller_c.join().unwrap().unwrap();
+            let reply_d = ticket_d.wait().unwrap();
+            assert_eq!(reply_a.queue_wait, Duration::ZERO);
+            assert_ne!(
+                reply_a.worker, reply_b.worker,
+                "A and B held distinct slots"
+            );
+            for reply in [&reply_a, &reply_b, &reply_c, &reply_d] {
+                assert!(reply.worker < 2, "slot {} of 2", reply.worker);
+            }
+            assert_eq!(reply_d.response.outcomes.len(), 3);
+        });
+        assert_eq!(
+            occupancy.peak.load(Ordering::SeqCst),
+            2,
+            "never more requests executing than slots"
+        );
+        let stats = service.stats();
+        assert_eq!(stats.completed, 4);
+        // Per-slot counters: one entry per slot, summing to the totals.
+        assert_eq!(stats.per_worker.len(), 2);
+        let completed: u64 = stats.per_worker.iter().map(|w| w.completed).sum();
+        let execute: Duration = stats.per_worker.iter().map(|w| w.execute_total).sum();
+        let histogram: u64 = stats.per_worker.iter().map(|w| w.latency.count()).sum();
+        assert_eq!(completed, stats.completed);
+        assert_eq!(execute, stats.execute_total);
+        assert_eq!(histogram, stats.completed);
+        service.shutdown();
+    }
+
+    /// A stream sink that appends its label to a shared log on the first
+    /// core, recording the order in which requests start executing.
+    struct LabelSink {
+        order: Arc<Mutex<Vec<&'static str>>>,
+        label: &'static str,
+        logged: bool,
+    }
+
+    impl ResultSink for LabelSink {
+        fn emit(&mut self, _tti: TimeWindow, _edges: &[temporal_graph::EdgeId]) {
+            if !self.logged {
+                self.logged = true;
+                self.order.lock().unwrap().push(self.label);
+            }
+        }
+    }
+
+    #[test]
+    fn a_call_never_overtakes_a_waiting_request() {
+        let service = span_service(ServiceConfig::default());
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let labelled = |label| {
+            QueryRequest::single(2, 1, 4).stream(Box::new(LabelSink {
+                order: Arc::clone(&order),
+                label,
+                logged: false,
+            }))
+        };
+        // Another caller holds the only slot, so B queues for a worker.
+        let pool = service.pool().unwrap();
+        let held = pool.try_claim().expect("the idle slot");
+        let ticket_b = service.submit(labelled("queued")).unwrap();
+        // The slot comes back, but B is owed it: C must queue behind B
+        // rather than run on this thread first.
+        drop(held);
+        let reply_c = service
+            .call(labelled("called"), SubmitOptions::default())
+            .unwrap();
+        ticket_b.wait().unwrap();
+        assert_eq!(*order.lock().unwrap(), vec!["queued", "called"]);
+        assert_eq!(reply_c.response.total_cores(), 2);
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_caller_run_request_releases_its_slot() {
+        let service = span_service(ServiceConfig::default());
+        let err = service
+            .call(
+                QueryRequest::single(2, 1, 4).stream(Box::new(PanickingSink)),
+                SubmitOptions::default(),
+            )
+            .expect_err("the panic surfaces as a typed error");
+        assert!(matches!(err, TkError::WorkerPanicked { .. }), "{err}");
+        // The only slot is free again: the next call runs on this thread,
+        // and a queued request still finds a worker.
+        let reply = service
+            .call(QueryRequest::single(2, 1, 4), SubmitOptions::default())
+            .unwrap();
+        assert_eq!(reply.queue_wait, Duration::ZERO);
+        assert_eq!(reply.response.total_cores(), 2);
+        let reply = service
+            .submit(QueryRequest::single(2, 1, 4))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(reply.response.total_cores(), 2);
+        let stats = service.stats();
+        assert_eq!((stats.completed, stats.panicked), (3, 1));
+        assert_eq!(stats.per_worker[0].panicked, 1);
+        service.shutdown();
+    }
+
+    #[test]
+    fn shutdown_waits_for_caller_run_requests() {
+        let service = span_service(ServiceConfig::default());
+        let occupancy = Arc::new(Occupancy::default());
+        let (request, started, release) = gated(&occupancy);
+        let drained = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let caller = scope.spawn(|| service.call(request, SubmitOptions::default()));
+            started.recv().unwrap();
+            let closer = scope.spawn(|| {
+                service.drain();
+                drained.store(true, Ordering::SeqCst);
+            });
+            // Admission closes at once (a zero deadline is refused either
+            // way, so the probes never queue)...
+            let probe = SubmitOptions::default().with_deadline(Duration::ZERO);
+            while !matches!(
+                service.submit_opts(QueryRequest::single(2, 1, 4), probe),
+                Err(TkError::ServiceStopped)
+            ) {
+                std::thread::yield_now();
+            }
+            // ...but the drain waits for the request running on its caller
+            // (checked after the release, so a failure cannot hang the test).
+            let drained_while_running = drained.load(Ordering::SeqCst);
+            release.send(()).unwrap();
+            let reply = caller.join().unwrap().unwrap();
+            assert_eq!(reply.response.total_cores(), 2);
+            closer.join().unwrap();
+            assert!(!drained_while_running, "the drain returned mid-request");
+        });
+        assert!(drained.load(Ordering::SeqCst));
+        assert_eq!(service.stats().completed, 1);
     }
 }

@@ -606,6 +606,34 @@ struct IngestState {
     carried: Vec<RangeKey>,
 }
 
+/// Where a request's count, sample and materialize units run (see
+/// [`ShardedEngine::execute_validated`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Units {
+    /// Across the spare slots of the engine's pool, the calling thread
+    /// participating: library batches and queued service jobs.
+    FanOut,
+    /// On the calling thread alone when every unit's entries are resident:
+    /// a service request already running in a pool slot of its own on the
+    /// caller, whose warm units each cost less than a helper's wake-up.
+    /// Units that must build a skyline fan out as with `FanOut`, since a
+    /// build costs far more than the wake-up.
+    OnCaller,
+}
+
+/// The cache keys a view of `window` for `k` reads, in view order: every
+/// overlapping shard's skyline, then, for a window spanning shard cuts,
+/// the stitch entry of its shard range.
+fn view_keys(live: &LiveState, k: usize, window: TimeWindow) -> Vec<RangeKey> {
+    let shards = live.overlapping(window);
+    debug_assert!(!shards.is_empty(), "validated window overlaps a shard");
+    let mut keys: Vec<RangeKey> = shards.clone().map(|shard| (shard, shard, k)).collect();
+    if shards.len() > 1 {
+        keys.push((shards.start, shards.end - 1, k));
+    }
+    keys
+}
+
 /// The shared core of a [`ShardedEngine`], behind one `Arc` so batch tasks
 /// handed to the persistent pool are `'static`.
 ///
@@ -876,7 +904,7 @@ impl ShardedEngine {
     ) -> Result<QueryResponse, TkError> {
         let live = self.inner.live_now();
         let request = request.validate(&live.graph)?;
-        self.execute_one(live, request, algorithm)
+        self.execute_one(live, request, algorithm, Units::FanOut)
     }
 
     /// Lends `f` the engine's [`WindowView`] of `[start, end]` (clamped to
@@ -904,13 +932,15 @@ impl ShardedEngine {
     /// [`ShardedEngine::execute`] for a request validated earlier, at
     /// [`crate::CoreService`] admission.  Snapshots only grow — appends
     /// extend the timeline and the vertex set — so a request valid for an
-    /// earlier snapshot is valid for the current one.
+    /// earlier snapshot is valid for the current one.  `units` says where
+    /// the request's count, sample and materialize units run.
     pub(crate) fn execute_validated(
         &self,
         request: ValidatedRequest,
         algorithm: Algorithm,
+        units: Units,
     ) -> Result<QueryResponse, TkError> {
-        self.execute_one(self.inner.live_now(), request, algorithm)
+        self.execute_one(self.inner.live_now(), request, algorithm, units)
     }
 
     /// Executes a batch of requests with `algorithm` against one live view,
@@ -951,7 +981,7 @@ impl ShardedEngine {
             .into_iter()
             .map(|request| request.validate(&live.graph))
             .collect::<Result<Vec<_>, _>>()?;
-        self.execute_on(live, requests, algorithm)
+        self.execute_on(live, requests, algorithm, Units::FanOut)
     }
 
     fn execute_one(
@@ -959,14 +989,15 @@ impl ShardedEngine {
         live: Arc<LiveState>,
         request: ValidatedRequest,
         algorithm: Algorithm,
+        units: Units,
     ) -> Result<QueryResponse, TkError> {
-        let mut responses = self.execute_on(live, vec![request], algorithm)?;
+        let mut responses = self.execute_on(live, vec![request], algorithm, units)?;
         // tkc-lint: allow(no-panic-api) — execute_on returns one response per request, and exactly one went in
         Ok(responses.pop().expect("one response per request"))
     }
 
-    /// The one execution core: fans every count, sample and materialize
-    /// `(request, k)` unit across the pool in one batch, runs stream
+    /// The one execution core: runs every count, sample and materialize
+    /// `(request, k)` unit as one batch placed by `placement`, runs stream
     /// requests in order on the calling thread, and assembles each response
     /// through [`ValidatedRequest::respond`].
     fn execute_on(
@@ -974,6 +1005,7 @@ impl ShardedEngine {
         live: Arc<LiveState>,
         requests: Vec<ValidatedRequest>,
         algorithm: Algorithm,
+        placement: Units,
     ) -> Result<Vec<QueryResponse>, TkError> {
         let units: Vec<(usize, TimeWindow, SinkShape)> = requests
             .iter()
@@ -984,7 +1016,7 @@ impl ShardedEngine {
             })
             .collect();
         let mut fanned = self
-            .fan_out(Arc::clone(&live), units, algorithm)
+            .fan_out(Arc::clone(&live), units, algorithm, placement)
             .into_iter();
         requests
             .into_iter()
@@ -999,18 +1031,25 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Fans validated `(k, window, shape)` units across the engine's
-    /// pool (plus the calling thread) against one live view, one fresh
-    /// [`OutcomeSink`] per unit.  Workers claim the next unit index from a
-    /// shared counter, so long and short units balance.  Returns the
-    /// results in unit order.
+    /// Runs validated `(k, window, shape)` units against one live view, one
+    /// fresh [`OutcomeSink`] per unit: across the spare slots of the
+    /// engine's pool plus the calling thread (workers claim the next unit
+    /// index from a shared counter, so long and short units balance), or,
+    /// with [`Units::OnCaller`] and every unit warm, on the calling thread
+    /// alone.  Returns the results in unit order.
     fn fan_out(
         &self,
         live: Arc<LiveState>,
         units: Vec<(usize, TimeWindow, SinkShape)>,
         algorithm: Algorithm,
+        placement: Units,
     ) -> Vec<(OutcomeSink, QueryStats)> {
-        let pool = batch_pool(&self.inner.pool, self.inner.config.num_threads, units.len());
+        let on_caller = placement == Units::OnCaller && self.inner.units_warm(&live, &units);
+        let pool = if on_caller {
+            None
+        } else {
+            batch_pool(&self.inner.pool, self.inner.config.num_threads, units.len())
+        };
         let inner = Arc::clone(&self.inner);
         run_batch_inner(pool.as_deref(), units.len(), move |i| {
             let (k, window, shape) = units[i];
@@ -1257,18 +1296,9 @@ impl ShardInner {
         window: TimeWindow,
         f: impl FnOnce(WindowView<'_>) -> R,
     ) -> R {
-        let shards = live.overlapping(window);
-        debug_assert!(!shards.is_empty(), "validated window overlaps a shard");
-        let mut keys: Vec<RangeKey> = shards.clone().map(|shard| (shard, shard, k)).collect();
-        if shards.len() > 1 {
-            keys.push((shards.start, shards.end - 1, k));
-        }
+        let keys = view_keys(live, k, window);
         let (mut skylines, _, _) = self.entries(live, &keys);
-        let crossing = if shards.len() > 1 {
-            skylines.pop()
-        } else {
-            None
-        };
+        let crossing = if keys.len() > 1 { skylines.pop() } else { None };
         let parts = skylines.iter().map(|skyline| &**skyline);
         f(WindowView::new(
             &live.graph,
@@ -1277,6 +1307,17 @@ impl ShardInner {
             parts,
             crossing.as_deref(),
         ))
+    }
+
+    /// Whether every entry the views of `units` read is resident, so
+    /// running them builds nothing.
+    fn units_warm(&self, live: &LiveState, units: &[(usize, TimeWindow, SinkShape)]) -> bool {
+        let cache = sync::lock(&self.cache);
+        units.iter().all(|&(k, window, _)| {
+            view_keys(live, k, window)
+                .into_iter()
+                .all(|key| cache.is_resident(key, live.validity(key.1)))
+        })
     }
 
     /// Executes a query whose parameters already passed validation (`k >= 1`,

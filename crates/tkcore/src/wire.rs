@@ -34,7 +34,8 @@
 //! A refused or failed request replies `"status": "error"` with the stable
 //! [`TkError::code`] in `"error"` and the human rendering in `"detail"` —
 //! shedding is data, not a connection failure, so the connection stays
-//! open.  Malformed lines reply with `"error": "BadRequest"`.
+//! open.  Malformed lines reply with `"error": "BadRequest"`, and a line
+//! whose handling panicked on the server with `"error": "Internal"`.
 
 use std::fmt::Write;
 use std::time::Duration;
@@ -508,8 +509,9 @@ pub fn render_error(client_id: Option<u64>, error: &TkError) -> String {
     render_error_code(client_id, error.code(), &error.to_string())
 }
 
-/// Renders an error reply from a raw code + detail (used for `BadRequest`,
-/// which has no [`TkError`] variant — it never reached the service).
+/// Renders an error reply from a raw code + detail (used for `BadRequest`
+/// and `Internal`, which have no [`TkError`] variant — the first never
+/// reached the service, the second is a panic outside it).
 pub fn render_error_code(client_id: Option<u64>, code: &str, detail: &str) -> String {
     let mut out = String::with_capacity(REPLY_HEAD_BYTES + code.len() + detail.len());
     push_head(&mut out, "error", client_id);
