@@ -496,13 +496,13 @@ fn engine_batch(num_queries: usize) -> Report {
         let requests = count_requests(&queries);
         let t1 = Instant::now();
         let first = engine
-            .execute_batch(requests, Algorithm::Enum)
+            .execute_batch(requests)
             .expect("workload queries are valid");
         let first_time = t1.elapsed();
         let requests = count_requests(&queries);
         let t2 = Instant::now();
         let warm = engine
-            .execute_batch(requests, Algorithm::Enum)
+            .execute_batch(requests)
             .expect("workload queries are valid");
         let warm_time = t2.elapsed();
         let warm_hits = engine.cache_stats().hits;
@@ -593,7 +593,7 @@ fn engine_batch(num_queries: usize) -> Report {
         let sharded_engine =
             tkcore::ShardedEngine::new(graph.clone(), plan).expect("fixed-count plan resolves");
         let sharded_batch = sharded_engine
-            .execute_batch(count_requests(&queries), Algorithm::Enum)
+            .execute_batch(count_requests(&queries))
             .expect("workload queries are valid");
         assert_eq!(
             cold_cores,
@@ -621,7 +621,7 @@ fn engine_batch(num_queries: usize) -> Report {
         // Warm the shard skylines and stitch entries, then time the
         // repeated batch.
         let stitched_first = stitched
-            .execute_batch(count_requests(&spanning), Algorithm::Enum)
+            .execute_batch(count_requests(&spanning))
             .expect("spanning queries are valid");
         assert_eq!(
             total_cores(&stitched_first),
@@ -631,7 +631,7 @@ fn engine_batch(num_queries: usize) -> Report {
         let requests = count_requests(&spanning);
         let t5 = Instant::now();
         let stitched_warm = stitched
-            .execute_batch(requests, Algorithm::Enum)
+            .execute_batch(requests)
             .expect("spanning queries are valid");
         let stitched_time = t5.elapsed();
         assert_eq!(total_cores(&stitched_warm), spanning_cores);
@@ -858,9 +858,7 @@ fn ingest_experiment(num_queries: usize) -> Report {
 
         // Warm both engines identically before the stream starts.
         for engine in [&live, &frozen] {
-            engine
-                .execute_batch(count_requests(&queries), Algorithm::Enum)
-                .unwrap();
+            engine.execute_batch(count_requests(&queries)).unwrap();
         }
         let before = live.cache_stats();
         let closed_builds_before: u64 = before.per_shard[..closed].iter().map(|s| s.builds).sum();
@@ -902,13 +900,13 @@ fn ingest_experiment(num_queries: usize) -> Report {
             }
             let request = QueryRequest::from(queries[i % queries.len()]);
             let t1 = Instant::now();
-            live.execute(request, Algorithm::Enum).unwrap();
+            live.execute(request).unwrap();
             during.push(t1.elapsed());
             // Keep the tail skyline hot between batches, so every absorb
             // actually replaces a resident entry and the invalidation cost
             // (purge + rebuild at publish) is part of what's measured.
             let tail = QueryRequest::single(k, closed_end + 1, live.graph().tmax());
-            live.execute(tail, Algorithm::Enum).unwrap();
+            live.execute(tail).unwrap();
         }
         let after = live.cache_stats();
         let closed_builds_after: u64 = after.per_shard[..closed].iter().map(|s| s.builds).sum();
@@ -927,7 +925,7 @@ fn ingest_experiment(num_queries: usize) -> Report {
         for i in 0..during.len() {
             let request = QueryRequest::from(queries[i % queries.len()]);
             let t1 = Instant::now();
-            frozen.execute(request, Algorithm::Enum).unwrap();
+            frozen.execute(request).unwrap();
             frozen_lat.push(t1.elapsed());
         }
 

@@ -78,7 +78,9 @@ USAGE:
       after another; cold index builds fan out into the spare slots.
       `--output count` reports counts only; `--output full` (default)
       prints each core's tightest time interval, vertex count and edge
-      count.
+      count.  The engine runs only `enum`; `--algo enum-base|otcd|naive`
+      runs that baseline per query on the calling thread instead, without
+      a service or index cache, and says so.
 
   tkc batch <edge-list> <queries-csv> [--algo enum|enum-base|otcd|naive]
             [--threads <N>] [--budget-mb <M>] [--shards <S>] [--workers <W>]
@@ -90,7 +92,8 @@ USAGE:
       reports per-worker latency.  The CSV has one query per line,
       `k,start,end` (or just `k` for the whole time span; `#` starts a
       comment).  Prints per-query counts plus batch timing and cache
-      statistics.
+      statistics.  `--algo enum-base|otcd|naive` runs each query with that
+      baseline per query on the calling thread instead, without a service.
 
   tkc ingest <edge-list> <events|-> [--shards <S>] [--workers <W>]
             [--batch <B>] [--seal-edges <N> | --seal-span <T>]
@@ -124,7 +127,7 @@ USAGE:
 
   tkc client <addr> (--k <K> | --k-range <MIN>..=<MAX>) --start <TS> --end <TE>
             [--lane interactive|batch] [--deadline-ms <MS>]
-            [--algo enum|enum-base|otcd|naive] [--output count|cores]
+            [--output count|cores]
   tkc client <addr> (--ping | --stats | --shutdown)
       Send one request line to a running `tkc serve` and print the reply
       line.  A `status: error` reply (shed, refused, failed) is data and
@@ -184,8 +187,6 @@ pub enum ClientAction {
         lane: Lane,
         /// Relative deadline in milliseconds (shed when exceeded in queue).
         deadline_ms: Option<u64>,
-        /// Algorithm override (the server defaults to `enum`).
-        algorithm: Option<Algorithm>,
         /// Reply shape: counts, or counts plus a capped sample of cores.
         output: OutputKind,
     },
@@ -209,7 +210,8 @@ pub enum Command {
         start: Option<u32>,
         /// Query range end (defaults to the last timestamp).
         end: Option<u32>,
-        /// Algorithm to run.
+        /// Algorithm to run: `Enum` on the engine, a baseline per query on
+        /// the caller.
         algorithm: Algorithm,
         /// What to print.
         output: OutputKind,
@@ -226,7 +228,8 @@ pub enum Command {
         path: String,
         /// Path of the query CSV (`k,start,end` per line).
         queries: String,
-        /// Algorithm to run for every query.
+        /// Algorithm to run for every query: `Enum` on the engine, a
+        /// baseline per query on the caller.
         algorithm: Algorithm,
         /// Skyline-cache memory budget in MiB.
         budget_mb: usize,
@@ -403,7 +406,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut end = None;
             let mut lane = Lane::Interactive;
             let mut deadline_ms = None;
-            let mut algorithm = None;
             let mut output = OutputKind::Count;
             let mut op = None;
             args.flags(|flag, value| {
@@ -421,7 +423,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                             .map_err(|e| CliError(format!("--lane: {e}")))?;
                     }
                     "--deadline-ms" => deadline_ms = Some(num(flag, value()?)?),
-                    "--algo" | "--algorithm" => algorithm = Some(value()?.parse()?),
                     "--output" => output = output_kind(value()?, &["cores", "full"])?,
                     _ => return Ok(false),
                 }
@@ -449,7 +450,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     end: end.ok_or("client queries require --end <TE>")?,
                     lane,
                     deadline_ms,
-                    algorithm,
                     output,
                 },
             };
@@ -775,7 +775,6 @@ pub fn render_client_line(action: &ClientAction) -> String {
             end,
             lane,
             deadline_ms,
-            algorithm,
             output,
         } => {
             let mut line = String::from(r#"{"op": "query", "id": 1"#);
@@ -793,14 +792,6 @@ pub fn render_client_line(action: &ClientAction) -> String {
             );
             if let Some(ms) = deadline_ms {
                 let _ = write!(line, r#", "deadline_ms": {ms}"#);
-            }
-            if let Some(algo) = algorithm {
-                // The server's parser folds case and separators either way.
-                let _ = write!(
-                    line,
-                    r#", "algo": "{}""#,
-                    algo.to_string().to_ascii_lowercase()
-                );
             }
             let output = match output {
                 OutputKind::Count => "count",
@@ -837,11 +828,10 @@ fn write_batch_rows(out: &mut String, queries: &[TimeRangeKCoreQuery], rows: &[(
 fn run_queries(
     service: &CoreService,
     queries: &[TimeRangeKCoreQuery],
-    algorithm: Algorithm,
 ) -> Result<Vec<(u64, u64)>, TkError> {
     let tickets = queries
         .iter()
-        .map(|&query| service.submit_with(query.into(), algorithm))
+        .map(|&query| service.submit(query.into()))
         .collect::<Result<Vec<_>, _>>()?;
     tickets
         .into_iter()
@@ -1017,38 +1007,53 @@ pub fn run(command: Command) -> Result<String, CliError> {
             let content = std::fs::read_to_string(&queries)
                 .map_err(|e| CliError(format!("cannot read {queries}: {e}")))?;
             let parsed = parse_query_csv(&queries, &content, graph.tmax())?;
-            // Every query is one request; the queue is sized to hold the
-            // whole batch.
-            let config = ServiceConfig {
-                queue_depth: parsed.len(),
-                workers: service_workers(workers),
-                admission_memory_bytes: None,
-                engine: tkcore::EngineConfig {
-                    memory_budget_bytes: budget_mb * 1024 * 1024,
-                    ..tkcore::EngineConfig::default()
-                },
+            // The engine runs only Enum; a baseline is a per-query reference,
+            // run here without a service or cache.
+            let mut service_lines = String::new();
+            let (rows, ran) = if algorithm == Algorithm::Enum {
+                // Every query is one request; the queue is sized to hold the
+                // whole batch.
+                let config = ServiceConfig {
+                    queue_depth: parsed.len(),
+                    workers: service_workers(workers),
+                    admission_memory_bytes: None,
+                    engine: tkcore::EngineConfig {
+                        memory_budget_bytes: budget_mb * 1024 * 1024,
+                        ..tkcore::EngineConfig::default()
+                    },
+                };
+                let service = CoreService::start_sharded(graph, shard_plan(shards), config)?;
+                let rows = run_queries(&service, &parsed)?;
+                let stats = service.stats();
+                let per_worker: Vec<u64> = stats.per_worker.iter().map(|w| w.completed).collect();
+                let _ = writeln!(
+                    service_lines,
+                    "queue wait {:?} + execute {:?} summed; per-worker completed: {:?}",
+                    stats.queue_wait_total, stats.execute_total, per_worker
+                );
+                write_cache_summary(&mut service_lines, &service.cache_stats());
+                service.shutdown();
+                (rows, format!("via {} service workers", per_worker.len()))
+            } else {
+                let rows = parsed
+                    .iter()
+                    .map(|&query| {
+                        let response = QueryRequest::from(query).run(&graph, algorithm)?;
+                        Ok((response.total_cores(), response.total_result_edges()))
+                    })
+                    .collect::<Result<Vec<_>, TkError>>()?;
+                let ran = "run per query on the calling thread, without a service";
+                (rows, ran.to_string())
             };
-            let service = CoreService::start_sharded(graph, shard_plan(shards), config)?;
-            let rows = run_queries(&service, &parsed, algorithm)?;
             write_batch_rows(&mut out, &parsed, &rows);
-            let stats = service.stats();
             let _ = writeln!(
                 out,
-                "\n{}: {} queries via {} service workers ({} cores, |R| = {} edges)",
-                algorithm,
+                "\n{algorithm}: {} queries {ran} ({} cores, |R| = {} edges)",
                 parsed.len(),
-                stats.per_worker.len(),
                 rows.iter().map(|&(cores, _)| cores).sum::<u64>(),
                 rows.iter().map(|&(_, edges)| edges).sum::<u64>()
             );
-            let per_worker: Vec<u64> = stats.per_worker.iter().map(|w| w.completed).collect();
-            let _ = writeln!(
-                out,
-                "queue wait {:?} + execute {:?} summed; per-worker completed: {:?}",
-                stats.queue_wait_total, stats.execute_total, per_worker
-            );
-            write_cache_summary(&mut out, &service.cache_stats());
-            service.shutdown();
+            out.push_str(&service_lines);
         }
         Command::Ingest {
             path,
@@ -1154,7 +1159,7 @@ pub fn run(command: Command) -> Result<String, CliError> {
             }
             if let Some((qpath, content)) = query_csv {
                 let parsed = parse_query_csv(&qpath, &content, engine.watermark())?;
-                let rows = run_queries(&service, &parsed, Algorithm::Enum)?;
+                let rows = run_queries(&service, &parsed)?;
                 let _ = writeln!(out, "\nlive queries over the ingested timeline:");
                 write_batch_rows(&mut out, &parsed, &rows);
             }
@@ -1320,20 +1325,46 @@ pub fn run(command: Command) -> Result<String, CliError> {
                 OutputKind::Count => request.count(),
                 OutputKind::Full => request.materialize(),
             };
-            // The request runs on a service; a k-range sweep or a sharded
-            // query reuses one cached index per (shard and) k.
-            let workers = service_workers(workers);
-            let config = ServiceConfig {
-                workers,
-                ..ServiceConfig::default()
+            // The engine runs only Enum; a baseline is a per-query reference,
+            // run here without a service or index cache.
+            let mut footer = String::new();
+            let (graph, response) = if algorithm == Algorithm::Enum {
+                // A k-range sweep or a sharded query reuses one cached index
+                // per (shard and) k.
+                let workers = service_workers(workers);
+                let config = ServiceConfig {
+                    workers,
+                    ..ServiceConfig::default()
+                };
+                let service = CoreService::start_sharded(graph, shard_plan(shards), config)?;
+                let reply = service.call(request, SubmitOptions::default())?;
+                let graph = service.engine().graph();
+                let cache = service.cache_stats();
+                service.shutdown();
+                let _ = writeln!(
+                    footer,
+                    "service: {workers} workers, request {} queued {:?}, \
+                     executed {:?} on worker {}",
+                    reply.id, reply.queue_wait, reply.execute_time, reply.worker
+                );
+                let _ = writeln!(
+                    footer,
+                    "index cache: {} misses over {} k values ({} hits)",
+                    cache.misses,
+                    reply.response.outcomes.len(),
+                    cache.hits
+                );
+                write_shard_builds(&mut footer, &cache);
+                (graph, reply.response)
+            } else {
+                let response = request.run(&graph, algorithm)?;
+                let _ = writeln!(
+                    footer,
+                    "reference: {algorithm} ran per query on the calling thread, \
+                     without a service or index cache"
+                );
+                (Arc::new(graph), response)
             };
-            let service = CoreService::start_sharded(graph, shard_plan(shards), config)?;
-            let opts = SubmitOptions::default().with_algorithm(algorithm);
-            let reply = service.call(request, opts)?;
-            let graph = service.engine().graph();
-            let cache = service.cache_stats();
-            service.shutdown();
-            let response = reply.response;
             for outcome in &response.outcomes {
                 let k = outcome.k;
                 match &outcome.output {
@@ -1379,20 +1410,7 @@ pub fn run(command: Command) -> Result<String, CliError> {
                     KOutput::Streamed => unreachable!("the CLI never requests streaming"),
                 }
             }
-            let _ = writeln!(
-                out,
-                "service: {workers} workers, request {} queued {:?}, \
-                 executed {:?} on worker {}",
-                reply.id, reply.queue_wait, reply.execute_time, reply.worker
-            );
-            let _ = writeln!(
-                out,
-                "index cache: {} misses over {} k values ({} hits)",
-                cache.misses,
-                response.outcomes.len(),
-                cache.hits
-            );
-            write_shard_builds(&mut out, &cache);
+            out.push_str(&footer);
         }
     }
     Ok(out)
@@ -1651,13 +1669,13 @@ mod tests {
             output: path_str.clone(),
         })
         .unwrap();
-        let query = |shards: usize, workers: usize| {
+        let query_with = |algorithm, shards, workers| {
             run(Command::Query {
                 path: path_str.clone(),
                 ks: KSpec::Single(3),
                 start: None,
                 end: None,
-                algorithm: Algorithm::Enum,
+                algorithm,
                 output: OutputKind::Count,
                 limit: 10,
                 shards,
@@ -1665,6 +1683,7 @@ mod tests {
             })
             .unwrap()
         };
+        let query = |shards, workers| query_with(Algorithm::Enum, shards, workers);
         // The counts line of direct per-query execution, without the
         // per-run timing suffix.
         let graph = temporal_graph::loader::read_edge_list(&path_str).unwrap();
@@ -1697,6 +1716,12 @@ mod tests {
         let both = query(4, 2);
         assert!(both.contains(&direct_counts), "{both}");
         assert!(both.contains("shard builds over 4 shards"), "{both}");
+        // A baseline runs per query on the caller and says so.
+        let reference = query_with(Algorithm::EnumBase, 4, 2);
+        let counts = direct_counts.replacen("Enum", "EnumBase", 1);
+        assert!(reference.contains(&counts), "{reference}");
+        assert!(reference.contains("reference: EnumBase ran per query"));
+        assert!(!reference.contains("service:"), "{reference}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1808,15 +1833,18 @@ mod tests {
 
         let csv_path = dir.join("queries.csv");
         std::fs::write(&csv_path, "3,1,120\n3,40,200\n2\n").unwrap();
-        let out = run(Command::Batch {
-            path: graph_str.clone(),
-            queries: csv_path.to_string_lossy().to_string(),
-            algorithm: Algorithm::Enum,
-            budget_mb: 32,
-            shards: 0,
-            workers: 0,
-        })
-        .unwrap();
+        let batch = |algorithm, shards, workers| {
+            run(Command::Batch {
+                path: graph_str.clone(),
+                queries: csv_path.to_string_lossy().to_string(),
+                algorithm,
+                budget_mb: 32,
+                shards,
+                workers,
+            })
+            .unwrap()
+        };
+        let out = batch(Algorithm::Enum, 0, 0);
         assert!(out.contains("3 queries"), "{out}");
         assert!(out.contains("index cache:"), "{out}");
 
@@ -1837,30 +1865,20 @@ mod tests {
 
         // The same batch through a 4-shard engine and through a 2-worker
         // service reports identical per-query rows.
-        let sharded = run(Command::Batch {
-            path: graph_str.clone(),
-            queries: csv_path.to_string_lossy().to_string(),
-            algorithm: Algorithm::Enum,
-            budget_mb: 32,
-            shards: 4,
-            workers: 0,
-        })
-        .unwrap();
+        let sharded = batch(Algorithm::Enum, 4, 0);
         assert!(sharded.contains(expected_row.trim_end()), "{sharded}");
         assert!(sharded.contains("shard builds over 4 shards"), "{sharded}");
 
-        let served = run(Command::Batch {
-            path: graph_str.clone(),
-            queries: csv_path.to_string_lossy().to_string(),
-            algorithm: Algorithm::Enum,
-            budget_mb: 32,
-            shards: 4,
-            workers: 2,
-        })
-        .unwrap();
+        let served = batch(Algorithm::Enum, 4, 2);
         assert!(served.contains(expected_row.trim_end()), "{served}");
         assert!(served.contains("via 2 service workers"), "{served}");
         assert!(served.contains("per-worker completed"), "{served}");
+
+        // A baseline runs per query on the caller, with no service.
+        let reference = batch(Algorithm::Otcd, 4, 2);
+        assert!(reference.contains(expected_row.trim_end()), "{reference}");
+        assert!(reference.contains("OTCD: 3 queries run per query on the calling thread"));
+        assert!(!reference.contains("index cache:"), "{reference}");
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -2117,7 +2135,6 @@ mod tests {
                     end: 9,
                     lane: Lane::Batch,
                     deadline_ms: Some(250),
-                    algorithm: None,
                     output: OutputKind::Count,
                 },
             }
@@ -2134,6 +2151,13 @@ mod tests {
         assert!(parse_args(&strings(&["client", "h:1"])).is_err());
         assert!(parse_args(&strings(&["client", "h:1", "--ping", "--k", "2"])).is_err());
         assert!(parse_args(&strings(&["client", "h:1", "--lane", "express"])).is_err());
+        // The server runs only Enum, so the client has no algorithm flag.
+        refuses(
+            &[
+                "client", "h:1", "--k", "2", "--start", "1", "--end", "4", "--algo", "naive",
+            ],
+            "--algo",
+        );
         refuses(
             &[
                 "client",
@@ -2158,12 +2182,11 @@ mod tests {
             end: 9,
             lane: Lane::Batch,
             deadline_ms: Some(250),
-            algorithm: Some(Algorithm::Enum),
             output: OutputKind::Full,
         });
         assert_eq!(
             line,
-            r#"{"op": "query", "id": 1, "k_min": 2, "k_max": 4, "start": 1, "end": 9, "lane": "batch", "deadline_ms": 250, "algo": "enum", "output": "cores"}"#
+            r#"{"op": "query", "id": 1, "k_min": 2, "k_max": 4, "start": 1, "end": 9, "lane": "batch", "deadline_ms": 250, "output": "cores"}"#
         );
     }
 

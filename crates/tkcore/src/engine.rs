@@ -261,12 +261,12 @@ mod tests {
                 TimeWindow::new(1, 200),
             ] {
                 let query = TimeRangeKCoreQuery::new(k, range).unwrap();
+                let cached = engine
+                    .execute(QueryRequest::from(query).materialize())
+                    .unwrap();
                 for algo in Algorithm::ALL {
                     let mut fresh = CollectingSink::default();
                     query.run_with(&g, algo, &mut fresh);
-                    let cached = engine
-                        .execute(QueryRequest::from(query).materialize(), algo)
-                        .unwrap();
                     assert_eq!(
                         cores(&cached),
                         fresh.into_sorted(),
@@ -282,14 +282,10 @@ mod tests {
     fn cache_hits_after_first_query_per_k() {
         let g = graph();
         let engine = span_engine(&g);
-        engine
-            .execute(QueryRequest::single(2, 2, 5), Algorithm::Enum)
-            .unwrap();
+        engine.execute(QueryRequest::single(2, 2, 5)).unwrap();
         let stats = engine.cache_stats();
         assert_eq!((stats.hits, stats.misses), (0, 1));
-        engine
-            .execute(QueryRequest::single(2, 3, 6), Algorithm::Enum)
-            .unwrap();
+        engine.execute(QueryRequest::single(2, 3, 6)).unwrap();
         let stats = engine.cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(stats.resident_indexes, 1);
@@ -310,7 +306,7 @@ mod tests {
         );
         for k in 1..=3 {
             engine
-                .execute(QueryRequest::single(k, 1, g.tmax()), Algorithm::Enum)
+                .execute(QueryRequest::single(k, 1, g.tmax()))
                 .unwrap();
         }
         let stats = engine.cache_stats();
@@ -326,15 +322,12 @@ mod tests {
         let g = graph();
         let engine = span_engine(&g);
         let past_the_end = || QueryRequest::single(2, g.tmax() + 1, g.tmax() + 9);
-        for algo in Algorithm::ALL {
-            let err = engine.execute(past_the_end(), algo).unwrap_err();
-            assert!(
-                matches!(err, TkError::WindowPastTmax { start, tmax }
-                    if start == g.tmax() + 1 && tmax == g.tmax()),
-                "{}: {err}",
-                algo.name()
-            );
-        }
+        let err = engine.execute(past_the_end()).unwrap_err();
+        assert!(
+            matches!(err, TkError::WindowPastTmax { start, tmax }
+                if start == g.tmax() + 1 && tmax == g.tmax()),
+            "{err}"
+        );
         assert_eq!(
             engine.cache_stats().misses,
             0,
@@ -343,7 +336,7 @@ mod tests {
         // A batch containing one bad query fails up front, executing nothing.
         let batch = vec![QueryRequest::single(2, 1, 3), past_the_end()];
         assert!(matches!(
-            engine.execute_batch(batch, Algorithm::Enum),
+            engine.execute_batch(batch),
             Err(TkError::WindowPastTmax { .. })
         ));
         assert_eq!(engine.cache_stats().misses, 0);
@@ -364,7 +357,7 @@ mod tests {
             .iter()
             .map(|w| QueryRequest::single(2, w.start(), w.end()))
             .collect();
-        let responses = engine.execute_batch(requests, Algorithm::Enum).unwrap();
+        let responses = engine.execute_batch(requests).unwrap();
         assert_eq!(responses.len(), windows.len());
         let mut expected_cores = 0u64;
         for (window, response) in windows.iter().zip(&responses) {
@@ -402,7 +395,7 @@ mod tests {
             .map(|_| QueryRequest::single(2, 1, g.tmax()).stream(Box::new(ExplodingSink)))
             .collect();
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.execute_batch(requests, Algorithm::Enum)
+            engine.execute_batch(requests)
         }));
         assert!(panicked.is_err(), "the sink panic reaches the caller");
         // A panic unwinding with a cache guard held poisons the mutex;
@@ -410,7 +403,7 @@ mod tests {
         let stats = engine.cache_stats();
         assert_eq!(stats.misses, 1, "the skyline build survived the panic");
         let response = engine
-            .execute(QueryRequest::single(2, 1, g.tmax()), Algorithm::Enum)
+            .execute(QueryRequest::single(2, 1, g.tmax()))
             .unwrap();
         assert!(response.total_cores() > 0);
     }
@@ -425,7 +418,7 @@ mod tests {
         assert_eq!(engine.cache_stats().resident_indexes, 1);
         assert!(engine.warm(2), "cached skyline still resident");
         let response = engine
-            .execute(QueryRequest::single(2, 1, g.tmax()), Algorithm::Enum)
+            .execute(QueryRequest::single(2, 1, g.tmax()))
             .unwrap();
         assert!(response.total_cores() > 0);
     }
@@ -447,7 +440,7 @@ mod tests {
             .collect();
         requests
             .push(QueryRequest::single(2, 1, g.tmax()).stream(Box::new(CountingSink::default())));
-        let responses = engine.execute_batch(requests, Algorithm::Enum).unwrap();
+        let responses = engine.execute_batch(requests).unwrap();
         assert_eq!(responses.len(), 8);
         let first = cores(&responses[0]);
         for response in &responses[..7] {

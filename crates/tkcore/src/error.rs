@@ -61,19 +61,13 @@ pub enum TkError {
         /// How long the request had waited when it was shed.
         waited: Duration,
     },
-    /// A precomputed [`crate::EdgeCoreSkyline`] was supplied for different
-    /// query parameters than the query being executed.
-    SkylineMismatch {
-        /// Human-readable description of the mismatch.
-        detail: String,
-    },
-    /// The chosen algorithm cannot perform the requested operation (e.g.
-    /// `Otcd` and `Naive` cannot run from a precomputed skyline).
+    /// A [`crate::CoreService`] serves only `Enum`, so a request whose
+    /// [`crate::SubmitOptions::algorithm`] names a baseline is refused
+    /// before admission; the baselines run per query through
+    /// [`Algorithm::execute`].
     UnsupportedAlgorithm {
-        /// The algorithm that was asked to do the work.
+        /// The algorithm the request named.
         algorithm: Algorithm,
-        /// The operation it does not support.
-        operation: &'static str,
     },
     /// An algorithm name did not parse (see [`Algorithm`]'s `FromStr`).
     UnknownAlgorithm {
@@ -143,7 +137,6 @@ impl TkError {
             TkError::WindowPastTmax { .. } => "WindowPastTmax",
             TkError::BudgetExceeded { .. } => "BudgetExceeded",
             TkError::DeadlineExceeded { .. } => "DeadlineExceeded",
-            TkError::SkylineMismatch { .. } => "SkylineMismatch",
             TkError::UnsupportedAlgorithm { .. } => "UnsupportedAlgorithm",
             TkError::UnknownAlgorithm { .. } => "UnknownAlgorithm",
             TkError::InvalidShardPlan { .. } => "InvalidShardPlan",
@@ -187,13 +180,10 @@ impl fmt::Display for TkError {
                 "deadline of {deadline:?} exceeded after waiting {waited:?}; request shed \
                  without executing"
             ),
-            TkError::SkylineMismatch { detail } => {
-                write!(f, "skyline does not match the query: {detail}")
-            }
-            TkError::UnsupportedAlgorithm {
-                algorithm,
-                operation,
-            } => write!(f, "algorithm {algorithm} does not support {operation}"),
+            TkError::UnsupportedAlgorithm { algorithm } => write!(
+                f,
+                "algorithm {algorithm} runs only per query; a service serves only Enum"
+            ),
             TkError::UnknownAlgorithm { name } => write!(
                 f,
                 "unknown algorithm `{name}` (expected enum, enum-base, otcd or naive)"
@@ -279,7 +269,6 @@ mod tests {
             (
                 TkError::UnsupportedAlgorithm {
                     algorithm: Algorithm::Otcd,
-                    operation: "skyline execution",
                 },
                 "OTCD",
             ),

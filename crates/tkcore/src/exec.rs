@@ -21,7 +21,9 @@
 //!   claims indexes from the same atomic counter as the helper tasks, and
 //!   helpers are spawned only into spare slots (none at all for a
 //!   one-index batch, or when every slot is busy — the caller then runs the
-//!   whole batch itself).  A batch submitted from inside a pool task (a
+//!   whole batch itself).  Once the caller finds every index claimed, it
+//!   retracts the helpers no worker has started yet, so a finished batch
+//!   leaves nothing queued.  A batch submitted from inside a pool task (a
 //!   service request fanning a `k`-sweep across the same pool) therefore
 //!   always completes, and no thread ever waits on work only other threads
 //!   can do;
@@ -46,8 +48,9 @@ use crate::sync;
 type Task = Box<dyn FnOnce(usize) + Send + 'static>;
 
 struct PoolState {
-    /// The one FIFO every worker pops from.
-    queue: VecDeque<Task>,
+    /// The one FIFO every worker pops from, each task with the tag of the
+    /// batch it helps (0 for a task that helps none).
+    queue: VecDeque<(usize, Task)>,
     /// Indexes of the slots no running task and no caller holds.
     free: Vec<usize>,
     /// `false` once the pool is shutting down; queued tasks still drain.
@@ -66,7 +69,7 @@ impl PoolState {
         if self.free.is_empty() {
             return None;
         }
-        let task = self.queue.pop_front()?;
+        let (_, task) = self.queue.pop_front()?;
         let slot = self.free.pop()?;
         Some((task, slot))
     }
@@ -177,10 +180,20 @@ impl ExecPool {
     /// of submission, once a slot is free.  The task receives the index of
     /// its slot.
     pub fn spawn(&self, task: impl FnOnce(usize) + Send + 'static) {
-        let mut state = self.shared.lock();
-        state.queue.push_back(Box::new(task));
-        drop(state);
+        self.enqueue(0, Box::new(task));
+    }
+
+    /// Appends `task`, tagged with `batch`, and wakes a worker.
+    fn enqueue(&self, batch: usize, task: Task) {
+        self.shared.lock().queue.push_back((batch, task));
         self.shared.work_ready.notify_one();
+    }
+
+    /// Drops the queued helpers of `batch`: called once every index of the
+    /// batch is claimed, when a helper no worker has started would find no
+    /// work, yet keeps a slot from being spare while it waits.
+    fn retract(&self, batch: usize) {
+        self.shared.lock().queue.retain(|&(tag, _)| tag != batch);
     }
 
     /// Claims a spare slot for the calling thread, or `None` when every
@@ -312,12 +325,17 @@ where
         done: Condvar::new(),
     });
     let run = Arc::new(run);
+    // The batch's address tags its helpers: it is unique among queued
+    // tasks, since a queued helper keeps its batch alive.
+    let tag = Arc::as_ptr(&batch) as usize;
     for _ in 0..helpers {
         let helper_batch = Arc::clone(&batch);
         let helper_run = Arc::clone(&run);
-        pool.spawn(move |_slot| drain_batch(&helper_batch, helper_run.as_ref(), len));
+        let helper = move |_slot| drain_batch(&helper_batch, helper_run.as_ref(), len);
+        pool.enqueue(tag, Box::new(helper));
     }
     drain_batch(&batch, run.as_ref(), len);
+    pool.retract(tag);
     let mut remaining = sync::lock(&batch.remaining);
     while *remaining > 0 {
         // tkc-lint: allow(no-blocking-in-worker) — claim-alongside-helpers: the calling worker drained batch indexes itself above, so every index it can wait on is owned by an already-running thread, never queued behind this one
@@ -463,6 +481,17 @@ mod tests {
         done_rx
             .recv_timeout(Duration::from_secs(10))
             .expect("the task survives dropping the pool it runs on");
+    }
+
+    #[test]
+    fn a_finished_batch_leaves_no_helper_queued() {
+        let pool = ExecPool::new(2);
+        for round in 0..1_000 {
+            assert_eq!(pool.run_batch(4, |i| i), vec![0, 1, 2, 3]);
+            assert!(pool.shared.lock().queue.is_empty(), "round {round}");
+        }
+        // Nothing queued, so an idle slot is spare for a caller.
+        assert!(pool.try_claim().is_some());
     }
 
     #[test]

@@ -15,16 +15,19 @@
 //!   stream).
 //!   [`QueryRequest::validate`] turns malformed input into a structured
 //!   [`TkError`] instead of a panic;
-//! * two ways to run one: [`ShardedEngine::execute`] (or
-//!   [`ShardedEngine::execute_batch`] for many) answers from the engine's
-//!   skyline cache, so repeated and swept queries build each index at
-//!   most once, and [`QueryRequest::run`] executes per query with
-//!   an [`Algorithm`] (`Enum`, `EnumBase`, `Otcd`, `Naive`) — the reference
-//!   the engine is tested against;
+//! * [`ShardedEngine::execute`] (or [`ShardedEngine::execute_batch`] for
+//!   many) runs one: every `k` is answered by the paper's `Enum` over the
+//!   engine's skyline cache, so repeated and swept queries build each
+//!   index at most once.  The engine runs nothing else.  The baselines are
+//!   per-query references: [`QueryRequest::run`] executes a request per
+//!   query with an [`Algorithm`] (`Enum`, `EnumBase`, `Otcd`, `Naive`),
+//!   and the engine is tested against each of them;
 //! * [`CoreService`] — a thread-backed serving front end with a bounded
 //!   request queue, [`ServiceConfig::workers`] execution slots, admission
 //!   control ([`TkError::BudgetExceeded`]), and per-request [`RequestId`] +
-//!   latency accounting.
+//!   latency accounting.  It serves only `Enum`: a request naming a
+//!   baseline in [`SubmitOptions::algorithm`] is refused with
+//!   [`TkError::UnsupportedAlgorithm`].
 //!
 //! # Execution model
 //!
@@ -84,7 +87,8 @@
 //! A [`WindowView`] merges both per edge as the enumerator reads it, with
 //! no copy, so every core is emitted exactly once, in the order a fresh
 //! build for `W` would produce; the `shard_equivalence` test harness
-//! asserts this for random graphs, random plans and all four algorithms.
+//! asserts this for random graphs and random plans against every
+//! per-query reference algorithm.
 //!
 //! # Live ingestion
 //!
@@ -169,10 +173,10 @@
 //! A `k`-range sweep served from the cache, one skyline build per `k`:
 //!
 //! ```
-//! use tkcore::{paper_example, Algorithm, QueryRequest, ShardPlan, ShardedEngine};
+//! use tkcore::{paper_example, QueryRequest, ShardPlan, ShardedEngine};
 //!
 //! let engine = ShardedEngine::new(paper_example::graph(), ShardPlan::Span).unwrap();
-//! let response = engine.execute(QueryRequest::sweep(1..=3, 1, 7), Algorithm::Enum).unwrap();
+//! let response = engine.execute(QueryRequest::sweep(1..=3, 1, 7)).unwrap();
 //! assert_eq!(response.outcomes.len(), 3);           // per-k stats
 //! assert_eq!(engine.cache_stats().misses, 3);       // ≤ 1 build per k
 //! ```
@@ -211,9 +215,8 @@
 //!   time), and [`enumerate`] keeps the window records it builds from
 //!   the view in flat arrays: one count per end time and a bitset of the
 //!   non-empty ones, so counts and samples never list an edge.  Callers that
-//!   want a skyline of their own ([`EdgeCoreSkyline::restrict`],
-//!   `EnumBase` on the engine) materialise a view into buffers from a
-//!   [`SkylineScratch`] pool.
+//!   want a skyline of their own ([`EdgeCoreSkyline::restrict`])
+//!   materialise a view into buffers from a [`SkylineScratch`] pool.
 //! * **`u32` offsets** — window counts are bounded by `|ECS|`, which the
 //!   paper's datasets keep far below `u32::MAX`, and halving the offset
 //!   width keeps the entire offset array of a typical shard inside a few

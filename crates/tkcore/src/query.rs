@@ -2,12 +2,13 @@
 //!
 //! [`TimeRangeKCoreQuery`] bundles the two query parameters of the paper's
 //! problem statement — the integer `k` and the time range `[Ts, Te]` — and
-//! runs any of the implemented algorithms against a [`TemporalGraph`],
-//! reporting per-phase timings and memory estimates.  It is the low-level
-//! carrier used by [`crate::ShardedEngine`]; application code should prefer the
-//! richer, fallible [`crate::QueryRequest`] front end.
+//! runs any of the implemented algorithms against a [`TemporalGraph`] per
+//! query, reporting per-phase timings and memory estimates.  That per-query
+//! execution is the reference [`crate::ShardedEngine`], which only ever runs
+//! `Enum`, is checked against; application code should prefer the richer,
+//! fallible [`crate::QueryRequest`] front end.
 
-use crate::ecs::{EdgeCoreSkyline, SkylineScratch, WindowView};
+use crate::ecs::EdgeCoreSkyline;
 use crate::enum_base::enumerate_base;
 use crate::enumerate::enumerate;
 use crate::error::TkError;
@@ -198,73 +199,6 @@ impl TimeRangeKCoreQuery {
         self.range
     }
 
-    /// Runs a skyline-based algorithm (`Enum` or `EnumBase`) over an
-    /// already-built [`EdgeCoreSkyline`] — or a [`WindowView`] of cached
-    /// ones — for this query's `(k, range)`, streaming results into `sink`.
-    /// `Enum` reads the view in place; `EnumBase` materialises it first.
-    ///
-    /// The reported `precompute_time` is zero — the index was paid for
-    /// elsewhere (built directly, or cached by [`crate::ShardedEngine`]).
-    ///
-    /// # Errors
-    /// Returns [`TkError::SkylineMismatch`] if the skyline's parameters do
-    /// not match the query, and [`TkError::UnsupportedAlgorithm`] if
-    /// `algorithm` is not skyline-based (`Otcd` and `Naive` have no
-    /// precomputed index to run from).
-    pub fn run_with_skyline<'a>(
-        &self,
-        graph: &TemporalGraph,
-        skyline: impl Into<WindowView<'a>>,
-        algorithm: Algorithm,
-        sink: &mut dyn ResultSink,
-    ) -> Result<QueryStats, TkError> {
-        let view = skyline.into();
-        if view.k() != self.k {
-            return Err(TkError::SkylineMismatch {
-                detail: format!(
-                    "skyline built for k = {}, query has k = {}",
-                    view.k(),
-                    self.k
-                ),
-            });
-        }
-        if view.window() != self.range {
-            return Err(TkError::SkylineMismatch {
-                detail: format!(
-                    "skyline built for range {}, query has range {}",
-                    view.window(),
-                    self.range
-                ),
-            });
-        }
-        let mut stats = QueryStats::zeroed(algorithm);
-        let t0 = Instant::now();
-        let run = match algorithm {
-            Algorithm::Enum => enumerate(graph, view, sink),
-            Algorithm::EnumBase => {
-                let skyline = view.materialize(&mut SkylineScratch::default());
-                let base = enumerate_base(graph, &skyline, sink);
-                crate::enumerate::EnumStats {
-                    num_cores: base.num_cores,
-                    total_edges: base.total_edges,
-                    skyline_windows: skyline.total_windows() as u64,
-                    peak_memory_bytes: base.peak_memory_bytes,
-                }
-            }
-            other => {
-                return Err(TkError::UnsupportedAlgorithm {
-                    algorithm: other,
-                    operation: "execution from a precomputed skyline",
-                })
-            }
-        };
-        stats.enumerate_time = t0.elapsed();
-        stats.num_cores = run.num_cores;
-        stats.total_result_edges = run.total_edges;
-        stats.peak_memory_bytes = run.peak_memory_bytes;
-        Ok(stats)
-    }
-
     /// Runs the chosen algorithm, streaming results into `sink`.
     ///
     /// This never panics: the constructor guarantees `k >= 1`, and ranges
@@ -431,32 +365,6 @@ mod tests {
             .unwrap();
         assert_eq!(overhang, exact);
         assert_eq!(stats.num_cores, exact.num_cores);
-    }
-
-    #[test]
-    fn run_with_skyline_rejects_mismatches_and_indexless_algorithms() {
-        let g = paper_example::graph();
-        let skyline = EdgeCoreSkyline::build(&g, 2, paper_example::full_range());
-        let wrong_k = TimeRangeKCoreQuery::new(3, paper_example::full_range()).unwrap();
-        let mut sink = CountingSink::default();
-        assert!(matches!(
-            wrong_k.run_with_skyline(&g, &skyline, Algorithm::Enum, &mut sink),
-            Err(TkError::SkylineMismatch { .. })
-        ));
-        let wrong_range =
-            TimeRangeKCoreQuery::new(2, paper_example::example_query_range()).unwrap();
-        assert!(matches!(
-            wrong_range.run_with_skyline(&g, &skyline, Algorithm::Enum, &mut sink),
-            Err(TkError::SkylineMismatch { .. })
-        ));
-        let matching = TimeRangeKCoreQuery::new(2, paper_example::full_range()).unwrap();
-        assert!(matches!(
-            matching.run_with_skyline(&g, &skyline, Algorithm::Otcd, &mut sink),
-            Err(TkError::UnsupportedAlgorithm { .. })
-        ));
-        assert!(matching
-            .run_with_skyline(&g, &skyline, Algorithm::Enum, &mut sink)
-            .is_ok());
     }
 
     #[test]

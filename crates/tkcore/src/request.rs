@@ -20,9 +20,10 @@
 //! checks the request against a concrete graph and returns a typed
 //! [`TkError`] for malformed input (`k == 0`, a sweep past the vertex
 //! count, empty windows, windows past the last timestamp) instead of
-//! panicking.  A request runs one of two ways: per query with an
-//! [`Algorithm`] ([`QueryRequest::run`], the reference execution), or from
-//! an engine's skyline caches with [`crate::ShardedEngine::execute`].
+//! panicking.  A request runs from an engine's skyline caches with
+//! [`crate::ShardedEngine::execute`], which always runs `Enum`, or per
+//! query with any [`Algorithm`] ([`QueryRequest::run`], the reference
+//! execution the engine is tested against).
 
 use std::fmt;
 use std::ops::RangeInclusive;

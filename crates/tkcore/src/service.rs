@@ -115,7 +115,11 @@ impl std::str::FromStr for Lane {
 /// Per-request options of [`CoreService::submit_opts`].
 #[derive(Debug, Clone, Copy)]
 pub struct SubmitOptions {
-    /// The algorithm executing the request.
+    /// The algorithm executing the request.  A service runs only `Enum`
+    /// (the default): [`CoreService::submit_opts`] and
+    /// [`CoreService::call`] refuse any other value with
+    /// [`TkError::UnsupportedAlgorithm`] before admission.  The baselines
+    /// run per query through [`Algorithm::execute`].
     pub algorithm: Algorithm,
     /// The priority class the request queues in.
     pub lane: Lane,
@@ -138,18 +142,12 @@ impl Default for SubmitOptions {
 }
 
 impl SubmitOptions {
-    /// Options for a batch-lane request with the default algorithm.
+    /// Options for a batch-lane request.
     pub fn batch() -> Self {
         Self {
             lane: Lane::Batch,
             ..Self::default()
         }
-    }
-
-    /// Returns these options with `algorithm`.
-    pub fn with_algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.algorithm = algorithm;
-        self
     }
 
     /// Returns these options with `lane`.
@@ -436,7 +434,6 @@ pub struct IngestLaneStats {
 struct Job {
     id: RequestId,
     request: ValidatedRequest,
-    algorithm: Algorithm,
     lane: Lane,
     /// Relative deadline; checked against `enqueued_at` at dequeue.
     deadline: Option<Duration>,
@@ -615,32 +612,13 @@ impl CoreService {
         self.shared.lock().stats.clone()
     }
 
-    /// Submits a request running the paper's final algorithm (`Enum`).
-    ///
-    /// # Errors
-    /// See [`CoreService::submit_with`].
-    pub fn submit(&self, request: QueryRequest) -> Result<Ticket, TkError> {
-        self.submit_with(request, Algorithm::Enum)
-    }
-
-    /// Validates `request`, applies admission control, and enqueues it for
-    /// the chosen algorithm in the default (interactive, no-deadline)
-    /// priority class.
+    /// Validates `request`, applies admission control, and enqueues it in
+    /// the default (interactive, no-deadline) priority class.
     ///
     /// # Errors
     /// See [`CoreService::submit_opts`].
-    pub fn submit_with(
-        &self,
-        request: QueryRequest,
-        algorithm: Algorithm,
-    ) -> Result<Ticket, TkError> {
-        self.submit_opts(
-            request,
-            SubmitOptions {
-                algorithm,
-                ..SubmitOptions::default()
-            },
-        )
+    pub fn submit(&self, request: QueryRequest) -> Result<Ticket, TkError> {
+        self.submit_opts(request, SubmitOptions::default())
     }
 
     /// Validates `request`, applies admission control, and enqueues it with
@@ -653,8 +631,10 @@ impl CoreService {
     /// moves on to the next job.
     ///
     /// # Errors
-    /// * the validation errors of [`QueryRequest::validate`] (checked
-    ///   synchronously — malformed requests never consume queue capacity);
+    /// * [`TkError::UnsupportedAlgorithm`] when `opts.algorithm` is not
+    ///   `Enum`, and the validation errors of [`QueryRequest::validate`]
+    ///   (both checked synchronously, before admission — such requests
+    ///   never consume queue capacity or move a counter);
     /// * [`TkError::BudgetExceeded`] when [`ServiceConfig::queue_depth`]
     ///   requests are already waiting or the skyline cache exceeds
     ///   [`ServiceConfig::admission_memory_bytes`];
@@ -666,7 +646,7 @@ impl CoreService {
         request: QueryRequest,
         opts: SubmitOptions,
     ) -> Result<Ticket, TkError> {
-        let validated = request.validate(&self.engine.graph())?;
+        let validated = self.validate(request, &opts)?;
         let pool = self.pool()?;
         let (state, id) = self.admit_query(&opts)?;
         Ok(self.enqueue(pool, state, id, validated, opts))
@@ -695,7 +675,7 @@ impl CoreService {
         request: QueryRequest,
         opts: SubmitOptions,
     ) -> Result<ServiceReply, TkError> {
-        let validated = request.validate(&self.engine.graph())?;
+        let validated = self.validate(request, &opts)?;
         let pool = self.pool()?;
         // Claimed before the state lock: the pool and service locks stay
         // unnested.  A slot a queued pool task waits for is never spare.
@@ -718,10 +698,7 @@ impl CoreService {
             opts.lane,
             slot.index(),
             Duration::ZERO,
-            || {
-                self.engine
-                    .execute_validated(validated, opts.algorithm, Units::OnCaller)
-            },
+            || self.engine.execute_validated(validated, Units::OnCaller),
             |_, _, _| {},
         );
         result.map(|response| ServiceReply {
@@ -731,6 +708,22 @@ impl CoreService {
             execute_time,
             worker: slot.index(),
         })
+    }
+
+    /// The checks a query passes before admission: `request` must be valid
+    /// for the engine's graph, and the service runs only `Enum`.
+    fn validate(
+        &self,
+        request: QueryRequest,
+        opts: &SubmitOptions,
+    ) -> Result<ValidatedRequest, TkError> {
+        let validated = request.validate(&self.engine.graph())?;
+        if opts.algorithm != Algorithm::Enum {
+            return Err(TkError::UnsupportedAlgorithm {
+                algorithm: opts.algorithm,
+            });
+        }
+        Ok(validated)
     }
 
     /// Admission for a query: the memory gate and the zero-deadline check
@@ -779,7 +772,6 @@ impl CoreService {
         state.queue.push(Job {
             id,
             request,
-            algorithm: opts.algorithm,
             lane: opts.lane,
             deadline: opts.deadline,
             enqueued_at: Instant::now(),
@@ -951,7 +943,6 @@ fn drain_service_job(engine: &Arc<ShardedEngine>, shared: &ServiceShared, slot: 
     let Job {
         id,
         request,
-        algorithm,
         lane,
         reply,
         ..
@@ -961,7 +952,7 @@ fn drain_service_job(engine: &Arc<ShardedEngine>, shared: &ServiceShared, slot: 
         lane,
         slot,
         queue_wait,
-        || engine.execute_validated(request, algorithm, Units::FanOut),
+        || engine.execute_validated(request, Units::FanOut),
         |_, _, _| {},
     );
     let reply_value = result.map(|response| ServiceReply {
@@ -1121,6 +1112,25 @@ mod tests {
         ));
         let stats = service.stats();
         assert_eq!(stats.admitted, 0, "invalid requests never hit the queue");
+    }
+
+    #[test]
+    fn baseline_algorithms_are_refused_before_admission() {
+        let service = span_service(ServiceConfig::default());
+        let otcd = SubmitOptions {
+            algorithm: Algorithm::Otcd,
+            ..SubmitOptions::default()
+        };
+        let request = || QueryRequest::single(2, 1, 4);
+        let refused = |err| matches!(err, Some(TkError::UnsupportedAlgorithm { .. }));
+        assert!(refused(service.submit_opts(request(), otcd).err()));
+        assert!(refused(service.call(request(), otcd).err()));
+        let stats = service.stats();
+        assert_eq!((stats.admitted, stats.rejected, stats.shed), (0, 0, 0));
+        // The same request with the default algorithm is served.
+        let reply = service.call(request(), SubmitOptions::default()).unwrap();
+        assert_eq!(reply.response.total_cores(), 2); // Figure 2 of the paper
+        assert_eq!(service.stats().admitted, 1);
     }
 
     #[test]

@@ -54,8 +54,8 @@
 //! emitted exactly once, in the same order as
 //! [`crate::Algorithm::Enum`] over `W` — the result-size bound of the
 //! paper's enumeration holds for spanning queries too.  The
-//! `shard_equivalence` harness asserts this for random graphs, random plans
-//! and all four algorithms.
+//! `shard_equivalence` harness asserts this for random graphs and random
+//! plans against every per-query reference algorithm.
 //!
 //! # The boundary-stitch index
 //!
@@ -96,10 +96,11 @@ use std::time::{Duration, Instant};
 
 use crate::ecs::{EdgeCoreSkyline, WindowView};
 use crate::engine::{batch_pool, CacheStats, EngineConfig, ShardCacheStats, WarmStats};
+use crate::enumerate::enumerate;
 use crate::error::TkError;
 use crate::exec::{run_batch_inner, ExecPool};
 use crate::ingest::{AbsorbStats, IngestEvent};
-use crate::query::{Algorithm, QueryStats, TimeRangeKCoreQuery};
+use crate::query::{Algorithm, QueryStats};
 use crate::request::{OutcomeSink, QueryRequest, QueryResponse, SinkShape, ValidatedRequest};
 use crate::sink::ResultSink;
 use crate::sync;
@@ -527,13 +528,11 @@ impl SkylineCache {
 /// # Example
 ///
 /// ```
-/// use tkcore::{paper_example, Algorithm, QueryRequest, ShardPlan, ShardedEngine};
+/// use tkcore::{paper_example, QueryRequest, ShardPlan, ShardedEngine};
 ///
 /// let engine = ShardedEngine::new(paper_example::graph(), ShardPlan::FixedCount(4)).unwrap();
 /// assert_eq!(engine.num_shards(), 4);
-/// let response = engine
-///     .execute(QueryRequest::single(2, 1, 4), Algorithm::Enum)
-///     .unwrap();
+/// let response = engine.execute(QueryRequest::single(2, 1, 4)).unwrap();
 /// assert_eq!(response.total_cores(), 2); // Figure 2 of the paper, stitched across shards
 /// ```
 ///
@@ -864,19 +863,19 @@ impl ShardedEngine {
         sync::lock(&self.inner.cache).clear();
     }
 
-    /// Executes a [`QueryRequest`] with `algorithm` from the engine's caches:
-    /// a one-request [`ShardedEngine::execute_batch`], and the entry point
+    /// Executes a [`QueryRequest`] from the engine's caches: a one-request
+    /// [`ShardedEngine::execute_batch`], and the entry point
     /// [`crate::CoreService`] workers, `tkc` and library callers share.
     ///
     /// The request is validated once, against the live view it then runs
     /// on, so a racing [`ShardedEngine::absorb`] is observed for all of its
-    /// `k`s or for none.  `Enum` answers each `k` from the window's
-    /// [`WindowView`] (see [`ShardedEngine::with_view`]) and `EnumBase` from
-    /// that view materialised; `Otcd` and `Naive` have no reusable index
-    /// and run exactly as [`Algorithm::execute`] does.  The enumerator runs
-    /// once over a skyline identical to a fresh build for the window, so a
-    /// stream request sees cores in exactly the order
-    /// [`TimeRangeKCoreQuery::run_with`] emits them, whatever the plan.
+    /// `k`s or for none.  Each `k` is answered by the paper's enumeration
+    /// ([`crate::enumerate`], `Enum`) over the window's [`WindowView`] (see
+    /// [`ShardedEngine::with_view`]).  That view reads like a fresh skyline
+    /// build for the window, so a stream request sees cores in exactly the
+    /// order [`crate::Algorithm::Enum`] emits them per query, whatever the
+    /// plan.  The baselines ([`crate::Algorithm`]) are per-query references
+    /// and never run here.
     ///
     /// # Errors
     /// The validation errors of [`QueryRequest::validate`].
@@ -887,24 +886,20 @@ impl ShardedEngine {
     /// use tkcore::{paper_example, Algorithm, QueryRequest, ShardPlan, ShardedEngine};
     ///
     /// let engine = ShardedEngine::new(paper_example::graph(), ShardPlan::FixedCount(3)).unwrap();
-    /// let response = engine
-    ///     .execute(QueryRequest::sweep(1..=2, 1, 7), Algorithm::Enum)
-    ///     .unwrap();
+    /// let response = engine.execute(QueryRequest::sweep(1..=2, 1, 7)).unwrap();
     /// assert_eq!(response.outcomes.len(), 2); // one outcome per k
-    /// // The same request run per query, without the engine's caches:
-    /// let reference = QueryRequest::sweep(1..=2, 1, 7)
-    ///     .run(&paper_example::graph(), Algorithm::Enum)
-    ///     .unwrap();
-    /// assert_eq!(response.total_cores(), reference.total_cores());
+    /// // Every algorithm, run per query without the engine's caches, agrees:
+    /// for algorithm in Algorithm::ALL {
+    ///     let reference = QueryRequest::sweep(1..=2, 1, 7)
+    ///         .run(&paper_example::graph(), algorithm)
+    ///         .unwrap();
+    ///     assert_eq!(response.total_cores(), reference.total_cores());
+    /// }
     /// ```
-    pub fn execute(
-        &self,
-        request: QueryRequest,
-        algorithm: Algorithm,
-    ) -> Result<QueryResponse, TkError> {
+    pub fn execute(&self, request: QueryRequest) -> Result<QueryResponse, TkError> {
         let live = self.inner.live_now();
         let request = request.validate(&live.graph)?;
-        self.execute_one(live, request, algorithm, Units::FanOut)
+        self.execute_one(live, request, Units::FanOut)
     }
 
     /// Lends `f` the engine's [`WindowView`] of `[start, end]` (clamped to
@@ -937,14 +932,13 @@ impl ShardedEngine {
     pub(crate) fn execute_validated(
         &self,
         request: ValidatedRequest,
-        algorithm: Algorithm,
         units: Units,
     ) -> Result<QueryResponse, TkError> {
-        self.execute_one(self.inner.live_now(), request, algorithm, units)
+        self.execute_one(self.inner.live_now(), request, units)
     }
 
-    /// Executes a batch of requests with `algorithm` against one live view,
-    /// returning one [`QueryResponse`] per request, in request order.
+    /// Executes a batch of requests against one live view, returning one
+    /// [`QueryResponse`] per request, in request order.
     ///
     /// Every count, sample and materialize `(request, k)` unit of the batch fans
     /// across the engine's [`ExecPool`] together (the calling thread
@@ -960,19 +954,18 @@ impl ShardedEngine {
     /// # Example
     ///
     /// ```
-    /// use tkcore::{paper_example, Algorithm, QueryRequest, ShardPlan, ShardedEngine};
+    /// use tkcore::{paper_example, QueryRequest, ShardPlan, ShardedEngine};
     ///
     /// // The unsharded engine: one span-wide skyline serves every window of k = 2.
     /// let engine = ShardedEngine::new(paper_example::graph(), ShardPlan::Span).unwrap();
     /// let batch = vec![QueryRequest::single(2, 1, 4), QueryRequest::single(2, 2, 7)];
-    /// let responses = engine.execute_batch(batch, Algorithm::Enum).unwrap();
+    /// let responses = engine.execute_batch(batch).unwrap();
     /// assert_eq!(responses[0].total_cores(), 2); // Figure 2 of the paper
     /// assert_eq!(engine.cache_stats().per_shard[0].builds, 1);
     /// ```
     pub fn execute_batch(
         &self,
         requests: Vec<QueryRequest>,
-        algorithm: Algorithm,
     ) -> Result<Vec<QueryResponse>, TkError> {
         // The whole batch runs against one live view, so its requests are
         // mutually consistent even while absorbs land concurrently.
@@ -981,17 +974,16 @@ impl ShardedEngine {
             .into_iter()
             .map(|request| request.validate(&live.graph))
             .collect::<Result<Vec<_>, _>>()?;
-        self.execute_on(live, requests, algorithm, Units::FanOut)
+        self.execute_on(live, requests, Units::FanOut)
     }
 
     fn execute_one(
         &self,
         live: Arc<LiveState>,
         request: ValidatedRequest,
-        algorithm: Algorithm,
         units: Units,
     ) -> Result<QueryResponse, TkError> {
-        let mut responses = self.execute_on(live, vec![request], algorithm, units)?;
+        let mut responses = self.execute_on(live, vec![request], units)?;
         // tkc-lint: allow(no-panic-api) — execute_on returns one response per request, and exactly one went in
         Ok(responses.pop().expect("one response per request"))
     }
@@ -1004,7 +996,6 @@ impl ShardedEngine {
         &self,
         live: Arc<LiveState>,
         requests: Vec<ValidatedRequest>,
-        algorithm: Algorithm,
         placement: Units,
     ) -> Result<Vec<QueryResponse>, TkError> {
         let units: Vec<(usize, TimeWindow, SinkShape)> = requests
@@ -1016,16 +1007,14 @@ impl ShardedEngine {
             })
             .collect();
         let mut fanned = self
-            .fan_out(Arc::clone(&live), units, algorithm, placement)
+            .fan_out(Arc::clone(&live), units, placement)
             .into_iter();
         requests
             .into_iter()
             .map(|request| {
                 request.respond(
                     |ks, _, _| Ok(fanned.by_ref().take(ks.len()).collect()),
-                    |k, window, sink| {
-                        Ok(self.inner.run_validated(&live, k, window, algorithm, sink))
-                    },
+                    |k, window, sink| Ok(self.inner.run_validated(&live, k, window, sink)),
                 )
             })
             .collect()
@@ -1041,7 +1030,6 @@ impl ShardedEngine {
         &self,
         live: Arc<LiveState>,
         units: Vec<(usize, TimeWindow, SinkShape)>,
-        algorithm: Algorithm,
         placement: Units,
     ) -> Vec<(OutcomeSink, QueryStats)> {
         let on_caller = placement == Units::OnCaller && self.inner.units_warm(&live, &units);
@@ -1054,7 +1042,7 @@ impl ShardedEngine {
         run_batch_inner(pool.as_deref(), units.len(), move |i| {
             let (k, window, shape) = units[i];
             let mut sink = OutcomeSink::new(shape);
-            let stats = inner.run_validated(&live, k, window, algorithm, &mut sink);
+            let stats = inner.run_validated(&live, k, window, &mut sink);
             (sink, stats)
         })
     }
@@ -1320,29 +1308,29 @@ impl ShardInner {
         })
     }
 
-    /// Executes a query whose parameters already passed validation (`k >= 1`,
-    /// window inside `live`'s graph span) against one consistent live view.
+    /// Enumerates a query whose parameters already passed validation
+    /// (`k >= 1`, window inside `live`'s graph span) over its
+    /// [`WindowView`] of one consistent live view.  `precompute_time` is
+    /// the fetch (or build) of the view's skylines.
     fn run_validated(
         &self,
         live: &Arc<LiveState>,
         k: usize,
         window: TimeWindow,
-        algorithm: Algorithm,
         sink: &mut dyn ResultSink,
     ) -> QueryStats {
-        let query = TimeRangeKCoreQuery::validated(k, window);
-        if matches!(algorithm, Algorithm::Otcd | Algorithm::Naive) {
-            return query.run_with(&live.graph, algorithm, sink);
-        }
         let t0 = Instant::now();
-        let mut precompute_time = Duration::ZERO;
+        let mut stats = QueryStats::zeroed(Algorithm::Enum);
         let run = self.with_view(live, k, window, |view| {
-            precompute_time = t0.elapsed();
-            query.run_with_skyline(&live.graph, view, algorithm, sink)
+            let t1 = Instant::now();
+            stats.precompute_time = t1 - t0;
+            let run = enumerate(&live.graph, view, sink);
+            stats.enumerate_time = t1.elapsed();
+            run
         });
-        // tkc-lint: allow(no-panic-api) — the view covers exactly the validated window, so validation cannot reject it
-        let mut stats = run.expect("the window's view matches the validated query by construction");
-        stats.precompute_time = precompute_time;
+        stats.num_cores = run.num_cores;
+        stats.total_result_edges = run.total_edges;
+        stats.peak_memory_bytes = run.peak_memory_bytes;
         stats
     }
 }
@@ -1352,17 +1340,12 @@ mod tests {
     use super::*;
     use crate::paper_example;
     use crate::sink::{CollectingSink, CountingSink};
-    use crate::{KOutput, TemporalKCore};
+    use crate::{KOutput, TemporalKCore, TimeRangeKCoreQuery};
 
-    /// The cores `engine` answers `query` with under `algorithm`, in
-    /// canonical order.
-    fn cores_of(
-        engine: &ShardedEngine,
-        query: TimeRangeKCoreQuery,
-        algorithm: Algorithm,
-    ) -> Vec<TemporalKCore> {
+    /// The cores `engine` answers `query` with, in canonical order.
+    fn cores_of(engine: &ShardedEngine, query: TimeRangeKCoreQuery) -> Vec<TemporalKCore> {
         let mut response = engine
-            .execute(QueryRequest::from(query).materialize(), algorithm)
+            .execute(QueryRequest::from(query).materialize())
             .unwrap();
         let KOutput::Cores(cores) = response.outcomes.remove(0).output else {
             panic!("materialized request");
@@ -1370,10 +1353,10 @@ mod tests {
         cores
     }
 
-    /// Counts `(k, [start, end])` on `engine` with `Enum`.
+    /// Counts `(k, [start, end])` on `engine`.
     fn count(engine: &ShardedEngine, k: usize, start: Timestamp, end: Timestamp) -> u64 {
         engine
-            .execute(QueryRequest::single(k, start, end), Algorithm::Enum)
+            .execute(QueryRequest::single(k, start, end))
             .unwrap()
             .total_cores()
     }
@@ -1449,11 +1432,12 @@ mod tests {
                     TimeWindow::new(4, 4),
                 ] {
                     let query = TimeRangeKCoreQuery::new(k, window).unwrap();
+                    let cores = cores_of(&sharded, query);
                     for algo in Algorithm::ALL {
                         let mut expected = CollectingSink::default();
                         query.run_with(&g, algo, &mut expected);
                         assert_eq!(
-                            cores_of(&sharded, query, algo),
+                            cores,
                             expected.into_sorted(),
                             "{plan:?} k={k} window={window} algo={algo}"
                         );
@@ -1504,13 +1488,13 @@ mod tests {
         let g = paper_example::graph();
         let engine = ShardedEngine::new(g.clone(), ShardPlan::ExplicitCuts(vec![4])).unwrap();
         let query = TimeRangeKCoreQuery::new(2, TimeWindow::new(2, 6)).unwrap();
-        let first = cores_of(&engine, query, Algorithm::Enum);
+        let first = cores_of(&engine, query);
         let stats = engine.cache_stats();
         assert_eq!(stats.boundary.builds, 1, "{stats:?}");
         assert_eq!(stats.boundary.hits, 0, "{stats:?}");
         assert_eq!(stats.boundary.resident_entries, 1);
         // The second spanning query over the same shard pair hits the entry.
-        let second = cores_of(&engine, query, Algorithm::Enum);
+        let second = cores_of(&engine, query);
         let stats = engine.cache_stats();
         assert_eq!(stats.boundary.builds, 1, "{stats:?}");
         assert_eq!(stats.boundary.hits, 1, "{stats:?}");
@@ -1569,8 +1553,8 @@ mod tests {
             for window in [g.span(), TimeWindow::new(2, 6), TimeWindow::new(3, 5)] {
                 let query = TimeRangeKCoreQuery::new(k, window).unwrap();
                 assert_eq!(
-                    cores_of(&cached, query, Algorithm::Enum),
-                    cores_of(&minimal, query, Algorithm::Enum),
+                    cores_of(&cached, query),
+                    cores_of(&minimal, query),
                     "k={k} {window}"
                 );
             }
@@ -1641,7 +1625,7 @@ mod tests {
         let g = paper_example::graph();
         let engine = ShardedEngine::new(g.clone(), ShardPlan::FixedCount(4)).unwrap();
         let response = engine
-            .execute(QueryRequest::single(2, 1, 4).materialize(), Algorithm::Enum)
+            .execute(QueryRequest::single(2, 1, 4).materialize())
             .unwrap();
         let crate::KOutput::Cores(cores) = &response.outcomes[0].output else {
             panic!("materialized request");
@@ -1651,7 +1635,7 @@ mod tests {
             &crate::naive::naive_results(&g, 2, TimeWindow::new(1, 4))
         );
         assert!(matches!(
-            engine.execute(QueryRequest::single(0, 1, 4), Algorithm::Enum),
+            engine.execute(QueryRequest::single(0, 1, 4)),
             Err(TkError::KOutOfRange { k: 0 })
         ));
     }
@@ -1665,7 +1649,7 @@ mod tests {
             paper_example::full_range(),
         ] {
             let request = || QueryRequest::single(2, window.start(), window.end()).materialize();
-            let cached = engine.execute(request(), Algorithm::Enum).unwrap();
+            let cached = engine.execute(request()).unwrap();
             let direct = request().run(&g, Algorithm::Enum).unwrap();
             let (crate::KOutput::Cores(a), crate::KOutput::Cores(b)) =
                 (&cached.outcomes[0].output, &direct.outcomes[0].output)
@@ -1690,7 +1674,7 @@ mod tests {
             .iter()
             .map(|w| QueryRequest::single(2, w.start(), w.end()))
             .collect();
-        let responses = engine.execute_batch(requests, Algorithm::Enum).unwrap();
+        let responses = engine.execute_batch(requests).unwrap();
         assert_eq!(responses.len(), windows.len());
         assert_eq!(engine.cache_stats().per_shard.len(), 3);
         for (window, response) in windows.iter().zip(&responses) {
@@ -1716,16 +1700,14 @@ mod tests {
     fn out_of_span_queries_are_refused_before_touching_shards() {
         let g = paper_example::graph();
         let engine = ShardedEngine::new(g.clone(), ShardPlan::FixedCount(4)).unwrap();
-        for algo in Algorithm::ALL {
-            let err = engine
-                .execute(QueryRequest::single(2, g.tmax() + 1, g.tmax() + 9), algo)
-                .unwrap_err();
-            assert!(
-                matches!(err, TkError::WindowPastTmax { start, tmax }
-                    if start == g.tmax() + 1 && tmax == g.tmax()),
-                "{algo}: {err}"
-            );
-        }
+        let err = engine
+            .execute(QueryRequest::single(2, g.tmax() + 1, g.tmax() + 9))
+            .unwrap_err();
+        assert!(
+            matches!(err, TkError::WindowPastTmax { start, tmax }
+                if start == g.tmax() + 1 && tmax == g.tmax()),
+            "{err}"
+        );
         assert_eq!(engine.cache_stats().misses, 0);
     }
 
@@ -2035,7 +2017,7 @@ mod tests {
             for &k in &ks {
                 let query = TimeRangeKCoreQuery::new(k, tail).unwrap();
                 assert_eq!(
-                    cores_of(engine, query, Algorithm::Enum),
+                    cores_of(engine, query),
                     crate::naive::naive_results(&live, k, tail),
                     "{label}: k={k} tail={tail}"
                 );

@@ -13,7 +13,7 @@
 //!
 //! | op           | fields                                                    |
 //! |--------------|-----------------------------------------------------------|
-//! | `"query"`    | `"k"` *or* `"k_min"`/`"k_max"`, `"start"`, `"end"`, and optionally `"id"`, `"lane"` (`"interactive"` \| `"batch"`), `"deadline_ms"`, `"algo"`, `"output"` (`"count"` \| `"cores"`) |
+//! | `"query"`    | `"k"` *or* `"k_min"`/`"k_max"`, `"start"`, `"end"`, and optionally `"id"`, `"lane"` (`"interactive"` \| `"batch"`), `"deadline_ms"`, `"algo"` (only `"enum"`), `"output"` (`"count"` \| `"cores"`) |
 //! | `"ping"`     | none                                                      |
 //! | `"stats"`    | none                                                      |
 //! | `"shutdown"` | none                                                      |
@@ -30,6 +30,12 @@
 //! every core is counted, only the sampled `(tti, edges)` pairs are kept,
 //! and no core's edge list is ever built, so a reply holds O(cap) memory
 //! however many cores its window has.
+//!
+//! An optional field that is present must have its documented type (a
+//! `null` counts as absent): `"lane": 7` is malformed, never the default
+//! lane.  The server runs only the paper's `Enum`: an `"algo"` naming a
+//! baseline (`"enum-base"`, `"otcd"`, `"naive"`) parses, and the service
+//! refuses it with `"error": "UnsupportedAlgorithm"` before admission.
 //!
 //! A refused or failed request replies `"status": "error"` with the stable
 //! [`TkError::code`] in `"error"` and the human rendering in `"detail"` —
@@ -337,7 +343,9 @@ pub struct WireQuery {
     pub client_id: Option<u64>,
     /// The decoded request (window, `k` selection, output mode).
     pub request: QueryRequest,
-    /// The algorithm to execute with.
+    /// The algorithm named by `"algo"` (default `Enum`).  It becomes
+    /// [`crate::SubmitOptions::algorithm`], so the service refuses any
+    /// other value.
     pub algorithm: Algorithm,
     /// The priority lane the request queues in.
     pub lane: Lane,
@@ -365,14 +373,15 @@ pub fn parse_request_with(line: &str, config: &WireConfig) -> Result<WireRequest
     if !matches!(value, JsonValue::Object(_)) {
         return Err("a request must be a JSON object".into());
     }
-    match value.get("op").and_then(JsonValue::as_str) {
+    let text = |key| optional(&value, key, "a string", JsonValue::as_str);
+    match text("op")? {
         Some("ping") => return Ok(WireRequest::Ping),
         Some("stats") => return Ok(WireRequest::Stats),
         Some("shutdown") => return Ok(WireRequest::Shutdown),
         Some("query") | None => {}
         Some(other) => return Err(format!("unknown op `{other}`")),
     }
-    let client_id = value.get("id").and_then(JsonValue::as_u64);
+    let client_id = optional(&value, "id", "a non-negative integer", JsonValue::as_u64)?;
     let timestamp = |key: &str| -> Result<Timestamp, String> {
         value
             .get(key)
@@ -393,27 +402,24 @@ pub fn parse_request_with(line: &str, config: &WireConfig) -> Result<WireRequest
         _ => return Err("give either `k` or both `k_min` and `k_max`".into()),
     };
     request = request.max_ks(config.max_ks_per_request);
-    request = match value.get("output").and_then(JsonValue::as_str) {
+    request = match text("output")? {
         None | Some("count") => request.count(),
         Some("cores") | Some("full") => request.sample(config.max_cores_per_reply),
         Some(other) => return Err(format!("unknown output `{other}` (count or cores)")),
     };
-    let algorithm = match value.get("algo").and_then(JsonValue::as_str) {
+    let algorithm = match text("algo")? {
         None => Algorithm::Enum,
         Some(name) => name
             .parse::<Algorithm>()
             .map_err(|_| format!("unknown algorithm `{name}`"))?,
     };
-    let lane = match value.get("lane").and_then(JsonValue::as_str) {
+    let lane = match text("lane")? {
         None => Lane::Interactive,
         Some(name) => name.parse::<Lane>()?,
     };
-    let deadline = match value.get("deadline_ms") {
-        None | Some(JsonValue::Null) => None,
-        Some(v) => Some(Duration::from_millis(v.as_u64().ok_or(
-            "`deadline_ms` must be a non-negative integer of milliseconds",
-        )?)),
-    };
+    let milliseconds = "a non-negative integer of milliseconds";
+    let deadline = optional(&value, "deadline_ms", milliseconds, JsonValue::as_u64)?
+        .map(Duration::from_millis);
     Ok(WireRequest::Query(WireQuery {
         client_id,
         request,
@@ -421,6 +427,23 @@ pub fn parse_request_with(line: &str, config: &WireConfig) -> Result<WireRequest
         lane,
         deadline,
     }))
+}
+
+/// Optional member `key` of `value`, read by `read`: `None` when absent or
+/// `null`, refused (naming `key` and `what` it must be) when `read` rejects
+/// it.
+fn optional<'a, T>(
+    value: &'a JsonValue,
+    key: &str,
+    what: &str,
+    read: impl FnOnce(&'a JsonValue) -> Option<T>,
+) -> Result<Option<T>, String> {
+    match value.get(key) {
+        None | Some(JsonValue::Null) => Ok(None),
+        Some(member) => read(member)
+            .map(Some)
+            .ok_or_else(|| format!("`{key}` must be {what}")),
+    }
 }
 
 /// Bytes reserved per reply line before its outcomes, per outcome, and
@@ -661,6 +684,13 @@ mod tests {
         assert_eq!(query.lane, Lane::Batch);
         assert_eq!(query.deadline, Some(Duration::from_millis(250)));
         assert_eq!(query.algorithm, Algorithm::Enum);
+        // A baseline parses (the service refuses it), and `null` is absent.
+        let line = r#"{"k": 2, "start": 1, "end": 4, "algo": "naive", "lane": null}"#;
+        let WireRequest::Query(query) = parse_request(line).unwrap() else {
+            panic!("query");
+        };
+        assert_eq!(query.algorithm, Algorithm::Naive);
+        assert_eq!(query.lane, Lane::Interactive);
     }
 
     #[test]
@@ -705,6 +735,14 @@ mod tests {
                 r#"{"k": 1, "start": 1, "end": 4, "deadline_ms": -5}"#,
                 "deadline_ms",
             ),
+            // An optional field of the wrong type is refused, never read
+            // as its default.
+            (r#"{"k": 1, "start": 1, "end": 4, "lane": 7}"#, "lane"),
+            (r#"{"k": 1, "start": 1, "end": 4, "output": 7}"#, "output"),
+            (r#"{"k": 1, "start": 1, "end": 4, "algo": 7}"#, "algo"),
+            (r#"{"k": 1, "start": 1, "end": 4, "id": "x"}"#, "id"),
+            (r#"{"k": 1, "start": 1, "end": 4, "id": -1}"#, "id"),
+            (r#"{"op": 7, "k": 1, "start": 1, "end": 4}"#, "op"),
             ("[1]", "object"),
         ] {
             let err = parse_request(line).unwrap_err();

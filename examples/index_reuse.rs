@@ -60,7 +60,7 @@ fn main() {
     let batch = || -> Vec<QueryRequest> { queries.iter().map(|&query| query.into()).collect() };
     let t1 = Instant::now();
     let first_batch = engine
-        .execute_batch(batch(), Algorithm::Enum)
+        .execute_batch(batch())
         .expect("valid workload queries");
     let first_time = t1.elapsed();
     let first_cores: u64 = first_batch.iter().map(QueryResponse::total_cores).sum();
@@ -72,7 +72,7 @@ fn main() {
     let requests = batch();
     let t2 = Instant::now();
     let responses = engine
-        .execute_batch(requests, Algorithm::Enum)
+        .execute_batch(requests)
         .expect("valid workload queries");
     let warm_time = t2.elapsed();
     let warm_cores: u64 = responses.iter().map(QueryResponse::total_cores).sum();
@@ -120,7 +120,7 @@ fn main() {
     // once.
     let misses_before = engine.cache_stats().misses;
     let sweep = QueryRequest::sweep(k.saturating_sub(1).max(1)..=k + 1, 1, graph.tmax());
-    let sweep = engine.execute(sweep, Algorithm::Enum).expect("valid sweep");
+    let sweep = engine.execute(sweep).expect("valid sweep");
     println!("\nk-range sweep around k = {k} (one skyline build per new k):");
     for outcome in &sweep.outcomes {
         println!(

@@ -17,12 +17,12 @@
 //! All execution goes through one typed, fallible surface: a
 //! [`prelude::QueryRequest`] (single `k`, multi-`k`, or `k`-range sweep,
 //! with materialize / count / sample / stream output) validated against the graph and
-//! executed either per query with an [`prelude::Algorithm`]
-//! ([`prelude::QueryRequest::run`]) or from a
-//! [`prelude::ShardedEngine`]'s skyline cache with
+//! executed either from a [`prelude::ShardedEngine`]'s skyline cache with
 //! [`prelude::ShardedEngine::execute`] ([`prelude::ShardPlan::Span`] for one
-//! span-wide skyline per `k`).  [`prelude::CoreService`] adds a
-//! bounded request queue with admission control on top.  Malformed input
+//! span-wide skyline per `k`), which always runs `Enum`, or per query with
+//! any [`prelude::Algorithm`] ([`prelude::QueryRequest::run`]), the
+//! reference the engine is tested against.  [`prelude::CoreService`] adds
+//! a bounded request queue with admission control on top.  Malformed input
 //! returns a structured [`prelude::TkError`], never a panic.
 //!
 //! # Quick start

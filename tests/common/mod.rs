@@ -88,16 +88,15 @@ impl ResultSink for SharedSink {
     }
 }
 
-/// Streams `query` through `engine` with `algorithm`: the cores in emission
-/// order, plus the query's stats.
+/// Streams `query` through `engine`: the cores in emission order, plus the
+/// query's stats.
 pub fn streamed(
     engine: &ShardedEngine,
     query: TimeRangeKCoreQuery,
-    algorithm: Algorithm,
 ) -> Result<(Vec<TemporalKCore>, QueryStats), TkError> {
     let collected = Arc::new(Mutex::new(CollectingSink::default()));
     let request = QueryRequest::from(query).stream(Box::new(SharedSink(Arc::clone(&collected))));
-    let stats = engine.execute(request, algorithm)?.outcomes[0].stats;
+    let stats = engine.execute(request)?.outcomes[0].stats;
     let cores = std::mem::take(&mut collected.lock().unwrap().cores);
     Ok((cores, stats))
 }

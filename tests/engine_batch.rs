@@ -43,9 +43,13 @@ fn warm_batches_match_fresh_per_query_runs_for_every_algorithm() {
     let graph = DatasetProfile::by_name("FB").unwrap().generate();
     let (_, queries) = workload_queries(&graph, 6, 0xE26);
     let engine = span_engine(&graph, EngineConfig::default());
+    let responses = engine.execute_batch(requests(&queries)).unwrap();
+    assert_eq!(responses.len(), queries.len());
+    let total_edges: u64 = responses
+        .iter()
+        .map(QueryResponse::total_result_edges)
+        .sum();
     for algorithm in [Algorithm::Enum, Algorithm::EnumBase, Algorithm::Otcd] {
-        let responses = engine.execute_batch(requests(&queries), algorithm).unwrap();
-        assert_eq!(responses.len(), queries.len());
         let mut expected_cores = 0u64;
         let mut expected_edges = 0u64;
         for (query, response) in queries.iter().zip(&responses) {
@@ -70,10 +74,6 @@ fn warm_batches_match_fresh_per_query_runs_for_every_algorithm() {
             "{}",
             algorithm.name()
         );
-        let total_edges: u64 = responses
-            .iter()
-            .map(QueryResponse::total_result_edges)
-            .sum();
         assert_eq!(total_edges, expected_edges);
     }
 }
@@ -93,16 +93,12 @@ fn one_span_build_serves_the_whole_batch_and_repeats_hit() {
         },
     );
 
-    let first = engine
-        .execute_batch(requests(&queries), Algorithm::Enum)
-        .unwrap();
+    let first = engine.execute_batch(requests(&queries)).unwrap();
     let cache = engine.cache_stats();
     assert_eq!(cache.misses, 1, "all queries share one k");
     assert_eq!(cache.hits as usize, queries.len() - 1);
 
-    let second = engine
-        .execute_batch(requests(&queries), Algorithm::Enum)
-        .unwrap();
+    let second = engine.execute_batch(requests(&queries)).unwrap();
     let cache = engine.cache_stats();
     assert_eq!(cache.misses, 1, "steady state never rebuilds");
     assert_eq!(cache.hits as usize, 2 * queries.len() - 1);
@@ -133,9 +129,7 @@ fn mixed_k_batch_caches_one_index_per_k() {
             ..EngineConfig::default()
         },
     );
-    let responses = engine
-        .execute_batch(requests(&queries), Algorithm::Enum)
-        .unwrap();
+    let responses = engine.execute_batch(requests(&queries)).unwrap();
     let distinct_k = {
         let mut ks: Vec<usize> = queries.iter().map(|q| q.k()).collect();
         ks.sort_unstable();
@@ -160,10 +154,7 @@ fn out_of_span_and_overhanging_ranges_are_handled() {
 
     // Entirely past the end: a typed refusal, no index build.
     let err = engine
-        .execute(
-            QueryRequest::single(2, tmax + 1, tmax + 500),
-            Algorithm::Enum,
-        )
+        .execute(QueryRequest::single(2, tmax + 1, tmax + 500))
         .unwrap_err();
     assert!(
         matches!(err, TkError::WindowPastTmax { start, tmax: t } if start == tmax + 1 && t == tmax),
@@ -173,10 +164,7 @@ fn out_of_span_and_overhanging_ranges_are_handled() {
 
     // Overhanging the end: same answer as the clamped range.
     let overhang = engine
-        .execute(
-            QueryRequest::single(2, tmax / 2, tmax + 500),
-            Algorithm::Enum,
-        )
+        .execute(QueryRequest::single(2, tmax / 2, tmax + 500))
         .unwrap();
     assert_eq!(overhang.window, TimeWindow::new(tmax / 2, tmax));
     let clamped = TimeRangeKCoreQuery::new(2, TimeWindow::new(tmax / 2, tmax)).unwrap();
@@ -194,7 +182,7 @@ fn collecting_batch_returns_canonical_cores() {
         .iter()
         .map(|&query| QueryRequest::from(query).materialize())
         .collect();
-    let responses = engine.execute_batch(materialized, Algorithm::Enum).unwrap();
+    let responses = engine.execute_batch(materialized).unwrap();
     for (query, response) in queries.iter().zip(&responses) {
         let KOutput::Cores(cores) = &response.outcomes[0].output else {
             panic!("materialized request");

@@ -208,18 +208,24 @@ proptest! {
                 prop_assert!(runs_match, "plan={:?} k={} window={}", plan, k, window);
 
                 let query = TimeRangeKCoreQuery::new(k, window).expect("k >= 1");
-                let mut per_query = CollectingSink::default();
-                query.run_with(&g, Algorithm::Enum, &mut per_query);
-                let (streamed_enum, _) = streamed(&engine, query, Algorithm::Enum)
+                let (streamed_enum, _) = streamed(&engine, query)
                     .expect("window is inside the span");
-                prop_assert_eq!(streamed_enum, per_query.cores, "stream order, window={}", window);
-                let expected = canonical(naive::naive_results(&g, k, window));
+                let got = canonical(streamed_enum.clone());
+                prop_assert_eq!(
+                    &got, &canonical(naive::naive_results(&g, k, window)),
+                    "plan={:?} k={} window={}", plan, k, window
+                );
                 for algo in Algorithm::ALL {
-                    let (got, _) = streamed(&engine, query, algo)
-                        .expect("window is inside the span");
+                    let mut per_query = CollectingSink::default();
+                    query.run_with(&g, algo, &mut per_query);
+                    if algo == Algorithm::Enum {
+                        prop_assert_eq!(
+                            &streamed_enum, &per_query.cores,
+                            "stream order, window={}", window
+                        );
+                    }
                     prop_assert_eq!(
-                        canonical(got),
-                        expected.clone(),
+                        &got, &canonical(per_query.cores),
                         "plan={:?} k={} window={} algo={}",
                         plan, k, window, algo
                     );
@@ -327,7 +333,7 @@ proptest! {
         // from its cache) agrees with the naive oracle on the full span.
         let query = TimeRangeKCoreQuery::new(k, snapshot.span()).expect("k >= 1");
         let got = live
-            .execute(query.into(), Algorithm::Enum)
+            .execute(query.into())
             .expect("span query is valid");
         let mut expected = CollectingSink::default();
         query.run_with(&reference, Algorithm::Enum, &mut expected);
@@ -378,6 +384,6 @@ fn a_run_mixing_intra_shard_and_crossing_windows_stays_in_skyline_order() {
     let query = TimeRangeKCoreQuery::new(2, g.span()).unwrap();
     let mut per_query = CollectingSink::default();
     query.run_with(&g, Algorithm::Enum, &mut per_query);
-    let (streamed_enum, _) = streamed(&engine, query, Algorithm::Enum).unwrap();
+    let (streamed_enum, _) = streamed(&engine, query).unwrap();
     assert_eq!(streamed_enum, per_query.cores);
 }

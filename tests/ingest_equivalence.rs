@@ -132,14 +132,14 @@ proptest! {
             ];
             for window in windows {
                 let query = TimeRangeKCoreQuery::new(k, window).expect("k >= 1");
+                let (got, _) = streamed(&live, query).expect("window is inside the live span");
+                let got = label_cores(&live.graph(), &got);
                 for algo in Algorithm::ALL {
                     let mut expected = CollectingSink::default();
                     query.run_with(&reference, algo, &mut expected);
-                    let (got, _) = streamed(&live, query, algo)
-                        .expect("window is inside the live span");
                     prop_assert_eq!(
-                        label_cores(&live.graph(), &got),
-                        label_cores(&reference, &expected.cores),
+                        &got,
+                        &label_cores(&reference, &expected.cores),
                         "prefix={} k={} window={} algo={} shards={} seal={:?}",
                         absorbed.len() - base.len(), k, window, algo,
                         shards, seal_policy_for(seal_kind)
@@ -167,9 +167,7 @@ fn closed_shard_skylines_survive_an_append_burst() {
     // Warm every shard, then answer a spanning query so the boundary
     // stitch index is resident too.
     engine.warm(2);
-    engine
-        .execute(QueryRequest::single(2, 1, 7), Algorithm::Enum)
-        .unwrap();
+    engine.execute(QueryRequest::single(2, 1, 7)).unwrap();
     let before = engine.cache_stats();
     let closed_builds_before: u64 = before.per_shard[..2].iter().map(|s| s.builds).sum();
     assert!(closed_builds_before >= 2, "warm built the closed shards");
@@ -186,10 +184,7 @@ fn closed_shard_skylines_survive_an_append_burst() {
     // Spanning re-queries touch every shard again.
     for _ in 0..2 {
         engine
-            .execute(
-                QueryRequest::single(2, 1, engine.watermark()),
-                Algorithm::Enum,
-            )
+            .execute(QueryRequest::single(2, 1, engine.watermark()))
             .unwrap();
     }
 

@@ -22,9 +22,7 @@ fn k_range_sweep_reuses_one_skyline_build_per_k() {
     let engine = ShardedEngine::new(paper_example::graph(), ShardPlan::Span).unwrap();
     let graph = engine.graph();
 
-    let response = engine
-        .execute(QueryRequest::sweep(1..=3, 1, 7), Algorithm::Enum)
-        .unwrap();
+    let response = engine.execute(QueryRequest::sweep(1..=3, 1, 7)).unwrap();
 
     // Per-k stats, in sweep order.
     let ks: Vec<usize> = response.outcomes.iter().map(|o| o.k).collect();
@@ -50,9 +48,7 @@ fn k_range_sweep_reuses_one_skyline_build_per_k() {
     assert_eq!(cache.misses, 3, "{cache:?}");
 
     // Re-running the sweep is pure cache hits: still one build per k.
-    let again = engine
-        .execute(QueryRequest::sweep(1..=3, 1, 7), Algorithm::Enum)
-        .unwrap();
+    let again = engine.execute(QueryRequest::sweep(1..=3, 1, 7)).unwrap();
     assert_eq!(again.total_cores(), response.total_cores());
     let cache = engine.cache_stats();
     assert_eq!(cache.misses, 3, "no rebuild on the second sweep: {cache:?}");
@@ -67,9 +63,7 @@ fn sharded_sweep_builds_only_the_touched_shards_per_k() {
     assert_eq!(engine.num_shards(), 4);
 
     // The window [4, 7] touches shards 2 and 3 only.
-    let response = engine
-        .execute(QueryRequest::sweep(1..=3, 4, 7), Algorithm::Enum)
-        .unwrap();
+    let response = engine.execute(QueryRequest::sweep(1..=3, 4, 7)).unwrap();
     assert_eq!(response.outcomes.len(), 3);
     for outcome in &response.outcomes {
         let expected =
@@ -90,9 +84,7 @@ fn sharded_sweep_builds_only_the_touched_shards_per_k() {
     assert_eq!(cache.misses, 6, "2 shard misses per k: {cache:?}");
 
     // Re-running the sweep is pure cache hits: no shard is rebuilt.
-    let again = engine
-        .execute(QueryRequest::sweep(1..=3, 4, 7), Algorithm::Enum)
-        .unwrap();
+    let again = engine.execute(QueryRequest::sweep(1..=3, 4, 7)).unwrap();
     assert_eq!(again.total_cores(), response.total_cores());
     let cache = engine.cache_stats();
     let builds: Vec<u64> = cache.per_shard.iter().map(|s| s.builds).collect();
@@ -113,14 +105,13 @@ fn all_backends_answer_the_paper_query_identically() {
         .rev()
         .map(|&algo| (algo.to_string(), request().run(&graph, algo).unwrap()))
         .collect();
-    for (name, engine, algo) in [
-        ("Span", &span, Algorithm::Enum),
-        ("Span", &span, Algorithm::EnumBase),
-        ("FixedCount(3)", &three, Algorithm::Enum),
-        ("ExplicitCuts([2, 4])", &cuts, Algorithm::EnumBase),
+    for (name, engine) in [
+        ("Span", &span),
+        ("FixedCount(3)", &three),
+        ("ExplicitCuts([2, 4])", &cuts),
     ] {
-        let response = engine.execute(request(), algo).unwrap();
-        answers.push((format!("{name} engine, {algo}"), response));
+        let response = engine.execute(request()).unwrap();
+        answers.push((format!("{name} engine"), response));
     }
     assert_eq!(answers[0].0, "Naive");
     let KOutput::Cores(reference) = &answers[0].1.outcomes[0].output else {
@@ -175,8 +166,9 @@ fn comparison_request(
     }
 }
 
-/// Asserts that an engine response equals the per-query reference, down to
-/// the order a stream request's sink saw its cores.
+/// Asserts that an engine response equals the per-query reference of
+/// `algo`; a stream request's sink saw the same cores, in the same order as
+/// the `Enum` reference emits them.
 fn assert_same_response(
     got: &QueryResponse,
     expected: &QueryResponse,
@@ -190,7 +182,8 @@ fn assert_same_response(
     let expected_ks: Vec<usize> = expected.outcomes.iter().map(|o| o.k).collect();
     assert_eq!(ks, expected_ks, "{ctx}");
     for (g, e) in got.outcomes.iter().zip(&expected.outcomes) {
-        assert_eq!(g.stats.algorithm, algo, "{ctx}");
+        assert_eq!(g.stats.algorithm, Algorithm::Enum, "{ctx}");
+        assert_eq!(e.stats.algorithm, algo, "{ctx}");
         assert_eq!(g.stats.num_cores, e.stats.num_cores, "{ctx}");
         assert_eq!(
             g.stats.total_result_edges, e.stats.total_result_edges,
@@ -204,11 +197,19 @@ fn assert_same_response(
         }
         assert_eq!(g.sample, e.sample, "{ctx}");
     }
-    assert_eq!(
-        *got_stream.lock().unwrap(),
-        *expected_stream.lock().unwrap(),
-        "{ctx}: streamed order"
-    );
+    let mut got_stream = got_stream.lock().unwrap().clone();
+    let mut expected_stream = expected_stream.lock().unwrap().clone();
+    if algo != Algorithm::Enum {
+        // The baselines list a core's edges and the cores in orders of
+        // their own: compare as sets.
+        for stream in [&mut got_stream, &mut expected_stream] {
+            stream
+                .iter_mut()
+                .for_each(|(_, edges)| edges.sort_unstable());
+            stream.sort();
+        }
+    }
+    assert_eq!(got_stream, expected_stream, "{ctx}: streamed cores");
 }
 
 #[test]
@@ -227,16 +228,18 @@ fn engine_execute_matches_per_query_run() {
         for window in windows {
             for shape in 0..3 {
                 for mode in modes {
+                    let got_stream = Recorded::default();
+                    let got = engine
+                        .execute(comparison_request(shape, mode, window, &got_stream))
+                        .unwrap();
                     for algo in Algorithm::ALL {
                         let ctx = format!("{plan:?} {window} shape {shape} {mode:?} {algo}");
-                        let streams = (Recorded::default(), Recorded::default());
-                        let expected = comparison_request(shape, mode, window, &streams.1)
+                        let expected_stream = Recorded::default();
+                        let expected = comparison_request(shape, mode, window, &expected_stream)
                             .run(&graph, algo)
                             .unwrap();
-                        let got = engine
-                            .execute(comparison_request(shape, mode, window, &streams.0), algo)
-                            .unwrap();
-                        assert_same_response(&got, &expected, (&streams.0, &streams.1), algo, &ctx);
+                        let streams = (&got_stream, &expected_stream);
+                        assert_same_response(&got, &expected, streams, algo, &ctx);
                     }
                 }
             }
@@ -248,24 +251,24 @@ fn engine_execute_matches_per_query_run() {
             .iter()
             .flat_map(|&w| (0..3).flat_map(move |shape| modes.map(|mode| (w, shape, mode))))
             .collect();
+        let got_streams: Vec<Recorded> = cases.iter().map(|_| Default::default()).collect();
+        let batch = cases
+            .iter()
+            .zip(&got_streams)
+            .map(|(&(w, shape, mode), got)| comparison_request(shape, mode, w, got))
+            .collect();
+        let responses = engine.execute_batch(batch).unwrap();
+        assert_eq!(responses.len(), cases.len());
         for algo in Algorithm::ALL {
-            let streams: Vec<(Recorded, Recorded)> =
-                cases.iter().map(|_| Default::default()).collect();
-            let batch = cases
-                .iter()
-                .zip(&streams)
-                .map(|(&(w, shape, mode), (got, _))| comparison_request(shape, mode, w, got))
-                .collect();
-            let responses = engine.execute_batch(batch, algo).unwrap();
-            assert_eq!(responses.len(), cases.len());
-            for ((&(w, shape, mode), (got_stream, expected_stream)), got) in
-                cases.iter().zip(&streams).zip(&responses)
+            for ((&(w, shape, mode), got_stream), got) in
+                cases.iter().zip(&got_streams).zip(&responses)
             {
                 let ctx = format!("batch {plan:?} {w} shape {shape} {mode:?} {algo}");
-                let expected = comparison_request(shape, mode, w, expected_stream)
+                let expected_stream = Recorded::default();
+                let expected = comparison_request(shape, mode, w, &expected_stream)
                     .run(&graph, algo)
                     .unwrap();
-                assert_same_response(got, &expected, (got_stream, expected_stream), algo, &ctx);
+                assert_same_response(got, &expected, (got_stream, &expected_stream), algo, &ctx);
             }
         }
 
@@ -282,7 +285,7 @@ fn engine_execute_matches_per_query_run() {
             batch.insert(bad_at, QueryRequest::single(2, 8, 9));
             assert!(
                 matches!(
-                    fresh.execute_batch(batch, Algorithm::Enum),
+                    fresh.execute_batch(batch),
                     Err(TkError::WindowPastTmax { start: 8, tmax: 7 })
                 ),
                 "{plan:?} bad request at {bad_at}"
@@ -304,7 +307,7 @@ fn malformed_requests_are_typed_errors_on_every_entry_point() {
     let entry_points: [(&str, EntryPoint); 3] = [
         ("Enum", &|r| r.run(&graph, Algorithm::Enum)),
         ("Naive", &|r| r.run(&graph, Algorithm::Naive)),
-        ("engine", &|r| engine.execute(r, Algorithm::Enum)),
+        ("engine", &|r| engine.execute(r)),
     ];
     for (name, run) in entry_points {
         assert!(
@@ -397,15 +400,15 @@ proptest! {
             .collect();
         for window in windows {
             let request = || QueryRequest::sweep(1..=3, window.start(), window.end());
-            for algo in [Algorithm::Enum, Algorithm::Otcd] {
-                let materialized = engine
-                    .execute(request().materialize(), algo)
+            let materialized = engine
+                .execute(request().materialize())
+                .expect("window is inside the span");
+            for cap in [0, 1, 3, 64] {
+                let sampled = engine
+                    .execute(request().sample(cap))
                     .expect("window is inside the span");
-                for cap in [0, 1, 3, 64] {
+                for algo in [Algorithm::Enum, Algorithm::Otcd] {
                     let ctx = format!("{window} {algo} cap {cap}");
-                    let sampled = engine
-                        .execute(request().sample(cap), algo)
-                        .expect("window is inside the span");
                     let per_query = request().sample(cap).run(&g, algo).expect("valid request");
                     for ((s, q), m) in sampled
                         .outcomes

@@ -4,12 +4,12 @@
 //!
 //! Layers of evidence:
 //!
-//! * `sharded_matches_unsharded` — random graphs, random shard plans
-//!   (including the span and one-shard-per-timestamp layouts) and all four
-//!   algorithms: every `(k, window)` query returns the naive oracle's cores,
-//!   and the skyline-based algorithms stream exactly the sequence a fresh
-//!   per-query build emits.  The `ShardedEngine::execute` request surface
-//!   agrees too;
+//! * `sharded_matches_unsharded` — random graphs and random shard plans
+//!   (including the span and one-shard-per-timestamp layouts): every
+//!   `(k, window)` query returns the cores of all four per-query reference
+//!   algorithms and of the naive oracle, streamed in exactly the sequence a
+//!   fresh per-query `Enum` build emits.  The `ShardedEngine::execute`
+//!   request surface agrees too;
 //! * `stitched_equals_the_naive_oracle_and_replays_from_cache` — boundary
 //!   stitching specifically: random plans biased toward many cuts, and a
 //!   warm replay answered from the stitch cache without new builds;
@@ -42,10 +42,10 @@ fn windows_for(g: &TemporalGraph, raw_start: u32, raw_len: u32) -> Vec<TimeWindo
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// For random graphs, random shard plans and every algorithm, every
-    /// `(k, window)` query through the `ShardedEngine` returns the naive
-    /// oracle's cores, and `Enum`/`EnumBase` emit them in exactly the order
-    /// a skyline freshly built for the window does.
+    /// For random graphs and random shard plans, every `(k, window)` query
+    /// through the `ShardedEngine` returns the naive oracle's cores and those
+    /// of every per-query reference algorithm, emitted in exactly the order
+    /// `Enum` over a skyline freshly built for the window emits them.
     #[test]
     fn sharded_matches_unsharded(
         g in arb_graph(10, 40, 8),
@@ -59,24 +59,24 @@ proptest! {
 
         for window in windows_for(&g, raw_start, raw_len) {
             let query = TimeRangeKCoreQuery::new(k, window).expect("k >= 1");
-            let oracle = naive_results(&g, k, window);
+            let (got, _) = streamed(&sharded, query).expect("window is inside the span");
+            let cores = canonical(got.clone());
+            prop_assert_eq!(
+                &cores, &naive_results(&g, k, window),
+                "{:?} k={} window={}", plan, k, window
+            );
             for algo in Algorithm::ALL {
                 let mut fresh = CollectingSink::default();
                 query.run_with(&g, algo, &mut fresh);
-                let (got, _) = streamed(&sharded, query, algo)
-                    .expect("window is inside the span");
-                if matches!(algo, Algorithm::Enum | Algorithm::EnumBase) {
+                if algo == Algorithm::Enum {
                     prop_assert_eq!(
                         &got, &fresh.cores,
-                        "emission order: {:?} k={} window={} algo={}",
-                        plan, k, window, algo
+                        "emission order: {:?} k={} window={}", plan, k, window
                     );
                 }
                 prop_assert_eq!(
-                    canonical(got),
-                    oracle.clone(),
-                    "{:?} k={} window={} algo={}",
-                    plan, k, window, algo
+                    &cores, &canonical(fresh.cores),
+                    "{:?} k={} window={} algo={}", plan, k, window, algo
                 );
             }
         }
@@ -85,7 +85,7 @@ proptest! {
         // agrees with per-query execution as well.
         let request = || QueryRequest::single(k, 1, g.tmax()).materialize();
         let a = request().run(&g, Algorithm::Enum).expect("span query is valid");
-        let b = sharded.execute(request(), Algorithm::Enum).expect("span query is valid");
+        let b = sharded.execute(request()).expect("span query is valid");
         let (KOutput::Cores(cores_a), KOutput::Cores(cores_b)) =
             (&a.outcomes[0].output, &b.outcomes[0].output)
         else {
@@ -97,8 +97,8 @@ proptest! {
 
     /// Boundary stitching under plans with cuts (the span plan has none):
     /// cached cut-crossing windows composed with restricted shard skylines
-    /// reproduce the naive oracle for every algorithm, and replaying a
-    /// spanning query answers from the stitch cache without new builds.
+    /// reproduce the naive oracle, and replaying a spanning query answers
+    /// from the stitch cache without new builds.
     #[test]
     fn stitched_equals_the_naive_oracle_and_replays_from_cache(
         g in arb_graph(10, 40, 8),
@@ -111,23 +111,19 @@ proptest! {
             .expect("derived plans are valid");
         for window in windows_for(&g, raw_start, raw_len) {
             let query = TimeRangeKCoreQuery::new(k, window).expect("k >= 1");
-            let oracle = naive_results(&g, k, window);
-            for algo in Algorithm::ALL {
-                let (via_stitch, _) = streamed(&stitched, query, algo)
-                    .expect("window is inside the span");
-                prop_assert_eq!(
-                    canonical(via_stitch),
-                    oracle.clone(),
-                    "{:?} k={} window={} algo={}",
-                    plan, k, window, algo
-                );
-            }
+            let (via_stitch, _) = streamed(&stitched, query).expect("window is inside the span");
+            prop_assert_eq!(
+                canonical(via_stitch),
+                naive_results(&g, k, window),
+                "{:?} k={} window={}",
+                plan, k, window
+            );
         }
 
         // Replaying the span query must be pure cache reuse.
         let builds_after_first_pass = stitched.cache_stats().boundary.builds;
         stitched
-            .execute(QueryRequest::single(k, 1, g.tmax()), Algorithm::Enum)
+            .execute(QueryRequest::single(k, 1, g.tmax()))
             .expect("span query is valid");
         let stats = stitched.cache_stats();
         prop_assert_eq!(
@@ -200,10 +196,10 @@ fn boundary_fixture() -> (TemporalGraph, ShardedEngine) {
     (g, engine)
 }
 
-/// Counts `(k, [start, end])` on `engine` with `Enum`.
+/// Counts `(k, [start, end])` on `engine`.
 fn count(engine: &ShardedEngine, k: usize, start: Timestamp, end: Timestamp) -> u64 {
     engine
-        .execute(QueryRequest::single(k, start, end), Algorithm::Enum)
+        .execute(QueryRequest::single(k, start, end))
         .unwrap()
         .total_cores()
 }
@@ -211,16 +207,17 @@ fn count(engine: &ShardedEngine, k: usize, start: Timestamp, end: Timestamp) -> 
 fn assert_window_matches_span_wide(g: &TemporalGraph, engine: &ShardedEngine, window: TimeWindow) {
     for k in 1..=3 {
         let query = TimeRangeKCoreQuery::new(k, window).unwrap();
+        let (got, stats) = streamed(engine, query).unwrap();
+        let got = canonical(got);
+        assert_eq!(stats.num_cores as usize, got.len());
         for algo in Algorithm::ALL {
             let mut expected = CollectingSink::default();
             query.run_with(g, algo, &mut expected);
-            let (got, stats) = streamed(engine, query, algo).unwrap();
             assert_eq!(
-                canonical(got),
-                canonical(expected.cores.clone()),
+                got,
+                canonical(expected.cores),
                 "k={k} window={window} algo={algo}"
             );
-            assert_eq!(stats.num_cores as usize, expected.cores.len());
         }
     }
 }
@@ -260,14 +257,12 @@ fn window_spanning_all_cuts_is_stitched_exactly() {
 fn window_past_tmax_is_refused_not_answered_from_the_last_shard() {
     let (g, engine) = boundary_fixture();
     let past = TimeRangeKCoreQuery::new(2, TimeWindow::new(g.tmax() + 1, g.tmax() + 5)).unwrap();
-    for algo in Algorithm::ALL {
-        let err = streamed(&engine, past, algo).unwrap_err();
-        assert!(
-            matches!(err, TkError::WindowPastTmax { start, tmax }
-                if start == g.tmax() + 1 && tmax == g.tmax()),
-            "{algo}: {err}"
-        );
-    }
+    let err = streamed(&engine, past).unwrap_err();
+    assert!(
+        matches!(err, TkError::WindowPastTmax { start, tmax }
+            if start == g.tmax() + 1 && tmax == g.tmax()),
+        "{err}"
+    );
     // The refusal happened before any shard skyline was built.
     assert_eq!(engine.cache_stats().misses, 0);
 }
@@ -299,7 +294,7 @@ fn spanning_queries_stream_in_the_order_of_a_fresh_window_build() {
                 .execute(&g, k, window, &mut expected)
                 .unwrap();
             let query = TimeRangeKCoreQuery::new(k, window).unwrap();
-            let (got, stats) = streamed(&engine, query, Algorithm::Enum).unwrap();
+            let (got, stats) = streamed(&engine, query).unwrap();
             assert_eq!(got, expected.cores, "k={k} window={window}");
             assert_eq!(stats.num_cores, expected_stats.num_cores);
             assert_eq!(stats.total_result_edges, expected_stats.total_result_edges);

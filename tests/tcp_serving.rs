@@ -53,11 +53,22 @@ fn start_server_with(
 }
 
 /// Connects to `addr` with `TCP_NODELAY` set, so a request line the test
-/// sends leaves at once and only the server can stall a round trip.
-fn connect(addr: SocketAddr) -> TcpStream {
+/// sends leaves at once and only the server can stall a round trip; the
+/// reader reads the replies.
+fn connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
     let stream = TcpStream::connect(addr).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
-    stream
+    let reader = BufReader::new(stream.try_clone().expect("clone"));
+    (stream, reader)
+}
+
+/// Stops `server` and joins its accept loop, which must return `Ok`.
+fn stop(server: &TkServer, acceptor: JoinHandle<Result<ServeSummary, TkError>>) {
+    server.stop();
+    acceptor
+        .join()
+        .expect("acceptor thread exits cleanly")
+        .expect("serve returns Ok on stop");
 }
 
 /// Sends `line` and its newline in one write on `stream` and reads the
@@ -80,8 +91,7 @@ fn tcp_round_trip_serves_queries_deadlines_and_drains() {
     let (service, server, acceptor) = start_server();
     let addr = server.local_addr();
 
-    let mut stream = connect(addr);
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let (mut stream, mut reader) = connect(addr);
 
     // Liveness.
     let reply = round_trip(&mut stream, &mut reader, r#"{"op": "ping"}"#);
@@ -160,8 +170,7 @@ fn a_cut_connection_gets_a_truncated_line_reply() {
 
     // Write half a request and hang up the sending side: the server must
     // name the truncation instead of silently dropping the fragment.
-    let mut stream = connect(addr);
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let (mut stream, mut reader) = connect(addr);
     stream
         .write_all(br#"{"op": "ping""#)
         .expect("partial write");
@@ -174,11 +183,7 @@ fn a_cut_connection_gets_a_truncated_line_reply() {
     assert!(reply.contains(r#""error":"BadRequest""#), "{reply}");
     assert!(reply.contains("truncated final request line"), "{reply}");
 
-    server.stop();
-    acceptor
-        .join()
-        .expect("acceptor thread exits cleanly")
-        .expect("serve returns Ok on stop");
+    stop(&server, acceptor);
 }
 
 #[test]
@@ -188,8 +193,7 @@ fn a_huge_k_max_gets_a_typed_reply_and_the_connection_survives() {
 
     // Expanding this sweep would allocate one slot per k and abort the
     // whole server; it must be refused with a typed reply instead.
-    let mut stream = connect(addr);
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let (mut stream, mut reader) = connect(addr);
     let reply = round_trip(
         &mut stream,
         &mut reader,
@@ -202,11 +206,30 @@ fn a_huge_k_max_gets_a_typed_reply_and_the_connection_survives() {
     let reply = round_trip(&mut stream, &mut reader, r#"{"op": "ping"}"#);
     assert_eq!(reply, r#"{"status":"ok","op":"ping"}"#);
 
-    server.stop();
-    acceptor
-        .join()
-        .expect("acceptor thread exits cleanly")
-        .expect("serve returns Ok on stop");
+    stop(&server, acceptor);
+}
+
+#[test]
+fn a_baseline_algo_gets_a_typed_reply_and_the_connection_survives() {
+    let (service, server, acceptor) = start_server();
+    let (mut stream, mut reader) = connect(server.local_addr());
+
+    // The server runs only Enum: a whole-span naive request is refused
+    // before admission, without running the cubic oracle.
+    let naive = r#"{"id": 4, "k": 2, "start": 1, "end": 7, "algo": "naive"}"#;
+    let reply = round_trip(&mut stream, &mut reader, naive);
+    assert!(reply.starts_with(r#"{"status":"error","id":4"#), "{reply}");
+    assert!(
+        reply.contains(r#""error":"UnsupportedAlgorithm""#),
+        "{reply}"
+    );
+    assert_eq!(service.stats().admitted, 0, "refused before admission");
+
+    // The same connection still answers.
+    let reply = round_trip(&mut stream, &mut reader, r#"{"op": "ping"}"#);
+    assert_eq!(reply, r#"{"status":"ok","op":"ping"}"#);
+
+    stop(&server, acceptor);
 }
 
 #[test]
@@ -219,8 +242,7 @@ fn max_ks_per_request_accepts_its_cap_and_refuses_one_more() {
         ..ServerConfig::default()
     };
     let (_service, server, acceptor) = start_server_with(config);
-    let mut stream = connect(server.local_addr());
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let (mut stream, mut reader) = connect(server.local_addr());
 
     let at_cap = r#"{"id":1,"k_min":1,"k_max":2,"start":1,"end":7,"output":"cores"}"#;
     let reply = round_trip(&mut stream, &mut reader, at_cap);
@@ -242,18 +264,13 @@ fn max_ks_per_request_accepts_its_cap_and_refuses_one_more() {
     let reply = round_trip(&mut stream, &mut reader, r#"{"op": "ping"}"#);
     assert_eq!(reply, r#"{"status":"ok","op":"ping"}"#);
 
-    server.stop();
-    acceptor
-        .join()
-        .expect("acceptor thread exits cleanly")
-        .expect("serve returns Ok on stop");
+    stop(&server, acceptor);
 }
 
 #[test]
 fn a_deeply_nested_line_gets_a_bad_request_and_the_connection_survives() {
     let (_service, server, acceptor) = start_server();
-    let mut stream = connect(server.local_addr());
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let (mut stream, mut reader) = connect(server.local_addr());
 
     // Recursing once per bracket would overflow the connection worker's
     // stack and abort the whole server.
@@ -276,18 +293,13 @@ fn a_deeply_nested_line_gets_a_bad_request_and_the_connection_survives() {
     let reply = round_trip(&mut stream, &mut reader, r#"{"op": "ping"}"#);
     assert_eq!(reply, r#"{"status":"ok","op":"ping"}"#);
 
-    server.stop();
-    acceptor
-        .join()
-        .expect("acceptor thread exits cleanly")
-        .expect("serve returns Ok on stop");
+    stop(&server, acceptor);
 }
 
 #[test]
 fn a_line_exactly_at_max_line_bytes_gets_a_typed_reply() {
     let (_service, server, acceptor) = start_server();
-    let mut stream = connect(server.local_addr());
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let (mut stream, mut reader) = connect(server.local_addr());
 
     // A query padded with JSON whitespace to exactly the cap, not counting
     // the newline.
@@ -309,23 +321,18 @@ fn a_line_exactly_at_max_line_bytes_gets_a_typed_reply() {
     let reply = round_trip(&mut stream, &mut reader, r#"{"op": "ping"}"#);
     assert_eq!(reply, r#"{"status":"ok","op":"ping"}"#);
 
-    server.stop();
-    acceptor
-        .join()
-        .expect("acceptor thread exits cleanly")
-        .expect("serve returns Ok on stop");
+    stop(&server, acceptor);
 }
 
 #[test]
 fn a_line_past_max_line_bytes_gets_a_bad_request_and_then_eof() {
     let (_service, server, acceptor) = start_server();
-    let mut stream = connect(server.local_addr());
+    let (mut stream, mut reader) = connect(server.local_addr());
     // A server that keeps waiting for the newline fails the test here
-    // instead of hanging it.
+    // instead of hanging it (the reader shares the stream's socket).
     stream
         .set_read_timeout(Some(std::time::Duration::from_secs(30)))
         .expect("read timeout");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
 
     // One byte past the cap and no newline: the server must stop buffering
     // and answer instead of growing the line without bound.
@@ -350,23 +357,17 @@ fn a_line_past_max_line_bytes_gets_a_bad_request_and_then_eof() {
     );
 
     // Other connections are unaffected.
-    let mut stream = connect(server.local_addr());
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let (mut stream, mut reader) = connect(server.local_addr());
     let reply = round_trip(&mut stream, &mut reader, r#"{"op": "ping"}"#);
     assert_eq!(reply, r#"{"status":"ok","op":"ping"}"#);
 
-    server.stop();
-    acceptor
-        .join()
-        .expect("acceptor thread exits cleanly")
-        .expect("serve returns Ok on stop");
+    stop(&server, acceptor);
 }
 
 #[test]
 fn a_hundred_sequential_round_trips_on_one_connection_do_not_stall() {
     let (_service, server, acceptor) = start_server();
-    let mut stream = connect(server.local_addr());
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let (mut stream, mut reader) = connect(server.local_addr());
 
     // A reply split into a body and a lone newline waits on the client's
     // delayed ACK, ~40 ms per round trip, so 100 stalled round trips take
@@ -390,11 +391,7 @@ fn a_hundred_sequential_round_trips_on_one_connection_do_not_stall() {
         "100 sequential round trips took {elapsed:?}"
     );
 
-    server.stop();
-    acceptor
-        .join()
-        .expect("acceptor thread exits cleanly")
-        .expect("serve returns Ok on stop");
+    stop(&server, acceptor);
 }
 
 /// `reply` without the fields that vary from run to run: the
@@ -419,8 +416,7 @@ fn strip_volatile(reply: &str) -> String {
 #[test]
 fn cores_replies_match_their_golden_lines() {
     let (_service, server, acceptor) = start_server();
-    let mut stream = connect(server.local_addr());
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let (mut stream, mut reader) = connect(server.local_addr());
 
     // Lines recorded from the materialising reply path: the sampling path
     // must render the same bytes, sample order included.
@@ -439,11 +435,7 @@ fn cores_replies_match_their_golden_lines() {
         assert_eq!(strip_volatile(&reply), golden, "{reply}");
     }
 
-    server.stop();
-    acceptor
-        .join()
-        .expect("acceptor thread exits cleanly")
-        .expect("serve returns Ok on stop");
+    stop(&server, acceptor);
 }
 
 /// The per-`k` `(k, cores, result_edges, sample)` of a parsed reply line,
@@ -518,46 +510,38 @@ fn max_cores_per_reply_caps_the_sample_at_its_boundary() {
             ..ServerConfig::default()
         };
         let (_service, server, acceptor) = start_server_with(config);
-        let mut stream = connect(server.local_addr());
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let (mut stream, mut reader) = connect(server.local_addr());
 
         for (start, end) in [(1, 4), (1, 7), (3, 6)] {
-            for algo in ["enum", "otcd"] {
-                let line = format!(
-                    r#"{{"k_min":1,"k_max":3,"start":{start},"end":{end},"algo":"{algo}","output":"cores"}}"#
-                );
-                let reply = round_trip(&mut stream, &mut reader, &line);
-                if cap == 0 {
-                    assert_eq!(reply.matches(r#""sample":[]"#).count(), 3, "{reply}");
-                }
-                let outcomes = parse_outcomes(&reply);
-                let reference = reference_cores(1..=3, start, end);
-                assert_eq!(outcomes.len(), reference.len(), "{reply}");
-                for ((k, cores, edges, sample), expected) in outcomes.iter().zip(&reference) {
-                    assert_eq!(*cores, expected.len() as u64, "k={k}: {reply}");
-                    let expected_edges: u64 = expected.iter().map(|c| c.num_edges() as u64).sum();
-                    assert_eq!(*edges, expected_edges, "k={k}: {reply}");
-                    let canonical_first: Vec<(u64, u64, u64)> = expected
-                        .iter()
-                        .take(cap)
-                        .map(|c| {
-                            (
-                                u64::from(c.tti.start()),
-                                u64::from(c.tti.end()),
-                                c.num_edges() as u64,
-                            )
-                        })
-                        .collect();
-                    assert_eq!(sample.len(), expected.len().min(cap), "k={k}: {reply}");
-                    assert_eq!(*sample, canonical_first, "k={k}: {reply}");
-                }
+            let line =
+                format!(r#"{{"k_min":1,"k_max":3,"start":{start},"end":{end},"output":"cores"}}"#);
+            let reply = round_trip(&mut stream, &mut reader, &line);
+            if cap == 0 {
+                assert_eq!(reply.matches(r#""sample":[]"#).count(), 3, "{reply}");
+            }
+            let outcomes = parse_outcomes(&reply);
+            let reference = reference_cores(1..=3, start, end);
+            assert_eq!(outcomes.len(), reference.len(), "{reply}");
+            for ((k, cores, edges, sample), expected) in outcomes.iter().zip(&reference) {
+                assert_eq!(*cores, expected.len() as u64, "k={k}: {reply}");
+                let expected_edges: u64 = expected.iter().map(|c| c.num_edges() as u64).sum();
+                assert_eq!(*edges, expected_edges, "k={k}: {reply}");
+                let canonical_first: Vec<(u64, u64, u64)> = expected
+                    .iter()
+                    .take(cap)
+                    .map(|c| {
+                        (
+                            u64::from(c.tti.start()),
+                            u64::from(c.tti.end()),
+                            c.num_edges() as u64,
+                        )
+                    })
+                    .collect();
+                assert_eq!(sample.len(), expected.len().min(cap), "k={k}: {reply}");
+                assert_eq!(*sample, canonical_first, "k={k}: {reply}");
             }
         }
 
-        server.stop();
-        acceptor
-            .join()
-            .expect("acceptor thread exits cleanly")
-            .expect("serve returns Ok on stop");
+        stop(&server, acceptor);
     }
 }
