@@ -3,10 +3,10 @@
 //!
 //! The paper's framework splits a time-range temporal k-core query into a
 //! CoreTime precomputation (the [`crate::EdgeCoreSkyline`], Definitions
-//! 4–5) and a result-size-bounded enumeration.  An index built for a range
-//! `R` answers *every* query over a sub-range `r ⊆ R` by restriction
-//! ([`crate::EdgeCoreSkyline::restrict`]), which is what the engine's
-//! skyline caches exploit; an unsharded engine is simply a
+//! 4–5) and a result-size-bounded enumeration.  Minimality of a core window
+//! is a property of the graph alone, so the engine caches one skyline per
+//! shard and `k` and reads any query window's skyline off them in place,
+//! through a [`crate::WindowView`]; an unsharded engine is simply a
 //! [`crate::ShardPlan::Span`] engine whose one shard covers the whole
 //! timeline.
 //!
@@ -87,14 +87,16 @@ pub struct CacheStats {
     /// Counters of the boundary-stitch index cache (always zero for a
     /// one-shard engine, which has no cuts; see [`crate::shard`]).
     pub boundary: BoundaryCacheStats,
-    /// Tail-shard `(shard, k)` skylines dropped by ingest
-    /// ([`crate::ShardedEngine::absorb`]): closed-shard skylines are never
-    /// invalidated, so this counts exactly the rebuilds ingest can cause.
-    /// The absorb makes those rebuilds itself and books them in
-    /// [`CacheStats::publish`].
+    /// Tail-shard `(shard, k)` skylines an absorb
+    /// ([`crate::ShardedEngine::absorb`]) purged: closed-shard skylines are
+    /// never invalidated, so this counts exactly the rebuilds ingest can
+    /// cause.  The absorb makes those rebuilds itself and books them in
+    /// [`CacheStats::publish`].  A query still building against an older
+    /// snapshot when an absorb lands keeps its build, which the cache then
+    /// refuses: that counts nothing here and no build.
     pub tail_invalidations: u64,
-    /// Boundary-stitch entries whose shard range touches the live tail
-    /// dropped by ingest.
+    /// Boundary-stitch entries whose shard range touches the live tail that
+    /// an absorb purged; a refused stale build counts nothing here either.
     pub boundary_invalidations: u64,
     /// Times the live tail shard was rolled into a closed shard (see
     /// [`SealPolicy`] and [`crate::ShardedEngine::seal_tail`]).

@@ -99,23 +99,15 @@
 //! duplicate events with typed errors and publishes each batch as one
 //! atomic `Arc`-swapped snapshot).  The maintenance is **incremental**:
 //!
-//! * an absorb dirties only the tail — tail-shard `(shard, k)` skylines
-//!   and tail-touching boundary-stitch entries (counted in
+//! * an absorb replaces only the tail-touching entries (counted in
 //!   [`CacheStats::tail_invalidations`] /
-//!   [`CacheStats::boundary_invalidations`]) — while **closed-shard
-//!   skylines stay resident and valid** because appends land strictly past
-//!   the seal watermark and therefore never move a closed shard's edges or
-//!   `EdgeId`s;
-//! * the dirtied entries are rebuilt at publish, not purged for queries to
-//!   rebuild: the absorb rebuilds every one the old tail had resident
-//!   against the new snapshot, on the engine's pool, and installs them as
-//!   it publishes the snapshot, so the first query of the new epoch hits
-//!   ([`CacheStats::publish`] books those builds apart from the query
-//!   path's);
+//!   [`CacheStats::boundary_invalidations`]), rebuilt against the new
+//!   snapshot before it is published, so the first query of the new epoch
+//!   hits ([`CacheStats::publish`]); **closed-shard skylines stay resident
+//!   and valid**, since appends land strictly past the seal watermark;
 //! * a [`SealPolicy`] (`EdgeCount`, `SpanWidth`, or `Manual` via
 //!   [`ShardedEngine::seal_tail`]) rolls the live tail into a closed shard
-//!   ([`CacheStats::seals`]); the next advancing batch opens a fresh tail
-//!   and rebuilds there what the sealed tail had resident;
+//!   ([`CacheStats::seals`]), and the next batch opens a fresh tail;
 //! * queries capture one immutable live view at entry, so a query racing
 //!   an absorb observes either none of the batch or all of it — ingestion
 //!   and queries serialize only at the snapshot swap;
@@ -282,6 +274,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cache;
 mod ecs;
 pub mod engine;
 mod enum_base;
@@ -292,6 +285,7 @@ pub mod ingest;
 pub mod naive;
 mod otcd;
 pub mod paper_example;
+mod plan;
 mod query;
 mod request;
 mod result;

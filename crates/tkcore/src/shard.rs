@@ -74,28 +74,24 @@
 //! [`ShardedEngine::absorb`] appends time-ordered events through an
 //! [`AppendableGraph`] and publishes each batch as a fresh immutable
 //! snapshot (an epoch-tagged [`Arc`]-swap, the only point where ingestion
-//! and queries serialize).  Because appends only land past the seal
-//! watermark, closed shards' edge slices — and every `EdgeId` inside
-//! them — never change, so **closed-shard skylines and stitch entries stay
-//! resident and valid across every append**; an absorb replaces only the
-//! tail-shard skylines and the tail-touching stitch entries (counted in
-//! [`CacheStats::tail_invalidations`] / `boundary_invalidations`).  It
-//! rebuilds each of them against the new snapshot on the pool before
-//! publishing, and installs them in the critical section that swaps the
-//! snapshot in, so the new epoch starts warm and no query rebuilds a tail
-//! ([`CacheStats::publish`] books these builds).  A
-//! [`crate::SealPolicy`] (or [`ShardedEngine::seal_tail`]) rolls the tail
-//! into a closed shard, making its indexes permanent; the next advancing
-//! batch opens a fresh tail and rebuilds there what the sealed tail had
-//! resident.
+//! and queries serialize).  Closed shards never change, so their skylines
+//! and stitch entries stay resident across every append; an absorb
+//! replaces only the tail-touching entries, rebuilt against the new
+//! snapshot before it is published ([`CacheStats::publish`] books these
+//! builds).  A [`crate::SealPolicy`] (or [`ShardedEngine::seal_tail`]) rolls
+//! the tail into a closed shard, making its entries permanent.  Which entry
+//! a query at a given snapshot may read, and what a publish or a seal does
+//! to the cache, is the epoch protocol of the crate-private `cache` module
+//! (`cache.rs`); the engine holds the locks, runs the builds and calls its
+//! transitions.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+use crate::cache::{EpochView, RangeKey, SkylineCache};
 use crate::ecs::{EdgeCoreSkyline, WindowView};
-use crate::engine::{batch_pool, CacheStats, EngineConfig, ShardCacheStats, WarmStats};
+use crate::engine::{batch_pool, CacheStats, EngineConfig};
 use crate::enumerate::enumerate;
 use crate::error::TkError;
 use crate::exec::{run_batch_inner, ExecPool};
@@ -106,414 +102,7 @@ use crate::sink::ResultSink;
 use crate::sync;
 use temporal_graph::{AppendableGraph, TemporalGraph, TimeWindow, Timestamp};
 
-/// How to cut the graph's timeline `[1, tmax]` into contiguous shards.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShardPlan {
-    /// One shard covering the whole span (the unsharded layout; useful as a
-    /// degenerate baseline in equivalence tests).
-    Span,
-    /// A fixed number of shards of near-equal timeline length.  Counts
-    /// exceeding `tmax` are clamped to one shard per timestamp.
-    FixedCount(usize),
-    /// Cut so every shard holds roughly this many edge occurrences (the last
-    /// shard takes the remainder).  Adapts shard boundaries to bursty
-    /// timelines where equal-length intervals would be wildly unbalanced.
-    TargetEdgesPerShard(usize),
-    /// Explicit cut points: a boundary is placed **after** each listed
-    /// timestamp, which must be strictly increasing and inside `[1, tmax)`.
-    ExplicitCuts(Vec<Timestamp>),
-}
-
-impl ShardPlan {
-    /// Resolves the plan against a graph into contiguous shard intervals
-    /// covering `[1, tmax]` exactly.
-    ///
-    /// # Errors
-    /// [`TkError::InvalidShardPlan`] for a zero shard count, a zero edge
-    /// target, or cut points that are out of range or not strictly
-    /// increasing.
-    pub fn resolve(&self, graph: &TemporalGraph) -> Result<Vec<TimeWindow>, TkError> {
-        let tmax = graph.tmax().max(1);
-        let shards = match self {
-            ShardPlan::Span => vec![TimeWindow::new(1, tmax)],
-            ShardPlan::FixedCount(n) => {
-                if *n == 0 {
-                    return Err(TkError::InvalidShardPlan {
-                        detail: "shard count must be at least 1".into(),
-                    });
-                }
-                let n = (*n as u64).min(u64::from(tmax));
-                (0..n)
-                    .map(|i| {
-                        let start = 1 + (i * u64::from(tmax) / n) as Timestamp;
-                        let end = ((i + 1) * u64::from(tmax) / n) as Timestamp;
-                        TimeWindow::new(start, end)
-                    })
-                    .collect()
-            }
-            ShardPlan::TargetEdgesPerShard(target) => {
-                if *target == 0 {
-                    return Err(TkError::InvalidShardPlan {
-                        detail: "edges-per-shard target must be at least 1".into(),
-                    });
-                }
-                let mut shards = Vec::new();
-                let mut start = 1;
-                let mut accumulated = 0usize;
-                for t in 1..=tmax {
-                    accumulated += graph.edges_at(t).len();
-                    if accumulated >= *target && t < tmax {
-                        shards.push(TimeWindow::new(start, t));
-                        start = t + 1;
-                        accumulated = 0;
-                    }
-                }
-                shards.push(TimeWindow::new(start, tmax));
-                shards
-            }
-            ShardPlan::ExplicitCuts(cuts) => {
-                let mut shards = Vec::new();
-                let mut start = 1;
-                for &cut in cuts {
-                    if cut < start || cut >= tmax {
-                        return Err(TkError::InvalidShardPlan {
-                            detail: format!(
-                                "cut after {cut} is outside [{start}, {}] or not increasing",
-                                tmax - 1
-                            ),
-                        });
-                    }
-                    shards.push(TimeWindow::new(start, cut));
-                    start = cut + 1;
-                }
-                shards.push(TimeWindow::new(start, tmax));
-                shards
-            }
-        };
-        debug_assert_eq!(shards.first().map(|s| s.start()), Some(1));
-        debug_assert_eq!(shards.last().map(|s| s.end()), Some(tmax));
-        debug_assert!(shards.windows(2).all(|p| p[1].start() == p[0].end() + 1));
-        Ok(shards)
-    }
-}
-
-/// How long a cached skyline or stitch entry stays correct under live
-/// ingestion.
-///
-/// Entries built over **closed** shards are [`Validity::Permanent`]: appends
-/// only land past the seal watermark, so a closed shard's edge slice (and
-/// every `EdgeId` inside it) never changes again.  Entries touching the live
-/// tail are tagged with the [`LiveState::epoch`] they were built at.  The
-/// absorb that bumps the epoch replaces them with entries it rebuilt
-/// against the new snapshot (see [`ShardedEngine::absorb`]), so queries of
-/// the new epoch find them warm.
-///
-/// A query only ever uses an entry whose validity equals the one its own
-/// live view assigns the key ([`LiveState::validity`]): a query still
-/// running on an older snapshot must not restrict a newer epoch's skyline
-/// against its older graph, whose edge ids at the old `tmax` may differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Validity {
-    /// Built over closed shards only; valid for the engine's lifetime.
-    Permanent,
-    /// Built against the live tail at this epoch; stale once the epoch
-    /// moves on.
-    Epoch(u64),
-}
-
-impl Validity {
-    /// Whether an entry of this validity replaces one of `other`'s: a later
-    /// epoch replaces an earlier one, and a sealed (permanent) entry
-    /// replaces every epoch, since a shard never reopens.
-    fn supersedes(self, other: Validity) -> bool {
-        match (self, other) {
-            (Validity::Permanent, Validity::Epoch(_)) => true,
-            (Validity::Epoch(a), Validity::Epoch(b)) => a > b,
-            _ => false,
-        }
-    }
-}
-
-/// A cache key: shard range `lo..=hi` and `k`.  A shard skyline is keyed
-/// `(s, s, k)`; a stitch entry (the cut-crossing windows of the range's
-/// merged window) has `lo < hi`.
-type RangeKey = (usize, usize, usize);
-
-fn is_stitch(key: RangeKey) -> bool {
-    key.0 < key.1
-}
-
-struct CacheEntry {
-    /// A shard's skyline, or for a stitch key the cut-crossing minimal core
-    /// windows of the merged window (a filtered, **incomplete** skyline —
-    /// only usable as a [`WindowView`]'s crossing entry).
-    skyline: Arc<EdgeCoreSkyline>,
-    last_used: u64,
-    validity: Validity,
-}
-
-/// Lookup counters of one shard range `(lo, hi)`, over all `k`.
-#[derive(Default)]
-struct RangeCounters {
-    hits: u64,
-    misses: u64,
-    builds: u64,
-    evictions: u64,
-    invalidations: u64,
-}
-
-/// The engine's one LRU cache of skylines, keyed by shard range and `k`
-/// (see [`RangeKey`]).  Shard skylines share the byte budget and stitch
-/// entries the entry budget; each kind evicts only its own entries.
-struct SkylineCache {
-    entries: HashMap<RangeKey, CacheEntry>,
-    counters: HashMap<(usize, usize), RangeCounters>,
-    clock: u64,
-    /// Maximum summed bytes of resident shard skylines.
-    budget_bytes: usize,
-    /// Maximum resident stitch entries (at least one is always kept).
-    stitch_capacity: usize,
-    seals: u64,
-    warm: WarmStats,
-    publish: WarmStats,
-}
-
-impl SkylineCache {
-    fn new(config: &EngineConfig) -> Self {
-        Self {
-            entries: HashMap::new(),
-            counters: HashMap::new(),
-            clock: 0,
-            budget_bytes: config.memory_budget_bytes,
-            stitch_capacity: config.boundary_cache_entries.max(1),
-            seals: 0,
-            warm: WarmStats::default(),
-            publish: WarmStats::default(),
-        }
-    }
-
-    fn counters(&mut self, key: RangeKey) -> &mut RangeCounters {
-        self.counters.entry((key.0, key.1)).or_default()
-    }
-
-    /// A validity-aware hit requires the entry's validity to equal the
-    /// caller's.  An entry the caller's validity supersedes — a stale tail
-    /// entry that escaped the absorb-time purge (an adopt racing the
-    /// absorb) — is dropped here and counted as both a miss and an
-    /// invalidation.  A newer entry than the caller's (the caller is a
-    /// straggler on an older snapshot) is a miss that leaves the entry in
-    /// place for the queries of its own epoch.
-    fn get(&mut self, key: RangeKey, validity: Validity) -> Option<Arc<EdgeCoreSkyline>> {
-        self.clock += 1;
-        let clock = self.clock;
-        let hit = match self.entries.get_mut(&key) {
-            Some(entry) if entry.validity == validity => {
-                entry.last_used = clock;
-                Some(Arc::clone(&entry.skyline))
-            }
-            Some(entry) if validity.supersedes(entry.validity) => {
-                self.entries.remove(&key);
-                self.counters(key).invalidations += 1;
-                None
-            }
-            _ => None,
-        };
-        let counters = self.counters(key);
-        if hit.is_some() {
-            counters.hits += 1;
-        } else {
-            counters.misses += 1;
-        }
-        hit
-    }
-
-    /// Whether an entry of the caller's validity is resident, without
-    /// touching the counters (the `warm` probe).
-    fn is_resident(&self, key: RangeKey, validity: Validity) -> bool {
-        self.entries
-            .get(&key)
-            .is_some_and(|e| e.validity == validity)
-    }
-
-    /// Adopts a skyline built on the query path.  When another thread won
-    /// the race with an entry of the same validity, the resident entry is
-    /// shared and the caller's copy dropped.  Otherwise the caller gets its
-    /// own build back, and it is inserted only over a vacant slot or an
-    /// entry its validity supersedes; a newer resident entry (the caller
-    /// is a straggler on an older snapshot) stays.  Counts a build only
-    /// when the insert actually happened.
-    fn adopt(
-        &mut self,
-        key: RangeKey,
-        built: Arc<EdgeCoreSkyline>,
-        validity: Validity,
-    ) -> Arc<EdgeCoreSkyline> {
-        self.clock += 1;
-        let clock = self.clock;
-        match self.entries.get_mut(&key) {
-            Some(existing) if existing.validity == validity => {
-                existing.last_used = clock;
-                return Arc::clone(&existing.skyline);
-            }
-            Some(existing) if !validity.supersedes(existing.validity) => return built,
-            Some(_) => self.counters(key).invalidations += 1,
-            None => {}
-        }
-        self.counters(key).builds += 1;
-        self.install(key, Arc::clone(&built), validity);
-        built
-    }
-
-    /// Inserts (or replaces) `key`'s entry as the most recently used one,
-    /// then evicts least-recently-used entries of the same kind (never the
-    /// key itself) down to that kind's budget.  Counts no build: an absorb
-    /// installs its rebuilt entries through here directly (booked in
-    /// [`CacheStats::publish`]), and [`SkylineCache::adopt`] counts its own.
-    fn install(&mut self, key: RangeKey, skyline: Arc<EdgeCoreSkyline>, validity: Validity) {
-        self.clock += 1;
-        self.entries.insert(
-            key,
-            CacheEntry {
-                skyline,
-                last_used: self.clock,
-                validity,
-            },
-        );
-        let stitch = is_stitch(key);
-        let (limit, weight): (usize, fn(&CacheEntry) -> usize) = if stitch {
-            (self.stitch_capacity, |_| 1)
-        } else {
-            (self.budget_bytes, |e| e.skyline.memory_bytes())
-        };
-        let mut load: usize = self
-            .entries
-            .iter()
-            .filter(|(&other, _)| is_stitch(other) == stitch)
-            .map(|(_, e)| weight(e))
-            .sum();
-        while load > limit {
-            let Some(victim) = self
-                .entries
-                .iter()
-                .filter(|(&other, _)| other != key && is_stitch(other) == stitch)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(&victim, _)| victim)
-            else {
-                break;
-            };
-            let Some(removed) = self.entries.remove(&victim) else {
-                break;
-            };
-            load -= weight(&removed);
-            self.counters(victim).evictions += 1;
-        }
-    }
-
-    /// The keys of the resident entries built at `epoch`: what the live
-    /// tail of that epoch had resident, and so what the next publish
-    /// rebuilds.
-    fn tail_keys(&self, epoch: u64) -> Vec<RangeKey> {
-        self.entries
-            .iter()
-            .filter(|(_, entry)| entry.validity == Validity::Epoch(epoch))
-            .map(|(&key, _)| key)
-            .collect()
-    }
-
-    /// Drops every non-permanent entry — the live tail's skylines and the
-    /// stitch entries whose shard range touches it — after an absorb
-    /// changed the tail, counting each as an invalidation of its range
-    /// (the absorb then installs their rebuilt successors).  Closed-shard
-    /// entries are untouched: they stay resident and valid across every
-    /// append.  Returns the shard skylines and stitch entries dropped.
-    // tkc-lint: hot
-    fn invalidate_tail(&mut self) -> (u64, u64) {
-        let (mut skylines, mut stitches) = (0u64, 0u64);
-        let counters = &mut self.counters;
-        self.entries.retain(|&key, entry| {
-            if entry.validity == Validity::Permanent {
-                return true;
-            }
-            counters.entry((key.0, key.1)).or_default().invalidations += 1;
-            if is_stitch(key) {
-                stitches += 1;
-            } else {
-                skylines += 1;
-            }
-            false
-        });
-        (skylines, stitches)
-    }
-
-    /// Seals shard `tail` without a timeline change: entries built at
-    /// `epoch` cover exactly the sealed window and are upgraded to
-    /// [`Validity::Permanent`]; stale-epoch leftovers are dropped.
-    fn seal(&mut self, tail: usize, epoch: u64) {
-        self.entries.retain(|key, entry| match entry.validity {
-            Validity::Permanent => true,
-            Validity::Epoch(e) if e == epoch => {
-                debug_assert_eq!(key.1, tail, "only tail-touching entries carry an epoch");
-                entry.validity = Validity::Permanent;
-                true
-            }
-            Validity::Epoch(_) => false,
-        });
-        self.seals += 1;
-    }
-
-    /// Drops every entry, keeping the counters.
-    fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Folds the per-range counters and the resident entries into the
-    /// public counters, with one [`ShardCacheStats`] per shard of an
-    /// engine with `num_shards` shards — more if a counter names a shard
-    /// an absorb opened after the caller read the shard count.
-    fn stats(&self, num_shards: usize) -> CacheStats {
-        let named = self.counters.keys().map(|&(_, hi)| hi + 1);
-        let mut stats = CacheStats {
-            per_shard: (0..named.fold(num_shards, usize::max))
-                .map(|shard| ShardCacheStats {
-                    shard,
-                    ..ShardCacheStats::default()
-                })
-                .collect(),
-            seals: self.seals,
-            warm: self.warm,
-            publish: self.publish,
-            ..CacheStats::default()
-        };
-        for (&(lo, hi), c) in &self.counters {
-            if lo < hi {
-                stats.boundary.hits += c.hits;
-                stats.boundary.builds += c.builds;
-                stats.boundary.evictions += c.evictions;
-                stats.boundary_invalidations += c.invalidations;
-            } else {
-                stats.hits += c.hits;
-                stats.misses += c.misses;
-                stats.evictions += c.evictions;
-                stats.tail_invalidations += c.invalidations;
-                stats.per_shard[lo].hits += c.hits;
-                stats.per_shard[lo].builds += c.builds;
-            }
-        }
-        for (&key, entry) in &self.entries {
-            let bytes = entry.skyline.memory_bytes();
-            if is_stitch(key) {
-                stats.boundary.resident_bytes += bytes;
-                stats.boundary.resident_entries += 1;
-            } else {
-                stats.resident_bytes += bytes;
-                stats.resident_indexes += 1;
-                stats.per_shard[key.0].resident_bytes += bytes;
-                stats.per_shard[key.0].resident_indexes += 1;
-            }
-        }
-        stats
-    }
-}
+pub use crate::plan::ShardPlan;
 
 /// The query engine: a per-`(shard, k)` skyline cache over time-interval
 /// shards, exact boundary stitching through a cached
@@ -547,14 +136,13 @@ pub struct ShardedEngine {
 /// entirely against that view, so an [`ShardedEngine::absorb`] racing them
 /// swaps in a new state without ever exposing a partial batch.
 struct LiveState {
-    /// Bumped by every absorb and seal; tags tail-touching cache entries.
-    epoch: u64,
+    /// This view's epoch, and how many leading shards are closed (immutable
+    /// forever); the rest — at most one shard — is the live tail that
+    /// appends land in.
+    at: EpochView,
     graph: Arc<TemporalGraph>,
     /// Contiguous shard intervals covering `[1, graph.tmax()]`.
     shards: Vec<TimeWindow>,
-    /// `shards[..sealed]` are closed (immutable forever); the rest — at most
-    /// one shard — is the live tail that appends land in.
-    sealed: usize,
 }
 
 impl LiveState {
@@ -564,16 +152,6 @@ impl LiveState {
         let lo = self.shards.partition_point(|s| s.end() < window.start());
         let hi = self.shards.partition_point(|s| s.start() <= window.end());
         lo..hi
-    }
-
-    /// Validity of a cache entry over shard range `lo..=hi` of this state
-    /// (a shard skyline has `lo == hi`).
-    fn validity(&self, hi: usize) -> Validity {
-        if hi < self.sealed {
-            Validity::Permanent
-        } else {
-            Validity::Epoch(self.epoch)
-        }
     }
 
     /// Builds the cache entry for `key` against this state: shard `lo`'s
@@ -600,9 +178,6 @@ struct IngestState {
     /// Edge occurrences currently in the tail shard (seeds from the base
     /// graph's tail slice; reset on seal).
     tail_edges: usize,
-    /// The keys the sealed tail had resident, carried by a seal to the
-    /// next absorb, which opens a fresh tail and rebuilds them there.
-    carried: Vec<RangeKey>,
 }
 
 /// Where a request's count, sample and materialize units run (see
@@ -677,7 +252,6 @@ impl ShardedEngine {
         config: EngineConfig,
     ) -> Result<Self, TkError> {
         let shards = plan.resolve(&graph)?;
-        let cache = Mutex::new(SkylineCache::new(&config));
         let sealed = shards.len() - 1;
         let mut appendable = AppendableGraph::from_graph(graph);
         if sealed > 0 {
@@ -685,22 +259,21 @@ impl ShardedEngine {
         }
         let snapshot = appendable.snapshot();
         let tail_edges = snapshot.num_edges_in(shards[sealed]);
+        let at = EpochView { epoch: 0, sealed };
         let live = Arc::new(LiveState {
-            epoch: 0,
+            at,
             graph: snapshot,
             shards,
-            sealed,
         });
         Ok(Self {
             inner: Arc::new(ShardInner {
-                config,
                 live: Mutex::new(live),
                 ingest: Mutex::new(IngestState {
                     appendable,
                     tail_edges,
-                    carried: Vec::new(),
                 }),
-                cache,
+                cache: Mutex::new(SkylineCache::new(&config, at)),
+                config,
                 pool: OnceLock::new(),
                 absorb_failpoints: AtomicU64::new(0),
             }),
@@ -740,7 +313,7 @@ impl ShardedEngine {
     /// Number of closed (sealed, immutable) shards; the remaining shards —
     /// at most one — form the live tail.
     pub fn sealed_shards(&self) -> usize {
-        self.inner.live_now().sealed
+        self.inner.live_now().at.sealed
     }
 
     /// The smallest timestamp the ingest lane currently accepts: appends
@@ -753,22 +326,14 @@ impl ShardedEngine {
     /// immutable snapshot, atomically: concurrent queries observe either
     /// none of the batch or all of it, never a prefix.
     ///
-    /// Only tail-shard skylines and tail-touching boundary-stitch entries
-    /// are invalidated (counted in the returned [`AbsorbStats`] and in
-    /// [`CacheStats`]); closed-shard skylines stay resident and valid.
-    /// The tail entries are rebuilt at publish, not purged for queries to
-    /// rebuild: every key the old tail had resident is rebuilt against the
-    /// new snapshot on the engine's [`ExecPool`], outside the live and
-    /// cache locks, and installed in the same critical section that swaps
-    /// the snapshot in — so the first query of the new epoch hits.  The
-    /// rebuild set is exactly what was resident, so the cache budgets bound
-    /// it; the builds are booked in [`CacheStats::publish`], not in the
-    /// query-path build counters.
-    ///
-    /// After the batch, the configured [`crate::SealPolicy`] may roll the
-    /// tail into a closed shard (its rebuilt entries are then permanent);
-    /// the next advancing batch opens a fresh tail shard and rebuilds there
-    /// the keys the sealed tail had resident.
+    /// Only the tail-touching entries are replaced (counted in the returned
+    /// [`AbsorbStats`] and in [`CacheStats`]); closed-shard skylines stay
+    /// resident.  Every tail entry that was resident is rebuilt against the
+    /// new snapshot on the engine's [`ExecPool`], outside the locks, and
+    /// installed as the snapshot is swapped in, so the first query of the
+    /// new epoch hits; [`CacheStats::publish`] books those builds.  The
+    /// configured [`crate::SealPolicy`] may then roll the tail into a
+    /// closed shard, and the next batch opens a fresh one.
     ///
     /// # Errors
     /// [`TkError::AppendOutOfOrder`], [`TkError::AppendDuplicate`] or
@@ -833,28 +398,15 @@ impl ShardedEngine {
     /// across the engine's [`ExecPool`] (shard skylines build
     /// independently, so a cold warm finishes in roughly the time of the
     /// largest shard instead of the sum); returns whether all of them were
-    /// already resident.
-    ///
-    /// Cache accounting matches the serial warm exactly — one hit or miss
-    /// per shard, single-flight adoption, live-tail epoch tagging — and the
-    /// warm's wall-clock vs summed per-entry build times land in
-    /// [`CacheStats::warm`].
+    /// already resident.  Each shard counts one hit or miss, as a query's
+    /// lookup does, and [`CacheStats::warm`] books the build times.
     pub fn warm(&self, k: usize) -> bool {
         let t0 = Instant::now();
         let live = self.inner.live_now();
-        let num_shards = live.shards.len();
-        let all_resident = {
-            let cache = sync::lock(&self.inner.cache);
-            (0..num_shards).all(|shard| cache.is_resident((shard, shard, k), live.validity(shard)))
-        };
-        let keys: Vec<RangeKey> = (0..num_shards).map(|shard| (shard, shard, k)).collect();
+        let keys: Vec<RangeKey> = (0..live.shards.len()).map(|s| (s, s, k)).collect();
         let (_, entries_built, build_time) = self.inner.entries(&live, &keys);
-        let mut cache = sync::lock(&self.inner.cache);
-        cache.warm.warms += 1;
-        cache.warm.entries_built += entries_built;
-        cache.warm.build_time += build_time;
-        cache.warm.wall_time += t0.elapsed();
-        all_resident
+        sync::lock(&self.inner.cache).record_warm(entries_built, build_time, t0.elapsed());
+        entries_built == 0
     }
 
     /// Drops every cached shard skyline and stitch entry, keeping the
@@ -1057,9 +609,8 @@ impl ShardInner {
 
     /// Absorbs one ingest batch: append + publish, recompute the tail
     /// window, apply the seal policy, rebuild the tail entries of the new
-    /// epoch, then swap the live state, purge the old epoch and install
-    /// the rebuilt entries in one critical section.  See
-    /// [`ShardedEngine::absorb`].
+    /// epoch, then swap the live state and publish the rebuilt entries to
+    /// the cache in one critical section.  See [`ShardedEngine::absorb`].
     fn absorb(&self, batch: &[IngestEvent]) -> Result<AbsorbStats, TkError> {
         let mut ingest = sync::lock(&self.ingest);
         if batch.is_empty() {
@@ -1067,7 +618,7 @@ impl ShardInner {
             return Ok(AbsorbStats {
                 tmax: live.graph.tmax(),
                 num_shards: live.shards.len(),
-                sealed_shards: live.sealed,
+                sealed_shards: live.at.sealed,
                 ..AbsorbStats::default()
             });
         }
@@ -1076,77 +627,48 @@ impl ShardInner {
         let old = self.live_now();
         let new_tmax = snapshot.tmax();
         let mut shards = old.shards.clone();
-        let mut sealed = old.sealed;
-        // What the new epoch rebuilds: the entries the old tail had
-        // resident or, when a seal closed it, the keys that seal carried.
-        let resident = if sealed == shards.len() {
+        if old.at.sealed == shards.len() {
             // The previous absorb (or a manual seal) closed the tail: this
             // batch opens a fresh one right after it.
             let start = shards.last().map_or(1, |s| s.end() + 1);
             shards.push(TimeWindow::new(start, new_tmax));
             ingest.tail_edges = 0;
-            std::mem::take(&mut ingest.carried)
         } else {
             let tail = shards.len() - 1;
             shards[tail] = TimeWindow::new(shards[tail].start(), new_tmax);
-            sync::lock(&self.cache).tail_keys(old.epoch)
-        };
+        }
         ingest.tail_edges += appended;
-        let tail_idx = shards.len() - 1;
-        let mut did_seal = false;
-        if self
+        let tail = shards.len() - 1;
+        let did_seal = self
             .config
             .seal_policy
-            .should_seal(ingest.tail_edges, shards[tail_idx])
-        {
+            .should_seal(ingest.tail_edges, shards[tail]);
+        let mut sealed = old.at.sealed;
+        if did_seal {
             sealed = shards.len();
             ingest.appendable.raise_floor(new_tmax);
             ingest.tail_edges = 0;
-            did_seal = true;
         }
         let state = Arc::new(LiveState {
-            epoch: old.epoch + 1,
+            at: EpochView {
+                epoch: old.at.epoch + 1,
+                sealed,
+            },
             graph: snapshot,
             shards,
-            sealed,
         });
-        let num_shards = state.shards.len();
-        // Every key keeps its `k` and (for a stitch entry) its `lo`; its
-        // `hi` becomes the new last shard — the extended tail, the shard
-        // this batch sealed, or a freshly opened tail.
-        let keys: Vec<RangeKey> = resident
-            .iter()
-            .map(|&(lo, hi, k)| {
-                let lo = if lo == hi { tail_idx } else { lo };
-                (lo, tail_idx, k)
-            })
-            .collect();
+        let keys = sync::lock(&self.cache).rebuild_keys(tail);
         // tkc-lint: allow(lock-order-global) — the fan-out only runs the build closure, which takes no lock; the lint links drain_batch's `run(i)` closure call to QueryRequest::run by name, and through it to the ingest lock
         let (rebuilt, build_time, wall_time) = self.build_entries(&state, &keys);
-        if did_seal {
-            ingest.carried = resident;
-        }
-        // The batch extended the tail window, so even on a sealing absorb
-        // the pre-batch tail entries describe a narrower window: purge every
-        // non-permanent entry and install the rebuilt ones in the same
-        // critical section that publishes the state, so the first query of
-        // the new epoch already hits.  Closed-shard skylines are untouched.
         let mut live = sync::lock(&self.live);
         let mut cache = sync::lock(&self.cache);
         *live = Arc::clone(&state);
-        let (tail_invalidations, boundary_invalidations) = cache.invalidate_tail();
-        for (&key, skyline) in keys.iter().zip(rebuilt) {
-            cache.install(key, skyline, state.validity(key.1));
-        }
-        if !keys.is_empty() {
-            cache.publish.warms += 1;
-            cache.publish.entries_built += keys.len() as u64;
-            cache.publish.build_time += build_time;
-            cache.publish.wall_time += wall_time;
-        }
-        if did_seal {
-            cache.seals += 1;
-        }
+        let (tail_invalidations, boundary_invalidations) = cache.publish(
+            state.at,
+            keys.into_iter().zip(rebuilt).collect(),
+            build_time,
+            wall_time,
+        );
         drop(cache);
         drop(live);
         Ok(AbsorbStats {
@@ -1155,7 +677,7 @@ impl ShardInner {
             boundary_invalidations,
             sealed: did_seal,
             tmax: new_tmax,
-            num_shards,
+            num_shards: tail + 1,
             sealed_shards: sealed,
         })
     }
@@ -1185,53 +707,49 @@ impl ShardInner {
         (skylines, build_time, t0.elapsed())
     }
 
-    /// Manual tail seal with no timeline change: current tail entries cover
-    /// exactly the sealed window, so they are upgraded to permanent rather
-    /// than purged.  See [`ShardedEngine::seal_tail`].
+    /// Manual tail seal with no timeline change: the live swap and the
+    /// cache's seal share one critical section, so no query sees the
+    /// sealed view before the cache does.  See [`ShardedEngine::seal_tail`].
     fn seal_tail(&self) -> AbsorbStats {
         let mut ingest = sync::lock(&self.ingest);
         let old = self.live_now();
         let num_shards = old.shards.len();
-        if old.sealed == num_shards {
-            return AbsorbStats {
-                tmax: old.graph.tmax(),
-                num_shards,
-                sealed_shards: old.sealed,
-                ..AbsorbStats::default()
-            };
-        }
-        ingest.appendable.raise_floor(old.graph.tmax());
-        ingest.tail_edges = 0;
-        ingest.carried = sync::lock(&self.cache).tail_keys(old.epoch);
-        let state = Arc::new(LiveState {
-            epoch: old.epoch + 1,
-            graph: Arc::clone(&old.graph),
-            shards: old.shards.clone(),
-            sealed: num_shards,
-        });
-        *sync::lock(&self.live) = state;
-        sync::lock(&self.cache).seal(num_shards - 1, old.epoch);
-        AbsorbStats {
-            sealed: true,
+        let stats = AbsorbStats {
+            sealed: old.at.sealed < num_shards,
             tmax: old.graph.tmax(),
             num_shards,
             sealed_shards: num_shards,
             ..AbsorbStats::default()
+        };
+        if !stats.sealed {
+            return stats;
         }
+        ingest.appendable.raise_floor(old.graph.tmax());
+        ingest.tail_edges = 0;
+        let state = Arc::new(LiveState {
+            at: EpochView {
+                epoch: old.at.epoch + 1,
+                sealed: num_shards,
+            },
+            graph: Arc::clone(&old.graph),
+            shards: old.shards.clone(),
+        });
+        let mut live = sync::lock(&self.live);
+        let mut cache = sync::lock(&self.cache);
+        cache.seal(state.at);
+        *live = state;
+        stats
     }
 
     /// Returns the cache entries `keys` (shard skylines and stitch entries
     /// alike, in key order), fanning the builds of the cold ones across the
-    /// engine's [`ExecPool`] via `run_batch` — entries build independently,
-    /// so a cold spanning query pays roughly the largest build instead of
-    /// the sum (the serial per-shard loop this replaces was the dominant
-    /// cold-query latency term).
+    /// engine's [`ExecPool`] via `run_batch`, so a cold spanning query pays
+    /// roughly the largest build instead of the sum.
     ///
-    /// Cache semantics are identical to building serially: one `get` per
-    /// key (hit/miss accounting), builds outside the cache lock with
-    /// single-flight adoption — two threads racing on the same cold key may
-    /// both build, the loser's copy is dropped — and live-tail entries
-    /// tagged with [`LiveState::validity`]'s epoch.  Nested fan-out is
+    /// Cache semantics are identical to building serially: one `lookup`
+    /// per key (hit/miss accounting), builds outside the cache lock, then
+    /// one `adopt` per build — two threads racing on the same cold key may
+    /// both build, the loser's copy is dropped.  Nested fan-out is
     /// deadlock-free because `run_batch`'s calling thread claims indexes
     /// itself.
     ///
@@ -1248,7 +766,7 @@ impl ShardInner {
         {
             let mut cache = sync::lock(&self.cache);
             for (i, &key) in keys.iter().enumerate() {
-                let hit = cache.get(key, live.validity(key.1));
+                let hit = cache.lookup(live.at, key);
                 if hit.is_none() {
                     missing.push(i);
                 }
@@ -1262,7 +780,7 @@ impl ShardInner {
             build_time = took;
             let mut cache = sync::lock(&self.cache);
             for (&i, skyline) in missing.iter().zip(built) {
-                entries[i] = Some(cache.adopt(keys[i], skyline, live.validity(keys[i].1)));
+                entries[i] = Some(cache.adopt(live.at, keys[i], skyline));
             }
         }
         let entries = entries
@@ -1304,7 +822,7 @@ impl ShardInner {
         units.iter().all(|&(k, window, _)| {
             view_keys(live, k, window)
                 .into_iter()
-                .all(|key| cache.is_resident(key, live.validity(key.1)))
+                .all(|key| cache.is_resident(live.at, key))
         })
     }
 
@@ -1341,6 +859,7 @@ mod tests {
     use crate::paper_example;
     use crate::sink::{CollectingSink, CountingSink};
     use crate::{KOutput, TemporalKCore, TimeRangeKCoreQuery};
+    use std::sync::atomic::AtomicBool;
 
     /// The cores `engine` answers `query` with, in canonical order.
     fn cores_of(engine: &ShardedEngine, query: TimeRangeKCoreQuery) -> Vec<TemporalKCore> {
@@ -1359,6 +878,23 @@ mod tests {
             .execute(QueryRequest::single(k, start, end))
             .unwrap()
             .total_cores()
+    }
+
+    /// A single-threaded engine over the paper example, with `set` applied
+    /// to the default config.
+    fn paper_engine(plan: ShardPlan, set: impl FnOnce(&mut EngineConfig)) -> ShardedEngine {
+        let mut config = EngineConfig {
+            num_threads: 1,
+            ..EngineConfig::default()
+        };
+        set(&mut config);
+        ShardedEngine::with_config(paper_example::graph(), plan, config).unwrap()
+    }
+
+    /// Shard skylines plus stitch entries `engine` built on the query path.
+    fn query_path_builds(engine: &ShardedEngine) -> u64 {
+        let stats = engine.cache_stats();
+        stats.per_shard.iter().map(|s| s.builds).sum::<u64>() + stats.boundary.builds
     }
 
     #[test]
@@ -1508,17 +1044,7 @@ mod tests {
 
     #[test]
     fn stitch_cache_lru_respects_the_entry_budget() {
-        let g = paper_example::graph();
-        let engine = ShardedEngine::with_config(
-            g.clone(),
-            ShardPlan::FixedCount(7),
-            EngineConfig {
-                boundary_cache_entries: 1,
-                num_threads: 1,
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
+        let engine = paper_engine(ShardPlan::FixedCount(7), |c| c.boundary_cache_entries = 1);
         // Two spanning queries over different shard ranges: the second entry
         // evicts the first.
         count(&engine, 2, 1, 2);
@@ -1540,15 +1066,7 @@ mod tests {
     fn disabled_stitch_cache_matches_the_cached_path() {
         let g = paper_example::graph();
         let cached = ShardedEngine::new(g.clone(), ShardPlan::FixedCount(4)).unwrap();
-        let minimal = ShardedEngine::with_config(
-            g.clone(),
-            ShardPlan::FixedCount(4),
-            EngineConfig {
-                boundary_cache_entries: 0,
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
+        let minimal = paper_engine(ShardPlan::FixedCount(4), |c| c.boundary_cache_entries = 0);
         for k in 1..=3 {
             for window in [g.span(), TimeWindow::new(2, 6), TimeWindow::new(3, 5)] {
                 let query = TimeRangeKCoreQuery::new(k, window).unwrap();
@@ -1569,16 +1087,10 @@ mod tests {
     fn eviction_respects_the_budget_across_shards() {
         let g = paper_example::graph();
         let shard_bytes = EdgeCoreSkyline::build(&g, 1, TimeWindow::new(1, 4)).memory_bytes();
-        let engine = ShardedEngine::with_config(
-            g.clone(),
-            ShardPlan::ExplicitCuts(vec![4]),
-            EngineConfig {
-                memory_budget_bytes: shard_bytes, // room for ~one shard index
-                num_threads: 1,
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
+        // Room for about one shard skyline.
+        let engine = paper_engine(ShardPlan::ExplicitCuts(vec![4]), |c| {
+            c.memory_budget_bytes = shard_bytes
+        });
         for k in 1..=3 {
             count(&engine, k, 1, g.tmax());
         }
@@ -1602,16 +1114,9 @@ mod tests {
                 EdgeCoreSkyline::build(&g, 1, TimeWindow::new(start, end)).memory_bytes()
             })
             .sum();
-        let engine = ShardedEngine::with_config(
-            g.clone(),
-            ShardPlan::ExplicitCuts(vec![2, 4]),
-            EngineConfig {
-                memory_budget_bytes: budget,
-                num_threads: 1,
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
+        let engine = paper_engine(ShardPlan::ExplicitCuts(vec![2, 4]), |c| {
+            c.memory_budget_bytes = budget
+        });
         count(&engine, 1, 1, 4);
         count(&engine, 1, 5, 7);
         let stats = engine.cache_stats();
@@ -1765,23 +1270,20 @@ mod tests {
         assert_eq!(after.seals, 0);
         // The purged tail entries come back rebuilt at the new epoch, each
         // counted once in `publish` and never as a query-path build.
-        {
-            let cache = sync::lock(&engine.inner.cache);
-            assert!(cache.is_resident((1, 1, 2), Validity::Epoch(1)));
-            assert!(cache.is_resident((0, 1, 2), Validity::Epoch(1)));
-        }
+        let at = engine.inner.live_now().at;
+        let cache = sync::lock(&engine.inner.cache);
+        assert!(cache.is_resident(at, (1, 1, 2)) && cache.is_resident(at, (0, 1, 2)));
+        drop(cache);
         assert_eq!(after.per_shard[1].resident_indexes, 1, "{after:?}");
         assert_eq!(after.boundary.resident_entries, 1, "{after:?}");
         assert_eq!((after.publish.warms, after.publish.entries_built), (1, 2));
-        assert_eq!(after.per_shard[1].builds, before.per_shard[1].builds);
-        assert_eq!(after.boundary.builds, before.boundary.builds);
+        let builds = query_path_builds(&engine);
+        assert_eq!(builds, 3, "the warm's two shards and the stitch entry");
 
-        // Re-querying the closed shard is a pure hit: zero new builds.
-        let builds_before: u64 = after.per_shard.iter().map(|s| s.builds).sum();
+        // Re-querying the closed shard and the tail is a pure hit.
         count(&engine, 2, 1, 3);
-        let stats = engine.cache_stats();
-        let builds_after: u64 = stats.per_shard.iter().map(|s| s.builds).sum();
-        assert_eq!(builds_after, builds_before, "closed shard not rebuilt");
+        count(&engine, 2, 5, 8);
+        assert_eq!(query_path_builds(&engine), builds, "nothing rebuilt");
 
         // The new tail contents are queryable and duplicates are refused.
         assert!(matches!(
@@ -1796,17 +1298,9 @@ mod tests {
 
     #[test]
     fn seal_policy_rolls_the_tail_and_the_next_batch_opens_a_fresh_one() {
-        let g = paper_example::graph();
-        let engine = ShardedEngine::with_config(
-            g,
-            ShardPlan::ExplicitCuts(vec![4]),
-            EngineConfig {
-                seal_policy: crate::SealPolicy::SpanWidth(5),
-                num_threads: 1,
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
+        let engine = paper_engine(ShardPlan::ExplicitCuts(vec![4]), |c| {
+            c.seal_policy = crate::SealPolicy::SpanWidth(5)
+        });
         // Tail [5, 7] spans 3 timestamps; extending it to t = 9 spans 5 and
         // trips the SpanWidth(5) policy.
         let absorbed = engine.absorb(&[(1, 2, 9)]).unwrap();
@@ -1850,23 +1344,58 @@ mod tests {
         let absorbed = engine.absorb(&[(4, 6, 9)]).unwrap();
         assert_eq!(absorbed.num_shards, 3);
         assert_eq!(absorbed.tail_invalidations, 0, "old tail is permanent now");
-        let builds_before: u64 = engine
-            .cache_stats()
-            .per_shard
-            .iter()
-            .map(|s| s.builds)
-            .sum();
+        let builds = query_path_builds(&engine);
         count(&engine, 2, 5, 7);
-        let builds_after: u64 = engine
-            .cache_stats()
-            .per_shard
-            .iter()
-            .map(|s| s.builds)
-            .sum();
         assert_eq!(
-            builds_after, builds_before,
-            "sealed ex-tail served from cache"
+            query_path_builds(&engine),
+            builds,
+            "ex-tail served from cache"
         );
+    }
+
+    /// A seal swaps the live view and seals the cache in one critical
+    /// section, so tail queries racing it never drop and rebuild the tail
+    /// entry.  Each round opens a fresh tail, then seals it under load.  A
+    /// query taking the sealed view before the cache seals trips the
+    /// cache's "view newer than the cache" debug assertion.
+    #[test]
+    fn seal_tail_racing_tail_queries_neither_drops_nor_rebuilds() {
+        let g = paper_example::graph();
+        let engine = ShardedEngine::new(g, ShardPlan::ExplicitCuts(vec![4])).unwrap();
+        engine.warm(2);
+        let builds = query_path_builds(&engine);
+        let stop = AtomicBool::new(false);
+        let rounds = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    // The warm holds the cache lock over every shard's
+                    // lookup, so a seal waiting on it races the next query.
+                    engine.warm(2);
+                    let tail = *engine.shards().last().unwrap();
+                    count(&engine, 2, tail.start(), tail.end());
+                }
+            });
+            let rounds: Vec<(u64, u64)> = (0..1000)
+                .map(|round| {
+                    if round > 0 {
+                        let t = engine.watermark();
+                        engine.absorb(&[(1, 2, t), (2, 3, t), (1, 3, t)]).unwrap();
+                    }
+                    assert!(engine.seal_tail().sealed);
+                    let stats = engine.cache_stats();
+                    (stats.tail_invalidations, query_path_builds(&engine))
+                })
+                .collect();
+            stop.store(true, Ordering::Relaxed);
+            rounds
+        });
+        for (round, &got) in rounds.iter().enumerate() {
+            assert_eq!(
+                got,
+                (0, builds),
+                "after seal {round}: (invalidations, builds)"
+            );
+        }
     }
 
     #[test]
@@ -1898,118 +1427,20 @@ mod tests {
         assert_eq!(engine.cache_stats().boundary.builds, 1);
     }
 
-    #[test]
-    fn get_refuses_an_entry_adopted_at_a_stale_epoch() {
-        let g = paper_example::graph();
-        let skyline = Arc::new(EdgeCoreSkyline::build(&g, 2, TimeWindow::new(5, 7)));
-        let mut cache = SkylineCache::new(&EngineConfig::default());
-        // An adopt racing an absorb lands after the purge, tagged with the
-        // epoch its build started at; the next lookup runs at the new epoch.
-        cache.adopt((1, 1, 2), Arc::clone(&skyline), Validity::Epoch(0));
-        cache.adopt((0, 1, 2), skyline, Validity::Epoch(0));
-        assert!(cache.get((1, 1, 2), Validity::Epoch(1)).is_none());
-        assert!(cache.get((0, 1, 2), Validity::Epoch(1)).is_none());
-        let stats = cache.stats(2);
-        assert_eq!((stats.hits, stats.misses), (0, 1), "{stats:?}");
-        assert_eq!(stats.tail_invalidations, 1, "{stats:?}");
-        assert_eq!(stats.boundary_invalidations, 1, "{stats:?}");
-        assert_eq!(stats.boundary.hits, 0, "{stats:?}");
-        assert_eq!(stats.resident_indexes, 0, "{stats:?}");
-        assert_eq!(stats.boundary.resident_entries, 0, "{stats:?}");
-        // A caller that read the shard count before an absorb opened shard 1
-        // still gets a row for every shard the counters name.
-        assert_eq!(cache.stats(1).per_shard.len(), 2);
-    }
-
-    #[test]
-    fn adopt_shares_only_an_entry_of_the_callers_validity() {
-        let g = paper_example::graph();
-        let build = || Arc::new(EdgeCoreSkyline::build(&g, 2, TimeWindow::new(5, 7)));
-        let mut cache = SkylineCache::new(&EngineConfig::default());
-        let key = (1, 1, 2);
-        let published = build();
-        cache.install(key, Arc::clone(&published), Validity::Epoch(1));
-        // A straggler of epoch 0 loses the adopt race to the published
-        // epoch-1 entry: it gets its own build back, and the newer entry
-        // stays resident.
-        let straggler = build();
-        let got = cache.adopt(key, Arc::clone(&straggler), Validity::Epoch(0));
-        assert!(Arc::ptr_eq(&got, &straggler));
-        assert!(cache.is_resident(key, Validity::Epoch(1)));
-        // A racer of the same epoch shares the resident entry.
-        let got = cache.adopt(key, build(), Validity::Epoch(1));
-        assert!(Arc::ptr_eq(&got, &published));
-        // A later epoch replaces the older entry.
-        let newer = build();
-        let got = cache.adopt(key, Arc::clone(&newer), Validity::Epoch(2));
-        assert!(Arc::ptr_eq(&got, &newer));
-        assert!(cache.is_resident(key, Validity::Epoch(2)));
-        // A sealed (permanent) entry is newer than every epoch.
-        let sealed = build();
-        cache.adopt(key, Arc::clone(&sealed), Validity::Permanent);
-        let got = cache.adopt(key, build(), Validity::Epoch(3));
-        assert!(!Arc::ptr_eq(&got, &sealed));
-        assert!(cache.is_resident(key, Validity::Permanent));
-        let stats = cache.stats(2);
-        // Inserts only: the epoch-2 replacement and the sealed entry.
-        assert_eq!(stats.per_shard[1].builds, 2, "{stats:?}");
-        assert_eq!(stats.publish, WarmStats::default(), "install books nothing");
-        assert_eq!(stats.resident_indexes, 1, "{stats:?}");
-    }
-
-    #[test]
-    fn get_from_an_older_epoch_leaves_a_newer_entry_resident() {
-        let g = paper_example::graph();
-        let skyline = Arc::new(EdgeCoreSkyline::build(&g, 2, TimeWindow::new(5, 7)));
-        let mut cache = SkylineCache::new(&EngineConfig::default());
-        cache.install((1, 1, 2), Arc::clone(&skyline), Validity::Epoch(1));
-        cache.install((0, 1, 2), skyline, Validity::Epoch(1));
-        // Stragglers of epoch 0 miss without evicting.
-        assert!(cache.get((1, 1, 2), Validity::Epoch(0)).is_none());
-        assert!(cache.get((0, 1, 2), Validity::Epoch(0)).is_none());
-        assert!(cache.is_resident((1, 1, 2), Validity::Epoch(1)));
-        assert!(cache.is_resident((0, 1, 2), Validity::Epoch(1)));
-        let stats = cache.stats(2);
-        assert_eq!(stats.tail_invalidations, 0, "{stats:?}");
-        assert_eq!(stats.boundary_invalidations, 0, "{stats:?}");
-        // Queries of the entries' own epoch hit them.
-        assert!(cache.get((1, 1, 2), Validity::Epoch(1)).is_some());
-        assert!(cache.get((0, 1, 2), Validity::Epoch(1)).is_some());
-        // A straggler of a sealed shard's old tail epoch misses the
-        // permanent entry too, without evicting it.
-        cache.seal(1, 1);
-        assert!(cache.get((1, 1, 2), Validity::Epoch(1)).is_none());
-        assert!(cache.is_resident((1, 1, 2), Validity::Permanent));
-        let stats = cache.stats(2);
-        assert_eq!((stats.hits, stats.misses), (1, 2), "{stats:?}");
-        assert_eq!(stats.resident_indexes, 1, "{stats:?}");
-    }
-
     /// Warm-publish contract: after a plain absorb, and after a sealing
     /// absorb followed by one that opens a fresh tail, a tail query at
     /// every `k` the tail had resident is a query-path hit — zero builds —
     /// and matches the naive oracle.
     #[test]
     fn absorbs_publish_the_tail_warm_for_every_resident_k() {
-        let g = paper_example::graph(); // tmax = 7
-        let engine = ShardedEngine::with_config(
-            g,
-            ShardPlan::ExplicitCuts(vec![4]),
-            EngineConfig {
-                seal_policy: crate::SealPolicy::EdgeCount(12),
-                num_threads: 1,
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
+        // The paper example's tmax is 7.
+        let engine = paper_engine(ShardPlan::ExplicitCuts(vec![4]), |c| {
+            c.seal_policy = crate::SealPolicy::EdgeCount(12)
+        });
         let ks = [1, 2, 3];
         for &k in &ks {
             engine.warm(k);
         }
-        let query_path_builds = |engine: &ShardedEngine| -> u64 {
-            let stats = engine.cache_stats();
-            stats.per_shard.iter().map(|s| s.builds).sum::<u64>() + stats.boundary.builds
-        };
         let check_tail = |engine: &ShardedEngine, label: &str| {
             let live = engine.graph();
             let tail = *engine.shards().last().unwrap();
