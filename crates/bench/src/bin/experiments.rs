@@ -430,7 +430,8 @@ const PARALLEL_BUILD_MIN_SPEEDUP: f64 = 1.8;
 
 /// Repetitions behind each timed column of the engine experiment that a
 /// hard assert or a cross-run comparison reads: the warm batch, the warm
-/// stitched batch, and the serial and pooled cold builds.  One shot of a
+/// stitched batch, the span-wide and the serial and pooled sharded cold
+/// builds, and the skyline experiment's builds.  One shot of a
 /// sub-millisecond batch spans several-fold on a shared host; the median
 /// of a fixed number of runs does not.
 const ENGINE_TIMING_REPS: usize = 21;
@@ -439,6 +440,23 @@ const ENGINE_TIMING_REPS: usize = 21;
 /// gets its repetition index).
 fn median_time(run: impl FnMut(usize) -> Duration) -> Duration {
     p50((0..ENGINE_TIMING_REPS).map(run).collect())
+}
+
+/// A span-wide skyline for `k`, and the median of `ENGINE_TIMING_REPS`
+/// cold builds of it: a single build swings 20–35% on a shared host.
+fn median_build(
+    graph: &temporal_graph::TemporalGraph,
+    k: usize,
+) -> (tkcore::EdgeCoreSkyline, Duration) {
+    let mut skyline = None;
+    let took = median_time(|_| {
+        let t = Instant::now();
+        let built = tkcore::EdgeCoreSkyline::build(graph, k, graph.span());
+        let took = t.elapsed();
+        skyline = Some(built);
+        took
+    });
+    (skyline.expect("at least one repetition"), took)
 }
 
 /// Engine experiment (not in the paper): cold per-query execution versus
@@ -466,10 +484,10 @@ fn median_time(run: impl FnMut(usize) -> Duration) -> Duration {
 /// spanning batch is asserted to be no worse than the PR 9 nested-layout
 /// baseline.
 ///
-/// "engine batch warm", "spanning warm stitched" and both cold builds are
-/// medians of `ENGINE_TIMING_REPS` runs (the pooled cold build clears the
-/// cache before each), and the asserts read those medians; "cache hits"
-/// is read after the first warm batch.
+/// "engine batch warm", "spanning warm stitched", "span cold build" and
+/// both sharded cold builds are medians of `ENGINE_TIMING_REPS` runs (the
+/// pooled cold build clears the cache before each), and the asserts read
+/// those medians; "cache hits" is read after the first warm batch.
 fn engine_batch(num_queries: usize) -> Report {
     let mut report = Report::new(
         format!(
@@ -544,9 +562,7 @@ fn engine_batch(num_queries: usize) -> Report {
         // Sharded comparison: one span-wide cold index build versus building
         // every shard of the plan for the same k.
         let k = workload.k;
-        let t3 = Instant::now();
-        let span_index = tkcore::EdgeCoreSkyline::build(&graph, k, graph.span());
-        let span_build = t3.elapsed();
+        let (span_index, span_build) = median_build(&graph, k);
         let span_bytes = span_index.memory_bytes();
 
         // Flat restrict: slice the span-wide CSR index down to each
@@ -724,7 +740,8 @@ fn engine_batch(num_queries: usize) -> Report {
 /// primitives per dataset, persisted as `BENCH_skyline.json` so the flat
 /// layout's trajectory is reviewable next to the engine numbers.
 ///
-/// * `build` — one span-wide Algorithm-2 sweep emitting the CSR arrays;
+/// * `build` — one span-wide Algorithm-2 sweep emitting the CSR arrays
+///   (the median of `ENGINE_TIMING_REPS` builds);
 /// * `restrict` — slicing the span index down to each workload window
 ///   through one recycled scratch (two binary searches plus a contiguous
 ///   copy per edge, no per-edge allocations).
@@ -752,9 +769,7 @@ fn skyline_experiment(num_queries: usize) -> Report {
         let queries: Vec<TimeRangeKCoreQuery> = workload.queries().collect();
         let k = workload.k;
 
-        let t_build = Instant::now();
-        let span_index = tkcore::EdgeCoreSkyline::build(&graph, k, graph.span());
-        let build = t_build.elapsed();
+        let (span_index, build) = median_build(&graph, k);
         report.push(
             format!("{name}/build"),
             vec![

@@ -98,7 +98,7 @@ enum Validity {
 
 struct CacheEntry<E> {
     /// A shard's skyline, or for a stitch key the cut-crossing minimal core
-    /// windows of the merged window (a filtered, **incomplete** skyline,
+    /// windows of the merged window (an **incomplete** skyline,
     /// only usable as a `WindowView`'s crossing entry).
     entry: Arc<E>,
     last_used: u64,

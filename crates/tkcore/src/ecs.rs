@@ -117,6 +117,31 @@ impl EdgeCoreSkyline {
         Self::build_from_sweep(graph, &mut sweep)
     }
 
+    /// The windows of [`EdgeCoreSkyline::build`]`(graph, k, range)` that
+    /// cross one of `cuts` (contain both `c` and `c + 1`), in a skyline
+    /// over `range` — the boundary-stitch entry of a shard range.  `cuts`
+    /// are ascending, and the last lies before `range.end()`.
+    ///
+    /// A window starting after the last cut `c` crosses none, and every
+    /// window starting at or before `c` is emitted by the time the sweep
+    /// has advanced to `c + 1`, so the sweep stops there.  The result is
+    /// not a complete skyline: an enumerator over it alone yields cores
+    /// with incomplete edge sets; the engine merges it back with the shard
+    /// skylines through a [`WindowView`].
+    pub(crate) fn build_crossing(
+        graph: &TemporalGraph,
+        k: usize,
+        range: TimeWindow,
+        cuts: &[Timestamp],
+    ) -> Self {
+        let last_cut = cuts.last().copied().unwrap_or(range.start());
+        debug_assert!(cuts.windows(2).all(|pair| pair[0] < pair[1]) && last_cut < range.end());
+        let mut sweep = CoreTimeSweep::new(graph, k, range);
+        Self::sweep_windows(graph, &mut sweep, last_cut, |w| {
+            cuts.iter().any(|&c| w.start() <= c && c < w.end())
+        })
+    }
+
     /// Restricts the skylines to a sub-range of the range they were built
     /// for, producing exactly the skyline that [`EdgeCoreSkyline::build`]
     /// would compute for `range` — without re-running the CoreTime sweep.
@@ -160,6 +185,18 @@ impl EdgeCoreSkyline {
     /// Builds the skylines by driving an already-constructed sweep (useful
     /// when the caller also wants the VCT index or phase timings).
     pub fn build_from_sweep(graph: &TemporalGraph, sweep: &mut CoreTimeSweep<'_>) -> Self {
+        let last_start = sweep.range().end();
+        Self::sweep_windows(graph, sweep, last_start, |_| true)
+    }
+
+    /// Drives `sweep` until every window starting at or before
+    /// `last_start` is emitted, keeping the windows that satisfy `keep`.
+    fn sweep_windows(
+        graph: &TemporalGraph,
+        sweep: &mut CoreTimeSweep<'_>,
+        last_start: Timestamp,
+        keep: impl Fn(&TimeWindow) -> bool,
+    ) -> Self {
         let k = sweep.k();
         let range = sweep.range();
         let edge_range = graph.edge_ids_in(range);
@@ -173,6 +210,11 @@ impl EdgeCoreSkyline {
         let mut emitted: Vec<(u32, TimeWindow)> = Vec::new();
         // Current core time of every in-range edge for the sweep's start time.
         let mut edge_ct: Vec<Timestamp> = vec![T_INFINITY; num_edges];
+        let mut emit = |local: usize, window: TimeWindow| {
+            if keep(&window) {
+                emitted.push((local as u32, window));
+            }
+        };
 
         // Incident in-range edges per vertex, sorted by timestamp, with a
         // pointer to the first edge whose timestamp is >= the current start
@@ -210,7 +252,7 @@ impl EdgeCoreSkyline {
                     }
                     let local = (id - first_edge) as usize;
                     if edge_ct[local] != T_INFINITY {
-                        emitted.push((local as u32, TimeWindow::new(prev_ts, edge_ct[local])));
+                        emit(local, TimeWindow::new(prev_ts, edge_ct[local]));
                     }
                 }
                 break;
@@ -225,7 +267,7 @@ impl EdgeCoreSkyline {
                 }
                 let local = (id - first_edge) as usize;
                 if edge_ct[local] != T_INFINITY {
-                    emitted.push((local as u32, TimeWindow::new(prev_ts, edge_ct[local])));
+                    emit(local, TimeWindow::new(prev_ts, edge_ct[local]));
                 }
             }
 
@@ -248,11 +290,15 @@ impl EdgeCoreSkyline {
                             // The previous value was the edge's core time for
                             // start times up to ts - 1, so [ts - 1, old] is a
                             // minimal core window (Lemma 2).
-                            emitted.push((local as u32, TimeWindow::new(ts - 1, edge_ct[local])));
+                            emit(local, TimeWindow::new(ts - 1, edge_ct[local]));
                         }
                         edge_ct[local] = new_ct;
                     }
                 }
+            }
+            // Every window starting at or before `last_start` is out.
+            if ts > last_start {
+                break;
             }
         }
 
@@ -273,28 +319,6 @@ impl EdgeCoreSkyline {
             runs,
             first_edge,
         }
-    }
-
-    /// Returns a copy keeping only the windows satisfying `keep`, preserving
-    /// per-edge order.  A filtered subsequence keeps both endpoints strictly
-    /// increasing, so binary-search containment slicing stays valid on the
-    /// result (it is **not** a complete skyline: feeding it to an enumerator
-    /// yields cores with incomplete edge sets — the boundary index only uses
-    /// it as a store of cut-crossing windows to merge back later).
-    pub(crate) fn filtered(&self, keep: impl Fn(&TimeWindow) -> bool) -> Self {
-        // Collected once, so `keep` runs once per window, not per pass.
-        let kept: Vec<(usize, TimeWindow)> = (0..self.num_local_edges())
-            .flat_map(|local| {
-                let windows = self.runs.bucket(local).iter();
-                windows.filter(|w| keep(w)).map(move |&w| (local, w))
-            })
-            .collect();
-        let runs = Csr::sort(
-            self.num_local_edges(),
-            TimeWindow::new(1, 1),
-            kept.iter().copied(),
-        );
-        Self { runs, ..*self }
     }
 
     /// Number of local (in-range) edge slots in the CSR arrays.
@@ -662,6 +686,54 @@ mod tests {
                         naive_skyline(&g, k, range, id),
                         "k={k} range={range} edge={id}"
                     );
+                }
+            }
+        }
+    }
+
+    /// A stitch build stops its sweep after the last cut: on every shard
+    /// range of 2-, 3-, 4- and 7-shard plans, its windows are exactly the
+    /// cut-crossing windows of a full build of the range's merged window
+    /// (the span-wide skyline restricted to it), on small graphs and on the
+    /// EM and CM profiles.
+    #[test]
+    fn crossing_build_keeps_exactly_the_cut_crossing_windows_of_a_full_build() {
+        use temporal_graph::generator::{preferential_attachment, uniform_random};
+        use tkc_datasets::DatasetProfile;
+        let profile = |name| DatasetProfile::by_name(name).unwrap().generate();
+        let graphs = [
+            graph(),
+            uniform_random(40, 400, 60, 7),
+            preferential_attachment(60, 3, 50, 11),
+            profile("EM"),
+            profile("CM"),
+        ];
+        for g in &graphs {
+            for k in [1, 2, 5, 14, 30] {
+                let span = EdgeCoreSkyline::build(g, k, g.span());
+                for shards in [2, 3, 4, 7] {
+                    let plan = crate::ShardPlan::FixedCount(shards).resolve(g).unwrap();
+                    for lo in 0..plan.len() {
+                        for hi in lo + 1..plan.len() {
+                            let window = TimeWindow::new(plan[lo].start(), plan[hi].end());
+                            let cuts: Vec<Timestamp> = (lo..hi).map(|s| plan[s].end()).collect();
+                            let crosses = |w: &TimeWindow| {
+                                cuts.iter().any(|&c| w.start() <= c && c < w.end())
+                            };
+                            let full = span.restrict(g, window);
+                            let crossing = EdgeCoreSkyline::build_crossing(g, k, window, &cuts);
+                            assert_eq!(crossing.range(), window);
+                            for id in g.edge_ids_in(window) {
+                                let expected: Vec<TimeWindow> =
+                                    full.windows(id).iter().copied().filter(crosses).collect();
+                                assert_eq!(
+                                    crossing.windows(id),
+                                    &expected[..],
+                                    "k={k} shards={shards} range {lo}..={hi} edge {id}"
+                                );
+                            }
+                        }
+                    }
                 }
             }
         }

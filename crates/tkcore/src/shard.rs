@@ -62,10 +62,13 @@
 //! The cut-crossing windows come from a small LRU-cached **stitch entry**
 //! per `(shard range, k)` — for the common case of a window spanning one
 //! cut, per adjacent shard pair `(i, i + 1, k)`.  An entry is built once,
-//! on the first spanning query of its shard range (one merged-window sweep,
-//! filtered down to the cut-crossing windows only), and every later
-//! spanning query of that range reads its slices through its view: slicing
-//! cost, no copy, no sweep.  Stitch entries live in the skyline cache
+//! on the first spanning query of its shard range, by one sweep over the
+//! range's merged window that keeps only the cut-crossing windows as they
+//! are emitted.  A window starting after the range's last cut `c` crosses
+//! no cut, so the sweep stops once it has advanced to `c + 1`, and no full
+//! skyline of the merged window is ever held.  Every later spanning query
+//! of that range reads the entry's slices through its view: slicing cost,
+//! no copy, no sweep.  Stitch entries live in the skyline cache
 //! beside the shard skylines; [`CacheStats::boundary`] reports them.
 //!
 //! # Live ingestion
@@ -156,17 +159,18 @@ impl LiveState {
 
     /// Builds the cache entry for `key` against this state: shard `lo`'s
     /// skyline, or for a stitch key the cut-crossing minimal core windows
-    /// of the range's merged window.  A stitch entry covers the range's
-    /// whole merged window, not just the triggering query's window, so it
-    /// serves *every* later spanning window of the range.
+    /// of the range's merged window (a sweep that stops after the last
+    /// cut, see [`EdgeCoreSkyline::build_crossing`]).  A stitch entry
+    /// covers the range's whole merged window, not just the triggering
+    /// query's window, so it serves *every* later spanning window of the
+    /// range.
     fn build_entry(&self, (lo, hi, k): RangeKey) -> EdgeCoreSkyline {
         let window = TimeWindow::new(self.shards[lo].start(), self.shards[hi].end());
-        let skyline = EdgeCoreSkyline::build(&self.graph, k, window);
         if lo == hi {
-            return skyline;
+            return EdgeCoreSkyline::build(&self.graph, k, window);
         }
         let cuts: Vec<Timestamp> = (lo..hi).map(|s| self.shards[s].end()).collect();
-        skyline.filtered(|w| cuts.iter().any(|&c| w.start() <= c && c < w.end()))
+        EdgeCoreSkyline::build_crossing(&self.graph, k, window, &cuts)
     }
 }
 

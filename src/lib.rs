@@ -9,8 +9,9 @@
 //! in Temporal Graphs* (EDBT 2026):
 //!
 //! 1. **CoreTime** — compute the vertex core time index and, as a byproduct,
-//!    the minimal core windows (edge core window skyline) of every edge in
-//!    `O(|VCT| · deg_avg)`;
+//!    the minimal core windows (edge core window skyline) of every edge, in
+//!    one sweep over start times that rescans a vertex's neighbours only
+//!    when its core time rises;
 //! 2. **Enum** — enumerate all temporal k-cores directly from the skylines
 //!    in time bounded by the total result size, which is optimal.
 //!

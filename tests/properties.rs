@@ -157,7 +157,7 @@ proptest! {
     /// membership (vertex u is in the k-core of [ts, te] iff its core time
     /// for ts is at most te).
     #[test]
-    fn vct_membership_matches_peeling(g in arb_graph(10, 36, 7), k in 2usize..3) {
+    fn vct_membership_matches_peeling(g in arb_graph(10, 36, 7), k in 1usize..5) {
         let range = g.span();
         let vct = VertexCoreTimeIndex::build(&g, k, range);
         for ts in range.start()..=range.end() {

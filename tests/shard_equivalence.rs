@@ -323,7 +323,7 @@ fn adjacent_pair_entries_are_keyed_per_shard_range() {
 #[test]
 fn stitch_entries_are_smaller_than_the_merged_skyline() {
     // The stitch entry stores only cut-crossing windows, so it must be no
-    // larger than the merged-window skyline it was filtered from.
+    // larger than the merged-window skyline they belong to.
     let (g, engine) = boundary_fixture();
     count(&engine, 2, 1, g.tmax());
     let merged = EdgeCoreSkyline::build(&g, 2, g.span());
