@@ -86,9 +86,9 @@
 //! which per-shard skylines drop and a small cached stitch index supplies.
 //! A [`WindowView`] merges both per edge as the enumerator reads it, with
 //! no copy, so every core is emitted exactly once, in the order a fresh
-//! build for `W` would produce; the `shard_equivalence` test harness
-//! asserts this for random graphs and random plans against every
-//! per-query reference algorithm.
+//! build for `W` would produce; the stack model (`tests/stack_model.rs`)
+//! asserts this for random graphs, plans and interleaved appends against
+//! the naive oracle, in process and over TCP.
 //!
 //! # Live ingestion
 //!

@@ -14,12 +14,14 @@
 //!   the engine's skyline cache sits above
 //!   [`ServiceConfig::admission_memory_bytes`], the request is refused with
 //!   [`TkError::BudgetExceeded`] instead of being queued;
-//! * an admitted request joins the service's one queue and spawns one pool
-//!   task; each task pops the oldest waiting **interactive** request, else
-//!   the oldest **batch** one (see [`Lane`]), so whichever worker frees up
-//!   first runs the request the priority rule names.  The skyline and
-//!   stitch caches are engine-wide, so no worker is a better home for a
-//!   request than any other;
+//! * an admitted request — a query or an append batch
+//!   ([`CoreService::submit_append`], always batch-lane) — joins the
+//!   service's one queue and spawns one pool task; each task pops the
+//!   oldest waiting **interactive** request, else the oldest **batch** one
+//!   (see [`Lane`]), so whichever worker frees up first runs the request
+//!   the priority rule names.  The skyline and stitch caches are
+//!   engine-wide, so no worker is a better home for a request than any
+//!   other;
 //! * [`CoreService::call`] is the synchronous entry: admitted the same way,
 //!   it **runs on the calling thread** when no request waits in either
 //!   lane and a pool slot is spare, and otherwise queues like `submit` and
@@ -74,7 +76,8 @@ pub enum Lane {
     #[default]
     Interactive,
     /// Throughput traffic; served when no interactive request is waiting.
-    /// Ingest batches ([`CoreService::submit_append`]) account here.
+    /// Ingest batches ([`CoreService::submit_append`]) queue and account
+    /// here.
     Batch,
 }
 
@@ -222,30 +225,36 @@ pub struct ServiceReply {
     pub worker: usize,
 }
 
-/// Handle to one admitted request; redeem it with [`Ticket::wait`].
+/// Handle to one admitted request; redeem it with [`Ticket::wait`].  A
+/// query's ticket yields a [`ServiceReply`], an append batch's
+/// ([`IngestTicket`]) an [`IngestReply`].
 #[derive(Debug)]
-pub struct Ticket {
+pub struct Ticket<R = ServiceReply> {
     /// The id of the admitted request.
     pub id: RequestId,
-    rx: mpsc::Receiver<Result<ServiceReply, TkError>>,
+    rx: mpsc::Receiver<Result<R, TkError>>,
 }
 
-impl Ticket {
+impl<R> Ticket<R> {
     /// Blocks until the request completes (or the service shuts down, which
     /// yields [`TkError::ServiceStopped`]).
     ///
     /// # Errors
-    /// Whatever the execution produced, or [`TkError::ServiceStopped`] if
-    /// the worker exited before replying.
-    pub fn wait(self) -> Result<ServiceReply, TkError> {
+    /// Whatever the execution produced — for an append batch, a typed
+    /// append rejection applies to the whole batch, which changed nothing —
+    /// or [`TkError::ServiceStopped`] if the worker exited before replying.
+    pub fn wait(self) -> Result<R, TkError> {
         self.rx.recv().unwrap_or(Err(TkError::ServiceStopped))
     }
 
     /// Non-blocking probe: `None` while the request is still in flight.
-    pub fn try_wait(&self) -> Option<Result<ServiceReply, TkError>> {
+    pub fn try_wait(&self) -> Option<Result<R, TkError>> {
         self.rx.try_recv().ok()
     }
 }
+
+/// Handle to one admitted append batch; redeem it with [`Ticket::wait`].
+pub type IngestTicket = Ticket<IngestReply>;
 
 /// The completed reply to an admitted append batch.
 #[derive(Debug)]
@@ -260,33 +269,6 @@ pub struct IngestReply {
     pub absorb_time: Duration,
     /// Index of the pool slot the batch was absorbed in.
     pub worker: usize,
-}
-
-/// Handle to one admitted append batch; redeem it with
-/// [`IngestTicket::wait`].
-#[derive(Debug)]
-pub struct IngestTicket {
-    /// The id of the admitted batch.
-    pub id: RequestId,
-    rx: mpsc::Receiver<Result<IngestReply, TkError>>,
-}
-
-impl IngestTicket {
-    /// Blocks until the batch is absorbed (or the service shuts down, which
-    /// yields [`TkError::ServiceStopped`]).
-    ///
-    /// # Errors
-    /// Whatever the absorb produced — a typed append rejection applies to
-    /// the whole batch, which changed nothing — or
-    /// [`TkError::ServiceStopped`] if the worker exited before replying.
-    pub fn wait(self) -> Result<IngestReply, TkError> {
-        self.rx.recv().unwrap_or(Err(TkError::ServiceStopped))
-    }
-
-    /// Non-blocking probe: `None` while the batch is still in flight.
-    pub fn try_wait(&self) -> Option<Result<IngestReply, TkError>> {
-        self.rx.try_recv().ok()
-    }
 }
 
 /// Base-10 histogram of per-request execution latencies.
@@ -431,14 +413,37 @@ pub struct IngestLaneStats {
     pub absorb_total: Duration,
 }
 
+/// One admitted request waiting in [`LaneQueues`].
 struct Job {
     id: RequestId,
-    request: ValidatedRequest,
     lane: Lane,
     /// Relative deadline; checked against `enqueued_at` at dequeue.
     deadline: Option<Duration>,
     enqueued_at: Instant,
-    reply: mpsc::Sender<Result<ServiceReply, TkError>>,
+    payload: Payload,
+}
+
+/// What a [`Job`] runs, and where its reply goes.
+enum Payload {
+    Query {
+        request: ValidatedRequest,
+        reply: mpsc::Sender<Result<ServiceReply, TkError>>,
+    },
+    Append {
+        events: Vec<IngestEvent>,
+        reply: mpsc::Sender<Result<IngestReply, TkError>>,
+    },
+}
+
+impl Payload {
+    /// Replies `error` instead of running.  The submitter may have dropped
+    /// its ticket; that is not an error.
+    fn refuse(self, error: TkError) {
+        match self {
+            Payload::Query { reply, .. } => drop(reply.send(Err(error))),
+            Payload::Append { reply, .. } => drop(reply.send(Err(error))),
+        }
+    }
 }
 
 /// A request that passed [`CoreService::admit`]: the state lock, still held
@@ -446,8 +451,8 @@ struct Job {
 /// counters, and the request's id.
 type Admission<'a> = (MutexGuard<'a, ServiceState>, RequestId);
 
-/// The service's waiting query jobs, split by priority: dequeue takes
-/// interactive jobs first, FIFO within each class.
+/// The service's waiting jobs, queries and appends alike, split by
+/// priority: dequeue takes interactive jobs first, FIFO within each class.
 #[derive(Default)]
 struct LaneQueues {
     interactive: VecDeque<Job>,
@@ -475,8 +480,8 @@ struct ServiceState {
     queued: usize,
     /// Requests currently executing, on pool workers or on their callers.
     in_flight: usize,
-    /// Waiting query jobs.  Every push is paired with one pool task that
-    /// pops from this queue, so the queue and the pool stay in lockstep.
+    /// Waiting jobs.  Every push is paired with one pool task that pops
+    /// from this queue, so the queue and the pool stay in lockstep.
     queue: LaneQueues,
     stats: ServiceStats,
 }
@@ -757,43 +762,58 @@ impl CoreService {
         })
     }
 
-    /// Queues an admitted query — `state` is still the admission's lock —
-    /// and spawns the pool task that will run the next waiting job.
+    /// Queues an admitted query — `state` is still the admission's lock.
     fn enqueue(
         &self,
         pool: &ExecPool,
-        mut state: MutexGuard<'_, ServiceState>,
+        state: MutexGuard<'_, ServiceState>,
         id: RequestId,
         request: ValidatedRequest,
         opts: SubmitOptions,
     ) -> Ticket {
         let (reply, rx) = mpsc::channel();
+        let payload = Payload::Query { request, reply };
+        self.enqueue_job(pool, state, id, opts.lane, opts.deadline, payload);
+        Ticket { id, rx }
+    }
+
+    /// Queues an admitted job — `state` is still the admission's lock —
+    /// and spawns the pool task that will run the next waiting job.
+    fn enqueue_job(
+        &self,
+        pool: &ExecPool,
+        mut state: MutexGuard<'_, ServiceState>,
+        id: RequestId,
+        lane: Lane,
+        deadline: Option<Duration>,
+        payload: Payload,
+    ) {
         state.note_queued();
         state.queue.push(Job {
             id,
-            request,
-            lane: opts.lane,
-            deadline: opts.deadline,
+            lane,
+            deadline,
             enqueued_at: Instant::now(),
-            reply,
+            payload,
         });
         drop(state);
         let shared = Arc::clone(&self.shared);
         let engine = Arc::clone(&self.engine);
         pool.spawn(move |slot| drain_service_job(&engine, &shared, slot));
-        Ticket { id, rx }
     }
 
     /// Submits a batch of ingest events to the service: the batch is
-    /// admitted like a batch-lane request (same admission control and
-    /// accounting, broken out in [`ServiceStats::ingest`]) and absorbed on
-    /// a worker via [`ShardedEngine::absorb`].  Ingestion serializes with
-    /// concurrent queries only at the engine's snapshot swap, so queries
-    /// keep executing while batches land — and each observes either none of
-    /// a batch or all of it.
+    /// admitted and queued as a batch-lane request (same admission control,
+    /// priority and accounting, broken out in [`ServiceStats::ingest`], so
+    /// a waiting interactive query runs first) and absorbed on a worker via
+    /// [`ShardedEngine::absorb`].  Ingestion serializes with concurrent
+    /// queries only at the engine's snapshot swap, so queries keep
+    /// executing while batches land — and each observes either none of a
+    /// batch or all of it.
     ///
-    /// Batches absorb in worker order, not submission order; submitters
-    /// needing strict event ordering should wait on each
+    /// Batches leave the queue in submission order, but two workers may
+    /// absorb them concurrently, so the absorb order is not guaranteed;
+    /// submitters needing strict event ordering should wait on each
     /// [`IngestTicket`] before submitting the next batch (the engine
     /// refuses out-of-order timestamps with a typed error either way).
     ///
@@ -804,17 +824,11 @@ impl CoreService {
     pub fn submit_append(&self, events: Vec<IngestEvent>) -> Result<IngestTicket, TkError> {
         let pool = self.pool()?;
         let (mut state, id) = self.admit(Lane::Batch, |_| Ok(()))?;
-        state.note_queued();
         state.stats.ingest.submitted += 1;
-        drop(state);
         let (reply, rx) = mpsc::channel();
-        let shared = Arc::clone(&self.shared);
-        let engine = Arc::clone(&self.engine);
-        let enqueued_at = Instant::now();
-        pool.spawn(move |slot| {
-            execute_ingest_job(&engine, &shared, id, &events, enqueued_at, &reply, slot);
-        });
-        Ok(IngestTicket { id, rx })
+        let payload = Payload::Append { events, reply };
+        self.enqueue_job(pool, state, id, Lane::Batch, None, payload);
+        Ok(Ticket { id, rx })
     }
 
     /// The admission step shared by queries and appends, under one state
@@ -906,14 +920,14 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Dequeues and runs the service's next waiting job in pool slot `slot`:
-/// priority pop (interactive before batch), deadline check, then execution
-/// with panic isolation, accounting, reply.
+/// priority pop (interactive before batch), deadline check, then the
+/// query or the absorb with panic isolation, accounting, reply.
 ///
 /// One such task is spawned per admitted job, so the pop always finds a
 /// job — though not necessarily *the* job that spawned this task: a task
-/// spawned by a batch submission happily executes an interactive request
-/// that arrived later, which is exactly how interactive requests overtake
-/// waiting batch ones.
+/// spawned by a batch submission (a batch-lane query or an append) happily
+/// executes an interactive request that arrived later, which is exactly
+/// how interactive requests overtake waiting batch ones.
 fn drain_service_job(engine: &Arc<ShardedEngine>, shared: &ServiceShared, slot: usize) {
     let (job, queue_wait) = {
         let mut state = shared.lock();
@@ -930,10 +944,8 @@ fn drain_service_job(engine: &Arc<ShardedEngine>, shared: &ServiceShared, slot: 
                 state.stats.per_lane[job.lane.index()].shed += 1;
                 drop(state);
                 shared.drained.notify_all();
-                // The submitter may have dropped its ticket; not an error.
-                let _ = job
-                    .reply
-                    .send(Err(TkError::DeadlineExceeded { deadline, waited }));
+                job.payload
+                    .refuse(TkError::DeadlineExceeded { deadline, waited });
                 return;
             }
         }
@@ -941,78 +953,61 @@ fn drain_service_job(engine: &Arc<ShardedEngine>, shared: &ServiceShared, slot: 
         (job, waited)
     };
     let Job {
-        id,
-        request,
-        lane,
-        reply,
-        ..
+        id, lane, payload, ..
     } = job;
-    let (result, execute_time) = complete(
-        shared,
-        lane,
-        slot,
-        queue_wait,
-        || engine.execute_validated(request, Units::FanOut),
-        |_, _, _| {},
-    );
-    let reply_value = result.map(|response| ServiceReply {
-        id,
-        response,
-        queue_wait,
-        execute_time,
-        worker: slot,
-    });
     // The submitter may have dropped its ticket; that is not an error.
-    let _ = reply.send(reply_value);
+    match payload {
+        Payload::Query { request, reply } => {
+            let (result, execute_time) = complete(
+                shared,
+                lane,
+                slot,
+                queue_wait,
+                || engine.execute_validated(request, Units::FanOut),
+                |_, _, _| {},
+            );
+            let _ = reply.send(result.map(|response| ServiceReply {
+                id,
+                response,
+                queue_wait,
+                execute_time,
+                worker: slot,
+            }));
+        }
+        Payload::Append { events, reply } => {
+            let (result, absorb_time) = complete(
+                shared,
+                lane,
+                slot,
+                queue_wait,
+                || engine.absorb(&events),
+                book_absorb,
+            );
+            let _ = reply.send(result.map(|stats| IngestReply {
+                id,
+                stats,
+                queue_wait,
+                absorb_time,
+                worker: slot,
+            }));
+        }
+    }
 }
 
-/// Runs one admitted append batch in pool slot `slot`: accounting, absorb
-/// with panic isolation, ingest-lane accounting, reply.
-fn execute_ingest_job(
-    engine: &ShardedEngine,
-    shared: &ServiceShared,
-    id: RequestId,
-    events: &[IngestEvent],
-    enqueued_at: Instant,
-    reply: &mpsc::Sender<Result<IngestReply, TkError>>,
-    slot: usize,
-) {
-    {
-        let mut state = shared.lock();
-        state.queued -= 1;
-        state.in_flight += 1;
-    }
-    let queue_wait = enqueued_at.elapsed();
-    let (result, absorb_time) = complete(
-        shared,
-        Lane::Batch,
-        slot,
-        queue_wait,
-        || engine.absorb(events),
-        |stats, result, absorb_time| {
-            let ingest = &mut stats.ingest;
-            ingest.absorb_total += absorb_time;
-            match result {
-                Ok(absorbed) => {
-                    ingest.completed += 1;
-                    ingest.events_appended += absorbed.appended as u64;
-                    if absorbed.sealed {
-                        ingest.seals += 1;
-                    }
-                }
-                Err(_) => ingest.failed += 1,
+/// The ingest-lane accounting of one finished absorb.
+fn book_absorb(stats: &mut ServiceStats, result: &Result<AbsorbStats, TkError>, took: Duration) {
+    let ingest = &mut stats.ingest;
+    ingest.absorb_total += took;
+    match result {
+        Ok(absorbed) => {
+            ingest.completed += 1;
+            ingest.events_appended += absorbed.appended as u64;
+            if absorbed.sealed {
+                ingest.seals += 1;
             }
-        },
-    );
-    let reply_value = result.map(|stats| IngestReply {
-        id,
-        stats,
-        queue_wait,
-        absorb_time,
-        worker: slot,
-    });
-    // The submitter may have dropped its ticket; that is not an error.
-    let _ = reply.send(reply_value);
+        }
+        Err(_) => ingest.failed += 1,
+    }
 }
 
 /// The completion step shared by queries and appends, queued or caller-run:
@@ -1533,6 +1528,59 @@ mod tests {
         ticket_b.wait().unwrap();
         assert_eq!(*order.lock().unwrap(), vec!["queued", "called"]);
         assert_eq!(reply_c.response.total_cores(), 2);
+        service.shutdown();
+    }
+
+    /// A stream sink that reports, at the request's first core, the live
+    /// graph's `tmax`: how much the engine had absorbed when it ran.
+    struct TmaxProbe {
+        engine: Arc<ShardedEngine>,
+        seen: mpsc::Sender<temporal_graph::Timestamp>,
+        sent: bool,
+    }
+
+    impl ResultSink for TmaxProbe {
+        fn emit(&mut self, _tti: TimeWindow, _edges: &[temporal_graph::EdgeId]) {
+            if !self.sent {
+                self.sent = true;
+                self.seen.send(self.engine.graph().tmax()).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn a_queued_append_waits_behind_a_later_interactive_query() {
+        let service = span_service(ServiceConfig::default());
+        let occupancy = Arc::new(Occupancy::default());
+        // A parked stream request holds the only worker, so what follows
+        // queues: an append (batch lane), then an interactive query.
+        let (parked, started, release) = gated(&occupancy);
+        let parked = service.submit(parked).unwrap();
+        started.recv().unwrap();
+        let tmax = service.engine().graph().tmax();
+        let append = service.submit_append(vec![(1, 2, tmax + 1)]).unwrap();
+        let (seen, seen_rx) = mpsc::channel();
+        let probe = TmaxProbe {
+            engine: Arc::clone(&service.engine),
+            seen,
+            sent: false,
+        };
+        let query = service
+            .submit(QueryRequest::single(2, 1, 4).stream(Box::new(probe)))
+            .unwrap();
+        release.send(()).unwrap();
+        parked.wait().unwrap();
+        assert_eq!(query.wait().unwrap().response.total_cores(), 2);
+        assert_eq!(
+            seen_rx.recv().unwrap(),
+            tmax,
+            "the interactive query ran before the batch-lane append"
+        );
+        assert_eq!(append.wait().unwrap().stats.appended, 1);
+        assert_eq!(service.engine().graph().tmax(), tmax + 1);
+        let stats = service.stats();
+        assert_eq!(stats.lane(Lane::Batch).completed, 1);
+        assert_eq!(stats.ingest.completed, 1);
         service.shutdown();
     }
 

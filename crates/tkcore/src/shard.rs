@@ -53,9 +53,9 @@
 //! the same skyline a fresh build for `W` would produce: every core is
 //! emitted exactly once, in the same order as
 //! [`crate::Algorithm::Enum`] over `W` — the result-size bound of the
-//! paper's enumeration holds for spanning queries too.  The
-//! `shard_equivalence` harness asserts this for random graphs and random
-//! plans against every per-query reference algorithm.
+//! paper's enumeration holds for spanning queries too.  The stack model
+//! (`tests/stack_model.rs`) asserts this for random graphs, plans and
+//! interleaved appends against the naive oracle and per-query `Enum`.
 //!
 //! # The boundary-stitch index
 //!

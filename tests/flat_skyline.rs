@@ -3,7 +3,7 @@
 //! to one computed through a naive nested-`Vec` reference implementation
 //! that knows nothing about the flat encoding.
 //!
-//! Four layers of evidence:
+//! Layers of evidence:
 //!
 //! * `csr_build_matches_the_nested_reference` — `EdgeCoreSkyline::build`'s
 //!   `iter()`/`windows()` output equals a brute-force per-edge minimal-window
@@ -13,25 +13,18 @@
 //!   `restrict_with` (including repeated calls through one recycled
 //!   `SkylineScratch`, the zero-alloc hot path) equals the reference's
 //!   containment filter *and* a from-scratch rebuild on the sub-range;
-//! * `window_views_match_fresh_builds_and_the_oracle_on_every_plan` — under
-//!   every shard plan, the engine's `WindowView` of a window inside one
-//!   shard, across one cut, across two or more cuts, ending on a cut or
-//!   overhanging `tmax` gives every edge exactly the run a fresh build for
-//!   the window does, and the engine answers those windows exactly as the
-//!   brute-force enumeration for all four algorithms (and `Enum` in the
-//!   order of a per-query run);
-//! * `absorb_plus_tail_rebuild_yields_identical_flat_skylines` — after
-//!   absorbing an append stream, the flat skylines built over the live
-//!   snapshot equal (in label space) those built over a from-scratch graph
-//!   of the same events, per shard range and over the full span.
+//! * `a_run_mixing_intra_shard_and_crossing_windows_stays_in_skyline_order`
+//!   — an engine `WindowView` run that interleaves a shard slice with a
+//!   stitch slice keeps skyline order.
+//!
+//! The engine's views under every shard plan and under appends are checked
+//! against fresh builds by the stack model (`tests/stack_model.rs`).
 
 mod common;
 
 use std::collections::BTreeMap;
 
-use common::{
-    arb_base_and_stream, arb_graph, canonical, plan_for, raw_graph, streamed, window_in_span,
-};
+use common::{arb_graph, raw_graph, streamed, window_in_span};
 use proptest::prelude::*;
 use temporal_kcore::prelude::*;
 use temporal_kcore::temporal_graph::EdgeId;
@@ -176,168 +169,6 @@ proptest! {
             );
             scratch.recycle(via_scratch);
         }
-    }
-
-    /// Under every plan `plan_for` derives, the engine's view of each
-    /// window of `windows_over` holds, for every edge, the run a fresh
-    /// build for the window gives it, and every algorithm on the engine
-    /// matches the naive oracle.  A window starting past `tmax` is refused.
-    #[test]
-    fn window_views_match_fresh_builds_and_the_oracle_on_every_plan(
-        g in arb_graph(8, 24, 6),
-        k in 1usize..4,
-        param in 0usize..16,
-        (raw_start, raw_len) in (1u32..=6, 0u32..6),
-    ) {
-        let tmax = g.tmax();
-        for kind in 0..5 {
-            let plan = plan_for(kind, param, tmax);
-            let engine = ShardedEngine::new(g.clone(), plan.clone())
-                .expect("derived plans are valid");
-            let random = window_in_span(&g, raw_start, raw_len);
-            for (start, end) in windows_over(&engine.shards(), tmax, random) {
-                let window = TimeWindow::new(start, end.min(tmax));
-                let built = EdgeCoreSkyline::build(&g, k, window);
-                let runs_match = engine
-                    .with_view(k, start, end, |view| {
-                        view.window() == window
-                            && (0..g.num_edges() as EdgeId)
-                                .all(|id| view.windows(id) == built.windows(id))
-                    })
-                    .expect("window starts inside the span");
-                prop_assert!(runs_match, "plan={:?} k={} window={}", plan, k, window);
-
-                let query = TimeRangeKCoreQuery::new(k, window).expect("k >= 1");
-                let (streamed_enum, _) = streamed(&engine, query)
-                    .expect("window is inside the span");
-                let got = canonical(streamed_enum.clone());
-                prop_assert_eq!(
-                    &got, &canonical(naive::naive_results(&g, k, window)),
-                    "plan={:?} k={} window={}", plan, k, window
-                );
-                for algo in Algorithm::ALL {
-                    let mut per_query = CollectingSink::default();
-                    query.run_with(&g, algo, &mut per_query);
-                    if algo == Algorithm::Enum {
-                        prop_assert_eq!(
-                            &streamed_enum, &per_query.cores,
-                            "stream order, window={}", window
-                        );
-                    }
-                    prop_assert_eq!(
-                        &got, &canonical(per_query.cores),
-                        "plan={:?} k={} window={} algo={}",
-                        plan, k, window, algo
-                    );
-                }
-            }
-            let past = engine.with_view(k, tmax + 1, tmax + 2, |_| ());
-            prop_assert!(
-                matches!(past, Err(TkError::WindowPastTmax { .. })),
-                "plan={:?}: {:?}",
-                plan,
-                past
-            );
-        }
-    }
-}
-
-/// Windows placed every way a query window can sit on `shards` (in
-/// timeline order, covering `[1, tmax]`), as raw `(start, end)` bounds:
-/// `random`, the whole span overhanging `tmax`, one tick inside the first
-/// shard, the first shard exactly (ending on a cut, or on `tmax` when
-/// there is no cut), the ticks on either side of the first cut, from just
-/// after that cut to past `tmax`, and across the first two cuts.
-fn windows_over(
-    shards: &[TimeWindow],
-    tmax: Timestamp,
-    random: TimeWindow,
-) -> Vec<(Timestamp, Timestamp)> {
-    let first = shards[0];
-    let mut out = vec![
-        (random.start(), random.end()),
-        (1, tmax + 3),
-        (first.start(), first.start()),
-        (first.start(), first.end()),
-    ];
-    if let [a, b, rest @ ..] = shards {
-        out.push((a.end(), b.start()));
-        out.push((b.start(), tmax + 1));
-        if let Some(c) = rest.first() {
-            out.push((a.end(), c.start()));
-        }
-    }
-    out
-}
-
-/// Projects a skyline into label space: vertex ids differ between an
-/// appended graph (first-seen order) and a from-scratch rebuild (sorted
-/// label order), but `(labels, timestamp) → windows` must agree exactly.
-fn label_windows(
-    g: &TemporalGraph,
-    skyline: &EdgeCoreSkyline,
-) -> Vec<((u64, u64, Timestamp), Vec<TimeWindow>)> {
-    let mut out: Vec<((u64, u64, Timestamp), Vec<TimeWindow>)> = skyline
-        .iter()
-        .map(|(id, windows)| {
-            let e = g.edge(id);
-            let (a, b) = (g.label(e.u), g.label(e.v));
-            ((a.min(b), a.max(b), e.t), windows.to_vec())
-        })
-        .collect();
-    out.sort();
-    out
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Absorbing an append stream and rebuilding the tail must leave the
-    /// engine's snapshot with flat skylines identical (in label space) to
-    /// those of a from-scratch graph over the same events — per shard range
-    /// and over the full live span.
-    #[test]
-    fn absorb_plus_tail_rebuild_yields_identical_flat_skylines(
-        (base, stream) in arb_base_and_stream(),
-        k in 1usize..4,
-        shards in 1usize..4,
-    ) {
-        let live = ShardedEngine::new(raw_graph(&base), ShardPlan::FixedCount(shards))
-            .expect("fixed-count plans are valid");
-        // Warm the caches first so the absorb exercises the tail
-        // purge-and-rebuild path rather than a cold build.
-        live.warm(k);
-        let stats = live.absorb(&stream).expect("stream is strictly ordered");
-        prop_assert_eq!(stats.appended, stream.len());
-
-        let mut all = base.clone();
-        all.extend_from_slice(&stream);
-        let snapshot = live.graph();
-        let reference = raw_graph(&all);
-        prop_assert_eq!(snapshot.tmax(), reference.tmax());
-
-        let mut ranges = live.shards();
-        ranges.push(snapshot.span());
-        for range in ranges {
-            let via_live = EdgeCoreSkyline::build(&snapshot, k, range);
-            let via_scratch_rebuild = EdgeCoreSkyline::build(&reference, k, range);
-            prop_assert_eq!(
-                label_windows(&snapshot, &via_live),
-                label_windows(&reference, &via_scratch_rebuild),
-                "k={} range={} shards={}",
-                k, range, shards
-            );
-        }
-
-        // And the live query path (which serves the rebuilt tail skyline
-        // from its cache) agrees with the naive oracle on the full span.
-        let query = TimeRangeKCoreQuery::new(k, snapshot.span()).expect("k >= 1");
-        let got = live
-            .execute(query.into())
-            .expect("span query is valid");
-        let mut expected = CollectingSink::default();
-        query.run_with(&reference, Algorithm::Enum, &mut expected);
-        prop_assert_eq!(got.total_cores(), expected.cores.len() as u64);
     }
 }
 

@@ -10,80 +10,19 @@
 //! are exempt from the no-raw-threads rule); everything else rides the
 //! server's own pools.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+mod common;
+
+use common::{connect, parse_outcomes, round_trip, start_server_with, stop, Acceptor};
+use std::io::{BufRead, Write};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use temporal_kcore::prelude::*;
-use temporal_kcore::tkcore::paper_example;
 use temporal_kcore::tkcore::wire::{self, WireConfig};
+use temporal_kcore::tkcore::{naive_results, paper_example};
 
 /// A default service over the paper example behind a default `TkServer`
 /// on an ephemeral loopback port, its accept loop on its own thread.
-fn start_server() -> (
-    Arc<CoreService>,
-    Arc<TkServer>,
-    JoinHandle<Result<ServeSummary, TkError>>,
-) {
+fn start_server() -> (Arc<CoreService>, Arc<TkServer>, Acceptor) {
     start_server_with(ServerConfig::default())
-}
-
-/// [`start_server`] with the given server configuration.
-fn start_server_with(
-    config: ServerConfig,
-) -> (
-    Arc<CoreService>,
-    Arc<TkServer>,
-    JoinHandle<Result<ServeSummary, TkError>>,
-) {
-    let service = Arc::new(
-        CoreService::start_sharded(
-            paper_example::graph(),
-            ShardPlan::Span,
-            ServiceConfig::default(),
-        )
-        .unwrap(),
-    );
-    let server = Arc::new(TkServer::bind(Arc::clone(&service), "127.0.0.1:0", config).unwrap());
-    let acceptor = {
-        let server = Arc::clone(&server);
-        std::thread::spawn(move || server.serve())
-    };
-    (service, server, acceptor)
-}
-
-/// Connects to `addr` with `TCP_NODELAY` set, so a request line the test
-/// sends leaves at once and only the server can stall a round trip; the
-/// reader reads the replies.
-fn connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).expect("nodelay");
-    let reader = BufReader::new(stream.try_clone().expect("clone"));
-    (stream, reader)
-}
-
-/// Stops `server` and joins its accept loop, which must return `Ok`.
-fn stop(server: &TkServer, acceptor: JoinHandle<Result<ServeSummary, TkError>>) {
-    server.stop();
-    acceptor
-        .join()
-        .expect("acceptor thread exits cleanly")
-        .expect("serve returns Ok on stop");
-}
-
-/// Sends `line` and its newline in one write on `stream` and reads the
-/// single reply line.
-fn round_trip(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> String {
-    stream
-        .write_all(format!("{line}\n").as_bytes())
-        .expect("send");
-    let mut reply = String::new();
-    reader.read_line(&mut reply).expect("reply");
-    assert!(
-        reply.ends_with('\n'),
-        "replies are line-delimited: {reply:?}"
-    );
-    reply.trim_end().to_string()
 }
 
 #[test]
@@ -438,67 +377,6 @@ fn cores_replies_match_their_golden_lines() {
     stop(&server, acceptor);
 }
 
-/// The per-`k` `(k, cores, result_edges, sample)` of a parsed reply line,
-/// each sample entry as `(tti start, tti end, edges)`.
-type ParsedOutcome = (u64, u64, u64, Vec<(u64, u64, u64)>);
-
-fn parse_outcomes(reply: &str) -> Vec<ParsedOutcome> {
-    let value = wire::parse_json(reply).expect("replies are JSON");
-    let Some(wire::JsonValue::Array(outcomes)) = value.get("outcomes") else {
-        panic!("no outcomes in {reply}");
-    };
-    let number = |v: &wire::JsonValue, key: &str| {
-        v.get(key)
-            .and_then(wire::JsonValue::as_u64)
-            .unwrap_or_else(|| panic!("no `{key}` in {reply}"))
-    };
-    outcomes
-        .iter()
-        .map(|outcome| {
-            let Some(wire::JsonValue::Array(sample)) = outcome.get("sample") else {
-                panic!("a cores reply without a sample: {reply}");
-            };
-            let sample = sample
-                .iter()
-                .map(|entry| {
-                    let Some(wire::JsonValue::Array(tti)) = entry.get("tti") else {
-                        panic!("a sample entry without a tti: {reply}");
-                    };
-                    let bound = |i: usize| tti[i].as_u64().expect("integer tti bound");
-                    (bound(0), bound(1), number(entry, "edges"))
-                })
-                .collect();
-            (
-                number(outcome, "k"),
-                number(outcome, "cores"),
-                number(outcome, "result_edges"),
-                sample,
-            )
-        })
-        .collect()
-}
-
-/// The reference answer of a `k` sweep over `[start, end]`: every core of
-/// each `k`, materialised per query and in canonical order.
-fn reference_cores(
-    ks: std::ops::RangeInclusive<usize>,
-    start: u32,
-    end: u32,
-) -> Vec<Vec<TemporalKCore>> {
-    let response = QueryRequest::sweep(ks, start, end)
-        .materialize()
-        .run(&paper_example::graph(), Algorithm::Enum)
-        .unwrap();
-    response
-        .outcomes
-        .into_iter()
-        .map(|outcome| match outcome.output {
-            KOutput::Cores(cores) => cores,
-            other => panic!("materialized request, got {other:?}"),
-        })
-        .collect()
-}
-
 #[test]
 fn max_cores_per_reply_caps_the_sample_at_its_boundary() {
     for cap in [0, 1] {
@@ -511,6 +389,7 @@ fn max_cores_per_reply_caps_the_sample_at_its_boundary() {
         };
         let (_service, server, acceptor) = start_server_with(config);
         let (mut stream, mut reader) = connect(server.local_addr());
+        let g = paper_example::graph();
 
         for (start, end) in [(1, 4), (1, 7), (3, 6)] {
             let line =
@@ -520,7 +399,8 @@ fn max_cores_per_reply_caps_the_sample_at_its_boundary() {
                 assert_eq!(reply.matches(r#""sample":[]"#).count(), 3, "{reply}");
             }
             let outcomes = parse_outcomes(&reply);
-            let reference = reference_cores(1..=3, start, end);
+            let window = TimeWindow::new(start, end);
+            let reference: Vec<_> = (1..=3).map(|k| naive_results(&g, k, window)).collect();
             assert_eq!(outcomes.len(), reference.len(), "{reply}");
             for ((k, cores, edges, sample), expected) in outcomes.iter().zip(&reference) {
                 assert_eq!(*cores, expected.len() as u64, "k={k}: {reply}");
@@ -537,6 +417,7 @@ fn max_cores_per_reply_caps_the_sample_at_its_boundary() {
                         )
                     })
                     .collect();
+                let sample = sample.as_ref().expect("a cores reply carries a sample");
                 assert_eq!(sample.len(), expected.len().min(cap), "k={k}: {reply}");
                 assert_eq!(*sample, canonical_first, "k={k}: {reply}");
             }
