@@ -428,12 +428,10 @@ const WARM_STITCHED_BASELINE_MS: [(&str, f64); 2] = [("EM", 8.915), ("CM", 1.871
 /// assertion degrades to a fan-out-overhead bound (see `engine_batch`).
 const PARALLEL_BUILD_MIN_SPEEDUP: f64 = 1.8;
 
-/// Repetitions behind each timed column of the engine experiment that a
-/// hard assert or a cross-run comparison reads: the warm batch, the warm
-/// stitched batch, the span-wide and the serial and pooled sharded cold
-/// builds, and the skyline experiment's builds.  One shot of a
-/// sub-millisecond batch spans several-fold on a shared host; the median
-/// of a fixed number of runs does not.
+/// Repetitions behind each timed column of the engine experiment and the
+/// skyline experiment's builds.  One shot of a sub-millisecond batch spans
+/// several-fold on a shared host; the median of a fixed number of runs
+/// does not.
 const ENGINE_TIMING_REPS: usize = 21;
 
 /// Median of `ENGINE_TIMING_REPS` durations, each measured by `run` (which
@@ -459,6 +457,21 @@ fn median_build(
     (skyline.expect("at least one repetition"), took)
 }
 
+/// Serves `engine` from a `CoreService` sized like a host-wide pool:
+/// `available_parallelism() - 1` worker slots (at least one), the calling
+/// thread making up the last CPU.  The service installs its pool into the
+/// engine, so the engine's own batches, warms and absorbs — called directly
+/// through `CoreService::engine` — fan out into those slots, the caller
+/// participating.  A standalone engine would run them all on the caller.
+fn served(engine: tkcore::ShardedEngine) -> tkcore::CoreService {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let config = tkcore::ServiceConfig {
+        workers: cpus.saturating_sub(1).max(1),
+        ..tkcore::ServiceConfig::default()
+    };
+    tkcore::CoreService::over_sharded(std::sync::Arc::new(engine), config)
+}
+
 /// Engine experiment (not in the paper): cold per-query execution versus
 /// the cached batch-query engine — a `ShardPlan::Span` `ShardedEngine`, one
 /// span-wide skyline per `k` — on the EM/CM profiles.  The warm column must
@@ -472,22 +485,24 @@ fn median_build(
 /// index, answering each query with one enumeration over the composed
 /// window skyline; its counts must match cold per-query execution.
 ///
-/// Two columns track the flat-CSR/parallel-build work: "parallel cold
-/// build" warms the same 4-shard plan through `ShardedEngine::warm`, which
-/// fans the independent shard builds across the engine's pool — on a host
-/// with a CPU per shard this must be at least 1.8x faster than the serial
-/// per-shard loop on EM (with fewer CPUs, where fanning out cannot run
-/// every build at once, it must instead stay within 25% of the serial
-/// loop, bounding the fan-out overhead); "flat restrict / query" slices the
-/// span-wide CSR index down to each workload window through one recycled
+/// Every engine runs under a `CoreService` (see `served`), so its batches
+/// and warms fan out as a served engine's do.  Two columns track the
+/// flat-CSR/parallel-build work: "parallel cold build" warms the same
+/// 4-shard plan through `ShardedEngine::warm`, which fans the independent
+/// shard builds across the service's slots — on a host with a CPU per
+/// shard this must be at least 1.8x faster than the serial per-shard loop
+/// on EM (with fewer CPUs, where fanning out cannot run every build at
+/// once, it must instead stay within 25% of the serial loop, bounding the
+/// fan-out overhead); "flat restrict / query" slices the span-wide CSR
+/// index down to each workload window through one recycled
 /// scratch — the allocation-free warm path — and the warm stitched
 /// spanning batch is asserted to be no worse than the PR 9 nested-layout
 /// baseline.
 ///
-/// "engine batch warm", "spanning warm stitched", "span cold build" and
-/// both sharded cold builds are medians of `ENGINE_TIMING_REPS` runs (the
-/// pooled cold build clears the cache before each), and the asserts read
-/// those medians; "cache hits" is read after the first warm batch.
+/// Every timed column is a median of `ENGINE_TIMING_REPS` runs ("engine
+/// batch 1" and the pooled cold build clear the cache before each), and the
+/// asserts read those medians; "cache hits" counts the hits of the first
+/// cold batch and the first warm one.
 fn engine_batch(num_queries: usize) -> Report {
     let mut report = Report::new(
         format!(
@@ -518,28 +533,43 @@ fn engine_batch(num_queries: usize) -> Report {
         let workload = QueryWorkload::generate(&graph, &config);
         let queries: Vec<TimeRangeKCoreQuery> = workload.queries().collect();
 
-        let t0 = Instant::now();
         let mut cold_cores = 0u64;
-        for query in &queries {
-            let mut sink = CountingSink::default();
-            query.run_with(&graph, Algorithm::Enum, &mut sink);
-            cold_cores += sink.num_cores;
-        }
-        let cold = t0.elapsed();
+        let cold = median_time(|_| {
+            let t = Instant::now();
+            cold_cores = 0;
+            for query in &queries {
+                let mut sink = CountingSink::default();
+                query.run_with(&graph, Algorithm::Enum, &mut sink);
+                cold_cores += sink.num_cores;
+            }
+            t.elapsed()
+        });
 
-        let engine = tkcore::ShardedEngine::new(graph.clone(), tkcore::ShardPlan::Span)
-            .expect("the span plan resolves");
-        let requests = count_requests(&queries);
-        let t1 = Instant::now();
-        let first = engine
-            .execute_batch(requests)
-            .expect("workload queries are valid");
-        let first_time = t1.elapsed();
-        assert_eq!(
-            cold_cores,
-            total_cores(&first),
-            "cold/warm result mismatch on {name}"
+        let service = served(
+            tkcore::ShardedEngine::new(graph.clone(), tkcore::ShardPlan::Span)
+                .expect("the span plan resolves"),
         );
+        let engine = service.engine();
+        let mut first_hits = 0;
+        let first_time = median_time(|rep| {
+            engine.clear_cache();
+            let requests = count_requests(&queries);
+            let t = Instant::now();
+            let first = engine
+                .execute_batch(requests)
+                .expect("workload queries are valid");
+            let took = t.elapsed();
+            assert_eq!(
+                cold_cores,
+                total_cores(&first),
+                "cold/warm result mismatch on {name}"
+            );
+            if rep == 0 {
+                first_hits = engine.cache_stats().hits;
+            }
+            took
+        });
+        let cold_hits = engine.cache_stats().hits;
         let mut warm_hits = 0;
         let warm_time = median_time(|rep| {
             let requests = count_requests(&queries);
@@ -554,7 +584,7 @@ fn engine_batch(num_queries: usize) -> Report {
                 "cold/warm result mismatch on {name}"
             );
             if rep == 0 {
-                warm_hits = engine.cache_stats().hits;
+                warm_hits = first_hits + engine.cache_stats().hits - cold_hits;
             }
             took
         });
@@ -571,13 +601,16 @@ fn engine_batch(num_queries: usize) -> Report {
         // so this times the allocation-free binary-search slice itself.
         let mut scratch = tkcore::SkylineScratch::default();
         let mut restricted_windows = 0usize;
-        let t_restrict = Instant::now();
-        for query in &queries {
-            let restricted = span_index.restrict_with(&graph, query.range(), &mut scratch);
-            restricted_windows += restricted.total_windows();
-            scratch.recycle(restricted);
-        }
-        let flat_restrict = t_restrict.elapsed();
+        let flat_restrict = median_time(|_| {
+            let t = Instant::now();
+            restricted_windows = 0;
+            for query in &queries {
+                let restricted = span_index.restrict_with(&graph, query.range(), &mut scratch);
+                restricted_windows += restricted.total_windows();
+                scratch.recycle(restricted);
+            }
+            t.elapsed()
+        });
         assert!(
             restricted_windows > 0,
             "{name}: no workload window kept any skyline window — the restrict \
@@ -586,12 +619,15 @@ fn engine_batch(num_queries: usize) -> Report {
         drop(span_index);
 
         // Serial versus parallel cold build, alternating: the serial loop
-        // builds each shard's skyline in turn, and the pooled engine, its
+        // builds each shard's skyline in turn, and the served engine, its
         // cache cleared, warms the same plan and k, fanning the four
-        // independent shard builds across its pool.
+        // independent shard builds across the service's slots.
         let plan = tkcore::ShardPlan::FixedCount(ENGINE_EXPERIMENT_SHARDS);
-        let pooled = tkcore::ShardedEngine::new(graph.clone(), plan.clone())
-            .expect("fixed-count plan resolves");
+        let pooled_service = served(
+            tkcore::ShardedEngine::new(graph.clone(), plan.clone())
+                .expect("fixed-count plan resolves"),
+        );
+        let pooled = pooled_service.engine();
         let mut profiles = Vec::new();
         let mut parallel_times = Vec::with_capacity(ENGINE_TIMING_REPS);
         let sharded_build = median_time(|_| {
@@ -639,9 +675,11 @@ fn engine_batch(num_queries: usize) -> Report {
              ({span_bytes} B) with {ENGINE_EXPERIMENT_SHARDS} shards"
         );
         // The sharded engine answers the same workload identically.
-        let sharded_engine =
-            tkcore::ShardedEngine::new(graph.clone(), plan).expect("fixed-count plan resolves");
-        let sharded_batch = sharded_engine
+        let sharded_service = served(
+            tkcore::ShardedEngine::new(graph.clone(), plan).expect("fixed-count plan resolves"),
+        );
+        let sharded_batch = sharded_service
+            .engine()
             .execute_batch(count_requests(&queries))
             .expect("workload queries are valid");
         assert_eq!(
@@ -662,11 +700,14 @@ fn engine_batch(num_queries: usize) -> Report {
                 sink.num_cores
             })
             .sum();
-        let stitched = tkcore::ShardedEngine::new(
-            graph.clone(),
-            tkcore::ShardPlan::FixedCount(ENGINE_EXPERIMENT_SHARDS),
-        )
-        .expect("fixed-count plan resolves");
+        let stitched_service = served(
+            tkcore::ShardedEngine::new(
+                graph.clone(),
+                tkcore::ShardPlan::FixedCount(ENGINE_EXPERIMENT_SHARDS),
+            )
+            .expect("fixed-count plan resolves"),
+        );
+        let stitched = stitched_service.engine();
         // Warm the shard skylines and stitch entries, then time the
         // repeated batch.
         let stitched_first = stitched
@@ -883,10 +924,15 @@ fn ingest_experiment(num_queries: usize) -> Report {
             ..tkcore::EngineConfig::default()
         };
         let plan = tkcore::ShardPlan::FixedCount(INGEST_EXPERIMENT_SHARDS);
-        let live = tkcore::ShardedEngine::with_config(base_graph.clone(), plan.clone(), config)
-            .expect("fixed-count plan resolves");
-        let frozen = tkcore::ShardedEngine::new(base_graph.clone(), plan)
-            .expect("fixed-count plan resolves");
+        let live_service = served(
+            tkcore::ShardedEngine::with_config(base_graph.clone(), plan.clone(), config)
+                .expect("fixed-count plan resolves"),
+        );
+        let frozen_service = served(
+            tkcore::ShardedEngine::new(base_graph.clone(), plan)
+                .expect("fixed-count plan resolves"),
+        );
+        let (live, frozen) = (live_service.engine(), frozen_service.engine());
 
         // Queries confined to the closed shards of the base plan, so their
         // skylines must keep serving from cache throughout the stream.
@@ -908,7 +954,7 @@ fn ingest_experiment(num_queries: usize) -> Report {
             .collect();
 
         // Warm both engines identically before the stream starts.
-        for engine in [&live, &frozen] {
+        for engine in [live, frozen] {
             engine.execute_batch(count_requests(&queries)).unwrap();
         }
         let before = live.cache_stats();

@@ -11,7 +11,15 @@
 //! several candidates is linked to *all* of them — the graph over- rather
 //! than under-approximates, and every such site is counted and reported so
 //! the imprecision stays visible (`tkc-lint --graph`).
+//!
+//! A bare, unqualified call whose name is a parameter of the enclosing fn
+//! (`run(i)` in `fn drain<F: Fn(usize)>(run: &F)`) calls that closure or
+//! fn pointer, not a workspace fn, and resolves as external.  Method calls
+//! on any receiver other than `self` have no such escape: with no type
+//! information, `v.push(x)` on a `Vec` still links to every workspace
+//! method named `push`.
 
+use crate::lexer::{Token, TokenKind};
 use crate::scan::FileModel;
 use crate::symtab::{FnInfo, SymbolTable};
 use std::collections::BTreeSet;
@@ -181,7 +189,7 @@ impl CallGraph {
     ) {
         let code = &file.code;
         for t in 0..code.len() {
-            if code[t].kind != crate::lexer::TokenKind::Ident
+            if code[t].kind != TokenKind::Ident
                 || code.get(t + 1).map(|n| n.text.as_str()) != Some("(")
             {
                 continue;
@@ -213,18 +221,25 @@ impl CallGraph {
                     t >= 2 && code[t - 2].text == "self" && (t < 3 || code[t - 3].text != ".");
             } else if t >= 3 && code[t - 1].text == ":" && code[t - 2].text == ":" {
                 let q = &code[t - 3];
-                if q.kind == crate::lexer::TokenKind::Ident {
+                if q.kind == TokenKind::Ident {
                     qualifier = Some(q.text.clone());
                 }
             }
-            let (targets, resolution) = resolve(
-                symtab,
-                caller_info,
-                name,
-                qualifier.as_deref(),
-                is_method,
-                receiver_is_self,
-            );
+            let calls_param = !is_method
+                && qualifier.is_none()
+                && param_names(code, span.decl_index, span.body_start).contains(&name);
+            let (targets, resolution) = if calls_param {
+                (Vec::new(), Resolution::External)
+            } else {
+                resolve(
+                    symtab,
+                    caller_info,
+                    name,
+                    qualifier.as_deref(),
+                    is_method,
+                    receiver_is_self,
+                )
+            };
             self.sites.push(CallSite {
                 file: file_idx,
                 caller,
@@ -239,6 +254,49 @@ impl CallGraph {
             });
         }
     }
+}
+
+/// The parameter names of the fn declared at token `decl` (its `fn`
+/// keyword), whose body opens at `body_start`: every identifier directly
+/// inside the parameter list's parentheses that is followed by a lone `:`.
+/// Patterns that bind without a type annotation (`(a, b): (u32, u32)`)
+/// are missed, which only keeps their calls name-linked.
+fn param_names(code: &[Token], decl: usize, body_start: usize) -> Vec<&str> {
+    let text = |i: usize| code.get(i).map_or("", |t| t.text.as_str());
+    // Skip `fn name` and any generics; `->` inside them (`F: Fn() -> R`)
+    // closes no angle bracket.
+    let mut i = decl + 2;
+    let mut angle = 0usize;
+    while i < body_start && (angle > 0 || text(i) != "(") {
+        match text(i) {
+            "<" => angle += 1,
+            ">" if text(i - 1) != "-" => angle = angle.saturating_sub(1),
+            _ => {}
+        }
+        i += 1;
+    }
+    let mut names = Vec::new();
+    let mut depth = 0usize;
+    while i < body_start {
+        match text(i) {
+            "(" | "[" | "<" => depth += 1,
+            ")" | "]" => depth = depth.saturating_sub(1),
+            ">" if text(i - 1) != "-" => depth = depth.saturating_sub(1),
+            _ => {}
+        }
+        if depth == 0 {
+            break;
+        }
+        if depth == 1
+            && code[i].kind == TokenKind::Ident
+            && text(i + 1) == ":"
+            && text(i + 2) != ":"
+        {
+            names.push(code[i].text.as_str());
+        }
+        i += 1;
+    }
+    names
 }
 
 /// Applies the suffix-resolution strategy for one site (module docs).

@@ -1,8 +1,8 @@
 //! `tkc-lint`: a std-only concurrency/error-invariant linter for this
 //! workspace.
 //!
-//! The serving stack rests on hand-rolled concurrency — the
-//! [`ExecPool`](../tkcore/exec/index.html) thread pool, the service's
+//! The serving stack rests on hand-rolled concurrency — tkcore's
+//! crate-private `ExecPool` thread pool, the service's
 //! two-priority queue, LRU caches behind mutexes — whose safety claims (panic
 //! isolation, poison recovery, deadlock-free nested fan-out) are invariants
 //! of *convention*, not of the type system.  This crate machine-checks them

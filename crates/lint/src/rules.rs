@@ -6,7 +6,7 @@
 //!
 //! | rule | invariant |
 //! |---|---|
-//! | `no-raw-threads` | all fan-out goes through `tkcore::exec::ExecPool`; `thread::{spawn, scope, Builder}` only in `exec.rs` |
+//! | `no-raw-threads` | all fan-out goes through tkcore's `ExecPool` (a `CoreService`'s slots); `thread::{spawn, scope, Builder}` only in `exec.rs` |
 //! | `poison-safe-locks` | library code never `.lock().unwrap()`s; it recovers poison via `tkcore::sync::lock` |
 //! | `no-panic-api` | non-test `tkcore`/`temporal-graph` code returns `TkError`, it does not `unwrap`/`panic!` |
 //! | `lock-order` | the intraprocedural nested-lock graph over named lock sites is acyclic (no ABBA deadlocks) |
@@ -131,8 +131,9 @@ fn check_raw_threads(file: &FileModel, findings: &mut Vec<Finding>) {
                 "no-raw-threads",
                 code[i].line,
                 format!(
-                    "raw `thread::{}` outside tkcore/src/exec.rs: route fan-out through \
-                     `tkcore::exec::ExecPool` (panic isolation + deadlock-free nesting)",
+                    "raw `thread::{}` outside tkcore/src/exec.rs: run the work on a \
+                     `tkcore::CoreService`, whose pool fans out its engine's batches \
+                     (panic isolation + deadlock-free nesting)",
                     code[i + 3].text
                 ),
             );

@@ -152,6 +152,18 @@ fn lock_order_global_flags_composed_abba_and_cross_fn_reentrancy() {
 }
 
 #[test]
+fn a_call_through_a_closure_parameter_links_to_no_workspace_fn() {
+    let findings = lint_source(
+        "crates/skyline/src/closures.rs",
+        include_str!("fixtures/callgraph_closure_param.rs"),
+    );
+    // `run(*held)` at 26 calls the `run` parameter, so holding `ingest`
+    // across it is no re-entry of `Engine::run`; `other.run()` at 33 is a
+    // method call on a non-`self` receiver and stays linked by name.
+    assert_eq!(active(&findings, "lock-order-global"), vec![33]);
+}
+
+#[test]
 fn no_blocking_in_worker_follows_calls_from_spawned_closures() {
     let findings = lint_source(
         "crates/skyline/src/worker.rs",

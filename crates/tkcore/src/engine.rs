@@ -1,5 +1,5 @@
-//! Engine configuration, cache counters and the batch pool helper of
-//! [`crate::ShardedEngine`] — the crate's one query engine.
+//! Engine configuration and cache counters of [`crate::ShardedEngine`] —
+//! the crate's one query engine.
 //!
 //! The paper's framework splits a time-range temporal k-core query into a
 //! CoreTime precomputation (the [`crate::EdgeCoreSkyline`], Definitions
@@ -10,17 +10,14 @@
 //! [`crate::ShardPlan::Span`] engine whose one shard covers the whole
 //! timeline.
 //!
-//! Batching fans across the engine's persistent [`ExecPool`]: workers claim
-//! query indexes from a shared counter and the calling thread participates,
-//! so nested batches (a service request fanning a sweep on the same pool)
-//! never deadlock.  The pool is created lazily on the first multi-threaded
-//! batch, or injected by [`crate::CoreService`] so the serving layer and the
-//! engine share one set of threads.
+//! An engine owns no threads.  On its own it runs every batch, warm and
+//! absorb rebuild on the calling thread; served by a [`crate::CoreService`]
+//! it fans them into the service's worker slots, the calling thread
+//! participating, so nested batches (a service request fanning a sweep on
+//! the same slots) never deadlock.
 
-use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use crate::exec::ExecPool;
 use crate::ingest::SealPolicy;
 
 /// Tuning knobs of a [`crate::ShardedEngine`].
@@ -32,15 +29,6 @@ pub struct EngineConfig {
     /// [`EngineConfig::boundary_cache_entries`]).  The entry being inserted
     /// is exempt, so one oversized index never thrashes.
     pub memory_budget_bytes: usize,
-    /// Worker threads for fanning requests
-    /// ([`crate::ShardedEngine::execute_batch`]) and cold shard builds; `0`
-    /// means one per available CPU.  The threads live in a persistent
-    /// [`ExecPool`] created on the first multi-threaded batch (the calling
-    /// thread counts as one of them).  When the engine shares a pool
-    /// installed by [`crate::ShardedEngine::adopt_pool`] instead (as every
-    /// engine a [`crate::CoreService`] starts or adopts does), that pool's
-    /// size governs and this field is ignored.
-    pub num_threads: usize,
     /// Maximum number of cached boundary-stitch entries (one entry per
     /// `(shard range, k)` holding the cut-crossing minimal core windows; see
     /// [`crate::shard`]), evicted least-recently-used.  They share the
@@ -57,7 +45,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             memory_budget_bytes: 256 * 1024 * 1024,
-            num_threads: 0,
             boundary_cache_entries: 32,
             seal_policy: SealPolicy::Manual,
         }
@@ -102,10 +89,10 @@ pub struct CacheStats {
     /// [`SealPolicy`] and [`crate::ShardedEngine::seal_tail`]).
     pub seals: u64,
     /// Warm-path timing, with wall-clock and summed per-entry build times
-    /// reported separately: warms fan missing builds across the pool, so
-    /// the summed build time can exceed wall time by the parallelism
-    /// factor — summing alone would make a parallel warm look slower than
-    /// it is.
+    /// reported separately: a served engine's warms fan missing builds
+    /// across the service's slots, so the summed build time can exceed wall
+    /// time by the parallelism factor — summing alone would make a parallel
+    /// warm look slower than it is.
     pub warm: WarmStats,
     /// Absorb-path builds: the tail skylines and tail-touching stitch
     /// entries each [`crate::ShardedEngine::absorb`] rebuilds against its
@@ -127,8 +114,8 @@ pub struct WarmStats {
     /// entries don't count.
     pub entries_built: u64,
     /// Summed per-entry build time across workers.  Exceeds
-    /// [`WarmStats::wall_time`] when a warm overlaps builds on the pool —
-    /// compare the two to read off the effective build parallelism.
+    /// [`WarmStats::wall_time`] when a warm overlaps builds on several
+    /// slots — compare the two to read off the effective build parallelism.
     pub build_time: Duration,
     /// Wall-clock time spent building.
     pub wall_time: Duration,
@@ -169,31 +156,6 @@ pub struct ShardCacheStats {
     pub resident_bytes: usize,
     /// Number of this shard's resident skylines (distinct `k` values).
     pub resident_indexes: usize,
-}
-
-/// Picks the pool a batch of `num_tasks` fans across: the engine's
-/// persistent pool (created lazily on the first multi-threaded batch, or
-/// adopted from a service), or `None` for the inline single-threaded path.
-/// The calling thread participates either way; `configured_threads == 0`
-/// means one thread per available CPU.
-pub(crate) fn batch_pool(
-    pool: &OnceLock<Arc<ExecPool>>,
-    configured_threads: usize,
-    num_tasks: usize,
-) -> Option<Arc<ExecPool>> {
-    if let Some(pool) = pool.get() {
-        return Some(Arc::clone(pool));
-    }
-    let threads = match configured_threads {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    };
-    if threads <= 1 || num_tasks <= 1 {
-        return None;
-    }
-    // The calling thread participates in every batch, so the pool provides
-    // the remaining threads.
-    Some(Arc::clone(pool.get_or_init(|| ExecPool::new(threads - 1))))
 }
 
 #[cfg(test)]
@@ -302,7 +264,6 @@ mod tests {
             &g,
             EngineConfig {
                 memory_budget_bytes: one_index_bytes, // room for ~one index
-                num_threads: 1,
                 ..EngineConfig::default()
             },
         );
@@ -428,15 +389,18 @@ mod tests {
     #[test]
     fn batch_with_custom_sinks_and_threads() {
         let g = paper_example::graph();
-        let engine = span_engine_with(
-            &g,
-            EngineConfig {
-                num_threads: 3,
-                ..EngineConfig::default()
+        let service = crate::CoreService::start_sharded(
+            g.clone(),
+            ShardPlan::Span,
+            crate::ServiceConfig {
+                workers: 3,
+                ..crate::ServiceConfig::default()
             },
-        );
-        // Materialized requests fan across the pool; a streamed one runs on
-        // the caller into its own sink.
+        )
+        .unwrap();
+        let engine = service.engine();
+        // Materialized requests fan across the service's slots; a streamed
+        // one runs on the caller into its own sink.
         let mut requests: Vec<QueryRequest> = (0..7)
             .map(|_| QueryRequest::single(2, 1, g.tmax()).materialize())
             .collect();

@@ -1,7 +1,10 @@
 //! A persistent thread pool over one shared FIFO and a fixed number of
 //! execution slots: [`ExecPool`].
 //!
-//! One pool serves both the engines' batches and the serving layer:
+//! A [`crate::CoreService`] owns one and installs it into the engine it
+//! serves, so one pool serves both the service's requests and the engine's
+//! batches; a [`crate::TkServer`] owns a second, disjoint one for its
+//! connections.
 //!
 //! * **slots, not threads** — a pool of `workers` threads owns `workers`
 //!   slots, and every piece of work holds one while it runs.  A pool task
@@ -16,7 +19,7 @@
 //!   claiming caller never overtakes the queue.  Priority between request
 //!   classes is the service's business ([`crate::CoreService`] keeps its
 //!   own two-priority queue and spawns one pool task per queued job);
-//! * **nested batches** — [`ExecPool::run_batch`] fans an indexed closure
+//! * **nested batches** — [`run_batch_inner`] fans an indexed closure
 //!   across the pool with the *calling thread participating*: the caller
 //!   claims indexes from the same atomic counter as the helper tasks, and
 //!   helpers are spawned only into spare slots (none at all for a
@@ -29,7 +32,7 @@
 //!   can do;
 //! * **panic isolation** — a panicking task never kills its worker thread:
 //!   the worker catches the unwind, frees the slot and keeps serving the
-//!   queue, and `run_batch` re-raises the first payload on the calling
+//!   queue, and `run_batch_inner` re-raises the first payload on the calling
 //!   thread.
 //!
 //! The queue and the free slots sit behind one pool mutex.  Tasks are whole
@@ -95,17 +98,7 @@ impl PoolShared {
 /// See the [module documentation](self) for the slot and scheduling policy.
 /// Workers live until the pool is dropped; dropping signals shutdown, drains
 /// every queued task and joins the threads.
-///
-/// # Example
-///
-/// ```
-/// use tkcore::exec::ExecPool;
-///
-/// let pool = ExecPool::new(2);
-/// let squares = pool.run_batch(4, |i| i * i);
-/// assert_eq!(squares, vec![0, 1, 4, 9]);
-/// ```
-pub struct ExecPool {
+pub(crate) struct ExecPool {
     shared: Arc<PoolShared>,
     handles: Mutex<Vec<JoinHandle<()>>>,
     workers: usize,
@@ -143,7 +136,7 @@ impl Drop for SlotClaim<'_> {
 impl ExecPool {
     /// Spawns a pool of `workers` threads and as many slots (clamped to at
     /// least 1).
-    pub fn new(workers: usize) -> Arc<Self> {
+    pub(crate) fn new(workers: usize) -> Arc<Self> {
         let workers = workers.max(1);
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
@@ -172,14 +165,14 @@ impl ExecPool {
     }
 
     /// Number of slots in the pool (and of worker threads).
-    pub fn num_workers(&self) -> usize {
+    pub(crate) fn num_workers(&self) -> usize {
         self.workers
     }
 
     /// Appends a task to the pool's queue; a worker runs it, in the order
     /// of submission, once a slot is free.  The task receives the index of
     /// its slot.
-    pub fn spawn(&self, task: impl FnOnce(usize) + Send + 'static) {
+    pub(crate) fn spawn(&self, task: impl FnOnce(usize) + Send + 'static) {
         self.enqueue(0, Box::new(task));
     }
 
@@ -214,21 +207,9 @@ impl ExecPool {
         self.shared.lock().spare()
     }
 
-    /// Runs `run(i)` for every `i < len` across the pool's spare slots
-    /// **and the calling thread**, returning the results in index order.
-    ///
-    /// The caller claims indexes from the same shared counter as the helper
-    /// tasks, so the batch completes even when every slot is busy — which
-    /// makes nested batches (a pool task fanning out a sub-batch on the
-    /// same pool) deadlock-free by construction.  With no spare slot, or a
-    /// single index, the caller runs the whole batch itself.
-    ///
-    /// # Panics
-    /// Re-raises the first panic any task produced, after every in-flight
-    /// task of the batch has finished (worker threads survive; see the
-    /// module docs).  A batch the caller runs alone stops at its first
-    /// panicking index.
-    pub fn run_batch<R, F>(&self, len: usize, run: F) -> Vec<R>
+    /// [`run_batch_inner`] on this pool.
+    #[cfg(test)]
+    fn run_batch<R, F>(&self, len: usize, run: F) -> Vec<R>
     where
         R: Send + 'static,
         F: Fn(usize) -> R + Send + Sync + 'static,
@@ -292,7 +273,7 @@ fn worker_loop(shared: &PoolShared) {
     }
 }
 
-/// Shared state of one [`ExecPool::run_batch`] call.
+/// Shared state of one [`run_batch_inner`] call.
 struct BatchState<R> {
     next: AtomicUsize,
     results: Mutex<Vec<Option<std::thread::Result<R>>>>,
@@ -300,10 +281,21 @@ struct BatchState<R> {
     done: Condvar,
 }
 
-/// Executes an indexed batch, with pool helpers in the spare slots of
-/// `pool` if there are any; the calling thread always participates, and
-/// runs the batch alone — straight through, with no shared state — when no
-/// helper can start (`pool = None`, a single index, or no spare slot).
+/// Runs `run(i)` for every `i < len` across the spare slots of `pool`
+/// **and the calling thread**, returning the results in index order.
+///
+/// The caller claims indexes from the same shared counter as the helper
+/// tasks, so the batch completes even when every slot is busy — which
+/// makes nested batches (a pool task fanning out a sub-batch on the same
+/// pool) deadlock-free by construction.  When no helper can start
+/// (`pool = None`, a single index, or no spare slot) the caller runs the
+/// whole batch itself, straight through, with no shared state.
+///
+/// # Panics
+/// Re-raises the first panic any task produced, after every in-flight task
+/// of the batch has finished (worker threads survive; see the module
+/// docs).  A batch the caller runs alone stops at its first panicking
+/// index.
 pub(crate) fn run_batch_inner<R, F>(pool: Option<&ExecPool>, len: usize, run: F) -> Vec<R>
 where
     R: Send + 'static,

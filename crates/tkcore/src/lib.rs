@@ -31,19 +31,13 @@
 //!
 //! # Execution model
 //!
-//! All parallelism runs on one primitive: [`exec::ExecPool`], a
+//! All parallelism runs on one primitive: the crate-private `ExecPool`, a
 //! **persistent pool** of named OS threads over one shared FIFO, with one
 //! execution **slot** per thread.  Pool tasks and callers that claim a
 //! slot share those slots, so they never run more pieces of work at once
 //! than the pool has threads.  Nothing in the crate spawns transient
-//! per-call threads:
+//! per-call threads, and the threads belong to the serving layer:
 //!
-//! * [`ShardedEngine::execute_batch`] fans every `(request, k)` unit of a
-//!   batch across the spare slots of the engine's pool — created lazily on
-//!   the first multi-threaded batch ([`EngineConfig::num_threads`]), or
-//!   adopted from a [`CoreService`]; the calling thread counts as one of
-//!   them and participates in every batch (alone when no slot is spare),
-//!   so nested fan-out never deadlocks;
 //! * [`CoreService`] owns a pool of [`ServiceConfig::workers`] slots and
 //!   keeps **one two-priority queue** of admitted requests.
 //!   [`CoreService::call`] runs a request on the calling thread when no
@@ -52,11 +46,15 @@
 //!   pool task, which runs the oldest waiting interactive request, else
 //!   the oldest batch one, on whichever worker gets a slot.  The skyline
 //!   cache (shard skylines and stitch entries alike) is engine-wide, so
-//!   every slot is an equally good home for every request.  An engine
-//!   created by [`CoreService::start_sharded`] (or adopted by
-//!   [`CoreService::over_sharded`]) shares the service's pool, so a queued
-//!   multi-`k` sweep and a cold build fan out into the same slots that
-//!   serve requests;
+//!   every slot is an equally good home for every request;
+//! * [`CoreService::start_sharded`] and [`CoreService::over_sharded`]
+//!   install the service's pool into its engine, once.  A served engine
+//!   fans every `(request, k)` unit of a batch
+//!   ([`ShardedEngine::execute_batch`]), every cold build of a warm or a
+//!   spanning query, and an absorb's rebuilds across the spare slots of
+//!   that pool; the calling thread participates in every batch (alone when
+//!   no slot is spare), so nested fan-out never deadlocks.  An engine no
+//!   service serves owns no threads and runs all of that on its caller;
 //! * a panicking request (e.g. a panicking streaming sink) is caught where
 //!   it runs: the reply is [`TkError::WorkerPanicked`], the thread and its
 //!   slot survive, and [`ServiceStats`] — including the per-slot
@@ -222,7 +220,7 @@
 //! `tkc-lint` (`cargo run -p tkc-lint -- --deny`; see `crates/lint/README.md`
 //! for rule rationale and the suppression-pragma syntax):
 //!
-//! * **no-raw-threads** — all fan-out goes through [`exec::ExecPool`];
+//! * **no-raw-threads** — all fan-out goes through the crate's `ExecPool`;
 //!   `thread::{spawn, scope, Builder}` appears only in `exec.rs`.  This is
 //!   what makes panic isolation, nested-batch deadlock freedom and the
 //!   service's lane accounting hold everywhere by construction.
@@ -255,8 +253,7 @@
 //!   calling into shard code that takes the stats lock, composed with the
 //!   reverse order elsewhere.
 //! * **no-blocking-in-worker** — no fn reachable from a closure handed to
-//!   [`exec::ExecPool::spawn`] / `run_batch` blocks
-//!   (`Ticket::wait`, `Condvar::wait`, `JoinHandle::join`,
+//!   `ExecPool::spawn` / `run_batch_inner` blocks (`Ticket::wait`, `Condvar::wait`, `JoinHandle::join`,
 //!   [`sync::wait`]): a worker waiting on work only another worker can
 //!   finish deadlocks the pool.  The two sanctioned waits in `exec.rs`
 //!   (the idle scheduler loop; the claim-alongside-helpers batch join)
@@ -280,7 +277,7 @@ pub mod engine;
 mod enum_base;
 mod enumerate;
 mod error;
-pub mod exec;
+mod exec;
 pub mod ingest;
 pub mod naive;
 mod otcd;
@@ -303,7 +300,6 @@ pub use engine::{BoundaryCacheStats, CacheStats, EngineConfig, ShardCacheStats, 
 pub use enum_base::{enumerate_base, enumerate_base_from_graph, EnumBaseStats};
 pub use enumerate::{enumerate, enumerate_from_graph, EnumStats};
 pub use error::TkError;
-pub use exec::ExecPool;
 pub use ingest::{AbsorbStats, IngestEvent, SealPolicy};
 pub use naive::{core_edges_of_window, enumerate_naive, naive_results};
 pub use otcd::{run_otcd, OtcdStats};

@@ -15,7 +15,7 @@
 //!   [`wire::MAX_LINE_BYTES`] gets a `BadRequest` reply and the connection
 //!   closes, so a connection's line buffer never grows past that bound;
 //! * **bounded concurrency** — connections are handled by a dedicated
-//!   [`ExecPool`] of [`ServerConfig::connection_workers`] tasks, disjoint
+//!   thread pool of [`ServerConfig::connection_workers`] tasks, disjoint
 //!   from the service's worker pool, so at most `connection_workers`
 //!   connections are served concurrently and the pending ones queue in the
 //!   listener backlog.  A connection task hands each query to

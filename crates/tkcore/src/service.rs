@@ -4,9 +4,10 @@
 //! bounded two-priority queue with admission control, typed rejection, and
 //! per-request accounting, in front of a [`ShardedEngine`] (an unsharded
 //! service runs a [`ShardPlan::Span`] engine) executed in the
-//! [`ServiceConfig::workers`] slots of a persistent [`ExecPool`] — slots
+//! [`ServiceConfig::workers`] slots of a persistent thread pool — slots
 //! shared by the pool's threads and by callers running a request
-//! themselves:
+//! themselves.  The service installs that pool into its engine when it
+//! starts, so the engine's own fan-out runs in the same slots:
 //!
 //! * [`CoreService::submit`] **validates synchronously** (malformed requests
 //!   never occupy queue capacity) and then applies **admission control**:
@@ -556,8 +557,8 @@ pub struct CoreService {
 
 impl CoreService {
     /// Starts a service owning `graph` on a [`ShardedEngine`] cut by `plan`
-    /// ([`ShardPlan::Span`] for an unsharded engine); the engine's batches
-    /// share the service's worker pool.
+    /// ([`ShardPlan::Span`] for an unsharded engine), configured by
+    /// [`ServiceConfig::engine`]; see [`CoreService::over_sharded`].
     ///
     /// # Errors
     /// [`TkError::InvalidShardPlan`] when `plan` does not resolve against
@@ -571,13 +572,15 @@ impl CoreService {
         Ok(Self::over_sharded(Arc::new(engine), config))
     }
 
-    /// Starts a service over an existing (possibly shared) engine.  If the
-    /// engine has not yet created or been given a pool of its own, it
-    /// adopts the service's pool, so one set of threads serves both layers;
-    /// otherwise it keeps its existing pool.
+    /// Starts a service over an existing (possibly shared) engine, with a
+    /// worker pool of [`ServiceConfig::workers`] slots, and installs that
+    /// pool into the engine: from then on the engine's batches, warms and
+    /// absorb rebuilds fan out into the service's slots, whoever calls
+    /// them, so one set of threads serves both layers.  An engine already
+    /// served by another service keeps that service's pool.
     pub fn over_sharded(engine: Arc<ShardedEngine>, config: ServiceConfig) -> Self {
         let pool = ExecPool::new(config.workers.max(1));
-        engine.adopt_pool(Arc::clone(&pool));
+        engine.install_pool(Arc::clone(&pool));
         let shared = Arc::new(ServiceShared {
             state: Mutex::new(ServiceState {
                 open: true,
@@ -654,7 +657,7 @@ impl CoreService {
         let validated = self.validate(request, &opts)?;
         let pool = self.pool()?;
         let (state, id) = self.admit_query(&opts)?;
-        Ok(self.enqueue(pool, state, id, validated, opts))
+        Ok(self.enqueue_query(pool, state, id, validated, opts))
     }
 
     /// Runs `request` to completion and returns its reply: the synchronous
@@ -689,7 +692,7 @@ impl CoreService {
         let slot = match slot {
             Some(slot) if state.queued == 0 => slot,
             slot => {
-                let ticket = self.enqueue(pool, state, id, validated, opts);
+                let ticket = self.enqueue_query(pool, state, id, validated, opts);
                 // Returned before waiting, so the queued job may run in it.
                 drop(slot);
                 // tkc-lint: allow(no-blocking-in-worker) — a queued call waits on a job of this service's own pool; callers are connection tasks on the server's disjoint pool or plain threads, and no service job ever calls `call`, so this wait cannot starve the workers it waits on
@@ -763,7 +766,7 @@ impl CoreService {
     }
 
     /// Queues an admitted query — `state` is still the admission's lock.
-    fn enqueue(
+    fn enqueue_query(
         &self,
         pool: &ExecPool,
         state: MutexGuard<'_, ServiceState>,
@@ -885,9 +888,9 @@ impl CoreService {
             return;
         }
         self.drain();
-        // Dropping the last pool reference joins the worker threads.  An
-        // engine that adopted the pool holds a reference for its own
-        // batches; its threads idle until the engine is dropped.
+        // Dropping the last pool reference joins the worker threads.  The
+        // engine keeps the reference this service installed, for its own
+        // batches; the threads idle until the engine is dropped.
         self.pool = None;
     }
 
@@ -1276,6 +1279,26 @@ mod tests {
             Err(TkError::ServiceStopped)
         ));
         assert_eq!(service.stats().rejected, 0);
+    }
+
+    #[test]
+    fn a_warmed_engine_fans_out_into_the_service_pool() {
+        // The engine builds before any service serves it, and a standalone
+        // engine owns no pool; the service's pool is then the one it fans
+        // out into, so its fan-out stays inside the service's slots.
+        let engine =
+            Arc::new(ShardedEngine::new(paper_example::graph(), ShardPlan::FixedCount(4)).unwrap());
+        engine.warm(2);
+        assert!(engine.pool().is_none(), "a standalone engine owns no pool");
+        let service = CoreService::over_sharded(
+            Arc::clone(&engine),
+            ServiceConfig {
+                workers: 1,
+                ..ServiceConfig::default()
+            },
+        );
+        let installed = engine.pool().expect("the service installs its pool");
+        assert!(Arc::ptr_eq(installed, service.pool().unwrap()));
     }
 
     #[test]

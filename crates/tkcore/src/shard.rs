@@ -94,7 +94,7 @@ use std::time::{Duration, Instant};
 
 use crate::cache::{EpochView, RangeKey, SkylineCache};
 use crate::ecs::{EdgeCoreSkyline, WindowView};
-use crate::engine::{batch_pool, CacheStats, EngineConfig};
+use crate::engine::{CacheStats, EngineConfig};
 use crate::enumerate::enumerate;
 use crate::error::TkError;
 use crate::exec::{run_batch_inner, ExecPool};
@@ -110,9 +110,14 @@ pub use crate::plan::ShardPlan;
 /// The query engine: a per-`(shard, k)` skyline cache over time-interval
 /// shards, exact boundary stitching through a cached
 /// [`CacheStats::boundary`] index, and a request surface
-/// ([`ShardedEngine::execute`] / [`ShardedEngine::execute_batch`]) fanning
-/// work across a persistent [`ExecPool`].  [`ShardPlan::Span`] gives the
-/// unsharded engine (one span-wide skyline per `k`).
+/// ([`ShardedEngine::execute`] / [`ShardedEngine::execute_batch`]).
+/// [`ShardPlan::Span`] gives the unsharded engine (one span-wide skyline
+/// per `k`).
+///
+/// The engine owns no threads: on its own it runs every batch, warm and
+/// absorb rebuild on the calling thread.  Served by a [`crate::CoreService`]
+/// (which installs its worker pool when it starts), it fans that work into
+/// the service's slots, the calling thread participating.
 ///
 /// See the [module documentation](self) for the sharding layout and the
 /// exactness argument.
@@ -188,8 +193,9 @@ struct IngestState {
 /// [`ShardedEngine::execute_validated`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Units {
-    /// Across the spare slots of the engine's pool, the calling thread
-    /// participating: library batches and queued service jobs.
+    /// Across the spare slots of the installed service pool (if any), the
+    /// calling thread participating: library batches and queued service
+    /// jobs.
     FanOut,
     /// On the calling thread alone when every unit's entries are resident:
     /// a service request already running in a pool slot of its own on the
@@ -224,6 +230,9 @@ struct ShardInner {
     ingest: Mutex<IngestState>,
     /// Every cached shard skyline and stitch entry.
     cache: Mutex<SkylineCache>,
+    /// The worker pool of the [`crate::CoreService`] serving this engine,
+    /// installed once by the service; unset, every fan-out runs on its
+    /// calling thread.
     pool: OnceLock<Arc<ExecPool>>,
     /// Test-only fail point: while non-zero, each absorb decrements it and
     /// panics before touching any state (see
@@ -284,13 +293,18 @@ impl ShardedEngine {
         })
     }
 
-    /// Adopts `pool` for this engine's batches if it has not already
-    /// created or been given one; returns whether the pool was installed.
-    /// This is how [`crate::CoreService`] shares its worker pool with the
-    /// engine it starts or adopts, instead of the engine lazily spawning a
-    /// second private pool.
-    pub fn adopt_pool(&self, pool: Arc<ExecPool>) -> bool {
-        self.inner.pool.set(pool).is_ok()
+    /// Installs the worker pool of the [`crate::CoreService`] serving this
+    /// engine, so its batches, warms and absorb rebuilds fan out into the
+    /// service's slots.  The first service to install a pool keeps it: an
+    /// engine served by two services fans out into the first one's slots.
+    pub(crate) fn install_pool(&self, pool: Arc<ExecPool>) {
+        let _ = self.inner.pool.set(pool);
+    }
+
+    /// The pool this engine fans out into, if a service installed one.
+    #[cfg(test)]
+    pub(crate) fn pool(&self) -> Option<&Arc<ExecPool>> {
+        self.inner.pool.get()
     }
 
     /// The graph snapshot this engine currently serves queries against.
@@ -333,9 +347,9 @@ impl ShardedEngine {
     /// Only the tail-touching entries are replaced (counted in the returned
     /// [`AbsorbStats`] and in [`CacheStats`]); closed-shard skylines stay
     /// resident.  Every tail entry that was resident is rebuilt against the
-    /// new snapshot on the engine's [`ExecPool`], outside the locks, and
-    /// installed as the snapshot is swapped in, so the first query of the
-    /// new epoch hits; [`CacheStats::publish`] books those builds.  The
+    /// new snapshot (fanned into the serving service's slots, if any),
+    /// outside the locks, and installed as the snapshot is swapped in, so
+    /// the first query of the new epoch hits; [`CacheStats::publish`] books those builds.  The
     /// configured [`crate::SealPolicy`] may then roll the tail into a
     /// closed shard, and the next batch opens a fresh one.
     ///
@@ -398,12 +412,12 @@ impl ShardedEngine {
         sync::lock(&self.inner.cache).stats(num_shards)
     }
 
-    /// Warms every shard skyline for `k`, fanning the missing builds
-    /// across the engine's [`ExecPool`] (shard skylines build
-    /// independently, so a cold warm finishes in roughly the time of the
-    /// largest shard instead of the sum); returns whether all of them were
-    /// already resident.  Each shard counts one hit or miss, as a query's
-    /// lookup does, and [`CacheStats::warm`] books the build times.
+    /// Warms every shard skyline for `k`; a served engine fans the missing
+    /// builds across the service's slots (shard skylines build
+    /// independently, so a cold warm then finishes in roughly the time of
+    /// the largest shard instead of the sum).  Returns whether all of them
+    /// were already resident.  Each shard counts one hit or miss, as a
+    /// query's lookup does, and [`CacheStats::warm`] books the build times.
     pub fn warm(&self, k: usize) -> bool {
         let t0 = Instant::now();
         let live = self.inner.live_now();
@@ -496,12 +510,14 @@ impl ShardedEngine {
     /// Executes a batch of requests against one live view, returning one
     /// [`QueryResponse`] per request, in request order.
     ///
-    /// Every count, sample and materialize `(request, k)` unit of the batch fans
-    /// across the engine's [`ExecPool`] together (the calling thread
-    /// participates, so workers warm different shards in parallel and long
-    /// and short units balance); stream requests then run their `k`s in
-    /// request order on the calling thread, each into its own sink.  Every
-    /// unit is answered as [`ShardedEngine::execute`] answers it.
+    /// Every count, sample and materialize `(request, k)` unit of the batch
+    /// runs as one batch: on a served engine across the service's spare
+    /// slots together with the calling thread (so workers warm different
+    /// shards in parallel and long and short units balance), on a
+    /// standalone engine on the calling thread.  Stream requests then run
+    /// their `k`s in request order on the calling thread, each into its own
+    /// sink.  Every unit is answered as [`ShardedEngine::execute`] answers
+    /// it.
     ///
     /// # Errors
     /// Every request is validated up front; the first invalid one fails the
@@ -578,7 +594,7 @@ impl ShardedEngine {
 
     /// Runs validated `(k, window, shape)` units against one live view, one
     /// fresh [`OutcomeSink`] per unit: across the spare slots of the
-    /// engine's pool plus the calling thread (workers claim the next unit
+    /// installed pool plus the calling thread (workers claim the next unit
     /// index from a shared counter, so long and short units balance), or,
     /// with [`Units::OnCaller`] and every unit warm, on the calling thread
     /// alone.  Returns the results in unit order.
@@ -589,13 +605,9 @@ impl ShardedEngine {
         placement: Units,
     ) -> Vec<(OutcomeSink, QueryStats)> {
         let on_caller = placement == Units::OnCaller && self.inner.units_warm(&live, &units);
-        let pool = if on_caller {
-            None
-        } else {
-            batch_pool(&self.inner.pool, self.inner.config.num_threads, units.len())
-        };
+        let pool = if on_caller { None } else { self.inner.pool() };
         let inner = Arc::clone(&self.inner);
-        run_batch_inner(pool.as_deref(), units.len(), move |i| {
+        run_batch_inner(pool, units.len(), move |i| {
             let (k, window, shape) = units[i];
             let mut sink = OutcomeSink::new(shape);
             let stats = inner.run_validated(&live, k, window, &mut sink);
@@ -609,6 +621,11 @@ impl ShardInner {
     /// hold the returned `Arc` for the whole query, never the lock.
     fn live_now(&self) -> Arc<LiveState> {
         Arc::clone(&sync::lock(&self.live))
+    }
+
+    /// The installed service pool, or `None` to run on the calling thread.
+    fn pool(&self) -> Option<&ExecPool> {
+        self.pool.get().map(Arc::as_ref)
     }
 
     /// Absorbs one ingest batch: append + publish, recompute the tail
@@ -662,7 +679,6 @@ impl ShardInner {
             shards,
         });
         let keys = sync::lock(&self.cache).rebuild_keys(tail);
-        // tkc-lint: allow(lock-order-global) — the fan-out only runs the build closure, which takes no lock; the lint links drain_batch's `run(i)` closure call to QueryRequest::run by name, and through it to the ingest lock
         let (rebuilt, build_time, wall_time) = self.build_entries(&state, &keys);
         let mut live = sync::lock(&self.live);
         let mut cache = sync::lock(&self.cache);
@@ -687,7 +703,7 @@ impl ShardInner {
     }
 
     /// Builds the entries `keys` against `live`, fanned across the
-    /// engine's [`ExecPool`] (the calling thread participates) while
+    /// installed pool (the calling thread participates) while
     /// holding neither the live nor the cache lock: a cold query's shard
     /// skylines and an absorb's rebuilds alike.  Returns them in key order,
     /// with their summed per-entry build time and the wall time of the
@@ -698,10 +714,9 @@ impl ShardInner {
         keys: &[RangeKey],
     ) -> (Vec<Arc<EdgeCoreSkyline>>, Duration, Duration) {
         let t0 = Instant::now();
-        let pool = batch_pool(&self.pool, self.config.num_threads, keys.len());
         let task_live = Arc::clone(live);
         let task_keys: Arc<[RangeKey]> = keys.into();
-        let built = run_batch_inner(pool.as_deref(), keys.len(), move |i| {
+        let built = run_batch_inner(self.pool(), keys.len(), move |i| {
             let t = Instant::now();
             let skyline = task_live.build_entry(task_keys[i]);
             (Arc::new(skyline), t.elapsed())
@@ -747,15 +762,15 @@ impl ShardInner {
 
     /// Returns the cache entries `keys` (shard skylines and stitch entries
     /// alike, in key order), fanning the builds of the cold ones across the
-    /// engine's [`ExecPool`] via `run_batch`, so a cold spanning query pays
-    /// roughly the largest build instead of the sum.
+    /// installed pool via `run_batch_inner`, so a cold spanning query on a
+    /// served engine pays roughly the largest build instead of the sum.
     ///
     /// Cache semantics are identical to building serially: one `lookup`
     /// per key (hit/miss accounting), builds outside the cache lock, then
     /// one `adopt` per build — two threads racing on the same cold key may
     /// both build, the loser's copy is dropped.  Nested fan-out is
-    /// deadlock-free because `run_batch`'s calling thread claims indexes
-    /// itself.
+    /// deadlock-free because `run_batch_inner`'s calling thread claims
+    /// indexes itself.
     ///
     /// Also returns the number of entries built here and their summed
     /// per-entry build time (wall time is shorter when builds overlap; see
@@ -884,13 +899,10 @@ mod tests {
             .total_cores()
     }
 
-    /// A single-threaded engine over the paper example, with `set` applied
-    /// to the default config.
+    /// An engine over the paper example, with `set` applied to the default
+    /// config.  No service installs a pool, so it runs on the caller.
     fn paper_engine(plan: ShardPlan, set: impl FnOnce(&mut EngineConfig)) -> ShardedEngine {
-        let mut config = EngineConfig {
-            num_threads: 1,
-            ..EngineConfig::default()
-        };
+        let mut config = EngineConfig::default();
         set(&mut config);
         ShardedEngine::with_config(paper_example::graph(), plan, config).unwrap()
     }

@@ -1,11 +1,11 @@
 //! Poison-recovering lock helpers shared by every lock site in the crate.
 //!
 //! The serving stack isolates panics (a panicking sink or task never kills
-//! its worker; see [`crate::exec`]), which means a thread *can* unwind while
-//! holding one of the internal mutexes — the skyline caches, the scheduler
-//! state, the service statistics.  A bare `.lock().unwrap()` at any of those
-//! sites would convert that one contained panic into a permanently wedged
-//! lock: every later caller — including innocent reads like
+//! its worker; see [`crate::CoreService`]), which means a thread *can*
+//! unwind while holding one of the internal mutexes — the skyline caches,
+//! the scheduler state, the service statistics.  A bare `.lock().unwrap()`
+//! at any of those sites would convert that one contained panic into a
+//! permanently wedged lock: every later caller — including innocent reads like
 //! [`crate::ShardedEngine::cache_stats`] — would panic on the
 //! [`PoisonError`].
 //!

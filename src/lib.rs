@@ -117,10 +117,10 @@ pub mod prelude {
     };
     pub use tkcore::{
         AbsorbStats, Algorithm, BoundaryCacheStats, CacheStats, CollectingSink, CoreService,
-        CountingSink, EdgeCoreSkyline, EngineConfig, ExecPool, FrameworkStats, IngestDelta,
-        IngestEvent, IngestLaneStats, IngestReply, IngestTicket, KOutcome, KOutput, KSelection,
-        Lane, LaneStats, LatencyHistogram, OutputMode, QueryRequest, QueryResponse, QueryStats,
-        RequestId, ResultSink, SamplingSink, SealPolicy, ServeSummary, ServerConfig, ServiceConfig,
+        CountingSink, EdgeCoreSkyline, EngineConfig, FrameworkStats, IngestDelta, IngestEvent,
+        IngestLaneStats, IngestReply, IngestTicket, KOutcome, KOutput, KSelection, Lane, LaneStats,
+        LatencyHistogram, OutputMode, QueryRequest, QueryResponse, QueryStats, RequestId,
+        ResultSink, SamplingSink, SealPolicy, ServeSummary, ServerConfig, ServiceConfig,
         ServiceReply, ServiceStats, ShardCacheStats, ShardPlan, ShardedEngine, SizeSink,
         SubmitOptions, TemporalKCore, Ticket, TimeRangeKCoreQuery, TkError, TkServer,
         ValidatedRequest, VertexCoreTimeIndex, WarmStats, WindowView, WorkerStats,

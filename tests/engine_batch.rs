@@ -5,9 +5,10 @@
 
 use temporal_kcore::prelude::*;
 
-/// An unsharded engine: one span-wide skyline per `k`.
-fn span_engine(graph: &TemporalGraph, config: EngineConfig) -> ShardedEngine {
-    ShardedEngine::with_config(graph.clone(), ShardPlan::Span, config).unwrap()
+/// An unsharded engine: one span-wide skyline per `k`.  It serves no
+/// service, so its batches run on the calling thread.
+fn span_engine(graph: &TemporalGraph) -> ShardedEngine {
+    ShardedEngine::new(graph.clone(), ShardPlan::Span).unwrap()
 }
 
 fn workload_queries(
@@ -42,7 +43,7 @@ fn total_cores(responses: &[QueryResponse]) -> u64 {
 fn warm_batches_match_fresh_per_query_runs_for_every_algorithm() {
     let graph = DatasetProfile::by_name("FB").unwrap().generate();
     let (_, queries) = workload_queries(&graph, 6, 0xE26);
-    let engine = span_engine(&graph, EngineConfig::default());
+    let engine = span_engine(&graph);
     let responses = engine.execute_batch(requests(&queries)).unwrap();
     assert_eq!(responses.len(), queries.len());
     let total_edges: u64 = responses
@@ -82,16 +83,10 @@ fn warm_batches_match_fresh_per_query_runs_for_every_algorithm() {
 fn one_span_build_serves_the_whole_batch_and_repeats_hit() {
     let graph = DatasetProfile::by_name("FB").unwrap().generate();
     let (_, queries) = workload_queries(&graph, 5, 0xCAFE);
-    // Single worker: concurrent cold queries for one k may each count a
-    // miss (documented build race), so exact counter assertions need the
-    // sequential path.
-    let engine = span_engine(
-        &graph,
-        EngineConfig {
-            num_threads: 1,
-            ..EngineConfig::default()
-        },
-    );
+    // A standalone engine runs a batch in order on the caller; concurrent
+    // cold queries for one k could each count a miss (documented build
+    // race), so the exact counter assertions rely on that.
+    let engine = span_engine(&graph);
 
     let first = engine.execute_batch(requests(&queries)).unwrap();
     let cache = engine.cache_stats();
@@ -121,14 +116,9 @@ fn mixed_k_batch_caches_one_index_per_k() {
             ]
         })
         .collect();
-    // Single worker for deterministic per-k miss counters (see above).
-    let engine = span_engine(
-        &graph,
-        EngineConfig {
-            num_threads: 1,
-            ..EngineConfig::default()
-        },
-    );
+    // Sequential on the caller, so the per-k miss counters are exact (see
+    // above).
+    let engine = span_engine(&graph);
     let responses = engine.execute_batch(requests(&queries)).unwrap();
     let distinct_k = {
         let mut ks: Vec<usize> = queries.iter().map(|q| q.k()).collect();
@@ -149,7 +139,7 @@ fn mixed_k_batch_caches_one_index_per_k() {
 #[test]
 fn out_of_span_and_overhanging_ranges_are_handled() {
     let graph = DatasetProfile::by_name("FB").unwrap().generate();
-    let engine = span_engine(&graph, EngineConfig::default());
+    let engine = span_engine(&graph);
     let tmax = graph.tmax();
 
     // Entirely past the end: a typed refusal, no index build.
@@ -177,7 +167,7 @@ fn out_of_span_and_overhanging_ranges_are_handled() {
 fn collecting_batch_returns_canonical_cores() {
     let graph = DatasetProfile::by_name("BO").unwrap().generate();
     let (_, queries) = workload_queries(&graph, 4, 7);
-    let engine = span_engine(&graph, EngineConfig::default());
+    let engine = span_engine(&graph);
     let materialized = queries
         .iter()
         .map(|&query| QueryRequest::from(query).materialize())
